@@ -22,13 +22,9 @@ import argparse
 import json
 import sys
 
-from .config import DEFAULTS, normalize_config
+from .config import DEFAULTS, EXPERIMENT_KINDS, normalize_config
 from .errors import CompoundDeviationsError, ConfigError
 from .experiments import run_experiment
-
-EXPERIMENT_COMMANDS = (
-    "rate-eval", "ldp-check", "md-check", "moments-check", "clt-check", "ml-eval",
-)
 
 
 def _build_parser():
@@ -37,7 +33,7 @@ def _build_parser():
         description="Deviation-regime diagnostics for random-size sums.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in EXPERIMENT_COMMANDS:
+    for command in EXPERIMENT_KINDS:
         p = sub.add_parser(command, help=f"run a {command} experiment")
         p.add_argument("--config", help="path to a JSON experiment config")
         p.add_argument("--out", help="output directory (overrides the config)")

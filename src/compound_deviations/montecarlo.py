@@ -10,9 +10,10 @@ the independence of the count from the summands).
 
 Contents: plain simulation, exact enumeration on small finite instances,
 exponentially tilted importance sampling (with the tilt chosen on the rate
-minimizer over the event boundary), decay-rate scans against the rate
-engine, the moderate-deviation scaling sweep, and empirical moment/CLT
-checks against the analytic limits.
+minimizer over the event boundary, found as the one-dimensional dual of the
+half-space rate infimum), decay-rate scans against the rate engine, the
+moderate-deviation scaling sweep, and empirical moment/CLT checks against
+the analytic limits.
 
 Model objects cross process boundaries by pickling, so custom intensity or
 profile callables must be module-level functions or classes, not lambdas.
@@ -29,7 +30,7 @@ import numpy as np
 from scipy.special import gammaln
 from scipy.stats import normaltest
 
-from .dualpair import ExtendedReal, as_vector
+from .dualpair import as_vector
 from .errors import (
     EnumerationTooLargeError,
     InconclusiveOptimizationError,
@@ -40,7 +41,6 @@ from .errors import (
 from .summands import FiniteSupportSummands, GridFunctionSummands
 from .variational import (
     analytic_limit_moments,
-    count_rate,
     finite_n_moment_identities,
     legendre_transform,
 )
@@ -273,134 +273,65 @@ class TiltParameters:
     boundary_y: float
 
 
-def _projected_cgf(mx, direction):
-    def f(t):
-        return mx.cgf(float(t[0]) * direction)
-
-    def grad(t):
-        return np.array([float(direction @ mx.cgf_grad(float(t[0]) * direction))])
-
-    return f, grad
-
-
-def _boundary_rate_curve(mx, mn, event, settings):
-    """R(y): rate of the cheapest point on the boundary with count slot y."""
-    f, grad = _projected_cgf(mx, event.direction)
-    level = float(event.level)
-
-    def curve(y):
-        if y <= 0.0:
-            return math.inf
-        try:
-            conj = legendre_transform(f, grad, [level / y], settings=settings).value
-            tail = count_rate(mn, y, settings=settings).value
-        except InconclusiveOptimizationError:
-            return math.inf
-        return float(ExtendedReal(y) * conj + tail)
-
-    return curve
-
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min(fn, lo, hi, iterations=200, tol=1e-10):
-    left = hi - _GOLDEN * (hi - lo)
-    right = lo + _GOLDEN * (hi - lo)
-    f_left, f_right = fn(left), fn(right)
-    for _ in range(iterations):
-        if hi - lo <= tol * (1.0 + abs(lo)):
-            break
-        if f_left <= f_right:
-            # Ties collapse toward the smaller argument.
-            hi, right, f_right = right, left, f_left
-            left = hi - _GOLDEN * (hi - lo)
-            f_left = fn(left)
-        else:
-            lo, left, f_left = left, right, f_right
-            right = lo + _GOLDEN * (hi - lo)
-            f_right = fn(right)
-    return 0.5 * (lo + hi)
-
-
 def tilt_parameters(mx, mn, event, settings=None):
     """Tilt targeting the rate minimizer over the closure of a half-space event.
 
-    Count events reduce to the count-marginal conjugate at the level; sum
-    events minimize, over the count slot y, the explicit boundary rate
-    y * (projected summand conjugate at level/y) + count rate at y, by a
-    coarse geometric scan plus golden-section refinement (ties toward
-    smaller y). Events whose closure contains the limit point have zero rate
-    and are rejected: plain Monte Carlo suffices there.
+    Write the event as {<d, x> + c y >= level}: a sum event has (d, c) =
+    (direction, 0), a count event (0, 1). By convex duality its rate
+    infimum is the scalar conjugate sup_{t >= 0} [t level - g(t)] of
+    g(t) = L_N(t c + L_X(t d)), solved by one ``legendre_transform`` call.
+    The maximizer t* gives theta = t* d, eta = t* c and s = eta + L_X(theta);
+    the boundary point is y* = L_N'(s), x* = y* grad L_X(theta). Events whose
+    closure contains the limit point (level <= d1 (c + <d, mu>)) have zero
+    rate and are rejected: plain Monte Carlo suffices there.
     """
-    d = mn.derivs_at_zero()
-    if event.mode == "count":
-        if event.level <= d.mean_rate:
-            raise ZeroRateEventError(
-                f"count level {event.level} does not exceed the limiting mean "
-                f"rate {d.mean_rate}; the event has zero rate and plain Monte "
-                "Carlo suffices"
-            )
-        result = count_rate(mn, float(event.level), settings=settings)
-        if result.unbounded or result.argmax is None:
-            raise ValidationError(
-                f"count level {event.level} is outside the reachable range; "
-                "the event has probability zero at every n"
-            )
-        eta = float(result.argmax[0])
-        theta = np.zeros(mx.dim)
-        return TiltParameters(
-            theta=theta,
-            eta=eta,
-            s=eta,
-            rate=float(result.value),
-            boundary_x=float(event.level) * mx.mean(),
-            boundary_y=float(event.level),
-        )
-
-    drift = d.mean_rate * float(event.direction @ mx.mean())
-    if event.level <= drift:
+    if event.mode == "sum":
+        d, c = event.direction, 0.0
+    else:
+        d, c = np.zeros(mx.dim), 1.0
+    level = float(event.level)
+    drift = mn.derivs_at_zero().mean_rate * (c + float(d @ mx.mean()))
+    if level <= drift:
         raise ZeroRateEventError(
-            f"sum level {event.level} does not exceed the limiting drift "
+            f"{event.mode} level {level} does not exceed the limiting drift "
             f"{drift}; the event has zero rate and plain Monte Carlo suffices"
         )
-    curve = _boundary_rate_curve(mx, mn, event, settings)
-    grid = d.mean_rate * np.geomspace(0.02, 50.0, 61)
-    values = np.array([curve(y) for y in grid])
-    if not np.any(np.isfinite(values)):
-        raise ValidationError(
-            "the boundary rate is infinite along the whole scan grid; the "
-            "event is unreachable for this model pair"
-        )
-    best = int(np.argmin(values))
-    lo = grid[best - 1] if best > 0 else 0.5 * grid[0]
-    hi = grid[best + 1] if best + 1 < grid.size else 2.0 * grid[-1]
-    y_star = _golden_min(curve, lo, hi)
 
-    f, grad = _projected_cgf(mx, event.direction)
-    summand_part = legendre_transform(
-        f, grad, [float(event.level) / y_star], settings=settings
+    def g(t):
+        t = float(t[0])
+        return mn.limit_cgf(t * c + mx.cgf(t * d))
+
+    def g_grad(t):
+        t = float(t[0])
+        slope = mn.limit_cgf_deriv(t * c + mx.cgf(t * d))
+        return np.array([slope * (c + float(d @ mx.cgf_grad(t * d)))])
+
+    unreachable = ValidationError(
+        f"{event.mode} level {level} is outside the reachable range; the "
+        "event has probability zero at every n"
     )
-    count_part = count_rate(mn, y_star, settings=settings)
-    if summand_part.argmax is None or count_part.argmax is None:
-        raise ValidationError(
-            "the boundary minimizer sits where a conjugate is unbounded; "
-            "no finite tilt exists"
-        )
-    t_star = float(summand_part.argmax[0])
-    theta = t_star * event.direction
-    alpha = float(count_part.argmax[0])
-    eta = alpha - mx.cgf(theta)
-    rate = float(
-        ExtendedReal(y_star) * summand_part.value + count_part.value
-    )
+    try:
+        result = legendre_transform(g, g_grad, [level], settings=settings)
+    except InconclusiveOptimizationError as exc:
+        # Cumulants that overflow before the divergence test fires stall
+        # the ascent while the objective is still climbing.
+        if float(g_grad(exc.best_point)[0]) < level:
+            raise unreachable from exc
+        raise
+    if result.unbounded:
+        raise unreachable
+    t_star = float(result.argmax[0])
+    theta = t_star * d
+    eta = t_star * c
+    s = eta + mx.cgf(theta)
+    boundary_y = mn.limit_cgf_deriv(s)
     return TiltParameters(
         theta=theta,
         eta=eta,
-        s=alpha,
-        rate=rate,
-        boundary_x=y_star * mx.cgf_grad(theta),
-        boundary_y=y_star,
+        s=s,
+        rate=float(result.value),
+        boundary_x=boundary_y * mx.cgf_grad(theta),
+        boundary_y=boundary_y,
     )
 
 
@@ -518,18 +449,17 @@ def decay_rate_scan(
     The slope comes from a weighted least-squares fit of log p-hat against n
     (weights one over the squared delta-method log errors); the intercept
     absorbs subexponential prefactors. The comparison value is the rate
-    engine's infimum over the event.
+    engine's infimum over the event, read off the one tilt solve that also
+    drives the tilted method.
     """
     seed = _check_seed(seed)
     ns = [int(v) for v in ns]
     if len(ns) < 2 or sorted(set(ns)) != ns:
         raise ValidationError("ns must be at least two strictly increasing integers")
-    tilt = None
-    if method == "tilted":
-        try:
-            tilt = tilt_parameters(mx, mn, event, settings=settings)
-        except ZeroRateEventError:
-            tilt = None
+    try:
+        tilt = tilt_parameters(mx, mn, event, settings=settings)
+    except ZeroRateEventError:
+        tilt = None
     rows = []
     for index, n in enumerate(ns):
         run_seed = int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
@@ -562,7 +492,7 @@ def decay_rate_scan(
             (-math.log(p) / n if p > 0.0 else math.inf) for n, p, _ in rows
         ],
         fitted_rate=float(-slope),
-        rate_infimum=event_rate_infimum(mx, mn, event, settings=settings),
+        rate_infimum=0.0 if tilt is None else tilt.rate,
         method=method,
     )
 

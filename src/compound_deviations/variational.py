@@ -480,19 +480,8 @@ def md_quadratic_finite_support(mx, mn, x):
 
 @dataclass(frozen=True)
 class LimitMoments:
-    """Limiting moments of the scaled pair in directions (u, v)."""
-
-    mean_S_dir: float
-    mean_N: float
-    cov_SS: float
-    cov_NS: float
-    var_N: float
-
-
-@dataclass(frozen=True)
-class FiniteNMoments:
-    """Exact n-scaled moments of the pair at a fixed n, same layout as
-    LimitMoments (covariances multiplied by n)."""
+    """Moments of the scaled pair in directions (u, v): either the limits or
+    the exact n-scaled values at a fixed n (covariances multiplied by n)."""
 
     mean_S_dir: float
     mean_N: float
@@ -520,8 +509,9 @@ def analytic_limit_moments(mx, mn, u, v):
 
 
 def finite_n_moment_identities(mx, mn, n, u, v):
-    """Exact finite-n analogues of the limiting moments, from the exact mean
-    and variance of the count; the Monte Carlo oracle at fixed n.
+    """Exact finite-n analogues of the limiting moments, in the same
+    LimitMoments layout, from the exact mean and variance of the count; the
+    Monte Carlo oracle at fixed n.
 
     Raises the counting model's unsupported-model error for kinds without
     exact count moments (renewal).
@@ -533,7 +523,7 @@ def finite_n_moment_identities(mx, mn, n, u, v):
     mu = mx.mean()
     cov = mx.cov()
     u_mu, v_mu = pair(uu, mu), pair(vv, mu)
-    return FiniteNMoments(
+    return LimitMoments(
         mean_S_dir=mean_scaled * v_mu,
         mean_N=mean_scaled,
         cov_SS=mean_scaled * float(uu @ cov.apply(vv)) + var_scaled * u_mu * v_mu,

@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.optimize import minimize_scalar
 
+from compound_deviations import montecarlo
 from compound_deviations.counting import (
     BernoulliSumCounting,
     ExponentialInterarrival,
@@ -45,6 +46,7 @@ from compound_deviations.montecarlo import (
     tilt_parameters,
 )
 from compound_deviations.summands import FiniteSupportSummands, GaussianSummands
+from compound_deviations.variational import legendre_transform
 
 # Hand-checked enumeration values. With four {0,1} count steps and atoms
 # {0, 2} at probability 1/2 each, {S >= 6} needs at least three 2-atoms:
@@ -69,6 +71,16 @@ def unit_poisson():
 def pm_one_conjugate(z):
     # Conjugate of log cosh: z atanh(z) + log(1 - z^2) / 2 for |z| < 1.
     return z * math.atanh(z) + 0.5 * math.log1p(-z * z)
+
+
+def poisson_rate(y):
+    # Conjugate of the Poisson(1) limit cumulant e^eta - 1.
+    return y * math.log(y) - y + 1.0
+
+
+def half_bernoulli_rate(y):
+    # Binary relative entropy of y against 1/2, for 0 < y < 1.
+    return y * math.log(2.0 * y) + (1.0 - y) * math.log(2.0 * (1.0 - y))
 
 
 class TestHalfSpaceEvent:
@@ -234,20 +246,36 @@ class TestTiltParameters:
         with pytest.raises(ZeroRateEventError):
             tilt_parameters(pm_one_summand(), unit_poisson(), at_mean)
 
-    def test_sum_event_matches_boundary_oracle(self):
+    @pytest.mark.parametrize("mx, mn, direction, level, conj, count_rate, bounds", [
+        # +/-1 atoms with Poisson(1) counts: conj is infinite once level / y
+        # leaves (-1, 1).
+        pytest.param(pm_one_summand(), unit_poisson(), [1.0], 0.5,
+                     pm_one_conjugate, poisson_rate, (0.501, 50.0),
+                     id="pm-poisson"),
+        # 2-d Gaussian summands: the projected conjugate is the quadratic
+        # (z - <d, mu>)^2 / (2 d' Sigma d) with <d, mu> = 0.1, d' Sigma d = 2.1.
+        pytest.param(GaussianSummands([0.2, -0.1], [[1.0, 0.3], [0.3, 0.5]]),
+                     unit_poisson(), [1.0, 1.0], 1.0,
+                     lambda z: (z - 0.1) ** 2 / 4.2, poisson_rate, (1e-3, 50.0),
+                     id="gauss2d-poisson"),
+        # +/-1 atoms with Bernoulli(1/2) counts: the count rate is the binary
+        # relative entropy on (0, 1).
+        pytest.param(pm_one_summand(), BernoulliSumCounting(p=0.5), [1.0], 0.4,
+                     pm_one_conjugate, half_bernoulli_rate, (0.401, 0.9999),
+                     id="pm-bernoulli"),
+    ])
+    def test_sum_event_matches_boundary_oracle(
+        self, mx, mn, direction, level, conj, count_rate, bounds,
+    ):
         # Independent oracle: minimize y * conj(level / y) + count rate over
         # the count slot with closed forms on both parts.
-        event = HalfSpaceEvent(mode="sum", level=0.5, direction=[1.0])
-        tilt = tilt_parameters(pm_one_summand(), unit_poisson(), event)
+        event = HalfSpaceEvent(mode="sum", level=level, direction=direction)
+        tilt = tilt_parameters(mx, mn, event)
 
         def boundary(y):
-            if y <= 0.5:
-                # conj is infinite once level / y leaves (-1, 1).
-                return math.inf
-            return y * pm_one_conjugate(0.5 / y) + (y * math.log(y) - y + 1.0)
+            return y * conj(level / y) + count_rate(y)
 
-        oracle = minimize_scalar(boundary, bounds=(0.501, 50.0),
-                                 method="bounded",
+        oracle = minimize_scalar(boundary, bounds=bounds, method="bounded",
                                  options={"xatol": 1e-10})
         assert_allclose(tilt.rate, oracle.fun, atol=1e-8)
         assert_allclose(tilt.boundary_y, oracle.x, atol=1e-5)
@@ -272,6 +300,31 @@ class TestTiltParameters:
         event = HalfSpaceEvent(mode="sum", level=0.9, direction=[1.0])
         with pytest.raises(ZeroRateEventError):
             tilt_parameters(mx, unit_poisson(), event)
+
+    @pytest.mark.parametrize("mode, direction", [("sum", [1.0]), ("count", None)],
+                             ids=["sum", "count"])
+    def test_unreachable_event_is_a_validation_error(self, mode, direction):
+        # Bernoulli(1/2) counts never exceed n, and |S| <= N for +/-1 atoms,
+        # so level 1.5 is out of reach in both modes.
+        event = HalfSpaceEvent(mode=mode, level=1.5, direction=direction)
+        with pytest.raises(ValidationError, match="reachable"):
+            tilt_parameters(pm_one_summand(), BernoulliSumCounting(p=0.5), event)
+
+    @pytest.mark.parametrize("event", [
+        pytest.param(HalfSpaceEvent(mode="sum", level=0.5, direction=[1.0]),
+                     id="sum"),
+        pytest.param(HalfSpaceEvent(mode="count", level=2.0), id="count"),
+    ])
+    def test_one_conjugate_solve_per_tilt(self, monkeypatch, event):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return legendre_transform(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "legendre_transform", counted)
+        tilt_parameters(pm_one_summand(), unit_poisson(), event)
+        assert len(calls) == 1
 
     def test_zero_rate_event_has_zero_infimum(self):
         event = HalfSpaceEvent(mode="count", level=0.5)
