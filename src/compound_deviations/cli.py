@@ -11,7 +11,9 @@ One subcommand per experiment kind plus ``defaults``::
     compdev defaults
 
 Exit codes: 0 when every acceptance band passes (or the experiment has
-none), 1 when a band fails, 2 on configuration or runtime errors. ``--seed``
+none), 1 when a band fails, 2 on configuration errors and the package's
+typed runtime errors, 3 on any other exception (an internal error, reported
+on one line with its type). ``--seed``
 overrides the config's experiment seed before validation, so a config that
 omits the seed can still be run reproducibly from the command line.
 """
@@ -42,7 +44,7 @@ def _build_parser():
         )
         p.add_argument(
             "--workers", type=int,
-            help="sampling worker processes (default: COMPDEV_WORKERS or 1)",
+            help="sampling threads (default 1)",
         )
         if command == "ml-eval":
             p.add_argument("--nu", type=float, help="order of the function")
@@ -107,12 +109,6 @@ def main(argv=None):
 
     try:
         config = _resolve_config(args)
-    except ConfigError as exc:
-        for line in exc.errors:
-            print(f"error: {line}", file=sys.stderr)
-        return 2
-
-    try:
         code, summary = run_experiment(config, out_dir=args.out,
                                        workers=args.workers)
     except ConfigError as exc:
@@ -124,6 +120,10 @@ def main(argv=None):
         print(f"error [{kind.__module__}.{kind.__name__}]: {exc}",
               file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Not one of the package's typed errors: a bug, never a band verdict.
+        print(f"error [internal] {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
     for band in summary["bands"]:
         status = "pass" if band["pass"] else "FAIL"

@@ -68,13 +68,6 @@ DEFAULTS = {
     "md-check": {"mode": "auto", "reps": 100000, "band": 0.02},
     "moments-check": {"reps": 100000, "band_se": 4.0},
     "clt-check": {"reps": 100000, "band_se": 4.0},
-    "optimizer": {
-        "max_iterations": 500,
-        "gradient_tolerance": 1e-8,
-        "divergence_threshold": 1e4,
-        "initial_step": 1.0,
-    },
-    "montecarlo": {"block_size": 8192, "workers_env": "COMPDEV_WORKERS"},
 }
 
 # Experiments that draw random numbers and therefore demand a seed. md-check

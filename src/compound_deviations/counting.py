@@ -356,7 +356,12 @@ class FractionalPoissonCounting(CountingModel):
             raise ValidationError(f"rate must be a positive finite real, got {rate!r}")
         self._nu = float(nu)
         self._rate = float(rate)
-        self._scale = self._rate ** (1.0 / self._nu)
+        try:
+            self._scale = self._rate ** (1.0 / self._nu)
+        except OverflowError:
+            raise ValidationError(
+                f"rate ** (1/nu) overflows at nu={nu!r}, rate={rate!r}"
+            ) from None
         self._tables = {}
         self._probe_validate()
 
@@ -445,30 +450,6 @@ class FractionalPoissonCounting(CountingModel):
         return sampler
 
 
-class _TiltedProfile:
-    """Success profile of a tilted Bernoulli sum; picklable unlike a lambda."""
-
-    def __init__(self, base, s):
-        self.base = base
-        self.s = s
-
-    def __call__(self, x):
-        q = self.base(x)
-        es = math.exp(self.s)
-        return q * es / (1.0 + q * (es - 1.0))
-
-
-class _ExpDecayProfile:
-    """Success profile exp(-lam * c * x) of the run-length preset."""
-
-    def __init__(self, lam, c):
-        self.lam = lam
-        self.c = c
-
-    def __call__(self, x):
-        return math.exp(-self.lam * self.c * x)
-
-
 class BernoulliSumCounting(CountingModel):
     """Sum of independent Bernoulli trials at the sites (j-1)/n, j = 1..n.
 
@@ -503,7 +484,8 @@ class BernoulliSumCounting(CountingModel):
     def runs(cls, lam, c):
         if lam <= 0 or c <= 0:
             raise ValidationError("runs preset needs lam > 0 and c > 0")
-        return cls(profile=_ExpDecayProfile(float(lam), float(c)))
+        lam, c = float(lam), float(c)
+        return cls(profile=lambda x: math.exp(-lam * c * x))
 
     @property
     def constant_p(self):
@@ -590,11 +572,15 @@ class BernoulliSumCounting(CountingModel):
 
     def tilted_count_sampler(self, n, s):
         n = _check_n(n)
+        es = math.exp(s)
+
+        def tilt(q):
+            return q * es / (1.0 + q * (es - 1.0))
+
         if self._p is not None:
-            es = math.exp(s)
-            p_t = self._p * es / (1.0 + self._p * (es - 1.0))
+            p_t = tilt(self._p)
             return lambda rng, reps: rng.binomial(n, p_t, size=int(reps)).astype(np.int64)
-        tilted = BernoulliSumCounting(profile=_TiltedProfile(self._profile, s))
+        tilted = BernoulliSumCounting(profile=lambda x: tilt(self._profile(x)))
         return lambda rng, reps: tilted.sample_batch(n, rng, reps)
 
     def count_bound(self, n):

@@ -4,7 +4,7 @@ Replication is block-structured for reproducibility: reps are split into
 fixed blocks of BLOCK_SIZE, and block b draws its count stream from the seed
 sequence (seed, b, 0) and its summand stream from (x_seed, b, 1). The
 partition is independent of the worker count, so merged results are
-bit-identical whether blocks run serially or in a process pool, and the
+bit-identical whether blocks run serially or on a thread pool, and the
 count draws never change when the summand seed does (the two streams realize
 the independence of the count from the summands).
 
@@ -14,16 +14,12 @@ minimizer over the event boundary, found as the one-dimensional dual of the
 half-space rate infimum), decay-rate scans against the rate engine, the
 moderate-deviation scaling sweep, and empirical moment/CLT checks against
 the analytic limits.
-
-Model objects cross process boundaries by pickling, so custom intensity or
-profile callables must be module-level functions or classes, not lambdas.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,8 +64,7 @@ def _check_seed(seed, name="seed"):
 
 def _resolve_workers(workers):
     if workers is None:
-        raw = os.environ.get("COMPDEV_WORKERS", "").strip()
-        workers = int(raw) if raw else 1
+        return 1
     if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
         raise ValidationError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
@@ -92,32 +87,6 @@ def _block_rngs(seed, x_seed, block):
     rng_n = np.random.default_rng(np.random.SeedSequence([seed, block, COUNT_ROLE]))
     rng_x = np.random.default_rng(np.random.SeedSequence([x_seed, block, SUMMAND_ROLE]))
     return rng_n, rng_x
-
-
-def _plain_block(args):
-    mx, mn, n, seed, x_seed, block, reps = args
-    rng_n, rng_x = _block_rngs(seed, x_seed, block)
-    counts = mn.sample_batch(n, rng_n, reps)
-    sums = mx.sample_sum_batch(rng_x, counts)
-    return counts, sums
-
-
-def _tilted_block(args):
-    mx_tilted, mn, n, s, seed, x_seed, block, reps = args
-    # The sampler closure is rebuilt inside the worker; only models cross
-    # the process boundary.
-    sampler = mn.tilted_count_sampler(n, s)
-    rng_n, rng_x = _block_rngs(seed, x_seed, block)
-    counts = sampler(rng_n, reps)
-    sums = mx_tilted.sample_sum_batch(rng_x, counts)
-    return counts, sums
-
-
-def _map_blocks(block_fn, arg_list, workers):
-    if workers == 1 or len(arg_list) <= 1:
-        return [block_fn(args) for args in arg_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(block_fn, arg_list))
 
 
 @dataclass(frozen=True)
@@ -143,6 +112,28 @@ class CompoundSamples:
     @property
     def count_scaled(self):
         return self.counts / float(self.n)
+
+
+def _draw_samples(mx, draw_counts, n, reps, seed, x_seed, workers):
+    """Draw reps realizations in seeded blocks: counts by ``draw_counts``,
+    sums from ``mx``. Blocks run on ``workers`` threads (numpy's bulk draws
+    release the interpreter lock) and merge in block order."""
+
+    def block(item):
+        index, size = item
+        rng_n, rng_x = _block_rngs(seed, x_seed, index)
+        counts = draw_counts(rng_n, size)
+        return counts, mx.sample_sum_batch(rng_x, counts)
+
+    items = list(enumerate(_block_sizes(reps)))
+    if workers == 1 or len(items) == 1:
+        pieces = [block(item) for item in items]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            pieces = list(pool.map(block, items))
+    counts = np.concatenate([c for c, _ in pieces])
+    sums = np.vstack([s for _, s in pieces])
+    return CompoundSamples(n=int(n), sums=sums, counts=counts)
 
 
 @dataclass(frozen=True)
@@ -194,15 +185,10 @@ def simulate_compound(mx, mn, n, reps, seed, x_seed=None, workers=None):
     seed = _check_seed(seed)
     x_seed = seed if x_seed is None else _check_seed(x_seed, "x_seed")
     workers = _resolve_workers(workers)
-    sizes = _block_sizes(reps)
-    args = [
-        (mx, mn, n, seed, x_seed, block, block_reps)
-        for block, block_reps in enumerate(sizes)
-    ]
-    pieces = _map_blocks(_plain_block, args, workers)
-    counts = np.concatenate([c for c, _ in pieces])
-    sums = np.vstack([s for _, s in pieces])
-    return CompoundSamples(n=int(n), sums=sums, counts=counts)
+    return _draw_samples(
+        mx, lambda rng, size: mn.sample_batch(n, rng, size), n, reps, seed,
+        x_seed, workers,
+    )
 
 
 def _compositions(total, parts):
@@ -380,26 +366,14 @@ def estimate_event_prob(
             degenerate=value == 0.0 or value == 1.0,
         )
 
-    try:
-        finite_cgf_at = mn.finite_cgf
-    except AttributeError:  # pragma: no cover - all kinds define the method
-        raise UnsupportedModelError("counting model lacks finite_cgf")
     if tilt is None:
         tilt = tilt_parameters(mx, mn, event, settings=settings)
-    log_norm = float(n) * float(finite_cgf_at(n, tilt.s))
-    mx_tilted = mx.tilted(tilt.theta)
-    sampler_check = mn.tilted_count_sampler(n, tilt.s)  # fail fast if unsupported
-    del sampler_check
-    sizes = _block_sizes(reps)
-    args = [
-        (mx_tilted, mn, n, tilt.s, seed, x_seed, block, block_reps)
-        for block, block_reps in enumerate(sizes)
-    ]
-    pieces = _map_blocks(_tilted_block, args, workers)
-    counts = np.concatenate([c for c, _ in pieces])
-    sums = np.vstack([s for _, s in pieces])
-    samples = CompoundSamples(n=int(n), sums=sums, counts=counts)
-    log_weights = log_norm - sums @ tilt.theta - tilt.eta * counts
+    log_norm = float(n) * float(mn.finite_cgf(n, tilt.s))
+    samples = _draw_samples(
+        mx.tilted(tilt.theta), mn.tilted_count_sampler(n, tilt.s), n, reps,
+        seed, x_seed, workers,
+    )
+    log_weights = log_norm - samples.sums @ tilt.theta - tilt.eta * samples.counts
     if float(np.max(log_weights)) > LOG_WEIGHT_CAP:
         raise ValidationError(
             "an importance weight exceeds exp(700); the tilt is too aggressive "

@@ -3,7 +3,8 @@
 The contracts under test: every config violation is reported in one pass
 with its key path, resolved configs survive a serialize/parse round trip,
 table outputs are byte-identical across reruns of the same config, and the
-CLI maps outcomes to exit codes (0 pass, 1 band failure, 2 config error).
+CLI maps outcomes to exit codes (0 pass, 1 band failure, 2 config or typed
+error, 3 internal error).
 """
 
 import copy
@@ -513,6 +514,34 @@ class TestCli:
                          "--out", str(tmp_path / "out2")]) == 2
         err = capsys.readouterr().err
         assert "missing: beta" in err
+
+    def test_model_build_error_is_typed(self, tmp_path, capsys):
+        path = write_json(tmp_path / "overflow.json", {
+            "summand": ldp_raw()["summand"],
+            "counting": {"kind": "fractional_poisson", "nu": 0.01,
+                         "rate": 1e10},
+            "experiment": {"kind": "rate-eval", "x_values": [0.0],
+                           "y_values": [2.0]},
+        })
+        assert cli.main(["rate-eval", "--config", path, "--out",
+                         str(tmp_path / "out")]) == 2
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith(
+            "error [compound_deviations.errors.ValidationError]: "
+        )
+
+    def test_internal_error_exits_3_with_one_line(self, tmp_path,
+                                                  monkeypatch, capsys):
+        def broken(config, out_dir=None, workers=None):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(cli, "run_experiment", broken)
+        path = write_json(tmp_path / "ldp.json", ldp_raw())
+        assert cli.main(["ldp-check", "--config", path]) == 3
+        assert capsys.readouterr().err == (
+            "error [internal] ZeroDivisionError: float division by zero\n"
+        )
 
     def test_cli_reruns_are_byte_identical(self, tmp_path, capsys):
         args = ["ml-eval", "--nu", "0.7", "--beta", "1.0", "--x", "5.0"]

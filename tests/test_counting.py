@@ -443,6 +443,9 @@ class TestValidation:
             FractionalPoissonCounting(1.5, 1.0)
         with pytest.raises(ValidationError):
             FractionalPoissonCounting(0.5, -1.0)
+        # The limit scale rate ** (1/nu) overflows a float.
+        with pytest.raises(ValidationError, match="overflows"):
+            FractionalPoissonCounting(0.01, 1e10)
 
     def test_bernoulli_exclusive_arguments(self):
         with pytest.raises(ValidationError):

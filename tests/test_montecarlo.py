@@ -7,6 +7,7 @@ count stream) are checked bit for bit.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from compound_deviations import montecarlo
 from compound_deviations.counting import (
     BernoulliSumCounting,
     ExponentialInterarrival,
+    FractionalPoissonCounting,
     GammaInterarrival,
     IidSumCounting,
     PoissonCounting,
@@ -385,15 +387,42 @@ class TestEstimateEventProb:
         assert first.value == second.value
         assert first.std_error == second.std_error
 
-    def test_tilted_worker_count_invariance(self):
-        event = HalfSpaceEvent(mode="count", level=2.0)
-        mx, mn = pm_one_summand(), unit_poisson()
+    @pytest.mark.parametrize("mn, level", [
+        (unit_poisson(), 2.0),
+        # A closure profile; level 2 is beyond its reach of N/n <= 1.
+        (BernoulliSumCounting.runs(1.0, 1.0), 0.8),
+        # Both block threads read the model's one mass table.
+        (FractionalPoissonCounting(0.7, 1.0), 2.0),
+    ], ids=["poisson", "bernoulli-runs", "fractional"])
+    def test_tilted_worker_count_invariance(self, mn, level):
+        event = HalfSpaceEvent(mode="count", level=level)
+        mx = pm_one_summand()
         serial = estimate_event_prob(mx, mn, 30, event, reps=BLOCK_SIZE + 800,
                                      method="tilted", seed=78, workers=1)
-        parallel = estimate_event_prob(mx, mn, 30, event,
-                                       reps=BLOCK_SIZE + 800,
-                                       method="tilted", seed=78, workers=2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the two block threads often
+        try:
+            parallel = estimate_event_prob(mx, mn, 30, event,
+                                           reps=BLOCK_SIZE + 800,
+                                           method="tilted", seed=78, workers=2)
+        finally:
+            sys.setswitchinterval(interval)
         assert serial.value == parallel.value
+        assert serial.std_error == parallel.std_error
+
+    def test_tilted_sampler_is_built_once_per_estimate(self, monkeypatch):
+        built = []
+        build = PoissonCounting.tilted_count_sampler
+
+        def counted(self, n, s):
+            built.append(n)
+            return build(self, n, s)
+
+        monkeypatch.setattr(PoissonCounting, "tilted_count_sampler", counted)
+        estimate_event_prob(pm_one_summand(), unit_poisson(), 30,
+                            HalfSpaceEvent(mode="count", level=2.0),
+                            reps=BLOCK_SIZE + 800, method="tilted", seed=78)
+        assert built == [30]
 
     def test_count_event_value_ignores_summand_stream(self):
         event = HalfSpaceEvent(mode="count", level=2.0)
