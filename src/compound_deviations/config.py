@@ -75,6 +75,15 @@ DEFAULTS = {
 _SEEDED_EXPERIMENTS = ("ldp-check", "moments-check", "clt-check")
 
 
+def _finite_number(value):
+    """A JSON number that is a finite float; integers past float range are not."""
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:
+        return False
+
+
 class _Collector:
     """Accumulates validation errors with key paths, never raising early."""
 
@@ -100,9 +109,7 @@ class _Collector:
 
     def number(self, data, path, low=None, high=None, low_open=False,
                high_open=False, domain=None):
-        if isinstance(data, bool) or not isinstance(data, (int, float)) or not (
-            math.isfinite(data)
-        ):
+        if not _finite_number(data):
             self.error(path, f"must be a finite number{_cite(domain)}")
             return None
         value = float(data)
@@ -124,8 +131,7 @@ class _Collector:
 
     def vector(self, data, path, length=None):
         if not isinstance(data, list) or not data or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v) for v in data
+            _finite_number(v) for v in data
         ):
             self.error(path, "must be a nonempty list of finite numbers")
             return None

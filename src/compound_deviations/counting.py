@@ -4,8 +4,9 @@ Each model knows its limiting scaled cumulant generating function
 
     limit_cgf(eta) = lim (1/n) log E exp(eta N_n),
 
-its derivative, the pair of derivatives at zero (the limiting mean and
-variance rates of N_n / n), the exact finite-n scaled cumulant where a
+its first and second derivatives (``limit_cgf_deriv``,
+``limit_cgf_second``), the pair of derivatives at zero (the limiting mean
+and variance rates of N_n / n), the exact finite-n scaled cumulant where a
 closed form exists, exact finite-n mean and variance, samplers, and the
 conjugate-family sampler used by tilted importance sampling.
 
@@ -99,6 +100,10 @@ class CountingModel:
         raise NotImplementedError
 
     def limit_cgf_deriv(self, eta):
+        raise NotImplementedError
+
+    def limit_cgf_second(self, eta):
+        """Second derivative of limit_cgf, the Hessian the conjugate solver needs."""
         raise NotImplementedError
 
     def derivs_at_zero(self):
@@ -216,10 +221,17 @@ class IidSumCounting(CountingModel):
     def limit_cgf(self, eta):
         return float(logsumexp(eta * self._values + self._log_probs))
 
-    def limit_cgf_deriv(self, eta):
+    def _tilted_step_probs(self, eta):
         scores = eta * self._values + self._log_probs
-        w = np.exp(scores - logsumexp(scores))
-        return float(w @ self._values)
+        return np.exp(scores - logsumexp(scores))
+
+    def limit_cgf_deriv(self, eta):
+        return float(self._tilted_step_probs(eta) @ self._values)
+
+    def limit_cgf_second(self, eta):
+        # Variance of the tilted step.
+        w = self._tilted_step_probs(eta)
+        return float(w @ (self._values - float(w @ self._values)) ** 2)
 
     def derivs_at_zero(self):
         mean = float(self._probs @ self._values)
@@ -249,8 +261,7 @@ class IidSumCounting(CountingModel):
 
     def tilted_count_sampler(self, n, s):
         n = _check_n(n)
-        logw = self._log_probs + s * self._values
-        w = np.exp(logw - logsumexp(logw))
+        w = self._tilted_step_probs(s)
         tilted = IidSumCounting(self._values, w / w.sum())
         return lambda rng, reps: tilted.sample_batch(n, rng, reps)
 
@@ -305,6 +316,9 @@ class PoissonCounting(CountingModel):
         return self._rate * math.expm1(eta)
 
     def limit_cgf_deriv(self, eta):
+        return self._rate * math.exp(eta)
+
+    def limit_cgf_second(self, eta):
         return self._rate * math.exp(eta)
 
     def derivs_at_zero(self):
@@ -379,6 +393,9 @@ class FractionalPoissonCounting(CountingModel):
     def limit_cgf_deriv(self, eta):
         return self._scale * math.exp(eta / self._nu) / self._nu
 
+    def limit_cgf_second(self, eta):
+        return self._scale * math.exp(eta / self._nu) / (self._nu * self._nu)
+
     def derivs_at_zero(self):
         return CountingDerivatives(
             self._scale / self._nu,
@@ -402,28 +419,37 @@ class FractionalPoissonCounting(CountingModel):
         )
         return x / self._nu * math.exp(log_ratio)
 
+    def _tilted_table(self, n, s):
+        """pmf and cdf of the law with mass ~ x^k e^{s k} / Gamma(nu k + 1),
+        from its log-weights; the length doubles until the last weight is past
+        the mode and below MASS_TAIL_TOL relative to it (the log-weights are
+        concave, so the tail beyond decays geometrically)."""
+        slope = math.log(self._argument(n)) + s
+        size = 64
+        while True:
+            k = np.arange(size, dtype=float)
+            log_weights = k * slope - gammaln(self._nu * k + 1.0)
+            peak = int(np.argmax(log_weights))
+            if peak < size - 1 and (
+                log_weights[-1] - log_weights[peak] < math.log(MASS_TAIL_TOL)
+            ):
+                break
+            if size >= MASS_TABLE_CAP:
+                raise ValidationError(
+                    f"fractional Poisson mass table at n={n} exceeds "
+                    f"{MASS_TABLE_CAP} states"
+                )
+            size = min(2 * size, MASS_TABLE_CAP)
+        weights = np.exp(log_weights - log_weights[peak])
+        pmf = weights / weights.sum()
+        return pmf, np.cumsum(pmf)
+
     def mass_table(self, n):
-        """Exact pmf of N_n, truncated once the missing tail is below MASS_TAIL_TOL."""
+        """Exact pmf of N_n and its cdf, truncated once the tail beyond is
+        below MASS_TAIL_TOL relative to the mode."""
         n = _check_n(n)
         if n not in self._tables:
-            x = self._argument(n)
-            log_norm = log_mittag_leffler(self._nu, 1.0, x)
-            logx = math.log(x)
-            probs = []
-            total = 0.0
-            k = 0
-            while total < 1.0 - MASS_TAIL_TOL:
-                if k > MASS_TABLE_CAP:
-                    raise ValidationError(
-                        f"fractional Poisson mass table at n={n} exceeds "
-                        f"{MASS_TABLE_CAP} states"
-                    )
-                p = math.exp(k * logx - gammaln(self._nu * k + 1.0) - log_norm)
-                probs.append(p)
-                total += p
-                k += 1
-            pmf = np.array(probs)
-            self._tables[n] = (pmf, np.cumsum(pmf))
+            self._tables[n] = self._tilted_table(n, 0.0)
         return self._tables[n]
 
     def var(self, n):
@@ -438,16 +464,35 @@ class FractionalPoissonCounting(CountingModel):
         return np.searchsorted(cdf, u).astype(np.int64)
 
     def tilted_count_sampler(self, n, s):
-        pmf, _ = self.mass_table(n)
-        k = np.arange(pmf.size, dtype=float)
-        logits = np.log(np.clip(pmf, 1e-300, None)) + s * k
-        tilted = np.exp(logits - logsumexp(logits))
-        cdf = np.cumsum(tilted / tilted.sum())
+        _, cdf = self._tilted_table(_check_n(n), float(s))
 
         def sampler(rng, reps):
             return np.searchsorted(cdf, rng.random(int(reps))).astype(np.int64)
 
         return sampler
+
+
+def _bernoulli_cgf(q, eta):
+    """log(1 + q (e^eta - 1)). Past eta = 700, where e^eta nears overflow,
+    it is eta + log(q + (1 - q) e^{-eta}), a log of positive terms; those
+    sum to 0 only when q = 0, where the cumulant is 0."""
+    if eta <= 700.0:
+        return math.log1p(q * math.expm1(eta))
+    mix = q + (1.0 - q) * math.exp(-eta)
+    return eta + math.log(mix) if mix > 0.0 else 0.0
+
+
+def _bernoulli_tilt(q, eta):
+    """Success probability of a Bernoulli(q) trial tilted by e^{eta}."""
+    if eta <= 0.0:
+        return q * math.exp(eta) / (1.0 + q * math.expm1(eta))
+    mix = q + (1.0 - q) * math.exp(-eta)
+    return q / mix if mix > 0.0 else 0.0
+
+
+def _bernoulli_variance(q, eta):
+    t = _bernoulli_tilt(q, eta)
+    return t * (1.0 - t)
 
 
 class BernoulliSumCounting(CountingModel):
@@ -499,19 +544,20 @@ class BernoulliSumCounting(CountingModel):
         value, _ = quad(f, 0.0, 1.0, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=500)
         return float(value)
 
-    def limit_cgf(self, eta):
-        em1 = math.expm1(eta)
+    def _over_profile(self, term, eta):
+        """term(q, eta) at the constant p, or integrated over the profile."""
         if self._p is not None:
-            return math.log1p(self._p * em1)
-        return self._integrate(lambda x: math.log1p(self._profile(x) * em1))
+            return term(self._p, eta)
+        return self._integrate(lambda x: term(self._profile(x), eta))
+
+    def limit_cgf(self, eta):
+        return self._over_profile(_bernoulli_cgf, eta)
 
     def limit_cgf_deriv(self, eta):
-        e = math.exp(eta)
-        if self._p is not None:
-            return self._p * e / (1.0 + self._p * (e - 1.0))
-        return self._integrate(
-            lambda x: self._profile(x) * e / (1.0 + self._profile(x) * (e - 1.0))
-        )
+        return self._over_profile(_bernoulli_tilt, eta)
+
+    def limit_cgf_second(self, eta):
+        return self._over_profile(_bernoulli_variance, eta)
 
     def derivs_at_zero(self):
         if self._p is not None:
@@ -572,15 +618,12 @@ class BernoulliSumCounting(CountingModel):
 
     def tilted_count_sampler(self, n, s):
         n = _check_n(n)
-        es = math.exp(s)
-
-        def tilt(q):
-            return q * es / (1.0 + q * (es - 1.0))
-
         if self._p is not None:
-            p_t = tilt(self._p)
+            p_t = _bernoulli_tilt(self._p, s)
             return lambda rng, reps: rng.binomial(n, p_t, size=int(reps)).astype(np.int64)
-        tilted = BernoulliSumCounting(profile=lambda x: tilt(self._profile(x)))
+        tilted = BernoulliSumCounting(
+            profile=lambda x: _bernoulli_tilt(self._profile(x), s)
+        )
         return lambda rng, reps: tilted.sample_batch(n, rng, reps)
 
     def count_bound(self, n):
@@ -674,38 +717,12 @@ class InterarrivalLaw:
         return self.kappa_prime(0.0)
 
 
-class ExponentialInterarrival(InterarrivalLaw):
-    """Exponential(rate) inter-arrivals: kappa(r) = log(rate / (rate - r))."""
-
-    def __init__(self, rate):
-        if not (isinstance(rate, (int, float)) and math.isfinite(rate)) or rate <= 0:
-            raise ValidationError(f"rate must be a positive finite real, got {rate!r}")
-        self.rate = float(rate)
-        self.domain_sup = self.rate
-
-    def kappa(self, r):
-        if r >= self.rate:
-            raise ValidationError(
-                f"kappa is finite only below rate={self.rate}, got r={r}"
-            )
-        return -math.log1p(-r / self.rate)
-
-    def kappa_prime(self, r):
-        return 1.0 / (self.rate - r)
-
-    def kappa_second(self, r):
-        return 1.0 / (self.rate - r) ** 2
-
-    def inverse(self, u):
-        # Algebraic inverse: r = rate (1 - e^{-u}).
-        return self.rate * -math.expm1(-u)
-
-    def sample(self, rng, shape):
-        return rng.exponential(1.0 / self.rate, size=shape)
-
-
 class GammaInterarrival(InterarrivalLaw):
-    """Gamma(shape, rate) inter-arrivals: kappa(r) = -shape log(1 - r/rate)."""
+    """Gamma(shape, rate) inter-arrivals: kappa(r) = -shape log(1 - r/rate).
+
+    kappa' and kappa'' are infinite at r >= rate, the edge the inverse
+    approaches as u -> infinity.
+    """
 
     def __init__(self, shape, rate):
         if shape <= 0 or rate <= 0 or not math.isfinite(shape) or not math.isfinite(rate):
@@ -722,13 +739,30 @@ class GammaInterarrival(InterarrivalLaw):
         return -self.shape * math.log1p(-r / self.rate)
 
     def kappa_prime(self, r):
-        return self.shape / (self.rate - r)
+        return self.shape / (self.rate - r) if r < self.rate else math.inf
 
     def kappa_second(self, r):
-        return self.shape / (self.rate - r) ** 2
+        return self.shape / (self.rate - r) ** 2 if r < self.rate else math.inf
+
+    def inverse(self, u):
+        # Algebraic inverse: r = rate (1 - e^{-u/shape}).
+        return self.rate * -math.expm1(-u / self.shape)
 
     def sample(self, rng, shape):
         return rng.gamma(self.shape, 1.0 / self.rate, size=shape)
+
+
+class ExponentialInterarrival(GammaInterarrival):
+    """Exponential(rate) inter-arrivals: the shape-1 gamma law,
+    kappa(r) = log(rate / (rate - r))."""
+
+    def __init__(self, rate):
+        if not (isinstance(rate, (int, float)) and math.isfinite(rate)) or rate <= 0:
+            raise ValidationError(f"rate must be a positive finite real, got {rate!r}")
+        super().__init__(1.0, rate)
+
+    def sample(self, rng, shape):
+        return rng.exponential(1.0 / self.rate, size=shape)
 
 
 class TabulatedInterarrival(InterarrivalLaw):
@@ -818,8 +852,15 @@ class RenewalCounting(CountingModel):
         return -self._law.inverse(-eta)
 
     def limit_cgf_deriv(self, eta):
+        # 1 / kappa'(r) at r = -L_N(eta); 0 where kappa' is infinite.
         r = -self.limit_cgf(eta)
         return 1.0 / self._law.kappa_prime(r)
+
+    def limit_cgf_second(self, eta):
+        # kappa''(r) / kappa'(r)^3 at r = -L_N(eta); 0 where kappa' is infinite.
+        r = -self.limit_cgf(eta)
+        slope = self._law.kappa_prime(r)
+        return self._law.kappa_second(r) / slope ** 3 if math.isfinite(slope) else 0.0
 
     def derivs_at_zero(self):
         kp = self._law.kappa_prime(0.0)

@@ -29,7 +29,6 @@ from scipy.stats import normaltest
 from .dualpair import as_vector
 from .errors import (
     EnumerationTooLargeError,
-    InconclusiveOptimizationError,
     UnsupportedModelError,
     ValidationError,
     ZeroRateEventError,
@@ -259,14 +258,16 @@ class TiltParameters:
     boundary_y: float
 
 
-def tilt_parameters(mx, mn, event, settings=None):
+def tilt_parameters(mx, mn, event):
     """Tilt targeting the rate minimizer over the closure of a half-space event.
 
     Write the event as {<d, x> + c y >= level}: a sum event has (d, c) =
     (direction, 0), a count event (0, 1). By convex duality its rate
     infimum is the scalar conjugate sup_{t >= 0} [t level - g(t)] of
-    g(t) = L_N(t c + L_X(t d)), solved by one ``legendre_transform`` call.
-    The maximizer t* gives theta = t* d, eta = t* c and s = eta + L_X(theta);
+    g(t) = L_N(t c + L_X(t d)), solved by one ``legendre_transform`` call
+    with g'' = L_N'' (c + <d, grad L_X>)^2 + L_N' d.hess(L_X).d; an
+    unbounded supremum means the event is unreachable. The maximizer t*
+    gives theta = t* d, eta = t* c and s = eta + L_X(theta);
     the boundary point is y* = L_N'(s), x* = y* grad L_X(theta). Events whose
     closure contains the limit point (level <= d1 (c + <d, mu>)) have zero
     rate and are rejected: plain Monte Carlo suffices there.
@@ -292,20 +293,22 @@ def tilt_parameters(mx, mn, event, settings=None):
         slope = mn.limit_cgf_deriv(t * c + mx.cgf(t * d))
         return np.array([slope * (c + float(d @ mx.cgf_grad(t * d)))])
 
-    unreachable = ValidationError(
-        f"{event.mode} level {level} is outside the reachable range; the "
-        "event has probability zero at every n"
-    )
-    try:
-        result = legendre_transform(g, g_grad, [level], settings=settings)
-    except InconclusiveOptimizationError as exc:
-        # Cumulants that overflow before the divergence test fires stall
-        # the ascent while the objective is still climbing.
-        if float(g_grad(exc.best_point)[0]) < level:
-            raise unreachable from exc
-        raise
+    def g_hess(t):
+        t = float(t[0])
+        s = t * c + mx.cgf(t * d)
+        inner = c + float(d @ mx.cgf_grad(t * d))
+        curvature = float(d @ mx.cgf_hess(t * d) @ d)
+        return np.array([[
+            mn.limit_cgf_second(s) * inner * inner
+            + mn.limit_cgf_deriv(s) * curvature
+        ]])
+
+    result = legendre_transform(g, g_grad, g_hess, [level])
     if result.unbounded:
-        raise unreachable
+        raise ValidationError(
+            f"{event.mode} level {level} is outside the reachable range; the "
+            "event has probability zero at every n"
+        )
     t_star = float(result.argmax[0])
     theta = t_star * d
     eta = t_star * c
@@ -333,7 +336,7 @@ class EventProbability:
 
 def estimate_event_prob(
     mx, mn, n, event, reps=None, method="plain", seed=None, x_seed=None,
-    workers=None, settings=None, tilt=None,
+    workers=None, tilt=None,
 ):
     """Unbiased event-probability estimate, plain or exponentially tilted.
 
@@ -367,7 +370,7 @@ def estimate_event_prob(
         )
 
     if tilt is None:
-        tilt = tilt_parameters(mx, mn, event, settings=settings)
+        tilt = tilt_parameters(mx, mn, event)
     log_norm = float(n) * float(mn.finite_cgf(n, tilt.s))
     samples = _draw_samples(
         mx.tilted(tilt.theta), mn.tilted_count_sampler(n, tilt.s), n, reps,
@@ -392,11 +395,11 @@ def estimate_event_prob(
     )
 
 
-def event_rate_infimum(mx, mn, event, settings=None):
+def event_rate_infimum(mx, mn, event):
     """Infimum of the explicit rate over the event closure; 0 when the event
     contains the limit point."""
     try:
-        return tilt_parameters(mx, mn, event, settings=settings).rate
+        return tilt_parameters(mx, mn, event).rate
     except ZeroRateEventError:
         return 0.0
 
@@ -416,7 +419,6 @@ class DecayEstimate:
 
 def decay_rate_scan(
     mx, mn, event, ns, reps=None, seed=None, method="tilted", workers=None,
-    settings=None,
 ):
     """Estimate P(event) along an n-grid and extrapolate the decay slope.
 
@@ -431,7 +433,7 @@ def decay_rate_scan(
     if len(ns) < 2 or sorted(set(ns)) != ns:
         raise ValidationError("ns must be at least two strictly increasing integers")
     try:
-        tilt = tilt_parameters(mx, mn, event, settings=settings)
+        tilt = tilt_parameters(mx, mn, event)
     except ZeroRateEventError:
         tilt = None
     rows = []
@@ -440,7 +442,7 @@ def decay_rate_scan(
         if method == "tilted" and tilt is not None:
             estimate = estimate_event_prob(
                 mx, mn, n, event, reps=reps, method="tilted", seed=run_seed,
-                workers=workers, settings=settings, tilt=tilt,
+                workers=workers, tilt=tilt,
             )
         else:
             estimate = estimate_event_prob(

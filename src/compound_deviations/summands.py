@@ -12,10 +12,10 @@ Three kinds share one interface:
   evaluated on the grid and dual vectors act as signed point masses.
 
 Every model exposes the cumulant generating function cgf(theta) =
-log E exp<theta, X>, its gradient, mean, covariance, samplers (including a
-vectorized sampler for sums of k iid steps, the shape needed by compound
-simulation), the exponentially tilted model, and, where a closed form
-exists, the convex conjugate of the cgf.
+log E exp<theta, X>, its gradient and Hessian, mean, covariance, samplers
+(including a vectorized sampler for sums of k iid steps, the shape needed by
+compound simulation), the exponentially tilted model, and, where a closed
+form exists, the convex conjugate of the cgf.
 """
 
 from __future__ import annotations
@@ -47,6 +47,9 @@ class SummandModel:
         raise NotImplementedError
 
     def cgf_grad(self, theta):
+        raise NotImplementedError
+
+    def cgf_hess(self, theta):
         raise NotImplementedError
 
     def mean(self):

@@ -1,9 +1,11 @@
 """Convex-conjugate machinery and the rate functions of the compound-sum LDP.
 
-The central tool is ``legendre_transform``: a gradient-ascent maximizer of
-theta -> <theta, z> - f(theta) for a smooth convex f, with backtracking line
-search, optional Newton polish, and a divergence policy that turns genuinely
-unbounded suprema into PosInf instead of an iteration-limit error.
+The central tool, and the package's one conjugate solver, is
+``legendre_transform``: a damped Newton maximizer of theta -> <theta, z> -
+f(theta) for a smooth convex f with an analytic Hessian (composed by the
+chain rule from the summand ``cgf_hess`` and the counting
+``limit_cgf_second``), whose divergence policy turns genuinely unbounded
+suprema into PosInf instead of an iteration-limit error.
 
 On top of it sit the rate functions:
 
@@ -40,40 +42,25 @@ from .errors import (
 )
 from .summands import FiniteSupportSummands, GridFunctionSummands
 
-# Armijo sufficient-increase fraction for the backtracking line search.
+# Newton solver: Armijo sufficient-increase fraction, iteration budget,
+# gradient norm and relative Newton decrement that accept a maximizer, and
+# the iterate norm past which the rising supremum is declared unbounded.
 ARMIJO_C = 1e-4
-# Smallest step tried before the line search gives up.
-MIN_STEP = 1e-18
-# Gradient norm below which the Newton polish kicks in.
-POLISH_GRADIENT_NORM = 1e-3
-# Iterations of objective history consulted by the divergence test.
-DIVERGENCE_LOOKBACK = 10
+MAX_ITERATIONS = 500
+GRADIENT_TOLERANCE = 1e-8
+DECREMENT_TOLERANCE = 1e-15
+DIVERGENCE_THRESHOLD = 1e8
+# Levenberg shift: starts at DAMPING_FLOOR (1 + max |diag H|), grows by
+# DAMPING_FACTOR (to at least that floor) per rejected step and shrinks by
+# it per accepted one, so steps along a saturated cumulant grow geometrically.
+DAMPING_FLOOR = 1e-10
+DAMPING_FACTOR = 4.0
 # Tolerance of the (x, y) = (origin, 0) membership test in the explicit rate.
 ORIGIN_TOL = 1e-10
 # Midpoint-convexity slack for the probe of user-supplied functions.
 CONVEXITY_SLACK = 1e-8
-
-
-@dataclass(frozen=True)
-class OptimizerSettings:
-    """Knobs of the conjugate maximizer; defaults suit desk-scale problems."""
-
-    max_iterations: int = 500
-    gradient_tolerance: float = 1e-8
-    divergence_threshold: float = 1e4
-    initial_step: float = 1.0
-    newton_polish: bool = True
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be positive")
-        for name in ("gradient_tolerance", "divergence_threshold", "initial_step"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise ValidationError(f"{name} must be positive, got {value!r}")
-
-
-DEFAULT_SETTINGS = OptimizerSettings()
+# Evaluation failures that mark a point as outside the function's domain.
+_DOMAIN_ERRORS = (OverflowError, ValidationError, NoRootError)
 
 
 @dataclass(frozen=True)
@@ -114,35 +101,22 @@ def probe_convexity(f, dim, segments=6, radius=1.5, slack=CONVEXITY_SLACK):
     return True
 
 
-def _fd_hessian(grad_f, theta):
-    dim = theta.size
-    step = 1e-6 * (1.0 + float(np.linalg.norm(theta)))
-    hess = np.empty((dim, dim))
-    for j in range(dim):
-        offset = np.zeros(dim)
-        offset[j] = step
-        hess[:, j] = (grad_f(theta + offset) - grad_f(theta - offset)) / (2.0 * step)
-    return 0.5 * (hess + hess.T)
-
-
-def legendre_transform(f, grad_f, z, settings=None, hess_f=None):
+def legendre_transform(f, grad_f, hess_f, z):
     """Maximize <theta, z> - f(theta) for smooth convex f from theta = 0.
 
-    Gradient ascent with a doubling/backtracking (Armijo) line search;
-    convergence is declared when the gradient norm drops below the
-    tolerance, optionally polished by Newton steps (analytic Hessian when
-    supplied, symmetrized finite differences of the gradient otherwise).
-
-    The supremum is declared unbounded, with value PosInf, when the iterate
-    norm exceeds the divergence threshold while the objective has kept
-    increasing over the recent history. Running out of iterations without
-    either verdict raises InconclusiveOptimizationError carrying the best
-    value found, so the caller can decide.
-
-    Convexity of f is the caller's responsibility; a cheap deterministic
-    midpoint probe rejects obvious violations up front.
+    Levenberg-damped Newton on the analytic gradient and Hessian of f: each
+    step solves (H + mu I) s = g with g = z - grad f, raising mu until the
+    step gives an Armijo increase. The maximizer is accepted once |g| or
+    the undamped Newton decrement g.H^{-1}g (Boyd & Vandenberghe, Convex
+    Optimization, sec. 9.5) is small; the decrement also ends solves whose
+    gradient bottoms out in rounding. Since every step climbs, an iterate
+    beyond DIVERGENCE_THRESHOLD or an objective overflowing upward means
+    the supremum is PosInf. Points where f or its derivatives overflow or
+    leave their domain are rejected steps. Running out of iterations or
+    damping the step to nothing raises InconclusiveOptimizationError with
+    the best value found. A deterministic midpoint probe rejects obvious
+    non-convex f up front.
     """
-    settings = settings or DEFAULT_SETTINGS
     target = np.atleast_1d(np.asarray(z, dtype=float))
     if target.ndim != 1 or not np.all(np.isfinite(target)):
         raise ValidationError("transform point must be a finite vector or scalar")
@@ -155,68 +129,69 @@ def legendre_transform(f, grad_f, z, settings=None, hess_f=None):
 
     def objective(point):
         try:
-            value = f(point)
-        except (OverflowError, ValidationError, NoRootError):
+            value = float(target @ point) - f(point)
+        except _DOMAIN_ERRORS:
             return -math.inf
-        if not math.isfinite(value):
-            return -math.inf
-        return float(target @ point) - value
+        return value if not math.isnan(value) else -math.inf
 
-    def gradient(point):
-        return target - np.asarray(grad_f(point), dtype=float)
+    def derivatives(point):
+        """Gradient of the objective and Hessian of f; None off the domain."""
+        try:
+            grad = target - np.asarray(grad_f(point), dtype=float)
+            hess = np.atleast_2d(np.asarray(hess_f(point), dtype=float))
+        except _DOMAIN_ERRORS:
+            return None
+        if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
+            return None
+        return grad, hess
 
     theta = np.zeros(dim)
     value = objective(theta)
-    if not math.isfinite(value):
+    start = derivatives(theta)
+    if not math.isfinite(value) or start is None:
         raise ValidationError("objective is undefined at the origin")
-    grad = gradient(theta)
-    gnorm = float(np.linalg.norm(grad))
-    history = [value]
-    step = settings.initial_step
+    grad, hess = start
+    eye = np.eye(dim)
+    damping = _damping_floor(hess)
     iterations = 0
-    stalled = False
-
-    while iterations < settings.max_iterations:
-        if gnorm < settings.gradient_tolerance:
+    while True:
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm < GRADIENT_TOLERANCE or _decrement(hess, grad) <= (
+            DECREMENT_TOLERANCE * (1.0 + abs(value))
+        ):
+            return LegendreResult(
+                ExtendedReal(value), theta.copy(), iterations, gnorm, False
+            )
+        if iterations >= MAX_ITERATIONS:
+            reason = "iteration limit reached"
             break
         iterations += 1
-        trial = step
-        while trial >= MIN_STEP:
-            candidate = theta + trial * grad
-            cand_value = objective(candidate)
-            if cand_value >= value + ARMIJO_C * trial * gnorm * gnorm:
-                theta, value = candidate, cand_value
-                step = 2.0 * trial
+        accepted = None
+        while accepted is None and math.isfinite(damping):
+            try:
+                step = np.linalg.solve(hess + damping * eye, grad)
+            except np.linalg.LinAlgError:
+                damping = max(DAMPING_FACTOR * damping, _damping_floor(hess))
+                continue
+            candidate = theta + step
+            if np.array_equal(candidate, theta):
                 break
-            trial *= 0.5
-        else:
-            stalled = True
-            break
-        history.append(value)
-        try:
-            grad = gradient(theta)
-        except (OverflowError, ValidationError, NoRootError):
-            stalled = True
-            break
-        gnorm = float(np.linalg.norm(grad))
-        if float(np.linalg.norm(theta)) > settings.divergence_threshold:
-            lookback = history[-(DIVERGENCE_LOOKBACK + 1)] if len(
-                history
-            ) > DIVERGENCE_LOOKBACK else history[0]
-            if history[-1] > lookback:
+            cand_value = objective(candidate)
+            if cand_value == math.inf:
                 return LegendreResult(POS_INF, None, iterations, gnorm, True)
+            if cand_value >= value + ARMIJO_C * float(grad @ step):
+                accepted = derivatives(candidate)
+            if accepted is None:
+                damping = max(DAMPING_FACTOR * damping, _damping_floor(hess))
+        if accepted is None:
+            reason = "damped step vanished"
+            break
+        theta, value, (grad, hess) = candidate, cand_value, accepted
+        damping /= DAMPING_FACTOR
+        if float(np.linalg.norm(theta)) > DIVERGENCE_THRESHOLD:
+            gnorm = float(np.linalg.norm(grad))
+            return LegendreResult(POS_INF, None, iterations, gnorm, True)
 
-    if settings.newton_polish and gnorm < POLISH_GRADIENT_NORM:
-        theta, value, gnorm = _newton_polish(
-            objective, gradient, hess_f or (lambda p: _fd_hessian(grad_f, p)),
-            theta, value, gnorm, settings,
-        )
-
-    if gnorm < settings.gradient_tolerance:
-        return LegendreResult(
-            ExtendedReal(value), theta.copy(), iterations, gnorm, False
-        )
-    reason = "stalled line search" if stalled else "iteration limit reached"
     raise InconclusiveOptimizationError(
         f"conjugate maximization inconclusive ({reason}; gradient norm "
         f"{gnorm:.3e} after {iterations} iterations)",
@@ -227,35 +202,26 @@ def legendre_transform(f, grad_f, z, settings=None, hess_f=None):
     )
 
 
-def _newton_polish(objective, gradient, hess_f, theta, value, gnorm, settings):
-    for _ in range(25):
-        if gnorm < settings.gradient_tolerance:
-            break
-        try:
-            hess = np.atleast_2d(np.asarray(hess_f(theta), dtype=float))
-            delta = np.linalg.solve(hess, gradient(theta))
-        except (np.linalg.LinAlgError, OverflowError, ValidationError, NoRootError):
-            break
-        candidate = theta + delta
-        cand_value = objective(candidate)
-        if not math.isfinite(cand_value):
-            break
-        try:
-            cand_grad = gradient(candidate)
-        except (OverflowError, ValidationError, NoRootError):
-            break
-        cand_gnorm = float(np.linalg.norm(cand_grad))
-        if cand_gnorm >= gnorm:
-            break
-        theta, value, gnorm = candidate, cand_value, cand_gnorm
-    return theta, value, gnorm
+def _damping_floor(hess):
+    return DAMPING_FLOOR * (1.0 + float(np.max(np.abs(np.diag(hess)))))
 
 
-def count_rate(mn, y, settings=None):
+def _decrement(hess, grad):
+    """Undamped Newton decrement g.H^{-1}g; inf where H is singular or the
+    decrement is not a positive number."""
+    try:
+        decrement = float(grad @ np.linalg.solve(hess, grad))
+    except np.linalg.LinAlgError:
+        return math.inf
+    return decrement if decrement >= 0.0 else math.inf
+
+
+def count_rate(mn, y):
     """Conjugate of the limiting count cumulant at y (the count-marginal rate).
 
-    Nonnegative, zero at the limiting mean rate; PosInf below zero, where
-    the supremum diverges (caught by the optimizer's divergence test).
+    Nonnegative, zero at the limiting mean rate; PosInf outside the range of
+    the count rate (below zero, and above the largest rate of bounded
+    kinds), where the supremum diverges.
     """
     if not (isinstance(y, (int, float)) and math.isfinite(y)):
         raise ValidationError(f"y must be a finite real, got {y!r}")
@@ -266,7 +232,10 @@ def count_rate(mn, y, settings=None):
     def grad(point):
         return np.array([mn.limit_cgf_deriv(float(point[0]))])
 
-    return legendre_transform(f, grad, [float(y)], settings=settings)
+    def hess(point):
+        return np.array([[mn.limit_cgf_second(float(point[0]))]])
+
+    return legendre_transform(f, grad, hess, [float(y)])
 
 
 def joint_cgf(mx, mn, theta, eta):
@@ -276,8 +245,13 @@ def joint_cgf(mx, mn, theta, eta):
     return mn.limit_cgf(float(eta) + mx.cgf(t))
 
 
-def rate_ld_variational(mx, mn, x, y, settings=None):
-    """Large-deviation rate of the pair as a joint conjugate over (theta, eta)."""
+def rate_ld_variational(mx, mn, x, y):
+    """Large-deviation rate of the pair as a joint conjugate over (theta, eta).
+
+    By the chain rule, f(theta, eta) = L_N(eta + L_X(theta)) has gradient
+    L_N' v and Hessian L_N'' v v^T + L_N' diag(hess L_X, 0), with
+    v = (grad L_X, 1).
+    """
     vec = as_vector(x, dim=mx.dim, name="x")
     if not (isinstance(y, (int, float)) and math.isfinite(y)):
         raise ValidationError(f"y must be a finite real, got {y!r}")
@@ -290,19 +264,24 @@ def rate_ld_variational(mx, mn, x, y, settings=None):
         slope = mn.limit_cgf_deriv(float(point[dim]) + mx.cgf(point[:dim]))
         return np.concatenate([slope * mx.cgf_grad(point[:dim]), [slope]])
 
-    return legendre_transform(
-        f, grad, np.concatenate([vec, [float(y)]]), settings=settings
-    )
+    def hess(point):
+        s = float(point[dim]) + mx.cgf(point[:dim])
+        v = np.append(mx.cgf_grad(point[:dim]), 1.0)
+        out = mn.limit_cgf_second(s) * np.outer(v, v)
+        out[:dim, :dim] += mn.limit_cgf_deriv(s) * mx.cgf_hess(point[:dim])
+        return out
+
+    return legendre_transform(f, grad, hess, np.concatenate([vec, [float(y)]]))
 
 
-def _summand_conjugate(mx, point, settings=None):
+def _summand_conjugate(mx, point):
     closed = mx.conjugate_closed_form(point)
     if closed is not None:
         return closed
-    return legendre_transform(mx.cgf, mx.cgf_grad, point, settings=settings).value
+    return legendre_transform(mx.cgf, mx.cgf_grad, mx.cgf_hess, point).value
 
 
-def rate_ld_explicit(mx, mn, x, y, settings=None):
+def rate_ld_explicit(mx, mn, x, y):
     """Large-deviation rate of the pair by the explicit case split.
 
     y > 0: y * (summand conjugate at x/y) + count rate at y, using the
@@ -317,8 +296,8 @@ def rate_ld_explicit(mx, mn, x, y, settings=None):
     if max(abs(float(y)), float(np.max(np.abs(vec))) if vec.size else 0.0) <= ORIGIN_TOL:
         return -mn.derivs_at_zero().cgf_at_minus_inf
     if y > 0:
-        conjugate = _summand_conjugate(mx, vec / float(y), settings)
-        count_part = count_rate(mn, float(y), settings).value
+        conjugate = _summand_conjugate(mx, vec / float(y))
+        count_part = count_rate(mn, float(y)).value
         return ExtendedReal(float(y)) * conjugate + count_part
     return POS_INF
 
@@ -384,69 +363,35 @@ def rate_md_centered_sum(mx, mn, x, y):
     return rate_md_centered_summands(mx, mn, vec - float(y) * mx.mean(), y)
 
 
-def rate_md_centered_summands_variational(mx, mn, x, y, settings=None):
-    """Conjugate form of rate_md_centered_summands, for cross-checking."""
+def _md_conjugate(mx, mn, x, y, shifted):
+    """Conjugate of the quadratic psi_sn(theta, eta) = p.Q p / 2, p = (theta,
+    eta); the mean-shifted form substitutes eta + <theta, mu> for eta, which
+    turns Q into A^T Q A with A = [[I, 0], [mu^T, 1]]."""
     d = _md_derivs(mn)
     vec = as_vector(x, dim=mx.dim, name="x")
-    cov = mx.cov()
     dim = mx.dim
-
-    def f(point):
-        return 0.5 * d.mean_rate * cov.quadratic_form(point[:dim]) + (
-            0.5 * d.variance_rate * point[dim] ** 2
-        )
-
-    def grad(point):
-        return np.concatenate(
-            [d.mean_rate * cov.apply(point[:dim]), [d.variance_rate * point[dim]]]
-        )
-
-    def hess(point):
-        out = np.zeros((dim + 1, dim + 1))
-        out[:dim, :dim] = d.mean_rate * cov.matrix
-        out[dim, dim] = d.variance_rate
-        return out
-
+    quad = np.zeros((dim + 1, dim + 1))
+    quad[:dim, :dim] = d.mean_rate * mx.cov().matrix
+    quad[dim, dim] = d.variance_rate
+    if shifted:
+        shift = np.eye(dim + 1)
+        shift[dim, :dim] = mx.mean()
+        quad = shift.T @ quad @ shift
     return legendre_transform(
-        f, grad, np.concatenate([vec, [float(y)]]), settings=settings, hess_f=hess
+        lambda p: 0.5 * float(p @ quad @ p), lambda p: quad @ p,
+        lambda p: quad, np.append(vec, float(y)),
     )
 
 
-def rate_md_centered_sum_variational(mx, mn, x, y, settings=None):
+def rate_md_centered_summands_variational(mx, mn, x, y):
+    """Conjugate form of rate_md_centered_summands, for cross-checking."""
+    return _md_conjugate(mx, mn, x, y, shifted=False)
+
+
+def rate_md_centered_sum_variational(mx, mn, x, y):
     """Conjugate of the mean-shifted quadratic, for cross-checking the
     contraction identity."""
-    d = _md_derivs(mn)
-    vec = as_vector(x, dim=mx.dim, name="x")
-    cov = mx.cov()
-    mu = mx.mean()
-    dim = mx.dim
-
-    def f(point):
-        shifted = point[dim] + float(point[:dim] @ mu)
-        return 0.5 * d.mean_rate * cov.quadratic_form(point[:dim]) + (
-            0.5 * d.variance_rate * shifted ** 2
-        )
-
-    def grad(point):
-        shifted = point[dim] + float(point[:dim] @ mu)
-        return np.concatenate(
-            [
-                d.mean_rate * cov.apply(point[:dim]) + d.variance_rate * shifted * mu,
-                [d.variance_rate * shifted],
-            ]
-        )
-
-    def hess(point):
-        out = np.zeros((dim + 1, dim + 1))
-        out[:dim, :dim] = d.mean_rate * cov.matrix + d.variance_rate * np.outer(mu, mu)
-        out[:dim, dim] = d.variance_rate * mu
-        out[dim, :dim] = d.variance_rate * mu
-        out[dim, dim] = d.variance_rate
-        return out
-
-    return legendre_transform(
-        f, grad, np.concatenate([vec, [float(y)]]), settings=settings, hess_f=hess
-    )
+    return _md_conjugate(mx, mn, x, y, shifted=True)
 
 
 def md_quadratic_finite_support(mx, mn, x):

@@ -531,6 +531,31 @@ class TestCli:
             "error [compound_deviations.errors.ValidationError]: "
         )
 
+    @pytest.mark.parametrize("block, key", [
+        ({"counting": {"kind": "poisson", "rate": 10 ** 401}}, "counting.rate"),
+        ({"summand": {"kind": "finite_support", "atoms": [10 ** 401, -1],
+                      "probs": [0.5, 0.5]}}, "summand.atoms[0]"),
+    ], ids=["number", "vector"])
+    def test_integer_beyond_float_range_is_a_config_error(
+        self, tmp_path, capsys, block, key,
+    ):
+        # JSON integers have no size limit; one past float range is not a
+        # finite number and must not escape as an OverflowError.
+        raw = {
+            "summand": ldp_raw()["summand"],
+            "counting": {"kind": "poisson", "rate": 1.0},
+            "experiment": {"kind": "rate-eval", "x_values": [0.0],
+                           "y_values": [2.0]},
+        }
+        raw.update(block)
+        path = write_json(tmp_path / "huge.json", raw)
+        assert cli.main(["rate-eval", "--config", path, "--out",
+                         str(tmp_path / "out")]) == 2
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith(f"error: {key}: must be ")
+        assert "finite number" in err_lines[0]
+
     def test_internal_error_exits_3_with_one_line(self, tmp_path,
                                                   monkeypatch, capsys):
         def broken(config, out_dir=None, workers=None):

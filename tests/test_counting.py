@@ -12,7 +12,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import gammaln
 
+from compound_deviations import counting
 from compound_deviations.counting import (
     BernoulliSumCounting,
     ExponentialInterarrival,
@@ -106,6 +108,63 @@ class TestDerivativeRecords:
             assert_allclose(d.variance_rate, fd_second(mn.limit_cgf, 0.0),
                             rtol=1e-4, atol=1e-4,
                             err_msg=type(mn).__name__)
+
+    def test_second_derivative_matches_finite_differences(self):
+        # limit_cgf_second against central differences of limit_cgf_deriv,
+        # on both sides of zero for every kind.
+        models = [
+            PoissonCounting(1.5),
+            FractionalPoissonCounting(0.6, 1.2),
+            BernoulliSumCounting(p=0.4),
+            BernoulliSumCounting.runs(2.0, 1.0),
+            IidSumCounting([0, 1, 3], [0.2, 0.5, 0.3]),
+            RenewalCounting(ExponentialInterarrival(2.0)),
+            RenewalCounting(GammaInterarrival(2.0, 3.0)),
+        ]
+        for mn in models:
+            for eta in [-3.0, -0.4, 0.0, 0.8, 2.5]:
+                assert_allclose(
+                    mn.limit_cgf_second(eta),
+                    fd_first(mn.limit_cgf_deriv, eta, h=1e-5),
+                    rtol=1e-5, atol=1e-8, err_msg=f"{type(mn).__name__} {eta}",
+                )
+
+    def test_bernoulli_cumulant_does_not_overflow(self):
+        # For large eta the cumulant is eta + log(p) and the tilted success
+        # probability tends to one; both stay finite far past exp's range.
+        for mn in (BernoulliSumCounting(p=0.25),
+                   BernoulliSumCounting(profile=lambda x: 0.25)):
+            for eta in [800.0, 1e6]:
+                assert_allclose(mn.limit_cgf(eta), eta + math.log(0.25),
+                                rtol=1e-12)
+                assert mn.limit_cgf_deriv(eta) == 1.0
+                assert mn.limit_cgf_second(eta) == 0.0
+            assert_allclose(mn.limit_cgf(-800.0), math.log(0.75), rtol=1e-12)
+            assert mn.limit_cgf_second(-800.0) == 0.0
+
+    @pytest.mark.parametrize("eta", [30.0, 45.0])
+    def test_runs_cumulant_keeps_small_success_probabilities(self, eta):
+        # p(x) = e^{-50 x} falls below 1e-16 on most of [0, 1], so 1 - p
+        # rounds to 1 there; the cumulant must still see p e^eta, which is
+        # large for x < eta / 50.
+        mn = BernoulliSumCounting.runs(10.0, 5.0)
+        with mp.workdps(30):
+            exact = mp.quad(
+                lambda x: mp.log1p(mp.exp(-50 * x) * mp.expm1(eta)),
+                [0, mp.mpf(eta) / 50, 1],
+            )
+        assert_allclose(mn.limit_cgf(eta), float(exact), rtol=1e-12)
+
+    def test_renewal_derivatives_vanish_past_the_domain_edge(self):
+        # Deep in the left tail kappa^{-1} reaches the edge r = rate, where
+        # kappa' is infinite: the slope and the curvature of L_N are 0.
+        for law in (ExponentialInterarrival(1.0), GammaInterarrival(2.0, 1.0)):
+            assert law.kappa_prime(law.rate) == math.inf
+            assert law.kappa_second(law.rate) == math.inf
+            mn = RenewalCounting(law)
+            assert mn.limit_cgf(-200.0) == -law.rate
+            assert mn.limit_cgf_deriv(-200.0) == 0.0
+            assert mn.limit_cgf_second(-200.0) == 0.0
 
     def test_left_tail_limit_matches_deep_probe(self):
         # cgf_at_minus_inf against the cgf evaluated far in the left tail.
@@ -333,6 +392,27 @@ class TestInterarrivalInversion:
         law = GammaInterarrival(2.0, 3.0)
         assert invert_interarrival_cgf(law.kappa, 0.0) == 0.0
 
+    def test_gamma_closed_form_inverse_matches_root_search(self):
+        law = GammaInterarrival(1.5, 2.0)
+        for u in (-3.0, -0.5, 0.2, 0.6, 5.0):
+            assert_allclose(
+                law.inverse(u),
+                invert_interarrival_cgf(law.kappa, u, domain_sup=2.0),
+                rtol=1e-12, atol=1e-12,
+            )
+
+    def test_exponential_is_the_shape_one_gamma(self):
+        law = ExponentialInterarrival(2.0)
+        gamma = GammaInterarrival(1.0, 2.0)
+        assert isinstance(law, GammaInterarrival)
+        for r in (-1.0, 0.0, 1.5):
+            assert law.kappa(r) == gamma.kappa(r)
+            assert law.kappa_prime(r) == gamma.kappa_prime(r)
+        # Draws keep the exponential sampler.
+        draws = law.sample(np.random.default_rng(3), 5)
+        expected = np.random.default_rng(3).exponential(0.5, size=5)
+        assert np.array_equal(draws, expected)
+
     def test_gamma_round_trip(self):
         law = GammaInterarrival(1.5, 2.0)
         for u in (-3.0, -0.5, 0.2, 0.6):
@@ -446,6 +526,20 @@ class TestValidation:
         # The limit scale rate ** (1/nu) overflows a float.
         with pytest.raises(ValidationError, match="overflows"):
             FractionalPoissonCounting(0.01, 1e10)
+
+    def test_fractional_table_stops_at_the_cap(self, monkeypatch):
+        # The doubling stops at the cap: no longer table is ever built.
+        monkeypatch.setattr(counting, "MASS_TABLE_CAP", 100)
+        sizes = []
+
+        def recording_gammaln(k):
+            sizes.append(k.size)
+            return gammaln(k)
+
+        monkeypatch.setattr(counting, "gammaln", recording_gammaln)
+        with pytest.raises(ValidationError, match="exceeds 100 states"):
+            FractionalPoissonCounting(0.7, 1.0).mass_table(400)
+        assert sizes == [64, 100]
 
     def test_bernoulli_exclusive_arguments(self):
         with pytest.raises(ValidationError):

@@ -14,6 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.optimize import minimize_scalar
+from scipy.special import gammaln, logsumexp
 
 from compound_deviations import montecarlo
 from compound_deviations.counting import (
@@ -391,7 +392,7 @@ class TestEstimateEventProb:
         (unit_poisson(), 2.0),
         # A closure profile; level 2 is beyond its reach of N/n <= 1.
         (BernoulliSumCounting.runs(1.0, 1.0), 0.8),
-        # Both block threads read the model's one mass table.
+        # Both block threads read the sampler's one tilted table.
         (FractionalPoissonCounting(0.7, 1.0), 2.0),
     ], ids=["poisson", "bernoulli-runs", "fractional"])
     def test_tilted_worker_count_invariance(self, mn, level):
@@ -409,6 +410,24 @@ class TestEstimateEventProb:
             sys.setswitchinterval(interval)
         assert serial.value == parallel.value
         assert serial.std_error == parallel.std_error
+
+    @pytest.mark.parametrize("n", [50, 100, 200, 400])
+    def test_fractional_tilted_estimate_matches_the_series(self, n):
+        # P(N_n >= 2.5 n) for the fractional count (nu 0.7, rate 1) by a
+        # direct log-sum of x^k / Gamma(nu k + 1), x = n^nu, over a range
+        # that holds all but a negligible share of the mass. The tilted law
+        # lives far beyond the untilted bulk, so its table must be built
+        # from its own weights.
+        mn = FractionalPoissonCounting(0.7, 1.0)
+        k = np.arange(20 * n + 200, dtype=float)
+        log_weights = k * math.log(float(n) ** 0.7) - gammaln(0.7 * k + 1.0)
+        exact = math.exp(logsumexp(log_weights[k >= 2.5 * n])
+                         - logsumexp(log_weights))
+        event = HalfSpaceEvent(mode="count", level=2.5)
+        estimate = estimate_event_prob(pm_one_summand(), mn, n, event,
+                                       reps=10_000, method="tilted", seed=11)
+        assert estimate.value > 0.0
+        assert abs(estimate.value - exact) <= 4.0 * estimate.std_error
 
     def test_tilted_sampler_is_built_once_per_estimate(self, monkeypatch):
         built = []
