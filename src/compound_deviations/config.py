@@ -45,16 +45,26 @@ from .counting import (
 )
 from .errors import ConfigError
 from .montecarlo import DEFAULT_REPS
-from .summands import FiniteSupportSummands, GaussianSummands, GridFunctionSummands
+from .summands import (
+    FiniteSupportSummands,
+    GaussianSummands,
+    grid_finite_support,
+    grid_gaussian,
+)
 from .version import __version__
 
 EXPERIMENT_KINDS = (
     "rate-eval", "ldp-check", "md-check", "moments-check", "clt-check", "ml-eval",
 )
 SUMMAND_KINDS = ("finite_support", "gaussian", "grid_gaussian", "grid_finite_support")
-COUNTING_KINDS = (
-    "poisson", "fractional_poisson", "iid_sum", "bernoulli_sum", "renewal",
-)
+COUNTING_CLASSES = {
+    "poisson": PoissonCounting,
+    "fractional_poisson": FractionalPoissonCounting,
+    "iid_sum": IidSumCounting,
+    "bernoulli_sum": BernoulliSumCounting,
+    "renewal": RenewalCounting,
+}
+COUNTING_KINDS = tuple(COUNTING_CLASSES)
 OUTPUT_FORMATS = ("csv", "json", "dat")
 
 # Documented defaults, also dumped verbatim by the `defaults` CLI subcommand.
@@ -439,7 +449,11 @@ def _normalize_experiment(data, col, counting_kind):
             ("auto", "exact", "empirical"),
         )
         if mode == "auto":
-            mode = "empirical" if counting_kind == "renewal" else "exact"
+            # str() keeps a malformed kind hashable; kinds outside the table
+            # are errors of the counting block.
+            counting = COUNTING_CLASSES.get(str(counting_kind))
+            exact = counting is None or counting.supports_finite_cgf
+            mode = "exact" if exact else "empirical"
         out["mode"] = mode
         out["reps"] = col.integer(
             data.get("reps", DEFAULTS["md-check"]["reps"]), "experiment.reps",
@@ -621,12 +635,10 @@ def build_summand(block):
     if kind == "gaussian":
         return GaussianSummands(block["mean"], block["cov"])
     if kind == "grid_gaussian":
-        return GridFunctionSummands.gaussian(
+        return grid_gaussian(
             block["grid"], np.asarray(block["mean"]), np.asarray(block["kernel"])
         )
-    return GridFunctionSummands.finite_support(
-        block["grid"], block["paths"], block["probs"]
-    )
+    return grid_finite_support(block["grid"], block["paths"], block["probs"])
 
 
 def build_counting(block):

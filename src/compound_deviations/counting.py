@@ -40,9 +40,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
-from .dualpair import NEG_INF, ExtendedReal
+from .dualpair import NEG_INF, ExtendedReal, tilt_weights
 from .errors import NoRootError, UnsupportedModelError, ValidationError
 from .mittag_leffler import log_mittag_leffler, log_mittag_leffler_ratio
 
@@ -96,6 +96,9 @@ class CountingDerivatives:
 class CountingModel:
     """Common interface of counting-process models."""
 
+    # Whether finite_cgf has a closed form; md-check's auto mode reads it per class.
+    supports_finite_cgf = False
+
     def limit_cgf(self, eta):
         raise NotImplementedError
 
@@ -126,9 +129,6 @@ class CountingModel:
     def sample_batch(self, n, rng, reps):
         raise NotImplementedError
 
-    def sample(self, n, rng):
-        return int(self.sample_batch(n, rng, 1)[0])
-
     def mean_mc(self, n, rng, reps=100_000):
         """Monte Carlo estimate of E[N_n], returned as (value, standard error)."""
         draws = self.sample_batch(n, rng, int(reps))
@@ -141,14 +141,6 @@ class CountingModel:
         raise UnsupportedModelError(
             f"{type(self).__name__} does not support exponential tilting"
         )
-
-    @property
-    def supports_finite_cgf(self):
-        try:
-            self.finite_cgf(1, 0.0)
-            return True
-        except UnsupportedModelError:
-            return False
 
     def exact_pmf(self, n):
         """Exact distribution of N_n as an array over 0..bound; bounded kinds only."""
@@ -184,6 +176,8 @@ class CountingModel:
 class IidSumCounting(CountingModel):
     """N_n = Z_1 + ... + Z_n with iid finite-support nonnegative-integer steps."""
 
+    supports_finite_cgf = True
+
     def __init__(self, values, probs):
         vals = np.array(values)
         if vals.ndim != 1 or vals.size == 0:
@@ -210,27 +204,19 @@ class IidSumCounting(CountingModel):
         self._probs.flags.writeable = False
         self._probe_validate()
 
-    @property
-    def step_values(self):
-        return self._values
-
-    @property
-    def step_probs(self):
-        return self._probs
+    def _tilt(self, eta):
+        """The limit cumulant at eta and the tilted step probabilities."""
+        return tilt_weights(eta * self._values + self._log_probs)
 
     def limit_cgf(self, eta):
-        return float(logsumexp(eta * self._values + self._log_probs))
-
-    def _tilted_step_probs(self, eta):
-        scores = eta * self._values + self._log_probs
-        return np.exp(scores - logsumexp(scores))
+        return self._tilt(eta)[0]
 
     def limit_cgf_deriv(self, eta):
-        return float(self._tilted_step_probs(eta) @ self._values)
+        return float(self._tilt(eta)[1] @ self._values)
 
     def limit_cgf_second(self, eta):
         # Variance of the tilted step.
-        w = self._tilted_step_probs(eta)
+        w = self._tilt(eta)[1]
         return float(w @ (self._values - float(w @ self._values)) ** 2)
 
     def derivs_at_zero(self):
@@ -261,8 +247,7 @@ class IidSumCounting(CountingModel):
 
     def tilted_count_sampler(self, n, s):
         n = _check_n(n)
-        w = self._tilted_step_probs(s)
-        tilted = IidSumCounting(self._values, w / w.sum())
+        tilted = IidSumCounting(self._values, self._tilt(s)[1])
         return lambda rng, reps: tilted.sample_batch(n, rng, reps)
 
     def count_bound(self, n):
@@ -293,6 +278,8 @@ class PoissonCounting(CountingModel):
     authoritative for the limit quantities, so a sensible intensity has
     running averages approaching it.
     """
+
+    supports_finite_cgf = True
 
     def __init__(self, rate, intensity=None):
         if not (isinstance(rate, (int, float)) and math.isfinite(rate)) or rate <= 0:
@@ -362,6 +349,8 @@ class FractionalPoissonCounting(CountingModel):
     special-function domain) and raise its validation error below that.
     At nu = 1 the model coincides with the homogeneous Poisson count.
     """
+
+    supports_finite_cgf = True
 
     def __init__(self, nu, rate):
         if not (isinstance(nu, (int, float)) and 0.0 < nu <= 1.0):
@@ -507,6 +496,8 @@ class BernoulliSumCounting(CountingModel):
     when counting runs of rare events in a Bernoulli scheme.
     """
 
+    supports_finite_cgf = True
+
     def __init__(self, p=None, profile=None):
         if (p is None) == (profile is None):
             raise ValidationError("give exactly one of p (constant) or profile")
@@ -531,14 +522,6 @@ class BernoulliSumCounting(CountingModel):
             raise ValidationError("runs preset needs lam > 0 and c > 0")
         lam, c = float(lam), float(c)
         return cls(profile=lambda x: math.exp(-lam * c * x))
-
-    @property
-    def constant_p(self):
-        return self._p
-
-    @property
-    def profile(self):
-        return self._profile
 
     def _integrate(self, f):
         value, _ = quad(f, 0.0, 1.0, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=500)
@@ -712,9 +695,6 @@ class InterarrivalLaw:
         raise UnsupportedModelError(
             f"{type(self).__name__} carries no sampler"
         )
-
-    def mean(self):
-        return self.kappa_prime(0.0)
 
 
 class GammaInterarrival(InterarrivalLaw):

@@ -77,6 +77,16 @@ def pair(theta, x):
     return float(t @ v)
 
 
+def tilt_weights(scores):
+    """log sum exp(scores) and the weights exp(scores) normalised to sum one,
+    by a shift to the largest score. For scores log p_i + <theta, u_i> these
+    are a finite-support cgf at theta and the tilted atom probabilities."""
+    peak = float(np.max(scores))
+    weights = np.exp(scores - peak)
+    total = float(weights.sum())
+    return peak + math.log(total), weights / total
+
+
 @dataclass(frozen=True)
 class ExtendedReal:
     """A real number extended with +inf and -inf, never NaN.
@@ -93,13 +103,6 @@ class ExtendedReal:
         if math.isnan(v):
             raise ExtendedRealArithmeticError("ExtendedReal cannot hold NaN")
         object.__setattr__(self, "value", v)
-
-    @classmethod
-    def finite(cls, value):
-        v = float(value)
-        if not math.isfinite(v):
-            raise ValidationError(f"finite() requires a finite value, got {v}")
-        return cls(v)
 
     @property
     def is_finite(self):

@@ -5,8 +5,9 @@ builds models from the config, dispatches on the experiment kind, writes the
 requested output formats into the output directory (tables as ``.csv``,
 plot-friendly two-column files as ``.dat``, a run summary as ``.json``), and
 returns ``(exit_code, summary)``. Exit code 0 means every acceptance band
-passed (or the experiment has none), 1 means at least one failed; errors
-raise and are mapped to exit code 2 by the CLI layer.
+passed (or the experiment has none), 1 means at least one failed. Errors
+raise; the CLI layer maps configuration and the package's typed errors to
+exit code 2 and any other exception to exit code 3.
 
 Nothing is ever written outside the output directory, and the tabular files
 carry no timestamps, so rerunning an identical config reproduces them byte

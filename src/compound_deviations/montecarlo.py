@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
     ZeroRateEventError,
 )
-from .summands import FiniteSupportSummands, GridFunctionSummands
+from .summands import FiniteSupportSummands
 from .variational import (
     analytic_limit_moments,
     finite_n_moment_identities,
@@ -59,6 +59,11 @@ def _check_seed(seed, name="seed"):
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError(f"{name} must be a nonnegative integer, got {seed!r}")
     return int(seed)
+
+
+def _check_method(method):
+    if method not in DEFAULT_REPS:
+        raise ValidationError(f"method must be 'plain' or 'tilted', got {method!r}")
 
 
 def _resolve_workers(workers):
@@ -162,15 +167,15 @@ class HalfSpaceEvent:
         elif self.direction is not None:
             raise ValidationError("count events take no direction")
 
-    def indicator(self, samples):
-        if self.mode == "count":
-            return samples.count_scaled >= self.level
-        return samples.sum_scaled @ self.direction >= self.level
+    def normal(self, dim):
+        """(d, c) that writes the event as {<d, sum/n> + c count/n >= level}."""
+        if self.mode == "sum":
+            return self.direction, 0.0
+        return np.zeros(dim), 1.0
 
-    def contains(self, sum_scaled, count_scaled):
-        if self.mode == "count":
-            return count_scaled >= self.level
-        return float(np.dot(sum_scaled, self.direction)) >= self.level
+    def indicator(self, samples):
+        d, c = self.normal(samples.sums.shape[1])
+        return samples.sum_scaled @ d + c * samples.count_scaled >= self.level
 
 
 def simulate_compound(mx, mn, n, reps, seed, x_seed=None, workers=None):
@@ -205,15 +210,15 @@ def enumerate_exact(mx, mn, n, event):
     Needs finite-support summands and a counting model with bounded support
     and an exact distribution. The term count sum over k of
     C(k+m-1, m-1) is guarded at ENUMERATION_TERM_LIMIT; larger instances get
-    an error telling the caller to fall back to Monte Carlo.
+    an error telling the caller to fall back to Monte Carlo. Each (sum, count)
+    point is tested by the event's indicator, like a sampled one.
     """
-    base = mx.base if isinstance(mx, GridFunctionSummands) else mx
-    if not isinstance(base, FiniteSupportSummands):
+    if not isinstance(mx, FiniteSupportSummands):
         raise UnsupportedModelError(
             "exact enumeration requires finite-support summands"
         )
     pmf = mn.exact_pmf(n)
-    m = base.atom_count
+    m = mx.atom_count
     term_count = sum(math.comb(k + m - 1, m - 1) for k in range(pmf.size))
     if term_count > ENUMERATION_TERM_LIMIT:
         raise EnumerationTooLargeError(
@@ -222,22 +227,19 @@ def enumerate_exact(mx, mn, n, event):
             term_count=term_count,
             limit=ENUMERATION_TERM_LIMIT,
         )
-    atoms = base.atoms
-    log_probs = np.log(base.probs)
+    log_probs = np.log(mx.probs)
     total = 0.0
     for k, count_prob in enumerate(pmf):
         if count_prob <= 0.0:
             continue
-        count_scaled = k / float(n)
+        splits = np.array(list(_compositions(k, m)), dtype=float)
+        points = CompoundSamples(int(n), splits @ mx.atoms, np.full(len(splits), k))
         log_kfac = gammaln(k + 1.0)
-        for split in _compositions(k, m):
-            j = np.array(split, dtype=float)
+        for j in splits[event.indicator(points)]:
             log_multinomial = log_kfac - float(gammaln(j + 1.0).sum()) + float(
                 j @ log_probs
             )
-            point = (j @ atoms) / float(n)
-            if event.contains(point, count_scaled):
-                total += float(count_prob) * math.exp(log_multinomial)
+            total += float(count_prob) * math.exp(log_multinomial)
     return min(total, 1.0)
 
 
@@ -261,21 +263,18 @@ class TiltParameters:
 def tilt_parameters(mx, mn, event):
     """Tilt targeting the rate minimizer over the closure of a half-space event.
 
-    Write the event as {<d, x> + c y >= level}: a sum event has (d, c) =
-    (direction, 0), a count event (0, 1). By convex duality its rate
-    infimum is the scalar conjugate sup_{t >= 0} [t level - g(t)] of
-    g(t) = L_N(t c + L_X(t d)), solved by one ``legendre_transform`` call
-    with g'' = L_N'' (c + <d, grad L_X>)^2 + L_N' d.hess(L_X).d; an
-    unbounded supremum means the event is unreachable. The maximizer t*
-    gives theta = t* d, eta = t* c and s = eta + L_X(theta);
-    the boundary point is y* = L_N'(s), x* = y* grad L_X(theta). Events whose
+    The event is {<d, x> + c y >= level} with (d, c) = ``event.normal``. By
+    convex duality its rate infimum is the scalar conjugate
+    sup_{t >= 0} [t level - g(t)] of g(t) = L_N(t c + L_X(t d)), solved by
+    one ``legendre_transform`` call with
+    g'' = L_N'' (c + <d, grad L_X>)^2 + L_N' d.hess(L_X).d; an unbounded
+    supremum means the event is unreachable. The maximizer t* gives
+    theta = t* d, eta = t* c and s = eta + L_X(theta); the boundary point
+    is y* = L_N'(s), x* = y* grad L_X(theta). Events whose
     closure contains the limit point (level <= d1 (c + <d, mu>)) have zero
     rate and are rejected: plain Monte Carlo suffices there.
     """
-    if event.mode == "sum":
-        d, c = event.direction, 0.0
-    else:
-        d, c = np.zeros(mx.dim), 1.0
+    d, c = event.normal(mx.dim)
     level = float(event.level)
     drift = mn.derivs_at_zero().mean_rate * (c + float(d @ mx.mean()))
     if level <= drift:
@@ -347,8 +346,7 @@ def estimate_event_prob(
     exact finite-n cumulant (renewal) are rejected for tilting. Weights
     beyond exp(700) raise instead of clipping.
     """
-    if method not in DEFAULT_REPS:
-        raise ValidationError(f"method must be 'plain' or 'tilted', got {method!r}")
+    _check_method(method)
     reps = DEFAULT_REPS[method] if reps is None else int(reps)
     seed = _check_seed(seed)
     x_seed = seed if x_seed is None else _check_seed(x_seed, "x_seed")
@@ -428,6 +426,7 @@ def decay_rate_scan(
     engine's infimum over the event, read off the one tilt solve that also
     drives the tilted method.
     """
+    _check_method(method)
     seed = _check_seed(seed)
     ns = [int(v) for v in ns]
     if len(ns) < 2 or sorted(set(ns)) != ns:

@@ -1,29 +1,38 @@
 """Summand-step laws: the distribution of a single term of the compound sum.
 
-Three kinds share one interface:
+Two kinds share one interface:
 
 * FiniteSupportSummands: atoms u_1..u_m in R^h with probabilities p_i. The
   workhorse for exact computations; its Cramer rate has a closed form in
   relative-entropy coordinates when the atoms are linearly independent.
 * GaussianSummands: mean vector and covariance operator; cumulants and the
   conjugate are quadratic, sampling of k-fold sums is exact in one draw.
-* GridFunctionSummands: a function-valued step tabulated on a grid of h
-  sites, wrapping either of the above; the covariance is the kernel matrix
-  evaluated on the grid and dual vectors act as signed point masses.
+
+Function-valued steps are tabulated on a grid of h sites, where their values
+form an ordinary law on R^h: ``grid_gaussian`` builds the Gaussian field
+whose covariance is the kernel matrix on the grid, ``grid_finite_support``
+the law on finitely many sample paths. Dual vectors then act as signed point
+masses on the sites.
 
 Every model exposes the cumulant generating function cgf(theta) =
-log E exp<theta, X>, its gradient and Hessian, mean, covariance, samplers
-(including a vectorized sampler for sums of k iid steps, the shape needed by
-compound simulation), the exponentially tilted model, and, where a closed
-form exists, the convex conjugate of the cgf.
+log E exp<theta, X>, its gradient and Hessian, mean, covariance, a
+vectorized sampler for sums of k iid steps (the shape needed by compound
+simulation), the exponentially tilted model, and, where a closed form
+exists, the convex conjugate of the cgf.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .dualpair import POS_INF, CovarianceOperator, ExtendedReal, as_vector, pair
+from .dualpair import (
+    POS_INF,
+    CovarianceOperator,
+    ExtendedReal,
+    as_vector,
+    pair,
+    tilt_weights,
+)
 from .errors import DimensionMismatchError, UnsupportedModelError, ValidationError
 
 # Probabilities must sum to one within this at construction.
@@ -58,23 +67,9 @@ class SummandModel:
     def cov(self):
         raise NotImplementedError
 
-    def sample(self, rng, count):
-        """Draw ``count`` iid steps, shape (count, dim)."""
-        raise NotImplementedError
-
     def sample_sum_batch(self, rng, counts):
-        """Draw sums of k iid steps for each k in ``counts``, shape (len, dim).
-
-        Generic implementation; subclasses override with closed-form or
-        vectorized versions.
-        """
-        counts = np.asarray(counts)
-        out = np.zeros((counts.size, self.dim))
-        for i, k in enumerate(counts):
-            k = int(k)
-            if k > 0:
-                out[i] = self.sample(rng, k).sum(axis=0)
-        return out
+        """Draw sums of k iid steps for each k in ``counts``, shape (len, dim)."""
+        raise NotImplementedError
 
     def tilted(self, theta):
         """The exponentially tilted law dP_theta ~ exp<theta, x> dP."""
@@ -148,20 +143,19 @@ class FiniteSupportSummands(SummandModel):
     def atom_count(self):
         return self._atoms.shape[0]
 
-    def cgf(self, theta):
+    def _tilt(self, theta):
+        """The cgf at theta and the tilted atom probabilities."""
         t = as_vector(theta, dim=self.dim, name="theta")
-        return float(logsumexp(self._atoms @ t + self._log_probs))
+        return tilt_weights(self._atoms @ t + self._log_probs)
+
+    def cgf(self, theta):
+        return self._tilt(theta)[0]
 
     def cgf_grad(self, theta):
-        t = as_vector(theta, dim=self.dim, name="theta")
-        scores = self._atoms @ t + self._log_probs
-        w = np.exp(scores - logsumexp(scores))
-        return w @ self._atoms
+        return self._tilt(theta)[1] @ self._atoms
 
     def cgf_hess(self, theta):
-        t = as_vector(theta, dim=self.dim, name="theta")
-        scores = self._atoms @ t + self._log_probs
-        w = np.exp(scores - logsumexp(scores))
+        w = self._tilt(theta)[1]
         g = w @ self._atoms
         return (self._atoms.T * w) @ self._atoms - np.outer(g, g)
 
@@ -172,10 +166,6 @@ class FiniteSupportSummands(SummandModel):
         mu = self.mean()
         second = (self._atoms.T * self._probs) @ self._atoms
         return CovarianceOperator(second - np.outer(mu, mu))
-
-    def sample(self, rng, count):
-        idx = rng.choice(self.atom_count, size=int(count), p=self._probs)
-        return self._atoms[idx]
 
     def sample_sum_batch(self, rng, counts):
         counts = np.asarray(counts, dtype=np.int64)
@@ -195,10 +185,7 @@ class FiniteSupportSummands(SummandModel):
         return out
 
     def tilted(self, theta):
-        t = as_vector(theta, dim=self.dim, name="theta")
-        scores = self._atoms @ t + self._log_probs
-        w = np.exp(scores - logsumexp(scores))
-        return FiniteSupportSummands(self._atoms, w / w.sum())
+        return FiniteSupportSummands(self._atoms, self._tilt(theta)[1])
 
     def decompose(self, x):
         """Coordinates of x in the atom basis.
@@ -247,12 +234,7 @@ class FiniteSupportSummands(SummandModel):
 
 
 def cramer_rate_finite_support(model, x):
-    """Closed-form Cramer rate; defined for finite-support laws only.
-
-    Grid-function models wrapping a finite-support base are unwrapped.
-    """
-    if isinstance(model, GridFunctionSummands):
-        model = model.base
+    """Closed-form Cramer rate; defined for finite-support laws only."""
     if not isinstance(model, FiniteSupportSummands):
         raise UnsupportedModelError(
             "closed-form Cramer rate requires a finite-support summand law"
@@ -297,10 +279,6 @@ class GaussianSummands(SummandModel):
     def cov(self):
         return self._cov
 
-    def sample(self, rng, count):
-        z = rng.standard_normal((int(count), self.dim))
-        return self._mean + z @ self._factor.T
-
     def sample_sum_batch(self, rng, counts):
         # A sum of k iid Gaussians is Gaussian with mean k mu and covariance
         # k C; one standard-normal draw per replication suffices.
@@ -321,95 +299,31 @@ class GaussianSummands(SummandModel):
         return ExtendedReal(max(0.5 * pair(u, centered), 0.0))
 
 
-class GridFunctionSummands(SummandModel):
-    """Function-valued step tabulated on a grid of h sites.
+def _on_grid(grid, law):
+    """The law, once its dimension is checked against the grid size."""
+    if grid.size != law.dim:
+        raise DimensionMismatchError(
+            f"grid has {grid.size} sites but the law lives in R^{law.dim}"
+        )
+    return law
 
-    The primal coordinates are the function values at the grid sites; dual
-    vectors are signed point-mass weights on the same sites, so the pairing
-    carries no grid-spacing factor. The covariance operator is the kernel
-    matrix Cov(X(s_i), X(s_j)).
 
-    Wraps a base law (finite-support sample paths or a Gaussian field) and
-    delegates all probabilistic operations to it.
+def grid_gaussian(grid, mean, kernel):
+    """Gaussian field on the grid, as its law on the h site values.
+
+    ``mean`` is a callable s -> E X(s) or a vector of values; ``kernel``
+    is a callable (s, t) -> Cov(X(s), X(t)) or the full matrix.
     """
+    g = as_vector(grid, name="grid")
+    if callable(mean):
+        mean = [mean(s) for s in g]
+    if callable(kernel):
+        kernel = [[kernel(s, t) for t in g] for s in g]
+    return _on_grid(g, GaussianSummands(mean, kernel))
 
-    def __init__(self, grid, base):
-        g = as_vector(grid, name="grid")
-        if not isinstance(base, (FiniteSupportSummands, GaussianSummands)):
-            raise ValidationError(
-                "base law must be finite-support or Gaussian"
-            )
-        if base.dim != g.size:
-            raise DimensionMismatchError(
-                f"grid has {g.size} sites but the base law lives in R^{base.dim}"
-            )
-        self._grid = g
-        self._base = base
 
-    @classmethod
-    def gaussian(cls, grid, mean, kernel):
-        """Gaussian field on the grid.
-
-        ``mean`` is a callable s -> E X(s) or a vector of values; ``kernel``
-        is a callable (s, t) -> Cov(X(s), X(t)) or the full matrix.
-        """
-        g = as_vector(grid, name="grid")
-        mu = np.array([mean(s) for s in g], dtype=float) if callable(mean) else mean
-        if callable(kernel):
-            k = np.array([[kernel(s, t) for t in g] for s in g], dtype=float)
-        else:
-            k = kernel
-        return cls(g, GaussianSummands(mu, k))
-
-    @classmethod
-    def finite_support(cls, grid, paths, probs):
-        """Finitely many sample paths, each given by a callable or a row of values."""
-        g = as_vector(grid, name="grid")
-        rows = [
-            np.array([p(s) for s in g], dtype=float) if callable(p) else np.asarray(p, dtype=float)
-            for p in paths
-        ]
-        return cls(g, FiniteSupportSummands(np.vstack(rows), probs))
-
-    @property
-    def grid(self):
-        return self._grid
-
-    @property
-    def base(self):
-        return self._base
-
-    @property
-    def kernel_matrix(self):
-        return self._base.cov().matrix
-
-    @property
-    def dim(self):
-        return self._base.dim
-
-    def cgf(self, theta):
-        return self._base.cgf(theta)
-
-    def cgf_grad(self, theta):
-        return self._base.cgf_grad(theta)
-
-    def cgf_hess(self, theta):
-        return self._base.cgf_hess(theta)
-
-    def mean(self):
-        return self._base.mean()
-
-    def cov(self):
-        return self._base.cov()
-
-    def sample(self, rng, count):
-        return self._base.sample(rng, count)
-
-    def sample_sum_batch(self, rng, counts):
-        return self._base.sample_sum_batch(rng, counts)
-
-    def tilted(self, theta):
-        return GridFunctionSummands(self._grid, self._base.tilted(theta))
-
-    def conjugate_closed_form(self, x):
-        return self._base.conjugate_closed_form(x)
+def grid_finite_support(grid, paths, probs):
+    """Finitely many sample paths, each given by a callable or a row of values."""
+    g = as_vector(grid, name="grid")
+    rows = [[p(s) for s in g] if callable(p) else p for p in paths]
+    return _on_grid(g, FiniteSupportSummands(np.vstack(rows), probs))

@@ -40,7 +40,7 @@ from .errors import (
     UnsupportedModelError,
     ValidationError,
 )
-from .summands import FiniteSupportSummands, GridFunctionSummands
+from .summands import FiniteSupportSummands
 
 # Newton solver: Armijo sufficient-increase fraction, iteration budget,
 # gradient norm and relative Newton decrement that accept a maximizer, and
@@ -401,8 +401,7 @@ def md_quadratic_finite_support(mx, mn, x):
     zero (x lies in the span of atom differences), where it equals
     sum over j < m of c_j (c_j/p_j - c_m/p_m) divided by 2 d1.
     """
-    base = mx.base if isinstance(mx, GridFunctionSummands) else mx
-    if not isinstance(base, FiniteSupportSummands):
+    if not isinstance(mx, FiniteSupportSummands):
         raise UnsupportedModelError(
             "the closed-form moderate-deviation quadratic requires a "
             "finite-support summand law"
@@ -412,10 +411,10 @@ def md_quadratic_finite_support(mx, mn, x):
         raise ValidationError(
             "the closed-form quadratic requires a positive limiting count mean rate"
         )
-    coeffs, centered = base.centered_decompose(x)
+    coeffs, centered = mx.centered_decompose(x)
     if not centered:
         return POS_INF
-    probs = base.probs
+    probs = mx.probs
     if coeffs.size == 1:
         return ExtendedReal(0.0)
     head, last = coeffs[:-1], float(coeffs[-1]) / float(probs[-1])

@@ -37,11 +37,8 @@ from compound_deviations.counting import (
 )
 from compound_deviations.errors import ConfigError
 from compound_deviations.experiments import run_experiment
-from compound_deviations.summands import (
-    FiniteSupportSummands,
-    GaussianSummands,
-    GridFunctionSummands,
-)
+from compound_deviations.montecarlo import ScalingFamily, md_scaling_sweep
+from compound_deviations.summands import FiniteSupportSummands, GaussianSummands
 
 
 def ldp_raw():
@@ -77,6 +74,33 @@ def md_raw():
             "ns": [100, 1000, 10000, 100000],
         },
     }
+
+
+# One block per counting kind, for checks that must cover all five.
+COUNTING_BLOCKS = {
+    "poisson": {"kind": "poisson", "rate": 1.0},
+    "fractional_poisson": {"kind": "fractional_poisson", "nu": 0.7, "rate": 1.0},
+    "iid_sum": {"kind": "iid_sum", "values": [0, 1, 2], "probs": [0.3, 0.4, 0.3]},
+    "bernoulli_sum": {"kind": "bernoulli_sum", "p": 0.4},
+    "renewal": {"kind": "renewal",
+                "law": {"kind": "gamma", "shape": 2.0, "rate": 1.0}},
+}
+
+# Flat summand blocks and grid blocks with the same values on two sites.
+GRID_PAIRS = {
+    "gaussian": (
+        {"kind": "gaussian", "mean": [0.1, -0.2],
+         "cov": [[1.0, 0.3], [0.3, 0.5]]},
+        {"kind": "grid_gaussian", "grid": [0.0, 1.0], "mean": [0.1, -0.2],
+         "kernel": [[1.0, 0.3], [0.3, 0.5]]},
+    ),
+    "finite_support": (
+        {"kind": "finite_support", "atoms": [[1.0, 0.0], [0.0, -1.0]],
+         "probs": [0.5, 0.5]},
+        {"kind": "grid_finite_support", "grid": [0.0, 1.0],
+         "paths": [[1.0, 0.0], [0.0, -1.0]], "probs": [0.5, 0.5]},
+    ),
+}
 
 
 def write_json(path, data):
@@ -298,8 +322,25 @@ class TestBuildModels:
                            "y_values": [1.0]},
         })["summand"]
         model = build_summand(block)
-        assert isinstance(model, GridFunctionSummands)
-        assert isinstance(model.base, FiniteSupportSummands)
+        assert isinstance(model, FiniteSupportSummands)
+        np.testing.assert_array_equal(model.atoms,
+                                      [[0.0, 1.0, 2.0], [0.0, 1.0, 4.0]])
+
+    @pytest.mark.parametrize("kind", sorted(COUNTING_BLOCKS))
+    def test_md_auto_mode_matches_the_sweep(self, kind):
+        raw = md_raw()
+        raw["counting"] = COUNTING_BLOCKS[kind]
+        raw["experiment"].update(ns=[20, 40], etas=[0.5], seed=7)
+        config = normalize_config(raw)
+        mode = config["experiment"]["mode"]
+        mn = build_counting(config["counting"])
+        assert mn.supports_finite_cgf == (mode == "exact")
+        sweep = {
+            m: md_scaling_sweep(mn, ScalingFamily.power(0.5), etas=[0.5],
+                                ns=[20, 40], reps=500, seed=7, mode=m)
+            for m in ("auto", mode)
+        }
+        assert sweep["auto"].rows == sweep[mode].rows
 
     def test_counting_variants(self):
         fractional = build_counting({"kind": "fractional_poisson",
@@ -392,6 +433,33 @@ class TestRunExperiment:
         assert float(cells["rate_ld"]) == pytest.approx(
             2.0 * math.log(2.0) - 1.0, abs=1e-10
         )
+
+    @pytest.mark.parametrize("experiment", [
+        {"kind": "rate-eval", "x_values": [[0.3, -0.1], [0.0, 0.5]],
+         "y_values": [0.5, 1.5]},
+        {"kind": "ldp-check", "method": "tilted", "ns": [20, 40],
+         "reps": 2000, "seed": 5,
+         "event": {"mode": "sum", "level": 0.5, "direction": [1.0, 1.0]}},
+    ], ids=["rate-eval", "ldp-check"])
+    @pytest.mark.parametrize("kind", sorted(GRID_PAIRS))
+    def test_grid_summands_match_flat_tables(self, tmp_path, kind, experiment):
+        def table_rows(summand, name):
+            config = normalize_config({
+                "summand": summand, "counting": COUNTING_BLOCKS["poisson"],
+                "experiment": experiment,
+            })
+            run_experiment(config, out_dir=str(tmp_path / name))
+            return {
+                path.name: [line for line in path.read_text().splitlines()
+                            if not line.startswith("#")]
+                for path in (tmp_path / name).iterdir()
+                if path.suffix in (".csv", ".dat")
+            }
+
+        flat, grid = GRID_PAIRS[kind]
+        rows = table_rows(flat, "flat")
+        assert rows and all(len(lines) > 1 for lines in rows.values())
+        assert table_rows(grid, "grid") == rows
 
     def test_md_check_exact_sweep_passes(self, tmp_path):
         config = normalize_config(md_raw())

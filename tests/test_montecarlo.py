@@ -117,8 +117,6 @@ class TestHalfSpaceEvent:
         count_event = HalfSpaceEvent(mode="count", level=1.0)
         assert sum_event.indicator(samples).tolist() == [True, False, True]
         assert count_event.indicator(samples).tolist() == [True, False, True]
-        assert sum_event.contains(np.array([0.5]), 1.0)
-        assert not count_event.contains(np.array([9.0]), 0.99)
 
 
 class TestSimulateCompound:
@@ -525,6 +523,14 @@ class TestDecayRateScan:
             decay_rate_scan(mx, mn, event, ns=[50], reps=100, seed=1)
         with pytest.raises(ValidationError):
             decay_rate_scan(mx, mn, event, ns=[100, 50], reps=100, seed=1)
+
+    def test_unknown_method_rejected(self):
+        # A soft event, so plain sampling would find positive estimates at
+        # both n: the error must come from the method, not from the fit.
+        event = HalfSpaceEvent(mode="count", level=1.3)
+        with pytest.raises(ValidationError, match="method"):
+            decay_rate_scan(zero_two_summand(), unit_poisson(), event,
+                            ns=[30, 60], reps=2000, seed=91, method="tilt")
 
 
 class TestScalingFamily:

@@ -22,8 +22,9 @@ from compound_deviations.errors import (
 from compound_deviations.summands import (
     FiniteSupportSummands,
     GaussianSummands,
-    GridFunctionSummands,
     cramer_rate_finite_support,
+    grid_finite_support,
+    grid_gaussian,
 )
 
 
@@ -163,8 +164,8 @@ class TestCramerRate:
             m.cramer_rate([0.5])
         assert m.conjugate_closed_form([0.5]) is None
 
-    def test_module_helper_unwraps_grid(self):
-        grid_model = GridFunctionSummands.finite_support(
+    def test_module_helper_on_grid_paths(self):
+        grid_model = grid_finite_support(
             [0.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5]
         )
         assert_allclose(
@@ -276,40 +277,40 @@ class TestFiniteSupportSampling:
 class TestGridFunction:
     def test_gaussian_field_from_kernel_callable(self):
         grid = [0.0, 0.5, 1.0]
-        model = GridFunctionSummands.gaussian(
+        model = grid_gaussian(
             grid, lambda s: s, lambda s, t: math.exp(-abs(s - t))
         )
+        assert isinstance(model, GaussianSummands)
         assert model.dim == 3
         assert_allclose(model.mean(), [0.0, 0.5, 1.0])
-        assert_allclose(model.kernel_matrix[0, 2], math.exp(-1.0), rtol=1e-12)
+        assert_allclose(model.cov().matrix[0, 2], math.exp(-1.0), rtol=1e-12)
 
     def test_finite_support_paths_from_callables(self):
         grid = [0.0, 1.0, 2.0]
-        model = GridFunctionSummands.finite_support(
+        model = grid_finite_support(
             grid, [lambda s: s, lambda s: s * s], [0.5, 0.5]
         )
-        assert_allclose(model.base.atoms, [[0.0, 1.0, 2.0], [0.0, 1.0, 4.0]])
+        assert isinstance(model, FiniteSupportSummands)
+        assert_allclose(model.atoms, [[0.0, 1.0, 2.0], [0.0, 1.0, 4.0]])
         assert_allclose(model.mean(), [0.0, 1.0, 3.0], atol=1e-15)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            GridFunctionSummands([0.0, 1.0], GaussianSummands([0.0], [[1.0]]))
+            grid_gaussian([0.0, 1.0], [0.0], [[1.0]])
+        with pytest.raises(DimensionMismatchError):
+            grid_finite_support([0.0, 1.0], [[0.0], [1.0]], [0.5, 0.5])
 
-    def test_delegation_and_tilt_preserves_grid(self):
-        grid = [0.0, 1.0]
-        model = GridFunctionSummands.gaussian(
-            grid, [0.0, 0.0], [[1.0, 0.2], [0.2, 1.0]]
-        )
+    def test_tilt_of_a_grid_field_is_gaussian(self):
+        model = grid_gaussian([0.0, 1.0], [0.0, 0.0], [[1.0, 0.2], [0.2, 1.0]])
         tilted = model.tilted([1.0, 0.0])
-        assert isinstance(tilted, GridFunctionSummands)
-        assert_allclose(tilted.grid, grid)
+        assert isinstance(tilted, GaussianSummands)
         assert_allclose(tilted.mean(), [1.0, 0.2], rtol=1e-12)
 
     def test_pairing_is_plain_weighted_sum(self):
         # Dual vectors act as signed point masses: no grid-spacing factor,
-        # so the cgf of the projected scalar matches the base directly.
+        # so the cgf of the projected scalar is that of the site values.
         grid = [0.0, 0.25, 1.0]
         kernel = np.eye(3)
-        model = GridFunctionSummands.gaussian(grid, [1.0, 1.0, 1.0], kernel)
+        model = grid_gaussian(grid, [1.0, 1.0, 1.0], kernel)
         theta = [1.0, -1.0, 2.0]
         assert_allclose(model.cgf(theta), 2.0 + 0.5 * 6.0, rtol=1e-12)

@@ -34,7 +34,8 @@ from compound_deviations.errors import (
 from compound_deviations.summands import (
     FiniteSupportSummands,
     GaussianSummands,
-    GridFunctionSummands,
+    grid_finite_support,
+    grid_gaussian,
 )
 from compound_deviations.variational import (
     GRADIENT_TOLERANCE,
@@ -613,19 +614,18 @@ class TestMdQuadraticFiniteSupport:
             varied = rate_md_centered_summands_variational(mx, mn, x, 0.0)
             assert_allclose(float(varied.value), float(closed), atol=1e-6)
 
-    def test_grid_wrapper_unwraps(self):
+    def test_grid_paths_match_flat_atoms(self):
         grid = np.array([0.0, 1.0, 2.0])
-        model = GridFunctionSummands.finite_support(
+        model = grid_finite_support(
             grid,
             [lambda s: s, lambda s: s ** 2],
             [0.5, 0.5],
         )
-        value = md_quadratic_finite_support(model, unit_poisson(),
-                                            np.array([1.0, 0.0, -2.0])
-                                            - np.array([0.0, 1.0, 4.0]))
-        assert float(value) == float(
-            md_quadratic_finite_support(model.base, unit_poisson(),
-                                        [1.0, -1.0, -6.0])
+        flat = FiniteSupportSummands([[0.0, 1.0, 2.0], [0.0, 1.0, 4.0]],
+                                     [0.5, 0.5])
+        x = [0.0, 0.0, -2.0]
+        assert float(md_quadratic_finite_support(model, unit_poisson(), x)) == float(
+            md_quadratic_finite_support(flat, unit_poisson(), x)
         )
 
     def test_overdetermined_decomposition_rejected(self):
@@ -792,7 +792,7 @@ class TestRouteAgreement:
         # which tends to (1/2) int_0^1 (2t)^2 dt = 2/3.
         grid = np.arange(1, h + 1) / h
         kernel = np.minimum.outer(grid, grid)
-        mx = GridFunctionSummands.gaussian(grid, np.zeros(h), kernel)
+        mx = grid_gaussian(grid, np.zeros(h), kernel)
         x = grid ** 2
         energy = 0.5 * float(x @ np.linalg.solve(kernel, x))
         explicit = float(rate_ld_explicit(mx, unit_poisson(), x, 1.0))
