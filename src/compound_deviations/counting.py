@@ -26,8 +26,9 @@ Kinds
   q_j = p((j-1)/n) for a profile p on [0, 1] (or a constant p); the limit
   cumulant integrates log(1 + p(x)(e^eta - 1)) over the unit interval.
 * RenewalCounting: N_n counts renewals of iid positive inter-arrival times
-  with cumulant kappa by time n; the limit cumulant is -kappa^{-1}(-eta).
-  No closed finite-n cumulant exists, so only plain sampling is offered.
+  with cumulant kappa by time n; the limit cumulant is -kappa^{-1}(-eta),
+  with left tail minus the end of kappa's domain (a table's last r). No
+  closed finite-n cumulant exists, so only plain sampling is offered.
 """
 
 from __future__ import annotations
@@ -576,8 +577,8 @@ class BernoulliSumCounting(CountingModel):
         return np.array([self._profile(x) for x in sites])
 
     def finite_cgf(self, n, eta):
-        q = self.success_probs(n)
-        return float(np.log1p(q * math.expm1(eta)).sum()) / int(n)
+        terms = [_bernoulli_cgf(q, eta) for q in self.success_probs(n).tolist()]
+        return float(np.sum(terms)) / int(n)
 
     def mean(self, n):
         return float(self.success_probs(n).sum())
@@ -749,9 +750,8 @@ class TabulatedInterarrival(InterarrivalLaw):
     """Inter-arrival cumulant given by a monotone table, PCHIP-interpolated.
 
     The table must be strictly increasing and bracket r = 0 with
-    kappa(0) = 0. Only quantities inside the tabulated range are computable;
-    in particular the left tail limit is probed at the fallback argument
-    rather than taken analytically, and no sampler exists.
+    kappa(0) = 0. Only quantities inside the tabulated range are computable,
+    so the domain ends at the table's last entry, and no sampler exists.
     """
 
     def __init__(self, r_values, kappa_values):
@@ -804,9 +804,6 @@ class RenewalCounting(CountingModel):
     inter-arrival draws.
     """
 
-    # Fallback probe argument for the left tail of the limit cumulant.
-    TAIL_PROBE_ETA = -40.0
-
     def __init__(self, law):
         if not isinstance(law, InterarrivalLaw):
             raise ValidationError("law must be an InterarrivalLaw")
@@ -845,9 +842,8 @@ class RenewalCounting(CountingModel):
     def derivs_at_zero(self):
         kp = self._law.kappa_prime(0.0)
         ks = self._law.kappa_second(0.0)
-        if isinstance(self._law, TabulatedInterarrival):
-            tail = ExtendedReal(self.limit_cgf(self.TAIL_PROBE_ETA))
-        elif math.isfinite(self._law.domain_sup):
+        # L_N(-inf) = -sup{r : kappa(r) < inf}.
+        if math.isfinite(self._law.domain_sup):
             tail = ExtendedReal(-self._law.domain_sup)
         else:
             tail = NEG_INF

@@ -9,11 +9,11 @@ count draws never change when the summand seed does (the two streams realize
 the independence of the count from the summands).
 
 Contents: plain simulation, exact enumeration on small finite instances,
-exponentially tilted importance sampling (with the tilt chosen on the rate
-minimizer over the event boundary, found as the one-dimensional dual of the
-half-space rate infimum), decay-rate scans against the rate engine, the
-moderate-deviation scaling sweep, and empirical moment/CLT checks against
-the analytic limits.
+one weighted-mean event-probability estimator whose unit-weight case is
+plain sampling and whose importance-sampling case tilts on the rate
+minimizer over the event boundary (the dual of the half-space rate infimum
+on a ray of the joint cumulant), decay-rate scans against the rate engine,
+the moderate-deviation scaling sweep, and empirical moment/CLT checks.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .summands import FiniteSupportSummands
 from .variational import (
     analytic_limit_moments,
     finite_n_moment_identities,
+    joint_cumulant,
     legendre_transform,
 )
 
@@ -265,14 +266,13 @@ def tilt_parameters(mx, mn, event):
 
     The event is {<d, x> + c y >= level} with (d, c) = ``event.normal``. By
     convex duality its rate infimum is the scalar conjugate
-    sup_{t >= 0} [t level - g(t)] of g(t) = L_N(t c + L_X(t d)), solved by
-    one ``legendre_transform`` call with
-    g'' = L_N'' (c + <d, grad L_X>)^2 + L_N' d.hess(L_X).d; an unbounded
-    supremum means the event is unreachable. The maximizer t* gives
-    theta = t* d, eta = t* c and s = eta + L_X(theta); the boundary point
-    is y* = L_N'(s), x* = y* grad L_X(theta). Events whose
-    closure contains the limit point (level <= d1 (c + <d, mu>)) have zero
-    rate and are rejected: plain Monte Carlo suffices there.
+    sup_{t >= 0} [t level - g(t)] of the ``joint_cumulant`` f on the ray
+    w = (d, c): g(t) = f(t w), g' = grad f.w, g'' = w.hess f.w, solved by
+    one ``legendre_transform`` call; an unbounded supremum means the event
+    is unreachable. The maximizer t* gives (theta, eta) = t* w and
+    s = eta + L_X(theta); the boundary point is (x*, y*) = grad f(t* w).
+    Events whose closure holds the limit point, level <= d1 (c + <d, mu>),
+    have zero rate and are rejected: plain Monte Carlo suffices there.
     """
     d, c = event.normal(mx.dim)
     level = float(event.level)
@@ -282,44 +282,29 @@ def tilt_parameters(mx, mn, event):
             f"{event.mode} level {level} does not exceed the limiting drift "
             f"{drift}; the event has zero rate and plain Monte Carlo suffices"
         )
-
-    def g(t):
-        t = float(t[0])
-        return mn.limit_cgf(t * c + mx.cgf(t * d))
-
-    def g_grad(t):
-        t = float(t[0])
-        slope = mn.limit_cgf_deriv(t * c + mx.cgf(t * d))
-        return np.array([slope * (c + float(d @ mx.cgf_grad(t * d)))])
-
-    def g_hess(t):
-        t = float(t[0])
-        s = t * c + mx.cgf(t * d)
-        inner = c + float(d @ mx.cgf_grad(t * d))
-        curvature = float(d @ mx.cgf_hess(t * d) @ d)
-        return np.array([[
-            mn.limit_cgf_second(s) * inner * inner
-            + mn.limit_cgf_deriv(s) * curvature
-        ]])
-
-    result = legendre_transform(g, g_grad, g_hess, [level])
+    ray = np.append(d, c)
+    f, grad, hess = joint_cumulant(mx, mn)
+    result = legendre_transform(
+        lambda t: f(t[0] * ray),
+        lambda t: np.array([grad(t[0] * ray) @ ray]),
+        lambda t: np.array([[ray @ hess(t[0] * ray) @ ray]]),
+        [level],
+    )
     if result.unbounded:
         raise ValidationError(
             f"{event.mode} level {level} is outside the reachable range; the "
             "event has probability zero at every n"
         )
-    t_star = float(result.argmax[0])
-    theta = t_star * d
-    eta = t_star * c
-    s = eta + mx.cgf(theta)
-    boundary_y = mn.limit_cgf_deriv(s)
+    point = float(result.argmax[0]) * ray
+    theta, eta = point[:-1], float(point[-1])
+    boundary = grad(point)
     return TiltParameters(
         theta=theta,
         eta=eta,
-        s=s,
+        s=eta + mx.cgf(theta),
         rate=float(result.value),
-        boundary_x=boundary_y * mx.cgf_grad(theta),
-        boundary_y=boundary_y,
+        boundary_x=boundary[:-1],
+        boundary_y=float(boundary[-1]),
     )
 
 
@@ -337,7 +322,8 @@ def estimate_event_prob(
     mx, mn, n, event, reps=None, method="plain", seed=None, x_seed=None,
     workers=None, tilt=None,
 ):
-    """Unbiased event-probability estimate, plain or exponentially tilted.
+    """Unbiased event-probability estimate: the weighted mean of the event
+    indicator, with unit weights on plain ``simulate_compound`` draws.
 
     The tilted estimator draws from the conjugate count family at
     s = eta + summand cgf(theta) and from the tilted summand law, then
@@ -353,42 +339,36 @@ def estimate_event_prob(
     workers = _resolve_workers(workers)
 
     if method == "plain":
+        tilt = None
         samples = simulate_compound(
             mx, mn, n, reps, seed, x_seed=x_seed, workers=workers
         )
-        hits = event.indicator(samples).astype(float)
-        value = float(hits.mean())
-        spread = float(hits.std(ddof=1)) if reps > 1 else 0.0
-        return EventProbability(
-            value=value,
-            std_error=spread / math.sqrt(reps),
-            method="plain",
-            reps=reps,
-            degenerate=value == 0.0 or value == 1.0,
+        weights = 1.0
+    else:
+        if tilt is None:
+            tilt = tilt_parameters(mx, mn, event)
+        log_norm = float(n) * float(mn.finite_cgf(n, tilt.s))
+        samples = _draw_samples(
+            mx.tilted(tilt.theta), mn.tilted_count_sampler(n, tilt.s), n, reps,
+            seed, x_seed, workers,
         )
-
-    if tilt is None:
-        tilt = tilt_parameters(mx, mn, event)
-    log_norm = float(n) * float(mn.finite_cgf(n, tilt.s))
-    samples = _draw_samples(
-        mx.tilted(tilt.theta), mn.tilted_count_sampler(n, tilt.s), n, reps,
-        seed, x_seed, workers,
-    )
-    log_weights = log_norm - samples.sums @ tilt.theta - tilt.eta * samples.counts
-    if float(np.max(log_weights)) > LOG_WEIGHT_CAP:
-        raise ValidationError(
-            "an importance weight exceeds exp(700); the tilt is too aggressive "
-            "for this event, refusing to clip silently"
-        )
-    weighted = event.indicator(samples).astype(float) * np.exp(log_weights)
+        log_weights = log_norm - samples.sums @ tilt.theta - tilt.eta * samples.counts
+        if float(np.max(log_weights)) > LOG_WEIGHT_CAP:
+            raise ValidationError(
+                "an importance weight exceeds exp(700); the tilt is too "
+                "aggressive for this event, refusing to clip silently"
+            )
+        weights = np.exp(log_weights)
+    weighted = event.indicator(samples) * weights
     value = float(weighted.mean())
     spread = float(weighted.std(ddof=1)) if reps > 1 else 0.0
+    # Degenerate: no draw carries weight, or unit weights on all hits.
     return EventProbability(
         value=value,
         std_error=spread / math.sqrt(reps),
-        method="tilted",
+        method=method,
         reps=reps,
-        degenerate=not np.any(weighted > 0.0),
+        degenerate=not np.any(weighted > 0.0) or (tilt is None and value == 1.0),
         tilt=tilt,
     )
 
@@ -438,16 +418,11 @@ def decay_rate_scan(
     rows = []
     for index, n in enumerate(ns):
         run_seed = int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
-        if method == "tilted" and tilt is not None:
-            estimate = estimate_event_prob(
-                mx, mn, n, event, reps=reps, method="tilted", seed=run_seed,
-                workers=workers, tilt=tilt,
-            )
-        else:
-            estimate = estimate_event_prob(
-                mx, mn, n, event, reps=reps, method="plain", seed=run_seed,
-                workers=workers,
-            )
+        estimate = estimate_event_prob(
+            mx, mn, n, event, reps=reps,
+            method="plain" if tilt is None else method, seed=run_seed,
+            workers=workers, tilt=tilt,
+        )
         rows.append((n, estimate.value, estimate.std_error))
 
     usable = [(n, p, se) for n, p, se in rows if p > 0.0]
@@ -579,15 +554,10 @@ def md_scaling_sweep(
     rows = []
     for index, n in enumerate(ns):
         a_n = scaling.a(n)
-        scale = math.sqrt(n * a_n)
+        ts = [eta / math.sqrt(n * a_n) for eta in etas]
         if mode == "exact":
             mean_count = mn.mean(n)
-            for eta in etas:
-                t = eta / scale
-                value = a_n * (n * mn.finite_cgf(n, t) - t * mean_count)
-                rows.append(
-                    MdSweepRow(n=n, eta=eta, value=value, target=0.5 * d2 * eta * eta)
-                )
+            log_mgfs = [n * mn.finite_cgf(n, t) - t * mean_count for t in ts]
         else:
             rng = np.random.default_rng(
                 np.random.SeedSequence([seed, index, COUNT_ROLE])
@@ -597,19 +567,11 @@ def md_scaling_sweep(
                 mean_count = mn.mean(n)
             except UnsupportedModelError:
                 mean_count = float(draws.mean())
-            for eta in etas:
-                t = eta / scale
-                shifted = t * (draws - mean_count)
-                peak = float(np.max(shifted))
-                log_mgf = peak + math.log(
-                    float(np.mean(np.exp(shifted - peak)))
-                )
-                rows.append(
-                    MdSweepRow(
-                        n=n, eta=eta, value=a_n * log_mgf,
-                        target=0.5 * d2 * eta * eta,
-                    )
-                )
+            log_mgfs = [_log_mean_exp(t * (draws - mean_count)) for t in ts]
+        rows += [
+            MdSweepRow(n=n, eta=eta, value=a_n * log_mgf, target=0.5 * d2 * eta * eta)
+            for eta, log_mgf in zip(etas, log_mgfs)
+        ]
 
     gap_monotone = {}
     for eta in etas:
@@ -620,6 +582,11 @@ def md_scaling_sweep(
         rows=rows, a_decreases=a_dec, na_increases=na_inc,
         gap_monotone=gap_monotone,
     )
+
+
+def _log_mean_exp(values):
+    peak = float(np.max(values))
+    return peak + math.log(float(np.mean(np.exp(values - peak))))
 
 
 def _covariance_with_error(a, b):
@@ -643,16 +610,20 @@ class CheckRow:
     within_band: bool
 
 
+def _check_row(name, empirical, std_error, reference, limit, band_se):
+    """Within band: within band_se standard errors of the reference, or
+    equal to it when the error is zero."""
+    within = (abs(empirical - reference) <= band_se * std_error
+              if std_error > 0.0 else empirical == reference)
+    return CheckRow(name, empirical, std_error, reference, limit, within)
+
+
 @dataclass(frozen=True)
 class MomentCheckResult:
     n: int
     reps: int
     rows: list
     reference_kind: str
-
-    @property
-    def all_within(self):
-        return all(r.within_band for r in self.rows)
 
 
 def moment_limits_check(
@@ -693,17 +664,7 @@ def moment_limits_check(
         ("cov_NS", cov_ns / scale, cov_ns_se / scale, reference.cov_NS, limit.cov_NS),
         ("var_N", var_n / scale, var_n_se / scale, reference.var_N, limit.var_N),
     ]
-    rows = [
-        CheckRow(
-            name=name,
-            empirical=emp,
-            std_error=se,
-            reference=ref,
-            limit=lim,
-            within_band=abs(emp - ref) <= band_se * se if se > 0.0 else emp == ref,
-        )
-        for name, emp, se, ref, lim in entries
-    ]
+    rows = [_check_row(*entry, band_se) for entry in entries]
     return MomentCheckResult(
         n=int(n), reps=reps, rows=rows, reference_kind=reference_kind
     )
@@ -716,10 +677,6 @@ class CltCheckResult:
     rows: list
     normality_pvalues: dict
     count_mean_source: str
-
-    @property
-    def all_within(self):
-        return all(r.within_band for r in self.rows)
 
 
 def clt_regime_check(mx, mn, n, reps, v, seed, workers=None, band_se=4.0):
@@ -773,18 +730,8 @@ def clt_regime_check(mx, mn, n, reps, v, seed, workers=None, band_se=4.0):
         ),
         ("cross_cov_shifted", cross_shift, cross_shift_se, d.variance_rate * v_mu),
     ]
-    rows = [
-        CheckRow(
-            name=name,
-            empirical=emp,
-            std_error=se,
-            reference=target,
-            limit=target,
-            within_band=abs(emp - target) <= band_se * se if se > 0.0
-            else emp == target,
-        )
-        for name, emp, se, target in entries
-    ]
+    rows = [_check_row(name, emp, se, target, target, band_se)
+            for name, emp, se, target in entries]
     pvalues = {}
     for name, series in (("sum_coord", z_sum), ("count_coord", z_count)):
         if float(series.std(ddof=1)) <= 1e-12:

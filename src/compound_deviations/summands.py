@@ -233,15 +233,6 @@ class FiniteSupportSummands(SummandModel):
         return self.cramer_rate(x)
 
 
-def cramer_rate_finite_support(model, x):
-    """Closed-form Cramer rate; defined for finite-support laws only."""
-    if not isinstance(model, FiniteSupportSummands):
-        raise UnsupportedModelError(
-            "closed-form Cramer rate requires a finite-support summand law"
-        )
-    return model.cramer_rate(x)
-
-
 class GaussianSummands(SummandModel):
     """Gaussian step law N(mean, cov), cov possibly singular."""
 

@@ -9,9 +9,12 @@ suprema into PosInf instead of an iteration-limit error.
 
 On top of it sit the rate functions:
 
+* ``joint_cumulant``: the pair's cumulant L_N(eta + L_X(theta)) with its
+  gradient and Hessian, behind ``joint_cgf``, ``rate_ld_variational`` and
+  ``montecarlo.tilt_parameters``.
 * ``rate_ld_variational`` and ``rate_ld_explicit``: the large-deviation rate
-  of the pair (scaled compound sum, scaled count), as a joint conjugate of
-  the composed cumulant and as the explicit case split
+  of the pair (scaled compound sum, scaled count), as the conjugate of the
+  joint cumulant and as the explicit case split
   y L_X*(x/y) + L_N*(y) for y > 0, -L_N(-inf) at the origin, PosInf
   elsewhere.
 * ``rate_md_centered_summands`` (a quadratic in x and y, finite on the image
@@ -238,23 +241,14 @@ def count_rate(mn, y):
     return legendre_transform(f, grad, hess, [float(y)])
 
 
-def joint_cgf(mx, mn, theta, eta):
-    """Limiting scaled cumulant of the pair: count cumulant composed with
-    eta plus the summand cumulant."""
-    t = as_vector(theta, dim=mx.dim, name="theta")
-    return mn.limit_cgf(float(eta) + mx.cgf(t))
+def joint_cumulant(mx, mn):
+    """Limiting scaled cumulant of the pair, L_N(eta + L_X(theta)), as
+    (f, grad f, hess f) on p = (theta, eta).
 
-
-def rate_ld_variational(mx, mn, x, y):
-    """Large-deviation rate of the pair as a joint conjugate over (theta, eta).
-
-    By the chain rule, f(theta, eta) = L_N(eta + L_X(theta)) has gradient
-    L_N' v and Hessian L_N'' v v^T + L_N' diag(hess L_X, 0), with
-    v = (grad L_X, 1).
+    By the chain rule, with s = eta + L_X(theta) and v = (grad L_X, 1), the
+    gradient is L_N'(s) v and the Hessian
+    L_N''(s) v v^T + L_N'(s) diag(hess L_X, 0).
     """
-    vec = as_vector(x, dim=mx.dim, name="x")
-    if not (isinstance(y, (int, float)) and math.isfinite(y)):
-        raise ValidationError(f"y must be a finite real, got {y!r}")
     dim = mx.dim
 
     def f(point):
@@ -271,7 +265,25 @@ def rate_ld_variational(mx, mn, x, y):
         out[:dim, :dim] += mn.limit_cgf_deriv(s) * mx.cgf_hess(point[:dim])
         return out
 
-    return legendre_transform(f, grad, hess, np.concatenate([vec, [float(y)]]))
+    return f, grad, hess
+
+
+def joint_cgf(mx, mn, theta, eta):
+    """Value of the joint cumulant at (theta, eta)."""
+    t = as_vector(theta, dim=mx.dim, name="theta")
+    f, _, _ = joint_cumulant(mx, mn)
+    return f(np.append(t, float(eta)))
+
+
+def rate_ld_variational(mx, mn, x, y):
+    """Large-deviation rate of the pair: the conjugate of the joint cumulant
+    over (theta, eta)."""
+    vec = as_vector(x, dim=mx.dim, name="x")
+    if not (isinstance(y, (int, float)) and math.isfinite(y)):
+        raise ValidationError(f"y must be a finite real, got {y!r}")
+    return legendre_transform(
+        *joint_cumulant(mx, mn), np.concatenate([vec, [float(y)]])
+    )
 
 
 def _summand_conjugate(mx, point):
@@ -434,22 +446,27 @@ class LimitMoments:
     var_N: float
 
 
-def analytic_limit_moments(mx, mn, u, v):
-    """The five limiting moment values assembled from d1, d2, the summand
-    mean, and the summand covariance."""
+def _pair_moments(mx, mean, var, u, v):
+    """The five moments of the pair in directions (u, v) from the scaled
+    count mean and variance and the summand mean and covariance."""
     uu = as_vector(u, dim=mx.dim, name="u")
     vv = as_vector(v, dim=mx.dim, name="v")
-    d = mn.derivs_at_zero()
     mu = mx.mean()
-    cov = mx.cov()
     u_mu, v_mu = pair(uu, mu), pair(vv, mu)
     return LimitMoments(
-        mean_S_dir=d.mean_rate * v_mu,
-        mean_N=d.mean_rate,
-        cov_SS=d.variance_rate * u_mu * v_mu + d.mean_rate * float(uu @ cov.apply(vv)),
-        cov_NS=d.variance_rate * v_mu,
-        var_N=d.variance_rate,
+        mean_S_dir=mean * v_mu,
+        mean_N=mean,
+        cov_SS=mean * float(uu @ mx.cov().apply(vv)) + var * u_mu * v_mu,
+        cov_NS=var * v_mu,
+        var_N=var,
     )
+
+
+def analytic_limit_moments(mx, mn, u, v):
+    """The five limiting moment values: the pair moments at the count's
+    limiting mean and variance rates d1, d2."""
+    d = mn.derivs_at_zero()
+    return _pair_moments(mx, d.mean_rate, d.variance_rate, u, v)
 
 
 def finite_n_moment_identities(mx, mn, n, u, v):
@@ -460,17 +477,4 @@ def finite_n_moment_identities(mx, mn, n, u, v):
     Raises the counting model's unsupported-model error for kinds without
     exact count moments (renewal).
     """
-    uu = as_vector(u, dim=mx.dim, name="u")
-    vv = as_vector(v, dim=mx.dim, name="v")
-    mean_scaled = mn.mean(n) / float(n)
-    var_scaled = mn.var(n) / float(n)
-    mu = mx.mean()
-    cov = mx.cov()
-    u_mu, v_mu = pair(uu, mu), pair(vv, mu)
-    return LimitMoments(
-        mean_S_dir=mean_scaled * v_mu,
-        mean_N=mean_scaled,
-        cov_SS=mean_scaled * float(uu @ cov.apply(vv)) + var_scaled * u_mu * v_mu,
-        cov_NS=var_scaled * v_mu,
-        var_N=var_scaled,
-    )
+    return _pair_moments(mx, mn.mean(n) / float(n), mn.var(n) / float(n), u, v)

@@ -335,7 +335,7 @@ def test_criterion_10_moment_limits():
     )
     _criterion(
         10, "empirical scaled moments inside 4 SE of the exact identities",
-        result.all_within and exact_ok,
+        all(r.within_band for r in result.rows) and exact_ok,
         f"reference {result.reference_kind}, worst band use "
         f"{100 * worst_margin:.0f}%",
     )
@@ -354,7 +354,7 @@ def test_criterion_11_clt_regime():
     )
     _criterion(
         11, "CLT-scaled covariances match (1, 1, 0) within 4 SE",
-        result.all_within and targets_ok,
+        all(r.within_band for r in result.rows) and targets_ok,
         ", ".join(
             f"{name} {rows[name].empirical:+.4f}"
             for name in ("var_sum_coord", "var_count_coord", "cross_cov")

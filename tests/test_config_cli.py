@@ -624,6 +624,28 @@ class TestCli:
         assert err_lines[0].startswith(f"error: {key}: must be ")
         assert "finite number" in err_lines[0]
 
+    def test_tabulated_renewal_rate_eval(self, tmp_path, capsys):
+        # Exp(1) cumulant tabulated on [-3, 0.9]; the count cumulant's left
+        # tail is minus the table's last r.
+        rs = [-3.0 + 0.25 * i for i in range(12)] + [0.1 * i for i in range(10)]
+        path = write_json(tmp_path / "table.json", {
+            "summand": ldp_raw()["summand"],
+            "counting": {"kind": "renewal", "law": {
+                "kind": "table", "r_values": rs,
+                "kappa_values": [-math.log1p(-r) for r in rs]}},
+            "experiment": {"kind": "rate-eval", "x_values": [-0.5, 0.0, 0.5],
+                           "y_values": [0.5, 1.0, 1.5]},
+        })
+        assert cli.main(["rate-eval", "--config", path, "--out",
+                         str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        lines = (tmp_path / "out" / "rate_eval.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith("#")]
+        assert rows[0][-2:] == ["md_centered_summands", "md_centered_sum"]
+        assert len(rows) == 10
+        assert all(math.isfinite(float(cell)) for row in rows[1:]
+                   for cell in row[-2:])
+
     def test_internal_error_exits_3_with_one_line(self, tmp_path,
                                                   monkeypatch, capsys):
         def broken(config, out_dir=None, workers=None):

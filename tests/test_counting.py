@@ -224,6 +224,21 @@ class TestFiniteNCgf:
                 rtol=1e-12, atol=1e-15,
             )
 
+    def test_bernoulli_matches_exact_pmf(self):
+        # Second route: (1/n) log sum_k P(N_n = k) e^{eta k}.
+        n = 12
+        for mn in (BernoulliSumCounting(p=0.3), BernoulliSumCounting.runs(1.0, 1.0)):
+            pmf = mn.exact_pmf(n)
+            for eta in (-3.0, 0.5, 3.0):
+                expected = math.log(float(pmf @ np.exp(eta * np.arange(pmf.size)))) / n
+                assert_allclose(mn.finite_cgf(n, eta), expected, rtol=1e-12)
+
+    def test_bernoulli_stays_finite_past_exp_overflow(self):
+        mn = BernoulliSumCounting(p=0.3)
+        value = mn.finite_cgf(10, 800.0)
+        assert math.isfinite(value)
+        assert_allclose(value, mn.limit_cgf(800.0), rtol=1e-12)
+
     def test_renewal_has_no_finite_cgf(self):
         mn = RenewalCounting(ExponentialInterarrival(1.0))
         assert not mn.supports_finite_cgf
@@ -491,10 +506,14 @@ class TestRenewalModel:
 
     def test_tail_limit_is_negative_domain_edge(self):
         # Interarrival cgf domain ends at rate; counts cannot vanish faster
-        # than e^{-rate n}.
-        mn = RenewalCounting(ExponentialInterarrival(2.0))
-        assert_allclose(float(mn.derivs_at_zero().cgf_at_minus_inf), -2.0,
-                        rtol=1e-9)
+        # than e^{-rate n}. A table's domain ends at its last entry: here the
+        # Exp(1) cumulant tabulated on [-3, 0.9].
+        rs = [-3.0 + 0.25 * i for i in range(12)] + [0.1 * i for i in range(10)]
+        table = TabulatedInterarrival(rs, [-math.log1p(-r) for r in rs])
+        for law, edge in ((ExponentialInterarrival(2.0), 2.0), (table, 0.9)):
+            mn = RenewalCounting(law)
+            assert_allclose(float(mn.derivs_at_zero().cgf_at_minus_inf),
+                            -edge, rtol=1e-9)
 
     def test_sampler_variance_structure(self):
         # Renewal CLT: Var N_n ~ n kappa''(0)/kappa'(0)^3.

@@ -348,6 +348,20 @@ class TestEstimateEventProb:
         )
         assert_allclose(estimate.std_error, binomial_se, rtol=0.2)
 
+    def test_plain_is_the_indicator_mean_of_simulate_compound(self):
+        # Unit weights: the same draws, the same mean and spread, bit for bit.
+        mx, mn = zero_two_summand(), unit_poisson()
+        event = HalfSpaceEvent(mode="sum", level=1.2, direction=[1.0])
+        reps = BLOCK_SIZE + 500
+        estimate = estimate_event_prob(mx, mn, 30, event, reps=reps,
+                                       method="plain", seed=23, x_seed=24)
+        hits = event.indicator(
+            simulate_compound(mx, mn, 30, reps, seed=23, x_seed=24)
+        ).astype(float)
+        assert estimate.value == float(hits.mean())
+        assert estimate.std_error == float(hits.std(ddof=1)) / math.sqrt(reps)
+        assert estimate.tilt is None and not estimate.degenerate
+
     def test_tilted_matches_enumeration(self):
         mn = BernoulliSumCounting(p=0.5)
         event = HalfSpaceEvent(mode="sum", level=0.5, direction=[1.0])
@@ -632,7 +646,7 @@ class TestMomentLimitsCheck:
             u=[1.0], v=[1.0], seed=1001,
         )
         assert result.reference_kind == "finite-n"
-        assert result.all_within
+        assert all(r.within_band for r in result.rows)
         rows = {r.name: r for r in result.rows}
         assert set(rows) == {"mean_S_dir", "mean_N", "cov_SS", "cov_NS",
                              "var_N"}
@@ -647,7 +661,7 @@ class TestMomentLimitsCheck:
             seed=1002,
         )
         assert result.reference_kind == "limit"
-        assert result.all_within
+        assert all(r.within_band for r in result.rows)
 
     def test_rerun_is_identical(self):
         kwargs = dict(n=100, reps=4000, u=[1.0], v=[1.0], seed=1003)
@@ -666,7 +680,7 @@ class TestCltRegimeCheck:
             seed=2001,
         )
         assert result.count_mean_source == "exact"
-        assert result.all_within
+        assert all(r.within_band for r in result.rows)
         rows = {r.name: r for r in result.rows}
         assert_allclose(rows["var_sum_coord"].reference, 1.0, rtol=1e-12)
         assert_allclose(rows["var_count_coord"].reference, 1.0, rtol=1e-12)
@@ -685,7 +699,7 @@ class TestCltRegimeCheck:
         assert_allclose(rows["var_sum_coord_shifted"].reference, 2.0,
                         rtol=1e-12)
         assert_allclose(rows["cross_cov_shifted"].reference, 1.0, rtol=1e-12)
-        assert result.all_within
+        assert all(r.within_band for r in result.rows)
 
     def test_renewal_count_mean_is_estimated(self):
         mn = RenewalCounting(GammaInterarrival(2.0, 4.0))

@@ -22,7 +22,6 @@ from compound_deviations.errors import (
 from compound_deviations.summands import (
     FiniteSupportSummands,
     GaussianSummands,
-    cramer_rate_finite_support,
     grid_finite_support,
     grid_gaussian,
 )
@@ -169,11 +168,8 @@ class TestCramerRate:
             [0.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5]
         )
         assert_allclose(
-            float(cramer_rate_finite_support(grid_model, [1.0, 0.0])),
-            math.log(2.0), rtol=1e-12,
+            float(grid_model.cramer_rate([1.0, 0.0])), math.log(2.0), rtol=1e-12,
         )
-        with pytest.raises(UnsupportedModelError):
-            cramer_rate_finite_support(GaussianSummands([0.0], [[1.0]]), [0.0])
 
 
 class TestDecompose:

@@ -44,6 +44,7 @@ from compound_deviations.variational import (
     count_rate,
     finite_n_moment_identities,
     joint_cgf,
+    joint_cumulant,
     legendre_transform,
     md_quadratic_finite_support,
     probe_convexity,
@@ -331,6 +332,32 @@ class TestJointCgf:
             assert_allclose(
                 joint_cgf(mx, mn, [0.0], s), mn.limit_cgf(s), rtol=1e-12
             )
+
+    @pytest.mark.parametrize("mn", [
+        PoissonCounting(1.3),
+        FractionalPoissonCounting(0.7, 1.0),
+        IidSumCounting([0, 1, 2], [0.3, 0.4, 0.3]),
+        BernoulliSumCounting(p=0.4),
+        BernoulliSumCounting.runs(1.0, 1.0),
+        RenewalCounting(GammaInterarrival(2.0, 1.0)),
+    ], ids=["poisson", "fractional", "iid-sum", "bernoulli", "bernoulli-runs",
+            "renewal"])
+    def test_joint_cumulant_derivatives_match_central_differences(self, mn):
+        laws = (
+            FiniteSupportSummands([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
+                                  [0.3, 0.3, 0.4]),
+            GaussianSummands([0.2, -0.1], [[1.0, 0.3], [0.3, 0.5]]),
+        )
+        h = 1e-5
+        steps = np.eye(3) * h
+        for mx in laws:
+            f, grad, hess = joint_cumulant(mx, mn)
+            for point in (np.array([0.3, -0.2, 0.4]), np.array([-0.5, 0.1, -0.7])):
+                fd_grad = [(f(point + e) - f(point - e)) / (2 * h) for e in steps]
+                fd_hess = [(grad(point + e) - grad(point - e)) / (2 * h)
+                           for e in steps]
+                assert_allclose(grad(point), fd_grad, rtol=1e-6, atol=1e-8)
+                assert_allclose(hess(point), fd_hess, rtol=1e-6, atol=1e-8)
 
 
 class TestRateLdExplicit:
@@ -694,6 +721,19 @@ class TestMomentRecords:
             assert_allclose(record.cov_SS, limit.cov_SS, rtol=1e-12)
             assert_allclose(record.cov_NS, limit.cov_NS, rtol=1e-12)
             assert_allclose(record.var_N, limit.var_N, rtol=1e-12)
+
+    def test_iid_sum_finite_n_equals_limit(self):
+        # An iid-sum count has E N_n / n = d1 and Var N_n / n = d2 at every n.
+        mx = FiniteSupportSummands([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
+                                   [0.3, 0.3, 0.4])
+        mn = IidSumCounting([0, 1, 2], [0.3, 0.4, 0.3])
+        u, v = [1.0, -0.5], [0.2, 0.8]
+        limit = analytic_limit_moments(mx, mn, u, v)
+        for n in (1, 7, 100):
+            record = finite_n_moment_identities(mx, mn, n, u, v)
+            for name in ("mean_S_dir", "mean_N", "cov_SS", "cov_NS", "var_N"):
+                assert_allclose(getattr(record, name), getattr(limit, name),
+                                rtol=1e-15, atol=0.0)
 
     def test_renewal_counts_have_no_exact_moments(self):
         mn = RenewalCounting(ExponentialInterarrival(1.0))
