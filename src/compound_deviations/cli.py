@@ -24,7 +24,7 @@ import argparse
 import json
 import sys
 
-from .config import DEFAULTS, EXPERIMENT_KINDS, normalize_config
+from .config import DEFAULTS, EXPERIMENTS, normalize_config
 from .errors import CompoundDeviationsError, ConfigError
 from .experiments import run_experiment
 
@@ -35,7 +35,7 @@ def _build_parser():
         description="Deviation-regime diagnostics for random-size sums.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in EXPERIMENT_KINDS:
+    for command in EXPERIMENTS:
         p = sub.add_parser(command, help=f"run a {command} experiment")
         p.add_argument("--config", help="path to a JSON experiment config")
         p.add_argument("--out", help="output directory (overrides the config)")

@@ -9,13 +9,22 @@ Configs are JSON documents with up to four top-level blocks::
       "output":     {"directory": ..., "formats": [...]}
     }
 
+Each block family has one kind table: ``SUMMANDS``, ``COUNTING``, ``LAWS``
+(renewal inter-arrival laws), ``EXPERIMENTS``, and ``EVENT``, ``SCALING``
+and ``OUTPUT``. A ``Kind`` entry holds the block's builder and its ordered
+``{key: check}`` fields, whose keys are the builder's keyword arguments, so
+validation, ``DEFAULTS`` and ``build_models`` read the same entry. A kind
+with two forms (``bernoulli_sum``: ``p`` or ``preset``; scaling: ``gamma``
+or ``table``) is a list of alternative entries, told apart by first key.
+
 Validation never stops at the first problem: ``parse_config`` raises a
-``ConfigError`` carrying every violation found, each tagged with its key
-path and, for domain errors, the documented domain. Parsing also fills
-documented defaults, so a parsed config is fully resolved; serializing it
-and parsing again yields the same dictionary (the round-trip contract), and
-``config_hash`` of that canonical form ties every output file to the exact
-configuration that produced it.
+``ConfigError`` carrying every violation found, one line each, tagged with
+its key path and, for domain errors, the documented domain. A missing key
+gets one line and no check. Parsing also fills documented defaults, so a
+parsed config is fully resolved; serializing it and parsing again yields
+the same dictionary (the round-trip contract), and ``config_hash`` of that
+canonical form ties every output file to the exact configuration that
+produced it.
 
 ``ResultTable`` is the common tabular output: named columns, row-major
 cells, metadata (config hash, seed, versions) emitted as comment lines. CSV
@@ -44,8 +53,9 @@ from .counting import (
     TabulatedInterarrival,
 )
 from .errors import ConfigError
-from .montecarlo import DEFAULT_REPS
+from .montecarlo import BAND_SE, DEFAULT_REPS, HalfSpaceEvent, ScalingFamily
 from .summands import (
+    PROB_SUM_TOL,
     FiniteSupportSummands,
     GaussianSummands,
     grid_finite_support,
@@ -53,36 +63,23 @@ from .summands import (
 )
 from .version import __version__
 
-EXPERIMENT_KINDS = (
-    "rate-eval", "ldp-check", "md-check", "moments-check", "clt-check", "ml-eval",
-)
-SUMMAND_KINDS = ("finite_support", "gaussian", "grid_gaussian", "grid_finite_support")
-COUNTING_CLASSES = {
-    "poisson": PoissonCounting,
-    "fractional_poisson": FractionalPoissonCounting,
-    "iid_sum": IidSumCounting,
-    "bernoulli_sum": BernoulliSumCounting,
-    "renewal": RenewalCounting,
-}
-COUNTING_KINDS = tuple(COUNTING_CLASSES)
 OUTPUT_FORMATS = ("csv", "json", "dat")
+# Stands for a key the block leaves out, in the checks of optional keys.
+_ABSENT = object()
 
-# Documented defaults, also dumped verbatim by the `defaults` CLI subcommand.
-DEFAULTS = {
-    "output": {"directory": "out", "formats": list(OUTPUT_FORMATS)},
-    "ldp-check": {
-        "method": "tilted",
-        "reps": dict(DEFAULT_REPS),
-        "band": 0.15,
-    },
-    "md-check": {"mode": "auto", "reps": 100000, "band": 0.02},
-    "moments-check": {"reps": 100000, "band_se": 4.0},
-    "clt-check": {"reps": 100000, "band_se": 4.0},
-}
 
-# Experiments that draw random numbers and therefore demand a seed. md-check
-# joins the list when its mode resolves to empirical sampling.
-_SEEDED_EXPERIMENTS = ("ldp-check", "moments-check", "clt-check")
+@dataclass(frozen=True)
+class Kind:
+    """One kind of config block: ``build(**fields)`` makes its model (none
+    for experiments, which ``experiments`` runs). A key is required unless
+    it has a default or is optional; an optional key's check also runs when
+    the key is absent, on ``_ABSENT``. ``seeded`` experiments need a seed."""
+
+    build: object
+    fields: dict
+    defaults: dict = field(default_factory=dict)
+    optional: tuple = ()
+    seeded: bool = False
 
 
 def _finite_number(value):
@@ -94,157 +91,140 @@ def _finite_number(value):
         return False
 
 
-class _Collector:
-    """Accumulates validation errors with key paths, never raising early."""
-
-    def __init__(self):
-        self.errors = []
+class _Errors(list):
+    """Validation errors with their key paths, collected without raising."""
 
     def error(self, path, message):
-        self.errors.append(f"{path}: {message}")
-
-    def block(self, data, path, required, optional, check_unknown=True):
-        """Check a dict's key inventory; returns False when not a dict."""
-        if not isinstance(data, dict):
-            self.error(path, "must be an object")
-            return False
-        if check_unknown:
-            for key in data:
-                if key not in required and key not in optional:
-                    self.error(path, f"unknown key '{key}'")
-        for key in required:
-            if key not in data:
-                self.error(f"{path}.{key}", "required key is missing")
-        return True
-
-    def number(self, data, path, low=None, high=None, low_open=False,
-               high_open=False, domain=None):
-        if not _finite_number(data):
-            self.error(path, f"must be a finite number{_cite(domain)}")
-            return None
-        value = float(data)
-        bad_low = low is not None and (value <= low if low_open else value < low)
-        bad_high = high is not None and (value >= high if high_open else value > high)
-        if bad_low or bad_high:
-            self.error(path, f"value {data!r} outside the domain{_cite(domain)}")
-            return None
-        return value
-
-    def integer(self, data, path, low=None, domain=None):
-        if isinstance(data, bool) or not isinstance(data, int):
-            self.error(path, f"must be an integer{_cite(domain)}")
-            return None
-        if low is not None and data < low:
-            self.error(path, f"value {data!r} outside the domain{_cite(domain)}")
-            return None
-        return int(data)
-
-    def vector(self, data, path, length=None):
-        if not isinstance(data, list) or not data or not all(
-            _finite_number(v) for v in data
-        ):
-            self.error(path, "must be a nonempty list of finite numbers")
-            return None
-        if length is not None and len(data) != length:
-            self.error(path, f"must have length {length}, got {len(data)}")
-            return None
-        return [float(v) for v in data]
-
-    def matrix(self, data, path, rows=None, cols=None):
-        if not isinstance(data, list) or not data or not all(
-            isinstance(r, list) for r in data
-        ):
-            self.error(path, "must be a list of rows")
-            return None
-        width = len(data[0])
-        out = []
-        for i, row in enumerate(data):
-            vec = self.vector(row, f"{path}[{i}]", length=width)
-            if vec is None:
-                return None
-            out.append(vec)
-        if rows is not None and len(out) != rows:
-            self.error(path, f"must have {rows} rows, got {len(out)}")
-            return None
-        if cols is not None and width != cols:
-            self.error(path, f"must have {cols} columns, got {width}")
-            return None
-        return out
-
-    def choice(self, data, path, allowed):
-        if data not in allowed:
-            self.error(
-                path, f"must be one of {', '.join(allowed)}, got {data!r}"
-            )
-            return None
-        return data
+        self.append(f"{path}: {message}")
 
 
 def _cite(domain):
     return f" ({domain})" if domain else ""
 
 
-def _normalize_summand(data, col):
-    if not col.block(data, "summand", ("kind",), (), check_unknown=False):
-        return None
-    kind = col.choice(data.get("kind"), "summand.kind", SUMMAND_KINDS)
-    if kind is None:
-        return None
-    out = {"kind": kind}
-    if kind == "finite_support":
-        if not col.block(data, "summand", ("kind", "atoms", "probs"), ()):
+# Field checks: check(col, value, path, out) reports through col and returns
+# the resolved value or None; out holds the block's fields resolved so far.
+
+def _number(low=None, high=None, low_open=False, high_open=False, domain=None):
+    def check(col, value, path, out=None):
+        if not _finite_number(value):
+            col.error(path, f"must be a finite number{_cite(domain)}")
             return None
-        atoms = data.get("atoms")
-        if isinstance(atoms, list) and atoms and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in atoms
-        ):
-            atoms = [[v] for v in atoms]
-        out["atoms"] = col.matrix(atoms, "summand.atoms")
-        out["probs"] = _probs(col, data.get("probs"), "summand.probs")
-        if out["atoms"] and out["probs"] and len(out["atoms"]) != len(out["probs"]):
-            col.error("summand.probs", "must have one entry per atom")
-    elif kind == "gaussian":
-        if not col.block(data, "summand", ("kind", "mean", "cov"), ()):
+        x = float(value)
+        bad_low = low is not None and (x <= low if low_open else x < low)
+        bad_high = high is not None and (x >= high if high_open else x > high)
+        if bad_low or bad_high:
+            col.error(path, f"value {value!r} outside the domain{_cite(domain)}")
             return None
-        out["mean"] = col.vector(data.get("mean"), "summand.mean")
-        dim = len(out["mean"]) if out["mean"] else None
-        out["cov"] = col.matrix(data.get("cov"), "summand.cov", rows=dim, cols=dim)
-    elif kind == "grid_gaussian":
-        if not col.block(data, "summand", ("kind", "grid", "mean", "kernel"), ()):
-            return None
-        out["grid"] = _grid(col, data.get("grid"), "summand.grid")
-        size = len(out["grid"]) if out["grid"] else None
-        out["mean"] = col.vector(data.get("mean"), "summand.mean", length=size)
-        out["kernel"] = col.matrix(
-            data.get("kernel"), "summand.kernel", rows=size, cols=size
-        )
-    else:
-        if not col.block(data, "summand", ("kind", "grid", "paths", "probs"), ()):
-            return None
-        out["grid"] = _grid(col, data.get("grid"), "summand.grid")
-        size = len(out["grid"]) if out["grid"] else None
-        out["paths"] = col.matrix(data.get("paths"), "summand.paths", cols=size)
-        out["probs"] = _probs(col, data.get("probs"), "summand.probs")
-        if out["paths"] and out["probs"] and len(out["paths"]) != len(out["probs"]):
-            col.error("summand.probs", "must have one entry per path")
-    return out
+        return x
+
+    return check
 
 
-def _probs(col, data, path):
-    vec = col.vector(data, path)
-    if vec is None:
-        return None
-    if any(v <= 0.0 for v in vec):
-        col.error(path, "probabilities must be strictly positive")
-        return None
-    if abs(sum(vec) - 1.0) > 1e-12:
-        col.error(path, f"probabilities sum to {sum(vec)!r}, not 1 within 1e-12")
-        return None
-    return vec
+def _positive(name):
+    return _number(low=0.0, low_open=True, domain=f"{name} > 0")
 
 
-def _grid(col, data, path):
-    vec = col.vector(data, path)
+def _integer(low, domain):
+    def check(col, value, path, out=None):
+        if isinstance(value, bool) or not isinstance(value, int):
+            col.error(path, f"must be an integer{_cite(domain)}")
+            return None
+        if value < low:
+            col.error(path, f"value {value!r} outside the domain{_cite(domain)}")
+            return None
+        return int(value)
+
+    return check
+
+
+def _choice(*allowed):
+    def check(col, value, path, out=None):
+        if value not in allowed:
+            col.error(path, f"must be one of {', '.join(allowed)}, got {value!r}")
+            return None
+        return value
+
+    return check
+
+
+def _vector(col, value, path, out=None, length=None):
+    if not isinstance(value, list) or not value or not all(
+        _finite_number(v) for v in value
+    ):
+        col.error(path, "must be a nonempty list of finite numbers")
+        return None
+    if length is not None and len(value) != length:
+        col.error(path, f"must have length {length}, got {len(value)}")
+        return None
+    return [float(v) for v in value]
+
+
+def _matrix(col, value, path, rows=None, cols=None):
+    if not isinstance(value, list) or not value or not all(
+        isinstance(r, list) for r in value
+    ):
+        col.error(path, "must be a list of rows")
+        return None
+    width = len(value[0])
+    matrix = []
+    for i, row in enumerate(value):
+        vec = _vector(col, row, f"{path}[{i}]", length=width)
+        if vec is None:
+            return None
+        matrix.append(vec)
+    if rows is not None and len(matrix) != rows:
+        col.error(path, f"must have {rows} rows, got {len(matrix)}")
+        return None
+    if cols is not None and width != cols:
+        col.error(path, f"must have {cols} columns, got {width}")
+        return None
+    return matrix
+
+
+def _size(out, key):
+    """Length of an already resolved field, or None when it failed."""
+    return len(out[key]) if out.get(key) else None
+
+
+def _square(of):
+    """A matrix with as many rows and columns as field ``of`` has entries."""
+    return lambda col, value, path, out: _matrix(
+        col, value, path, rows=_size(out, of), cols=_size(out, of))
+
+
+def _rows(col, value, path, out):
+    """A list of rows; a flat list of numbers is one-column rows."""
+    if isinstance(value, list) and value and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+    ):
+        value = [[v] for v in value]
+    return _matrix(col, value, path)
+
+
+def _probs(of, unit):
+    """A probability vector with one entry per row of field ``of``."""
+
+    def check(col, value, path, out):
+        vec = _vector(col, value, path)
+        if vec is None:
+            return None
+        if any(v <= 0.0 for v in vec):
+            col.error(path, "probabilities must be strictly positive")
+            return None
+        if abs(sum(vec) - 1.0) > PROB_SUM_TOL:
+            col.error(path, f"probabilities sum to {sum(vec)!r}, "
+                            f"not 1 within {PROB_SUM_TOL:g}")
+            return None
+        if out.get(of) and len(out[of]) != len(vec):
+            col.error(path, f"must have one entry per {unit}")
+        return vec
+
+    return check
+
+
+def _grid(col, value, path, out):
+    vec = _vector(col, value, path)
     if vec is None:
         return None
     if any(b <= a for a, b in zip(vec, vec[1:])):
@@ -253,257 +233,283 @@ def _grid(col, data, path):
     return vec
 
 
-def _normalize_counting(data, col):
-    if not col.block(data, "counting", ("kind",), (), check_unknown=False):
+def _steps(col, value, path, out):
+    if not isinstance(value, list) or not value or not all(
+        isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in value
+    ):
+        col.error(path, "must be a nonempty list of integers (domain: values ≥ 0)")
         return None
-    kind = col.choice(data.get("kind"), "counting.kind", COUNTING_KINDS)
+    return [int(v) for v in value]
+
+
+def _ns(minimum):
+    """A strictly increasing list of at least ``minimum`` sizes n ≥ 1."""
+
+    def check(col, value, path, out):
+        if not isinstance(value, list) or len(value) < minimum:
+            col.error(path, f"must be a list of at least {minimum} integers")
+            return None
+        values = []
+        for i, v in enumerate(value):
+            iv = _integer(1, "n ≥ 1")(col, v, f"{path}[{i}]")
+            if iv is None:
+                return None
+            values.append(iv)
+        if any(b <= a for a, b in zip(values, values[1:])):
+            col.error(path, "must be strictly increasing")
+            return None
+        return values
+
+    return check
+
+
+def _direction(col, value, path, out):
+    """Required for sum events, refused for count events."""
+    if out.get("mode") == "sum":
+        if value is _ABSENT:
+            col.error(path, "required for sum events")
+            return None
+        return _vector(col, value, path)
+    if out.get("mode") == "count" and value is not _ABSENT:
+        col.error(path, "count events take no direction")
+    return None
+
+
+def _scaling_table(col, value, path, out):
+    if not isinstance(value, list) or not value:
+        col.error(path, "must be a nonempty list of [n, a] pairs")
+        return None
+    entries = []
+    for i, pair_ in enumerate(value):
+        if not (isinstance(pair_, list) and len(pair_) == 2):
+            col.error(f"{path}[{i}]", "must be an [n, a] pair")
+            return None
+        n = _integer(1, "n ≥ 1")(col, pair_[0], f"{path}[{i}][0]")
+        a = _positive("a")(col, pair_[1], f"{path}[{i}][1]")
+        if n is None or a is None:
+            return None
+        entries.append([n, a])
+    return entries
+
+
+def _series_args(col, value, path, out):
+    xs = _vector(col, value, path)
+    if xs is not None and any(v < 0.0 for v in xs):
+        col.error(path, "arguments must be ≥ 0 (series domain)")
+        return None
+    return xs
+
+
+class _Block:
+    """A field holding a nested block, validated and built by its own table."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def __call__(self, col, value, path, out):
+        return _walk(self.table, value, path, col)
+
+
+SUMMANDS = {
+    "finite_support": Kind(FiniteSupportSummands, {
+        "atoms": _rows,
+        "probs": _probs("atoms", "atom"),
+    }),
+    "gaussian": Kind(GaussianSummands, {"mean": _vector, "cov": _square("mean")}),
+    "grid_gaussian": Kind(grid_gaussian, {
+        "grid": _grid,
+        "mean": lambda col, value, path, out: _vector(
+            col, value, path, length=_size(out, "grid")),
+        "kernel": _square("grid"),
+    }),
+    "grid_finite_support": Kind(grid_finite_support, {
+        "grid": _grid,
+        "paths": lambda col, value, path, out: _matrix(
+            col, value, path, cols=_size(out, "grid")),
+        "probs": _probs("paths", "path"),
+    }),
+}
+
+LAWS = {
+    "exponential": Kind(ExponentialInterarrival, {"rate": _positive("rate")}),
+    "gamma": Kind(GammaInterarrival, {
+        "shape": _positive("shape"), "rate": _positive("rate"),
+    }),
+    "table": Kind(TabulatedInterarrival, {
+        "r_values": _vector, "kappa_values": _vector,
+    }),
+}
+
+COUNTING = {
+    "poisson": Kind(PoissonCounting, {"rate": _positive("rate")}),
+    "fractional_poisson": Kind(FractionalPoissonCounting, {
+        "nu": _number(low=0.0, low_open=True, high=1.0, domain="ν ∈ (0, 1]"),
+        "rate": _positive("rate"),
+    }),
+    "iid_sum": Kind(IidSumCounting, {
+        "values": _steps, "probs": _probs("values", "value"),
+    }),
+    "bernoulli_sum": [
+        Kind(BernoulliSumCounting, {"p": _number(
+            low=0.0, high=1.0, low_open=True, high_open=True, domain="p ∈ (0, 1)",
+        )}),
+        # The one preset, "runs": p(x) = exp(-lam c x).
+        Kind(lambda preset, lam, c: BernoulliSumCounting.runs(lam, c), {
+            "preset": _choice("runs"), "lam": _positive("lam"), "c": _positive("c"),
+        }),
+    ],
+    "renewal": Kind(RenewalCounting, {"law": _Block(LAWS)}),
+}
+
+EVENT = Kind(HalfSpaceEvent, {
+    "mode": _choice("sum", "count"),
+    "level": _number(),
+    "direction": _direction,
+}, optional=("direction",))
+
+SCALING = [
+    Kind(ScalingFamily, {"gamma": _number(
+        low=0.0, high=1.0, low_open=True, high_open=True, domain="γ ∈ (0, 1)",
+    )}),
+    Kind(ScalingFamily, {"table": _scaling_table}),
+]
+
+EXPERIMENTS = {
+    "rate-eval": Kind(None, {"x_values": _rows, "y_values": _vector}),
+    "ldp-check": Kind(None, {
+        "event": _Block(EVENT),
+        "ns": _ns(2),
+        "method": _choice("plain", "tilted"),
+        "reps": _integer(1, "reps ≥ 1"),
+        "band": _positive("band"),
+    }, defaults={"method": "tilted", "reps": dict(DEFAULT_REPS), "band": 0.15},
+        seeded=True),
+    "md-check": Kind(None, {
+        "scaling": _Block(SCALING),
+        "etas": _vector,
+        "ns": _ns(1),
+        "mode": _choice("auto", "exact", "empirical"),
+        "reps": _integer(1, "reps ≥ 1"),
+        "band": _positive("band"),
+    }, defaults={"mode": "auto", "reps": DEFAULT_REPS["plain"], "band": 0.02}),
+    "moments-check": Kind(None, {
+        "n": _integer(1, "n ≥ 1"),
+        "reps": _integer(2, "reps ≥ 2"),
+        "u": _vector,
+        "v": _vector,
+        "band_se": _positive("band_se"),
+    }, defaults={"reps": DEFAULT_REPS["plain"], "band_se": BAND_SE}, seeded=True),
+    "clt-check": Kind(None, {
+        "n": _integer(1, "n ≥ 1"),
+        "reps": _integer(2, "reps ≥ 2"),
+        "v": _vector,
+        "band_se": _positive("band_se"),
+    }, defaults={"reps": DEFAULT_REPS["plain"], "band_se": BAND_SE}, seeded=True),
+    "ml-eval": Kind(None, {
+        "nu": _number(low=0.3, high=1.0,
+                      domain="ν ∈ [0.3, 1] for direct evaluation"),
+        "beta": _positive("β"),
+        "x_values": _series_args,
+    }),
+}
+
+
+def _formats(col, value, path, out):
+    if not isinstance(value, list) or not value or not all(
+        f in OUTPUT_FORMATS for f in value
+    ):
+        col.error(path, f"must be a nonempty subset of {', '.join(OUTPUT_FORMATS)}")
+        return None
+    return sorted(set(value), key=OUTPUT_FORMATS.index)
+
+
+def _directory(col, value, path, out):
+    if not isinstance(value, str) or not value:
+        col.error(path, "must be a nonempty string")
+        return None
+    return value
+
+
+OUTPUT = Kind(None, {"directory": _directory, "formats": _formats},
+              defaults={"directory": "out", "formats": list(OUTPUT_FORMATS)})
+
+# Documented defaults, also dumped verbatim by the `defaults` CLI subcommand.
+DEFAULTS = {"output": OUTPUT.defaults, **{
+    kind: entry.defaults for kind, entry in EXPERIMENTS.items() if entry.defaults
+}}
+
+
+def _pick(table, data, path, col):
+    """The entry of ``table`` that block ``data`` selects, and the key that
+    names an alternative; (None, None) after reporting why there is none."""
+    if isinstance(table, Kind):
+        return table, None
+    if isinstance(table, list):
+        keys = [next(iter(alt.fields)) for alt in table]
+        chosen = [alt for alt, key in zip(table, keys) if key in data]
+        if len(chosen) != 1:
+            col.error(path, f"give exactly one of '{keys[0]}' or '{keys[1]}'")
+            return None, None
+        return chosen[0], next(iter(chosen[0].fields))
+    if "kind" not in data:
+        col.error(f"{path}.kind", "required key is missing")
+        return None, None
+    kind = _choice(*table)(col, data["kind"], f"{path}.kind")
     if kind is None:
-        return None
-    out = {"kind": kind}
-    if kind == "poisson":
-        if not col.block(data, "counting", ("kind", "rate"), ()):
-            return None
-        out["rate"] = col.number(
-            data.get("rate"), "counting.rate", low=0.0, low_open=True,
-            domain="rate > 0",
-        )
-    elif kind == "fractional_poisson":
-        if not col.block(data, "counting", ("kind", "nu", "rate"), ()):
-            return None
-        out["nu"] = col.number(
-            data.get("nu"), "counting.nu", low=0.0, low_open=True, high=1.0,
-            domain="ν ∈ (0, 1]",
-        )
-        out["rate"] = col.number(
-            data.get("rate"), "counting.rate", low=0.0, low_open=True,
-            domain="rate > 0",
-        )
-    elif kind == "iid_sum":
-        if not col.block(data, "counting", ("kind", "values", "probs"), ()):
-            return None
-        values = data.get("values")
-        if not isinstance(values, list) or not values or not all(
-            isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in values
-        ):
-            col.error(
-                "counting.values",
-                "must be a nonempty list of integers (domain: values ≥ 0)",
-            )
-            out["values"] = None
-        else:
-            out["values"] = [int(v) for v in values]
-        out["probs"] = _probs(col, data.get("probs"), "counting.probs")
-        if out["values"] and out["probs"] and len(out["values"]) != len(out["probs"]):
-            col.error("counting.probs", "must have one entry per value")
-    elif kind == "bernoulli_sum":
-        has_p = "p" in data
-        has_preset = "preset" in data
-        if has_p == has_preset:
-            col.error("counting", "give exactly one of 'p' or 'preset'")
-            return None
-        if has_p:
-            if not col.block(data, "counting", ("kind", "p"), ()):
-                return None
-            out["p"] = col.number(
-                data.get("p"), "counting.p", low=0.0, high=1.0, low_open=True,
-                high_open=True, domain="p ∈ (0, 1)",
-            )
-        else:
-            if not col.block(data, "counting", ("kind", "preset", "lam", "c"), ()):
-                return None
-            if col.choice(data.get("preset"), "counting.preset", ("runs",)) is None:
-                return None
-            out["preset"] = "runs"
-            out["lam"] = col.number(
-                data.get("lam"), "counting.lam", low=0.0, low_open=True,
-                domain="lam > 0",
-            )
-            out["c"] = col.number(
-                data.get("c"), "counting.c", low=0.0, low_open=True, domain="c > 0",
-            )
-    else:
-        if not col.block(data, "counting", ("kind", "law"), ()):
-            return None
-        out["law"] = _normalize_law(data.get("law"), col)
-    return out
+        return None, None
+    return _pick(table[kind], data, path, col)
 
 
-def _normalize_law(data, col):
-    if not col.block(data, "counting.law", ("kind",), (), check_unknown=False):
-        return None
-    kind = col.choice(
-        data.get("kind"), "counting.law.kind", ("exponential", "gamma", "table")
-    )
-    if kind is None:
-        return None
-    out = {"kind": kind}
-    if kind == "exponential":
-        if not col.block(data, "counting.law", ("kind", "rate"), ()):
-            return None
-        out["rate"] = col.number(
-            data.get("rate"), "counting.law.rate", low=0.0, low_open=True,
-            domain="rate > 0",
-        )
-    elif kind == "gamma":
-        if not col.block(data, "counting.law", ("kind", "shape", "rate"), ()):
-            return None
-        out["shape"] = col.number(
-            data.get("shape"), "counting.law.shape", low=0.0, low_open=True,
-            domain="shape > 0",
-        )
-        out["rate"] = col.number(
-            data.get("rate"), "counting.law.rate", low=0.0, low_open=True,
-            domain="rate > 0",
-        )
-    else:
-        if not col.block(
-            data, "counting.law", ("kind", "r_values", "kappa_values"), ()
-        ):
-            return None
-        out["r_values"] = col.vector(data.get("r_values"), "counting.law.r_values")
-        out["kappa_values"] = col.vector(
-            data.get("kappa_values"), "counting.law.kappa_values"
-        )
-    return out
-
-
-def _normalize_event(data, col, path):
-    if not col.block(data, path, ("mode", "level"), ("direction",)):
-        return None
-    mode = col.choice(data.get("mode"), f"{path}.mode", ("sum", "count"))
-    out = {"mode": mode, "level": col.number(data.get("level"), f"{path}.level")}
-    if mode == "sum":
-        if "direction" not in data:
-            col.error(f"{path}.direction", "required for sum events")
-        else:
-            out["direction"] = col.vector(data.get("direction"), f"{path}.direction")
-    elif mode == "count" and "direction" in data:
-        col.error(f"{path}.direction", "count events take no direction")
-    return out
-
-
-def _normalize_ns(data, col, path, minimum=1):
-    if not isinstance(data, list) or len(data) < minimum:
-        col.error(path, f"must be a list of at least {minimum} integers")
-        return None
-    values = []
-    for i, v in enumerate(data):
-        iv = col.integer(v, f"{path}[{i}]", low=1, domain="n ≥ 1")
-        if iv is None:
-            return None
-        values.append(iv)
-    if any(b <= a for a, b in zip(values, values[1:])):
-        col.error(path, "must be strictly increasing")
-        return None
-    return values
-
-
-def _normalize_experiment(data, col, counting_kind):
+def _walk(table, data, path, col, allowed=()):
+    """The resolved block: reports unknown keys, then missing ones, then
+    runs each field's check in table order. A failed check of the key that
+    names the entry (an alternative's first key) stops the block."""
     if not isinstance(data, dict):
-        col.error("experiment", "must be an object")
+        col.error(path, "must be an object")
         return None
-    kind = col.choice(data.get("kind"), "experiment.kind", EXPERIMENT_KINDS)
-    if kind is None:
+    entry, name = _pick(table, data, path, col)
+    if entry is None:
         return None
-    out = {"kind": kind}
-    if kind == "rate-eval":
-        col.block(data, "experiment", ("kind", "x_values", "y_values"), ("seed",))
-        xs = data.get("x_values")
-        if isinstance(xs, list) and xs and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in xs
-        ):
-            xs = [[v] for v in xs]
-        out["x_values"] = col.matrix(xs, "experiment.x_values")
-        out["y_values"] = col.vector(data.get("y_values"), "experiment.y_values")
-    elif kind == "ldp-check":
-        col.block(
-            data, "experiment", ("kind", "event", "ns"),
-            ("reps", "method", "band", "seed"),
-        )
-        out["event"] = _normalize_event(data.get("event", {}), col, "experiment.event")
-        out["ns"] = _normalize_ns(data.get("ns"), col, "experiment.ns", minimum=2)
-        method = col.choice(
-            data.get("method", DEFAULTS["ldp-check"]["method"]),
-            "experiment.method", ("plain", "tilted"),
-        )
-        out["method"] = method
-        if "reps" in data:
-            out["reps"] = col.integer(data.get("reps"), "experiment.reps", low=1,
-                                      domain="reps ≥ 1")
+    out = {"kind": data["kind"]} if isinstance(table, dict) else {}
+    known = {*out, *entry.fields, *allowed}
+    for key in data:
+        if key not in known:
+            col.error(path, f"unknown key '{key}'")
+    for key in entry.fields:
+        if key not in data and key not in entry.defaults and key not in entry.optional:
+            col.error(f"{path}.{key}", "required key is missing")
+    for key, check in entry.fields.items():
+        if key in data or key in entry.optional:
+            value = check(col, data.get(key, _ABSENT), f"{path}.{key}", out)
+            if value is None and key == name:
+                return None
+        elif key in entry.defaults:
+            value = entry.defaults[key]
+            if isinstance(value, dict):  # ldp-check's reps: one per method
+                value = value.get(out.get("method"))
         else:
-            out["reps"] = DEFAULT_REPS.get(method or "tilted")
-        out["band"] = col.number(
-            data.get("band", DEFAULTS["ldp-check"]["band"]), "experiment.band",
-            low=0.0, low_open=True, domain="band > 0",
-        )
-    elif kind == "md-check":
-        col.block(
-            data, "experiment", ("kind", "scaling", "etas", "ns"),
-            ("mode", "reps", "band", "seed"),
-        )
-        out["scaling"] = _normalize_scaling(data.get("scaling"), col)
-        out["etas"] = col.vector(data.get("etas"), "experiment.etas")
-        out["ns"] = _normalize_ns(data.get("ns"), col, "experiment.ns")
-        mode = col.choice(
-            data.get("mode", DEFAULTS["md-check"]["mode"]), "experiment.mode",
-            ("auto", "exact", "empirical"),
-        )
-        if mode == "auto":
-            # str() keeps a malformed kind hashable; kinds outside the table
-            # are errors of the counting block.
-            counting = COUNTING_CLASSES.get(str(counting_kind))
-            exact = counting is None or counting.supports_finite_cgf
-            mode = "exact" if exact else "empirical"
-        out["mode"] = mode
-        out["reps"] = col.integer(
-            data.get("reps", DEFAULTS["md-check"]["reps"]), "experiment.reps",
-            low=1, domain="reps ≥ 1",
-        )
-        out["band"] = col.number(
-            data.get("band", DEFAULTS["md-check"]["band"]), "experiment.band",
-            low=0.0, low_open=True, domain="band > 0",
-        )
-    elif kind in ("moments-check", "clt-check"):
-        required = ("kind", "n") + (("u", "v") if kind == "moments-check"
-                                    else ("v",))
-        col.block(data, "experiment", required, ("reps", "band_se", "seed"))
-        out["n"] = col.integer(data.get("n"), "experiment.n", low=1, domain="n ≥ 1")
-        out["reps"] = col.integer(
-            data.get("reps", DEFAULTS[kind]["reps"]), "experiment.reps", low=2,
-            domain="reps ≥ 2",
-        )
-        if kind == "moments-check":
-            out["u"] = col.vector(data.get("u"), "experiment.u")
-        out["v"] = col.vector(data.get("v"), "experiment.v")
-        out["band_se"] = col.number(
-            data.get("band_se", DEFAULTS[kind]["band_se"]), "experiment.band_se",
-            low=0.0, low_open=True, domain="band_se > 0",
-        )
-    else:
-        col.block(data, "experiment", ("kind", "nu", "beta", "x_values"), ("seed",))
-        out["nu"] = col.number(
-            data.get("nu"), "experiment.nu", low=0.3, high=1.0,
-            domain="ν ∈ [0.3, 1] for direct evaluation",
-        )
-        out["beta"] = col.number(
-            data.get("beta"), "experiment.beta", low=0.0, low_open=True,
-            domain="β > 0",
-        )
-        xs = col.vector(data.get("x_values"), "experiment.x_values")
-        if xs is not None and any(v < 0.0 for v in xs):
-            col.error(
-                "experiment.x_values", "arguments must be ≥ 0 (series domain)"
-            )
-            xs = None
-        out["x_values"] = xs
+            continue
+        if value is not None:
+            out[key] = value
+    return out
 
-    seed_needed = kind in _SEEDED_EXPERIMENTS or (
-        kind == "md-check" and out.get("mode") == "empirical"
-    )
+
+def _normalize_experiment(data, col, counting):
+    """The experiment block; ``counting`` is the resolved counting block,
+    whose class settles md-check's ``auto`` mode."""
+    out = _walk(EXPERIMENTS, data, "experiment", col, allowed=("seed",))
+    if out is None:
+        return None
+    if out.get("mode") == "auto":
+        entry = COUNTING[counting["kind"]] if counting else None
+        if isinstance(entry, list):  # both bernoulli_sum forms build one class
+            entry = entry[0]
+        exact = entry is None or entry.build.supports_finite_cgf
+        out["mode"] = "exact" if exact else "empirical"
+    kind = out["kind"]
     if "seed" in data:
-        out["seed"] = col.integer(data.get("seed"), "experiment.seed", low=0,
-                                  domain="seed ≥ 0")
-    elif seed_needed:
+        out["seed"] = _integer(0, "seed ≥ 0")(col, data["seed"], "experiment.seed")
+    elif EXPERIMENTS[kind].seeded or out.get("mode") == "empirical":
         col.error(
             "experiment.seed",
             f"required: {kind} draws random numbers and must be reproducible",
@@ -511,100 +517,36 @@ def _normalize_experiment(data, col, counting_kind):
     return out
 
 
-def _normalize_scaling(data, col):
-    if not isinstance(data, dict):
-        col.error("experiment.scaling", "must be an object")
-        return None
-    if ("gamma" in data) == ("table" in data):
-        col.error("experiment.scaling", "give exactly one of 'gamma' or 'table'")
-        return None
-    if "gamma" in data:
-        if not col.block(data, "experiment.scaling", ("gamma",), ()):
-            return None
-        gamma = col.number(
-            data.get("gamma"), "experiment.scaling.gamma", low=0.0, high=1.0,
-            low_open=True, high_open=True, domain="γ ∈ (0, 1)",
-        )
-        return {"gamma": gamma}
-    if not col.block(data, "experiment.scaling", ("table",), ()):
-        return None
-    table = data.get("table")
-    if not isinstance(table, list) or not table:
-        col.error("experiment.scaling.table", "must be a nonempty list of [n, a] pairs")
-        return None
-    entries = []
-    for i, pair_ in enumerate(table):
-        if not (isinstance(pair_, list) and len(pair_) == 2):
-            col.error(f"experiment.scaling.table[{i}]", "must be an [n, a] pair")
-            return None
-        n = col.integer(pair_[0], f"experiment.scaling.table[{i}][0]", low=1,
-                        domain="n ≥ 1")
-        a = col.number(pair_[1], f"experiment.scaling.table[{i}][1]", low=0.0,
-                       low_open=True, domain="a > 0")
-        if n is None or a is None:
-            return None
-        entries.append([n, a])
-    return {"table": entries}
-
-
 def normalize_config(data):
     """Validate a raw config dict, fill defaults, and return the resolved form.
 
     Raises ConfigError carrying every violation found.
     """
-    col = _Collector()
+    col = _Errors()
     if not isinstance(data, dict):
         raise ConfigError(["config: must be a JSON object"])
-    known = ("summand", "counting", "experiment", "output")
     for key in data:
-        if key not in known:
+        if key not in ("summand", "counting", "experiment", "output"):
             col.error("config", f"unknown key '{key}'")
-    experiment_data = data.get("experiment")
-    experiment_kind = (
-        experiment_data.get("kind") if isinstance(experiment_data, dict) else None
-    )
-    needs_models = experiment_kind != "ml-eval"
+    experiment = data.get("experiment")
+    needs_models = not (isinstance(experiment, dict)
+                        and experiment.get("kind") == "ml-eval")
 
     out = {}
-    if "summand" in data:
-        out["summand"] = _normalize_summand(data["summand"], col)
-    elif needs_models:
-        col.error("summand", "required key is missing")
-    if "counting" in data:
-        out["counting"] = _normalize_counting(data["counting"], col)
-    elif needs_models:
-        col.error("counting", "required key is missing")
-
-    if "experiment" not in data:
-        col.error("experiment", "required key is missing")
+    for name, table in (("summand", SUMMANDS), ("counting", COUNTING)):
+        if name in data:
+            out[name] = _walk(table, data[name], name, col)
+        elif needs_models:
+            col.error(name, "required key is missing")
+    if "experiment" in data:
+        out["experiment"] = _normalize_experiment(experiment, col,
+                                                  out.get("counting"))
     else:
-        counting_kind = None
-        if isinstance(data.get("counting"), dict):
-            counting_kind = data["counting"].get("kind")
-        out["experiment"] = _normalize_experiment(data["experiment"], col,
-                                                  counting_kind)
+        col.error("experiment", "required key is missing")
+    out["output"] = _walk(OUTPUT, data.get("output", {}), "output", col)
 
-    output = data.get("output", {})
-    if col.block(output, "output", (), ("directory", "formats")):
-        directory = output.get("directory", DEFAULTS["output"]["directory"])
-        if not isinstance(directory, str) or not directory:
-            col.error("output.directory", "must be a nonempty string")
-            directory = None
-        formats = output.get("formats", DEFAULTS["output"]["formats"])
-        if not isinstance(formats, list) or not formats or not all(
-            f in OUTPUT_FORMATS for f in formats
-        ):
-            col.error(
-                "output.formats",
-                f"must be a nonempty subset of {', '.join(OUTPUT_FORMATS)}",
-            )
-            formats = None
-        else:
-            formats = sorted(set(formats), key=OUTPUT_FORMATS.index)
-        out["output"] = {"directory": directory, "formats": formats}
-
-    if col.errors:
-        raise ConfigError(col.errors)
+    if col:
+        raise ConfigError(list(col))
     return out
 
 
@@ -628,44 +570,20 @@ def config_hash(config):
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def build_summand(block):
-    kind = block["kind"]
-    if kind == "finite_support":
-        return FiniteSupportSummands(block["atoms"], block["probs"])
-    if kind == "gaussian":
-        return GaussianSummands(block["mean"], block["cov"])
-    if kind == "grid_gaussian":
-        return grid_gaussian(
-            block["grid"], np.asarray(block["mean"]), np.asarray(block["kernel"])
-        )
-    return grid_finite_support(block["grid"], block["paths"], block["probs"])
-
-
-def build_counting(block):
-    kind = block["kind"]
-    if kind == "poisson":
-        return PoissonCounting(block["rate"])
-    if kind == "fractional_poisson":
-        return FractionalPoissonCounting(block["nu"], block["rate"])
-    if kind == "iid_sum":
-        return IidSumCounting(block["values"], block["probs"])
-    if kind == "bernoulli_sum":
-        if "p" in block:
-            return BernoulliSumCounting(p=block["p"])
-        return BernoulliSumCounting.runs(block["lam"], block["c"])
-    law = block["law"]
-    if law["kind"] == "exponential":
-        return RenewalCounting(ExponentialInterarrival(law["rate"]))
-    if law["kind"] == "gamma":
-        return RenewalCounting(GammaInterarrival(law["shape"], law["rate"]))
-    return RenewalCounting(
-        TabulatedInterarrival(law["r_values"], law["kappa_values"])
-    )
+def _build(table, block):
+    """The model of a resolved block: its entry's builder on its fields,
+    nested blocks built first."""
+    entry, _ = _pick(table, block, "", _Errors())
+    return entry.build(**{
+        key: _build(check.table, block[key]) if isinstance(check, _Block)
+        else block[key]
+        for key, check in entry.fields.items() if key in block
+    })
 
 
 def build_models(config):
     """Construct the (summand, counting) model pair from a resolved config."""
-    return build_summand(config["summand"]), build_counting(config["counting"])
+    return _build(SUMMANDS, config["summand"]), _build(COUNTING, config["counting"])
 
 
 def versions_string():

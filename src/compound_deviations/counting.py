@@ -46,6 +46,7 @@ from scipy.special import gammaln
 from .dualpair import NEG_INF, ExtendedReal, tilt_weights
 from .errors import NoRootError, UnsupportedModelError, ValidationError
 from .mittag_leffler import log_mittag_leffler, log_mittag_leffler_ratio
+from .summands import PROB_SUM_TOL
 
 # The scaled cumulant must vanish at zero within this.
 CGF_AT_ZERO_TOL = 1e-12
@@ -130,7 +131,7 @@ class CountingModel:
     def sample_batch(self, n, rng, reps):
         raise NotImplementedError
 
-    def mean_mc(self, n, rng, reps=100_000):
+    def mean_mc(self, n, rng, reps):
         """Monte Carlo estimate of E[N_n], returned as (value, standard error)."""
         draws = self.sample_batch(n, rng, int(reps))
         value = float(draws.mean())
@@ -193,9 +194,9 @@ class IidSumCounting(CountingModel):
             raise ValidationError("probs must match the step values in shape")
         if not np.all(np.isfinite(p)) or np.any(p <= 0.0):
             raise ValidationError("step probabilities must be strictly positive")
-        if abs(p.sum() - 1.0) > 1e-12:
+        if abs(p.sum() - 1.0) > PROB_SUM_TOL:
             raise ValidationError(
-                f"step probabilities sum to {p.sum()!r}, not 1 within 1e-12"
+                f"step probabilities sum to {p.sum()!r}, not 1 within {PROB_SUM_TOL:g}"
             )
         order = np.argsort(vals)
         self._values = vals[order]

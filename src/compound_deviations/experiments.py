@@ -86,18 +86,6 @@ def _check_rows_to_bands(rows, band_se):
     return bands
 
 
-def _event_from_config(block):
-    if block["mode"] == "sum":
-        return HalfSpaceEvent("sum", block["level"], direction=block["direction"])
-    return HalfSpaceEvent("count", block["level"])
-
-
-def _scaling_from_config(block):
-    if "gamma" in block:
-        return ScalingFamily.power(block["gamma"])
-    return ScalingFamily.from_table([tuple(p) for p in block["table"]])
-
-
 def _run_rate_eval(config, mx, mn, workers):
     exp = config["experiment"]
     dim = len(exp["x_values"][0])
@@ -117,7 +105,7 @@ def _run_rate_eval(config, mx, mn, workers):
 
 def _run_ldp_check(config, mx, mn, workers):
     exp = config["experiment"]
-    event = _event_from_config(exp["event"])
+    event = HalfSpaceEvent(**exp["event"])
     result = decay_rate_scan(
         mx, mn, event, exp["ns"], reps=exp["reps"], seed=exp["seed"],
         method=exp["method"], workers=workers,
@@ -149,7 +137,7 @@ def _run_ldp_check(config, mx, mn, workers):
 
 def _run_md_check(config, mx, mn, workers):
     exp = config["experiment"]
-    scaling = _scaling_from_config(exp["scaling"])
+    scaling = ScalingFamily(**exp["scaling"])
     result = md_scaling_sweep(
         mn, scaling, exp["etas"], exp["ns"], reps=exp["reps"],
         seed=exp.get("seed"), mode=exp["mode"],

@@ -52,8 +52,11 @@ AUX_ROLE = 2
 LOG_WEIGHT_CAP = 700.0
 # Enumeration guard: total composition terms.
 ENUMERATION_TERM_LIMIT = 10_000_000
-# Default replication counts per estimator method.
+# Default replication counts per estimator method; "plain" also serves
+# every other plain-sampling estimate.
 DEFAULT_REPS = {"plain": 100_000, "tilted": 10_000}
+# Default acceptance band of the moment and CLT checks, in standard errors.
+BAND_SE = 4.0
 
 
 def _check_seed(seed, name="seed"):
@@ -479,18 +482,6 @@ class ScalingFamily:
                     )
                 self._table[n] = a
 
-    @classmethod
-    def power(cls, gamma):
-        return cls(gamma=gamma)
-
-    @classmethod
-    def from_table(cls, pairs):
-        return cls(table=list(pairs))
-
-    @property
-    def gamma(self):
-        return self._gamma
-
     def a(self, n):
         if self._gamma is not None:
             return float(n) ** (-self._gamma)
@@ -548,7 +539,7 @@ def md_scaling_sweep(
         )
     if mode == "empirical":
         seed = _check_seed(seed)
-        reps = 100_000 if reps is None else int(reps)
+        reps = DEFAULT_REPS["plain"] if reps is None else int(reps)
 
     d2 = mn.derivs_at_zero().variance_rate
     rows = []
@@ -627,7 +618,7 @@ class MomentCheckResult:
 
 
 def moment_limits_check(
-    mx, mn, n, reps, u, v, seed, workers=None, band_se=4.0,
+    mx, mn, n, reps, u, v, seed, workers=None, band_se=BAND_SE,
 ):
     """Empirical n-scaled moments of the pair against the exact finite-n
     identities (or the analytic limits when no exact count moments exist),
@@ -679,7 +670,7 @@ class CltCheckResult:
     count_mean_source: str
 
 
-def clt_regime_check(mx, mn, n, reps, v, seed, workers=None, band_se=4.0):
+def clt_regime_check(mx, mn, n, reps, v, seed, workers=None, band_se=BAND_SE):
     """Empirical covariance structure of the CLT-scaled pair.
 
     First coordinate: <v, sums - counts * summand mean> / sqrt(n); second:
@@ -703,7 +694,7 @@ def clt_regime_check(mx, mn, n, reps, v, seed, workers=None, band_se=4.0):
         count_mean_source = "exact"
     except UnsupportedModelError:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0, AUX_ROLE]))
-        count_mean, _ = mn.mean_mc(n, rng, reps=min(int(reps), 100_000))
+        count_mean, _ = mn.mean_mc(n, rng, reps=min(int(reps), DEFAULT_REPS["plain"]))
         count_mean_source = "monte-carlo"
 
     root_n = math.sqrt(n)

@@ -300,7 +300,7 @@ def test_criterion_08_ldp_decay_rates():
 
 def test_criterion_09_md_scaling_limit():
     result = md_scaling_sweep(
-        PoissonCounting(1.0), ScalingFamily.power(0.5), etas=[-1.0, 1.0],
+        PoissonCounting(1.0), ScalingFamily(gamma=0.5), etas=[-1.0, 1.0],
         ns=[100, 1000, 10_000, 100_000], mode="exact",
     )
     last = {r.eta: r for r in result.rows if r.n == 100_000}

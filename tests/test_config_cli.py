@@ -18,9 +18,7 @@ from compound_deviations import cli
 from compound_deviations.config import (
     DEFAULTS,
     ResultTable,
-    build_counting,
     build_models,
-    build_summand,
     config_hash,
     format_cell,
     normalize_config,
@@ -76,6 +74,15 @@ def md_raw():
     }
 
 
+def rate_eval_raw():
+    return {
+        "summand": ldp_raw()["summand"],
+        "counting": {"kind": "poisson", "rate": 1.0},
+        "experiment": {"kind": "rate-eval", "x_values": [0.0],
+                       "y_values": [1.0]},
+    }
+
+
 # One block per counting kind, for checks that must cover all five.
 COUNTING_BLOCKS = {
     "poisson": {"kind": "poisson", "rate": 1.0},
@@ -101,6 +108,12 @@ GRID_PAIRS = {
          "paths": [[1.0, 0.0], [0.0, -1.0]], "probs": [0.5, 0.5]},
     ),
 }
+
+
+def build_block(name, block):
+    """The model one summand or counting block builds, in a rate-eval config."""
+    mx, mn = build_models(normalize_config(dict(rate_eval_raw(), **{name: block})))
+    return mx if name == "summand" else mn
 
 
 def write_json(path, data):
@@ -153,6 +166,29 @@ class TestNormalizeConfig:
             matching = [e for e in errors if needle in e]
             assert len(matching) == 1, (needle, errors)
         assert len(errors) == len(expected_paths)
+
+    @pytest.mark.parametrize("path", [
+        "experiment.event", "experiment.etas", "experiment.y_values",
+        "experiment.beta", "counting.rate", "counting.law", "summand.cov",
+        "experiment.kind",
+    ])
+    def test_missing_key_is_reported_once(self, path):
+        # One line per missing key: its field check does not run as well.
+        raw = {
+            "experiment.etas": md_raw(),
+            "experiment.y_values": rate_eval_raw(),
+            "experiment.beta": {"experiment": {
+                "kind": "ml-eval", "nu": 0.5, "beta": 1.0, "x_values": [1.0]}},
+            "counting.law": dict(rate_eval_raw(),
+                                 counting=copy.deepcopy(COUNTING_BLOCKS["renewal"])),
+            "summand.cov": dict(rate_eval_raw(),
+                                summand=copy.deepcopy(GRID_PAIRS["gaussian"][0])),
+        }.get(path, ldp_raw())
+        block, key = path.split(".")
+        del raw[block][key]
+        with pytest.raises(ConfigError) as excinfo:
+            normalize_config(raw)
+        assert excinfo.value.errors == [f"{path}: required key is missing"]
 
     def test_domain_citations_in_messages(self):
         bad = copy.deepcopy(ldp_raw())
@@ -297,31 +333,18 @@ class TestBuildModels:
         assert mn.derivs_at_zero().mean_rate == 1.0
 
     def test_gaussian_block(self):
-        block = normalize_config({
-            "summand": {"kind": "gaussian", "mean": [0.5, -1.0],
-                        "cov": [[2.0, 0.5], [0.5, 1.0]]},
-            "counting": {"kind": "poisson", "rate": 1.0},
-            "experiment": {"kind": "rate-eval", "x_values": [[0.0, 0.0]],
-                           "y_values": [1.0]},
-        })["summand"]
-        model = build_summand(block)
+        model = build_block("summand", {"kind": "gaussian", "mean": [0.5, -1.0],
+                                        "cov": [[2.0, 0.5], [0.5, 1.0]]})
         assert isinstance(model, GaussianSummands)
         np.testing.assert_allclose(model.mean(), [0.5, -1.0])
 
     def test_grid_paths_block(self):
-        block = normalize_config({
-            "summand": {
-                "kind": "grid_finite_support",
-                "grid": [0.0, 1.0, 2.0],
-                "paths": [[0.0, 1.0, 2.0], [0.0, 1.0, 4.0]],
-                "probs": [0.5, 0.5],
-            },
-            "counting": {"kind": "poisson", "rate": 1.0},
-            "experiment": {"kind": "rate-eval",
-                           "x_values": [[0.0, 0.0, 0.0]],
-                           "y_values": [1.0]},
-        })["summand"]
-        model = build_summand(block)
+        model = build_block("summand", {
+            "kind": "grid_finite_support",
+            "grid": [0.0, 1.0, 2.0],
+            "paths": [[0.0, 1.0, 2.0], [0.0, 1.0, 4.0]],
+            "probs": [0.5, 0.5],
+        })
         assert isinstance(model, FiniteSupportSummands)
         np.testing.assert_array_equal(model.atoms,
                                       [[0.0, 1.0, 2.0], [0.0, 1.0, 4.0]])
@@ -333,23 +356,23 @@ class TestBuildModels:
         raw["experiment"].update(ns=[20, 40], etas=[0.5], seed=7)
         config = normalize_config(raw)
         mode = config["experiment"]["mode"]
-        mn = build_counting(config["counting"])
+        _, mn = build_models(config)
         assert mn.supports_finite_cgf == (mode == "exact")
         sweep = {
-            m: md_scaling_sweep(mn, ScalingFamily.power(0.5), etas=[0.5],
+            m: md_scaling_sweep(mn, ScalingFamily(gamma=0.5), etas=[0.5],
                                 ns=[20, 40], reps=500, seed=7, mode=m)
             for m in ("auto", mode)
         }
         assert sweep["auto"].rows == sweep[mode].rows
 
     def test_counting_variants(self):
-        fractional = build_counting({"kind": "fractional_poisson",
-                                     "nu": 0.5, "rate": 1.0})
+        fractional = build_block("counting", {"kind": "fractional_poisson",
+                                              "nu": 0.5, "rate": 1.0})
         assert isinstance(fractional, FractionalPoissonCounting)
-        runs = build_counting({"kind": "bernoulli_sum", "preset": "runs",
-                               "lam": 1.0, "c": 2.0})
+        runs = build_block("counting", {"kind": "bernoulli_sum", "preset": "runs",
+                                        "lam": 1.0, "c": 2.0})
         assert isinstance(runs, BernoulliSumCounting)
-        renewal = build_counting({
+        renewal = build_block("counting", {
             "kind": "renewal",
             "law": {"kind": "gamma", "shape": 2.0, "rate": 4.0},
         })

@@ -549,28 +549,28 @@ class TestDecayRateScan:
 
 class TestScalingFamily:
     def test_power_form_domain(self):
-        family = ScalingFamily.power(0.5)
+        family = ScalingFamily(gamma=0.5)
         assert_allclose(family.a(100), 0.1)
         for gamma in [0.0, 1.0, 1.5, -0.2]:
             with pytest.raises(ValidationError):
-                ScalingFamily.power(gamma)
+                ScalingFamily(gamma=gamma)
 
     def test_table_form_lookup(self):
-        family = ScalingFamily.from_table([(10, 0.1), (100, 0.01)])
+        family = ScalingFamily(table=[(10, 0.1), (100, 0.01)])
         assert family.a(10) == 0.1
         with pytest.raises(ValidationError):
             family.a(50)
         with pytest.raises(ValidationError):
-            ScalingFamily.from_table([(0, 0.1)])
+            ScalingFamily(table=[(0, 0.1)])
         with pytest.raises(ValidationError):
-            ScalingFamily.from_table([(10, -0.1)])
+            ScalingFamily(table=[(10, -0.1)])
         with pytest.raises(ValidationError):
             ScalingFamily(gamma=0.5, table=[(10, 0.1)])
 
     def test_endpoint_flags(self):
-        power = ScalingFamily.power(0.5)
+        power = ScalingFamily(gamma=0.5)
         assert power.endpoint_flags([100, 10_000]) == (True, True)
-        reciprocal = ScalingFamily.from_table([(10, 0.1), (1000, 0.001)])
+        reciprocal = ScalingFamily(table=[(10, 0.1), (1000, 0.001)])
         # a_n = 1/n: the scale shrinks but n a_n stays flat.
         assert reciprocal.endpoint_flags([10, 1000]) == (True, False)
 
@@ -578,7 +578,7 @@ class TestScalingFamily:
 class TestMdScalingSweep:
     def test_exact_poisson_sweep_approaches_the_quadratic(self):
         result = md_scaling_sweep(
-            unit_poisson(), ScalingFamily.power(0.5), etas=[-1.0, 1.0],
+            unit_poisson(), ScalingFamily(gamma=0.5), etas=[-1.0, 1.0],
             ns=[100, 1000, 10_000, 100_000], mode="exact",
         )
         assert result.a_decreases and result.na_increases
@@ -590,7 +590,7 @@ class TestMdScalingSweep:
 
     def test_empirical_mode_matches_exact(self):
         mn = unit_poisson()
-        family = ScalingFamily.power(0.5)
+        family = ScalingFamily(gamma=0.5)
         exact = md_scaling_sweep(mn, family, etas=[-0.5, 0.5], ns=[100],
                                  mode="exact")
         empirical = md_scaling_sweep(mn, family, etas=[-0.5, 0.5], ns=[100],
@@ -602,26 +602,25 @@ class TestMdScalingSweep:
 
     def test_auto_mode_dispatch(self):
         exact_kind = md_scaling_sweep(
-            unit_poisson(), ScalingFamily.power(0.5), etas=[0.5], ns=[100],
+            unit_poisson(), ScalingFamily(gamma=0.5), etas=[0.5], ns=[100],
             mode="auto",
         )
         assert len(exact_kind.rows) == 1
         renewal = RenewalCounting(ExponentialInterarrival(1.0))
         with pytest.raises(UnsupportedModelError):
-            md_scaling_sweep(renewal, ScalingFamily.power(0.5), etas=[0.5],
+            md_scaling_sweep(renewal, ScalingFamily(gamma=0.5), etas=[0.5],
                              ns=[50], mode="exact")
         with pytest.raises(ValidationError):
             # auto resolves to empirical for renewal counts, and the
             # empirical mode needs a seed.
-            md_scaling_sweep(renewal, ScalingFamily.power(0.5), etas=[0.5],
+            md_scaling_sweep(renewal, ScalingFamily(gamma=0.5), etas=[0.5],
                              ns=[50], mode="auto")
 
     def test_reciprocal_scaling_freezes_the_gap(self):
         # With a_n = 1/n the rescaled cumulant is e^eta - 1 - eta at every
         # n: the trend flags, not the sweep, expose the broken regime.
         mn = unit_poisson()
-        family = ScalingFamily.from_table([(10, 0.1), (100, 0.01),
-                                           (1000, 0.001)])
+        family = ScalingFamily(table=[(10, 0.1), (100, 0.01), (1000, 0.001)])
         eta = 0.8
         result = md_scaling_sweep(mn, family, etas=[eta],
                                   ns=[10, 100, 1000], mode="exact")
@@ -632,10 +631,10 @@ class TestMdScalingSweep:
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            md_scaling_sweep(unit_poisson(), ScalingFamily.power(0.5),
+            md_scaling_sweep(unit_poisson(), ScalingFamily(gamma=0.5),
                              etas=[0.5], ns=[100, 50], mode="exact")
         with pytest.raises(ValidationError):
-            md_scaling_sweep(unit_poisson(), ScalingFamily.power(0.5),
+            md_scaling_sweep(unit_poisson(), ScalingFamily(gamma=0.5),
                              etas=[0.5], ns=[50], mode="sideways")
 
 
