@@ -43,6 +43,7 @@ import numpy as np
 import scipy
 
 from .counting import (
+    TABLE_MIN_POINTS,
     BernoulliSumCounting,
     ExponentialInterarrival,
     FractionalPoissonCounting,
@@ -239,6 +240,9 @@ def _steps(col, value, path, out):
     ):
         col.error(path, "must be a nonempty list of integers (domain: values ≥ 0)")
         return None
+    if len(set(value)) != len(value):
+        col.error(path, "step values must be distinct")
+        return None
     return [int(v) for v in value]
 
 
@@ -300,6 +304,15 @@ def _series_args(col, value, path, out):
     return xs
 
 
+def _law_table(col, value, path, out):
+    """A tabulated cumulant column: at least TABLE_MIN_POINTS numbers."""
+    vec = _vector(col, value, path)
+    if vec is not None and len(vec) < TABLE_MIN_POINTS:
+        col.error(path, f"must have at least {TABLE_MIN_POINTS} points")
+        return None
+    return vec
+
+
 class _Block:
     """A field holding a nested block, validated and built by its own table."""
 
@@ -336,7 +349,9 @@ LAWS = {
         "shape": _positive("shape"), "rate": _positive("rate"),
     }),
     "table": Kind(TabulatedInterarrival, {
-        "r_values": _vector, "kappa_values": _vector,
+        "r_values": _law_table,
+        "kappa_values": lambda col, value, path, out: _vector(
+            col, value, path, length=_size(out, "r_values")),
     }),
 }
 

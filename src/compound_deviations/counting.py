@@ -8,7 +8,9 @@ its first and second derivatives (``limit_cgf_deriv``,
 ``limit_cgf_second``), the pair of derivatives at zero (the limiting mean
 and variance rates of N_n / n), the exact finite-n scaled cumulant where a
 closed form exists, exact finite-n mean and variance, samplers, and the
-conjugate-family sampler used by tilted importance sampling.
+conjugate-family sampler used by tilted importance sampling. Kinds with an
+exact, truncated mass table (fractional Poisson, gamma-law renewal) draw
+counts by inverting its cdf and take their variance from it.
 
 Kinds
 -----
@@ -27,8 +29,10 @@ Kinds
   cumulant integrates log(1 + p(x)(e^eta - 1)) over the unit interval.
 * RenewalCounting: N_n counts renewals of iid positive inter-arrival times
   with cumulant kappa by time n; the limit cumulant is -kappa^{-1}(-eta),
-  with left tail minus the end of kappa's domain (a table's last r). No
-  closed finite-n cumulant exists, so only plain sampling is offered.
+  with left tail minus the end of kappa's domain (a table's last r). For
+  gamma inter-arrivals the law of N_n is exact, P(N_n <= k) =
+  Q((k + 1) shape, rate n), and counts are drawn by inverting that table;
+  no closed finite-n cumulant exists, so only plain sampling is offered.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
-from scipy.special import gammaln
+from scipy.special import gammainc, gammaincc, gammaln
 
 from .dualpair import NEG_INF, ExtendedReal, tilt_weights
 from .errors import NoRootError, UnsupportedModelError, ValidationError
@@ -60,12 +64,37 @@ MASS_TAIL_TOL = 1e-12
 MASS_TABLE_CAP = 5_000_000
 # Root tolerance for inverting an inter-arrival cumulant.
 INVERT_XTOL = 1e-13
+# Fewest points of a tabulated inter-arrival cumulant.
+TABLE_MIN_POINTS = 4
 
 
 def _check_n(n):
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValidationError(f"n must be an integer >= 1, got {n!r}")
     return int(n)
+
+
+def _grow_table(build, what):
+    """build(size) at size 64, 128, ... until it returns a table; one that
+    would need more than MASS_TABLE_CAP states is a ValidationError."""
+    size = 64
+    while (table := build(size)) is None:
+        if size >= MASS_TABLE_CAP:
+            raise ValidationError(f"{what} exceeds {MASS_TABLE_CAP} states")
+        size = min(2 * size, MASS_TABLE_CAP)
+    return table
+
+
+def _draw_from_cdf(cdf, rng, reps):
+    """reps counts drawn by inverting a cdf table over 0, 1, ...."""
+    return np.searchsorted(cdf, rng.random(int(reps))).astype(np.int64)
+
+
+def _table_moments(pmf):
+    """Mean and variance of a pmf table over 0, 1, ...."""
+    k = np.arange(pmf.size, dtype=float)
+    m = float(k @ pmf)
+    return m, float((k - m) ** 2 @ pmf)
 
 
 @dataclass(frozen=True)
@@ -130,13 +159,6 @@ class CountingModel:
 
     def sample_batch(self, n, rng, reps):
         raise NotImplementedError
-
-    def mean_mc(self, n, rng, reps):
-        """Monte Carlo estimate of E[N_n], returned as (value, standard error)."""
-        draws = self.sample_batch(n, rng, int(reps))
-        value = float(draws.mean())
-        se = float(draws.std(ddof=1) / math.sqrt(reps))
-        return value, se
 
     def tilted_count_sampler(self, n, s):
         """Sampler (rng, reps) -> counts for the law with mass ~ P(N_n = k) e^{s k}."""
@@ -416,24 +438,20 @@ class FractionalPoissonCounting(CountingModel):
         the mode and below MASS_TAIL_TOL relative to it (the log-weights are
         concave, so the tail beyond decays geometrically)."""
         slope = math.log(self._argument(n)) + s
-        size = 64
-        while True:
+
+        def build(size):
             k = np.arange(size, dtype=float)
             log_weights = k * slope - gammaln(self._nu * k + 1.0)
             peak = int(np.argmax(log_weights))
-            if peak < size - 1 and (
-                log_weights[-1] - log_weights[peak] < math.log(MASS_TAIL_TOL)
+            if peak == size - 1 or (
+                log_weights[-1] - log_weights[peak] >= math.log(MASS_TAIL_TOL)
             ):
-                break
-            if size >= MASS_TABLE_CAP:
-                raise ValidationError(
-                    f"fractional Poisson mass table at n={n} exceeds "
-                    f"{MASS_TABLE_CAP} states"
-                )
-            size = min(2 * size, MASS_TABLE_CAP)
-        weights = np.exp(log_weights - log_weights[peak])
-        pmf = weights / weights.sum()
-        return pmf, np.cumsum(pmf)
+                return None
+            weights = np.exp(log_weights - log_weights[peak])
+            pmf = weights / weights.sum()
+            return pmf, np.cumsum(pmf)
+
+        return _grow_table(build, f"fractional Poisson mass table at n={n}")
 
     def mass_table(self, n):
         """Exact pmf of N_n and its cdf, truncated once the tail beyond is
@@ -444,23 +462,14 @@ class FractionalPoissonCounting(CountingModel):
         return self._tables[n]
 
     def var(self, n):
-        pmf, _ = self.mass_table(n)
-        k = np.arange(pmf.size, dtype=float)
-        m = float(k @ pmf)
-        return float((k - m) ** 2 @ pmf)
+        return _table_moments(self.mass_table(n)[0])[1]
 
     def sample_batch(self, n, rng, reps):
-        _, cdf = self.mass_table(n)
-        u = rng.random(int(reps))
-        return np.searchsorted(cdf, u).astype(np.int64)
+        return _draw_from_cdf(self.mass_table(n)[1], rng, reps)
 
     def tilted_count_sampler(self, n, s):
         _, cdf = self._tilted_table(_check_n(n), float(s))
-
-        def sampler(rng, reps):
-            return np.searchsorted(cdf, rng.random(int(reps))).astype(np.int64)
-
-        return sampler
+        return lambda rng, reps: _draw_from_cdf(cdf, rng, reps)
 
 
 def _bernoulli_cgf(q, eta):
@@ -673,7 +682,7 @@ def invert_interarrival_cgf(kappa, u, domain_sup=math.inf, domain_inf=-math.inf)
 
 
 class InterarrivalLaw:
-    """Inter-arrival time description: cumulant, derivatives, optional sampler."""
+    """Inter-arrival time description: cumulant and its derivatives."""
 
     domain_sup = math.inf
     domain_inf = -math.inf
@@ -691,11 +700,6 @@ class InterarrivalLaw:
         """kappa^{-1}(u); generic numeric fallback."""
         return invert_interarrival_cgf(
             self.kappa, u, domain_sup=self.domain_sup, domain_inf=self.domain_inf
-        )
-
-    def sample(self, rng, shape):
-        raise UnsupportedModelError(
-            f"{type(self).__name__} carries no sampler"
         )
 
 
@@ -730,9 +734,6 @@ class GammaInterarrival(InterarrivalLaw):
         # Algebraic inverse: r = rate (1 - e^{-u/shape}).
         return self.rate * -math.expm1(-u / self.shape)
 
-    def sample(self, rng, shape):
-        return rng.gamma(self.shape, 1.0 / self.rate, size=shape)
-
 
 class ExponentialInterarrival(GammaInterarrival):
     """Exponential(rate) inter-arrivals: the shape-1 gamma law,
@@ -743,24 +744,22 @@ class ExponentialInterarrival(GammaInterarrival):
             raise ValidationError(f"rate must be a positive finite real, got {rate!r}")
         super().__init__(1.0, rate)
 
-    def sample(self, rng, shape):
-        return rng.exponential(1.0 / self.rate, size=shape)
-
 
 class TabulatedInterarrival(InterarrivalLaw):
     """Inter-arrival cumulant given by a monotone table, PCHIP-interpolated.
 
     The table must be strictly increasing and bracket r = 0 with
     kappa(0) = 0. Only quantities inside the tabulated range are computable,
-    so the domain ends at the table's last entry, and no sampler exists.
+    so the domain ends at the table's last entry, and the law of N_n, hence
+    sampling, is unavailable.
     """
 
     def __init__(self, r_values, kappa_values):
         r = np.array(r_values, dtype=float)
         k = np.array(kappa_values, dtype=float)
-        if r.ndim != 1 or r.size < 4 or r.shape != k.shape:
+        if r.ndim != 1 or r.size < TABLE_MIN_POINTS or r.shape != k.shape:
             raise ValidationError(
-                "need matching 1-d tables with at least 4 points"
+                f"need matching 1-d tables with at least {TABLE_MIN_POINTS} points"
             )
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(k))):
             raise ValidationError("tables must be finite")
@@ -800,9 +799,11 @@ class RenewalCounting(CountingModel):
 
     The limit cumulant is -kappa^{-1}(-eta) where kappa is the inter-arrival
     cumulant; it exists because kappa is increasing with kappa(-inf) = -inf.
-    There is no closed finite-n cumulant, so tilted estimation and the exact
-    moment identities are unavailable; sampling walks partial sums of
-    inter-arrival draws.
+    For gamma inter-arrivals (exponential is the shape-1 case) the law of
+    N_n is exact: {N_n >= k} = {T_k <= n} with T_k ~ Gamma(k shape, rate).
+    Its mass table gives the mean and variance, and counts are drawn by
+    inverting it. There is no closed finite-n cumulant, so tilted
+    estimation is unavailable, and tabulated laws have no finite-n law.
     """
 
     def __init__(self, law):
@@ -820,6 +821,7 @@ class RenewalCounting(CountingModel):
                     "to validate the limit cumulant"
                 )
             probe = np.linspace(lo, hi, 31)
+        self._tables = {}
         self._probe_validate(etas=probe)
 
     @property
@@ -850,28 +852,34 @@ class RenewalCounting(CountingModel):
             tail = NEG_INF
         return CountingDerivatives(1.0 / kp, ks / kp ** 3, tail)
 
-    def sample_batch(self, n, rng, reps):
+    def mass_table(self, n):
+        """Exact pmf of N_n and its cdf, for gamma inter-arrivals:
+        P(N_n <= k) = P(T_{k+1} > n) = Q((k + 1) shape, rate n), Q the
+        regularized upper incomplete gamma. The table stops once the tail
+        P(N_n >= size) = P(size shape, rate n) is below MASS_TAIL_TOL."""
         n = _check_n(n)
-        reps = int(reps)
-        d = self.derivs_at_zero()
-        chunk = int(n * d.mean_rate + 10.0 * math.sqrt(max(n * d.variance_rate, 1.0)) + 20)
-        # Cap the draw matrix at ~1e7 entries per pass.
-        group = max(1, int(1e7) // max(chunk, 1))
-        counts = np.zeros(reps, dtype=np.int64)
-        for start in range(0, reps, group):
-            stop = min(start + group, reps)
-            counts[start:stop] = self._sample_group(n, rng, stop - start, chunk)
-        return counts
+        if not isinstance(self._law, GammaInterarrival):
+            raise UnsupportedModelError(
+                f"renewal counts of a {type(self._law).__name__} law have no "
+                "exact mass table to sample from"
+            )
+        if n not in self._tables:
+            shape, x = self._law.shape, self._law.rate * n
 
-    def _sample_group(self, n, rng, reps, chunk):
-        counts = np.zeros(reps, dtype=np.int64)
-        totals = np.zeros(reps)
-        alive = np.arange(reps)
-        while alive.size:
-            draws = self._law.sample(rng, (alive.size, chunk))
-            cum = totals[alive, None] + np.cumsum(draws, axis=1)
-            counts[alive] += (cum <= n).sum(axis=1)
-            totals[alive] = cum[:, -1]
-            alive = alive[cum[:, -1] <= n]
-            chunk = max(chunk // 4, 16)
-        return counts
+            def build(size):
+                if gammainc(size * shape, x) >= MASS_TAIL_TOL:
+                    return None
+                cdf = gammaincc(np.arange(1, size + 1) * shape, x)
+                return np.diff(cdf, prepend=0.0), cdf
+
+            self._tables[n] = _grow_table(build, f"renewal mass table at n={n}")
+        return self._tables[n]
+
+    def mean(self, n):
+        return _table_moments(self.mass_table(n)[0])[0]
+
+    def var(self, n):
+        return _table_moments(self.mass_table(n)[0])[1]
+
+    def sample_batch(self, n, rng, reps):
+        return _draw_from_cdf(self.mass_table(n)[1], rng, reps)

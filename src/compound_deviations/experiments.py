@@ -202,8 +202,7 @@ def _run_moments_check(config, mx, mn, workers):
     )
     table = _check_table(config, result, exp["seed"])
     bands = _check_rows_to_bands(result.rows, exp["band_se"])
-    return ({"moments_check": table}, {}, bands,
-            {"reference_kind": result.reference_kind})
+    return {"moments_check": table}, {}, bands, {}
 
 
 def _run_clt_check(config, mx, mn, workers):
@@ -214,10 +213,7 @@ def _run_clt_check(config, mx, mn, workers):
     )
     table = _check_table(config, result, exp["seed"])
     bands = _check_rows_to_bands(result.rows, exp["band_se"])
-    details = {
-        "normality_pvalues": result.normality_pvalues,
-        "count_mean_source": result.count_mean_source,
-    }
+    details = {"normality_pvalues": result.normality_pvalues}
     return {"clt_check": table}, {}, bands, details
 
 

@@ -46,8 +46,6 @@ BLOCK_SIZE = 8192
 # Stream roles inside a block's seed sequence.
 COUNT_ROLE = 0
 SUMMAND_ROLE = 1
-# Role for auxiliary estimates that must not touch the replication streams.
-AUX_ROLE = 2
 # Importance weights beyond e^700 are an error, never a silent clip.
 LOG_WEIGHT_CAP = 700.0
 # Enumeration guard: total composition terms.
@@ -519,10 +517,10 @@ def md_scaling_sweep(
 
     For each n and eta the sweep evaluates a_n log E exp(eta (N_n - E N_n) /
     sqrt(n a_n)), exactly through the finite-n cumulant when the kind has
-    one (mode "exact"), else empirically from sampled counts (mode
-    "empirical", seed required). The target column is d2 eta^2 / 2; per-eta
-    monotonicity of |value - target| over the n-grid is reported, along with
-    the endpoint behavior of the scaling family.
+    one (mode "exact"), else empirically from sampled counts centred at the
+    exact mean (mode "empirical", seed required). The target column is
+    d2 eta^2 / 2; per-eta monotonicity of |value - target| over the n-grid
+    is reported, along with the endpoint behavior of the scaling family.
     """
     ns = [int(v) for v in ns]
     if len(ns) < 1 or sorted(set(ns)) != ns:
@@ -546,18 +544,14 @@ def md_scaling_sweep(
     for index, n in enumerate(ns):
         a_n = scaling.a(n)
         ts = [eta / math.sqrt(n * a_n) for eta in etas]
+        mean_count = mn.mean(n)
         if mode == "exact":
-            mean_count = mn.mean(n)
             log_mgfs = [n * mn.finite_cgf(n, t) - t * mean_count for t in ts]
         else:
             rng = np.random.default_rng(
                 np.random.SeedSequence([seed, index, COUNT_ROLE])
             )
             draws = mn.sample_batch(n, rng, reps).astype(float)
-            try:
-                mean_count = mn.mean(n)
-            except UnsupportedModelError:
-                mean_count = float(draws.mean())
             log_mgfs = [_log_mean_exp(t * (draws - mean_count)) for t in ts]
         rows += [
             MdSweepRow(n=n, eta=eta, value=a_n * log_mgf, target=0.5 * d2 * eta * eta)
@@ -614,25 +608,19 @@ class MomentCheckResult:
     n: int
     reps: int
     rows: list
-    reference_kind: str
 
 
 def moment_limits_check(
     mx, mn, n, reps, u, v, seed, workers=None, band_se=BAND_SE,
 ):
     """Empirical n-scaled moments of the pair against the exact finite-n
-    identities (or the analytic limits when no exact count moments exist),
-    each with a plug-in standard error and a 4-standard-error band."""
+    identities, each with a plug-in standard error and a band of band_se
+    standard errors; the analytic limits are reported beside them."""
     uu = as_vector(u, dim=mx.dim, name="u")
     vv = as_vector(v, dim=mx.dim, name="v")
     samples = simulate_compound(mx, mn, int(n), reps, seed, workers=workers)
     limit = analytic_limit_moments(mx, mn, uu, vv)
-    try:
-        reference = finite_n_moment_identities(mx, mn, int(n), uu, vv)
-        reference_kind = "finite-n"
-    except UnsupportedModelError:
-        reference = limit
-        reference_kind = "limit"
+    reference = finite_n_moment_identities(mx, mn, int(n), uu, vv)
 
     su = samples.sums @ uu
     sv = samples.sums @ vv
@@ -656,9 +644,7 @@ def moment_limits_check(
         ("var_N", var_n / scale, var_n_se / scale, reference.var_N, limit.var_N),
     ]
     rows = [_check_row(*entry, band_se) for entry in entries]
-    return MomentCheckResult(
-        n=int(n), reps=reps, rows=rows, reference_kind=reference_kind
-    )
+    return MomentCheckResult(n=int(n), reps=reps, rows=rows)
 
 
 @dataclass(frozen=True)
@@ -667,7 +653,6 @@ class CltCheckResult:
     reps: int
     rows: list
     normality_pvalues: dict
-    count_mean_source: str
 
 
 def clt_regime_check(mx, mn, n, reps, v, seed, workers=None, band_se=BAND_SE):
@@ -689,13 +674,7 @@ def clt_regime_check(mx, mn, n, reps, v, seed, workers=None, band_se=BAND_SE):
     cov = mx.cov()
     v_mu = float(vv @ mu)
     v_cov_v = cov.quadratic_form(vv)
-    try:
-        count_mean = mn.mean(n)
-        count_mean_source = "exact"
-    except UnsupportedModelError:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0, AUX_ROLE]))
-        count_mean, _ = mn.mean_mc(n, rng, reps=min(int(reps), DEFAULT_REPS["plain"]))
-        count_mean_source = "monte-carlo"
+    count_mean = mn.mean(n)
 
     root_n = math.sqrt(n)
     counts = samples.counts.astype(float)
@@ -734,5 +713,4 @@ def clt_regime_check(mx, mn, n, reps, v, seed, workers=None, band_se=BAND_SE):
         reps=samples.reps,
         rows=rows,
         normality_pvalues=pvalues,
-        count_mean_source=count_mean_source,
     )

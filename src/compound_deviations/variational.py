@@ -472,9 +472,5 @@ def analytic_limit_moments(mx, mn, u, v):
 def finite_n_moment_identities(mx, mn, n, u, v):
     """Exact finite-n analogues of the limiting moments, in the same
     LimitMoments layout, from the exact mean and variance of the count; the
-    Monte Carlo oracle at fixed n.
-
-    Raises the counting model's unsupported-model error for kinds without
-    exact count moments (renewal).
-    """
+    Monte Carlo oracle at fixed n."""
     return _pair_moments(mx, mn.mean(n) / float(n), mn.var(n) / float(n), u, v)

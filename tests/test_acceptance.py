@@ -336,8 +336,7 @@ def test_criterion_10_moment_limits():
     _criterion(
         10, "empirical scaled moments inside 4 SE of the exact identities",
         all(r.within_band for r in result.rows) and exact_ok,
-        f"reference {result.reference_kind}, worst band use "
-        f"{100 * worst_margin:.0f}%",
+        f"worst band use {100 * worst_margin:.0f}%",
     )
 
 

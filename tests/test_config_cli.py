@@ -231,6 +231,24 @@ class TestNormalizeConfig:
         assert "summand: required key is missing" in joined
         assert "counting: required key is missing" in joined
 
+    @pytest.mark.parametrize("counting, message", [
+        ({"kind": "renewal", "law": {"kind": "table", "r_values": [-1.0, 0.0, 1.0],
+                                     "kappa_values": [-1.0, 0.0, 1.0]}},
+         "counting.law.r_values: must have at least 4 points"),
+        ({"kind": "renewal", "law": {"kind": "table",
+                                     "r_values": [-1.0, 0.0, 1.0, 2.0],
+                                     "kappa_values": [-1.0, 0.0, 1.0]}},
+         "counting.law.kappa_values: must have length 4, got 3"),
+        ({"kind": "iid_sum", "values": [0, 1, 1], "probs": [0.3, 0.3, 0.4]},
+         "counting.values: step values must be distinct"),
+    ], ids=["short-table", "table-lengths", "repeated-steps"])
+    def test_builder_rules_are_field_checks(self, counting, message):
+        # Caught in the one validation pass, with a key path, rather than by
+        # the model builder after it.
+        with pytest.raises(ConfigError) as excinfo:
+            normalize_config(dict(rate_eval_raw(), counting=counting))
+        assert excinfo.value.errors == [message]
+
     def test_md_mode_auto_resolution(self):
         exact = normalize_config(md_raw())
         assert exact["experiment"]["mode"] == "exact"
@@ -668,6 +686,40 @@ class TestCli:
         assert len(rows) == 10
         assert all(math.isfinite(float(cell)) for row in rows[1:]
                    for cell in row[-2:])
+
+    def test_renewal_clt_check_is_worker_invariant(self, tmp_path, capsys):
+        path = write_json(tmp_path / "clt.json", {
+            "summand": {"kind": "gaussian", "mean": [0.2], "cov": [[1.0]]},
+            "counting": COUNTING_BLOCKS["renewal"],
+            "experiment": {"kind": "clt-check", "n": 200, "reps": 20_000,
+                           "v": [1.0], "seed": 17},
+        })
+        for workers in (1, 2):
+            assert cli.main(["clt-check", "--config", path, "--workers",
+                             str(workers), "--out",
+                             str(tmp_path / f"w{workers}")]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "w1" / "clt_check.csv").read_bytes() == (
+            tmp_path / "w2" / "clt_check.csv").read_bytes()
+
+    def test_tabulated_renewal_clt_check_is_unsupported(self, tmp_path,
+                                                        capsys):
+        rs = [-3.0 + 0.25 * i for i in range(12)] + [0.1 * i for i in range(10)]
+        path = write_json(tmp_path / "clt.json", {
+            "summand": {"kind": "gaussian", "mean": [0.2], "cov": [[1.0]]},
+            "counting": {"kind": "renewal", "law": {
+                "kind": "table", "r_values": rs,
+                "kappa_values": [-math.log1p(-r) for r in rs]}},
+            "experiment": {"kind": "clt-check", "n": 50, "reps": 100,
+                           "v": [1.0], "seed": 3},
+        })
+        assert cli.main(["clt-check", "--config", path, "--out",
+                         str(tmp_path / "out")]) == 2
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith(
+            "error [compound_deviations.errors.UnsupportedModelError]: "
+        )
 
     def test_internal_error_exits_3_with_one_line(self, tmp_path,
                                                   monkeypatch, capsys):

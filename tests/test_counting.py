@@ -3,7 +3,9 @@
 Closed-form cumulants are checked against their formulas on an eta grid;
 derivative records against central finite differences of the limiting cgf;
 the fractional mean against an extended-precision series oracle; the
-renewal inverse against an independent bisection.
+renewal inverse against an independent bisection; the gamma-law renewal
+mass table against Poisson laws, renewal-theory moments and walked
+partial sums of gamma draws.
 """
 
 import math
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.special import gammaln
+from scipy.stats import chi2, poisson
 
 from compound_deviations import counting
 from compound_deviations.counting import (
@@ -279,11 +282,12 @@ class TestMeans:
         assert_allclose(mn.mean(40), 100.0, rtol=1e-12)
         assert_allclose(mn.var(40), 100.0, rtol=1e-12)
 
-    def test_mean_mc_reports_standard_error(self):
+    def test_renewal_sample_mean_matches_the_exact_mean(self):
         mn = RenewalCounting(ExponentialInterarrival(1.0))
-        rng = np.random.default_rng(5)
-        value, se = mn.mean_mc(50, rng, reps=4000)
-        assert abs(value - 50.0) <= 4.0 * se
+        draws = mn.sample_batch(50, np.random.default_rng(5), 4000)
+        se = draws.std(ddof=1) / math.sqrt(4000)
+        assert_allclose(mn.mean(50), 50.0, rtol=1e-12)
+        assert abs(draws.mean() - mn.mean(50)) <= 4.0 * se
 
 
 class TestSamplers:
@@ -423,10 +427,6 @@ class TestInterarrivalInversion:
         for r in (-1.0, 0.0, 1.5):
             assert law.kappa(r) == gamma.kappa(r)
             assert law.kappa_prime(r) == gamma.kappa_prime(r)
-        # Draws keep the exponential sampler.
-        draws = law.sample(np.random.default_rng(3), 5)
-        expected = np.random.default_rng(3).exponential(0.5, size=5)
-        assert np.array_equal(draws, expected)
 
     def test_gamma_round_trip(self):
         law = GammaInterarrival(1.5, 2.0)
@@ -525,6 +525,87 @@ class TestRenewalModel:
         assert_allclose(draws.var(ddof=1) / 400.0, d.variance_rate, rtol=0.15)
 
 
+def chi_square_pvalue(draws, pmf):
+    """p-value of integer draws against a pmf over 0, 1, ...; cells with an
+    expected count below 5 are pooled into the two tail cells."""
+    reps = draws.size
+    expected = reps * pmf
+    big = np.flatnonzero(expected >= 5.0)
+    lo, hi = int(big[0]), int(big[-1])
+    observed = np.bincount(np.clip(draws, lo, hi) - lo, minlength=hi - lo + 1)
+    cells = expected[lo:hi + 1].copy()
+    cells[0] += expected[:lo].sum()
+    cells[-1] += reps - expected[:hi + 1].sum()
+    stat = float(np.sum((observed - cells) ** 2 / cells))
+    return float(chi2.sf(stat, cells.size - 1))
+
+
+def walked_counts(shape, rate, n, rng, reps):
+    """Renewals by time n, from partial sums of Gamma(shape, rate) draws."""
+    counts = np.zeros(reps, dtype=np.int64)
+    totals = np.zeros(reps)
+    alive = np.arange(reps)
+    while alive.size:
+        cum = totals[alive, None] + np.cumsum(
+            rng.gamma(shape, 1.0 / rate, size=(alive.size, 256)), axis=1)
+        counts[alive] += (cum <= n).sum(axis=1)
+        totals[alive] = cum[:, -1]
+        alive = alive[cum[:, -1] <= n]
+    return counts
+
+
+class TestRenewalMassTable:
+    """The gamma-law count table P(N_n <= k) = Q((k + 1) shape, rate n)."""
+
+    @pytest.mark.parametrize("rate, n", [(1.0, 1), (1.3, 50), (0.2, 700)])
+    def test_exponential_counts_are_poisson(self, rate, n):
+        pmf, _ = RenewalCounting(ExponentialInterarrival(rate)).mass_table(n)
+        k = np.arange(pmf.size)
+        assert_allclose(pmf, poisson.pmf(k, rate * n), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape, rate, n", [(2, 1.0, 500), (3, 0.5, 40)])
+    def test_integer_shape_counts_are_poisson_quotients(self, shape, rate, n):
+        # T_j ~ Gamma(j shape, rate) is the (j shape)-th arrival of a
+        # Poisson(rate) stream, so N_n = floor(M / shape), M ~ Poisson(rate n).
+        _, cdf = RenewalCounting(GammaInterarrival(shape, rate)).mass_table(n)
+        j = np.arange(1, cdf.size)
+        assert_allclose(1.0 - cdf[:-1], poisson.sf(j * shape - 1, rate * n),
+                        rtol=0.0, atol=1e-12)
+
+    def test_sampler_inverts_the_table(self):
+        mn = RenewalCounting(GammaInterarrival(0.5, 3.0))
+        pmf, _ = mn.mass_table(100)
+        draws = mn.sample_batch(100, np.random.default_rng(21), 50_000)
+        assert chi_square_pvalue(draws, pmf) > 1e-3
+
+    def test_table_matches_walked_partial_sums(self):
+        mn = RenewalCounting(GammaInterarrival(0.5, 3.0))
+        pmf, _ = mn.mass_table(100)
+        draws = walked_counts(0.5, 3.0, 100, np.random.default_rng(22), 10_000)
+        assert chi_square_pvalue(draws, pmf) > 1e-3
+
+    @pytest.mark.parametrize("shape, rate", [(1.0, 1.3), (2.0, 1.0),
+                                             (0.5, 3.0), (3.7, 0.2)])
+    def test_moments_follow_the_renewal_expansion(self, shape, rate):
+        # E N_n = n d1 + (sigma^2 - mu^2) / (2 mu^2) + o(1), which is
+        # n d1 + (1 - shape) / (2 shape) for gamma laws; Var N_n = n d2 + O(1).
+        mn = RenewalCounting(GammaInterarrival(shape, rate))
+        d = mn.derivs_at_zero()
+        for n in (1000, 4000):
+            assert_allclose(mn.mean(n) - n * d.mean_rate,
+                            (1.0 - shape) / (2.0 * shape), atol=1e-6)
+            assert abs(mn.var(n) - n * d.variance_rate) <= 2.0
+
+    def test_tabulated_law_has_no_table(self):
+        rs = [-3.0 + 0.25 * i for i in range(12)] + [0.1 * i for i in range(10)]
+        mn = RenewalCounting(TabulatedInterarrival(rs, [-math.log1p(-r) for r in rs]))
+        for call in (mn.mean, mn.var, mn.mass_table):
+            with pytest.raises(UnsupportedModelError):
+                call(10)
+        with pytest.raises(UnsupportedModelError):
+            mn.sample_batch(10, np.random.default_rng(1), 5)
+
+
 class TestValidation:
     def test_rejects_bad_n(self):
         mn = PoissonCounting(1.0)
@@ -559,6 +640,16 @@ class TestValidation:
         with pytest.raises(ValidationError, match="exceeds 100 states"):
             FractionalPoissonCounting(0.7, 1.0).mass_table(400)
         assert sizes == [64, 100]
+
+    def test_renewal_table_cap_is_typed(self, monkeypatch):
+        # Gamma(2, 1) counts at n = 500 need 512 states.
+        mn = RenewalCounting(GammaInterarrival(2.0, 1.0))
+        monkeypatch.setattr(counting, "MASS_TABLE_CAP", 100)
+        with pytest.raises(ValidationError, match="exceeds 100 states"):
+            mn.sample_batch(500, np.random.default_rng(1), 10)
+        monkeypatch.undo()
+        with pytest.raises(ValidationError, match="renewal mass table"):
+            RenewalCounting(ExponentialInterarrival(1.0)).mean(10_000_000)
 
     def test_bernoulli_exclusive_arguments(self):
         with pytest.raises(ValidationError):

@@ -644,7 +644,6 @@ class TestMomentLimitsCheck:
             zero_two_summand(), unit_poisson(), n=200, reps=20_000,
             u=[1.0], v=[1.0], seed=1001,
         )
-        assert result.reference_kind == "finite-n"
         assert all(r.within_band for r in result.rows)
         rows = {r.name: r for r in result.rows}
         assert set(rows) == {"mean_S_dir", "mean_N", "cov_SS", "cov_NS",
@@ -653,14 +652,18 @@ class TestMomentLimitsCheck:
         assert_allclose(rows["cov_NS"].reference, 1.0, rtol=1e-12)
         assert_allclose(rows["var_N"].reference, 1.0, rtol=1e-12)
 
-    def test_renewal_falls_back_to_the_limit(self):
-        mn = RenewalCounting(ExponentialInterarrival(1.0))
+    def test_renewal_uses_the_exact_identities(self):
+        # Gamma(2, 1) counts: E N_50 = 50/2 - 1/4, off the limit 1/2 by 1/200.
+        mn = RenewalCounting(GammaInterarrival(2.0, 1.0))
         result = moment_limits_check(
             zero_two_summand(), mn, n=50, reps=5000, u=[1.0], v=[1.0],
             seed=1002,
         )
-        assert result.reference_kind == "limit"
         assert all(r.within_band for r in result.rows)
+        rows = {r.name: r for r in result.rows}
+        assert_allclose(rows["mean_N"].reference, 0.495, rtol=1e-12)
+        assert rows["mean_N"].limit == 0.5
+        assert_allclose(rows["var_N"].reference, mn.var(50) / 50.0, rtol=1e-15)
 
     def test_rerun_is_identical(self):
         kwargs = dict(n=100, reps=4000, u=[1.0], v=[1.0], seed=1003)
@@ -678,7 +681,6 @@ class TestCltRegimeCheck:
             pm_one_summand(), unit_poisson(), n=400, reps=20_000, v=[1.0],
             seed=2001,
         )
-        assert result.count_mean_source == "exact"
         assert all(r.within_band for r in result.rows)
         rows = {r.name: r for r in result.rows}
         assert_allclose(rows["var_sum_coord"].reference, 1.0, rtol=1e-12)
@@ -700,9 +702,18 @@ class TestCltRegimeCheck:
         assert_allclose(rows["cross_cov_shifted"].reference, 1.0, rtol=1e-12)
         assert all(r.within_band for r in result.rows)
 
-    def test_renewal_count_mean_is_estimated(self):
+    def test_renewal_count_mean_is_exact(self, monkeypatch):
+        # The count mean comes from the mass table: the only count draws are
+        # the replication blocks, with no second pass to estimate E N_n.
         mn = RenewalCounting(GammaInterarrival(2.0, 4.0))
+        assert_allclose(mn.mean(100), 199.75, rtol=1e-12)
+        draws = []
+        sample_batch = mn.sample_batch
+        monkeypatch.setattr(mn, "sample_batch", lambda n, rng, reps: (
+            draws.append(reps) or sample_batch(n, rng, reps)))
         result = clt_regime_check(
-            pm_one_summand(), mn, n=100, reps=5000, v=[1.0], seed=2003,
+            pm_one_summand(), mn, n=100, reps=BLOCK_SIZE + 500, v=[1.0],
+            seed=2003,
         )
-        assert result.count_mean_source == "monte-carlo"
+        assert draws == [BLOCK_SIZE, 500]
+        assert all(r.within_band for r in result.rows)

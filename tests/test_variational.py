@@ -24,6 +24,7 @@ from compound_deviations.counting import (
     IidSumCounting,
     PoissonCounting,
     RenewalCounting,
+    TabulatedInterarrival,
 )
 from compound_deviations.dualpair import POS_INF, CovarianceOperator, ExtendedReal
 from compound_deviations.errors import (
@@ -736,7 +737,10 @@ class TestMomentRecords:
                                 rtol=1e-15, atol=0.0)
 
     def test_renewal_counts_have_no_exact_moments(self):
-        mn = RenewalCounting(ExponentialInterarrival(1.0))
+        # Gamma laws have an exact count table; a tabulated cumulant does not.
+        rs = [-3.0 + 0.25 * i for i in range(12)] + [0.1 * i for i in range(10)]
+        mn = RenewalCounting(
+            TabulatedInterarrival(rs, [-math.log1p(-r) for r in rs]))
         with pytest.raises(UnsupportedModelError):
             finite_n_moment_identities(pm_one_summand(), mn, 100, [1.0],
                                        [1.0])
