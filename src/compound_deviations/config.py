@@ -403,10 +403,8 @@ EXPERIMENTS = {
         "scaling": _Block(SCALING),
         "etas": _vector,
         "ns": _ns(1),
-        "mode": _choice("auto", "exact", "empirical"),
-        "reps": _integer(1, "reps ≥ 1"),
         "band": _positive("band"),
-    }, defaults={"mode": "auto", "reps": DEFAULT_REPS["plain"], "band": 0.02}),
+    }, defaults={"band": 0.02}),
     "moments-check": Kind(None, {
         "n": _integer(1, "n ≥ 1"),
         "reps": _integer(2, "reps ≥ 2"),
@@ -509,22 +507,35 @@ def _walk(table, data, path, col, allowed=()):
     return out
 
 
-def _normalize_experiment(data, col, counting):
-    """The experiment block; ``counting`` is the resolved counting block,
-    whose class settles md-check's ``auto`` mode."""
+def _dimension(summand):
+    """Dimension of a resolved summand block; None when it did not resolve."""
+    if not summand:
+        return None
+    vector = (summand.get("grid") or summand.get("mean")
+              or (summand.get("atoms") or [None])[0])
+    return len(vector) if vector else None
+
+
+def _normalize_experiment(data, col, summand):
+    """The experiment block; ``summand`` is the resolved summand block, whose
+    dimension every point and direction of the experiment must have."""
     out = _walk(EXPERIMENTS, data, "experiment", col, allowed=("seed",))
     if out is None:
         return None
-    if out.get("mode") == "auto":
-        entry = COUNTING[counting["kind"]] if counting else None
-        if isinstance(entry, list):  # both bernoulli_sum forms build one class
-            entry = entry[0]
-        exact = entry is None or entry.build.supports_finite_cgf
-        out["mode"] = "exact" if exact else "empirical"
     kind = out["kind"]
+    dim = _dimension(summand)
+    vectors = {"u": out.get("u"), "v": out.get("v"),
+               "event.direction": (out.get("event") or {}).get("direction")}
+    if kind == "rate-eval" and out.get("x_values"):
+        vectors["x_values"] = out["x_values"][0]
+    for key, vector in vectors.items():
+        if dim is not None and vector is not None and len(vector) != dim:
+            what = "rows must" if key == "x_values" else "must"
+            col.error(f"experiment.{key}", f"{what} have length {dim}, the "
+                                           f"summand dimension, got {len(vector)}")
     if "seed" in data:
         out["seed"] = _integer(0, "seed ≥ 0")(col, data["seed"], "experiment.seed")
-    elif EXPERIMENTS[kind].seeded or out.get("mode") == "empirical":
+    elif EXPERIMENTS[kind].seeded:
         col.error(
             "experiment.seed",
             f"required: {kind} draws random numbers and must be reproducible",
@@ -555,7 +566,7 @@ def normalize_config(data):
             col.error(name, "required key is missing")
     if "experiment" in data:
         out["experiment"] = _normalize_experiment(experiment, col,
-                                                  out.get("counting"))
+                                                  out.get("summand"))
     else:
         col.error("experiment", "required key is missing")
     out["output"] = _walk(OUTPUT, data.get("output", {}), "output", col)

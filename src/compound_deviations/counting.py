@@ -5,34 +5,43 @@ Each model knows its limiting scaled cumulant generating function
     limit_cgf(eta) = lim (1/n) log E exp(eta N_n),
 
 its first and second derivatives (``limit_cgf_deriv``,
-``limit_cgf_second``), the pair of derivatives at zero (the limiting mean
-and variance rates of N_n / n), the exact finite-n scaled cumulant where a
-closed form exists, exact finite-n mean and variance, samplers, and the
-conjugate-family sampler used by tilted importance sampling. Kinds with an
-exact, truncated mass table (fractional Poisson, gamma-law renewal) draw
-counts by inverting its cdf and take their variance from it.
+``limit_cgf_second``) and the pair of derivatives at zero (the limiting mean
+and variance rates of N_n / n).
+
+The finite-n law comes from one builder per kind, ``_tilted_table(n, s)``:
+the pmf over 0..K of the law with mass ~ P(N_n = k) e^{s k}, and
+log Z(s) = log E e^{s N_n}; s = 0 is N_n itself. ``CountingModel`` builds
+every finite-n member on it: ``exact_pmf`` (cached at s = 0), ``sample_batch``
+and ``tilted_count_sampler`` (inversion of the cdf), ``mean`` and ``var``
+(the table's moments) and ``finite_cgf`` = log Z(s) / n. A kind overrides a
+member only with an exact closed form: Poisson, iid-sum and Bernoulli keep
+``finite_cgf``, and Poisson keeps ``mean``. Unbounded tables stop once the
+tail beyond is below MASS_TAIL_TOL relative to the mode; every table is
+capped at MASS_TABLE_CAP states with a ValidationError.
 
 Kinds
 -----
 * IidSumCounting: N_n is a sum of n iid nonnegative-integer steps with
-  finite support. The finite-n scaled cumulant equals the limit for every n.
-  (A Poisson-distributed step would make N_n Poisson(n c), which is exactly
-  PoissonCounting, so only finite-support steps are implemented here.)
+  finite support; its table convolves n tilted step laws. The finite-n
+  scaled cumulant equals the limit for every n. (A Poisson-distributed step
+  would make N_n Poisson(n c), which is exactly PoissonCounting, so only
+  finite-support steps are implemented here.)
 * PoissonCounting: N_n ~ Poisson(m(n)) with m(n) = rate * n or an integral
-  of a nonnegative intensity; the limit cumulant is rate * (e^eta - 1).
+  of a nonnegative intensity; the limit cumulant is rate * (e^eta - 1). Its
+  table is the nu = 1 case of the fractional one, with x = m(n).
 * FractionalPoissonCounting: heavy-tailed renewal-type count whose mass at n
   is x^k / (Gamma(nu k + 1) E(nu, 1; x)) with x = rate * n^nu; the limit
-  cumulant is rate^(1/nu) (e^(eta/nu) - 1). Finite-n quantities go through
-  the Mittag-Leffler function in log space.
+  cumulant is rate^(1/nu) (e^(eta/nu) - 1). Its table is built from these
+  log-weights, so every nu in (0, 1] has finite-n quantities.
 * BernoulliSumCounting: N_n is a sum of independent Bernoulli(q_j) trials,
   q_j = p((j-1)/n) for a profile p on [0, 1] (or a constant p); the limit
-  cumulant integrates log(1 + p(x)(e^eta - 1)) over the unit interval.
+  cumulant integrates log(1 + p(x)(e^eta - 1)) over the unit interval. Its
+  table convolves the n tilted trial laws.
 * RenewalCounting: N_n counts renewals of iid positive inter-arrival times
   with cumulant kappa by time n; the limit cumulant is -kappa^{-1}(-eta),
   with left tail minus the end of kappa's domain (a table's last r). For
   gamma inter-arrivals the law of N_n is exact, P(N_n <= k) =
-  Q((k + 1) shape, rate n), and counts are drawn by inverting that table;
-  no closed finite-n cumulant exists, so only plain sampling is offered.
+  Q((k + 1) shape, rate n); a tabulated law has no finite-n law.
 """
 
 from __future__ import annotations
@@ -49,7 +58,6 @@ from scipy.special import gammainc, gammaincc, gammaln
 
 from .dualpair import NEG_INF, ExtendedReal, tilt_weights
 from .errors import NoRootError, UnsupportedModelError, ValidationError
-from .mittag_leffler import log_mittag_leffler, log_mittag_leffler_ratio
 from .summands import PROB_SUM_TOL
 
 # The scaled cumulant must vanish at zero within this.
@@ -58,6 +66,10 @@ CGF_AT_ZERO_TOL = 1e-12
 PROBE_ETAS = np.linspace(-10.0, 5.0, 31)
 # Quadrature tolerances for intensity integrals and Bernoulli profiles.
 QUAD_TOL = 1e-10
+# Breakpoints of Bernoulli profile integrals, crowding x = 0: where the runs
+# profile nears p = 1, log(1 - p + p e^eta) has a near-log singularity at
+# x ~ e^eta that the adaptive rule must meet.
+QUAD_POINTS = (1e-12, 1e-9, 1e-6, 1e-3)
 # Mass tables are truncated once the missing tail is below this.
 MASS_TAIL_TOL = 1e-12
 # Hard cap on cached mass-table length.
@@ -97,6 +109,56 @@ def _table_moments(pmf):
     return m, float((k - m) ** 2 @ pmf)
 
 
+def _from_log_weights(log_weights):
+    """pmf of log-weights over 0, 1, ... and the log of their total, by a
+    shift to the largest; None while the table is too short: its peak is its
+    last entry, or its last weight is within MASS_TAIL_TOL of the peak."""
+    peak = int(np.argmax(log_weights))
+    top = float(log_weights[peak])
+    if peak == log_weights.size - 1 or (
+        log_weights[-1] - top >= math.log(MASS_TAIL_TOL)
+    ):
+        return None
+    weights = np.exp(log_weights - top)
+    total = float(weights.sum())
+    return weights / total, top + math.log(total)
+
+
+def _log_weight_table(nu, log_x, s, what):
+    """(pmf, log Z(s)) of the law with mass ~ x^k e^{s k} / Gamma(nu k + 1),
+    log Z(s) being the log of its total weight over the total at s = 0. The
+    log-weights are concave, so the tail beyond the table decays
+    geometrically."""
+
+    def table(slope):
+        def build(size):
+            k = np.arange(size, dtype=float)
+            return _from_log_weights(k * slope - gammaln(nu * k + 1.0))
+
+        return _grow_table(build, what)
+
+    pmf, log_total = table(log_x + s)
+    return pmf, 0.0 if s == 0.0 else log_total - table(log_x)[1]
+
+
+def _convolve_tree(rows, what):
+    """Convolution of the pmfs in the rows of a 2-d array, pairwise, level by
+    level. Each level sums nonnegative products directly (no FFT), so small
+    tail masses keep their relative accuracy."""
+    size = rows.shape[0] * (rows.shape[1] - 1) + 1
+    if size > MASS_TABLE_CAP:
+        raise ValidationError(f"{what} exceeds {MASS_TABLE_CAP} states")
+    while rows.shape[0] > 1:
+        if rows.shape[0] % 2:
+            rows = np.vstack([rows, np.eye(1, rows.shape[1])])
+        left, right = rows[0::2], rows[1::2]
+        width = rows.shape[1]
+        rows = np.zeros((left.shape[0], 2 * width - 1))
+        for j in range(width):
+            rows[:, j:j + width] += left * right[:, j:j + 1]
+    return rows[0, :size]
+
+
 @dataclass(frozen=True)
 class CountingDerivatives:
     """First two derivatives of the limit cumulant at zero, plus its left limit.
@@ -125,10 +187,9 @@ class CountingDerivatives:
 
 
 class CountingModel:
-    """Common interface of counting-process models."""
-
-    # Whether finite_cgf has a closed form; md-check's auto mode reads it per class.
-    supports_finite_cgf = False
+    """Common interface of counting-process models. A kind supplies the limit
+    cumulant and ``_tilted_table``; the finite-n members below read the
+    table."""
 
     def limit_cgf(self, eta):
         raise NotImplementedError
@@ -143,39 +204,46 @@ class CountingModel:
     def derivs_at_zero(self):
         raise NotImplementedError
 
+    def _tilted_table(self, n, s):
+        """(pmf, log_z): the law with mass ~ P(N_n = k) e^{s k} over 0..K and
+        log_z = log E exp(s N_n)."""
+        raise NotImplementedError
+
+    def _table(self, n):
+        """The cached pmf of N_n and its cdf."""
+        n = _check_n(n)
+        tables = self.__dict__.setdefault("_tables", {})
+        if n not in tables:
+            pmf = self._tilted_table(n, 0.0)[0]
+            pmf.flags.writeable = False
+            tables[n] = pmf, np.cumsum(pmf)
+        return tables[n]
+
+    def exact_pmf(self, n):
+        """Distribution of N_n as an array over 0..K."""
+        return self._table(n)[0]
+
     def finite_cgf(self, n, eta):
-        """(1/n) log E exp(eta N_n); raises when no closed form exists."""
-        raise UnsupportedModelError(
-            f"{type(self).__name__} has no closed-form finite-n cumulant"
-        )
+        """(1/n) log E exp(eta N_n)."""
+        n = _check_n(n)
+        return self._tilted_table(n, float(eta))[1] / n
 
     def mean(self, n):
-        """Exact E[N_n]; raises when no closed form exists."""
-        raise UnsupportedModelError(f"{type(self).__name__} has no exact mean")
+        """E[N_n]."""
+        return _table_moments(self.exact_pmf(n))[0]
 
     def var(self, n):
-        """Exact Var[N_n]; raises when no closed form exists."""
-        raise UnsupportedModelError(f"{type(self).__name__} has no exact variance")
+        """Var[N_n]."""
+        return _table_moments(self.exact_pmf(n))[1]
 
     def sample_batch(self, n, rng, reps):
-        raise NotImplementedError
+        """reps draws of N_n."""
+        return _draw_from_cdf(self._table(n)[1], rng, reps)
 
     def tilted_count_sampler(self, n, s):
         """Sampler (rng, reps) -> counts for the law with mass ~ P(N_n = k) e^{s k}."""
-        raise UnsupportedModelError(
-            f"{type(self).__name__} does not support exponential tilting"
-        )
-
-    def exact_pmf(self, n):
-        """Exact distribution of N_n as an array over 0..bound; bounded kinds only."""
-        raise UnsupportedModelError(
-            f"{type(self).__name__} has unbounded support; exact enumeration "
-            "is unavailable"
-        )
-
-    def count_bound(self, n):
-        """Largest possible value of N_n, or None when unbounded."""
-        return None
+        cdf = np.cumsum(self._tilted_table(_check_n(n), float(s))[0])
+        return lambda rng, reps: _draw_from_cdf(cdf, rng, reps)
 
     def _probe_validate(self, etas=None):
         grid = PROBE_ETAS if etas is None else np.asarray(etas)
@@ -199,8 +267,6 @@ class CountingModel:
 
 class IidSumCounting(CountingModel):
     """N_n = Z_1 + ... + Z_n with iid finite-support nonnegative-integer steps."""
-
-    supports_finite_cgf = True
 
     def __init__(self, values, probs):
         vals = np.array(values)
@@ -257,39 +323,12 @@ class IidSumCounting(CountingModel):
         # Scaled cumulant of an n-fold iid sum equals the step cumulant exactly.
         return self.limit_cgf(eta)
 
-    def mean(self, n):
-        return _check_n(n) * float(self._probs @ self._values)
-
-    def var(self, n):
-        d = self.derivs_at_zero()
-        return _check_n(n) * d.variance_rate
-
-    def sample_batch(self, n, rng, reps):
-        n = _check_n(n)
-        counts = rng.multinomial(n, self._probs, size=int(reps))
-        return counts @ self._values
-
-    def tilted_count_sampler(self, n, s):
-        n = _check_n(n)
-        tilted = IidSumCounting(self._values, self._tilt(s)[1])
-        return lambda rng, reps: tilted.sample_batch(n, rng, reps)
-
-    def count_bound(self, n):
-        return _check_n(n) * int(self._values[-1])
-
-    def exact_pmf(self, n):
-        n = _check_n(n)
-        bound = self.count_bound(n)
-        if bound + 1 > 2_000_000:
-            raise UnsupportedModelError(
-                f"exact step-sum distribution over {bound + 1} states is too large"
-            )
-        base = np.zeros(int(self._values[-1]) + 1)
-        base[self._values] = self._probs
-        pmf = np.array([1.0])
-        for _ in range(n):
-            pmf = np.convolve(pmf, base)
-        return pmf
+    def _tilted_table(self, n, s):
+        log_z, probs = self._tilt(s)
+        step = np.zeros(int(self._values[-1]) + 1)
+        step[self._values] = probs
+        pmf = _convolve_tree(np.tile(step, (n, 1)), f"iid-sum mass table at n={n}")
+        return pmf, n * log_z
 
 
 class PoissonCounting(CountingModel):
@@ -302,8 +341,6 @@ class PoissonCounting(CountingModel):
     authoritative for the limit quantities, so a sensible intensity has
     running averages approaching it.
     """
-
-    supports_finite_cgf = True
 
     def __init__(self, rate, intensity=None):
         if not (isinstance(rate, (int, float)) and math.isfinite(rate)) or rate <= 0:
@@ -354,27 +391,22 @@ class PoissonCounting(CountingModel):
     def mean(self, n):
         return self.total_mass(n)
 
-    def var(self, n):
-        return self.total_mass(n)
-
-    def sample_batch(self, n, rng, reps):
-        return rng.poisson(self.total_mass(n), size=int(reps)).astype(np.int64)
-
-    def tilted_count_sampler(self, n, s):
-        mass = self.total_mass(n) * math.exp(s)
-        return lambda rng, reps: rng.poisson(mass, size=int(reps)).astype(np.int64)
+    def _tilted_table(self, n, s):
+        mass = self.total_mass(n)
+        if mass == 0.0:
+            return np.ones(1), 0.0
+        return _log_weight_table(1.0, math.log(mass), s,
+                                 f"Poisson mass table at n={n}")
 
 
 class FractionalPoissonCounting(CountingModel):
     """Fractional Poisson count of order nu in (0, 1].
 
-    Limit cumulant rate^(1/nu) (exp(eta/nu) - 1). Finite-n quantities need
-    the Mittag-Leffler function; they are available for nu >= 0.3 (the
-    special-function domain) and raise its validation error below that.
+    Limit cumulant rate^(1/nu) (exp(eta/nu) - 1). The law of N_n has mass
+    x^k / (Gamma(nu k + 1) E(nu, 1; x)), x = rate n^nu, so every finite-n
+    quantity comes from its log-weights, with no Mittag-Leffler evaluation.
     At nu = 1 the model coincides with the homogeneous Poisson count.
     """
-
-    supports_finite_cgf = True
 
     def __init__(self, nu, rate):
         if not (isinstance(nu, (int, float)) and 0.0 < nu <= 1.0):
@@ -389,7 +421,6 @@ class FractionalPoissonCounting(CountingModel):
             raise ValidationError(
                 f"rate ** (1/nu) overflows at nu={nu!r}, rate={rate!r}"
             ) from None
-        self._tables = {}
         self._probe_validate()
 
     @property
@@ -419,63 +450,18 @@ class FractionalPoissonCounting(CountingModel):
     def _argument(self, n):
         return self._rate * float(n) ** self._nu
 
-    def finite_cgf(self, n, eta):
-        n = _check_n(n)
-        x = self._argument(n)
-        return log_mittag_leffler_ratio(self._nu, math.exp(eta) * x, x) / n
-
-    def mean(self, n):
-        n = _check_n(n)
-        x = self._argument(n)
-        log_ratio = log_mittag_leffler(self._nu, self._nu, x) - log_mittag_leffler(
-            self._nu, 1.0, x
-        )
-        return x / self._nu * math.exp(log_ratio)
-
     def _tilted_table(self, n, s):
-        """pmf and cdf of the law with mass ~ x^k e^{s k} / Gamma(nu k + 1),
-        from its log-weights; the length doubles until the last weight is past
-        the mode and below MASS_TAIL_TOL relative to it (the log-weights are
-        concave, so the tail beyond decays geometrically)."""
-        slope = math.log(self._argument(n)) + s
-
-        def build(size):
-            k = np.arange(size, dtype=float)
-            log_weights = k * slope - gammaln(self._nu * k + 1.0)
-            peak = int(np.argmax(log_weights))
-            if peak == size - 1 or (
-                log_weights[-1] - log_weights[peak] >= math.log(MASS_TAIL_TOL)
-            ):
-                return None
-            weights = np.exp(log_weights - log_weights[peak])
-            pmf = weights / weights.sum()
-            return pmf, np.cumsum(pmf)
-
-        return _grow_table(build, f"fractional Poisson mass table at n={n}")
-
-    def mass_table(self, n):
-        """Exact pmf of N_n and its cdf, truncated once the tail beyond is
-        below MASS_TAIL_TOL relative to the mode."""
-        n = _check_n(n)
-        if n not in self._tables:
-            self._tables[n] = self._tilted_table(n, 0.0)
-        return self._tables[n]
-
-    def var(self, n):
-        return _table_moments(self.mass_table(n)[0])[1]
-
-    def sample_batch(self, n, rng, reps):
-        return _draw_from_cdf(self.mass_table(n)[1], rng, reps)
-
-    def tilted_count_sampler(self, n, s):
-        _, cdf = self._tilted_table(_check_n(n), float(s))
-        return lambda rng, reps: _draw_from_cdf(cdf, rng, reps)
+        return _log_weight_table(self._nu, math.log(self._argument(n)), s,
+                                 f"fractional Poisson mass table at n={n}")
 
 
 def _bernoulli_cgf(q, eta):
-    """log(1 + q (e^eta - 1)). Past eta = 700, where e^eta nears overflow,
+    """log(1 + q (e^eta - 1)). A sure trial (q = 1) gives eta, also where
+    1 + (e^eta - 1) rounds to 0. Past eta = 700, where e^eta nears overflow,
     it is eta + log(q + (1 - q) e^{-eta}), a log of positive terms; those
     sum to 0 only when q = 0, where the cumulant is 0."""
+    if q == 1.0:
+        return eta
     if eta <= 700.0:
         return math.log1p(q * math.expm1(eta))
     mix = q + (1.0 - q) * math.exp(-eta)
@@ -484,6 +470,8 @@ def _bernoulli_cgf(q, eta):
 
 def _bernoulli_tilt(q, eta):
     """Success probability of a Bernoulli(q) trial tilted by e^{eta}."""
+    if q == 1.0:
+        return 1.0
     if eta <= 0.0:
         return q * math.exp(eta) / (1.0 + q * math.expm1(eta))
     mix = q + (1.0 - q) * math.exp(-eta)
@@ -506,8 +494,6 @@ class BernoulliSumCounting(CountingModel):
     ``runs(lam, c)``: preset with p(x) = exp(-lam c x), the profile arising
     when counting runs of rare events in a Bernoulli scheme.
     """
-
-    supports_finite_cgf = True
 
     def __init__(self, p=None, profile=None):
         if (p is None) == (profile is None):
@@ -535,7 +521,8 @@ class BernoulliSumCounting(CountingModel):
         return cls(profile=lambda x: math.exp(-lam * c * x))
 
     def _integrate(self, f):
-        value, _ = quad(f, 0.0, 1.0, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=500)
+        value, _ = quad(f, 0.0, 1.0, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=500,
+                        points=QUAD_POINTS)
         return float(value)
 
     def _over_profile(self, term, eta):
@@ -590,53 +577,11 @@ class BernoulliSumCounting(CountingModel):
         terms = [_bernoulli_cgf(q, eta) for q in self.success_probs(n).tolist()]
         return float(np.sum(terms)) / int(n)
 
-    def mean(self, n):
-        return float(self.success_probs(n).sum())
-
-    def var(self, n):
-        q = self.success_probs(n)
-        return float((q * (1.0 - q)).sum())
-
-    def sample_batch(self, n, rng, reps):
-        n = _check_n(n)
-        reps = int(reps)
-        if self._p is not None:
-            return rng.binomial(n, self._p, size=reps).astype(np.int64)
-        q = self.success_probs(n)
-        out = np.zeros(reps, dtype=np.int64)
-        chunk = max(1, int(2e7 / max(reps, 1)))
-        for start in range(0, n, chunk):
-            block = q[start:start + chunk]
-            out += (rng.random((reps, block.size)) < block).sum(axis=1)
-        return out
-
-    def tilted_count_sampler(self, n, s):
-        n = _check_n(n)
-        if self._p is not None:
-            p_t = _bernoulli_tilt(self._p, s)
-            return lambda rng, reps: rng.binomial(n, p_t, size=int(reps)).astype(np.int64)
-        tilted = BernoulliSumCounting(
-            profile=lambda x: _bernoulli_tilt(self._profile(x), s)
-        )
-        return lambda rng, reps: tilted.sample_batch(n, rng, reps)
-
-    def count_bound(self, n):
-        return _check_n(n)
-
-    def exact_pmf(self, n):
-        n = _check_n(n)
-        if n > 5000:
-            raise UnsupportedModelError(
-                f"exact Bernoulli-sum distribution at n={n} is too large"
-            )
-        q = self.success_probs(n)
-        pmf = np.array([1.0])
-        for qj in q:
-            nxt = np.zeros(pmf.size + 1)
-            nxt[:-1] += pmf * (1.0 - qj)
-            nxt[1:] += pmf * qj
-            pmf = nxt
-        return pmf
+    def _tilted_table(self, n, s):
+        t = np.array([_bernoulli_tilt(q, s) for q in self.success_probs(n).tolist()])
+        pmf = _convolve_tree(np.column_stack([1.0 - t, t]),
+                             f"Bernoulli-sum mass table at n={n}")
+        return pmf, n * self.finite_cgf(n, s)
 
 
 def invert_interarrival_cgf(kappa, u, domain_sup=math.inf, domain_inf=-math.inf):
@@ -800,10 +745,9 @@ class RenewalCounting(CountingModel):
     The limit cumulant is -kappa^{-1}(-eta) where kappa is the inter-arrival
     cumulant; it exists because kappa is increasing with kappa(-inf) = -inf.
     For gamma inter-arrivals (exponential is the shape-1 case) the law of
-    N_n is exact: {N_n >= k} = {T_k <= n} with T_k ~ Gamma(k shape, rate).
-    Its mass table gives the mean and variance, and counts are drawn by
-    inverting it. There is no closed finite-n cumulant, so tilted
-    estimation is unavailable, and tabulated laws have no finite-n law.
+    N_n is exact: {N_n >= k} = {T_k <= n} with T_k ~ Gamma(k shape, rate),
+    and its tilted tables give every finite-n member, tilted sampling
+    included. Tabulated laws have no finite-n law.
     """
 
     def __init__(self, law):
@@ -821,7 +765,6 @@ class RenewalCounting(CountingModel):
                     "to validate the limit cumulant"
                 )
             probe = np.linspace(lo, hi, 31)
-        self._tables = {}
         self._probe_validate(etas=probe)
 
     @property
@@ -852,34 +795,38 @@ class RenewalCounting(CountingModel):
             tail = NEG_INF
         return CountingDerivatives(1.0 / kp, ks / kp ** 3, tail)
 
-    def mass_table(self, n):
-        """Exact pmf of N_n and its cdf, for gamma inter-arrivals:
-        P(N_n <= k) = P(T_{k+1} > n) = Q((k + 1) shape, rate n), Q the
-        regularized upper incomplete gamma. The table stops once the tail
-        P(N_n >= size) = P(size shape, rate n) is below MASS_TAIL_TOL."""
-        n = _check_n(n)
+    def _tilted_table(self, n, s):
+        """For gamma inter-arrivals P(N_n >= k) = P(T_k <= n) = P(k shape,
+        rate n), with P and Q = 1 - P the regularized incomplete gammas.
+        Masses are differences of Q left of the median and of P right of it,
+        so each keeps its accuracy relative to its size wherever a tilt puts
+        its mass. A tilted table whose kept mass would reach past the float
+        range (a mass that underflows to 0 within MASS_TAIL_TOL of the peak)
+        is a ValidationError, never a silently truncated table."""
         if not isinstance(self._law, GammaInterarrival):
             raise UnsupportedModelError(
                 f"renewal counts of a {type(self._law).__name__} law have no "
                 "exact mass table to sample from"
             )
-        if n not in self._tables:
-            shape, x = self._law.shape, self._law.rate * n
+        shape, x = self._law.shape, self._law.rate * n
+        what = f"renewal mass table at n={n}"
 
-            def build(size):
-                if gammainc(size * shape, x) >= MASS_TAIL_TOL:
-                    return None
-                cdf = gammaincc(np.arange(1, size + 1) * shape, x)
-                return np.diff(cdf, prepend=0.0), cdf
+        def build(size):
+            a = np.arange(size + 1) * shape
+            below, above = gammaincc(a, x), gammainc(a, x)
+            mass = np.where(below[1:] <= 0.5, np.diff(below), -np.diff(above))
+            with np.errstate(divide="ignore"):
+                log_weights = np.log(np.maximum(mass, 0.0)) + s * np.arange(size)
+            kept = np.flatnonzero(mass > 0.0)
+            table = _from_log_weights(log_weights) if kept.size else None
+            if table is None:
+                return None
+            top = float(np.max(log_weights))
+            for edge, cut in ((kept[0], kept[0] > 0), (kept[-1], kept[-1] < size - 1)):
+                if cut and log_weights[edge] - top >= math.log(MASS_TAIL_TOL):
+                    raise ValidationError(
+                        f"{what} at tilt s={s} needs masses below the float range"
+                    )
+            return table
 
-            self._tables[n] = _grow_table(build, f"renewal mass table at n={n}")
-        return self._tables[n]
-
-    def mean(self, n):
-        return _table_moments(self.mass_table(n)[0])[0]
-
-    def var(self, n):
-        return _table_moments(self.mass_table(n)[0])[1]
-
-    def sample_batch(self, n, rng, reps):
-        return _draw_from_cdf(self.mass_table(n)[1], rng, reps)
+        return _grow_table(build, what)

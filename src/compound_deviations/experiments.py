@@ -138,10 +138,7 @@ def _run_ldp_check(config, mx, mn, workers):
 def _run_md_check(config, mx, mn, workers):
     exp = config["experiment"]
     scaling = ScalingFamily(**exp["scaling"])
-    result = md_scaling_sweep(
-        mn, scaling, exp["etas"], exp["ns"], reps=exp["reps"],
-        seed=exp.get("seed"), mode=exp["mode"],
-    )
+    result = md_scaling_sweep(mn, scaling, exp["etas"], exp["ns"])
     table = ResultTable(
         columns=["n", "eta", "value", "target", "gap"],
         metadata=table_metadata(config, seed=exp.get("seed")),
@@ -175,7 +172,6 @@ def _run_md_check(config, mx, mn, workers):
                 lines.append(f"{format_cell(row.n)} {format_cell(row.value)}\n")
         dat[f"md_sweep_{i}.dat"] = "".join(lines)
     details = {
-        "mode": exp["mode"],
         "a_decreases": result.a_decreases,
         "na_increases": result.na_increases,
     }

@@ -2,9 +2,11 @@
 
     E(nu, beta; x) = sum_{r >= 0} x^r / Gamma(nu r + beta)
 
-This is the normalizing function of the fractional Poisson counting law, so
-the package needs it at arguments growing like lambda * n^nu, far beyond
-where the power series is usable in double precision.
+This is the normalizing function of the fractional Poisson counting law. The
+counting models build that law from its log-weights instead; this module
+serves the ``ml-eval`` experiment and is their test oracle, at arguments
+growing like lambda * n^nu, far beyond where the power series is usable in
+double precision.
 
 Evaluation policy:
 
@@ -27,8 +29,7 @@ Orders nu below NU_MIN are rejected: the series would need on the order of
 30/nu terms just to reach its peak, and the term cap is sized for nu >= 0.3.
 
 The linear entry point overflows once exp(x^(1/nu)) leaves double range;
-log_mittag_leffler carries the same policy entirely in log space and is the
-form the counting models consume.
+log_mittag_leffler carries the same policy entirely in log space.
 """
 
 from __future__ import annotations

@@ -50,6 +50,9 @@ SUMMAND_ROLE = 1
 LOG_WEIGHT_CAP = 700.0
 # Enumeration guard: total composition terms.
 ENUMERATION_TERM_LIMIT = 10_000_000
+# A point this close to an event's boundary, relative to the size of the
+# terms that place it, is in the closed event.
+BOUNDARY_RTOL = 1e-12
 # Default replication counts per estimator method; "plain" also serves
 # every other plain-sampling estimate.
 DEFAULT_REPS = {"plain": 100_000, "tilted": 10_000}
@@ -147,7 +150,12 @@ class HalfSpaceEvent:
     """Half-space target event on the scaled pair.
 
     mode "sum": {<direction, sum/n> >= level}; mode "count": {count/n >=
-    level}. Directions are for the sum mode only and must be nonzero.
+    level}. Directions are for the sum mode only and must be nonzero. The
+    event is closed, and a point on its boundary is decided by a stated
+    rule, not by rounding: it is in the event when <d, x> + c y falls short
+    of the level by at most BOUNDARY_RTOL times |<d|, |x|> + |c y| + |level|.
+    Lattice points on the boundary are therefore inside whatever order the
+    inner product is summed in.
     """
 
     mode: str
@@ -177,7 +185,9 @@ class HalfSpaceEvent:
 
     def indicator(self, samples):
         d, c = self.normal(samples.sums.shape[1])
-        return samples.sum_scaled @ d + c * samples.count_scaled >= self.level
+        x, y = samples.sum_scaled, c * samples.count_scaled
+        slack = BOUNDARY_RTOL * (np.abs(x) @ np.abs(d) + np.abs(y) + abs(self.level))
+        return x @ d + y >= self.level - slack
 
 
 def simulate_compound(mx, mn, n, reps, seed, x_seed=None, workers=None):
@@ -209,8 +219,9 @@ def _compositions(total, parts):
 def enumerate_exact(mx, mn, n, event):
     """Exact event probability by enumerating counts and summand splits.
 
-    Needs finite-support summands and a counting model with bounded support
-    and an exact distribution. The term count sum over k of
+    Needs finite-support summands; the count law is the kind's
+    ``exact_pmf``, truncated for unbounded kinds once the tail beyond is
+    below the counting module's MASS_TAIL_TOL. The term count sum over k of
     C(k+m-1, m-1) is guarded at ENUMERATION_TERM_LIMIT; larger instances get
     an error telling the caller to fall back to Monte Carlo. Each (sum, count)
     point is tested by the event's indicator, like a sampled one.
@@ -329,9 +340,9 @@ def estimate_event_prob(
     The tilted estimator draws from the conjugate count family at
     s = eta + summand cgf(theta) and from the tilted summand law, then
     unwinds with the exact finite-n weight
-    exp(n K_n(s) - <theta, sums> - eta counts); counting kinds without an
-    exact finite-n cumulant (renewal) are rejected for tilting. Weights
-    beyond exp(700) raise instead of clipping.
+    exp(n K_n(s) - <theta, sums> - eta counts). Every counting kind that
+    has a finite-n law can be tilted. Weights beyond exp(700) raise instead
+    of clipping.
     """
     _check_method(method)
     reps = DEFAULT_REPS[method] if reps is None else int(reps)
@@ -510,53 +521,29 @@ class MdSweepResult:
     gap_monotone: dict = field(default_factory=dict)
 
 
-def md_scaling_sweep(
-    mn, scaling, etas, ns, reps=None, seed=None, mode="auto",
-):
+def md_scaling_sweep(mn, scaling, etas, ns):
     """Scaled log-MGF of the centered count along an n-grid.
 
     For each n and eta the sweep evaluates a_n log E exp(eta (N_n - E N_n) /
-    sqrt(n a_n)), exactly through the finite-n cumulant when the kind has
-    one (mode "exact"), else empirically from sampled counts centred at the
-    exact mean (mode "empirical", seed required). The target column is
-    d2 eta^2 / 2; per-eta monotonicity of |value - target| over the n-grid
-    is reported, along with the endpoint behavior of the scaling family.
+    sqrt(n a_n)) exactly, through the finite-n cumulant. The target column
+    is d2 eta^2 / 2; per-eta monotonicity of |value - target| over the
+    n-grid is reported, along with the endpoint behavior of the scaling
+    family.
     """
     ns = [int(v) for v in ns]
     if len(ns) < 1 or sorted(set(ns)) != ns:
         raise ValidationError("ns must be strictly increasing integers")
     etas = [float(e) for e in etas]
-    if mode not in ("auto", "exact", "empirical"):
-        raise ValidationError(f"mode must be auto, exact, or empirical, got {mode!r}")
-    if mode == "auto":
-        mode = "exact" if mn.supports_finite_cgf else "empirical"
-    if mode == "exact" and not mn.supports_finite_cgf:
-        raise UnsupportedModelError(
-            "this counting kind has no exact finite-n cumulant; use the "
-            "empirical mode"
-        )
-    if mode == "empirical":
-        seed = _check_seed(seed)
-        reps = DEFAULT_REPS["plain"] if reps is None else int(reps)
-
     d2 = mn.derivs_at_zero().variance_rate
     rows = []
-    for index, n in enumerate(ns):
+    for n in ns:
         a_n = scaling.a(n)
-        ts = [eta / math.sqrt(n * a_n) for eta in etas]
         mean_count = mn.mean(n)
-        if mode == "exact":
-            log_mgfs = [n * mn.finite_cgf(n, t) - t * mean_count for t in ts]
-        else:
-            rng = np.random.default_rng(
-                np.random.SeedSequence([seed, index, COUNT_ROLE])
-            )
-            draws = mn.sample_batch(n, rng, reps).astype(float)
-            log_mgfs = [_log_mean_exp(t * (draws - mean_count)) for t in ts]
-        rows += [
-            MdSweepRow(n=n, eta=eta, value=a_n * log_mgf, target=0.5 * d2 * eta * eta)
-            for eta, log_mgf in zip(etas, log_mgfs)
-        ]
+        for eta in etas:
+            t = eta / math.sqrt(n * a_n)
+            log_mgf = n * mn.finite_cgf(n, t) - t * mean_count
+            rows.append(MdSweepRow(n=n, eta=eta, value=a_n * log_mgf,
+                                   target=0.5 * d2 * eta * eta))
 
     gap_monotone = {}
     for eta in etas:
@@ -567,11 +554,6 @@ def md_scaling_sweep(
         rows=rows, a_decreases=a_dec, na_increases=na_inc,
         gap_monotone=gap_monotone,
     )
-
-
-def _log_mean_exp(values):
-    peak = float(np.max(values))
-    return peak + math.log(float(np.mean(np.exp(values - peak))))
 
 
 def _covariance_with_error(a, b):

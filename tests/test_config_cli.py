@@ -35,7 +35,12 @@ from compound_deviations.counting import (
 )
 from compound_deviations.errors import ConfigError
 from compound_deviations.experiments import run_experiment
-from compound_deviations.montecarlo import ScalingFamily, md_scaling_sweep
+from compound_deviations.montecarlo import (
+    HalfSpaceEvent,
+    ScalingFamily,
+    md_scaling_sweep,
+    tilt_parameters,
+)
 from compound_deviations.summands import FiniteSupportSummands, GaussianSummands
 
 
@@ -111,8 +116,9 @@ GRID_PAIRS = {
 
 
 def build_block(name, block):
-    """The model one summand or counting block builds, in a rate-eval config."""
-    mx, mn = build_models(normalize_config(dict(rate_eval_raw(), **{name: block})))
+    """The model one summand or counting block builds, in an md-check
+    config, whose experiment holds no vector sized by the summand."""
+    mx, mn = build_models(normalize_config(dict(md_raw(), **{name: block})))
     return mx if name == "summand" else mn
 
 
@@ -181,7 +187,7 @@ class TestNormalizeConfig:
                 "kind": "ml-eval", "nu": 0.5, "beta": 1.0, "x_values": [1.0]}},
             "counting.law": dict(rate_eval_raw(),
                                  counting=copy.deepcopy(COUNTING_BLOCKS["renewal"])),
-            "summand.cov": dict(rate_eval_raw(),
+            "summand.cov": dict(md_raw(),
                                 summand=copy.deepcopy(GRID_PAIRS["gaussian"][0])),
         }.get(path, ldp_raw())
         block, key = path.split(".")
@@ -249,23 +255,48 @@ class TestNormalizeConfig:
             normalize_config(dict(rate_eval_raw(), counting=counting))
         assert excinfo.value.errors == [message]
 
-    def test_md_mode_auto_resolution(self):
-        exact = normalize_config(md_raw())
-        assert exact["experiment"]["mode"] == "exact"
-
+    def test_md_check_keys_are_scaling_etas_ns_band(self):
+        # One exact sweep for every kind: no mode, no reps, no seed needed.
         renewal = md_raw()
         renewal["counting"] = {
             "kind": "renewal",
             "law": {"kind": "exponential", "rate": 1.0},
         }
-        with pytest.raises(ConfigError) as excinfo:
-            normalize_config(renewal)
-        (seed_error,) = excinfo.value.errors
-        assert "experiment.seed" in seed_error
+        for raw in (md_raw(), renewal):
+            experiment = normalize_config(raw)["experiment"]
+            assert set(experiment) == {"kind", "scaling", "etas", "ns", "band"}
+        for key, value in (("mode", "exact"), ("reps", 1000)):
+            raw = md_raw()
+            raw["experiment"][key] = value
+            with pytest.raises(ConfigError) as excinfo:
+                normalize_config(raw)
+            assert excinfo.value.errors == [f"experiment: unknown key '{key}'"]
 
-        renewal["experiment"]["seed"] = 7
-        config = normalize_config(renewal)
-        assert config["experiment"]["mode"] == "empirical"
+    @pytest.mark.parametrize("summand, experiment, message", [
+        (GRID_PAIRS["gaussian"][0],
+         {"kind": "rate-eval", "x_values": [[0.1, 0.2, 0.3]], "y_values": [1.0]},
+         "experiment.x_values: rows must have length 2, the summand "
+         "dimension, got 3"),
+        (GRID_PAIRS["finite_support"][1],
+         {"kind": "moments-check", "n": 10, "u": [1.0], "v": [1.0, 0.0],
+          "seed": 1},
+         "experiment.u: must have length 2, the summand dimension, got 1"),
+        ({"kind": "gaussian", "mean": [0.2], "cov": [[1.0]]},
+         {"kind": "clt-check", "n": 10, "v": [1.0, 1.0], "seed": 1},
+         "experiment.v: must have length 1, the summand dimension, got 2"),
+        (GRID_PAIRS["gaussian"][1],
+         {"kind": "ldp-check", "ns": [50, 100], "seed": 1,
+          "event": {"mode": "sum", "level": 1.0, "direction": [1.0]}},
+         "experiment.event.direction: must have length 2, the summand "
+         "dimension, got 1"),
+    ], ids=["x_values", "u", "v", "direction"])
+    def test_sizes_must_match_the_summand_dimension(self, summand, experiment,
+                                                    message):
+        raw = {"summand": summand, "counting": {"kind": "poisson", "rate": 1.0},
+               "experiment": experiment}
+        with pytest.raises(ConfigError) as excinfo:
+            normalize_config(raw)
+        assert excinfo.value.errors == [message]
 
     def test_scaling_needs_exactly_one_form(self):
         raw = md_raw()
@@ -369,19 +400,24 @@ class TestBuildModels:
 
     @pytest.mark.parametrize("kind", sorted(COUNTING_BLOCKS))
     def test_md_auto_mode_matches_the_sweep(self, kind):
+        # md-check has one mode for every kind, the exact sweep; its values
+        # match a_n log sum_k P(N_n = k) e^{t (k - E N_n)} over exact_pmf,
+        # up to the tilted weight of the tail that a truncated table drops.
         raw = md_raw()
         raw["counting"] = COUNTING_BLOCKS[kind]
-        raw["experiment"].update(ns=[20, 40], etas=[0.5], seed=7)
+        raw["experiment"].update(ns=[20, 40], etas=[-0.5, 0.5])
         config = normalize_config(raw)
-        mode = config["experiment"]["mode"]
         _, mn = build_models(config)
-        assert mn.supports_finite_cgf == (mode == "exact")
-        sweep = {
-            m: md_scaling_sweep(mn, ScalingFamily(gamma=0.5), etas=[0.5],
-                                ns=[20, 40], reps=500, seed=7, mode=m)
-            for m in ("auto", mode)
-        }
-        assert sweep["auto"].rows == sweep[mode].rows
+        family = ScalingFamily(**config["experiment"]["scaling"])
+        sweep = md_scaling_sweep(mn, family, etas=[-0.5, 0.5], ns=[20, 40])
+        for row in sweep.rows:
+            a_n = family.a(row.n)
+            t = row.eta / math.sqrt(row.n * a_n)
+            pmf = mn.exact_pmf(row.n)
+            k = np.arange(pmf.size) - mn.mean(row.n)
+            np.testing.assert_allclose(
+                row.value, a_n * math.log(float(pmf @ np.exp(t * k))),
+                rtol=1e-8, atol=1e-13)
 
     def test_counting_variants(self):
         fractional = build_block("counting", {"kind": "fractional_poisson",
@@ -431,6 +467,26 @@ class TestTableFormatting:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("event, summand", [
+        ({"mode": "count", "level": 1.0}, ldp_raw()["summand"]),
+        ({"mode": "sum", "level": 0.5, "direction": [1.0]},
+         {"kind": "gaussian", "mean": [0.2], "cov": [[1.0]]}),
+    ], ids=["count", "sum"])
+    def test_gamma_renewal_ldp_check_tilts_within_band(self, tmp_path, event,
+                                                       summand):
+        config = normalize_config({
+            "summand": summand, "counting": COUNTING_BLOCKS["renewal"],
+            "experiment": {"kind": "ldp-check", "event": event,
+                           "ns": [50, 100, 200, 400], "reps": 10_000,
+                           "method": "tilted", "seed": 5},
+        })
+        code, summary = run_experiment(config, out_dir=str(tmp_path))
+        mx, mn = build_models(config)
+        tilt = tilt_parameters(mx, mn, HalfSpaceEvent(**config["experiment"]["event"]))
+        assert summary["details"]["method"] == "tilted"
+        assert summary["details"]["rate_infimum"] == tilt.rate
+        assert code == 0 and summary["bands"][0]["pass"]
+
     def test_ldp_check_passes_and_reruns_identically(self, tmp_path):
         config = normalize_config(ldp_raw())
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
@@ -506,7 +562,7 @@ class TestRunExperiment:
         config = normalize_config(md_raw())
         code, summary = run_experiment(config, out_dir=str(tmp_path))
         assert code == 0
-        assert summary["details"]["mode"] == "exact"
+        assert "mode" not in summary["details"]
         assert summary["details"]["a_decreases"]
         assert summary["details"]["na_increases"]
         dat_names = [n for n in summary["outputs"] if n.endswith(".dat")]

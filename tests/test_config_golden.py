@@ -83,8 +83,7 @@ EXPERIMENT_BLOCKS = {
                        "etas": [1.0], "ns": [10, 100]},
     "md-check-table": {"kind": "md-check", "scaling": {"table": [[10, 0.1],
                                                                  [100, 0.01]]},
-                       "etas": [1.0], "ns": [10, 100], "mode": "empirical",
-                       "seed": 1},
+                       "etas": [1.0], "ns": [10, 100], "seed": 1},
     "moments-check": {"kind": "moments-check", "n": 10, "u": [1.0], "v": [1.0],
                       "seed": 1},
     "clt-check": {"kind": "clt-check", "n": 10, "v": [1.0], "seed": 1},
@@ -105,7 +104,7 @@ def _minimal_configs():
         configs[f"experiment/{kind}"] = (
             {"experiment": block} if kind == "ml-eval"
             else {"summand": PM, "counting": POISSON, "experiment": block})
-    # md-check's auto mode resolves to empirical sampling for renewal counts.
+    # md-check sweeps renewal counts exactly, through their tilted tables.
     configs["experiment/md-check-renewal"] = {
         "summand": PM, "counting": COUNTING_BLOCKS["renewal-gamma"],
         "experiment": dict(EXPERIMENT_BLOCKS["md-check-gamma"], seed=2),
@@ -151,13 +150,13 @@ GOLDEN = {
         "aa542d1d5cd524c76edbef1624d953cc156eba23878a5b8f8f5a3e2792576ed1",
         "FiniteSupportSummands", "PoissonCounting", None),
     "experiment/md-check-gamma": (
-        "4e9bb7e0357120187c27888b345e8aeb08cf73446b1f48855f9b89bc0008ebea",
+        "840ac7b592d23175be2824d8f852f8e0e5d25253b219e0340cb751b38e25e378",
         "FiniteSupportSummands", "PoissonCounting", None),
     "experiment/md-check-renewal": (
-        "8ffa4248b91aedb6677ed501fb6b01a46228929e4aad344313cb9e9c74a44c97",
+        "f3bee38ff174e9b6840b1d6c8c272ce05b097dd60e963863e37720d193172cb4",
         "FiniteSupportSummands", "RenewalCounting", "GammaInterarrival"),
     "experiment/md-check-table": (
-        "689e3c72ed252ee2f8b68119e80b1884b190ebb452791b0f6dcfa0258d7e7848",
+        "b788ee423af8b04169c0427a43216dc9421e73ad3030e8da024e473c6be8c961",
         "FiniteSupportSummands", "PoissonCounting", None),
     "experiment/ml-eval": (
         "08782b442b34486d8c4106720cb04d965b94c7f88c4ed1d7bc121dee48d83d26",

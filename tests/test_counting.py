@@ -14,12 +14,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import gammaln
+from scipy.special import erfc, gammaln, logsumexp
 from scipy.stats import chi2, poisson
 
 from compound_deviations import counting
 from compound_deviations.counting import (
     BernoulliSumCounting,
+    CountingModel,
     ExponentialInterarrival,
     FractionalPoissonCounting,
     GammaInterarrival,
@@ -199,11 +200,25 @@ class TestFiniteNCgf:
                 assert mn.finite_cgf(n, eta) == mn.limit_cgf(eta)
 
     def test_fractional_gap_shrinks_with_n(self):
+        # At nu = 1/2, E(1/2, 1; x) = e^{x^2} erfc(-x) with x = sqrt(n), so
+        # the gap to the limit is (log erfc(-x e^eta) - log erfc(-x)) / n,
+        # which falls below rounding by n = 1000.
         mn = FractionalPoissonCounting(0.5, 1.0)
         for eta in (-1.0, -0.1, 0.1, 1.0):
             gaps = [abs(mn.finite_cgf(n, eta) - mn.limit_cgf(eta))
                     for n in (10, 100, 1000)]
-            assert gaps[0] > gaps[1] > gaps[2], f"eta={eta}: {gaps}"
+            assert gaps[0] > gaps[1], f"eta={eta}: {gaps}"
+            assert gaps[2] <= 1e-13, f"eta={eta}: {gaps}"
+
+    def test_fractional_half_order_closed_form(self):
+        mn = FractionalPoissonCounting(0.5, 1.0)
+        for n in (4, 10, 40):
+            x = math.sqrt(n)
+            for eta in (-1.0, 0.3, 1.0):
+                expected = (x * x * math.expm1(2.0 * eta)
+                            + math.log(erfc(-x * math.exp(eta)))
+                            - math.log(erfc(-x))) / n
+                assert_allclose(mn.finite_cgf(n, eta), expected, rtol=1e-12)
 
     def test_inhomogeneous_poisson_gap_shrinks_with_n(self):
         mn = PoissonCounting(1.0, intensity=lambda t: 1.0 + math.exp(-t))
@@ -242,11 +257,22 @@ class TestFiniteNCgf:
         assert math.isfinite(value)
         assert_allclose(value, mn.limit_cgf(800.0), rtol=1e-12)
 
-    def test_renewal_has_no_finite_cgf(self):
+    def test_exponential_renewal_cgf_is_the_poisson_cgf(self):
+        # Exp(rate) renewals by time n are Poisson(rate n) counts.
+        mn = RenewalCounting(ExponentialInterarrival(1.3))
+        for n in (1, 10, 100):
+            for eta in (-2.0, -0.1, 0.5, 1.0):
+                assert_allclose(mn.finite_cgf(n, eta), 1.3 * math.expm1(eta),
+                                rtol=1e-12)
+
+    def test_renewal_tilt_past_the_float_range_is_typed(self):
+        # Tilted by 1.5, Exp(1) counts at n = 400 centre near 1793, where
+        # P(N_400 = k) is about e^-1290: no double holds it.
         mn = RenewalCounting(ExponentialInterarrival(1.0))
-        assert not mn.supports_finite_cgf
-        with pytest.raises(UnsupportedModelError):
-            mn.finite_cgf(10, 0.1)
+        with pytest.raises(ValidationError, match="below the float range"):
+            mn.finite_cgf(400, 1.5)
+        with pytest.raises(ValidationError, match="below the float range"):
+            mn.tilted_count_sampler(2000, -5.0)
 
 
 class TestMeans:
@@ -325,11 +351,11 @@ class TestSamplers:
         rng = np.random.default_rng(2)
         draws = mn.sample_batch(25, rng, 500)
         assert draws.max() <= 25
-        assert mn.count_bound(25) == 25
+        assert mn.exact_pmf(25).size == 26
 
     def test_iid_sum_bound(self):
         mn = IidSumCounting([0, 3], [0.5, 0.5])
-        assert mn.count_bound(10) == 30
+        assert mn.exact_pmf(10).size == 31
 
 
 class TestTiltedSamplers:
@@ -363,10 +389,15 @@ class TestTiltedSamplers:
         se = draws.std(ddof=1) / math.sqrt(20000)
         assert abs(draws.mean() - tilted_mean) <= 4.0 * se
 
-    def test_renewal_tilting_unsupported(self):
+    def test_renewal_tilt_is_the_tilted_poisson(self):
+        # Exp(1) renewals by time 100 are Poisson(100); tilted by s they are
+        # Poisson(100 e^s).
         mn = RenewalCounting(ExponentialInterarrival(1.0))
-        with pytest.raises(UnsupportedModelError):
-            mn.tilted_count_sampler(10, 0.1)
+        for s, seed in ((math.log(2.0), 10), (-0.5, 11)):
+            draws = mn.tilted_count_sampler(100, s)(np.random.default_rng(seed),
+                                                    50_000)
+            k = np.arange(draws.max() + 200)
+            assert chi_square_pvalue(draws, poisson.pmf(k, 100.0 * math.exp(s))) > 1e-3
 
 
 class TestExactPmfs:
@@ -394,8 +425,12 @@ class TestExactPmfs:
         assert_allclose(empirical, pmf, atol=0.006)
 
     def test_poisson_has_no_bounded_pmf(self):
-        with pytest.raises(UnsupportedModelError):
-            PoissonCounting(1.0).exact_pmf(5)
+        # Unbounded support: the table stops once the tail beyond it is
+        # below MASS_TAIL_TOL.
+        pmf = PoissonCounting(1.0).exact_pmf(5)
+        k = np.arange(pmf.size)
+        assert_allclose(pmf, poisson.pmf(k, 5.0), rtol=1e-12)
+        assert poisson.sf(pmf.size - 1, 5.0) < counting.MASS_TAIL_TOL
 
 
 class TestInterarrivalInversion:
@@ -559,7 +594,7 @@ class TestRenewalMassTable:
 
     @pytest.mark.parametrize("rate, n", [(1.0, 1), (1.3, 50), (0.2, 700)])
     def test_exponential_counts_are_poisson(self, rate, n):
-        pmf, _ = RenewalCounting(ExponentialInterarrival(rate)).mass_table(n)
+        pmf = RenewalCounting(ExponentialInterarrival(rate)).exact_pmf(n)
         k = np.arange(pmf.size)
         assert_allclose(pmf, poisson.pmf(k, rate * n), rtol=0.0, atol=1e-12)
 
@@ -567,20 +602,20 @@ class TestRenewalMassTable:
     def test_integer_shape_counts_are_poisson_quotients(self, shape, rate, n):
         # T_j ~ Gamma(j shape, rate) is the (j shape)-th arrival of a
         # Poisson(rate) stream, so N_n = floor(M / shape), M ~ Poisson(rate n).
-        _, cdf = RenewalCounting(GammaInterarrival(shape, rate)).mass_table(n)
+        cdf = np.cumsum(RenewalCounting(GammaInterarrival(shape, rate)).exact_pmf(n))
         j = np.arange(1, cdf.size)
         assert_allclose(1.0 - cdf[:-1], poisson.sf(j * shape - 1, rate * n),
                         rtol=0.0, atol=1e-12)
 
     def test_sampler_inverts_the_table(self):
         mn = RenewalCounting(GammaInterarrival(0.5, 3.0))
-        pmf, _ = mn.mass_table(100)
+        pmf = mn.exact_pmf(100)
         draws = mn.sample_batch(100, np.random.default_rng(21), 50_000)
         assert chi_square_pvalue(draws, pmf) > 1e-3
 
     def test_table_matches_walked_partial_sums(self):
         mn = RenewalCounting(GammaInterarrival(0.5, 3.0))
-        pmf, _ = mn.mass_table(100)
+        pmf = mn.exact_pmf(100)
         draws = walked_counts(0.5, 3.0, 100, np.random.default_rng(22), 10_000)
         assert chi_square_pvalue(draws, pmf) > 1e-3
 
@@ -599,11 +634,167 @@ class TestRenewalMassTable:
     def test_tabulated_law_has_no_table(self):
         rs = [-3.0 + 0.25 * i for i in range(12)] + [0.1 * i for i in range(10)]
         mn = RenewalCounting(TabulatedInterarrival(rs, [-math.log1p(-r) for r in rs]))
-        for call in (mn.mean, mn.var, mn.mass_table):
+        for call in (mn.mean, mn.var, mn.exact_pmf):
             with pytest.raises(UnsupportedModelError):
                 call(10)
         with pytest.raises(UnsupportedModelError):
             mn.sample_batch(10, np.random.default_rng(1), 5)
+        with pytest.raises(UnsupportedModelError):
+            mn.finite_cgf(10, 0.5)
+        with pytest.raises(UnsupportedModelError):
+            mn.tilted_count_sampler(10, 0.5)
+
+
+# One model of each kind, for the checks of the one table route.
+KINDS = {
+    "poisson": PoissonCounting(1.3),
+    "iid-sum": IidSumCounting([0, 1, 3], [0.3, 0.4, 0.3]),
+    "bernoulli-runs": BernoulliSumCounting.runs(2.0, 1.0),
+    "fractional": FractionalPoissonCounting(0.6, 1.0),
+    "renewal": RenewalCounting(GammaInterarrival(0.5, 3.0)),
+}
+
+# Kinds that override a table member with a closed form.
+CLOSED_FORMS = {
+    "poisson": PoissonCounting(1.3),
+    "inhomogeneous-poisson": PoissonCounting(1.0, intensity=lambda t: 1.0 + math.exp(-t)),
+    "iid-sum": IidSumCounting([0, 1, 3], [0.3, 0.4, 0.3]),
+    "bernoulli": BernoulliSumCounting(p=0.3),
+    "bernoulli-runs": BernoulliSumCounting.runs(2.0, 1.0),
+}
+
+
+class TestOneTableRoute:
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_draws_follow_the_exact_pmf(self, kind):
+        mn = KINDS[kind]
+        draws = mn.sample_batch(60, np.random.default_rng(31), 50_000)
+        assert chi_square_pvalue(draws, mn.exact_pmf(60)) > 1e-3
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("s", [-0.2, 0.2])
+    def test_tilted_draws_follow_the_reweighted_pmf(self, kind, s):
+        # A mild tilt keeps the tilted mass inside the untilted table, so
+        # P(N_n = k) e^{s k}, renormalised, is the tilted law.
+        mn = KINDS[kind]
+        pmf = mn.exact_pmf(60) * np.exp(s * np.arange(mn.exact_pmf(60).size))
+        draws = mn.tilted_count_sampler(60, s)(np.random.default_rng(32), 50_000)
+        assert chi_square_pvalue(draws, pmf / pmf.sum()) > 1e-3
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_moments_and_cumulant_read_the_table(self, kind):
+        mn = KINDS[kind]
+        pmf = mn.exact_pmf(60)
+        k = np.arange(pmf.size)
+        assert_allclose(mn.mean(60), k @ pmf, rtol=1e-12)
+        assert_allclose(mn.var(60), (k - k @ pmf) ** 2 @ pmf, rtol=1e-10)
+        # The untilted table drops a tail below MASS_TAIL_TOL, which e^{eta k}
+        # weighs up; the tilted table behind finite_cgf keeps it.
+        for eta in (-0.3, 0.3):
+            assert_allclose(mn.finite_cgf(60, eta),
+                            logsumexp(eta * k, b=pmf) / 60, rtol=1e-7)
+
+    @pytest.mark.parametrize("kind", sorted(CLOSED_FORMS))
+    def test_closed_forms_equal_the_table_route(self, kind):
+        mn = CLOSED_FORMS[kind]
+        for n in (1, 12, 60):
+            for eta in (-3.0, -0.5, 0.5, 3.0):
+                assert_allclose(mn.finite_cgf(n, eta),
+                                CountingModel.finite_cgf(mn, n, eta),
+                                rtol=1e-10, atol=1e-14)
+            assert_allclose(mn.mean(n), CountingModel.mean(mn, n), rtol=1e-12)
+
+    def test_poisson_closed_form_needs_no_table(self, monkeypatch):
+        # The md sweep at n = 1e5 reads finite_cgf and mean only.
+        mn = PoissonCounting(1.0)
+        monkeypatch.setattr(PoissonCounting, "_tilted_table", None)
+        assert_allclose(mn.finite_cgf(100_000, 0.01), math.expm1(0.01), rtol=1e-15)
+        assert mn.mean(100_000) == 100_000.0
+
+    def test_poisson_without_mass_is_zero(self):
+        # An intensity that is zero up to time 2 gives N_1 = 0 surely.
+        mn = PoissonCounting(1.0, intensity=lambda t: 0.0 if t < 2.0 else 1.0)
+        assert mn.exact_pmf(1).tolist() == [1.0]
+        assert mn.sample_batch(1, np.random.default_rng(4), 5).tolist() == [0] * 5
+        assert mn.finite_cgf(1, 2.0) == 0.0
+
+    def test_exact_pmf_is_cached_and_read_only(self):
+        mn = BernoulliSumCounting.runs(1.0, 1.0)
+        assert mn.exact_pmf(40) is mn.exact_pmf(40)
+        with pytest.raises(ValueError):
+            mn.exact_pmf(40)[0] = 0.5
+
+    @pytest.mark.parametrize("s", [-0.5, 0.0, 0.5, 1.0])
+    def test_renewal_tables_keep_relative_accuracy(self, s):
+        # Exp(1) counts at n = 400 tilted by s are Poisson(400 e^s); every
+        # kept mass from k = 100 to 1200 matches to 1e-10 relative, tail
+        # masses far below 1e-100 included.
+        pmf, log_z = RenewalCounting(ExponentialInterarrival(1.0))._tilted_table(400, s)
+        k = np.arange(pmf.size)
+        kept = (k >= 100) & (k <= 1200) & (pmf > 0.0)
+        expected = np.exp(poisson.logpmf(k[kept], 400.0 * math.exp(s)))
+        assert_allclose(pmf[kept], expected, rtol=1e-10)
+        assert_allclose(log_z, 400.0 * math.expm1(s), rtol=1e-12, atol=1e-12)
+        if s > 0.0:
+            assert pmf[kept].min() < 1e-100
+
+    def test_bernoulli_sure_trials_under_extreme_tilts(self):
+        # The runs profile is 1 at the first site: a sure trial, whose
+        # cumulant at eta is eta even where 1 + (e^eta - 1) rounds to 0.
+        mn = BernoulliSumCounting.runs(1.0, 1.0)
+        q = mn.success_probs(10)
+        expected = (-40.0 + float(np.sum(np.log1p(q[1:] * math.expm1(-40.0))))) / 10
+        assert_allclose(mn.finite_cgf(10, -40.0), expected, rtol=1e-12)
+        draws = mn.tilted_count_sampler(10, -40.0)(np.random.default_rng(3), 1000)
+        assert set(draws.tolist()) == {1}
+
+    def test_runs_limit_cumulant_near_its_singular_region(self):
+        # log(1 - q + q e^eta) with q = e^{-x} turns over at x ~ e^eta; the
+        # quadrature meets it without a warning and to 1e-12.
+        mn = BernoulliSumCounting.runs(1.0, 1.0)
+        with mp.workdps(30):
+            for eta in (-28.0, -26.0, -25.0):
+                e = mp.exp(eta)
+                expected = float(mp.quad(
+                    lambda x: mp.log(1 - mp.exp(-x) * (1 - e)),
+                    [0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 1]))
+                assert_allclose(mn.limit_cgf(eta), expected, rtol=1e-12)
+
+
+class TestFractionalSmallOrder:
+    """nu = 0.2, below the Mittag-Leffler evaluation domain [0.3, 1]."""
+
+    MN = FractionalPoissonCounting(0.2, 1.0)
+
+    def series(self, n, eta=0.0):
+        # log E(0.2, 1; x e^eta) and the first two moments, by a direct sum.
+        x = float(n) ** 0.2 * math.exp(eta)
+        with mp.workdps(40):
+            terms = [mp.power(x, k) / mp.gamma(0.2 * k + 1) for k in range(4000)]
+            total = mp.fsum(terms)
+            mean = mp.fsum(k * t for k, t in enumerate(terms)) / total
+            second = mp.fsum(k * k * t for k, t in enumerate(terms)) / total
+            return float(mp.log(total)), float(mean), float(second - mean * mean)
+
+    @pytest.mark.parametrize("n", [1, 10, 40])
+    def test_finite_quantities_match_the_series(self, n):
+        log_total, mean, var = self.series(n)
+        assert_allclose(self.MN.mean(n), mean, rtol=1e-11)
+        assert_allclose(self.MN.var(n), var, rtol=1e-10)
+        for eta in (-0.5, 0.3):
+            assert_allclose(self.MN.finite_cgf(n, eta),
+                            (self.series(n, eta)[0] - log_total) / n,
+                            rtol=1e-11)
+
+    def test_scaled_moments_approach_the_limit(self):
+        d = self.MN.derivs_at_zero()
+        assert_allclose(self.MN.mean(1000) / 1000.0, d.mean_rate, rtol=1e-9)
+        assert_allclose(self.MN.var(1000) / 1000.0, d.variance_rate, rtol=1e-9)
+
+    def test_draws_follow_the_table(self):
+        pmf = self.MN.exact_pmf(10)
+        draws = self.MN.sample_batch(10, np.random.default_rng(33), 50_000)
+        assert chi_square_pvalue(draws, pmf) > 1e-3
 
 
 class TestValidation:
@@ -638,7 +829,7 @@ class TestValidation:
 
         monkeypatch.setattr(counting, "gammaln", recording_gammaln)
         with pytest.raises(ValidationError, match="exceeds 100 states"):
-            FractionalPoissonCounting(0.7, 1.0).mass_table(400)
+            FractionalPoissonCounting(0.7, 1.0).exact_pmf(400)
         assert sizes == [64, 100]
 
     def test_renewal_table_cap_is_typed(self, monkeypatch):

@@ -14,17 +14,19 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.optimize import minimize_scalar
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammainc, gammaln, logsumexp
 
 from compound_deviations import montecarlo
 from compound_deviations.counting import (
     BernoulliSumCounting,
+    CountingModel,
     ExponentialInterarrival,
     FractionalPoissonCounting,
     GammaInterarrival,
     IidSumCounting,
     PoissonCounting,
     RenewalCounting,
+    TabulatedInterarrival,
 )
 from compound_deviations.errors import (
     EnumerationTooLargeError,
@@ -69,6 +71,23 @@ def zero_two_summand():
 
 def unit_poisson():
     return PoissonCounting(1.0)
+
+
+def tabulated_renewal():
+    # The Exp(1) cumulant tabulated on [-3, 0.9]: no finite-n law.
+    rs = [-3.0 + 0.25 * i for i in range(12)] + [0.1 * i for i in range(10)]
+    return RenewalCounting(TabulatedInterarrival(rs, [-math.log1p(-r) for r in rs]))
+
+
+# One model of each counting kind with a count level above its drift d1
+# and within its reach.
+KIND_CASES = {
+    "poisson": (PoissonCounting(1.0), 2.0),
+    "iid-sum": (IidSumCounting([0, 1, 2], [0.3, 0.4, 0.3]), 1.5),
+    "bernoulli-runs": (BernoulliSumCounting.runs(1.0, 1.0), 0.8),
+    "fractional": (FractionalPoissonCounting(0.7, 1.0), 2.5),
+    "renewal": (RenewalCounting(GammaInterarrival(2.0, 1.0)), 1.0),
+}
 
 
 def pm_one_conjugate(z):
@@ -117,6 +136,24 @@ class TestHalfSpaceEvent:
         count_event = HalfSpaceEvent(mode="count", level=1.0)
         assert sum_event.indicator(samples).tolist() == [True, False, True]
         assert count_event.indicator(samples).tolist() == [True, False, True]
+
+    @pytest.mark.parametrize("direction, level, point", [
+        ([-0.1, 0.1], 0.0, [-3.0, -3.0]),
+        ([0.2, 0.2, -0.2], -0.4, [-3.0, 3.0, 2.0]),
+    ])
+    def test_boundary_points_are_inside(self, direction, level, point):
+        # Lattice points on the boundary of the closed event. Their inner
+        # product rounds to either side of the level depending on how many
+        # rows are multiplied at once (one row or a batch); the boundary
+        # rule puts them inside, and a point 1e-9 outside stays out.
+        event = HalfSpaceEvent(mode="sum", level=level, direction=direction)
+        on = np.array([point])
+        off = on - 1e-9 * np.sign(direction)
+        for sums in (on, np.tile(on, (8, 1))):
+            samples = CompoundSamples(n=1, sums=sums, counts=np.zeros(len(sums)))
+            assert event.indicator(samples).all()
+        samples = CompoundSamples(n=1, sums=off, counts=np.zeros(1))
+        assert not event.indicator(samples).any()
 
 
 class TestSimulateCompound:
@@ -210,10 +247,20 @@ class TestEnumerateExact:
             enumerate_exact(GaussianSummands([0.0], [[1.0]]),
                             BernoulliSumCounting(p=0.5), 4, event)
 
-    def test_unbounded_counts_rejected(self):
+    def test_unbounded_counts_enumerate_over_their_table(self):
+        # P(N_4 >= 6) for Poisson(4) counts, and P(T_12 <= 8) for Gamma(2, 1)
+        # renewals at level 1.5, from tables truncated at MASS_TAIL_TOL.
+        event = HalfSpaceEvent(mode="count", level=1.5)
+        assert_allclose(enumerate_exact(pm_one_summand(), unit_poisson(), 4, event),
+                        stats.poisson.sf(5, 4.0), rtol=1e-11)
+        renewal = RenewalCounting(GammaInterarrival(2.0, 1.0))
+        assert_allclose(enumerate_exact(pm_one_summand(), renewal, 8, event),
+                        gammainc(24.0, 8.0), rtol=1e-9)
+
+    def test_lawless_counts_rejected(self):
         event = HalfSpaceEvent(mode="count", level=1.5)
         with pytest.raises(UnsupportedModelError):
-            enumerate_exact(pm_one_summand(), unit_poisson(), 4, event)
+            enumerate_exact(pm_one_summand(), tabulated_renewal(), 4, event)
 
     def test_term_budget_guard(self):
         many_atoms = FiniteSupportSummands(
@@ -406,7 +453,9 @@ class TestEstimateEventProb:
         (BernoulliSumCounting.runs(1.0, 1.0), 0.8),
         # Both block threads read the sampler's one tilted table.
         (FractionalPoissonCounting(0.7, 1.0), 2.0),
-    ], ids=["poisson", "bernoulli-runs", "fractional"])
+        KIND_CASES["iid-sum"],
+        KIND_CASES["renewal"],
+    ], ids=["poisson", "bernoulli-runs", "fractional", "iid-sum", "renewal"])
     def test_tilted_worker_count_invariance(self, mn, level):
         event = HalfSpaceEvent(mode="count", level=level)
         mx = pm_one_summand()
@@ -442,18 +491,49 @@ class TestEstimateEventProb:
         assert abs(estimate.value - exact) <= 4.0 * estimate.std_error
 
     def test_tilted_sampler_is_built_once_per_estimate(self, monkeypatch):
+        # One tilted table per estimate, shared by all blocks, for every kind.
         built = []
-        build = PoissonCounting.tilted_count_sampler
+        build = CountingModel.tilted_count_sampler
 
         def counted(self, n, s):
-            built.append(n)
+            built.append(type(self).__name__)
             return build(self, n, s)
 
-        monkeypatch.setattr(PoissonCounting, "tilted_count_sampler", counted)
-        estimate_event_prob(pm_one_summand(), unit_poisson(), 30,
-                            HalfSpaceEvent(mode="count", level=2.0),
-                            reps=BLOCK_SIZE + 800, method="tilted", seed=78)
-        assert built == [30]
+        monkeypatch.setattr(CountingModel, "tilted_count_sampler", counted)
+        for mn, level in KIND_CASES.values():
+            estimate_event_prob(pm_one_summand(), mn, 30,
+                                HalfSpaceEvent(mode="count", level=level),
+                                reps=BLOCK_SIZE + 800, method="tilted", seed=78)
+        assert built == [type(mn).__name__ for mn, _ in KIND_CASES.values()]
+
+    @pytest.mark.parametrize("kind", sorted(KIND_CASES))
+    @pytest.mark.parametrize("mode", ["sum", "count"])
+    def test_tilted_covers_enumeration_for_every_kind(self, kind, mode):
+        # Small instances whose exact value enumerates every count in the
+        # kind's table (truncated for Poisson, fractional and renewal).
+        mn, level = KIND_CASES[kind]
+        event = (HalfSpaceEvent(mode="sum", level=0.5, direction=[1.0])
+                 if mode == "sum" else HalfSpaceEvent(mode="count", level=level))
+        exact = enumerate_exact(pm_one_summand(), mn, 8, event)
+        estimate = estimate_event_prob(pm_one_summand(), mn, 8, event,
+                                       reps=20_000, method="tilted", seed=23)
+        assert 0.0 < exact < 0.5
+        assert abs(estimate.value - exact) <= 4.0 * estimate.std_error
+
+    @pytest.mark.parametrize("law, level", [
+        (ExponentialInterarrival(1.0), 2.0),
+        (GammaInterarrival(2.0, 1.0), 1.0),
+    ], ids=["exponential", "gamma"])
+    def test_renewal_tilt_oracle(self, law, level):
+        # Both events are {T_k <= 50} with T_k ~ Gamma(100, 1): 3.200e-10.
+        exact = float(gammainc(100.0, 50.0))
+        assert_allclose(exact, 3.200e-10, rtol=2e-4)
+        event = HalfSpaceEvent(mode="count", level=level)
+        estimate = estimate_event_prob(pm_one_summand(), RenewalCounting(law),
+                                       50, event, reps=10_000, method="tilted",
+                                       seed=24)
+        assert abs(estimate.value - exact) <= 4.0 * estimate.std_error
+        assert estimate.std_error < 0.05 * exact
 
     def test_count_event_value_ignores_summand_stream(self):
         event = HalfSpaceEvent(mode="count", level=2.0)
@@ -464,12 +544,11 @@ class TestEstimateEventProb:
                                     method="tilted", seed=79, x_seed=80)
         assert base.value == moved.value
 
-    def test_renewal_counts_cannot_be_tilted(self):
-        mn = RenewalCounting(ExponentialInterarrival(1.0))
+    def test_lawless_renewal_counts_cannot_be_tilted(self):
         event = HalfSpaceEvent(mode="count", level=2.0)
         with pytest.raises(UnsupportedModelError):
-            estimate_event_prob(pm_one_summand(), mn, 30, event, reps=100,
-                                method="tilted", seed=1)
+            estimate_event_prob(pm_one_summand(), tabulated_renewal(), 30,
+                                event, reps=100, method="tilted", seed=1)
 
     def test_unknown_method_rejected(self):
         event = HalfSpaceEvent(mode="count", level=2.0)
@@ -579,7 +658,7 @@ class TestMdScalingSweep:
     def test_exact_poisson_sweep_approaches_the_quadratic(self):
         result = md_scaling_sweep(
             unit_poisson(), ScalingFamily(gamma=0.5), etas=[-1.0, 1.0],
-            ns=[100, 1000, 10_000, 100_000], mode="exact",
+            ns=[100, 1000, 10_000, 100_000],
         )
         assert result.a_decreases and result.na_increases
         assert result.gap_monotone == {-1.0: True, 1.0: True}
@@ -589,32 +668,29 @@ class TestMdScalingSweep:
             assert abs(last[eta].value - 0.5) <= 0.02 * 0.5
 
     def test_empirical_mode_matches_exact(self):
-        mn = unit_poisson()
+        # A Monte Carlo oracle for every kind: a_n times the log-mean-exp of
+        # sampled centred counts against the exact sweep.
         family = ScalingFamily(gamma=0.5)
-        exact = md_scaling_sweep(mn, family, etas=[-0.5, 0.5], ns=[100],
-                                 mode="exact")
-        empirical = md_scaling_sweep(mn, family, etas=[-0.5, 0.5], ns=[100],
-                                     reps=200_000, seed=314,
-                                     mode="empirical")
-        for row_exact, row_emp in zip(exact.rows, empirical.rows):
-            assert row_exact.n == row_emp.n and row_exact.eta == row_emp.eta
-            assert abs(row_exact.value - row_emp.value) <= 0.005
+        a_n = family.a(100)
+        for kind, (mn, _) in KIND_CASES.items():
+            exact = md_scaling_sweep(mn, family, etas=[-0.5, 0.5], ns=[100])
+            draws = mn.sample_batch(100, np.random.default_rng(314), 200_000)
+            centred = draws - mn.mean(100)
+            for row in exact.rows:
+                t = row.eta / math.sqrt(100 * a_n)
+                empirical = a_n * (logsumexp(t * centred) - math.log(draws.size))
+                assert abs(row.value - empirical) <= 0.005, (kind, row.eta)
 
-    def test_auto_mode_dispatch(self):
-        exact_kind = md_scaling_sweep(
-            unit_poisson(), ScalingFamily(gamma=0.5), etas=[0.5], ns=[100],
-            mode="auto",
-        )
-        assert len(exact_kind.rows) == 1
-        renewal = RenewalCounting(ExponentialInterarrival(1.0))
+    def test_every_kind_with_a_law_sweeps_exactly(self):
+        family = ScalingFamily(gamma=0.5)
+        poisson = md_scaling_sweep(unit_poisson(), family, etas=[-1.0, 0.5],
+                                   ns=[50, 100])
+        renewal = md_scaling_sweep(RenewalCounting(ExponentialInterarrival(1.0)),
+                                   family, etas=[-1.0, 0.5], ns=[50, 100])
+        for a, b in zip(poisson.rows, renewal.rows):
+            assert_allclose(b.value, a.value, rtol=1e-9)
         with pytest.raises(UnsupportedModelError):
-            md_scaling_sweep(renewal, ScalingFamily(gamma=0.5), etas=[0.5],
-                             ns=[50], mode="exact")
-        with pytest.raises(ValidationError):
-            # auto resolves to empirical for renewal counts, and the
-            # empirical mode needs a seed.
-            md_scaling_sweep(renewal, ScalingFamily(gamma=0.5), etas=[0.5],
-                             ns=[50], mode="auto")
+            md_scaling_sweep(tabulated_renewal(), family, etas=[0.5], ns=[50])
 
     def test_reciprocal_scaling_freezes_the_gap(self):
         # With a_n = 1/n the rescaled cumulant is e^eta - 1 - eta at every
@@ -623,7 +699,7 @@ class TestMdScalingSweep:
         family = ScalingFamily(table=[(10, 0.1), (100, 0.01), (1000, 0.001)])
         eta = 0.8
         result = md_scaling_sweep(mn, family, etas=[eta],
-                                  ns=[10, 100, 1000], mode="exact")
+                                  ns=[10, 100, 1000])
         expected = math.exp(eta) - 1.0 - eta
         for row in result.rows:
             assert_allclose(row.value, expected, rtol=1e-10)
@@ -632,10 +708,10 @@ class TestMdScalingSweep:
     def test_validation(self):
         with pytest.raises(ValidationError):
             md_scaling_sweep(unit_poisson(), ScalingFamily(gamma=0.5),
-                             etas=[0.5], ns=[100, 50], mode="exact")
+                             etas=[0.5], ns=[100, 50])
         with pytest.raises(ValidationError):
             md_scaling_sweep(unit_poisson(), ScalingFamily(gamma=0.5),
-                             etas=[0.5], ns=[50], mode="sideways")
+                             etas=[0.5], ns=[])
 
 
 class TestMomentLimitsCheck:
