@@ -624,7 +624,7 @@ def versions_string():
 
 
 def format_cell(value):
-    """Deterministic text form of a table cell; PosInf becomes 'inf'."""
+    """Deterministic text form of a table cell; +inf becomes 'inf'."""
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):

@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
@@ -56,9 +57,10 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 from scipy.special import gammainc, gammaincc, gammaln
 
-from .dualpair import NEG_INF, ExtendedReal, tilt_weights
+from .dualpair import tilt_weights
 from .errors import NoRootError, UnsupportedModelError, ValidationError
 from .summands import PROB_SUM_TOL
+from .variational import Cumulant
 
 # The scaled cumulant must vanish at zero within this.
 CGF_AT_ZERO_TOL = 1e-12
@@ -171,7 +173,7 @@ class CountingDerivatives:
 
     mean_rate: float
     variance_rate: float
-    cgf_at_minus_inf: ExtendedReal
+    cgf_at_minus_inf: float
 
     def __post_init__(self):
         if not (self.mean_rate >= 0.0):
@@ -180,7 +182,7 @@ class CountingDerivatives:
             raise ValidationError(
                 f"variance_rate must be >= 0, got {self.variance_rate}"
             )
-        if self.cgf_at_minus_inf > 0.0:
+        if not (self.cgf_at_minus_inf <= 0.0):
             raise ValidationError(
                 f"cgf_at_minus_inf must be <= 0, got {self.cgf_at_minus_inf}"
             )
@@ -203,6 +205,17 @@ class CountingModel:
 
     def derivs_at_zero(self):
         raise NotImplementedError
+
+    @cached_property
+    def cumulant(self):
+        """limit_cgf and its two derivatives as a ``Cumulant`` on R^1, built
+        and probed once per model."""
+        return Cumulant(
+            lambda p: self.limit_cgf(float(p[0])),
+            lambda p: np.array([self.limit_cgf_deriv(float(p[0]))]),
+            lambda p: np.array([[self.limit_cgf_second(float(p[0]))]]),
+            1,
+        )
 
     def _tilted_table(self, n, s):
         """(pmf, log_z): the law with mass ~ P(N_n = k) e^{s k} over 0..K and
@@ -312,10 +325,7 @@ class IidSumCounting(CountingModel):
     def derivs_at_zero(self):
         mean = float(self._probs @ self._values)
         second = float(self._probs @ (self._values.astype(float) ** 2))
-        if self._values[0] == 0:
-            tail = ExtendedReal(float(self._log_probs[0]))
-        else:
-            tail = NEG_INF
+        tail = float(self._log_probs[0]) if self._values[0] == 0 else -math.inf
         return CountingDerivatives(mean, max(second - mean * mean, 0.0), tail)
 
     def finite_cgf(self, n, eta):
@@ -370,7 +380,7 @@ class PoissonCounting(CountingModel):
         return self._rate * math.exp(eta)
 
     def derivs_at_zero(self):
-        return CountingDerivatives(self._rate, self._rate, ExtendedReal(-self._rate))
+        return CountingDerivatives(self._rate, self._rate, -self._rate)
 
     def total_mass(self, n):
         """E[N_n]: rate * n, or the cached intensity integral over [0, n]."""
@@ -444,7 +454,7 @@ class FractionalPoissonCounting(CountingModel):
         return CountingDerivatives(
             self._scale / self._nu,
             self._scale / (self._nu * self._nu),
-            ExtendedReal(-self._scale),
+            -self._scale,
         )
 
     def _argument(self, n):
@@ -544,7 +554,7 @@ class BernoulliSumCounting(CountingModel):
         if self._p is not None:
             mean = self._p
             varr = self._p * (1.0 - self._p)
-            tail = ExtendedReal(math.log1p(-self._p))
+            tail = math.log1p(-self._p)
         else:
             mean = self._integrate(self._profile)
             varr = self._integrate(lambda x: self._profile(x) * (1.0 - self._profile(x)))
@@ -563,8 +573,8 @@ class BernoulliSumCounting(CountingModel):
                 warnings.simplefilter("ignore")
                 value, _ = quad(f, 0.0, 1.0, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=500)
         except Exception:
-            return NEG_INF
-        return ExtendedReal(value) if math.isfinite(value) else NEG_INF
+            return -math.inf
+        return value if math.isfinite(value) else -math.inf
 
     def success_probs(self, n):
         n = _check_n(n)
@@ -789,11 +799,7 @@ class RenewalCounting(CountingModel):
         kp = self._law.kappa_prime(0.0)
         ks = self._law.kappa_second(0.0)
         # L_N(-inf) = -sup{r : kappa(r) < inf}.
-        if math.isfinite(self._law.domain_sup):
-            tail = ExtendedReal(-self._law.domain_sup)
-        else:
-            tail = NEG_INF
-        return CountingDerivatives(1.0 / kp, ks / kp ** 3, tail)
+        return CountingDerivatives(1.0 / kp, ks / kp ** 3, -self._law.domain_sup)
 
     def _tilted_table(self, n, s):
         """For gamma inter-arrivals P(N_n >= k) = P(T_k <= n) = P(k shape,

@@ -1,4 +1,4 @@
-"""Finite-dimensional dual pair with extended-real values.
+"""Finite-dimensional dual pair: vectors, the pairing and covariance operators.
 
 The ambient space for summand laws is R^h paired with itself through the
 Euclidean inner product. Function-valued summands tabulated on a grid of h
@@ -13,24 +13,17 @@ spectral pseudo-inverse with an explicit image-membership check: a right-hand
 side outside the image is reported as such, which downstream rate functions
 translate to +infinity.
 
-Rate functions take values in (-inf, +inf], and limiting cumulants can be
--inf, so scalar results use ExtendedReal: a float wrapper that permits the
-two infinities, forbids NaN, and fails loudly on PosInf + NegInf instead of
-propagating NaN into a rate table.
+Rate functions take values in [0, +inf] and a count cumulant's left-tail
+limit in [-inf, 0]; both are plain floats, which carry the infinities.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    ExtendedRealArithmeticError,
-    ValidationError,
-)
+from .errors import DimensionMismatchError, ValidationError
 
 # Construction-time tolerance on |matrix - matrix.T|, elementwise.
 SYMMETRY_TOL = 1e-12
@@ -85,122 +78,6 @@ def tilt_weights(scores):
     weights = np.exp(scores - peak)
     total = float(weights.sum())
     return peak + math.log(total), weights / total
-
-
-@dataclass(frozen=True)
-class ExtendedReal:
-    """A real number extended with +inf and -inf, never NaN.
-
-    Ordinary floats already carry the infinities, but their arithmetic
-    silently produces NaN on inf - inf. This wrapper keeps the convenient
-    float representation while turning that case into a hard error.
-    """
-
-    value: float
-
-    def __post_init__(self):
-        v = float(self.value)
-        if math.isnan(v):
-            raise ExtendedRealArithmeticError("ExtendedReal cannot hold NaN")
-        object.__setattr__(self, "value", v)
-
-    @property
-    def is_finite(self):
-        return math.isfinite(self.value)
-
-    @property
-    def is_pos_inf(self):
-        return self.value == math.inf
-
-    @property
-    def is_neg_inf(self):
-        return self.value == -math.inf
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, ExtendedReal):
-            return other
-        if isinstance(other, (int, float)):
-            return ExtendedReal(float(other))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if (self.is_pos_inf and o.is_neg_inf) or (self.is_neg_inf and o.is_pos_inf):
-            raise ExtendedRealArithmeticError("PosInf + NegInf has no value")
-        return ExtendedReal(self.value + o.value)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ExtendedReal(-self.value)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if (self.value == 0.0 and not o.is_finite) or (o.value == 0.0 and not self.is_finite):
-            raise ExtendedRealArithmeticError("0 * inf has no value")
-        return ExtendedReal(self.value * o.value)
-
-    __rmul__ = __mul__
-
-    def _cmp_value(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return None
-        return o.value
-
-    def __lt__(self, other):
-        v = self._cmp_value(other)
-        return NotImplemented if v is None else self.value < v
-
-    def __le__(self, other):
-        v = self._cmp_value(other)
-        return NotImplemented if v is None else self.value <= v
-
-    def __gt__(self, other):
-        v = self._cmp_value(other)
-        return NotImplemented if v is None else self.value > v
-
-    def __ge__(self, other):
-        v = self._cmp_value(other)
-        return NotImplemented if v is None else self.value >= v
-
-    def __eq__(self, other):
-        v = self._cmp_value(other)
-        return NotImplemented if v is None else self.value == v
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __float__(self):
-        return self.value
-
-    def __repr__(self):
-        if self.is_pos_inf:
-            return "ExtendedReal(+inf)"
-        if self.is_neg_inf:
-            return "ExtendedReal(-inf)"
-        return f"ExtendedReal({self.value!r})"
-
-
-POS_INF = ExtendedReal(math.inf)
-NEG_INF = ExtendedReal(-math.inf)
 
 
 class CovarianceOperator:

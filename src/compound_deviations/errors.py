@@ -24,14 +24,6 @@ class UnsupportedModelError(CompoundDeviationsError):
     """The requested operation has no implementation for this model kind."""
 
 
-class ExtendedRealArithmeticError(CompoundDeviationsError):
-    """An extended-real operation with no defined value was attempted.
-
-    The motivating case is PosInf + NegInf, which must fail loudly instead
-    of silently producing NaN.
-    """
-
-
 class NoRootError(CompoundDeviationsError):
     """A bracketed root search could not locate a sign change."""
 

@@ -35,6 +35,7 @@ from .errors import (
 )
 from .summands import FiniteSupportSummands
 from .variational import (
+    Cumulant,
     analytic_limit_moments,
     finite_n_moment_identities,
     joint_cumulant,
@@ -296,12 +297,13 @@ def tilt_parameters(mx, mn, event):
         )
     ray = np.append(d, c)
     f, grad, hess = joint_cumulant(mx, mn)
-    result = legendre_transform(
+    on_ray = Cumulant(
         lambda t: f(t[0] * ray),
         lambda t: np.array([grad(t[0] * ray) @ ray]),
         lambda t: np.array([[ray @ hess(t[0] * ray) @ ray]]),
-        [level],
+        1,
     )
+    result = legendre_transform(on_ray, [level])
     if result.unbounded:
         raise ValidationError(
             f"{event.mode} level {level} is outside the reachable range; the "

@@ -23,16 +23,12 @@ exists, the convex conjugate of the cgf.
 
 from __future__ import annotations
 
+import math
+from functools import cached_property
+
 import numpy as np
 
-from .dualpair import (
-    POS_INF,
-    CovarianceOperator,
-    ExtendedReal,
-    as_vector,
-    pair,
-    tilt_weights,
-)
+from .dualpair import CovarianceOperator, as_vector, pair, tilt_weights
 from .errors import DimensionMismatchError, UnsupportedModelError, ValidationError
 
 # Probabilities must sum to one within this at construction.
@@ -78,6 +74,14 @@ class SummandModel:
     def conjugate_closed_form(self, x):
         """Convex conjugate of the cgf at x, or None when no closed form exists."""
         return None
+
+    @cached_property
+    def cumulant(self):
+        """cgf, cgf_grad and cgf_hess as a ``Cumulant``, built and probed
+        once per model."""
+        from .variational import Cumulant  # variational imports this module
+
+        return Cumulant(self.cgf, self.cgf_grad, self.cgf_hess, self.dim)
 
 
 class FiniteSupportSummands(SummandModel):
@@ -213,13 +217,13 @@ class FiniteSupportSummands(SummandModel):
         """
         coeffs, in_span = self.decompose(x)
         if not in_span:
-            return POS_INF
+            return math.inf
         if np.any(coeffs < -COEFF_TOL) or abs(coeffs.sum() - 1.0) > COEFF_TOL:
-            return POS_INF
+            return math.inf
         c = np.clip(coeffs, 0.0, None)
         mask = c > 0.0
         value = float(np.sum(c[mask] * (np.log(c[mask]) - self._log_probs[mask])))
-        return ExtendedReal(max(value, 0.0))
+        return max(value, 0.0)
 
     def centered_decompose(self, x):
         """Like decompose, additionally reporting whether coefficients sum to zero."""
@@ -286,8 +290,8 @@ class GaussianSummands(SummandModel):
         centered = vec - self._mean
         u = self._cov.solve(centered)
         if u is None:
-            return POS_INF
-        return ExtendedReal(max(0.5 * pair(u, centered), 0.0))
+            return math.inf
+        return max(0.5 * pair(u, centered), 0.0)
 
 
 def _on_grid(grid, law):

@@ -5,7 +5,11 @@ The central tool, and the package's one conjugate solver, is
 f(theta) for a smooth convex f with an analytic Hessian (composed by the
 chain rule from the summand ``cgf_hess`` and the counting
 ``limit_cgf_second``), whose divergence policy turns genuinely unbounded
-suprema into PosInf instead of an iteration-limit error.
+suprema into +inf instead of an iteration-limit error. It conjugates a
+``Cumulant``: f, its gradient, its Hessian and its dimension, probed for
+convexity once when built. Each model holds its own as ``cumulant``, so a
+grid of rates probes each function once. Rates are plain floats, +inf
+included.
 
 On top of it sit the rate functions:
 
@@ -15,7 +19,7 @@ On top of it sit the rate functions:
 * ``rate_ld_variational`` and ``rate_ld_explicit``: the large-deviation rate
   of the pair (scaled compound sum, scaled count), as the conjugate of the
   joint cumulant and as the explicit case split
-  y L_X*(x/y) + L_N*(y) for y > 0, -L_N(-inf) at the origin, PosInf
+  y L_X*(x/y) + L_N*(y) for y > 0, -L_N(-inf) at the origin, +inf
   elsewhere.
 * ``rate_md_centered_summands`` (a quadratic in x and y, finite on the image
   of the summand covariance) and ``rate_md_centered_sum`` (the same after
@@ -32,12 +36,14 @@ local state, so concurrent evaluation across queries is safe.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dualpair import POS_INF, CovarianceOperator, ExtendedReal, as_vector, pair
+from .dualpair import CovarianceOperator, as_vector, pair
 from .errors import (
+    DimensionMismatchError,
     InconclusiveOptimizationError,
     NoRootError,
     UnsupportedModelError,
@@ -70,12 +76,12 @@ _DOMAIN_ERRORS = (OverflowError, ValidationError, NoRootError)
 class LegendreResult:
     """Outcome of a conjugate evaluation.
 
-    ``value`` is the supremum (PosInf when the divergence test fired, in
+    ``value`` is the supremum (math.inf when the divergence test fired, in
     which case ``argmax`` is None and ``unbounded`` is True); ``argmax`` is
     the maximizer otherwise.
     """
 
-    value: ExtendedReal
+    value: float
     argmax: np.ndarray | None
     iterations: int
     gradient_norm: float
@@ -104,8 +110,31 @@ def probe_convexity(f, dim, segments=6, radius=1.5, slack=CONVEXITY_SLACK):
     return True
 
 
-def legendre_transform(f, grad_f, hess_f, z):
-    """Maximize <theta, z> - f(theta) for smooth convex f from theta = 0.
+@dataclass(frozen=True)
+class Cumulant:
+    """A smooth convex function f on R^dim with its analytic gradient and
+    Hessian: what ``legendre_transform`` conjugates.
+
+    Building one runs ``probe_convexity`` once and raises ValidationError on
+    a clear violation, so a function conjugated at many points is probed
+    once.
+    """
+
+    f: Callable
+    grad: Callable
+    hess: Callable
+    dim: int
+
+    def __post_init__(self):
+        if not probe_convexity(self.f, self.dim):
+            raise ValidationError(
+                "function fails the midpoint convexity probe; the conjugate of a "
+                "non-convex function is outside this optimizer's contract"
+            )
+
+
+def legendre_transform(cumulant, z):
+    """Maximize <theta, z> - f(theta) for the ``Cumulant`` f from theta = 0.
 
     Levenberg-damped Newton on the analytic gradient and Hessian of f: each
     step solves (H + mu I) s = g with g = z - grad f, raising mu until the
@@ -114,21 +143,21 @@ def legendre_transform(f, grad_f, hess_f, z):
     Optimization, sec. 9.5) is small; the decrement also ends solves whose
     gradient bottoms out in rounding. Since every step climbs, an iterate
     beyond DIVERGENCE_THRESHOLD or an objective overflowing upward means
-    the supremum is PosInf. Points where f or its derivatives overflow or
+    the supremum is +inf. Points where f or its derivatives overflow or
     leave their domain are rejected steps. Running out of iterations or
     damping the step to nothing raises InconclusiveOptimizationError with
-    the best value found. A deterministic midpoint probe rejects obvious
-    non-convex f up front.
+    the best value found.
     """
     target = np.atleast_1d(np.asarray(z, dtype=float))
     if target.ndim != 1 or not np.all(np.isfinite(target)):
         raise ValidationError("transform point must be a finite vector or scalar")
     dim = target.size
-    if not probe_convexity(f, dim):
-        raise ValidationError(
-            "function fails the midpoint convexity probe; the conjugate of a "
-            "non-convex function is outside this optimizer's contract"
+    if dim != cumulant.dim:
+        raise DimensionMismatchError(
+            f"transform point has length {dim}, the cumulant lives in "
+            f"R^{cumulant.dim}"
         )
+    f, grad_f, hess_f = cumulant.f, cumulant.grad, cumulant.hess
 
     def objective(point):
         try:
@@ -162,9 +191,7 @@ def legendre_transform(f, grad_f, hess_f, z):
         if gnorm < GRADIENT_TOLERANCE or _decrement(hess, grad) <= (
             DECREMENT_TOLERANCE * (1.0 + abs(value))
         ):
-            return LegendreResult(
-                ExtendedReal(value), theta.copy(), iterations, gnorm, False
-            )
+            return LegendreResult(value, theta.copy(), iterations, gnorm, False)
         if iterations >= MAX_ITERATIONS:
             reason = "iteration limit reached"
             break
@@ -181,7 +208,7 @@ def legendre_transform(f, grad_f, hess_f, z):
                 break
             cand_value = objective(candidate)
             if cand_value == math.inf:
-                return LegendreResult(POS_INF, None, iterations, gnorm, True)
+                return LegendreResult(math.inf, None, iterations, gnorm, True)
             if cand_value >= value + ARMIJO_C * float(grad @ step):
                 accepted = derivatives(candidate)
             if accepted is None:
@@ -193,7 +220,7 @@ def legendre_transform(f, grad_f, hess_f, z):
         damping /= DAMPING_FACTOR
         if float(np.linalg.norm(theta)) > DIVERGENCE_THRESHOLD:
             gnorm = float(np.linalg.norm(grad))
-            return LegendreResult(POS_INF, None, iterations, gnorm, True)
+            return LegendreResult(math.inf, None, iterations, gnorm, True)
 
     raise InconclusiveOptimizationError(
         f"conjugate maximization inconclusive ({reason}; gradient norm "
@@ -219,31 +246,27 @@ def _decrement(hess, grad):
     return decrement if decrement >= 0.0 else math.inf
 
 
+def _finite_real(y):
+    """y as a float, once checked to be a finite real."""
+    if not (isinstance(y, (int, float)) and math.isfinite(y)):
+        raise ValidationError(f"y must be a finite real, got {y!r}")
+    return float(y)
+
+
 def count_rate(mn, y):
     """Conjugate of the limiting count cumulant at y (the count-marginal rate).
 
-    Nonnegative, zero at the limiting mean rate; PosInf outside the range of
+    Nonnegative, zero at the limiting mean rate; +inf outside the range of
     the count rate (below zero, and above the largest rate of bounded
     kinds), where the supremum diverges.
     """
-    if not (isinstance(y, (int, float)) and math.isfinite(y)):
-        raise ValidationError(f"y must be a finite real, got {y!r}")
-
-    def f(point):
-        return mn.limit_cgf(float(point[0]))
-
-    def grad(point):
-        return np.array([mn.limit_cgf_deriv(float(point[0]))])
-
-    def hess(point):
-        return np.array([[mn.limit_cgf_second(float(point[0]))]])
-
-    return legendre_transform(f, grad, hess, [float(y)])
+    return legendre_transform(mn.cumulant, [_finite_real(y)])
 
 
 def joint_cumulant(mx, mn):
     """Limiting scaled cumulant of the pair, L_N(eta + L_X(theta)), as
-    (f, grad f, hess f) on p = (theta, eta).
+    (f, grad f, hess f) on p = (theta, eta). Unprobed: the variational rate
+    wraps it in a ``Cumulant``, the tilt search restricts it to a ray first.
 
     By the chain rule, with s = eta + L_X(theta) and v = (grad L_X, 1), the
     gradient is L_N'(s) v and the Hessian
@@ -279,18 +302,16 @@ def rate_ld_variational(mx, mn, x, y):
     """Large-deviation rate of the pair: the conjugate of the joint cumulant
     over (theta, eta)."""
     vec = as_vector(x, dim=mx.dim, name="x")
-    if not (isinstance(y, (int, float)) and math.isfinite(y)):
-        raise ValidationError(f"y must be a finite real, got {y!r}")
-    return legendre_transform(
-        *joint_cumulant(mx, mn), np.concatenate([vec, [float(y)]])
-    )
+    y = _finite_real(y)
+    cumulant = Cumulant(*joint_cumulant(mx, mn), mx.dim + 1)
+    return legendre_transform(cumulant, np.concatenate([vec, [y]]))
 
 
 def _summand_conjugate(mx, point):
     closed = mx.conjugate_closed_form(point)
     if closed is not None:
         return closed
-    return legendre_transform(mx.cgf, mx.cgf_grad, mx.cgf_hess, point).value
+    return legendre_transform(mx.cumulant, point).value
 
 
 def rate_ld_explicit(mx, mn, x, y):
@@ -299,19 +320,18 @@ def rate_ld_explicit(mx, mn, x, y):
     y > 0: y * (summand conjugate at x/y) + count rate at y, using the
     closed-form summand conjugate when the model carries one. Exactly the
     origin (within 1e-10 in max norm): minus the left-tail limit of the
-    count cumulant. Everything else: PosInf. Small positive y is evaluated
+    count cumulant. Everything else: +inf. Small positive y is evaluated
     exactly as written; no smoothing is applied near the origin.
     """
     vec = as_vector(x, dim=mx.dim, name="x")
-    if not (isinstance(y, (int, float)) and math.isfinite(y)):
-        raise ValidationError(f"y must be a finite real, got {y!r}")
-    if max(abs(float(y)), float(np.max(np.abs(vec))) if vec.size else 0.0) <= ORIGIN_TOL:
+    y = _finite_real(y)
+    if max(abs(y), float(np.max(np.abs(vec))) if vec.size else 0.0) <= ORIGIN_TOL:
         return -mn.derivs_at_zero().cgf_at_minus_inf
     if y > 0:
-        conjugate = _summand_conjugate(mx, vec / float(y))
-        count_part = count_rate(mn, float(y)).value
-        return ExtendedReal(float(y)) * conjugate + count_part
-    return POS_INF
+        # Both conjugates are >= 0 (each objective is 0 at the origin), so
+        # the product and the sum never meet 0 * inf or inf - inf.
+        return y * _summand_conjugate(mx, vec / y) + count_rate(mn, y).value
+    return math.inf
 
 
 def psi_sn(mx, mn, theta, eta):
@@ -346,33 +366,30 @@ def rate_md_centered_summands(mx, mn, x, y):
     """Moderate-deviation rate of (centered-summand sum, centered count).
 
     Quadratic <x, pseudo-inverse(Sigma) x>/(2 d1) + y^2/(2 d2) on the image
-    of the summand covariance, PosInf off it; with a degenerate d1 = 0 the x
+    of the summand covariance, +inf off it; with a degenerate d1 = 0 the x
     slot must vanish.
     """
     d = _md_derivs(mn)
     vec = as_vector(x, dim=mx.dim, name="x")
-    if not (isinstance(y, (int, float)) and math.isfinite(y)):
-        raise ValidationError(f"y must be a finite real, got {y!r}")
-    count_part = float(y) ** 2 / (2.0 * d.variance_rate)
+    count_part = _finite_real(y) ** 2 / (2.0 * d.variance_rate)
     if d.mean_rate == 0.0:
         if vec.size == 0 or float(np.max(np.abs(vec))) <= ORIGIN_TOL:
-            return ExtendedReal(count_part)
-        return POS_INF
+            return count_part
+        return math.inf
     cov = mx.cov()
     pre = cov.solve(vec)
     if pre is None:
-        return POS_INF
+        return math.inf
     quad = max(float(pre @ vec), 0.0)
-    return ExtendedReal(quad / (2.0 * d.mean_rate) + count_part)
+    return quad / (2.0 * d.mean_rate) + count_part
 
 
 def rate_md_centered_sum(mx, mn, x, y):
     """Moderate-deviation rate of the centered compound sum: the previous
     rate evaluated at (x - y * summand mean, y); same code path."""
     vec = as_vector(x, dim=mx.dim, name="x")
-    if not (isinstance(y, (int, float)) and math.isfinite(y)):
-        raise ValidationError(f"y must be a finite real, got {y!r}")
-    return rate_md_centered_summands(mx, mn, vec - float(y) * mx.mean(), y)
+    y = _finite_real(y)
+    return rate_md_centered_summands(mx, mn, vec - y * mx.mean(), y)
 
 
 def _md_conjugate(mx, mn, x, y, shifted):
@@ -389,10 +406,11 @@ def _md_conjugate(mx, mn, x, y, shifted):
         shift = np.eye(dim + 1)
         shift[dim, :dim] = mx.mean()
         quad = shift.T @ quad @ shift
-    return legendre_transform(
+    cumulant = Cumulant(
         lambda p: 0.5 * float(p @ quad @ p), lambda p: quad @ p,
-        lambda p: quad, np.append(vec, float(y)),
+        lambda p: quad, dim + 1,
     )
+    return legendre_transform(cumulant, np.append(vec, float(y)))
 
 
 def rate_md_centered_summands_variational(mx, mn, x, y):
@@ -425,13 +443,13 @@ def md_quadratic_finite_support(mx, mn, x):
         )
     coeffs, centered = mx.centered_decompose(x)
     if not centered:
-        return POS_INF
+        return math.inf
     probs = mx.probs
     if coeffs.size == 1:
-        return ExtendedReal(0.0)
+        return 0.0
     head, last = coeffs[:-1], float(coeffs[-1]) / float(probs[-1])
     value = float(np.sum(head * (head / probs[:-1] - last)))
-    return ExtendedReal(max(value, 0.0) / (2.0 * d.mean_rate))
+    return max(value, 0.0) / (2.0 * d.mean_rate)
 
 
 @dataclass(frozen=True)

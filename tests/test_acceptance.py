@@ -19,7 +19,6 @@ from compound_deviations.counting import (
     PoissonCounting,
     RenewalCounting,
 )
-from compound_deviations.dualpair import POS_INF
 from compound_deviations.mittag_leffler import (
     mittag_leffler,
     switch_point,
@@ -210,7 +209,7 @@ def test_criterion_05_finite_support_md_quadratic():
         closed = float(md_quadratic_finite_support(mx, mn, x))
         solved = float(rate_md_centered_summands(mx, mn, x, 0.0))
         worst = max(worst, abs(closed - solved))
-    off = md_quadratic_finite_support(mx, mn, atoms[0]) == POS_INF
+    off = md_quadratic_finite_support(mx, mn, atoms[0]) == math.inf
     _criterion(
         5, "finite-support MD quadratic matches the covariance-solve route",
         worst <= 1e-6 and off,

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from compound_deviations import cli
+from compound_deviations import cli, variational
 from compound_deviations.config import (
     DEFAULTS,
     ResultTable,
@@ -530,6 +530,25 @@ class TestRunExperiment:
         assert float(cells["rate_ld"]) == pytest.approx(
             2.0 * math.log(2.0) - 1.0, abs=1e-10
         )
+
+    def test_rate_eval_probes_each_cumulant_once(self, tmp_path, monkeypatch):
+        # Every grid point conjugates the same count and summand cumulants;
+        # each is probed once, when its model builds it.
+        probe, dims = variational.probe_convexity, []
+
+        def counted(f, dim):
+            dims.append(dim)
+            return probe(f, dim)
+
+        monkeypatch.setattr(variational, "probe_convexity", counted)
+        config = normalize_config(dict(rate_eval_raw(), experiment={
+            "kind": "rate-eval",
+            "x_values": [-0.9 + 0.2 * i for i in range(10)],
+            "y_values": [0.2 * (i + 1) for i in range(10)],
+        }))
+        code, _ = run_experiment(config, out_dir=str(tmp_path))
+        assert code == 0
+        assert dims == [1, 1]
 
     @pytest.mark.parametrize("experiment", [
         {"kind": "rate-eval", "x_values": [[0.3, -0.1], [0.0, 0.5]],

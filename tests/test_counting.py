@@ -20,6 +20,7 @@ from scipy.stats import chi2, poisson
 from compound_deviations import counting
 from compound_deviations.counting import (
     BernoulliSumCounting,
+    CountingDerivatives,
     CountingModel,
     ExponentialInterarrival,
     FractionalPoissonCounting,
@@ -189,7 +190,12 @@ class TestDerivativeRecords:
 
     def test_iid_sum_without_zero_step_tail_is_minus_inf(self):
         mn = IidSumCounting([1, 2], [0.5, 0.5])
-        assert mn.derivs_at_zero().cgf_at_minus_inf.is_neg_inf
+        assert mn.derivs_at_zero().cgf_at_minus_inf == -math.inf
+
+    @pytest.mark.parametrize("tail", [0.5, math.inf, math.nan])
+    def test_record_rejects_a_tail_limit_that_is_not_at_most_zero(self, tail):
+        with pytest.raises(ValidationError):
+            CountingDerivatives(1.0, 1.0, tail)
 
 
 class TestFiniteNCgf:

@@ -1,4 +1,4 @@
-"""Dual-pair plumbing: vectors, extended reals, covariance operators."""
+"""Dual-pair plumbing: vectors, the pairing, tilt weights, covariance operators."""
 
 import math
 
@@ -8,19 +8,12 @@ from numpy.testing import assert_allclose
 from scipy.special import logsumexp, softmax
 
 from compound_deviations.dualpair import (
-    NEG_INF,
-    POS_INF,
     CovarianceOperator,
-    ExtendedReal,
     as_vector,
     pair,
     tilt_weights,
 )
-from compound_deviations.errors import (
-    DimensionMismatchError,
-    ExtendedRealArithmeticError,
-    ValidationError,
-)
+from compound_deviations.errors import DimensionMismatchError, ValidationError
 
 
 class TestAsVector:
@@ -63,40 +56,6 @@ class TestTiltWeights:
                                          rel=4 * eps, abs=4 * eps)
         assert_allclose(weights, softmax(scores), rtol=8 * eps, atol=1e-300)
         assert weights.sum() == pytest.approx(1.0, abs=4 * eps)
-
-
-class TestExtendedReal:
-    def test_nan_rejected(self):
-        with pytest.raises(ExtendedRealArithmeticError):
-            ExtendedReal(math.nan)
-
-    def test_addition_and_conflict(self):
-        assert ExtendedReal(1.0) + 2.0 == 3.0
-        assert POS_INF + 5.0 == POS_INF
-        with pytest.raises(ExtendedRealArithmeticError):
-            POS_INF + NEG_INF
-        with pytest.raises(ExtendedRealArithmeticError):
-            POS_INF - POS_INF
-
-    def test_multiplication_zero_inf(self):
-        with pytest.raises(ExtendedRealArithmeticError):
-            ExtendedReal(0.0) * POS_INF
-        assert ExtendedReal(2.0) * POS_INF == POS_INF
-        assert ExtendedReal(-3.0) * 2.0 == -6.0
-
-    def test_multiplication_coerces_extended_real(self):
-        # Both operands wrapped: the coercion path, not __rmul__ on a float.
-        assert ExtendedReal(2.0) * ExtendedReal(4.0) == ExtendedReal(8.0)
-
-    def test_comparisons_mix_floats(self):
-        assert ExtendedReal(1.0) < 2
-        assert POS_INF > 1e300
-        assert NEG_INF <= ExtendedReal(0.0)
-        assert ExtendedReal(3.0) == 3.0
-
-    def test_float_round_trip(self):
-        assert float(POS_INF) == math.inf
-        assert float(ExtendedReal(1.5)) == 1.5
 
 
 class TestCovarianceOperator:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from compound_deviations.dualpair import POS_INF, CovarianceOperator
+from compound_deviations.dualpair import CovarianceOperator
 from compound_deviations.errors import (
     DimensionMismatchError,
     UnsupportedModelError,
@@ -140,8 +140,8 @@ class TestCramerRate:
 
     def test_off_hull_posinf(self):
         m = FiniteSupportSummands([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
-        assert m.cramer_rate([2.0, -1.0]) == POS_INF
-        assert m.cramer_rate([0.3, 0.3]) == POS_INF  # in span, off simplex
+        assert m.cramer_rate([2.0, -1.0]) == math.inf
+        assert m.cramer_rate([0.3, 0.3]) == math.inf  # in span, off simplex
 
     def test_conjugate_duality_against_optimizer(self):
         # The closed form must agree with the defining supremum, here
@@ -221,7 +221,7 @@ class TestGaussian:
 
     def test_singular_conjugate_off_image(self):
         m = GaussianSummands([0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]])
-        assert m.conjugate_closed_form([1.0, -1.0]) == POS_INF
+        assert m.conjugate_closed_form([1.0, -1.0]) == math.inf
         # On the image: supremum attained at theta = (1/2, 1/2), value 1/2.
         assert_allclose(float(m.conjugate_closed_form([1.0, 1.0])), 0.5,
                         rtol=1e-10)

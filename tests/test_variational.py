@@ -26,8 +26,9 @@ from compound_deviations.counting import (
     RenewalCounting,
     TabulatedInterarrival,
 )
-from compound_deviations.dualpair import POS_INF, CovarianceOperator, ExtendedReal
+from compound_deviations.dualpair import CovarianceOperator
 from compound_deviations.errors import (
+    DimensionMismatchError,
     InconclusiveOptimizationError,
     UnsupportedModelError,
     ValidationError,
@@ -40,6 +41,7 @@ from compound_deviations.summands import (
 )
 from compound_deviations.variational import (
     GRADIENT_TOLERANCE,
+    Cumulant,
     LegendreResult,
     analytic_limit_moments,
     count_rate,
@@ -105,11 +107,17 @@ def zero_hessian(t):
 def exp_minus_one():
     """f(t) = e^t - 1 with its gradient and Hessian: the unit Poisson
     count cumulant."""
-    return (
+    return Cumulant(
         lambda t: math.exp(float(t[0])) - 1.0,
         lambda t: np.array([math.exp(float(t[0]))]),
         lambda t: np.array([[math.exp(float(t[0]))]]),
+        1,
     )
+
+
+def half_square(dim):
+    """f(t) = |t|^2 / 2 on R^dim."""
+    return Cumulant(lambda t: 0.5 * float(t @ t), lambda t: t, unit_hessian, dim)
 
 
 def pm_one_summand():
@@ -122,9 +130,7 @@ def unit_poisson():
 
 class TestLegendreTransform:
     def test_quadratic_at_origin(self):
-        result = legendre_transform(
-            lambda t: 0.5 * float(t @ t), lambda t: t, unit_hessian, [0.0]
-        )
+        result = legendre_transform(half_square(1), [0.0])
         assert isinstance(result, LegendreResult)
         assert float(result.value) == 0.0
         assert_allclose(result.argmax, [0.0], atol=1e-12)
@@ -133,9 +139,7 @@ class TestLegendreTransform:
     def test_quadratic_conjugate_is_quadratic(self):
         # sup <t,z> - |t|^2/2 = |z|^2/2 at t = z.
         for z in [-3.0, -0.4, 0.7, 2.5]:
-            result = legendre_transform(
-                lambda t: 0.5 * float(t @ t), lambda t: t, unit_hessian, [z]
-            )
+            result = legendre_transform(half_square(1), [z])
             assert_allclose(float(result.value), 0.5 * z * z, atol=1e-10)
             assert_allclose(result.argmax, [z], atol=1e-8)
 
@@ -149,7 +153,7 @@ class TestLegendreTransform:
             return a @ t
 
         z = np.array([1.2, -0.7])
-        result = legendre_transform(f, grad, lambda t: a, z)
+        result = legendre_transform(Cumulant(f, grad, lambda t: a, 2), z)
         expected_point = np.linalg.solve(a, z)
         assert_allclose(float(result.value), 0.5 * float(z @ expected_point),
                         atol=1e-10)
@@ -160,36 +164,30 @@ class TestLegendreTransform:
         # f(t) = <c, t> has conjugate 0 at z = c; the origin already solves it.
         c = np.array([0.4, -1.1])
         result = legendre_transform(
-            lambda t: float(c @ t), lambda t: c, zero_hessian, c
+            Cumulant(lambda t: float(c @ t), lambda t: c, zero_hessian, 2), c
         )
         assert float(result.value) == 0.0
         assert result.iterations == 0
 
     def test_unbounded_direction_detected(self):
         # y*eta - (e^eta - 1) grows without bound as eta -> -inf when y < 0.
-        result = legendre_transform(*exp_minus_one(), [-0.5])
+        result = legendre_transform(exp_minus_one(), [-0.5])
         assert result.unbounded
-        assert result.value == POS_INF
+        assert result.value == math.inf
         assert result.argmax is None
-
-    def test_concave_input_rejected(self):
-        with pytest.raises(ValidationError):
-            legendre_transform(
-                lambda t: -float(t @ t), lambda t: -2.0 * t,
-                lambda t: -2.0 * unit_hessian(t), [0.5],
-            )
 
     def test_nonfinite_target_rejected(self):
         with pytest.raises(ValidationError):
-            legendre_transform(
-                lambda t: 0.5 * float(t @ t), lambda t: t, unit_hessian,
-                [math.inf],
-            )
+            legendre_transform(half_square(1), [math.inf])
+
+    def test_target_of_the_wrong_dimension_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            legendre_transform(half_square(2), [0.5])
 
     def test_iteration_limit_raises_with_diagnostics(self, monkeypatch):
         monkeypatch.setattr(variational, "MAX_ITERATIONS", 1)
         with pytest.raises(InconclusiveOptimizationError) as excinfo:
-            legendre_transform(*exp_minus_one(), [4.0])
+            legendre_transform(exp_minus_one(), [4.0])
         err = excinfo.value
         assert err.iterations == 1
         assert err.best_value is not None and math.isfinite(err.best_value)
@@ -198,11 +196,29 @@ class TestLegendreTransform:
     def test_newton_polish_reaches_tight_tolerance(self):
         # Newton converges quadratically: the conjugate of e^t - 1 at 2 is
         # reached to rounding within a handful of steps.
-        result = legendre_transform(*exp_minus_one(), [2.0])
+        result = legendre_transform(exp_minus_one(), [2.0])
         assert result.iterations < 10
         assert_allclose(float(result.value), 2.0 * math.log(2.0) - 1.0,
                         rtol=1e-14)
         assert_allclose(result.argmax, [math.log(2.0)], rtol=1e-12)
+
+
+class TestCumulant:
+    def test_concave_input_rejected(self):
+        with pytest.raises(ValidationError):
+            Cumulant(
+                lambda t: -float(t @ t), lambda t: -2.0 * t,
+                lambda t: -2.0 * unit_hessian(t), 1,
+            )
+
+    def test_models_build_their_cumulant_once(self):
+        mn, mx = unit_poisson(), pm_one_summand()
+        assert mn.cumulant is mn.cumulant and mx.cumulant is mx.cumulant
+        point = np.array([0.3])
+        assert mn.cumulant.f(point) == mn.limit_cgf(0.3)
+        assert_allclose(mn.cumulant.hess(point), [[mn.limit_cgf_second(0.3)]])
+        assert mx.cumulant.f(point) == mx.cgf(point)
+        assert (mn.cumulant.dim, mx.cumulant.dim) == (1, 1)
 
 
 class TestProbeConvexity:
@@ -257,7 +273,7 @@ class TestCountRate:
     def test_negative_target_is_infinite(self):
         result = count_rate(unit_poisson(), -0.5)
         assert result.unbounded
-        assert result.value == POS_INF
+        assert result.value == math.inf
 
     @pytest.mark.parametrize("y", [1e9, 1e12])
     def test_large_target_stops_on_the_newton_decrement(self, y):
@@ -274,12 +290,12 @@ class TestCountRate:
         # vanishing once kappa^{-1} reaches the edge of its domain.
         result = count_rate(RenewalCounting(law), -0.5)
         assert result.unbounded
-        assert result.value == POS_INF
+        assert result.value == math.inf
 
     def test_bernoulli_above_the_largest_count_rate_is_infinite(self):
         # The count never exceeds n, so every y > 1 is unreachable.
         for y in [1.2, 2.0]:
-            assert count_rate(BernoulliSumCounting(p=0.5), y).value == POS_INF
+            assert count_rate(BernoulliSumCounting(p=0.5), y).value == math.inf
 
     def test_runs_profile_with_tiny_success_probabilities(self):
         # p(x) = e^{-50 x}: the maximizer at y = 0.8 sits near eta = 40,
@@ -362,6 +378,21 @@ class TestJointCgf:
 
 
 class TestRateLdExplicit:
+    def test_rates_are_plain_floats(self):
+        mx, mn = pm_one_summand(), unit_poisson()
+        values = [
+            rate_ld_explicit(mx, mn, [0.3], 1.0),
+            rate_ld_explicit(mx, mn, [0.3], -1.0),
+            rate_ld_explicit(mx, mn, [0.0], 0.0),
+            rate_ld_variational(mx, mn, [0.3], 1.0).value,
+            count_rate(mn, -1.0).value,
+            rate_md_centered_summands(mx, mn, [0.3], 1.0),
+            rate_md_centered_sum(mx, mn, [0.3], 1.0),
+            mn.derivs_at_zero().cgf_at_minus_inf,
+        ]
+        assert all(type(value) is float for value in values)
+        assert values[1] == values[4] == math.inf
+
     def test_zero_at_limit_point(self):
         mx = GaussianSummands([0.5], [[1.0]])
         mn = unit_poisson()
@@ -401,11 +432,11 @@ class TestRateLdExplicit:
 
     def test_nonzero_x_with_zero_y_is_infinite(self):
         value = rate_ld_explicit(pm_one_summand(), unit_poisson(), [0.3], 0.0)
-        assert value == POS_INF
+        assert value == math.inf
 
     def test_negative_y_is_infinite(self):
         value = rate_ld_explicit(pm_one_summand(), unit_poisson(), [0.0], -1.0)
-        assert value == POS_INF
+        assert value == math.inf
 
     def test_rejects_nonfinite_y(self):
         with pytest.raises(ValidationError):
@@ -429,7 +460,7 @@ class TestRateLdVariational:
         result = rate_ld_variational(pm_one_summand(), unit_poisson(),
                                      [0.0], -1.0)
         assert result.unbounded
-        assert result.value == POS_INF
+        assert result.value == math.inf
 
     def test_agrees_with_explicit_split_on_grid(self):
         mx = GaussianSummands([0.3], [[0.8]])
@@ -492,7 +523,7 @@ class TestMdQuadratics:
     def test_off_image_is_infinite(self):
         mx = GaussianSummands([0.0, 0.0], [[1.0, 0.0], [0.0, 0.0]])
         mn = unit_poisson()
-        assert rate_md_centered_summands(mx, mn, [0.0, 1.0], 0.0) == POS_INF
+        assert rate_md_centered_summands(mx, mn, [0.0, 1.0], 0.0) == math.inf
         assert_allclose(
             float(rate_md_centered_summands(mx, mn, [1.0, 0.0], 0.0)),
             0.5,
@@ -593,7 +624,7 @@ class TestMdVariationalForms:
             mx, unit_poisson(), [0.0, 1.0], 0.0
         )
         assert result.unbounded
-        assert result.value == POS_INF
+        assert result.value == math.inf
 
 
 class TestMdQuadraticFiniteSupport:
@@ -615,7 +646,7 @@ class TestMdQuadraticFiniteSupport:
     def test_uncentered_coefficients_are_infinite(self):
         value = md_quadratic_finite_support(self.plane_model(),
                                             unit_poisson(), [0.5, 0.0])
-        assert value == POS_INF
+        assert value == math.inf
 
     def test_matches_pseudoinverse_route(self):
         mx = FiniteSupportSummands(
@@ -852,8 +883,8 @@ class TestRouteAgreement:
         # x / y a hair outside the atoms {0, 1}: the joint maximizer must
         # keep climbing to the divergence test rather than stall.
         mx = FiniteSupportSummands([[0.0], [1.0]], [0.5, 0.5])
-        assert rate_ld_explicit(mx, unit_poisson(), [x], 1.0) == POS_INF
-        assert rate_ld_variational(mx, unit_poisson(), [x], 1.0).value == POS_INF
+        assert rate_ld_explicit(mx, unit_poisson(), [x], 1.0) == math.inf
+        assert rate_ld_variational(mx, unit_poisson(), [x], 1.0).value == math.inf
 
     @pytest.mark.parametrize("mx, mn, x, y", random_small_models())
     def test_random_small_models(self, mx, mn, x, y):
