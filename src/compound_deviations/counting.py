@@ -1,12 +1,12 @@
 """Counting-process models: the random number of summands N_n.
 
-Each model knows its limiting scaled cumulant generating function
+A kind supplies its limiting scaled cumulant generating function
 
     limit_cgf(eta) = lim (1/n) log E exp(eta N_n),
 
-its first and second derivatives (``limit_cgf_deriv``,
-``limit_cgf_second``) and the pair of derivatives at zero (the limiting mean
-and variance rates of N_n / n).
+its first and second derivatives (``limit_cgf_deriv``, ``limit_cgf_second``;
+at zero d1 and d2, the limiting mean and variance rates of N_n / n) and its
+left tail ``_tail_limit()`` = limit_cgf(-inf), read by ``derivs_at_zero``.
 
 The finite-n law comes from one builder per kind, ``_tilted_table(n, s)``:
 the pmf over 0..K of the law with mass ~ P(N_n = k) e^{s k}, and
@@ -57,7 +57,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 from scipy.special import gammainc, gammaincc, gammaln
 
-from .dualpair import tilt_weights
+from .dualpair import finite_real, tilt_weights
 from .errors import NoRootError, UnsupportedModelError, ValidationError
 from .summands import PROB_SUM_TOL
 from .variational import Cumulant
@@ -190,8 +190,9 @@ class CountingDerivatives:
 
 class CountingModel:
     """Common interface of counting-process models. A kind supplies the limit
-    cumulant and ``_tilted_table``; the finite-n members below read the
-    table."""
+    triple (``limit_cgf`` and its two derivatives), its left tail
+    ``_tail_limit`` and ``_tilted_table``; ``derivs_at_zero`` reads the
+    triple and the tail, the finite-n members below read the table."""
 
     def limit_cgf(self, eta):
         raise NotImplementedError
@@ -203,8 +204,15 @@ class CountingModel:
         """Second derivative of limit_cgf, the Hessian the conjugate solver needs."""
         raise NotImplementedError
 
-    def derivs_at_zero(self):
+    def _tail_limit(self):
+        """L_N(-inf), the limit of limit_cgf as eta -> -infinity, in [-inf, 0]."""
         raise NotImplementedError
+
+    def derivs_at_zero(self):
+        """d1 = L_N'(0), d2 = L_N''(0) and the left tail L_N(-inf)."""
+        return CountingDerivatives(
+            self.limit_cgf_deriv(0.0), self.limit_cgf_second(0.0), self._tail_limit()
+        )
 
     @cached_property
     def cumulant(self):
@@ -301,10 +309,8 @@ class IidSumCounting(CountingModel):
             )
         order = np.argsort(vals)
         self._values = vals[order]
-        self._probs = p[order]
-        self._log_probs = np.log(self._probs)
+        self._log_probs = np.log(p[order])
         self._values.flags.writeable = False
-        self._probs.flags.writeable = False
         self._probe_validate()
 
     def _tilt(self, eta):
@@ -322,11 +328,8 @@ class IidSumCounting(CountingModel):
         w = self._tilt(eta)[1]
         return float(w @ (self._values - float(w @ self._values)) ** 2)
 
-    def derivs_at_zero(self):
-        mean = float(self._probs @ self._values)
-        second = float(self._probs @ (self._values.astype(float) ** 2))
-        tail = float(self._log_probs[0]) if self._values[0] == 0 else -math.inf
-        return CountingDerivatives(mean, max(second - mean * mean, 0.0), tail)
+    def _tail_limit(self):
+        return float(self._log_probs[0]) if self._values[0] == 0 else -math.inf
 
     def finite_cgf(self, n, eta):
         _check_n(n)
@@ -353,9 +356,8 @@ class PoissonCounting(CountingModel):
     """
 
     def __init__(self, rate, intensity=None):
-        if not (isinstance(rate, (int, float)) and math.isfinite(rate)) or rate <= 0:
-            raise ValidationError(f"rate must be a positive finite real, got {rate!r}")
-        self._rate = float(rate)
+        self._rate = finite_real(rate, "rate", "be a positive finite real",
+                                 lambda r: r > 0)
         self._intensity = intensity
         self._mass_cache = {}
         if intensity is not None:
@@ -379,8 +381,8 @@ class PoissonCounting(CountingModel):
     def limit_cgf_second(self, eta):
         return self._rate * math.exp(eta)
 
-    def derivs_at_zero(self):
-        return CountingDerivatives(self._rate, self._rate, -self._rate)
+    def _tail_limit(self):
+        return -self._rate
 
     def total_mass(self, n):
         """E[N_n]: rate * n, or the cached intensity integral over [0, n]."""
@@ -419,12 +421,9 @@ class FractionalPoissonCounting(CountingModel):
     """
 
     def __init__(self, nu, rate):
-        if not (isinstance(nu, (int, float)) and 0.0 < nu <= 1.0):
-            raise ValidationError(f"nu must lie in (0, 1], got {nu!r}")
-        if not (isinstance(rate, (int, float)) and math.isfinite(rate)) or rate <= 0:
-            raise ValidationError(f"rate must be a positive finite real, got {rate!r}")
-        self._nu = float(nu)
-        self._rate = float(rate)
+        self._nu = finite_real(nu, "nu", "lie in (0, 1]", lambda v: 0.0 < v <= 1.0)
+        self._rate = finite_real(rate, "rate", "be a positive finite real",
+                                 lambda r: r > 0)
         try:
             self._scale = self._rate ** (1.0 / self._nu)
         except OverflowError:
@@ -450,12 +449,8 @@ class FractionalPoissonCounting(CountingModel):
     def limit_cgf_second(self, eta):
         return self._scale * math.exp(eta / self._nu) / (self._nu * self._nu)
 
-    def derivs_at_zero(self):
-        return CountingDerivatives(
-            self._scale / self._nu,
-            self._scale / (self._nu * self._nu),
-            -self._scale,
-        )
+    def _tail_limit(self):
+        return -self._scale
 
     def _argument(self, n):
         return self._rate * float(n) ** self._nu
@@ -509,9 +504,8 @@ class BernoulliSumCounting(CountingModel):
         if (p is None) == (profile is None):
             raise ValidationError("give exactly one of p (constant) or profile")
         if p is not None:
-            if not (isinstance(p, (int, float)) and 0.0 < p < 1.0):
-                raise ValidationError(f"constant p must lie in (0, 1), got {p!r}")
-            self._p = float(p)
+            self._p = finite_real(p, "constant p", "lie in (0, 1)",
+                                  lambda q: 0.0 < q < 1.0)
             self._profile = None
         else:
             if not callable(profile):
@@ -530,16 +524,13 @@ class BernoulliSumCounting(CountingModel):
         lam, c = float(lam), float(c)
         return cls(profile=lambda x: math.exp(-lam * c * x))
 
-    def _integrate(self, f):
-        value, _ = quad(f, 0.0, 1.0, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=500,
-                        points=QUAD_POINTS)
-        return float(value)
-
     def _over_profile(self, term, eta):
         """term(q, eta) at the constant p, or integrated over the profile."""
         if self._p is not None:
             return term(self._p, eta)
-        return self._integrate(lambda x: term(self._profile(x), eta))
+        value, _ = quad(lambda x: term(self._profile(x), eta), 0.0, 1.0,
+                        epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=500, points=QUAD_POINTS)
+        return float(value)
 
     def limit_cgf(self, eta):
         return self._over_profile(_bernoulli_cgf, eta)
@@ -550,20 +541,13 @@ class BernoulliSumCounting(CountingModel):
     def limit_cgf_second(self, eta):
         return self._over_profile(_bernoulli_variance, eta)
 
-    def derivs_at_zero(self):
-        if self._p is not None:
-            mean = self._p
-            varr = self._p * (1.0 - self._p)
-            tail = math.log1p(-self._p)
-        else:
-            mean = self._integrate(self._profile)
-            varr = self._integrate(lambda x: self._profile(x) * (1.0 - self._profile(x)))
-            tail = self._tail_limit()
-        return CountingDerivatives(mean, varr, tail)
-
     def _tail_limit(self):
-        # Integral of log(1 - p(x)); an endpoint touching p = 1 leaves an
-        # integrable log singularity, a plateau at 1 makes the limit -inf.
+        # log(1 - p), or the integral of log(1 - p(x)): an endpoint touching
+        # p = 1 leaves an integrable log singularity, a plateau at 1 makes
+        # the limit -inf.
+        if self._p is not None:
+            return math.log1p(-self._p)
+
         def f(x):
             q = self._profile(x)
             return math.log1p(-q) if q < 1.0 else -math.inf
@@ -695,9 +679,8 @@ class ExponentialInterarrival(GammaInterarrival):
     kappa(r) = log(rate / (rate - r))."""
 
     def __init__(self, rate):
-        if not (isinstance(rate, (int, float)) and math.isfinite(rate)) or rate <= 0:
-            raise ValidationError(f"rate must be a positive finite real, got {rate!r}")
-        super().__init__(1.0, rate)
+        super().__init__(1.0, finite_real(rate, "rate", "be a positive finite real",
+                                          lambda r: r > 0))
 
 
 class TabulatedInterarrival(InterarrivalLaw):
@@ -795,11 +778,9 @@ class RenewalCounting(CountingModel):
         slope = self._law.kappa_prime(r)
         return self._law.kappa_second(r) / slope ** 3 if math.isfinite(slope) else 0.0
 
-    def derivs_at_zero(self):
-        kp = self._law.kappa_prime(0.0)
-        ks = self._law.kappa_second(0.0)
+    def _tail_limit(self):
         # L_N(-inf) = -sup{r : kappa(r) < inf}.
-        return CountingDerivatives(1.0 / kp, ks / kp ** 3, -self._law.domain_sup)
+        return -self._law.domain_sup
 
     def _tilted_table(self, n, s):
         """For gamma inter-arrivals P(N_n >= k) = P(T_k <= n) = P(k shape,

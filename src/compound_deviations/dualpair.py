@@ -20,6 +20,7 @@ limit in [-inf, 0]; both are plain floats, which carry the infinities.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -55,6 +56,15 @@ def as_vector(values, dim=None, name="vector"):
         )
     arr.flags.writeable = False
     return arr
+
+
+def finite_real(value, name, need="be a finite real", within=None):
+    """``value`` as a float once it is a finite real (numpy scalars too) for
+    which ``within``, if given, holds; else ValidationError: name must need."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)
+            and (within is None or within(value))):
+        raise ValidationError(f"{name} must {need}, got {value!r}")
+    return float(value)
 
 
 def pair(theta, x):

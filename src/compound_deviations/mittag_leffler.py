@@ -38,6 +38,7 @@ import math
 
 from scipy.special import gammaln, rgamma
 
+from .dualpair import finite_real
 from .errors import ValidationError
 
 NU_MIN = 0.3
@@ -50,17 +51,16 @@ _MAX_EXP_ARG = 709.78
 
 
 def _validate(nu, beta, x):
-    if not (isinstance(nu, (int, float)) and math.isfinite(nu)):
-        raise ValidationError("nu must be a finite real")
+    """(nu, beta, x) as floats, once each is a finite real in its range."""
+    nu = finite_real(nu, "nu")
     if nu < NU_MIN or nu > 1.0:
         raise ValidationError(
             f"nu={nu} outside the supported order range [{NU_MIN}, 1]; orders "
             f"below {NU_MIN} would exceed the {SERIES_MAX_TERMS}-term series budget"
         )
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta)) or beta <= 0.0:
-        raise ValidationError(f"beta must be a positive finite real, got {beta}")
-    if not (isinstance(x, (int, float)) and math.isfinite(x)) or x < 0.0:
-        raise ValidationError(f"x must be a finite real >= 0, got {x}")
+    return (nu,
+            finite_real(beta, "beta", "be a positive finite real", lambda b: b > 0.0),
+            finite_real(x, "x", "be a finite real >= 0", lambda v: v >= 0.0))
 
 
 def switch_point(nu):
@@ -106,7 +106,7 @@ def mittag_leffler(nu, beta, x):
     Raises OverflowError once the value leaves double range; use
     log_mittag_leffler for large arguments.
     """
-    _validate(nu, beta, x)
+    nu, beta, x = _validate(nu, beta, x)
     if x <= switch_point(nu):
         return _series_value(nu, beta, x)
     logv = _asymptotic_log(nu, beta, x)
@@ -120,7 +120,7 @@ def mittag_leffler(nu, beta, x):
 
 def log_mittag_leffler(nu, beta, x):
     """log E(nu, beta; x), stable for arbitrarily large x."""
-    _validate(nu, beta, x)
+    nu, beta, x = _validate(nu, beta, x)
     if x <= switch_point(nu):
         return math.log(_series_value(nu, beta, x))
     return _asymptotic_log(nu, beta, x)
@@ -128,8 +128,8 @@ def log_mittag_leffler(nu, beta, x):
 
 def log_mittag_leffler_ratio(nu, a, b, beta=1.0):
     """log( E(nu, beta; a) / E(nu, beta; b) ), exactly zero when a == b."""
-    _validate(nu, beta, a)
-    _validate(nu, beta, b)
+    nu, beta, a = _validate(nu, beta, a)
+    b = _validate(nu, beta, b)[2]
     if a == b:
         return 0.0
     return log_mittag_leffler(nu, beta, a) - log_mittag_leffler(nu, beta, b)

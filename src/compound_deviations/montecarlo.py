@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import gammaln
 from scipy.stats import normaltest
 
-from .dualpair import as_vector
+from .dualpair import as_vector, finite_real
 from .errors import (
     EnumerationTooLargeError,
     UnsupportedModelError,
@@ -40,6 +40,7 @@ from .variational import (
     finite_n_moment_identities,
     joint_cumulant,
     legendre_transform,
+    pair_covariance,
 )
 
 # Replication block size; the unit of RNG stream derivation.
@@ -166,8 +167,7 @@ class HalfSpaceEvent:
     def __post_init__(self):
         if self.mode not in ("sum", "count"):
             raise ValidationError(f"mode must be 'sum' or 'count', got {self.mode!r}")
-        if not (isinstance(self.level, (int, float)) and math.isfinite(self.level)):
-            raise ValidationError(f"level must be a finite real, got {self.level!r}")
+        object.__setattr__(self, "level", finite_real(self.level, "level"))
         if self.mode == "sum":
             if self.direction is None:
                 raise ValidationError("sum events need a direction")
@@ -475,11 +475,8 @@ class ScalingFamily:
         if (gamma is None) == (table is None):
             raise ValidationError("give exactly one of gamma or table")
         if gamma is not None:
-            if not (isinstance(gamma, (int, float)) and 0.0 < gamma < 1.0):
-                raise ValidationError(
-                    f"gamma must lie strictly in (0, 1), got {gamma!r}"
-                )
-            self._gamma = float(gamma)
+            self._gamma = finite_real(gamma, "gamma", "lie strictly in (0, 1)",
+                                      lambda g: 0.0 < g < 1.0)
             self._table = None
         else:
             self._gamma = None
@@ -594,6 +591,13 @@ class MomentCheckResult:
     rows: list
 
 
+def _simulate_spread(mx, mn, n, reps, seed, workers):
+    """simulate_compound for a check that estimates spreads: reps >= 2."""
+    if isinstance(reps, (int, np.integer)) and reps < 2:
+        raise ValidationError(f"a spread needs reps >= 2, got {reps!r}")
+    return simulate_compound(mx, mn, n, reps, seed, workers=workers)
+
+
 def moment_limits_check(
     mx, mn, n, reps, u, v, seed, workers=None, band_se=BAND_SE,
 ):
@@ -602,7 +606,7 @@ def moment_limits_check(
     standard errors; the analytic limits are reported beside them."""
     uu = as_vector(u, dim=mx.dim, name="u")
     vv = as_vector(v, dim=mx.dim, name="v")
-    samples = simulate_compound(mx, mn, int(n), reps, seed, workers=workers)
+    samples = _simulate_spread(mx, mn, int(n), reps, seed, workers)
     limit = analytic_limit_moments(mx, mn, uu, vv)
     reference = finite_n_moment_identities(mx, mn, int(n), uu, vv)
 
@@ -643,21 +647,20 @@ def clt_regime_check(mx, mn, n, reps, v, seed, workers=None, band_se=BAND_SE):
     """Empirical covariance structure of the CLT-scaled pair.
 
     First coordinate: <v, sums - counts * summand mean> / sqrt(n); second:
-    (counts - E[N_n]) / sqrt(n). Their variances are checked against
-    d1 <v, Sigma v> and d2, the cross-covariance against 0 (the components
-    decouple), and the mean-shifted first coordinate
-    <v, sums - E[N_n] * summand mean> / sqrt(n) against the transformed
-    covariance that gains the d2 <v, mu>^2 and d2 <v, mu> terms. Normality
-    p-values are reported informationally (finite-n skew fails strict
-    normality long before the covariances drift)."""
+    (counts - E[N_n]) / sqrt(n). The targets are entries of the limit pair
+    covariance of the summand <v, X>: C0 = diag(d1 <v, Sigma v>, d2) for
+    their variances and cross-covariance (the components decouple), C1 for
+    the mean-shifted first coordinate <v, sums - E[N_n] * summand mean> /
+    sqrt(n). Normality p-values are reported informationally (finite-n skew
+    fails strict normality long before the covariances drift)."""
     vv = as_vector(v, dim=mx.dim, name="v")
     n = int(n)
-    samples = simulate_compound(mx, mn, n, reps, seed, workers=workers)
+    samples = _simulate_spread(mx, mn, n, reps, seed, workers)
     d = mn.derivs_at_zero()
-    mu = mx.mean()
-    cov = mx.cov()
-    v_mu = float(vv @ mu)
-    v_cov_v = cov.quadratic_form(vv)
+    v_mu = float(vv @ mx.mean())
+    # The pair covariances of the projected summand <v, X>.
+    projected = ([[mx.cov().quadratic_form(vv)]], [v_mu], d.mean_rate, d.variance_rate)
+    summands, total = pair_covariance(*projected), pair_covariance(*projected, True)
     count_mean = mn.mean(n)
 
     root_n = math.sqrt(n)
@@ -673,18 +676,13 @@ def clt_regime_check(mx, mn, n, reps, v, seed, workers=None, band_se=BAND_SE):
     cross_shift, cross_shift_se = _covariance_with_error(z_shifted, z_count)
 
     entries = [
-        ("var_sum_coord", var_sum, var_sum_se, d.mean_rate * v_cov_v),
-        ("var_count_coord", var_count, var_count_se, d.variance_rate),
-        ("cross_cov", cross, cross_se, 0.0),
-        (
-            "var_sum_coord_shifted",
-            var_shift,
-            var_shift_se,
-            d.mean_rate * v_cov_v + d.variance_rate * v_mu * v_mu,
-        ),
-        ("cross_cov_shifted", cross_shift, cross_shift_se, d.variance_rate * v_mu),
+        ("var_sum_coord", var_sum, var_sum_se, summands[0, 0]),
+        ("var_count_coord", var_count, var_count_se, summands[1, 1]),
+        ("cross_cov", cross, cross_se, summands[0, 1]),
+        ("var_sum_coord_shifted", var_shift, var_shift_se, total[0, 0]),
+        ("cross_cov_shifted", cross_shift, cross_shift_se, total[0, 1]),
     ]
-    rows = [_check_row(name, emp, se, target, target, band_se)
+    rows = [_check_row(name, emp, se, float(target), float(target), band_se)
             for name, emp, se, target in entries]
     pvalues = {}
     for name, series in (("sum_coord", z_sum), ("count_coord", z_count)):

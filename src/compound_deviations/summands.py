@@ -167,6 +167,11 @@ class FiniteSupportSummands(SummandModel):
         return self._probs @ self._atoms
 
     def cov(self):
+        return self._cov
+
+    @cached_property
+    def _cov(self):
+        """The covariance operator, built and validated on the first cov()."""
         mu = self.mean()
         second = (self._atoms.T * self._probs) @ self._atoms
         return CovarianceOperator(second - np.outer(mu, mu))

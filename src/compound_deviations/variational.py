@@ -21,13 +21,17 @@ On top of it sit the rate functions:
   joint cumulant and as the explicit case split
   y L_X*(x/y) + L_N*(y) for y > 0, -L_N(-inf) at the origin, +inf
   elsewhere.
-* ``rate_md_centered_summands`` (a quadratic in x and y, finite on the image
-  of the summand covariance) and ``rate_md_centered_sum`` (the same after
-  shifting x by y times the summand mean): the moderate-deviation rates.
+* ``pair_covariance``: the covariance of the scaled pair from the summand
+  covariance and mean and the count rates d1, d2, with the summands centred
+  (C0) or the compound sum (C1). ``psi_sn`` is the quadratic of C0 and
+  ``rate_md_centered_summands`` its conjugate, finite on the image of C0,
+  whose pseudo-inverse it takes block by block; ``rate_md_centered_sum``
+  is the same after shifting x by y times the summand mean. Their
+  variational twins conjugate the quadratics of C0 and C1 with the solver.
 * ``md_quadratic_finite_support``: the closed-form moderate-deviation
   quadratic for finite-support summands via mixture coefficients.
-* exact limiting and finite-n moments of the pair, used as Monte Carlo
-  oracles.
+* exact limiting and finite-n moments of the pair, entries of C1, used as
+  Monte Carlo oracles.
 
 Everything here is pure: models are immutable and the optimizer keeps only
 local state, so concurrent evaluation across queries is safe.
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dualpair import CovarianceOperator, as_vector, pair
+from .dualpair import CovarianceOperator, as_vector, finite_real, pair
 from .errors import (
     DimensionMismatchError,
     InconclusiveOptimizationError,
@@ -246,13 +250,6 @@ def _decrement(hess, grad):
     return decrement if decrement >= 0.0 else math.inf
 
 
-def _finite_real(y):
-    """y as a float, once checked to be a finite real."""
-    if not (isinstance(y, (int, float)) and math.isfinite(y)):
-        raise ValidationError(f"y must be a finite real, got {y!r}")
-    return float(y)
-
-
 def count_rate(mn, y):
     """Conjugate of the limiting count cumulant at y (the count-marginal rate).
 
@@ -260,7 +257,7 @@ def count_rate(mn, y):
     the count rate (below zero, and above the largest rate of bounded
     kinds), where the supremum diverges.
     """
-    return legendre_transform(mn.cumulant, [_finite_real(y)])
+    return legendre_transform(mn.cumulant, [finite_real(y, "y")])
 
 
 def joint_cumulant(mx, mn):
@@ -302,7 +299,7 @@ def rate_ld_variational(mx, mn, x, y):
     """Large-deviation rate of the pair: the conjugate of the joint cumulant
     over (theta, eta)."""
     vec = as_vector(x, dim=mx.dim, name="x")
-    y = _finite_real(y)
+    y = finite_real(y, "y")
     cumulant = Cumulant(*joint_cumulant(mx, mn), mx.dim + 1)
     return legendre_transform(cumulant, np.concatenate([vec, [y]]))
 
@@ -324,7 +321,7 @@ def rate_ld_explicit(mx, mn, x, y):
     exactly as written; no smoothing is applied near the origin.
     """
     vec = as_vector(x, dim=mx.dim, name="x")
-    y = _finite_real(y)
+    y = finite_real(y, "y")
     if max(abs(y), float(np.max(np.abs(vec))) if vec.size else 0.0) <= ORIGIN_TOL:
         return -mn.derivs_at_zero().cgf_at_minus_inf
     if y > 0:
@@ -334,22 +331,36 @@ def rate_ld_explicit(mx, mn, x, y):
     return math.inf
 
 
+def pair_covariance(sigma, mu, d1, d2, centered_sum=False):
+    """Covariance array of the scaled pair on R^(h+1) from the summand
+    covariance sigma, mean mu and the count rates d1, d2: C0 = diag(d1 sigma,
+    d2), or for a centred sum C1 = [[d1 sigma + d2 mu mu^T, d2 mu], [d2 mu^T,
+    d2]], built block by block (not as A^T C0 A), so exactly symmetric."""
+    mu = np.asarray(mu, dtype=float)
+    h = mu.size
+    out = np.zeros((h + 1, h + 1))
+    out[:h, :h] = d1 * np.asarray(sigma)
+    out[h, h] = d2
+    if centered_sum:
+        out[:h, :h] += d2 * np.outer(mu, mu)
+        out[:h, h] = out[h, :h] = d2 * mu
+    return out
+
+
 def psi_sn(mx, mn, theta, eta):
-    """Limiting quadratic cumulant of the centered pair:
-    d1 <theta, Sigma theta>/2 + d2 eta^2 / 2."""
-    t = as_vector(theta, dim=mx.dim, name="theta")
+    """Limiting quadratic cumulant of the centered pair: <p, C0 p>/2 at
+    p = (theta, eta), that is d1 <theta, Sigma theta>/2 + d2 eta^2 / 2."""
     d = mn.derivs_at_zero()
-    cov = mx.cov()
-    return 0.5 * d.mean_rate * cov.quadratic_form(t) + 0.5 * d.variance_rate * float(
-        eta
-    ) ** 2
+    p = np.append(as_vector(theta, dim=mx.dim, name="theta"), finite_real(eta, "eta"))
+    c0 = pair_covariance(mx.cov().matrix, mx.mean(), d.mean_rate, d.variance_rate)
+    return 0.5 * max(0.0, float(p @ c0 @ p))
 
 
 def psi_sn_mean_shifted(mx, mn, theta, eta):
     """The same quadratic with eta shifted by <theta, summand mean>; the
     cumulant matching the centered compound sum rather than centered summands."""
     t = as_vector(theta, dim=mx.dim, name="theta")
-    return psi_sn(mx, mn, t, float(eta) + pair(t, mx.mean()))
+    return psi_sn(mx, mn, t, finite_real(eta, "eta") + pair(t, mx.mean()))
 
 
 def _md_derivs(mn):
@@ -365,19 +376,17 @@ def _md_derivs(mn):
 def rate_md_centered_summands(mx, mn, x, y):
     """Moderate-deviation rate of (centered-summand sum, centered count).
 
-    Quadratic <x, pseudo-inverse(Sigma) x>/(2 d1) + y^2/(2 d2) on the image
-    of the summand covariance, +inf off it; with a degenerate d1 = 0 the x
-    slot must vanish.
-    """
+    <z, C0^+ z>/2 at z = (x, y), with C0's pseudo-inverse taken block by block
+    (each with its own spectral cutoff): <x, Sigma^+ x>/(2 d1) + y^2/(2 d2) on
+    the image of Sigma, +inf off it; with d1 = 0 the x slot must vanish."""
     d = _md_derivs(mn)
     vec = as_vector(x, dim=mx.dim, name="x")
-    count_part = _finite_real(y) ** 2 / (2.0 * d.variance_rate)
+    count_part = finite_real(y, "y") ** 2 / (2.0 * d.variance_rate)
     if d.mean_rate == 0.0:
         if vec.size == 0 or float(np.max(np.abs(vec))) <= ORIGIN_TOL:
             return count_part
         return math.inf
-    cov = mx.cov()
-    pre = cov.solve(vec)
+    pre = mx.cov().solve(vec)
     if pre is None:
         return math.inf
     quad = max(float(pre @ vec), 0.0)
@@ -388,29 +397,22 @@ def rate_md_centered_sum(mx, mn, x, y):
     """Moderate-deviation rate of the centered compound sum: the previous
     rate evaluated at (x - y * summand mean, y); same code path."""
     vec = as_vector(x, dim=mx.dim, name="x")
-    y = _finite_real(y)
+    y = finite_real(y, "y")
     return rate_md_centered_summands(mx, mn, vec - y * mx.mean(), y)
 
 
 def _md_conjugate(mx, mn, x, y, shifted):
-    """Conjugate of the quadratic psi_sn(theta, eta) = p.Q p / 2, p = (theta,
-    eta); the mean-shifted form substitutes eta + <theta, mu> for eta, which
-    turns Q into A^T Q A with A = [[I, 0], [mu^T, 1]]."""
+    """Conjugate of the quadratic <p, C p>/2 over p = (theta, eta), with
+    C = C0 (psi_sn) or, mean-shifted, C = C1 (psi_sn_mean_shifted)."""
     d = _md_derivs(mn)
     vec = as_vector(x, dim=mx.dim, name="x")
-    dim = mx.dim
-    quad = np.zeros((dim + 1, dim + 1))
-    quad[:dim, :dim] = d.mean_rate * mx.cov().matrix
-    quad[dim, dim] = d.variance_rate
-    if shifted:
-        shift = np.eye(dim + 1)
-        shift[dim, :dim] = mx.mean()
-        quad = shift.T @ quad @ shift
+    quad = pair_covariance(mx.cov().matrix, mx.mean(), d.mean_rate, d.variance_rate,
+                           shifted)
     cumulant = Cumulant(
         lambda p: 0.5 * float(p @ quad @ p), lambda p: quad @ p,
-        lambda p: quad, dim + 1,
+        lambda p: quad, mx.dim + 1,
     )
-    return legendre_transform(cumulant, np.append(vec, float(y)))
+    return legendre_transform(cumulant, np.append(vec, finite_real(y, "y")))
 
 
 def rate_md_centered_summands_variational(mx, mn, x, y):
@@ -466,17 +468,17 @@ class LimitMoments:
 
 def _pair_moments(mx, mean, var, u, v):
     """The five moments of the pair in directions (u, v) from the scaled
-    count mean and variance and the summand mean and covariance."""
+    count mean and variance: the summand mean times the count mean, and
+    entries of the centred-sum pair covariance C1 built with (mean, var)."""
     uu = as_vector(u, dim=mx.dim, name="u")
     vv = as_vector(v, dim=mx.dim, name="v")
-    mu = mx.mean()
-    u_mu, v_mu = pair(uu, mu), pair(vv, mu)
+    cov = pair_covariance(mx.cov().matrix, mx.mean(), mean, var, centered_sum=True)
     return LimitMoments(
-        mean_S_dir=mean * v_mu,
+        mean_S_dir=mean * pair(vv, mx.mean()),
         mean_N=mean,
-        cov_SS=mean * float(uu @ mx.cov().apply(vv)) + var * u_mu * v_mu,
-        cov_NS=var * v_mu,
-        var_N=var,
+        cov_SS=float(uu @ cov[:-1, :-1] @ vv),
+        cov_NS=float(cov[-1, :-1] @ vv),
+        var_N=float(cov[-1, -1]),
     )
 
 

@@ -7,13 +7,18 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import logsumexp, softmax
 
+from compound_deviations.counting import PoissonCounting
 from compound_deviations.dualpair import (
     CovarianceOperator,
     as_vector,
+    finite_real,
     pair,
     tilt_weights,
 )
 from compound_deviations.errors import DimensionMismatchError, ValidationError
+from compound_deviations.montecarlo import HalfSpaceEvent
+from compound_deviations.summands import FiniteSupportSummands
+from compound_deviations.variational import rate_ld_explicit
 
 
 class TestAsVector:
@@ -38,6 +43,34 @@ class TestAsVector:
         assert pair([1.0, 2.0], [3.0, -1.0]) == 1.0
         with pytest.raises(DimensionMismatchError):
             pair([1.0], [1.0, 2.0])
+
+
+class TestFiniteReal:
+    def test_converts_and_checks_the_domain(self):
+        assert finite_real(np.int64(2), "y") == 2.0
+        assert type(finite_real(np.float32(0.5), "y")) is float
+        with pytest.raises(ValidationError, match="rate must be positive, got -1"):
+            finite_real(-1, "rate", "be positive", lambda r: r > 0)
+
+    def test_numpy_scalars_pass_every_site(self):
+        mx = FiniteSupportSummands([[1.0], [-1.0]], [0.5, 0.5])
+        mn = PoissonCounting(1.0)
+        expected = rate_ld_explicit(mx, mn, [0.0], 2.0)
+        for scalar in (np.int64(2), np.float32(2.0)):
+            assert rate_ld_explicit(mx, mn, [0.0], scalar) == expected
+            level = HalfSpaceEvent("count", scalar).level
+            assert level == 2.0 and type(level) is float
+            assert PoissonCounting(scalar).rate == 2.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, np.float64(-math.inf), "1"])
+    def test_non_finite_and_non_numbers_still_raise(self, bad):
+        mx = FiniteSupportSummands([[1.0], [-1.0]], [0.5, 0.5])
+        with pytest.raises(ValidationError, match="y must be a finite real"):
+            rate_ld_explicit(mx, PoissonCounting(1.0), [0.0], bad)
+        with pytest.raises(ValidationError, match="level must be a finite real"):
+            HalfSpaceEvent("count", bad)
+        with pytest.raises(ValidationError, match="rate must be a positive"):
+            PoissonCounting(bad)
 
 
 class TestTiltWeights:

@@ -714,6 +714,10 @@ class TestMdScalingSweep:
                              etas=[0.5], ns=[])
 
 
+def _no_drawing(*args, **kwargs):
+    raise AssertionError("reps < 2 must be refused before any drawing")
+
+
 class TestMomentLimitsCheck:
     def test_poisson_matches_exact_identities(self):
         result = moment_limits_check(
@@ -741,6 +745,12 @@ class TestMomentLimitsCheck:
         assert rows["mean_N"].limit == 0.5
         assert_allclose(rows["var_N"].reference, mn.var(50) / 50.0, rtol=1e-15)
 
+    def test_one_rep_is_a_validation_error(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "simulate_compound", _no_drawing)
+        with pytest.raises(ValidationError, match="reps >= 2"):
+            moment_limits_check(zero_two_summand(), unit_poisson(), n=10,
+                                reps=1, u=[1.0], v=[1.0], seed=1004)
+
     def test_rerun_is_identical(self):
         kwargs = dict(n=100, reps=4000, u=[1.0], v=[1.0], seed=1003)
         first = moment_limits_check(zero_two_summand(), unit_poisson(),
@@ -766,6 +776,20 @@ class TestCltRegimeCheck:
         assert_allclose(rows["var_sum_coord_shifted"].reference, 1.0,
                         rtol=1e-12)
         assert set(result.normality_pvalues) == {"sum_coord", "count_coord"}
+
+    def test_one_rep_is_a_validation_error(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "simulate_compound", _no_drawing)
+        with pytest.raises(ValidationError, match="reps >= 2"):
+            clt_regime_check(pm_one_summand(), unit_poisson(), n=10, reps=1,
+                             v=[1.0], seed=2004)
+
+    def test_negative_direction_keeps_a_positive_zero_cross_target(self):
+        result = clt_regime_check(
+            zero_two_summand(), unit_poisson(), n=50, reps=1000, v=[-1.0],
+            seed=2005,
+        )
+        cross = {r.name: r for r in result.rows}["cross_cov"].reference
+        assert cross == 0.0 and math.copysign(1.0, cross) == 1.0
 
     def test_mean_shift_terms_appear(self):
         result = clt_regime_check(

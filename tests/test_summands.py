@@ -114,6 +114,9 @@ class TestFiniteSupportCumulants:
         diff = np.array([1.0, -2.0])
         assert_allclose(cov, 0.4 * 0.6 * np.outer(diff, diff), atol=1e-14)
 
+    def test_cov_is_built_once(self, two_atom_plane):
+        assert two_atom_plane.cov() is two_atom_plane.cov()
+
     def test_grad_at_zero_is_mean(self, two_atom_plane):
         assert_allclose(
             two_atom_plane.cgf_grad([0.0, 0.0]), two_atom_plane.mean(),

@@ -18,6 +18,8 @@ from numpy.testing import assert_allclose
 from compound_deviations import variational
 from compound_deviations.counting import (
     BernoulliSumCounting,
+    CountingDerivatives,
+    CountingModel,
     ExponentialInterarrival,
     FractionalPoissonCounting,
     GammaInterarrival,
@@ -50,6 +52,7 @@ from compound_deviations.variational import (
     joint_cumulant,
     legendre_transform,
     md_quadratic_finite_support,
+    pair_covariance,
     probe_convexity,
     psi_sn,
     psi_sn_mean_shifted,
@@ -497,6 +500,14 @@ class TestPsiQuadratics:
             direct = psi_sn(mx, mn, theta, eta + float(theta @ mu))
             assert_allclose(shifted, direct, rtol=1e-12)
 
+    @pytest.mark.parametrize("theta, eta", [
+        ([math.nan], 0.0), ([0.5], math.nan), ([0.5], math.inf), ([0.5], -math.inf),
+    ])
+    def test_non_finite_arguments_raise(self, theta, eta):
+        for psi in (psi_sn, psi_sn_mean_shifted):
+            with pytest.raises(ValidationError):
+                psi(pm_one_summand(), unit_poisson(), theta, eta)
+
     def test_limit_covariance_is_twice_the_shifted_quadratic(self):
         # Two independent code paths meet: the assembled limiting covariance
         # in direction (theta, theta) equals twice the mean-shifted quadratic
@@ -507,6 +518,104 @@ class TestPsiQuadratics:
             moments = analytic_limit_moments(mx, mn, [t], [t])
             quad = psi_sn_mean_shifted(mx, mn, [t], 0.0)
             assert_allclose(moments.cov_SS, 2.0 * quad, rtol=1e-12)
+
+
+class PoissonTwo(CountingModel):
+    """A user kind with only the limit triple and left tail of Poisson(2)."""
+
+    def limit_cgf(self, eta):
+        return 2.0 * math.expm1(eta)
+
+    def limit_cgf_deriv(self, eta):
+        return 2.0 * math.exp(eta)
+
+    def limit_cgf_second(self, eta):
+        return 2.0 * math.exp(eta)
+
+    def _tail_limit(self):
+        return -2.0
+
+
+class TestPairCovariance:
+    def test_user_kind_gets_its_derivatives_from_its_triple(self):
+        mn = PoissonTwo()
+        assert mn.derivs_at_zero() == CountingDerivatives(2.0, 2.0, -2.0)
+        mx = GaussianSummands([0.3, -0.7], [[1.0, 0.2], [0.2, 0.5]])
+        for x, y in [([0.0, 0.0], 0.0), ([0.4, -1.1], 0.6), ([-2.0, 0.3], -1.5)]:
+            assert rate_md_centered_summands(mx, mn, x, y) == (
+                rate_md_centered_summands(mx, PoissonCounting(2.0), x, y))
+
+    def test_both_centrings(self):
+        rng = np.random.default_rng(20241018)
+        for h in (1, 2, 3):
+            root = rng.normal(size=(h, h))
+            sigma, mu = root @ root.T, rng.normal(size=h)
+            d1, d2 = rng.uniform(0.1, 3.0, size=2)
+            c0 = pair_covariance(sigma, mu, d1, d2)
+            c1 = pair_covariance(sigma, mu, d1, d2, centered_sum=True)
+            assert_allclose(c0[:h, :h], d1 * sigma, rtol=1e-15)
+            assert np.all(c0[:h, h] == 0.0) and c0[h, h] == d2
+            # C1 = A^T C0 A with A = [[I, 0], [mu^T, 1]], and exactly symmetric.
+            shift = np.eye(h + 1)
+            shift[h, :h] = mu
+            assert_allclose(c1, shift.T @ c0 @ shift, rtol=1e-13, atol=1e-14)
+            assert np.array_equal(c1, c1.T)
+
+    def test_every_reader_sees_the_same_matrix(self):
+        mx = GaussianSummands([0.7, -0.2], [[1.0, 0.3], [0.3, 2.0]])
+        mn = BernoulliSumCounting(p=0.35)
+        d = mn.derivs_at_zero()
+        args = (mx.cov().matrix, mx.mean(), d.mean_rate, d.variance_rate)
+        c0 = pair_covariance(*args)
+        c1 = pair_covariance(*args, centered_sum=True)
+        p = np.array([0.4, -1.3, 0.8])
+        assert_allclose(psi_sn(mx, mn, p[:2], p[2]), 0.5 * p @ c0 @ p, rtol=1e-14)
+        assert_allclose(psi_sn_mean_shifted(mx, mn, p[:2], p[2]),
+                        0.5 * p @ c1 @ p, rtol=1e-14)
+        assert_allclose(rate_md_centered_summands(mx, mn, p[:2], p[2]),
+                        0.5 * p @ np.linalg.solve(c0, p), rtol=1e-12)
+        assert_allclose(rate_md_centered_sum(mx, mn, p[:2], p[2]),
+                        0.5 * p @ np.linalg.solve(c1, p), rtol=1e-12)
+        u, v = np.array([1.0, -0.5]), np.array([0.2, 0.8])
+        moments = analytic_limit_moments(mx, mn, u, v)
+        assert_allclose(moments.cov_SS, u @ c1[:2, :2] @ v, rtol=1e-14)
+        assert_allclose(moments.cov_NS, c1[2, :2] @ v, rtol=1e-14)
+        assert moments.var_N == c1[2, 2]
+
+    @pytest.mark.parametrize("scale", [1e11, 1e-11])
+    def test_md_rates_solve_each_block_at_its_own_scale(self, scale):
+        # Summand and count blocks of C0 a factor 1e11 apart: a single
+        # spectral cutoff over the whole C0 would drop the smaller block.
+        mx = GaussianSummands([2.0], [[scale]])
+        mn = PoissonCounting(1.0)
+        for x, y in [(0.0, 1.0), (1e-6, 0.0), (3.0 * scale, -0.5)]:
+            expected = x * x / (2.0 * scale) + y * y / 2.0
+            assert_allclose(rate_md_centered_summands(mx, mn, [x], y), expected,
+                            rtol=1e-12)
+            shifted = (x - 2.0 * y) ** 2 / (2.0 * scale) + y * y / 2.0
+            assert_allclose(rate_md_centered_sum(mx, mn, [x], y), shifted,
+                            rtol=1e-12)
+
+    def test_roundoff_negative_summand_covariance_with_large_d1(self):
+        # Sigma's eigenvalue -5e-11 passes the summand's own PSD check; the
+        # pair covariance scales it by d1 = 50 without validating it again.
+        mx = GaussianSummands([1.0, 0.0], [[1.0, 1.0], [1.0, 1.0 - 1e-10]])
+        mn = PoissonCounting(50.0)
+        c1 = pair_covariance(mx.cov().matrix, mx.mean(), 50.0, 50.0, True)
+        assert np.linalg.eigvalsh(pair_covariance(mx.cov().matrix, mx.mean(),
+                                                  50.0, 50.0))[0] < -1e-9
+        assert psi_sn(mx, mn, [1.0, -1.0], 0.5) >= 0.0
+        assert math.isfinite(psi_sn_mean_shifted(mx, mn, [1.0, 1.0], 0.5))
+        for rate, point in [(rate_md_centered_summands, [1.0, 1.0]),
+                            (rate_md_centered_sum, [1.5, 1.0])]:
+            assert math.isfinite(rate(mx, mn, point, 0.5))
+        assert math.isfinite(
+            rate_md_centered_sum_variational(mx, mn, [1.5, 1.0], 0.5).value)
+        u, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        moments = analytic_limit_moments(mx, mn, u, v)
+        assert_allclose(moments.cov_SS, u @ c1[:2, :2] @ v, rtol=1e-14)
+        finite = finite_n_moment_identities(mx, mn, 20, u, v)
+        assert_allclose(finite.cov_SS, moments.cov_SS, rtol=1e-12)
 
 
 class TestMdQuadratics:
