@@ -13,7 +13,14 @@ one weighted-mean event-probability estimator whose unit-weight case is
 plain sampling and whose importance-sampling case tilts on the rate
 minimizer over the event boundary (the dual of the half-space rate infimum
 on a ray of the joint cumulant), decay-rate scans against the rate engine,
-the moderate-deviation scaling sweep, and empirical moment/CLT checks.
+the moderate-deviation scaling sweep, and the moment and CLT checks. Both
+checks take one route: they draw the pair once and band sampled means and
+covariances of linear images <x, S> + c N against the exact finite-n values
+that the centred-sum pair covariance C1 gives at (E N_n/n, Var N_n/n),
+reporting C1 at the limit rates (d1, d2) beside them.
+
+Sizes (n, every n of a grid, reps, seeds, workers) must be integers; a
+fractional or boolean size is a ValidationError, never truncated.
 """
 
 from __future__ import annotations
@@ -36,8 +43,6 @@ from .errors import (
 from .summands import FiniteSupportSummands
 from .variational import (
     Cumulant,
-    analytic_limit_moments,
-    finite_n_moment_identities,
     joint_cumulant,
     legendre_transform,
     pair_covariance,
@@ -60,12 +65,17 @@ BOUNDARY_RTOL = 1e-12
 DEFAULT_REPS = {"plain": 100_000, "tilted": 10_000}
 # Default acceptance band of the moment and CLT checks, in standard errors.
 BAND_SE = 4.0
+# Fewest draws scipy's normaltest accepts.
+NORMALTEST_MIN_REPS = 8
 
 
-def _check_seed(seed, name="seed"):
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError(f"{name} must be a nonnegative integer, got {seed!r}")
-    return int(seed)
+def _check_int(value, name, least):
+    """value as an int once it is an integer (numpy integers too, bools not)
+    of at least ``least``; else ValidationError. Never truncates."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < least):
+        raise ValidationError(f"need an integer {name} >= {least}, got {value!r}")
+    return int(value)
 
 
 def _check_method(method):
@@ -74,20 +84,11 @@ def _check_method(method):
 
 
 def _resolve_workers(workers):
-    if workers is None:
-        return 1
-    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
-        raise ValidationError(f"workers must be an integer, got {workers!r}")
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
-    return int(workers)
+    return 1 if workers is None else _check_int(workers, "workers", 1)
 
 
 def _block_sizes(reps):
-    if not isinstance(reps, (int, np.integer)) or reps < 1:
-        raise ValidationError(f"reps must be a positive integer, got {reps!r}")
-    reps = int(reps)
-    full, rest = divmod(reps, BLOCK_SIZE)
+    full, rest = divmod(_check_int(reps, "reps", 1), BLOCK_SIZE)
     sizes = [BLOCK_SIZE] * full
     if rest:
         sizes.append(rest)
@@ -199,8 +200,8 @@ def simulate_compound(mx, mn, n, reps, seed, x_seed=None, workers=None):
     never alters the count draws. Results are identical for every worker
     count.
     """
-    seed = _check_seed(seed)
-    x_seed = seed if x_seed is None else _check_seed(x_seed, "x_seed")
+    seed = _check_int(seed, "seed", 0)
+    x_seed = seed if x_seed is None else _check_int(x_seed, "x_seed", 0)
     workers = _resolve_workers(workers)
     return _draw_samples(
         mx, lambda rng, size: mn.sample_batch(n, rng, size), n, reps, seed,
@@ -347,9 +348,9 @@ def estimate_event_prob(
     of clipping.
     """
     _check_method(method)
-    reps = DEFAULT_REPS[method] if reps is None else int(reps)
-    seed = _check_seed(seed)
-    x_seed = seed if x_seed is None else _check_seed(x_seed, "x_seed")
+    reps = DEFAULT_REPS[method] if reps is None else _check_int(reps, "reps", 1)
+    seed = _check_int(seed, "seed", 0)
+    x_seed = seed if x_seed is None else _check_int(x_seed, "x_seed", 0)
     workers = _resolve_workers(workers)
 
     if method == "plain":
@@ -387,15 +388,6 @@ def estimate_event_prob(
     )
 
 
-def event_rate_infimum(mx, mn, event):
-    """Infimum of the explicit rate over the event closure; 0 when the event
-    contains the limit point."""
-    try:
-        return tilt_parameters(mx, mn, event).rate
-    except ZeroRateEventError:
-        return 0.0
-
-
 @dataclass(frozen=True)
 class DecayEstimate:
     """Per-n decay table with the weighted-slope extrapolation."""
@@ -421,8 +413,8 @@ def decay_rate_scan(
     drives the tilted method.
     """
     _check_method(method)
-    seed = _check_seed(seed)
-    ns = [int(v) for v in ns]
+    seed = _check_int(seed, "seed", 0)
+    ns = [_check_int(v, "n", 1) for v in ns]
     if len(ns) < 2 or sorted(set(ns)) != ns:
         raise ValidationError("ns must be at least two strictly increasing integers")
     try:
@@ -482,19 +474,16 @@ class ScalingFamily:
             self._gamma = None
             self._table = {}
             for n, a in table:
-                n = int(n)
-                a = float(a)
-                if n < 1 or not (math.isfinite(a) and a > 0.0):
-                    raise ValidationError(
-                        "table entries must pair integers n >= 1 with positive a_n"
-                    )
+                n, a = _check_int(n, "n", 1), float(a)
+                if not (math.isfinite(a) and a > 0.0):
+                    raise ValidationError(f"a_n must be positive, got {a!r}")
                 self._table[n] = a
 
     def a(self, n):
         if self._gamma is not None:
             return float(n) ** (-self._gamma)
         try:
-            return self._table[int(n)]
+            return self._table[n]
         except KeyError:
             raise ValidationError(f"scaling table has no entry for n={n}")
 
@@ -529,10 +518,10 @@ def md_scaling_sweep(mn, scaling, etas, ns):
     n-grid is reported, along with the endpoint behavior of the scaling
     family.
     """
-    ns = [int(v) for v in ns]
+    ns = [_check_int(v, "n", 1) for v in ns]
     if len(ns) < 1 or sorted(set(ns)) != ns:
         raise ValidationError("ns must be strictly increasing integers")
-    etas = [float(e) for e in etas]
+    etas = [finite_real(e, "eta") for e in etas]
     d2 = mn.derivs_at_zero().variance_rate
     rows = []
     for n in ns:
@@ -585,114 +574,127 @@ def _check_row(name, empirical, std_error, reference, limit, band_se):
 
 
 @dataclass(frozen=True)
-class MomentCheckResult:
+class CheckResult:
+    """Rows of a moment or CLT check, with the CLT's informational
+    normality p-values (None where the test cannot run)."""
+
     n: int
     reps: int
     rows: list
+    normality_pvalues: dict = field(default_factory=dict)
 
 
-def _simulate_spread(mx, mn, n, reps, seed, workers):
-    """simulate_compound for a check that estimates spreads: reps >= 2."""
-    if isinstance(reps, (int, np.integer)) and reps < 2:
-        raise ValidationError(f"a spread needs reps >= 2, got {reps!r}")
-    return simulate_compound(mx, mn, n, reps, seed, workers=workers)
+def _check_images(mx, mn, n, reps, seed, workers, band_se, images, means=(),
+                  covariances=(), normality=()):
+    """Draw the pair (S, N) once and band linear images <x, S> + c N of it.
+
+    ``images`` maps a name to (x, c), and each image is formed once;
+    ``means`` lists (row, image), ``covariances`` (row, image, image) and
+    ``normality`` (p-value name, image). Given N the summands are iid, so at
+    every n exactly E[<x, S> + c N]/n = E N_n/n (<x, mu> + c), and two
+    images' covariance over n is <a, C1 b> with C1 the centred-sum pair
+    covariance at the count rates (E N_n/n, Var N_n/n): the reference. C1
+    at (d1, d2) gives the limit. C1 is built on the images' own summand
+    coordinates (<x, X> per image) and N, where image i is e_i + c_i e_N:
+    the same numbers as on (S, N), but a count coefficient c = -<x, mu>
+    then cancels the count load exactly, so a centred-summand image has
+    covariance exactly 0 with N.
+    """
+    n = _check_int(n, "n", 1)
+    _check_int(reps, "reps", 2)
+    samples = simulate_compound(mx, mn, n, reps, seed, workers=workers)
+    values = {name: samples.sums @ x + c * samples.counts
+              for name, (x, c) in images.items()}
+
+    index = {name: i for i, name in enumerate(images)}
+    coef = [c for _, c in images.values()]
+    directions = np.array([x for x, _ in images.values()])
+    image_mu = np.array([float(x @ mx.mean()) for x, _ in images.values()])
+    image_sigma = directions @ mx.cov().matrix @ directions.T
+
+    def targets(mean_rate, var_rate):
+        c1 = pair_covariance(image_sigma, image_mu, mean_rate, var_rate, True)
+        out = {row: float(mean_rate * (image_mu[index[a]] + coef[index[a]]))
+               for row, a in means}
+        for row, a, b in covariances:
+            i, j = index[a], index[b]
+            # <e_i + c_i e_N, C1 (e_j + c_j e_N)>, term by term: no fused
+            # multiply-add may keep the rounding that the terms cancel.
+            out[row] = float(c1[i, j] + coef[j] * c1[i, -1] + coef[i] * c1[-1, j]
+                             + coef[i] * coef[j] * c1[-1, -1])
+        return out
+
+    d = mn.derivs_at_zero()
+    reference = targets(mn.mean(n) / float(n), mn.var(n) / float(n))
+    limit = targets(d.mean_rate, d.variance_rate)
+    scale = float(n)
+    root_reps = math.sqrt(samples.reps)
+    entries = [(row, float(values[a].mean()) / scale,
+                float(values[a].std(ddof=1)) / (scale * root_reps))
+               for row, a in means]
+    for row, a, b in covariances:
+        cov, se = _covariance_with_error(values[a], values[b])
+        entries.append((row, cov / scale, se / scale))
+    rows = [_check_row(row, emp, se, reference[row], limit[row], band_se)
+            for row, emp, se in entries]
+
+    pvalues = {}
+    for name, a in normality:
+        # normaltest needs 8 draws, and a series with no spread has no test.
+        short = samples.reps < NORMALTEST_MIN_REPS
+        if short or float(values[a].std(ddof=1)) <= 1e-12 * math.sqrt(n):
+            pvalues[name] = None
+        else:
+            pvalues[name] = float(normaltest(values[a]).pvalue)
+    return CheckResult(n, samples.reps, rows, pvalues)
 
 
 def moment_limits_check(
     mx, mn, n, reps, u, v, seed, workers=None, band_se=BAND_SE,
 ):
-    """Empirical n-scaled moments of the pair against the exact finite-n
-    identities, each with a plug-in standard error and a band of band_se
-    standard errors; the analytic limits are reported beside them."""
-    uu = as_vector(u, dim=mx.dim, name="u")
-    vv = as_vector(v, dim=mx.dim, name="v")
-    samples = _simulate_spread(mx, mn, int(n), reps, seed, workers)
-    limit = analytic_limit_moments(mx, mn, uu, vv)
-    reference = finite_n_moment_identities(mx, mn, int(n), uu, vv)
-
-    su = samples.sums @ uu
-    sv = samples.sums @ vv
-    counts = samples.counts.astype(float)
-    scale = float(n)
-    reps = samples.reps
-
-    mean_s = float(sv.mean()) / scale
-    mean_s_se = float(sv.std(ddof=1)) / (scale * math.sqrt(reps))
-    mean_n = float(counts.mean()) / scale
-    mean_n_se = float(counts.std(ddof=1)) / (scale * math.sqrt(reps))
-    cov_ss, cov_ss_se = _covariance_with_error(su, sv)
-    cov_ns, cov_ns_se = _covariance_with_error(counts, sv)
-    var_n, var_n_se = _covariance_with_error(counts, counts)
-
-    entries = [
-        ("mean_S_dir", mean_s, mean_s_se, reference.mean_S_dir, limit.mean_S_dir),
-        ("mean_N", mean_n, mean_n_se, reference.mean_N, limit.mean_N),
-        ("cov_SS", cov_ss / scale, cov_ss_se / scale, reference.cov_SS, limit.cov_SS),
-        ("cov_NS", cov_ns / scale, cov_ns_se / scale, reference.cov_NS, limit.cov_NS),
-        ("var_N", var_n / scale, var_n_se / scale, reference.var_N, limit.var_N),
-    ]
-    rows = [_check_row(*entry, band_se) for entry in entries]
-    return MomentCheckResult(n=int(n), reps=reps, rows=rows)
-
-
-@dataclass(frozen=True)
-class CltCheckResult:
-    n: int
-    reps: int
-    rows: list
-    normality_pvalues: dict
+    """Empirical n-scaled moments of the pair against their exact finite-n
+    values, each with a plug-in standard error and a band of band_se
+    standard errors; the limits are reported beside them. The rows are the
+    means of <v, S> and N and the covariances of (<u, S>, <v, S>),
+    (N, <v, S>) and (N, N)."""
+    images = {
+        "u": (as_vector(u, dim=mx.dim, name="u"), 0.0),
+        "v": (as_vector(v, dim=mx.dim, name="v"), 0.0),
+        "count": (np.zeros(mx.dim), 1.0),
+    }
+    return _check_images(
+        mx, mn, n, reps, seed, workers, band_se, images,
+        means=[("mean_S_dir", "v"), ("mean_N", "count")],
+        covariances=[("cov_SS", "u", "v"), ("cov_NS", "count", "v"),
+                     ("var_N", "count", "count")],
+    )
 
 
 def clt_regime_check(mx, mn, n, reps, v, seed, workers=None, band_se=BAND_SE):
     """Empirical covariance structure of the CLT-scaled pair.
 
-    First coordinate: <v, sums - counts * summand mean> / sqrt(n); second:
-    (counts - E[N_n]) / sqrt(n). The targets are entries of the limit pair
-    covariance of the summand <v, X>: C0 = diag(d1 <v, Sigma v>, d2) for
-    their variances and cross-covariance (the components decouple), C1 for
-    the mean-shifted first coordinate <v, sums - E[N_n] * summand mean> /
-    sqrt(n). Normality p-values are reported informationally (finite-n skew
-    fails strict normality long before the covariances drift)."""
+    Three coordinates, each over sqrt(n): the centred-summand sum
+    <v, S> - <v, mu> N, the count N and the centred sum <v, S>. The rows are
+    the variances of the first two, their cross-covariance (zero: centred
+    summands decouple from the count), and the variance of the third and its
+    covariance with the count, each against its exact finite-n value with
+    the limit beside it. Normality p-values of the first two coordinates are
+    reported informationally (finite-n skew fails strict normality long
+    before the covariances drift)."""
     vv = as_vector(v, dim=mx.dim, name="v")
-    n = int(n)
-    samples = _simulate_spread(mx, mn, n, reps, seed, workers)
-    d = mn.derivs_at_zero()
-    v_mu = float(vv @ mx.mean())
-    # The pair covariances of the projected summand <v, X>.
-    projected = ([[mx.cov().quadratic_form(vv)]], [v_mu], d.mean_rate, d.variance_rate)
-    summands, total = pair_covariance(*projected), pair_covariance(*projected, True)
-    count_mean = mn.mean(n)
-
-    root_n = math.sqrt(n)
-    counts = samples.counts.astype(float)
-    z_sum = (samples.sums @ vv - counts * v_mu) / root_n
-    z_count = (counts - count_mean) / root_n
-    z_shifted = z_sum + z_count * v_mu
-
-    var_sum, var_sum_se = _covariance_with_error(z_sum, z_sum)
-    var_count, var_count_se = _covariance_with_error(z_count, z_count)
-    cross, cross_se = _covariance_with_error(z_sum, z_count)
-    var_shift, var_shift_se = _covariance_with_error(z_shifted, z_shifted)
-    cross_shift, cross_shift_se = _covariance_with_error(z_shifted, z_count)
-
-    entries = [
-        ("var_sum_coord", var_sum, var_sum_se, summands[0, 0]),
-        ("var_count_coord", var_count, var_count_se, summands[1, 1]),
-        ("cross_cov", cross, cross_se, summands[0, 1]),
-        ("var_sum_coord_shifted", var_shift, var_shift_se, total[0, 0]),
-        ("cross_cov_shifted", cross_shift, cross_shift_se, total[0, 1]),
-    ]
-    rows = [_check_row(name, emp, se, float(target), float(target), band_se)
-            for name, emp, se, target in entries]
-    pvalues = {}
-    for name, series in (("sum_coord", z_sum), ("count_coord", z_count)):
-        if float(series.std(ddof=1)) <= 1e-12:
-            pvalues[name] = None
-        else:
-            pvalues[name] = float(normaltest(series).pvalue)
-    return CltCheckResult(
-        n=n,
-        reps=samples.reps,
-        rows=rows,
-        normality_pvalues=pvalues,
+    images = {
+        "centred_summands": (vv, -float(vv @ mx.mean())),
+        "count": (np.zeros(mx.dim), 1.0),
+        "centred_sum": (vv, 0.0),
+    }
+    return _check_images(
+        mx, mn, n, reps, seed, workers, band_se, images,
+        covariances=[
+            ("var_sum_coord", "centred_summands", "centred_summands"),
+            ("var_count_coord", "count", "count"),
+            ("cross_cov", "centred_summands", "count"),
+            ("var_sum_coord_shifted", "centred_sum", "centred_sum"),
+            ("cross_cov_shifted", "centred_sum", "count"),
+        ],
+        normality=[("sum_coord", "centred_summands"), ("count_coord", "count")],
     )

@@ -14,7 +14,7 @@ included.
 On top of it sit the rate functions:
 
 * ``joint_cumulant``: the pair's cumulant L_N(eta + L_X(theta)) with its
-  gradient and Hessian, behind ``joint_cgf``, ``rate_ld_variational`` and
+  gradient and Hessian, behind ``rate_ld_variational`` and
   ``montecarlo.tilt_parameters``.
 * ``rate_ld_variational`` and ``rate_ld_explicit``: the large-deviation rate
   of the pair (scaled compound sum, scaled count), as the conjugate of the
@@ -28,10 +28,10 @@ On top of it sit the rate functions:
   whose pseudo-inverse it takes block by block; ``rate_md_centered_sum``
   is the same after shifting x by y times the summand mean. Their
   variational twins conjugate the quadratics of C0 and C1 with the solver.
+  C1 at the exact count moments E N_n/n, Var N_n/n, and at d1, d2, is also
+  every target of the Monte Carlo moment and CLT checks.
 * ``md_quadratic_finite_support``: the closed-form moderate-deviation
   quadratic for finite-support summands via mixture coefficients.
-* exact limiting and finite-n moments of the pair, entries of C1, used as
-  Monte Carlo oracles.
 
 Everything here is pure: models are immutable and the optimizer keeps only
 local state, so concurrent evaluation across queries is safe.
@@ -288,13 +288,6 @@ def joint_cumulant(mx, mn):
     return f, grad, hess
 
 
-def joint_cgf(mx, mn, theta, eta):
-    """Value of the joint cumulant at (theta, eta)."""
-    t = as_vector(theta, dim=mx.dim, name="theta")
-    f, _, _ = joint_cumulant(mx, mn)
-    return f(np.append(t, float(eta)))
-
-
 def rate_ld_variational(mx, mn, x, y):
     """Large-deviation rate of the pair: the conjugate of the joint cumulant
     over (theta, eta)."""
@@ -453,44 +446,3 @@ def md_quadratic_finite_support(mx, mn, x):
     value = float(np.sum(head * (head / probs[:-1] - last)))
     return max(value, 0.0) / (2.0 * d.mean_rate)
 
-
-@dataclass(frozen=True)
-class LimitMoments:
-    """Moments of the scaled pair in directions (u, v): either the limits or
-    the exact n-scaled values at a fixed n (covariances multiplied by n)."""
-
-    mean_S_dir: float
-    mean_N: float
-    cov_SS: float
-    cov_NS: float
-    var_N: float
-
-
-def _pair_moments(mx, mean, var, u, v):
-    """The five moments of the pair in directions (u, v) from the scaled
-    count mean and variance: the summand mean times the count mean, and
-    entries of the centred-sum pair covariance C1 built with (mean, var)."""
-    uu = as_vector(u, dim=mx.dim, name="u")
-    vv = as_vector(v, dim=mx.dim, name="v")
-    cov = pair_covariance(mx.cov().matrix, mx.mean(), mean, var, centered_sum=True)
-    return LimitMoments(
-        mean_S_dir=mean * pair(vv, mx.mean()),
-        mean_N=mean,
-        cov_SS=float(uu @ cov[:-1, :-1] @ vv),
-        cov_NS=float(cov[-1, :-1] @ vv),
-        var_N=float(cov[-1, -1]),
-    )
-
-
-def analytic_limit_moments(mx, mn, u, v):
-    """The five limiting moment values: the pair moments at the count's
-    limiting mean and variance rates d1, d2."""
-    d = mn.derivs_at_zero()
-    return _pair_moments(mx, d.mean_rate, d.variance_rate, u, v)
-
-
-def finite_n_moment_identities(mx, mn, n, u, v):
-    """Exact finite-n analogues of the limiting moments, in the same
-    LimitMoments layout, from the exact mean and variance of the count; the
-    Monte Carlo oracle at fixed n."""
-    return _pair_moments(mx, mn.mean(n) / float(n), mn.var(n) / float(n), u, v)

@@ -32,7 +32,6 @@ from compound_deviations.montecarlo import (
     decay_rate_scan,
     enumerate_exact,
     estimate_event_prob,
-    event_rate_infimum,
     md_scaling_sweep,
     moment_limits_check,
     simulate_compound,
@@ -40,9 +39,7 @@ from compound_deviations.montecarlo import (
 )
 from compound_deviations.summands import FiniteSupportSummands, GaussianSummands
 from compound_deviations.variational import (
-    analytic_limit_moments,
     count_rate,
-    finite_n_moment_identities,
     md_quadratic_finite_support,
     rate_ld_explicit,
     rate_ld_variational,
@@ -283,7 +280,7 @@ def test_criterion_08_ldp_decay_rates():
     )
 
     sum_event = HalfSpaceEvent(mode="sum", level=0.5, direction=[1.0])
-    infimum = event_rate_infimum(mx, mn, sum_event)
+    infimum = tilt_parameters(mx, mn, sum_event).rate
     sum_scan = decay_rate_scan(
         mx, mn, sum_event, ns=[50, 100, 200, 400], reps=10_000,
         seed=20240919, method="tilted",
@@ -318,15 +315,11 @@ def test_criterion_10_moment_limits():
     result = moment_limits_check(
         mx, mn, n=200, reps=100_000, u=[1.0], v=[1.0], seed=20240920,
     )
-    finite_n = finite_n_moment_identities(mx, mn, 200, [1.0], [1.0])
-    limit = analytic_limit_moments(mx, mn, [1.0], [1.0])
-    exact_ok = (
-        abs(finite_n.cov_SS - 2.0) <= 1e-12
-        and abs(finite_n.cov_NS - 1.0) <= 1e-12
-        and abs(finite_n.var_N - 1.0) <= 1e-12
-        and abs(limit.cov_SS - 2.0) <= 1e-12
-        and abs(limit.cov_NS - 1.0) <= 1e-12
-        and abs(limit.var_N - 1.0) <= 1e-12
+    rows = {r.name: r for r in result.rows}
+    exact_ok = all(
+        abs(getattr(rows[name], column) - value) <= 1e-12
+        for name, value in (("cov_SS", 2.0), ("cov_NS", 1.0), ("var_N", 1.0))
+        for column in ("reference", "limit")
     )
     worst_margin = max(
         abs(r.empirical - r.reference) / (4.0 * r.std_error)
@@ -340,14 +333,19 @@ def test_criterion_10_moment_limits():
 
 
 def test_criterion_11_clt_regime():
+    mn = PoissonCounting(1.0)
     result = clt_regime_check(
-        pm_one_summand(), PoissonCounting(1.0), n=400, reps=100_000,
-        v=[1.0], seed=20240921,
+        pm_one_summand(), mn, n=400, reps=100_000, v=[1.0], seed=20240921,
     )
     rows = {r.name: r for r in result.rows}
+    # The limits are exact; the references are the n = 400 values, whose
+    # count variance is read off the mass table.
     targets_ok = (
-        rows["var_sum_coord"].reference == 1.0
-        and rows["var_count_coord"].reference == 1.0
+        rows["var_sum_coord"].limit == 1.0
+        and rows["var_count_coord"].limit == 1.0
+        and rows["cross_cov"].limit == 0.0
+        and rows["var_sum_coord"].reference == 1.0
+        and rows["var_count_coord"].reference == mn.var(400) / 400.0
         and rows["cross_cov"].reference == 0.0
     )
     _criterion(

@@ -44,14 +44,13 @@ from compound_deviations.montecarlo import (
     decay_rate_scan,
     enumerate_exact,
     estimate_event_prob,
-    event_rate_infimum,
     md_scaling_sweep,
     moment_limits_check,
     simulate_compound,
     tilt_parameters,
 )
 from compound_deviations.summands import FiniteSupportSummands, GaussianSummands
-from compound_deviations.variational import legendre_transform
+from compound_deviations.variational import legendre_transform, rate_ld_explicit
 
 # Hand-checked enumeration values. With four {0,1} count steps and atoms
 # {0, 2} at probability 1/2 each, {S >= 6} needs at least three 2-atoms:
@@ -337,10 +336,12 @@ class TestTiltParameters:
         assert_allclose(tilt.s, tilt.eta + mx.cgf(tilt.theta), rtol=1e-10)
         assert_allclose(float(event.direction @ tilt.boundary_x), 0.5,
                         atol=1e-7)
+        # The rate infimum is the explicit rate at the boundary point, to
+        # the accuracy of the solved maximizer that places that point.
         assert_allclose(
             tilt.rate,
-            float(event_rate_infimum(mx, mn, event)),
-            rtol=1e-12,
+            rate_ld_explicit(mx, mn, tilt.boundary_x, tilt.boundary_y),
+            rtol=1e-7,
         )
 
     def test_sum_event_below_drift_rejected(self):
@@ -375,9 +376,14 @@ class TestTiltParameters:
         assert len(calls) == 1
 
     def test_zero_rate_event_has_zero_infimum(self):
+        # The tilt refuses a zero-rate event; the decay scan falls back to
+        # plain sampling and reports a zero infimum.
         event = HalfSpaceEvent(mode="count", level=0.5)
-        assert event_rate_infimum(pm_one_summand(), unit_poisson(),
-                                  event) == 0.0
+        with pytest.raises(ZeroRateEventError):
+            tilt_parameters(pm_one_summand(), unit_poisson(), event)
+        scan = decay_rate_scan(pm_one_summand(), unit_poisson(), event,
+                               ns=[10, 20], reps=200, seed=3, method="tilted")
+        assert scan.rate_infimum == 0.0
 
 
 class TestEstimateEventProb:
@@ -713,9 +719,52 @@ class TestMdScalingSweep:
             md_scaling_sweep(unit_poisson(), ScalingFamily(gamma=0.5),
                              etas=[0.5], ns=[])
 
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eta_is_a_validation_error(self, eta):
+        # A NaN row would compare unequal to everything, so its gap series
+        # would read as monotone.
+        with pytest.raises(ValidationError, match="eta"):
+            md_scaling_sweep(unit_poisson(), ScalingFamily(gamma=0.5),
+                             etas=[0.5, eta], ns=[10, 100])
+
 
 def _no_drawing(*args, **kwargs):
-    raise AssertionError("reps < 2 must be refused before any drawing")
+    raise AssertionError("a bad size must be refused before any drawing")
+
+
+COUNT_EVENT = HalfSpaceEvent(mode="count", level=2.0)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: estimate_event_prob(
+        pm_one_summand(), unit_poisson(), 20, COUNT_EVENT, reps=2.7, seed=1),
+        id="estimate-reps-float"),
+    pytest.param(lambda: estimate_event_prob(
+        pm_one_summand(), unit_poisson(), 20, COUNT_EVENT, reps=True, seed=1),
+        id="estimate-reps-bool"),
+    pytest.param(lambda: estimate_event_prob(
+        pm_one_summand(), unit_poisson(), 20, COUNT_EVENT, reps="10", seed=1),
+        id="estimate-reps-str"),
+    pytest.param(lambda: moment_limits_check(
+        pm_one_summand(), unit_poisson(), n=20.7, reps=100, u=[1.0], v=[1.0],
+        seed=1), id="moments-n"),
+    pytest.param(lambda: clt_regime_check(
+        pm_one_summand(), unit_poisson(), n=20.7, reps=100, v=[1.0], seed=1),
+        id="clt-n"),
+    pytest.param(lambda: decay_rate_scan(
+        pm_one_summand(), unit_poisson(), COUNT_EVENT, ns=[50.9, 100.2],
+        reps=100, seed=1), id="decay-ns"),
+    pytest.param(lambda: md_scaling_sweep(
+        unit_poisson(), ScalingFamily(gamma=0.5), etas=[0.5],
+        ns=[50.9, 100.2]), id="md-sweep-ns"),
+    pytest.param(lambda: ScalingFamily(table=[(10.7, 0.1), (100, 0.01)]),
+                 id="scaling-table-n"),
+])
+def test_sizes_are_checked_not_truncated(monkeypatch, call):
+    monkeypatch.setattr(montecarlo, "simulate_compound", _no_drawing)
+    monkeypatch.setattr(montecarlo, "tilt_parameters", _no_drawing)
+    with pytest.raises(ValidationError, match="need an integer"):
+        call()
 
 
 class TestMomentLimitsCheck:
@@ -817,3 +866,85 @@ class TestCltRegimeCheck:
         )
         assert draws == [BLOCK_SIZE, 500]
         assert all(r.within_band for r in result.rows)
+
+    @pytest.mark.parametrize("reps", [2, 5, 7])
+    def test_too_few_draws_have_no_normality_pvalues(self, reps):
+        # normaltest needs 8 draws; below that the p-values are None, never
+        # a warning and NaN.
+        result = clt_regime_check(pm_one_summand(), unit_poisson(), n=50,
+                                  reps=reps, v=[1.0], seed=2006)
+        assert result.normality_pvalues == {"sum_coord": None,
+                                            "count_coord": None}
+
+
+# Every counting kind with a finite-n law.
+FINITE_N_KINDS = {
+    "poisson": PoissonCounting(1.3),
+    "fractional": FractionalPoissonCounting(0.7, 1.0),
+    "iid-sum": IidSumCounting([0, 1, 2], [0.3, 0.4, 0.3]),
+    "bernoulli": BernoulliSumCounting(p=0.35),
+    "bernoulli-runs": BernoulliSumCounting.runs(1.0, 1.0),
+    "renewal": RenewalCounting(GammaInterarrival(2.0, 1.0)),
+}
+
+
+class TestCheckTargets:
+    """Both checks' targets against the hand formulas: for images
+    a = (a_x, a_n) of (S, N), Cov/n = (E N <a_x, Sigma b_x> + Var N
+    (<a_x, mu> + a_n)(<b_x, mu> + b_n))/n and E/n = E N (<a_x, mu> + a_n)/n,
+    at the exact count moments (reference) and the rates d1, d2 (limit)."""
+
+    mx = GaussianSummands([0.7, -0.4], [[1.0, 0.3], [0.3, 0.6]])
+    u = np.array([0.3, -1.1])
+    v = np.array([0.45, 0.8])
+    n = 30
+
+    def hand_targets(self, mean, var):
+        sigma, mu = self.mx.cov().matrix, self.mx.mean()
+
+        def cov(a, b):
+            return mean * float(a[:-1] @ sigma @ b[:-1]) + var * (
+                float(a[:-1] @ mu) + a[-1]) * (float(b[:-1] @ mu) + b[-1])
+
+        u, v = np.append(self.u, 0.0), np.append(self.v, 0.0)
+        count = np.array([0.0, 0.0, 1.0])
+        centred = np.append(self.v, -float(self.v @ mu))
+        return {
+            "mean_S_dir": mean * float(self.v @ mu),
+            "mean_N": mean,
+            "cov_SS": cov(u, v),
+            "cov_NS": cov(count, v),
+            "var_N": cov(count, count),
+            "var_sum_coord": cov(centred, centred),
+            "var_count_coord": cov(count, count),
+            "var_sum_coord_shifted": cov(v, v),
+            "cross_cov_shifted": cov(v, count),
+        }
+
+    @pytest.mark.parametrize("kind", FINITE_N_KINDS)
+    def test_rows_match_the_hand_formulas(self, kind):
+        mn, n = FINITE_N_KINDS[kind], self.n
+        d = mn.derivs_at_zero()
+        rows = {r.name: r for r in (
+            moment_limits_check(self.mx, mn, n, reps=16, u=self.u, v=self.v,
+                                seed=3001).rows
+            + clt_regime_check(self.mx, mn, n, reps=16, v=self.v,
+                               seed=3002).rows)}
+        for column, rates in (("reference", (mn.mean(n) / n, mn.var(n) / n)),
+                              ("limit", (d.mean_rate, d.variance_rate))):
+            for name, expected in self.hand_targets(*rates).items():
+                assert_allclose(getattr(rows[name], column), expected,
+                                rtol=1e-12, err_msg=f"{name} {column}")
+            # Centred summands carry no count load: exactly zero, not rounding.
+            cross = getattr(rows["cross_cov"], column)
+            assert cross == 0.0 and math.copysign(1.0, cross) == 1.0
+
+    @pytest.mark.parametrize("check", ["moments", "clt"])
+    def test_tabulated_renewal_counts_are_unsupported(self, check):
+        with pytest.raises(UnsupportedModelError):
+            if check == "moments":
+                moment_limits_check(self.mx, tabulated_renewal(), self.n,
+                                    reps=16, u=self.u, v=self.v, seed=3003)
+            else:
+                clt_regime_check(self.mx, tabulated_renewal(), self.n,
+                                 reps=16, v=self.v, seed=3003)

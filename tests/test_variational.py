@@ -35,6 +35,7 @@ from compound_deviations.errors import (
     UnsupportedModelError,
     ValidationError,
 )
+from compound_deviations.montecarlo import moment_limits_check
 from compound_deviations.summands import (
     FiniteSupportSummands,
     GaussianSummands,
@@ -45,10 +46,7 @@ from compound_deviations.variational import (
     GRADIENT_TOLERANCE,
     Cumulant,
     LegendreResult,
-    analytic_limit_moments,
     count_rate,
-    finite_n_moment_identities,
-    joint_cgf,
     joint_cumulant,
     legendre_transform,
     md_quadratic_finite_support,
@@ -65,6 +63,13 @@ from compound_deviations.variational import (
 )
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def moment_rows(mx, mn, n, u, v):
+    """The moment check's rows by name, from a few draws: their reference
+    (exact at n) and limit columns are the pair's moments in (u, v)."""
+    result = moment_limits_check(mx, mn, n, reps=16, u=u, v=v, seed=7)
+    return {r.name: r for r in result.rows}
 
 
 def golden_section_max(g, lo, hi, tol=1e-12):
@@ -334,24 +339,22 @@ class TestCountRate:
 
 class TestJointCgf:
     def test_zero_at_origin(self):
-        assert joint_cgf(pm_one_summand(), unit_poisson(), [0.0], 0.0) == 0.0
+        f = joint_cumulant(pm_one_summand(), unit_poisson())[0]
+        assert f(np.zeros(2)) == 0.0
 
     def test_symmetric_two_point_composition(self):
         # Unit-rate count composed with a +/-1 summand: log cosh enters the
         # exponent, giving cosh(t) - 1 along the summand axis.
-        mx, mn = pm_one_summand(), unit_poisson()
+        f = joint_cumulant(pm_one_summand(), unit_poisson())[0]
         for t in [-2.0, -0.5, 0.3, 1.7]:
-            assert_allclose(
-                joint_cgf(mx, mn, [t], 0.0), math.cosh(t) - 1.0, rtol=1e-12
-            )
+            assert_allclose(f(np.array([t, 0.0])), math.cosh(t) - 1.0, rtol=1e-12)
 
     def test_count_axis_reduces_to_count_cgf(self):
         mx = GaussianSummands([0.2], [[1.5]])
         mn = IidSumCounting([1, 2], [0.25, 0.75])
+        f = joint_cumulant(mx, mn)[0]
         for s in [-3.0, -0.1, 0.9, 2.0]:
-            assert_allclose(
-                joint_cgf(mx, mn, [0.0], s), mn.limit_cgf(s), rtol=1e-12
-            )
+            assert_allclose(f(np.array([0.0, s])), mn.limit_cgf(s), rtol=1e-12)
 
     @pytest.mark.parametrize("mn", [
         PoissonCounting(1.3),
@@ -515,9 +518,9 @@ class TestPsiQuadratics:
         mx = FiniteSupportSummands([[0.0], [2.0]], [0.5, 0.5])
         mn = PoissonCounting(1.3)
         for t in [-1.5, -0.2, 0.4, 2.0]:
-            moments = analytic_limit_moments(mx, mn, [t], [t])
+            limit = moment_rows(mx, mn, 10, [t], [t])["cov_SS"].limit
             quad = psi_sn_mean_shifted(mx, mn, [t], 0.0)
-            assert_allclose(moments.cov_SS, 2.0 * quad, rtol=1e-12)
+            assert_allclose(limit, 2.0 * quad, rtol=1e-12)
 
 
 class PoissonTwo(CountingModel):
@@ -577,10 +580,10 @@ class TestPairCovariance:
         assert_allclose(rate_md_centered_sum(mx, mn, p[:2], p[2]),
                         0.5 * p @ np.linalg.solve(c1, p), rtol=1e-12)
         u, v = np.array([1.0, -0.5]), np.array([0.2, 0.8])
-        moments = analytic_limit_moments(mx, mn, u, v)
-        assert_allclose(moments.cov_SS, u @ c1[:2, :2] @ v, rtol=1e-14)
-        assert_allclose(moments.cov_NS, c1[2, :2] @ v, rtol=1e-14)
-        assert moments.var_N == c1[2, 2]
+        rows = moment_rows(mx, mn, 10, u, v)
+        assert_allclose(rows["cov_SS"].limit, u @ c1[:2, :2] @ v, rtol=1e-14)
+        assert_allclose(rows["cov_NS"].limit, c1[2, :2] @ v, rtol=1e-14)
+        assert rows["var_N"].limit == c1[2, 2]
 
     @pytest.mark.parametrize("scale", [1e11, 1e-11])
     def test_md_rates_solve_each_block_at_its_own_scale(self, scale):
@@ -612,10 +615,9 @@ class TestPairCovariance:
         assert math.isfinite(
             rate_md_centered_sum_variational(mx, mn, [1.5, 1.0], 0.5).value)
         u, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        moments = analytic_limit_moments(mx, mn, u, v)
-        assert_allclose(moments.cov_SS, u @ c1[:2, :2] @ v, rtol=1e-14)
-        finite = finite_n_moment_identities(mx, mn, 20, u, v)
-        assert_allclose(finite.cov_SS, moments.cov_SS, rtol=1e-12)
+        cov_ss = moment_rows(mx, mn, 20, u, v)["cov_SS"]
+        assert_allclose(cov_ss.limit, u @ c1[:2, :2] @ v, rtol=1e-14)
+        assert_allclose(cov_ss.reference, cov_ss.limit, rtol=1e-12)
 
 
 class TestMdQuadratics:
@@ -809,59 +811,57 @@ class TestMdQuadraticFiniteSupport:
 
 
 class TestMomentRecords:
+    """The moments of the pair, read off the moment check's rows."""
+
     def unit_mean_unit_var_summand(self):
         return FiniteSupportSummands([[0.0], [2.0]], [0.5, 0.5])
 
     def test_poisson_limit_values(self):
-        moments = analytic_limit_moments(
-            self.unit_mean_unit_var_summand(), unit_poisson(), [1.0], [1.0]
-        )
-        assert_allclose(moments.mean_S_dir, 1.0, rtol=1e-12)
-        assert_allclose(moments.mean_N, 1.0, rtol=1e-12)
-        assert_allclose(moments.cov_SS, 2.0, rtol=1e-12)
-        assert_allclose(moments.cov_NS, 1.0, rtol=1e-12)
-        assert_allclose(moments.var_N, 1.0, rtol=1e-12)
+        rows = moment_rows(self.unit_mean_unit_var_summand(), unit_poisson(),
+                           10, [1.0], [1.0])
+        assert_allclose(rows["mean_S_dir"].limit, 1.0, rtol=1e-12)
+        assert_allclose(rows["mean_N"].limit, 1.0, rtol=1e-12)
+        assert_allclose(rows["cov_SS"].limit, 2.0, rtol=1e-12)
+        assert_allclose(rows["cov_NS"].limit, 1.0, rtol=1e-12)
+        assert_allclose(rows["var_N"].limit, 1.0, rtol=1e-12)
 
     def test_centered_summand_kills_cross_terms(self):
-        moments = analytic_limit_moments(
-            pm_one_summand(), PoissonCounting(2.4), [1.0], [1.0]
-        )
-        assert moments.mean_S_dir == 0.0
-        assert moments.cov_NS == 0.0
+        rows = moment_rows(pm_one_summand(), PoissonCounting(2.4), 10, [1.0],
+                           [1.0])
+        for column in ("reference", "limit"):
+            assert getattr(rows["mean_S_dir"], column) == 0.0
+            assert getattr(rows["cov_NS"], column) == 0.0
 
     def test_finite_n_matches_hand_assembly(self):
         mx = GaussianSummands([0.5, -1.0], [[2.0, 0.5], [0.5, 1.0]])
         mn = BernoulliSumCounting(p=0.3)
-        n = 37
         u = np.array([1.0, -0.5])
         v = np.array([0.2, 0.8])
-        record = finite_n_moment_identities(mx, mn, n, u, v)
+        rows = moment_rows(mx, mn, 37, u, v)
         sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
         mu = np.array([0.5, -1.0])
         mean_scaled = 0.3
         var_scaled = 0.3 * 0.7
-        assert_allclose(record.mean_N, mean_scaled, rtol=1e-12)
-        assert_allclose(record.mean_S_dir, mean_scaled * float(v @ mu),
+        assert_allclose(rows["mean_N"].reference, mean_scaled, rtol=1e-12)
+        assert_allclose(rows["mean_S_dir"].reference, mean_scaled * float(v @ mu),
                         rtol=1e-12)
         assert_allclose(
-            record.cov_SS,
+            rows["cov_SS"].reference,
             mean_scaled * float(u @ sigma @ v)
             + var_scaled * float(u @ mu) * float(v @ mu),
             rtol=1e-12,
         )
-        assert_allclose(record.cov_NS, var_scaled * float(v @ mu), rtol=1e-12)
-        assert_allclose(record.var_N, var_scaled, rtol=1e-12)
+        assert_allclose(rows["cov_NS"].reference, var_scaled * float(v @ mu),
+                        rtol=1e-12)
+        assert_allclose(rows["var_N"].reference, var_scaled, rtol=1e-12)
 
     def test_poisson_finite_n_equals_limit(self):
         mx = self.unit_mean_unit_var_summand()
-        mn = unit_poisson()
-        limit = analytic_limit_moments(mx, mn, [1.0], [1.0])
         for n in [10, 250]:
-            record = finite_n_moment_identities(mx, mn, n, [1.0], [1.0])
-            assert_allclose(record.mean_S_dir, limit.mean_S_dir, rtol=1e-12)
-            assert_allclose(record.cov_SS, limit.cov_SS, rtol=1e-12)
-            assert_allclose(record.cov_NS, limit.cov_NS, rtol=1e-12)
-            assert_allclose(record.var_N, limit.var_N, rtol=1e-12)
+            rows = moment_rows(mx, unit_poisson(), n, [1.0], [1.0])
+            for name in ("mean_S_dir", "cov_SS", "cov_NS", "var_N"):
+                assert_allclose(rows[name].reference, rows[name].limit,
+                                rtol=1e-12)
 
     def test_iid_sum_finite_n_equals_limit(self):
         # An iid-sum count has E N_n / n = d1 and Var N_n / n = d2 at every n;
@@ -869,13 +869,9 @@ class TestMomentRecords:
         mx = FiniteSupportSummands([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
                                    [0.3, 0.3, 0.4])
         mn = IidSumCounting([0, 1, 2], [0.3, 0.4, 0.3])
-        u, v = [1.0, -0.5], [0.2, 0.8]
-        limit = analytic_limit_moments(mx, mn, u, v)
         for n in (1, 7, 100):
-            record = finite_n_moment_identities(mx, mn, n, u, v)
-            for name in ("mean_S_dir", "mean_N", "cov_SS", "cov_NS", "var_N"):
-                assert_allclose(getattr(record, name), getattr(limit, name),
-                                rtol=1e-13, atol=0.0)
+            for row in moment_rows(mx, mn, n, [1.0, -0.5], [0.2, 0.8]).values():
+                assert_allclose(row.reference, row.limit, rtol=1e-13, atol=0.0)
 
     def test_renewal_counts_have_no_exact_moments(self):
         # Gamma laws have an exact count table; a tabulated cumulant does not.
@@ -883,8 +879,7 @@ class TestMomentRecords:
         mn = RenewalCounting(
             TabulatedInterarrival(rs, [-math.log1p(-r) for r in rs]))
         with pytest.raises(UnsupportedModelError):
-            finite_n_moment_identities(pm_one_summand(), mn, 100, [1.0],
-                                       [1.0])
+            moment_rows(pm_one_summand(), mn, 100, [1.0], [1.0])
 
 
 def _linspace(start, stop, num):
