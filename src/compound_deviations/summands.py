@@ -4,7 +4,8 @@ Two kinds share one interface:
 
 * FiniteSupportSummands: atoms u_1..u_m in R^h with probabilities p_i. The
   workhorse for exact computations; its Cramer rate has a closed form in
-  relative-entropy coordinates when the atoms are linearly independent.
+  relative-entropy coordinates when the atoms are affinely independent
+  (m <= h + 1).
 * GaussianSummands: mean vector and covariance operator; cumulants and the
   conjugate are quadratic, sampling of k-fold sums is exact in one draw.
 
@@ -33,11 +34,10 @@ from .errors import DimensionMismatchError, UnsupportedModelError, ValidationErr
 
 # Probabilities must sum to one within this at construction.
 PROB_SUM_TOL = 1e-12
-# A vector counts as lying in the span of the atoms when the least-squares
-# residual is below this, scaled by (1 + |x|).
+# Mixture coefficients solve the affine system [atoms^T; 1] c = (x, total)
+# when the least-squares residual is below this, scaled by (1 + |x|).
 DECOMP_RESIDUAL_TOL = 1e-8
-# Decomposition coefficients count as a probability vector (or as summing to
-# zero, for the centered variant) within this.
+# Mixture coefficients count as nonnegative within this.
 COEFF_TOL = 1e-10
 
 
@@ -94,10 +94,10 @@ class FiniteSupportSummands(SummandModel):
     probs : (m,) array
         Strictly positive probabilities summing to one within PROB_SUM_TOL.
 
-    When m <= h the atoms must be linearly independent (checked by rank);
-    that makes the coordinates of any point of their span unique, which the
-    closed-form rate functions require. Models with m > h are accepted for
-    cumulants and sampling but refuse the closed-form rates.
+    When m <= h the atoms must be linearly independent (checked by rank).
+    The closed-form rate functions need unique mixture coefficients, which
+    affinely independent atoms (m <= h + 1) give; other models are accepted
+    for cumulants and sampling but refuse the closed-form rates.
     """
 
     def __init__(self, atoms, probs):
@@ -196,34 +196,47 @@ class FiniteSupportSummands(SummandModel):
     def tilted(self, theta):
         return FiniteSupportSummands(self._atoms, self._tilt(theta)[1])
 
-    def decompose(self, x):
-        """Coordinates of x in the atom basis.
+    @cached_property
+    def _affine(self):
+        """[atoms^T; 1] and its pseudo-inverse, or None when the atoms are
+        affinely dependent; built on first use."""
+        system = np.vstack([self._atoms.T, np.ones(self.atom_count)])
+        if np.linalg.matrix_rank(system) < self.atom_count:
+            return None
+        return system, np.linalg.pinv(system)
 
-        Returns (coefficients, in_span). Requires m <= h so the coordinates
-        are unique; raises UnsupportedModelError otherwise.
-        """
+    def _mixture(self, x, total):
+        """The c with sum c_i u_i = x and sum c_i = total, by one affine
+        least-squares solve, and whether its residual vanishes."""
         vec = as_vector(x, dim=self.dim, name="x")
-        if self.atom_count > self.dim:
+        if self._affine is None:
             raise UnsupportedModelError(
-                "more atoms than dimensions: decomposition in the atom basis "
-                "is not unique, closed-form rates are unavailable"
+                "atoms are affinely dependent: mixture coefficients are not "
+                "unique, closed-form rates are unavailable"
             )
-        coeffs, _, _, _ = np.linalg.lstsq(self._atoms.T, vec, rcond=None)
-        residual = float(np.linalg.norm(self._atoms.T @ coeffs - vec))
-        in_span = residual <= DECOMP_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(vec)))
-        return coeffs, in_span
+        system, pinv = self._affine
+        rhs = np.append(vec, total)
+        coeffs = pinv @ rhs
+        residual = float(np.linalg.norm(system @ coeffs - rhs))
+        return coeffs, residual <= DECOMP_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(vec)))
+
+    def decompose(self, x):
+        """Mixture coefficients of x: (c, in_hull) with sum c_i u_i = x and
+        sum c_i = 1, where in_hull reports whether x lies in the affine hull
+        of the atoms. Requires affinely independent atoms (m <= h + 1), so
+        the coefficients are unique; raises UnsupportedModelError otherwise.
+        """
+        return self._mixture(x, 1.0)
 
     def cramer_rate(self, x):
         """Closed-form convex conjugate of the cgf.
 
         Finite exactly on the convex hull of the atoms, where it equals the
         relative entropy sum(c_i log(c_i / p_i)) of the unique mixture
-        coefficients, with 0 log 0 = 0 on the boundary.
+        coefficients (``decompose``), with 0 log 0 = 0 on the boundary.
         """
-        coeffs, in_span = self.decompose(x)
-        if not in_span:
-            return math.inf
-        if np.any(coeffs < -COEFF_TOL) or abs(coeffs.sum() - 1.0) > COEFF_TOL:
+        coeffs, in_hull = self.decompose(x)
+        if not in_hull or np.any(coeffs < -COEFF_TOL):
             return math.inf
         c = np.clip(coeffs, 0.0, None)
         mask = c > 0.0
@@ -231,13 +244,12 @@ class FiniteSupportSummands(SummandModel):
         return max(value, 0.0)
 
     def centered_decompose(self, x):
-        """Like decompose, additionally reporting whether coefficients sum to zero."""
-        coeffs, in_span = self.decompose(x)
-        centered = in_span and abs(float(coeffs.sum())) <= COEFF_TOL
-        return coeffs, centered
+        """Like decompose with sum c_i = 0: (c, centered), where centered
+        reports whether x lies in the span of the atom differences."""
+        return self._mixture(x, 0.0)
 
     def conjugate_closed_form(self, x):
-        if self.atom_count > self.dim:
+        if self._affine is None:
             return None
         return self.cramer_rate(x)
 

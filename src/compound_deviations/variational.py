@@ -34,7 +34,10 @@ On top of it sit the rate functions:
   quadratic for finite-support summands via mixture coefficients.
 
 Everything here is pure: models are immutable and the optimizer keeps only
-local state, so concurrent evaluation across queries is safe.
+local state, so concurrent evaluation across queries is safe. The one
+stored result is the count-rate memo: ``count_rate`` keeps each solve in
+the counting model it belongs to, keyed by y, so a rate grid solves the
+count rate once per y.
 """
 
 from __future__ import annotations
@@ -255,9 +258,17 @@ def count_rate(mn, y):
 
     Nonnegative, zero at the limiting mean rate; +inf outside the range of
     the count rate (below zero, and above the largest rate of bounded
-    kinds), where the supremum diverges.
+    kinds), where the supremum diverges. Memoised per model and y, next to
+    the model's per-n tables; the stored argmax is read-only.
     """
-    return legendre_transform(mn.cumulant, [finite_real(y, "y")])
+    y = finite_real(y, "y")
+    rates = mn.__dict__.setdefault("_rates", {})
+    if y not in rates:
+        result = legendre_transform(mn.cumulant, [y])
+        if result.argmax is not None:
+            result.argmax.flags.writeable = False
+        rates[y] = result
+    return rates[y]
 
 
 def joint_cumulant(mx, mn):
@@ -422,9 +433,10 @@ def rate_md_centered_sum_variational(mx, mn, x, y):
 def md_quadratic_finite_support(mx, mn, x):
     """Closed-form moderate-deviation quadratic for finite-support summands.
 
-    Decomposes x over the atoms; finite exactly when the coefficients sum to
-    zero (x lies in the span of atom differences), where it equals
-    sum over j < m of c_j (c_j/p_j - c_m/p_m) divided by 2 d1.
+    Decomposes x over affinely independent atoms (m <= h + 1) with
+    coefficients summing to zero; finite exactly when that solve succeeds
+    (x lies in the span of atom differences), where it equals
+    sum c_i^2 / p_i divided by 2 d1.
     """
     if not isinstance(mx, FiniteSupportSummands):
         raise UnsupportedModelError(
@@ -439,10 +451,4 @@ def md_quadratic_finite_support(mx, mn, x):
     coeffs, centered = mx.centered_decompose(x)
     if not centered:
         return math.inf
-    probs = mx.probs
-    if coeffs.size == 1:
-        return 0.0
-    head, last = coeffs[:-1], float(coeffs[-1]) / float(probs[-1])
-    value = float(np.sum(head * (head / probs[:-1] - last)))
-    return max(value, 0.0) / (2.0 * d.mean_rate)
-
+    return float(np.sum(coeffs * coeffs / mx.probs)) / (2.0 * d.mean_rate)

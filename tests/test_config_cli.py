@@ -531,9 +531,28 @@ class TestRunExperiment:
             2.0 * math.log(2.0) - 1.0, abs=1e-10
         )
 
-    def test_rate_eval_probes_each_cumulant_once(self, tmp_path, monkeypatch):
-        # Every grid point conjugates the same count and summand cumulants;
-        # each is probed once, when its model builds it.
+    @staticmethod
+    def run_rate_grid(tmp_path, summand):
+        """The 10 x 10 x-by-y rate grid of the benchmark, Poisson counts."""
+        config = normalize_config(dict(rate_eval_raw(), summand=summand, experiment={
+            "kind": "rate-eval",
+            "x_values": [-0.9 + 0.2 * i for i in range(10)],
+            "y_values": [0.2 * (i + 1) for i in range(10)],
+        }))
+        code, _ = run_experiment(config, out_dir=str(tmp_path))
+        assert code == 0
+
+    @pytest.mark.parametrize("summand, probed", [
+        ({"kind": "finite_support", "atoms": [1.0, -1.0], "probs": [0.5, 0.5]},
+         [1]),
+        ({"kind": "finite_support", "atoms": [-1.0, 0.0, 1.0],
+          "probs": [0.25, 0.5, 0.25]}, [1, 1]),
+    ], ids=["pm-one", "three-atoms-1d"])
+    def test_rate_eval_probes_each_cumulant_once(self, tmp_path, monkeypatch,
+                                                 summand, probed):
+        # Every grid point conjugates the same count cumulant, and the
+        # summand's too when it has no closed-form conjugate (three atoms
+        # on a line); each is probed once, when its model builds it.
         probe, dims = variational.probe_convexity, []
 
         def counted(f, dim):
@@ -541,14 +560,21 @@ class TestRunExperiment:
             return probe(f, dim)
 
         monkeypatch.setattr(variational, "probe_convexity", counted)
-        config = normalize_config(dict(rate_eval_raw(), experiment={
-            "kind": "rate-eval",
-            "x_values": [-0.9 + 0.2 * i for i in range(10)],
-            "y_values": [0.2 * (i + 1) for i in range(10)],
-        }))
-        code, _ = run_experiment(config, out_dir=str(tmp_path))
-        assert code == 0
-        assert dims == [1, 1]
+        self.run_rate_grid(tmp_path, summand)
+        assert dims == probed
+
+    def test_rate_eval_solves_each_count_rate_once(self, tmp_path, monkeypatch):
+        # The +-1 law's conjugate is closed-form and the count rate is
+        # memoised per y: ten solves for the hundred grid points.
+        solve, calls = variational.legendre_transform, []
+
+        def counted(cumulant, z):
+            calls.append(float(z[0]))
+            return solve(cumulant, z)
+
+        monkeypatch.setattr(variational, "legendre_transform", counted)
+        self.run_rate_grid(tmp_path, ldp_raw()["summand"])
+        assert calls == [0.2 * (i + 1) for i in range(10)]
 
     @pytest.mark.parametrize("experiment", [
         {"kind": "rate-eval", "x_values": [[0.3, -0.1], [0.0, 0.5]],

@@ -336,6 +336,57 @@ class TestCountRate:
         with pytest.raises(ValidationError):
             count_rate(unit_poisson(), math.nan)
 
+    # (model factory, y): finite solves and +inf verdicts, one of each kind
+    # below zero and Bernoulli counts above their largest rate.
+    MEMO_CASES = [
+        (unit_poisson, 2.0), (unit_poisson, 0.0), (unit_poisson, -0.5),
+        (lambda: FractionalPoissonCounting(0.7, 1.0), 0.6),
+        (lambda: FractionalPoissonCounting(0.7, 1.0), -0.5),
+        (lambda: IidSumCounting([0, 1, 2], [0.3, 0.4, 0.3]), -0.5),
+        (lambda: BernoulliSumCounting(p=0.5), 0.3),
+        (lambda: BernoulliSumCounting(p=0.5), 1.5),
+        (lambda: BernoulliSumCounting(p=0.5), -0.5),
+        (lambda: RenewalCounting(GammaInterarrival(2.0, 1.0)), 0.4),
+        (lambda: RenewalCounting(GammaInterarrival(2.0, 1.0)), -0.5),
+    ]
+
+    @pytest.mark.parametrize("make, y", MEMO_CASES, ids=[
+        "poisson-2", "poisson-0", "poisson-neg", "fractional-0.6",
+        "fractional-neg", "iid-sum-neg", "bernoulli-0.3", "bernoulli-1.5",
+        "bernoulli-neg", "renewal-0.4", "renewal-neg",
+    ])
+    def test_memoised_rate_is_a_fresh_models_bit_for_bit(self, make, y):
+        mn = make()
+        first = count_rate(mn, y)
+        assert count_rate(mn, y) is first
+        fresh = count_rate(make(), y)
+        assert first.value.hex() == fresh.value.hex()
+        assert (first.iterations, first.unbounded) == (fresh.iterations, fresh.unbounded)
+        assert first.gradient_norm.hex() == fresh.gradient_norm.hex()
+        if fresh.argmax is None:
+            assert first.argmax is None and first.value == math.inf
+        else:
+            assert first.argmax.tobytes() == fresh.argmax.tobytes()
+
+    @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_y_is_refused_before_anything_is_stored(self, y):
+        mn = unit_poisson()
+        with pytest.raises(ValidationError):
+            count_rate(mn, y)
+        assert not vars(mn).get("_rates")
+
+    def test_models_never_share_entries(self):
+        a, b, c = unit_poisson(), unit_poisson(), PoissonCounting(2.0)
+        ra, rb, rc = (count_rate(mn, 2.0) for mn in (a, b, c))
+        assert ra is not rb and ra.value == rb.value
+        assert_allclose(rc.value, poisson_count_rate(2.0, lam=2.0), atol=1e-12)
+        assert count_rate(a, 2.0) is ra and count_rate(c, 2.0) is rc
+
+    def test_memoised_argmax_is_read_only(self):
+        result = count_rate(unit_poisson(), 2.0)
+        with pytest.raises(ValueError):
+            result.argmax[0] = 0.0
+
 
 class TestJointCgf:
     def test_zero_at_origin(self):
@@ -799,15 +850,112 @@ class TestMdQuadraticFiniteSupport:
         )
 
     def test_overdetermined_decomposition_rejected(self):
+        # Three atoms on a line: mixture coefficients are not unique.
+        three = FiniteSupportSummands([[-1.0], [0.0], [1.0]], [0.25, 0.5, 0.25])
         with pytest.raises(UnsupportedModelError):
-            md_quadratic_finite_support(pm_one_summand(), unit_poisson(),
-                                        [0.5])
+            md_quadratic_finite_support(three, unit_poisson(), [0.5])
+
+    def test_pm_one_is_the_variance_quadratic(self):
+        # Two atoms on the line are affinely independent: x^2 / (2 d1 sigma^2).
+        mn = PoissonCounting(1.7)
+        for x in [-2.0, -0.3, 0.0, 0.8, 5.0]:
+            value = md_quadratic_finite_support(pm_one_summand(), mn, [x])
+            assert_allclose(value, x * x / (2.0 * 1.7 * 1.0), rtol=1e-12)
+
+    def test_three_atoms_in_the_plane_match_the_covariance_route(self):
+        # The FS2 law of the benchmark workloads: m = h + 1 atoms.
+        atoms = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+        mx = FiniteSupportSummands(atoms, [0.3, 0.3, 0.4])
+        mn = IidSumCounting([0, 1, 2], [0.3, 0.4, 0.3])
+        rng = np.random.default_rng(1517)
+        for _ in range(20):
+            c = rng.normal(size=3)
+            c -= c.mean()
+            x = c @ atoms
+            assert_allclose(md_quadratic_finite_support(mx, mn, x),
+                            rate_md_centered_summands(mx, mn, x, 0.0), rtol=1e-9)
 
     def test_gaussian_model_rejected(self):
         with pytest.raises(UnsupportedModelError):
             md_quadratic_finite_support(
                 GaussianSummands([0.0], [[1.0]]), unit_poisson(), [0.0]
             )
+
+
+def random_law(rng, m, h):
+    """Seeded law with m atoms in R^h, probabilities bounded away from 0."""
+    probs = rng.uniform(0.5, 1.5, size=m)
+    return FiniteSupportSummands(rng.normal(size=(m, h)), probs / probs.sum())
+
+
+def distance_to_affine_hull(vector, atoms):
+    """Component of vector - atoms[0] off the direction space of the hull."""
+    v = np.asarray(vector, dtype=float) - atoms[0]
+    directions = (atoms[1:] - atoms[0]).T
+    if directions.size:
+        v = v - directions @ np.linalg.lstsq(directions, v, rcond=None)[0]
+    return v
+
+
+# (m, h): m = h + 1 affinely independent atoms in R^h, or m <= h linearly
+# independent ones; the closed form covers both.
+CLOSED_FORM_SHAPES = [(2, 1), (3, 2), (4, 3), (2, 2), (2, 3), (3, 3)]
+
+
+class TestClosedFormConjugate:
+    """The mixture relative entropy against the solver, over the whole space."""
+
+    @pytest.mark.parametrize("m, h", CLOSED_FORM_SHAPES)
+    def test_interior_points_match_the_solver(self, m, h):
+        rng = np.random.default_rng(100 * m + h)
+        for _ in range(3):
+            mx = random_law(rng, m, h)
+            for _ in range(5):
+                x = rng.dirichlet(np.full(m, 2.0)) @ mx.atoms
+                solved = legendre_transform(mx.cumulant, x).value
+                assert_allclose(mx.conjugate_closed_form(x), solved, rtol=1e-8)
+
+    @pytest.mark.parametrize("distance", [1e-6, 1e-3, 1.0])
+    @pytest.mark.parametrize("m, h", CLOSED_FORM_SHAPES)
+    def test_points_outside_the_hull_are_infinite(self, m, h, distance):
+        rng = np.random.default_rng(200 * m + h)
+        for _ in range(3):
+            mx = random_law(rng, m, h)
+            atoms = mx.atoms
+            c = rng.dirichlet(np.full(m, 2.0))
+            # Across the facet opposite vertex k: c_k = -eps puts x at
+            # eps times the vertex's height beyond the facet's plane.
+            k = int(rng.integers(m))
+            others = np.delete(atoms, k, axis=0)
+            height = float(np.linalg.norm(distance_to_affine_hull(atoms[k], others)))
+            eps = distance / height
+            c[k] = -eps
+            rest = np.arange(m) != k
+            c[rest] *= (1.0 + eps) / c[rest].sum()
+            points = [c @ atoms]
+            if m <= h:
+                # Off the affine hull, along a unit normal to it.
+                normal = distance_to_affine_hull(rng.normal(size=h), atoms)
+                inside = rng.dirichlet(np.full(m, 2.0)) @ atoms
+                points.append(inside + distance * normal / np.linalg.norm(normal))
+            for x in points:
+                assert mx.conjugate_closed_form(x) == math.inf
+                assert legendre_transform(mx.cumulant, x).value == math.inf
+
+    @pytest.mark.parametrize("atoms, probs", [
+        ([[1.0], [1.0]], [0.3, 0.7]),
+        ([[-1.0], [0.0], [2.0]], [0.2, 0.5, 0.3]),
+        ([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]], [0.2, 0.5, 0.3]),
+    ], ids=["duplicate-atoms-1d", "three-atoms-1d", "collinear-atoms-2d"])
+    def test_affinely_dependent_laws_keep_the_solver(self, atoms, probs):
+        mx, mn = FiniteSupportSummands(atoms, probs), PoissonCounting(1.5)
+        assert mx.conjugate_closed_form(np.zeros(mx.dim)) is None
+        for x, y in [(0.5, 1.0), (1.0, 1.0), (0.3, 0.4), (2.5, 1.0),
+                     (-1.2, 1.0), (0.0, 0.7)]:
+            point = np.full(mx.dim, x)
+            assert_routes_agree(rate_ld_explicit(mx, mn, point, y),
+                                rate_ld_variational(mx, mn, point, y).value,
+                                ROUTE_TOL)
 
 
 class TestMomentRecords:
