@@ -11,9 +11,10 @@ left tail ``_tail_limit()`` = limit_cgf(-inf), read by ``derivs_at_zero``.
 The finite-n law comes from one builder per kind, ``_tilted_table(n, s)``:
 the pmf over 0..K of the law with mass ~ P(N_n = k) e^{s k}, and
 log Z(s) = log E e^{s N_n}; s = 0 is N_n itself. ``CountingModel`` builds
-every finite-n member on it: ``exact_pmf`` (cached at s = 0), ``sample_batch``
-and ``tilted_count_sampler`` (inversion of the cdf), ``mean`` and ``var``
-(the table's moments) and ``finite_cgf`` = log Z(s) / n. A kind overrides a
+every finite-n member on it, through one table per (n, s) that each model
+builds once and keeps: ``exact_pmf`` (s = 0), ``sample_batch`` and
+``tilted_count_sampler`` (inversion of the cdf), ``mean`` and ``var`` (the
+table's moments) and ``finite_cgf`` = log Z(s) / n. A kind overrides a
 member only with an exact closed form: Poisson, iid-sum and Bernoulli keep
 ``finite_cgf``, and Poisson keeps ``mean``. Unbounded tables stop once the
 tail beyond is below MASS_TAIL_TOL relative to the mode; every table is
@@ -230,15 +231,16 @@ class CountingModel:
         log_z = log E exp(s N_n)."""
         raise NotImplementedError
 
-    def _table(self, n):
-        """The cached pmf of N_n and its cdf."""
+    def _table(self, n, s=0.0):
+        """(pmf, cdf, log_z) of ``_tilted_table(n, s)``, built once per
+        (n, s) and kept, so every member reading the same law shares it."""
         n = _check_n(n)
         tables = self.__dict__.setdefault("_tables", {})
-        if n not in tables:
-            pmf = self._tilted_table(n, 0.0)[0]
+        if (n, s) not in tables:
+            pmf, log_z = self._tilted_table(n, s)
             pmf.flags.writeable = False
-            tables[n] = pmf, np.cumsum(pmf)
-        return tables[n]
+            tables[n, s] = pmf, np.cumsum(pmf), log_z
+        return tables[n, s]
 
     def exact_pmf(self, n):
         """Distribution of N_n as an array over 0..K."""
@@ -247,7 +249,7 @@ class CountingModel:
     def finite_cgf(self, n, eta):
         """(1/n) log E exp(eta N_n)."""
         n = _check_n(n)
-        return self._tilted_table(n, float(eta))[1] / n
+        return self._table(n, float(eta))[2] / n
 
     def mean(self, n):
         """E[N_n]."""
@@ -263,7 +265,7 @@ class CountingModel:
 
     def tilted_count_sampler(self, n, s):
         """Sampler (rng, reps) -> counts for the law with mass ~ P(N_n = k) e^{s k}."""
-        cdf = np.cumsum(self._tilted_table(_check_n(n), float(s))[0])
+        cdf = self._table(_check_n(n), float(s))[1]
         return lambda rng, reps: _draw_from_cdf(cdf, rng, reps)
 
     def _probe_validate(self, etas=None):

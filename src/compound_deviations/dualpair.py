@@ -11,7 +11,10 @@ They may be singular (finite-support laws on fewer atoms than dimensions
 produce rank-deficient covariances), so solving against them goes through a
 spectral pseudo-inverse with an explicit image-membership check: a right-hand
 side outside the image is reported as such, which downstream rate functions
-translate to +infinity.
+translate to +infinity. The solve is row-wise: a (P, h) stack of right-hand
+sides is solved at once, each row with its own residual test, by products
+that give each row the bits of its one-row product; ``solve`` is the
+one-row case.
 
 Rate functions take values in [0, +inf] and a count cumulant's left-tail
 limit in [-inf, 0]; both are plain floats, which carry the infinities.
@@ -78,6 +81,23 @@ def pair(theta, x):
             f"pairing a length-{t.size} dual with a length-{v.size} primal"
         )
     return float(t @ v)
+
+
+def _matvec_rows(matrix, rows):
+    """matrix @ row for each row of a (P, n) stack. The stacked matmul runs
+    one matrix-vector product per row, the same as ``matrix @ row``; the
+    matrix-matrix product ``rows @ matrix.T`` may round differently."""
+    return np.matmul(matrix, rows[..., None])[..., 0]
+
+
+def _dot_rows(a, b):
+    """a_i @ b_i for each pair of rows, bit for bit the one-dimensional dot."""
+    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
+
+
+def _norm_rows(rows):
+    """np.linalg.norm of each row, which is the square root of its dot."""
+    return np.sqrt(_dot_rows(rows, rows))
 
 
 def tilt_weights(scores):
@@ -150,16 +170,20 @@ class CovarianceOperator:
         not in the image of sigma.
         """
         vec = as_vector(x, dim=self.dim, name="right-hand side")
+        u, ok = self._solve_rows(vec[None])
+        return u[0] if ok[0] else None
+
+    def _solve_rows(self, rows):
+        """``solve`` for each row of a (P, h) stack of finite right-hand
+        sides: (U, ok), where row i of U solves it when ok[i] holds."""
         top = float(self._eigvals.max(initial=0.0))
         cutoff = SOLVE_SPECTRAL_CUTOFF * max(top, 0.0)
         # Safe reciprocal: entries at or below the cutoff never reach 1/eig.
         with np.errstate(divide="ignore"):
             inv = np.where(self._eigvals > cutoff, 1.0 / self._eigvals, 0.0)
-        u = self._eigvecs @ (inv * (self._eigvecs.T @ vec))
-        residual = float(np.linalg.norm(self._matrix @ u - vec))
-        if residual > SOLVE_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(vec))):
-            return None
-        return u
+        u = _matvec_rows(self._eigvecs, inv * _matvec_rows(self._eigvecs.T, rows))
+        residual = _norm_rows(_matvec_rows(self._matrix, u) - rows)
+        return u, residual <= SOLVE_RESIDUAL_TOL * (1.0 + _norm_rows(rows))
 
     def quadratic_form(self, theta):
         """<theta, sigma theta>, clipped at zero against roundoff."""

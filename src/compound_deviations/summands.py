@@ -19,7 +19,10 @@ Every model exposes the cumulant generating function cgf(theta) =
 log E exp<theta, X>, its gradient and Hessian, mean, covariance, a
 vectorized sampler for sums of k iid steps (the shape needed by compound
 simulation), the exponentially tilted model, and, where a closed form
-exists, the convex conjugate of the cgf.
+exists, the convex conjugate of the cgf. The closed forms are row-wise
+(``_conjugate_rows``, one affine or covariance solve for a stack of
+points, every membership rule kept per row), and the one-point methods
+are their one-row cases.
 """
 
 from __future__ import annotations
@@ -29,7 +32,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .dualpair import CovarianceOperator, as_vector, pair, tilt_weights
+from .dualpair import (
+    CovarianceOperator,
+    _dot_rows,
+    _matvec_rows,
+    _norm_rows,
+    as_vector,
+    tilt_weights,
+)
 from .errors import DimensionMismatchError, UnsupportedModelError, ValidationError
 
 # Probabilities must sum to one within this at construction.
@@ -73,6 +83,12 @@ class SummandModel:
 
     def conjugate_closed_form(self, x):
         """Convex conjugate of the cgf at x, or None when no closed form exists."""
+        values = self._conjugate_rows(as_vector(x, dim=self.dim, name="x")[None])
+        return None if values is None else float(values[0])
+
+    def _conjugate_rows(self, rows):
+        """``conjugate_closed_form`` at each row of a (P, h) stack of finite
+        points, as an array, or None when no closed form exists."""
         return None
 
     @cached_property
@@ -205,20 +221,24 @@ class FiniteSupportSummands(SummandModel):
             return None
         return system, np.linalg.pinv(system)
 
-    def _mixture(self, x, total):
-        """The c with sum c_i u_i = x and sum c_i = total, by one affine
-        least-squares solve, and whether its residual vanishes."""
-        vec = as_vector(x, dim=self.dim, name="x")
+    def _mixture(self, rows, total):
+        """For each row x of a (P, h) stack, the c with sum c_i u_i = x and
+        sum c_i = total, by one affine least-squares solve, and whether its
+        residual vanishes: (C, ok)."""
         if self._affine is None:
             raise UnsupportedModelError(
                 "atoms are affinely dependent: mixture coefficients are not "
                 "unique, closed-form rates are unavailable"
             )
         system, pinv = self._affine
-        rhs = np.append(vec, total)
-        coeffs = pinv @ rhs
-        residual = float(np.linalg.norm(system @ coeffs - rhs))
-        return coeffs, residual <= DECOMP_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(vec)))
+        rhs = np.hstack([rows, np.full((rows.shape[0], 1), total)])
+        coeffs = _matvec_rows(pinv, rhs)
+        residual = _norm_rows(_matvec_rows(system, coeffs) - rhs)
+        return coeffs, residual <= DECOMP_RESIDUAL_TOL * (1.0 + _norm_rows(rows))
+
+    def _one_mixture(self, x, total):
+        coeffs, ok = self._mixture(as_vector(x, dim=self.dim, name="x")[None], total)
+        return coeffs[0], bool(ok[0])
 
     def decompose(self, x):
         """Mixture coefficients of x: (c, in_hull) with sum c_i u_i = x and
@@ -226,7 +246,7 @@ class FiniteSupportSummands(SummandModel):
         of the atoms. Requires affinely independent atoms (m <= h + 1), so
         the coefficients are unique; raises UnsupportedModelError otherwise.
         """
-        return self._mixture(x, 1.0)
+        return self._one_mixture(x, 1.0)
 
     def cramer_rate(self, x):
         """Closed-form convex conjugate of the cgf.
@@ -235,23 +255,26 @@ class FiniteSupportSummands(SummandModel):
         relative entropy sum(c_i log(c_i / p_i)) of the unique mixture
         coefficients (``decompose``), with 0 log 0 = 0 on the boundary.
         """
-        coeffs, in_hull = self.decompose(x)
-        if not in_hull or np.any(coeffs < -COEFF_TOL):
-            return math.inf
+        return float(self._cramer_rows(as_vector(x, dim=self.dim, name="x")[None])[0])
+
+    def _cramer_rows(self, rows):
+        """``cramer_rate`` at each row of a (P, h) stack."""
+        coeffs, in_hull = self._mixture(rows, 1.0)
         c = np.clip(coeffs, 0.0, None)
         mask = c > 0.0
-        value = float(np.sum(c[mask] * (np.log(c[mask]) - self._log_probs[mask])))
-        return max(value, 0.0)
+        terms = c * (np.log(np.where(mask, c, 1.0)) - self._log_probs)
+        value = np.maximum(np.sum(np.where(mask, terms, 0.0), axis=1), 0.0)
+        return np.where(in_hull & np.all(coeffs >= -COEFF_TOL, axis=1), value, math.inf)
 
     def centered_decompose(self, x):
         """Like decompose with sum c_i = 0: (c, centered), where centered
         reports whether x lies in the span of the atom differences."""
-        return self._mixture(x, 0.0)
+        return self._one_mixture(x, 0.0)
 
-    def conjugate_closed_form(self, x):
+    def _conjugate_rows(self, rows):
         if self._affine is None:
             return None
-        return self.cramer_rate(x)
+        return self._cramer_rows(rows)
 
 
 class GaussianSummands(SummandModel):
@@ -302,13 +325,10 @@ class GaussianSummands(SummandModel):
         t = as_vector(theta, dim=self.dim, name="theta")
         return GaussianSummands(self._mean + self._cov.apply(t), self._cov)
 
-    def conjugate_closed_form(self, x):
-        vec = as_vector(x, dim=self.dim, name="x")
-        centered = vec - self._mean
-        u = self._cov.solve(centered)
-        if u is None:
-            return math.inf
-        return max(0.5 * pair(u, centered), 0.0)
+    def _conjugate_rows(self, rows):
+        centered = rows - self._mean
+        u, ok = self._cov._solve_rows(centered)
+        return np.where(ok, np.maximum(0.5 * _dot_rows(u, centered), 0.0), math.inf)
 
 
 def _on_grid(grid, law):

@@ -33,6 +33,12 @@ On top of it sit the rate functions:
 * ``md_quadratic_finite_support``: the closed-form moderate-deviation
   quadratic for finite-support summands via mixture coefficients.
 
+Every rate function is row-wise: it takes one point (x in R^h, a real y)
+or a stack of P points (x of shape (P, h), P values of y), checked once and
+evaluated at once, with one closed-form or covariance solve for all rows
+and one probed ``Cumulant`` per call; one point is the one-row case. A
+``rate-eval`` table is one call per column.
+
 Everything here is pure: models are immutable and the optimizer keeps only
 local state, so concurrent evaluation across queries is safe. The one
 stored result is the count-rate memo: ``count_rate`` keeps each solve in
@@ -48,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dualpair import CovarianceOperator, as_vector, finite_real, pair
+from .dualpair import _dot_rows, as_vector, finite_real, pair
 from .errors import (
     DimensionMismatchError,
     InconclusiveOptimizationError,
@@ -299,20 +305,46 @@ def joint_cumulant(mx, mn):
     return f, grad, hess
 
 
+def _points(mx, x, y):
+    """(xs, ys, one): one point (x by ``as_vector``, y by ``finite_real``)
+    or a stack (x of shape (P, h), P values of y, checked once) as a
+    (P, h) and a (P,) array; one marks the single point."""
+    if np.ndim(x) != 2:
+        vec = as_vector(x, dim=mx.dim, name="x")
+        return vec[None], np.array([finite_real(y, "y")]), True
+    xs = np.array(x, dtype=float)
+    if xs.shape[1] != mx.dim:
+        raise DimensionMismatchError(
+            f"x rows have length {xs.shape[1]}, expected {mx.dim}"
+        )
+    as_vector(xs.ravel(), name="x")  # nonempty and finite
+    return xs, as_vector(y, dim=xs.shape[0], name="y"), False
+
+
+def _conjugates(cumulant, xs, ys, one):
+    """``legendre_transform`` of one probed cumulant at each (x, y) row."""
+    results = [legendre_transform(cumulant, np.append(x, y)) for x, y in zip(xs, ys)]
+    return results[0] if one else results
+
+
 def rate_ld_variational(mx, mn, x, y):
     """Large-deviation rate of the pair: the conjugate of the joint cumulant
-    over (theta, eta)."""
-    vec = as_vector(x, dim=mx.dim, name="x")
-    y = finite_real(y, "y")
+    over (theta, eta). A stack of points gives one result per row, all from
+    one ``Cumulant``, so the joint cumulant is probed once per call."""
+    xs, ys, one = _points(mx, x, y)
     cumulant = Cumulant(*joint_cumulant(mx, mn), mx.dim + 1)
-    return legendre_transform(cumulant, np.concatenate([vec, [y]]))
+    return _conjugates(cumulant, xs, ys, one)
 
 
-def _summand_conjugate(mx, point):
-    closed = mx.conjugate_closed_form(point)
+def _summand_conjugate(mx, points):
+    """The summand conjugate at each row of a stack: the model's closed form
+    when it has one, else one ``legendre_transform`` per row."""
+    if not np.all(np.isfinite(points)):
+        raise ValidationError("x / y must be finite")
+    closed = mx._conjugate_rows(points)
     if closed is not None:
         return closed
-    return legendre_transform(mx.cumulant, point).value
+    return np.array([legendre_transform(mx.cumulant, p).value for p in points])
 
 
 def rate_ld_explicit(mx, mn, x, y):
@@ -323,16 +355,23 @@ def rate_ld_explicit(mx, mn, x, y):
     origin (within 1e-10 in max norm): minus the left-tail limit of the
     count cumulant. Everything else: +inf. Small positive y is evaluated
     exactly as written; no smoothing is applied near the origin.
+
+    x and y may also be a stack of P points (x of shape (P, h), P values of
+    y), evaluated at once into an array of P rates; one point gives a float.
     """
-    vec = as_vector(x, dim=mx.dim, name="x")
-    y = finite_real(y, "y")
-    if max(abs(y), float(np.max(np.abs(vec))) if vec.size else 0.0) <= ORIGIN_TOL:
-        return -mn.derivs_at_zero().cgf_at_minus_inf
-    if y > 0:
+    xs, ys, one = _points(mx, x, y)
+    rates = np.full(ys.size, math.inf)
+    origin = np.maximum(np.abs(ys), np.max(np.abs(xs), axis=1)) <= ORIGIN_TOL
+    if origin.any():
+        rates[origin] = -mn.derivs_at_zero().cgf_at_minus_inf
+    inner = (ys > 0.0) & ~origin
+    if inner.any():
+        y_in = ys[inner]
         # Both conjugates are >= 0 (each objective is 0 at the origin), so
         # the product and the sum never meet 0 * inf or inf - inf.
-        return y * _summand_conjugate(mx, vec / y) + count_rate(mn, y).value
-    return math.inf
+        rates[inner] = (y_in * _summand_conjugate(mx, xs[inner] / y_in[:, None])
+                        + [count_rate(mn, level).value for level in y_in])
+    return float(rates[0]) if one else rates
 
 
 def pair_covariance(sigma, mu, d1, d2, centered_sum=False):
@@ -377,46 +416,55 @@ def _md_derivs(mn):
     return d
 
 
+def _md_rate(mx, mn, x, y, shifted):
+    """<z, C0^+ z>/2 at each point z = (x, y), or at (x - y mu, y) when
+    shifted: d1 and d2 read once, one covariance solve for all rows."""
+    d = _md_derivs(mn)
+    xs, ys, one = _points(mx, x, y)
+    if shifted:
+        xs = xs - ys[:, None] * mx.mean()
+    # y ** 2 is the float power, row by row, as the tables have always been
+    # computed; the vectorised square y * y differs from it in the last bit
+    # for about one y in a thousand.
+    count_part = np.array([v ** 2 for v in ys.tolist()]) / (2.0 * d.variance_rate)
+    if d.mean_rate == 0.0:
+        rates = np.where(np.max(np.abs(xs), axis=1) <= ORIGIN_TOL, count_part, math.inf)
+    else:
+        pre, in_image = mx.cov()._solve_rows(xs)
+        quad = np.maximum(_dot_rows(pre, xs), 0.0)
+        rates = np.where(in_image, quad / (2.0 * d.mean_rate) + count_part, math.inf)
+    return float(rates[0]) if one else rates
+
+
 def rate_md_centered_summands(mx, mn, x, y):
     """Moderate-deviation rate of (centered-summand sum, centered count).
 
     <z, C0^+ z>/2 at z = (x, y), with C0's pseudo-inverse taken block by block
     (each with its own spectral cutoff): <x, Sigma^+ x>/(2 d1) + y^2/(2 d2) on
-    the image of Sigma, +inf off it; with d1 = 0 the x slot must vanish."""
-    d = _md_derivs(mn)
-    vec = as_vector(x, dim=mx.dim, name="x")
-    count_part = finite_real(y, "y") ** 2 / (2.0 * d.variance_rate)
-    if d.mean_rate == 0.0:
-        if vec.size == 0 or float(np.max(np.abs(vec))) <= ORIGIN_TOL:
-            return count_part
-        return math.inf
-    pre = mx.cov().solve(vec)
-    if pre is None:
-        return math.inf
-    quad = max(float(pre @ vec), 0.0)
-    return quad / (2.0 * d.mean_rate) + count_part
+    the image of Sigma, +inf off it; with d1 = 0 the x slot must vanish. A
+    stack of points, as in ``rate_ld_explicit``, gives an array."""
+    return _md_rate(mx, mn, x, y, shifted=False)
 
 
 def rate_md_centered_sum(mx, mn, x, y):
     """Moderate-deviation rate of the centered compound sum: the previous
     rate evaluated at (x - y * summand mean, y); same code path."""
-    vec = as_vector(x, dim=mx.dim, name="x")
-    y = finite_real(y, "y")
-    return rate_md_centered_summands(mx, mn, vec - y * mx.mean(), y)
+    return _md_rate(mx, mn, x, y, shifted=True)
 
 
 def _md_conjugate(mx, mn, x, y, shifted):
     """Conjugate of the quadratic <p, C p>/2 over p = (theta, eta), with
-    C = C0 (psi_sn) or, mean-shifted, C = C1 (psi_sn_mean_shifted)."""
+    C = C0 (psi_sn) or, mean-shifted, C = C1 (psi_sn_mean_shifted); one
+    ``Cumulant`` for every point of a stack."""
     d = _md_derivs(mn)
-    vec = as_vector(x, dim=mx.dim, name="x")
+    xs, ys, one = _points(mx, x, y)
     quad = pair_covariance(mx.cov().matrix, mx.mean(), d.mean_rate, d.variance_rate,
                            shifted)
     cumulant = Cumulant(
         lambda p: 0.5 * float(p @ quad @ p), lambda p: quad @ p,
         lambda p: quad, mx.dim + 1,
     )
-    return legendre_transform(cumulant, np.append(vec, finite_real(y, "y")))
+    return _conjugates(cumulant, xs, ys, one)
 
 
 def rate_md_centered_summands_variational(mx, mn, x, y):

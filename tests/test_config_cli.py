@@ -33,7 +33,11 @@ from compound_deviations.counting import (
     PoissonCounting,
     RenewalCounting,
 )
-from compound_deviations.errors import ConfigError
+from compound_deviations.errors import (
+    ConfigError,
+    InconclusiveOptimizationError,
+    ValidationError,
+)
 from compound_deviations.experiments import run_experiment
 from compound_deviations.montecarlo import (
     HalfSpaceEvent,
@@ -740,6 +744,50 @@ class TestCli:
         assert err_lines[0].startswith(
             "error [compound_deviations.errors.ValidationError]: "
         )
+
+    @staticmethod
+    def assert_grid_fails_typed(tmp_path, capsys, raw, error):
+        """The grid raises ``error`` from run_experiment, and compdev exits
+        with 2 and names it."""
+        with pytest.raises(error):
+            run_experiment(normalize_config(raw), out_dir=str(tmp_path / "api"))
+        path = write_json(tmp_path / "grid.json", raw)
+        assert cli.main(["rate-eval", "--config", path, "--out",
+                         str(tmp_path / "out")]) == 2
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert err_lines[-1].startswith(
+            f"error [compound_deviations.errors.{error.__name__}]: ")
+
+    def test_inconclusive_fallback_solve_is_typed(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # Three atoms on a line have no closed-form conjugate, so the grid
+        # solves the summand conjugate once per row; a row whose solve ends
+        # inconclusive (x / y = 0.25 here) stops the whole grid.
+        solve = variational.legendre_transform
+
+        def failing(cumulant, z):
+            if float(z[0]) == 0.25:
+                raise InconclusiveOptimizationError("iteration limit reached")
+            return solve(cumulant, z)
+
+        monkeypatch.setattr(variational, "legendre_transform", failing)
+        self.assert_grid_fails_typed(tmp_path, capsys, {
+            "summand": {"kind": "finite_support", "atoms": [-1.0, 0.0, 1.0],
+                        "probs": [0.25, 0.5, 0.25]},
+            "counting": {"kind": "poisson", "rate": 1.0},
+            "experiment": {"kind": "rate-eval", "x_values": [-0.5, 0.25, 0.5],
+                           "y_values": [1.0, 2.0]},
+        }, InconclusiveOptimizationError)
+
+    def test_zero_count_variance_rate_is_typed(self, tmp_path, capsys):
+        # N_n = n has no count fluctuation: the moderate-deviation columns
+        # are undefined and the grid fails as the one-point rates do.
+        self.assert_grid_fails_typed(tmp_path, capsys, {
+            "summand": ldp_raw()["summand"],
+            "counting": {"kind": "iid_sum", "values": [1], "probs": [1.0]},
+            "experiment": {"kind": "rate-eval", "x_values": [-0.5, 0.5],
+                           "y_values": [0.5, 1.0]},
+        }, ValidationError)
 
     @pytest.mark.parametrize("block, key", [
         ({"counting": {"kind": "poisson", "rate": 10 ** 401}}, "counting.rate"),

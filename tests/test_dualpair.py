@@ -10,6 +10,9 @@ from scipy.special import logsumexp, softmax
 from compound_deviations.counting import PoissonCounting
 from compound_deviations.dualpair import (
     CovarianceOperator,
+    _dot_rows,
+    _matvec_rows,
+    _norm_rows,
     as_vector,
     finite_real,
     pair,
@@ -121,7 +124,38 @@ class TestCovarianceOperator:
         op = CovarianceOperator([[1.0, 1.0], [1.0, 1.0]])
         assert op.solve([1.0, -1.0]) is None
 
+    def test_row_wise_solve_is_each_row_solved_alone(self):
+        # Rows in and off the image of a rank-one operator, solved at once.
+        op = CovarianceOperator([[1.0, 1.0], [1.0, 1.0]])
+        rows = np.array([[2.0, 2.0], [1.0, -1.0], [-0.5, -0.5], [0.0, 0.0]])
+        u, ok = op._solve_rows(rows)
+        assert ok.tolist() == [True, False, True, True]
+        for row, solved, found in zip(rows, u, ok):
+            alone = op.solve(row)
+            assert (alone is not None) == found
+            if found:
+                assert np.array_equal(alone, solved)
+
     def test_quadratic_form_never_negative(self):
         # A zero operator plus roundoff must not yield a tiny negative form.
         op = CovarianceOperator(np.zeros((3, 3)))
         assert op.quadratic_form([1.0, -2.0, 0.5]) == 0.0
+
+
+class TestRowProducts:
+    """Stacked products give each row the bits of its one-row product, so a
+    grid evaluated at once prints what its points print one at a time."""
+
+    @pytest.mark.parametrize("h", [1, 2, 3, 5])
+    def test_each_row_repeats_the_one_row_bits(self, h):
+        rng = np.random.default_rng(h)
+        matrix = rng.normal(size=(h, h))
+        rows = rng.normal(size=(200, h)) * 10.0 ** rng.uniform(-4, 4, (200, 1))
+        other = rng.normal(size=(200, h))
+        for m in (matrix, matrix.T):
+            for row, product in zip(rows, _matvec_rows(m, rows)):
+                assert np.array_equal(product, m @ row)
+        for row, w, dot, norm in zip(rows, other, _dot_rows(rows, other),
+                                     _norm_rows(rows)):
+            assert dot == float(row @ w)
+            assert norm == float(np.linalg.norm(row))

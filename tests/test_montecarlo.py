@@ -16,7 +16,7 @@ from scipy import stats
 from scipy.optimize import minimize_scalar
 from scipy.special import gammainc, gammaln, logsumexp
 
-from compound_deviations import montecarlo
+from compound_deviations import counting, montecarlo
 from compound_deviations.counting import (
     BernoulliSumCounting,
     CountingModel,
@@ -374,6 +374,37 @@ class TestTiltParameters:
         monkeypatch.setattr(montecarlo, "legendre_transform", counted)
         tilt_parameters(pm_one_summand(), unit_poisson(), event)
         assert len(calls) == 1
+
+    def test_one_tilted_estimate_builds_its_table_once(self, monkeypatch):
+        # The tilted estimator reads log Z(s) through finite_cgf and draws
+        # through tilted_count_sampler at the same (n, s); both read one
+        # kept table, whose build makes the s-tilted weights and their
+        # untilted normaliser once each.
+        builds, grows = [], []
+        build, grow = FractionalPoissonCounting._tilted_table, counting._grow_table
+
+        def counted_build(self, n, s):
+            builds.append((n, s))
+            return build(self, n, s)
+
+        def counted_grow(table, what):
+            grows.append(what)
+            return grow(table, what)
+
+        monkeypatch.setattr(FractionalPoissonCounting, "_tilted_table", counted_build)
+        monkeypatch.setattr(counting, "_grow_table", counted_grow)
+        mn = FractionalPoissonCounting(0.7, 1.0)
+        estimate_event_prob(pm_one_summand(), mn, 200,
+                            HalfSpaceEvent(mode="count", level=2.5),
+                            reps=2000, method="tilted", seed=3)
+        assert len(builds) == 1 and builds[0][1] > 0.0
+        assert len(grows) == 2
+        # A fresh model builds the same law bit for bit.
+        n, s = builds[0]
+        fresh = FractionalPoissonCounting(0.7, 1.0)
+        assert mn.finite_cgf(n, s) == fresh.finite_cgf(n, s)
+        assert np.array_equal(mn._table(n, s)[1], fresh._table(n, s)[1])
+        assert len(builds) == 2
 
     def test_zero_rate_event_has_zero_infimum(self):
         # The tilt refuses a zero-rate event; the decay scan falls back to

@@ -16,6 +16,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from compound_deviations import variational
+from compound_deviations.config import format_cell
 from compound_deviations.counting import (
     BernoulliSumCounting,
     CountingDerivatives,
@@ -1150,3 +1151,123 @@ class TestRouteAgreement:
             assert y < 0.0 and isinstance(mx, GaussianSummands)
             return
         assert_routes_agree(explicit, joint, ROUTE_TOL)
+
+
+# Summand laws for the row-wise checks, seeded: affinely independent atoms
+# (the closed form, m = h + 1 or m <= h), affinely dependent atoms (one
+# legendre_transform per row), and Gaussian laws of full and deficient rank.
+ROWWISE_SUMMANDS = {
+    "affine-1d": lambda rng: random_law(rng, 2, 1),
+    "affine-2d": lambda rng: random_law(rng, 3, 2),
+    "affine-3d": lambda rng: random_law(rng, 4, 3),
+    "linear-3d": lambda rng: random_law(rng, 2, 3),
+    "dependent-1d": lambda rng: FiniteSupportSummands(
+        [[-1.0], [0.0], [2.0]], [0.2, 0.5, 0.3]),
+    "dependent-2d": lambda rng: FiniteSupportSummands(
+        [[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]], [0.2, 0.5, 0.3]),
+    "dependent-3d": lambda rng: random_law(rng, 5, 3),
+    "gauss-full-2d": lambda rng: GaussianSummands(
+        rng.normal(size=2), [[1.5, 0.4], [0.4, 0.8]]),
+    "gauss-singular-2d": lambda rng: GaussianSummands(
+        rng.normal(size=2), [[1.0, 1.0], [1.0, 1.0]]),
+    "gauss-singular-3d": lambda rng: GaussianSummands(
+        rng.normal(size=3), np.diag([2.0, 0.0, 0.5])),
+}
+
+
+def rowwise_points(rng, mx):
+    """The x-major product of x points (the origin, a point near the mean,
+    one far outside every hull, one along the covariance's least
+    eigenvector, off its image when it is singular) and y values
+    (negative, zero, a hair above zero, and beyond one, where Bernoulli
+    counts are +inf)."""
+    h = mx.dim
+    eigvals, eigvecs = np.linalg.eigh(mx.cov().matrix)
+    xs = [np.zeros(h), mx.mean() + 0.1 * rng.normal(size=h),
+          8.0 * rng.normal(size=h), eigvecs[:, 0] * (1.0 + eigvals[0])]
+    ys = [-0.5, 0.0, 1e-13, 0.45, 1.3]
+    points = [(x.tolist(), y) for x in xs for y in ys]
+    return [x for x, _ in points], [y for _, y in points]
+
+
+class TestRowwiseRates:
+    """A stack of points evaluates each rate at once; every row must equal
+    its own one-point call, digit for digit."""
+
+    @pytest.mark.parametrize("count", sorted(COUNTING_KINDS))
+    @pytest.mark.parametrize("summand", sorted(ROWWISE_SUMMANDS))
+    def test_every_row_matches_its_one_point_call(self, summand, count):
+        rng = np.random.default_rng(sorted(ROWWISE_SUMMANDS).index(summand))
+        mx = ROWWISE_SUMMANDS[summand](rng)
+        mn = COUNTING_KINDS[count](lambda lo, hi: float(rng.uniform(lo, hi)))
+        xs, ys = rowwise_points(rng, mx)
+        for rate in (rate_ld_explicit, rate_md_centered_summands,
+                     rate_md_centered_sum):
+            column = rate(mx, mn, xs, ys)
+            assert isinstance(column, np.ndarray) and column.shape == (len(ys),)
+            for x, y, cell in zip(xs, ys, column):
+                one = rate(mx, mn, x, y)
+                assert type(one) is float
+                assert format_cell(cell) == format_cell(one), (rate.__name__, x, y)
+
+    def test_one_stack_meets_every_branch(self):
+        # The origin rule, y <= 0, the closed form, +inf off the hull and
+        # +inf off the covariance image, each in one row of a stack.
+        mn = PoissonCounting(1.0)
+        pm = FiniteSupportSummands([[1.0], [-1.0]], [0.5, 0.5])
+        column = rate_ld_explicit(pm, mn, [[0.0], [0.5], [0.5], [3.0]],
+                                  [0.0, -0.5, 1.0, 1.0])
+        assert column[0] == 1.0 and column[1] == math.inf
+        assert 0.0 < column[2] < math.inf and column[3] == math.inf
+        singular = GaussianSummands([0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]])
+        md = rate_md_centered_summands(singular, mn, [[1.0, 1.0], [1.0, -1.0]],
+                                       [0.5, 0.5])
+        assert math.isfinite(md[0]) and md[1] == math.inf
+
+    def test_count_part_keeps_the_float_power_bits(self):
+        # At x = 0 with unit Poisson counts the rate is y ** 2 / 2 exactly.
+        # The float power rounds these y differently from y * y; the rate
+        # tables have always held the float power's bits.
+        ys = [0.5073225863368529, 0.8246210121471433, -0.4834668697760108]
+        assert all(y ** 2 != y * y for y in ys)
+        column = rate_md_centered_summands(pm_one_summand(), unit_poisson(),
+                                           [[0.0]] * 3, ys)
+        assert column.tolist() == [y ** 2 / 2.0 for y in ys]
+
+    @pytest.mark.parametrize("rate", [
+        rate_ld_explicit, rate_md_centered_summands, rate_md_centered_sum,
+        rate_ld_variational, rate_md_centered_summands_variational,
+        rate_md_centered_sum_variational,
+    ])
+    @pytest.mark.parametrize("xs, ys, error", [
+        ([[0.1], [0.2]], [1.0], DimensionMismatchError),
+        (np.zeros((0, 1)), [], ValidationError),
+        ([[0.1], [0.2]], 1.0, ValidationError),
+        ([[0.1, 0.0], [0.2, 0.0]], [1.0, 1.0], DimensionMismatchError),
+        ([[0.1], [math.nan]], [1.0, 1.0], ValidationError),
+        ([[0.1], [0.2]], [1.0, math.inf], ValidationError),
+    ], ids=["short-y", "empty", "scalar-y", "long-rows", "nan-x", "inf-y"])
+    def test_stack_is_checked_once_with_typed_errors(self, rate, xs, ys, error):
+        with pytest.raises(error):
+            rate(pm_one_summand(), unit_poisson(), xs, ys)
+
+    @pytest.mark.parametrize("rate", [
+        rate_ld_variational, rate_md_centered_summands_variational,
+        rate_md_centered_sum_variational,
+    ])
+    def test_variational_rates_probe_once_per_call(self, monkeypatch, rate):
+        probe, calls = variational.probe_convexity, []
+
+        def counted(f, dim):
+            calls.append(dim)
+            return probe(f, dim)
+
+        mx, mn = GaussianSummands([0.2], [[1.0]]), unit_poisson()
+        xs = [[0.2 * i - 0.9] for i in range(10)]
+        ys = [0.3 + 0.2 * i for i in range(10)]
+        monkeypatch.setattr(variational, "probe_convexity", counted)
+        results = rate(mx, mn, xs, ys)
+        assert calls == [2]
+        assert len(results) == 10
+        for x, y, result in zip(xs, ys, results):
+            assert result.value == rate(mx, mn, x, y).value
