@@ -43,6 +43,12 @@ Kinds
   with left tail minus the end of kappa's domain (a table's last r). For
   gamma inter-arrivals the law of N_n is exact, P(N_n <= k) =
   Q((k + 1) shape, rate n); a tabulated law has no finite-n law.
+
+Importing the module loads no scipy submodule: each function imports the
+one it calls (quad, brentq, PchipInterpolator, gammaln, gammainc) when it
+runs. A table may first be built on one of ``montecarlo``'s block threads,
+so the first such import can run there; CPython's per-module import locks
+make that safe.
 """
 
 from __future__ import annotations
@@ -53,10 +59,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
-from scipy.special import gammainc, gammaincc, gammaln
 
 from .dualpair import finite_real, tilt_weights
 from .errors import NoRootError, UnsupportedModelError, ValidationError
@@ -132,6 +134,9 @@ def _log_weight_table(nu, log_x, s, what):
     log Z(s) being the log of its total weight over the total at s = 0. The
     log-weights are concave, so the tail beyond the table decays
     geometrically."""
+    # Imported here, not at module level, so that a run pays only for the
+    # scipy submodules it calls.
+    from scipy.special import gammaln
 
     def table(slope):
         def build(size):
@@ -239,7 +244,11 @@ class CountingModel:
         if (n, s) not in tables:
             pmf, log_z = self._tilted_table(n, s)
             pmf.flags.writeable = False
-            tables[n, s] = pmf, np.cumsum(pmf), log_z
+            # The cumsum can end short of 1; a uniform above its end would
+            # invert to the impossible count pmf.size.
+            cdf = np.cumsum(pmf)
+            cdf[-1] = 1.0
+            tables[n, s] = pmf, cdf, log_z
         return tables[n, s]
 
     def exact_pmf(self, n):
@@ -392,6 +401,8 @@ class PoissonCounting(CountingModel):
         if self._intensity is None:
             return self._rate * n
         if n not in self._mass_cache:
+            from scipy.integrate import quad
+
             value, _ = quad(
                 self._intensity, 0.0, float(n),
                 epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=500,
@@ -530,6 +541,8 @@ class BernoulliSumCounting(CountingModel):
         """term(q, eta) at the constant p, or integrated over the profile."""
         if self._p is not None:
             return term(self._p, eta)
+        from scipy.integrate import quad
+
         value, _ = quad(lambda x: term(self._profile(x), eta), 0.0, 1.0,
                         epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=500, points=QUAD_POINTS)
         return float(value)
@@ -549,6 +562,7 @@ class BernoulliSumCounting(CountingModel):
         # the limit -inf.
         if self._p is not None:
             return math.log1p(-self._p)
+        from scipy.integrate import quad
 
         def f(x):
             q = self._profile(x)
@@ -589,6 +603,8 @@ def invert_interarrival_cgf(kappa, u, domain_sup=math.inf, domain_inf=-math.inf)
     until it straddles u, then hands off to a bracketing root finder with
     xtol INVERT_XTOL.
     """
+    from scipy.optimize import brentq
+
     if not math.isfinite(u):
         raise ValidationError(f"target value must be finite, got {u!r}")
     if u == 0.0:
@@ -695,6 +711,8 @@ class TabulatedInterarrival(InterarrivalLaw):
     """
 
     def __init__(self, r_values, kappa_values):
+        from scipy.interpolate import PchipInterpolator
+
         r = np.array(r_values, dtype=float)
         k = np.array(kappa_values, dtype=float)
         if r.ndim != 1 or r.size < TABLE_MIN_POINTS or r.shape != k.shape:
@@ -792,6 +810,8 @@ class RenewalCounting(CountingModel):
         its mass. A tilted table whose kept mass would reach past the float
         range (a mass that underflows to 0 within MASS_TAIL_TOL of the peak)
         is a ValidationError, never a silently truncated table."""
+        from scipy.special import gammainc, gammaincc
+
         if not isinstance(self._law, GammaInterarrival):
             raise UnsupportedModelError(
                 f"renewal counts of a {type(self._law).__name__} law have no "

@@ -30,13 +30,14 @@ Orders nu below NU_MIN are rejected: the series would need on the order of
 
 The linear entry point overflows once exp(x^(1/nu)) leaves double range;
 log_mittag_leffler carries the same policy entirely in log space.
+
+Importing the module loads no scipy submodule: both branches import
+``scipy.special``'s gammaln and rgamma when they run.
 """
 
 from __future__ import annotations
 
 import math
-
-from scipy.special import gammaln, rgamma
 
 from .dualpair import finite_real
 from .errors import ValidationError
@@ -74,6 +75,8 @@ def _series_value(nu, beta, x):
     Only called for x <= switch_point(nu), where the largest term stays
     within double range and the term count stays within the budget.
     """
+    from scipy.special import gammaln, rgamma
+
     if x == 0.0:
         return float(rgamma(beta))
     logx = math.log(x)
@@ -91,6 +94,8 @@ def _series_value(nu, beta, x):
 
 def _asymptotic_log(nu, beta, x):
     """Log of the two-correction exponential asymptotic, valid for z > 30."""
+    from scipy.special import rgamma
+
     z = x ** (1.0 / nu)
     log_leading = z + (1.0 - beta) * math.log(z) - math.log(nu)
     corrections = -(rgamma(beta - nu) / x + rgamma(beta - 2.0 * nu) / (x * x))

@@ -21,6 +21,12 @@ reporting C1 at the limit rates (d1, d2) beside them.
 
 Sizes (n, every n of a grid, reps, seeds, workers) must be integers; a
 fractional or boolean size is a ValidationError, never truncated.
+
+Importing the module loads no scipy submodule: ``enumerate_exact`` imports
+gammaln and the CLT normality p-values import normaltest when they run. A
+count table may first be built inside a block thread, so the counting
+module's first scipy import can run there; CPython's per-module import
+locks make that safe.
 """
 
 from __future__ import annotations
@@ -30,8 +36,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import normaltest
 
 from .dualpair import as_vector, finite_real
 from .errors import (
@@ -228,6 +232,8 @@ def enumerate_exact(mx, mn, n, event):
     an error telling the caller to fall back to Monte Carlo. Each (sum, count)
     point is tested by the event's indicator, like a sampled one.
     """
+    from scipy.special import gammaln
+
     if not isinstance(mx, FiniteSupportSummands):
         raise UnsupportedModelError(
             "exact enumeration requires finite-support summands"
@@ -645,6 +651,8 @@ def _check_images(mx, mn, n, reps, seed, workers, band_se, images, means=(),
         if short or float(values[a].std(ddof=1)) <= 1e-12 * math.sqrt(n):
             pvalues[name] = None
         else:
+            from scipy.stats import normaltest
+
             pvalues[name] = float(normaltest(values[a]).pvalue)
     return CheckResult(n, samples.reps, rows, pvalues)
 

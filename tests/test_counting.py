@@ -13,6 +13,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special
 from numpy.testing import assert_allclose
 from scipy.special import erfc, gammaln, logsumexp
 from scipy.stats import chi2, poisson
@@ -670,7 +671,36 @@ CLOSED_FORMS = {
 }
 
 
+# One model of each counting kind, at an n where its untilted or tilted
+# table's cumsum ends short of 1.
+TOP_UNIFORM_KINDS = {
+    "poisson": (PoissonCounting(1.0), 100),
+    "fractional": (FractionalPoissonCounting(0.7, 1.0), 100),
+    "iid-sum": (IidSumCounting([0, 1, 2], [0.3, 0.4, 0.3]), 100),
+    "bernoulli": (BernoulliSumCounting(p=0.5), 100),
+    "bernoulli-runs": (BernoulliSumCounting.runs(1.0, 1.0), 400),
+    "renewal": (RenewalCounting(GammaInterarrival(2.0, 1.0)), 100),
+}
+
+
+class TopUniform:
+    """An rng whose every uniform is the largest float below 1."""
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
 class TestOneTableRoute:
+    @pytest.mark.parametrize("kind", sorted(TOP_UNIFORM_KINDS))
+    def test_top_uniform_draws_stay_inside_the_table(self, kind):
+        # The last cdf entry is exactly 1, so no uniform inverts to the
+        # impossible count pmf.size, untilted or tilted.
+        mn, n = TOP_UNIFORM_KINDS[kind]
+        assert mn.sample_batch(n, TopUniform(), 3).max() < mn.exact_pmf(n).size
+        for s in (-0.5, 0.3):
+            draws = mn.tilted_count_sampler(n, s)(TopUniform(), 3)
+            assert draws.max() < mn._table(n, s)[0].size
+
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_draws_follow_the_exact_pmf(self, kind):
         mn = KINDS[kind]
@@ -833,7 +863,8 @@ class TestValidation:
             sizes.append(k.size)
             return gammaln(k)
 
-        monkeypatch.setattr(counting, "gammaln", recording_gammaln)
+        # The table builder imports gammaln from scipy.special when it runs.
+        monkeypatch.setattr(scipy.special, "gammaln", recording_gammaln)
         with pytest.raises(ValidationError, match="exceeds 100 states"):
             FractionalPoissonCounting(0.7, 1.0).exact_pmf(400)
         assert sizes == [64, 100]

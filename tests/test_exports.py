@@ -1,7 +1,12 @@
 """The package's public names: ``__all__`` lists exactly what ``__init__``
-imports, and every listed name resolves."""
+imports, and every listed name resolves. Importing the package loads no
+scipy submodule, and a run loads only the ones it calls."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import compound_deviations
@@ -24,3 +29,40 @@ def test_all_lists_exactly_the_imported_names():
 def test_every_exported_name_resolves():
     for name in compound_deviations.__all__:
         assert getattr(compound_deviations, name, None) is not None, name
+
+
+# A fresh interpreter imports the package and the CLI, records which of
+# scipy's submodules are loaded, runs one +-1/Poisson rate-eval config and
+# records them again.
+IMPORT_PROBE = """
+import json, sys
+import compound_deviations, compound_deviations.cli
+from compound_deviations import normalize_config, run_experiment
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("scipy."))
+
+after_import = loaded()
+run_experiment(normalize_config({
+    "summand": {"kind": "finite_support", "atoms": [1.0, -1.0], "probs": [0.5, 0.5]},
+    "counting": {"kind": "poisson", "rate": 1.0},
+    "experiment": {"kind": "rate-eval", "x_values": [-0.5, 0.0, 0.5],
+                   "y_values": [0.5, 1.0, 2.0]},
+}), out_dir=sys.argv[1])
+print(json.dumps([after_import, loaded()]))
+"""
+
+
+def test_import_loads_no_scipy_submodule_a_run_does_not_call(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True,
+    )
+    after_import, after_run = json.loads(done.stdout.strip().splitlines()[-1])
+    deferred = ("scipy.stats", "scipy.integrate", "scipy.optimize",
+                "scipy.interpolate", "scipy.special")
+    assert [m for m in deferred if m in after_import] == []
+    unused = ("scipy.stats", "scipy.integrate", "scipy.interpolate")
+    assert [m for m in unused if m in after_run] == []
