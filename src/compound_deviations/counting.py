@@ -60,7 +60,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dualpair import finite_real, tilt_weights
+from .dualpair import check_int, finite_real, tilt_weights
 from .errors import NoRootError, UnsupportedModelError, ValidationError
 from .summands import PROB_SUM_TOL
 from .variational import Cumulant
@@ -83,12 +83,6 @@ MASS_TABLE_CAP = 5_000_000
 INVERT_XTOL = 1e-13
 # Fewest points of a tabulated inter-arrival cumulant.
 TABLE_MIN_POINTS = 4
-
-
-def _check_n(n):
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValidationError(f"n must be an integer >= 1, got {n!r}")
-    return int(n)
 
 
 def _grow_table(build, what):
@@ -239,7 +233,7 @@ class CountingModel:
     def _table(self, n, s=0.0):
         """(pmf, cdf, log_z) of ``_tilted_table(n, s)``, built once per
         (n, s) and kept, so every member reading the same law shares it."""
-        n = _check_n(n)
+        n = check_int(n, "n", 1)
         tables = self.__dict__.setdefault("_tables", {})
         if (n, s) not in tables:
             pmf, log_z = self._tilted_table(n, s)
@@ -257,7 +251,7 @@ class CountingModel:
 
     def finite_cgf(self, n, eta):
         """(1/n) log E exp(eta N_n)."""
-        n = _check_n(n)
+        n = check_int(n, "n", 1)
         return self._table(n, float(eta))[2] / n
 
     def mean(self, n):
@@ -274,7 +268,7 @@ class CountingModel:
 
     def tilted_count_sampler(self, n, s):
         """Sampler (rng, reps) -> counts for the law with mass ~ P(N_n = k) e^{s k}."""
-        cdf = self._table(_check_n(n), float(s))[1]
+        cdf = self._table(check_int(n, "n", 1), float(s))[1]
         return lambda rng, reps: _draw_from_cdf(cdf, rng, reps)
 
     def _probe_validate(self, etas=None):
@@ -343,7 +337,7 @@ class IidSumCounting(CountingModel):
         return float(self._log_probs[0]) if self._values[0] == 0 else -math.inf
 
     def finite_cgf(self, n, eta):
-        _check_n(n)
+        check_int(n, "n", 1)
         # Scaled cumulant of an n-fold iid sum equals the step cumulant exactly.
         return self.limit_cgf(eta)
 
@@ -397,7 +391,7 @@ class PoissonCounting(CountingModel):
 
     def total_mass(self, n):
         """E[N_n]: rate * n, or the cached intensity integral over [0, n]."""
-        n = _check_n(n)
+        n = check_int(n, "n", 1)
         if self._intensity is None:
             return self._rate * n
         if n not in self._mass_cache:
@@ -411,7 +405,7 @@ class PoissonCounting(CountingModel):
         return self._mass_cache[n]
 
     def finite_cgf(self, n, eta):
-        return self.total_mass(n) / _check_n(n) * math.expm1(eta)
+        return self.total_mass(n) / check_int(n, "n", 1) * math.expm1(eta)
 
     def mean(self, n):
         return self.total_mass(n)
@@ -577,7 +571,7 @@ class BernoulliSumCounting(CountingModel):
         return value if math.isfinite(value) else -math.inf
 
     def success_probs(self, n):
-        n = _check_n(n)
+        n = check_int(n, "n", 1)
         if self._p is not None:
             return np.full(n, self._p)
         sites = np.arange(n, dtype=float) / n

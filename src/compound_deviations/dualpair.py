@@ -70,6 +70,15 @@ def finite_real(value, name, need="be a finite real", within=None):
     return float(value)
 
 
+def check_int(value, name, least):
+    """value as an int once it is an integer (numpy integers too, bools not)
+    of at least ``least``; else ValidationError. Never truncates."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < least):
+        raise ValidationError(f"need an integer {name} >= {least}, got {value!r}")
+    return int(value)
+
+
 def pair(theta, x):
     """Duality pairing <theta, x>: the inner product of equal-length vectors."""
     t = np.asarray(theta, dtype=float)

@@ -72,20 +72,6 @@ def _relative_band(name, value, reference, band):
     )
 
 
-def _check_rows_to_bands(rows, band_se):
-    bands = []
-    for row in rows:
-        width = band_se * row.std_error
-        deviation = abs(row.empirical - row.reference)
-        margin = deviation / width if width > 0 else (0.0 if deviation == 0 else
-                                                      math.inf)
-        bands.append(
-            _band_entry(row.name, row.empirical, row.reference, width,
-                        row.within_band, margin=margin)
-        )
-    return bands
-
-
 def _run_rate_eval(config, mx, mn, workers):
     exp = config["experiment"]
     dim = len(exp["x_values"][0])
@@ -179,16 +165,20 @@ def _run_md_check(config, mx, mn, workers):
     return {"md_check": table}, dat, bands, details
 
 
-def _check_table(config, result, seed):
+def _check_outputs(config, result):
+    """A check's table, and its bands copied from the rows."""
     table = ResultTable(
         columns=["name", "empirical", "std_error", "reference", "limit",
                  "within_band"],
-        metadata=table_metadata(config, seed=seed),
+        metadata=table_metadata(config, seed=config["experiment"]["seed"]),
     )
+    bands = []
     for row in result.rows:
         table.add(row.name, row.empirical, row.std_error, row.reference,
                   row.limit, row.within_band)
-    return table
+        bands.append(_band_entry(row.name, row.empirical, row.reference,
+                                 row.band, row.within_band, margin=row.margin))
+    return table, bands
 
 
 def _run_moments_check(config, mx, mn, workers):
@@ -197,8 +187,7 @@ def _run_moments_check(config, mx, mn, workers):
         mx, mn, exp["n"], exp["reps"], exp["u"], exp["v"], exp["seed"],
         workers=workers, band_se=exp["band_se"],
     )
-    table = _check_table(config, result, exp["seed"])
-    bands = _check_rows_to_bands(result.rows, exp["band_se"])
+    table, bands = _check_outputs(config, result)
     return {"moments_check": table}, {}, bands, {}
 
 
@@ -208,8 +197,7 @@ def _run_clt_check(config, mx, mn, workers):
         mx, mn, exp["n"], exp["reps"], exp["v"], exp["seed"],
         workers=workers, band_se=exp["band_se"],
     )
-    table = _check_table(config, result, exp["seed"])
-    bands = _check_rows_to_bands(result.rows, exp["band_se"])
+    table, bands = _check_outputs(config, result)
     details = {"normality_pvalues": result.normality_pvalues}
     return {"clt_check": table}, {}, bands, details
 

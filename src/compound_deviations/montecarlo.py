@@ -17,7 +17,9 @@ the moderate-deviation scaling sweep, and the moment and CLT checks. Both
 checks take one route: they draw the pair once and band sampled means and
 covariances of linear images <x, S> + c N against the exact finite-n values
 that the centred-sum pair covariance C1 gives at (E N_n/n, Var N_n/n),
-reporting C1 at the limit rates (d1, d2) beside them.
+reporting C1 at the limit rates (d1, d2) beside them. The images are the
+rows of one array, and every covariance and its standard error is read off
+a Gram matrix, so the check tables are the same for any BLAS thread count.
 
 Sizes (n, every n of a grid, reps, seeds, workers) must be integers; a
 fractional or boolean size is a ValidationError, never truncated.
@@ -37,8 +39,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dualpair import as_vector, finite_real
+from .dualpair import as_vector, check_int, finite_real
 from .errors import (
+    DimensionMismatchError,
     EnumerationTooLargeError,
     UnsupportedModelError,
     ValidationError,
@@ -73,26 +76,17 @@ BAND_SE = 4.0
 NORMALTEST_MIN_REPS = 8
 
 
-def _check_int(value, name, least):
-    """value as an int once it is an integer (numpy integers too, bools not)
-    of at least ``least``; else ValidationError. Never truncates."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < least):
-        raise ValidationError(f"need an integer {name} >= {least}, got {value!r}")
-    return int(value)
-
-
 def _check_method(method):
     if method not in DEFAULT_REPS:
         raise ValidationError(f"method must be 'plain' or 'tilted', got {method!r}")
 
 
 def _resolve_workers(workers):
-    return 1 if workers is None else _check_int(workers, "workers", 1)
+    return 1 if workers is None else check_int(workers, "workers", 1)
 
 
 def _block_sizes(reps):
-    full, rest = divmod(_check_int(reps, "reps", 1), BLOCK_SIZE)
+    full, rest = divmod(check_int(reps, "reps", 1), BLOCK_SIZE)
     sizes = [BLOCK_SIZE] * full
     if rest:
         sizes.append(rest)
@@ -186,6 +180,11 @@ class HalfSpaceEvent:
     def normal(self, dim):
         """(d, c) that writes the event as {<d, sum/n> + c count/n >= level}."""
         if self.mode == "sum":
+            if self.direction.size != dim:
+                raise DimensionMismatchError(
+                    f"event direction has length {self.direction.size}, but "
+                    f"the summands have dimension {dim}"
+                )
             return self.direction, 0.0
         return np.zeros(dim), 1.0
 
@@ -204,8 +203,8 @@ def simulate_compound(mx, mn, n, reps, seed, x_seed=None, workers=None):
     never alters the count draws. Results are identical for every worker
     count.
     """
-    seed = _check_int(seed, "seed", 0)
-    x_seed = seed if x_seed is None else _check_int(x_seed, "x_seed", 0)
+    seed = check_int(seed, "seed", 0)
+    x_seed = seed if x_seed is None else check_int(x_seed, "x_seed", 0)
     workers = _resolve_workers(workers)
     return _draw_samples(
         mx, lambda rng, size: mn.sample_batch(n, rng, size), n, reps, seed,
@@ -255,12 +254,10 @@ def enumerate_exact(mx, mn, n, event):
             continue
         splits = np.array(list(_compositions(k, m)), dtype=float)
         points = CompoundSamples(int(n), splits @ mx.atoms, np.full(len(splits), k))
-        log_kfac = gammaln(k + 1.0)
-        for j in splits[event.indicator(points)]:
-            log_multinomial = log_kfac - float(gammaln(j + 1.0).sum()) + float(
-                j @ log_probs
-            )
-            total += float(count_prob) * math.exp(log_multinomial)
+        hit = splits[event.indicator(points)]
+        # The multinomial probability of each hit split, in log form.
+        log_terms = gammaln(k + 1.0) - gammaln(hit + 1.0).sum(1) + hit @ log_probs
+        total += float(count_prob) * float(np.exp(log_terms).sum())
     return min(total, 1.0)
 
 
@@ -354,9 +351,9 @@ def estimate_event_prob(
     of clipping.
     """
     _check_method(method)
-    reps = DEFAULT_REPS[method] if reps is None else _check_int(reps, "reps", 1)
-    seed = _check_int(seed, "seed", 0)
-    x_seed = seed if x_seed is None else _check_int(x_seed, "x_seed", 0)
+    reps = DEFAULT_REPS[method] if reps is None else check_int(reps, "reps", 1)
+    seed = check_int(seed, "seed", 0)
+    x_seed = seed if x_seed is None else check_int(x_seed, "x_seed", 0)
     workers = _resolve_workers(workers)
 
     if method == "plain":
@@ -419,8 +416,8 @@ def decay_rate_scan(
     drives the tilted method.
     """
     _check_method(method)
-    seed = _check_int(seed, "seed", 0)
-    ns = [_check_int(v, "n", 1) for v in ns]
+    seed = check_int(seed, "seed", 0)
+    ns = [check_int(v, "n", 1) for v in ns]
     if len(ns) < 2 or sorted(set(ns)) != ns:
         raise ValidationError("ns must be at least two strictly increasing integers")
     try:
@@ -479,11 +476,15 @@ class ScalingFamily:
         else:
             self._gamma = None
             self._table = {}
-            for n, a in table:
-                n, a = _check_int(n, "n", 1), float(a)
-                if not (math.isfinite(a) and a > 0.0):
-                    raise ValidationError(f"a_n must be positive, got {a!r}")
-                self._table[n] = a
+            for entry in table:
+                try:
+                    n, a = entry
+                except (TypeError, ValueError):
+                    raise ValidationError(
+                        f"scaling table entries must be (n, a_n) pairs, got {entry!r}"
+                    ) from None
+                self._table[check_int(n, "n", 1)] = finite_real(
+                    a, "a_n", "be a positive finite real", lambda v: v > 0.0)
 
     def a(self, n):
         if self._gamma is not None:
@@ -524,7 +525,7 @@ def md_scaling_sweep(mn, scaling, etas, ns):
     n-grid is reported, along with the endpoint behavior of the scaling
     family.
     """
-    ns = [_check_int(v, "n", 1) for v in ns]
+    ns = [check_int(v, "n", 1) for v in ns]
     if len(ns) < 1 or sorted(set(ns)) != ns:
         raise ValidationError("ns must be strictly increasing integers")
     etas = [finite_real(e, "eta") for e in etas]
@@ -550,33 +551,30 @@ def md_scaling_sweep(mn, scaling, etas, ns):
     )
 
 
-def _covariance_with_error(a, b):
-    """Sample covariance and the plug-in standard error of the estimate."""
-    reps = a.size
-    da = a - a.mean()
-    db = b - b.mean()
-    cov = float(da @ db) / (reps - 1)
-    second = float(np.mean((da * db) ** 2))
-    variance = max(second - cov * cov, 0.0) / reps
-    return cov, math.sqrt(variance)
-
-
 @dataclass(frozen=True)
 class CheckRow:
+    """One row of a moment or CLT check: ``band`` = band_se * std_error is
+    the band's half-width and ``margin`` = |empirical - reference| / band."""
+
     name: str
     empirical: float
     std_error: float
     reference: float
     limit: float
     within_band: bool
+    band: float
+    margin: float
 
 
 def _check_row(name, empirical, std_error, reference, limit, band_se):
     """Within band: within band_se standard errors of the reference, or
-    equal to it when the error is zero."""
-    within = (abs(empirical - reference) <= band_se * std_error
-              if std_error > 0.0 else empirical == reference)
-    return CheckRow(name, empirical, std_error, reference, limit, within)
+    equal to it (margin 0, else inf) when the band has zero width."""
+    band = band_se * std_error
+    deviation = abs(empirical - reference)
+    within = deviation <= band
+    margin = deviation / band if band > 0.0 else (0.0 if within else math.inf)
+    return CheckRow(name, empirical, std_error, reference, limit, within, band,
+                    margin)
 
 
 @dataclass(frozen=True)
@@ -594,67 +592,75 @@ def _check_images(mx, mn, n, reps, seed, workers, band_se, images, means=(),
                   covariances=(), normality=()):
     """Draw the pair (S, N) once and band linear images <x, S> + c N of it.
 
-    ``images`` maps a name to (x, c), and each image is formed once;
-    ``means`` lists (row, image), ``covariances`` (row, image, image) and
-    ``normality`` (p-value name, image). Given N the summands are iid, so at
-    every n exactly E[<x, S> + c N]/n = E N_n/n (<x, mu> + c), and two
-    images' covariance over n is <a, C1 b> with C1 the centred-sum pair
-    covariance at the count rates (E N_n/n, Var N_n/n): the reference. C1
-    at (d1, d2) gives the limit. C1 is built on the images' own summand
-    coordinates (<x, X> per image) and N, where image i is e_i + c_i e_N:
-    the same numbers as on (S, N), but a count coefficient c = -<x, mu>
-    then cancels the count load exactly, so a centred-summand image has
-    covariance exactly 0 with N.
+    ``images`` maps a name to (x, c); ``means`` lists (row, image),
+    ``covariances`` (row, image, image) and ``normality`` (p-value name,
+    image). Each plug-in standard error needs sum da^2 db^2 over the
+    centred images a, b: the (a, b) entry of the squared rows' Gram matrix.
+
+    Given N the summands are iid, so at every n exactly E[<x, S> + c N]/n =
+    E N_n/n (<x, mu> + c), and two images' covariance over n is <a, C1 b>
+    with C1 the centred-sum pair covariance at the count rates (E N_n/n,
+    Var N_n/n): the reference. C1 at (d1, d2) gives the limit. C1 is built
+    on the images' own summand coordinates (<x, X> per image) and N, where
+    image i is e_i + c_i e_N: the same numbers as on (S, N), but a count
+    coefficient c = -<x, mu> then cancels the count load exactly, so a
+    centred-summand image has covariance exactly 0 with N.
     """
-    n = _check_int(n, "n", 1)
-    _check_int(reps, "reps", 2)
+    n = check_int(n, "n", 1)
+    reps = check_int(reps, "reps", 2)
     samples = simulate_compound(mx, mn, n, reps, seed, workers=workers)
-    values = {name: samples.sums @ x + c * samples.counts
-              for name, (x, c) in images.items()}
-
+    q = len(images)
     index = {name: i for i, name in enumerate(images)}
-    coef = [c for _, c in images.values()]
     directions = np.array([x for x, _ in images.values()])
-    image_mu = np.array([float(x @ mx.mean()) for x, _ in images.values()])
-    image_sigma = directions @ mx.cov().matrix @ directions.T
+    coef = np.array([c for _, c in images.values()])
+    # Rows in place: a stacked expression would add q x reps temporaries.
+    values = np.empty((q, reps))
+    for row, (x, c) in zip(values, images.values()):
+        np.matmul(samples.sums, x, out=row)
+        row += c * samples.counts
 
-    def targets(mean_rate, var_rate):
-        c1 = pair_covariance(image_sigma, image_mu, mean_rate, var_rate, True)
-        out = {row: float(mean_rate * (image_mu[index[a]] + coef[index[a]]))
-               for row, a in means}
-        for row, a, b in covariances:
-            i, j = index[a], index[b]
-            # <e_i + c_i e_N, C1 (e_j + c_j e_N)>, term by term: no fused
-            # multiply-add may keep the rounding that the terms cancel.
-            out[row] = float(c1[i, j] + coef[j] * c1[i, -1] + coef[i] * c1[-1, j]
-                             + coef[i] * coef[j] * c1[-1, -1])
-        return out
-
-    d = mn.derivs_at_zero()
-    reference = targets(mn.mean(n) / float(n), mn.var(n) / float(n))
-    limit = targets(d.mean_rate, d.variance_rate)
-    scale = float(n)
-    root_reps = math.sqrt(samples.reps)
-    entries = [(row, float(values[a].mean()) / scale,
-                float(values[a].std(ddof=1)) / (scale * root_reps))
-               for row, a in means]
-    for row, a, b in covariances:
-        cov, se = _covariance_with_error(values[a], values[b])
-        entries.append((row, cov / scale, se / scale))
-    rows = [_check_row(row, emp, se, reference[row], limit[row], band_se)
-            for row, emp, se in entries]
-
+    mean = values.mean(axis=1)
+    values -= mean[:, None]
+    # Gram products, never row dots: OpenBLAS splits a long dot by threads.
+    cov = values @ values.T / (reps - 1)
     pvalues = {}
     for name, a in normality:
         # normaltest needs 8 draws, and a series with no spread has no test.
-        short = samples.reps < NORMALTEST_MIN_REPS
-        if short or float(values[a].std(ddof=1)) <= 1e-12 * math.sqrt(n):
+        i = index[a]
+        if reps < NORMALTEST_MIN_REPS or math.sqrt(cov[i, i]) <= 1e-12 * math.sqrt(n):
             pvalues[name] = None
         else:
             from scipy.stats import normaltest
 
-            pvalues[name] = float(normaltest(values[a]).pvalue)
-    return CheckResult(n, samples.reps, rows, pvalues)
+            pvalues[name] = float(normaltest(values[i]).pvalue)
+    values *= values
+    cov_se = np.sqrt(np.maximum(values @ values.T / reps - cov * cov, 0.0) / reps)
+
+    image_mu = np.array([float(x @ mx.mean()) for x in directions])
+    image_sigma = directions @ mx.cov().matrix @ directions.T
+
+    def targets(mean_rate, var_rate):
+        # Means and <e_i + c_i e_N, C1 (e_j + c_j e_N)>, term by term: no
+        # fused multiply-add may keep the rounding that the terms cancel.
+        c1 = pair_covariance(image_sigma, image_mu, mean_rate, var_rate, True)
+        return mean_rate * (image_mu + coef), (
+            c1[:q, :q] + np.outer(c1[:q, q], coef) + np.outer(coef, c1[q, :q])
+            + np.outer(coef, coef) * c1[q, q])
+
+    def pick(vector, matrix):
+        return [float(vector[index[a]]) for _, a in means] + [
+            float(matrix[index[a], index[b]]) for _, a, b in covariances]
+
+    d = mn.derivs_at_zero()
+    columns = (
+        pick(mean / n, cov / n),
+        pick(np.sqrt(np.diag(cov) / reps) / n, cov_se / n),
+        pick(*targets(mn.mean(n) / float(n), mn.var(n) / float(n))),
+        pick(*targets(d.mean_rate, d.variance_rate)),
+    )
+    names = [row for row, *_ in (*means, *covariances)]
+    rows = [_check_row(*cells, band_se) for cells in zip(names, *columns)]
+    return CheckResult(n, reps, rows, pvalues)
 
 
 def moment_limits_check(

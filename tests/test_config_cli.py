@@ -10,6 +10,10 @@ error, 3 internal error).
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -470,6 +474,26 @@ class TestTableFormatting:
         assert keys == ["python", "numpy", "scipy", "compound-deviations"]
 
 
+# One moments-check and one clt-check at 20,000 reps, written under argv[1].
+CHECK_RUNS = """
+import sys
+from compound_deviations import normalize_config, run_experiment
+
+pm = {"kind": "finite_support", "atoms": [1.0, -1.0], "probs": [0.5, 0.5]}
+gauss = {"kind": "gaussian", "mean": [0.2], "cov": [[1.0]]}
+poisson = {"kind": "poisson", "rate": 1.0}
+for name, summand, experiment in [
+    ("moments", pm, {"kind": "moments-check", "n": 200, "reps": 20000,
+                     "u": [1.0], "v": [1.0], "seed": 5}),
+    ("clt", gauss, {"kind": "clt-check", "n": 400, "reps": 20000,
+                    "v": [1.0], "seed": 5}),
+]:
+    config = normalize_config({"summand": summand, "counting": poisson,
+                               "experiment": experiment})
+    run_experiment(config, out_dir=f"{sys.argv[1]}/{name}")
+"""
+
+
 class TestRunExperiment:
     @pytest.mark.parametrize("event, summand", [
         ({"mode": "count", "level": 1.0}, ldp_raw()["summand"]),
@@ -516,6 +540,24 @@ class TestRunExperiment:
                 assert (dir_a / name).read_bytes() == (
                     dir_b / name
                 ).read_bytes()
+
+    def test_check_tables_do_not_depend_on_the_blas_thread_count(self,
+                                                                 tmp_path):
+        # Each run is a fresh interpreter, since OpenBLAS reads its thread
+        # count once, at import.
+        src = Path(__file__).resolve().parents[1] / "src"
+        tables = {}
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            subprocess.run(
+                [sys.executable, "-c", CHECK_RUNS, str(out)], check=True,
+                env=dict(os.environ, PYTHONPATH=str(src),
+                         OPENBLAS_NUM_THREADS=threads),
+            )
+            tables[threads] = {p.name: p.read_bytes()
+                               for p in sorted(out.glob("*/*.csv"))}
+        assert sorted(tables["1"]) == ["clt_check.csv", "moments_check.csv"]
+        assert tables["1"] == tables["2"]
 
     def test_rate_eval_table_values(self, tmp_path):
         config = normalize_config({

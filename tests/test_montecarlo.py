@@ -29,6 +29,7 @@ from compound_deviations.counting import (
     TabulatedInterarrival,
 )
 from compound_deviations.errors import (
+    DimensionMismatchError,
     EnumerationTooLargeError,
     UnsupportedModelError,
     ValidationError,
@@ -135,6 +136,24 @@ class TestHalfSpaceEvent:
         count_event = HalfSpaceEvent(mode="count", level=1.0)
         assert sum_event.indicator(samples).tolist() == [True, False, True]
         assert count_event.indicator(samples).tolist() == [True, False, True]
+
+    @pytest.mark.parametrize("call", [
+        lambda mx, event: tilt_parameters(mx, unit_poisson(), event),
+        lambda mx, event: estimate_event_prob(mx, unit_poisson(), 5, event,
+                                              reps=100, seed=1),
+        lambda mx, event: estimate_event_prob(mx, unit_poisson(), 5, event,
+                                              reps=100, method="tilted",
+                                              seed=1),
+        lambda mx, event: decay_rate_scan(mx, unit_poisson(), event, ns=[5, 10],
+                                          reps=100, seed=1),
+        lambda mx, event: enumerate_exact(mx, unit_poisson(), 2, event),
+    ], ids=["tilt", "plain", "tilted", "decay-scan", "enumerate"])
+    def test_direction_of_the_wrong_length_is_typed(self, call):
+        mx = FiniteSupportSummands([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
+                                   [0.3, 0.3, 0.4])
+        event = HalfSpaceEvent(mode="sum", level=0.5, direction=[1.0])
+        with pytest.raises(DimensionMismatchError, match="length 1.*dimension 2"):
+            call(mx, event)
 
     @pytest.mark.parametrize("direction, level, point", [
         ([-0.1, 0.1], 0.0, [-3.0, -3.0]),
@@ -678,8 +697,10 @@ class TestScalingFamily:
             family.a(50)
         with pytest.raises(ValidationError):
             ScalingFamily(table=[(0, 0.1)])
-        with pytest.raises(ValidationError):
-            ScalingFamily(table=[(10, -0.1)])
+        for table in ([(10, -0.1)], [(10, "x")], [(10, None)],
+                      [(10, math.inf)], [(10,)], [(10, 0.1, 0.2)], [10]):
+            with pytest.raises(ValidationError):
+                ScalingFamily(table=table)
         with pytest.raises(ValidationError):
             ScalingFamily(gamma=0.5, table=[(10, 0.1)])
 
@@ -790,6 +811,9 @@ COUNT_EVENT = HalfSpaceEvent(mode="count", level=2.0)
         ns=[50.9, 100.2]), id="md-sweep-ns"),
     pytest.param(lambda: ScalingFamily(table=[(10.7, 0.1), (100, 0.01)]),
                  id="scaling-table-n"),
+    pytest.param(lambda: unit_poisson().mean(20.7), id="count-mean-n"),
+    pytest.param(lambda: IidSumCounting([0, 1, 2], [0.3, 0.4, 0.3]).exact_pmf(True),
+                 id="count-pmf-n-bool"),
 ])
 def test_sizes_are_checked_not_truncated(monkeypatch, call):
     monkeypatch.setattr(montecarlo, "simulate_compound", _no_drawing)
