@@ -52,15 +52,6 @@ class ZeroRateEventError(CompoundDeviationsError):
     """
 
 
-class EnumerationTooLargeError(CompoundDeviationsError):
-    """Exact enumeration would exceed the configured term budget."""
-
-    def __init__(self, message, term_count=None, limit=None):
-        super().__init__(message)
-        self.term_count = term_count
-        self.limit = limit
-
-
 class ConfigError(CompoundDeviationsError):
     """One or more problems found while validating an experiment config.
 

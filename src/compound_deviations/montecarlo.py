@@ -8,7 +8,7 @@ bit-identical whether blocks run serially or on a thread pool, and the
 count draws never change when the summand seed does (the two streams realize
 the independence of the count from the summands).
 
-Contents: plain simulation, exact enumeration on small finite instances,
+Contents: plain simulation, exact enumeration for finite-support summands,
 one weighted-mean event-probability estimator whose unit-weight case is
 plain sampling and whose importance-sampling case tilts on the rate
 minimizer over the event boundary (the dual of the half-space rate infimum
@@ -24,8 +24,8 @@ a Gram matrix, so the check tables are the same for any BLAS thread count.
 Sizes (n, every n of a grid, reps, seeds, workers) must be integers; a
 fractional or boolean size is a ValidationError, never truncated.
 
-Importing the module loads no scipy submodule: ``enumerate_exact`` imports
-gammaln and the CLT normality p-values import normaltest when they run. A
+Importing the module loads no scipy submodule; of its own routines only
+the CLT normality p-values import one (normaltest), when they run. A
 count table may first be built inside a block thread, so the counting
 module's first scipy import can run there; CPython's per-module import
 locks make that safe.
@@ -39,10 +39,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .counting import MASS_TABLE_CAP
 from .dualpair import as_vector, check_int, finite_real
 from .errors import (
     DimensionMismatchError,
-    EnumerationTooLargeError,
     UnsupportedModelError,
     ValidationError,
     ZeroRateEventError,
@@ -62,8 +62,6 @@ COUNT_ROLE = 0
 SUMMAND_ROLE = 1
 # Importance weights beyond e^700 are an error, never a silent clip.
 LOG_WEIGHT_CAP = 700.0
-# Enumeration guard: total composition terms.
-ENUMERATION_TERM_LIMIT = 10_000_000
 # A point this close to an event's boundary, relative to the size of the
 # terms that place it, is in the closed event.
 BOUNDARY_RTOL = 1e-12
@@ -156,7 +154,9 @@ class HalfSpaceEvent:
     rule, not by rounding: it is in the event when <d, x> + c y falls short
     of the level by at most BOUNDARY_RTOL times |<d|, |x|> + |c y| + |level|.
     Lattice points on the boundary are therefore inside whatever order the
-    inner product is summed in.
+    inner product is summed in. One predicate states the rule; exact
+    enumeration, whose merged values have no single x, bounds <|d|, |x|>
+    by k max_i <|d|, |u_i|> / n.
     """
 
     mode: str
@@ -191,8 +191,11 @@ class HalfSpaceEvent:
     def indicator(self, samples):
         d, c = self.normal(samples.sums.shape[1])
         x, y = samples.sum_scaled, c * samples.count_scaled
-        slack = BOUNDARY_RTOL * (np.abs(x) @ np.abs(d) + np.abs(y) + abs(self.level))
-        return x @ d + y >= self.level - slack
+        return self._holds(x @ d + y, np.abs(x) @ np.abs(d) + np.abs(y))
+
+    def _holds(self, value, magnitude):
+        """The boundary rule, magnitude bounding <|d|, |x|> + |c y|."""
+        return value >= self.level - BOUNDARY_RTOL * (magnitude + abs(self.level))
 
 
 def simulate_compound(mx, mn, n, reps, seed, x_seed=None, workers=None):
@@ -212,52 +215,46 @@ def simulate_compound(mx, mn, n, reps, seed, x_seed=None, workers=None):
     )
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _merge(values, probs, tol):
+    """The law of values carrying probs, runs of gaps at most tol merged."""
+    order = np.argsort(values, axis=None)
+    values = values.ravel()[order]
+    first = np.concatenate(([True], np.diff(values) > tol))
+    return values[first], np.bincount(first.cumsum() - 1, probs.ravel()[order])
 
 
 def enumerate_exact(mx, mn, n, event):
-    """Exact event probability by enumerating counts and summand splits.
+    """Exact event probability, conditioning on the count.
 
     Needs finite-support summands; the count law is the kind's
     ``exact_pmf``, truncated for unbounded kinds once the tail beyond is
-    below the counting module's MASS_TAIL_TOL. The term count sum over k of
-    C(k+m-1, m-1) is guarded at ENUMERATION_TERM_LIMIT; larger instances get
-    an error telling the caller to fall back to Monte Carlo. Each (sum, count)
-    point is tested by the event's indicator, like a sampled one.
+    below the counting module's MASS_TAIL_TOL. Given N_n = k, <d, S> is a
+    sum of k iid projected atoms <d, u_i>: its law is built count by count,
+    one outer sum per k, merging values within k^2 eps max_i |<d, u_i>| (the
+    rounding two orders of a k-term sum can differ by), so a lattice support
+    grows linearly in k. A law past MASS_TABLE_CAP states before merging is
+    a ValidationError. Values are decided by the event's boundary rule.
     """
-    from scipy.special import gammaln
-
     if not isinstance(mx, FiniteSupportSummands):
         raise UnsupportedModelError(
             "exact enumeration requires finite-support summands"
         )
+    d, c = event.normal(mx.dim)
     pmf = mn.exact_pmf(n)
-    m = mx.atom_count
-    term_count = sum(math.comb(k + m - 1, m - 1) for k in range(pmf.size))
-    if term_count > ENUMERATION_TERM_LIMIT:
-        raise EnumerationTooLargeError(
-            f"enumeration needs {term_count} composition terms, above the "
-            f"{ENUMERATION_TERM_LIMIT} guard; use Monte Carlo estimation instead",
-            term_count=term_count,
-            limit=ENUMERATION_TERM_LIMIT,
-        )
-    log_probs = np.log(mx.probs)
-    total = 0.0
+    step_values, step_probs = _merge(mx.atoms @ d, mx.probs, 0.0)
+    rounding = float(np.max(np.abs(step_values))) * np.finfo(float).eps
+    reach = float(np.max(np.abs(mx.atoms) @ np.abs(d))) / n
+    values, probs, total = np.zeros(1), np.ones(1), 0.0
     for k, count_prob in enumerate(pmf):
-        if count_prob <= 0.0:
-            continue
-        splits = np.array(list(_compositions(k, m)), dtype=float)
-        points = CompoundSamples(int(n), splits @ mx.atoms, np.full(len(splits), k))
-        hit = splits[event.indicator(points)]
-        # The multinomial probability of each hit split, in log form.
-        log_terms = gammaln(k + 1.0) - gammaln(hit + 1.0).sum(1) + hit @ log_probs
-        total += float(count_prob) * float(np.exp(log_terms).sum())
+        if k:
+            if values.size * step_values.size > MASS_TABLE_CAP:
+                raise ValidationError(
+                    f"the law of <d, S_{k}> exceeds {MASS_TABLE_CAP} states")
+            values, probs = _merge(np.add.outer(values, step_values),
+                                   np.outer(probs, step_probs), k * k * rounding)
+        y = c * (k / n)
+        hit = event._holds(values / n + y, k * reach + abs(y))
+        total += float(count_prob) * float(probs[hit].sum())
     return min(total, 1.0)
 
 
@@ -355,6 +352,7 @@ def estimate_event_prob(
     seed = check_int(seed, "seed", 0)
     x_seed = seed if x_seed is None else check_int(x_seed, "x_seed", 0)
     workers = _resolve_workers(workers)
+    event.normal(mx.dim)  # a wrong-length direction fails before any draw
 
     if method == "plain":
         tilt = None

@@ -32,24 +32,32 @@ def test_every_exported_name_resolves():
 
 
 # A fresh interpreter imports the package and the CLI, records which of
-# scipy's submodules are loaded, runs one +-1/Poisson rate-eval config and
-# records them again.
+# scipy's submodules are loaded, enumerates a +-1 sum event under
+# constant-p Bernoulli counts, runs one +-1/Poisson rate-eval config and
+# records them after each step.
 IMPORT_PROBE = """
 import json, sys
 import compound_deviations, compound_deviations.cli
-from compound_deviations import normalize_config, run_experiment
+from compound_deviations import (
+    BernoulliSumCounting, FiniteSupportSummands, HalfSpaceEvent,
+    enumerate_exact, normalize_config, run_experiment,
+)
 
 def loaded():
     return sorted(m for m in sys.modules if m.startswith("scipy."))
 
 after_import = loaded()
+enumerate_exact(FiniteSupportSummands([[1.0], [-1.0]], [0.5, 0.5]),
+                BernoulliSumCounting(p=0.5), 6,
+                HalfSpaceEvent(mode="sum", level=0.5, direction=[1.0]))
+after_enumeration = loaded()
 run_experiment(normalize_config({
     "summand": {"kind": "finite_support", "atoms": [1.0, -1.0], "probs": [0.5, 0.5]},
     "counting": {"kind": "poisson", "rate": 1.0},
     "experiment": {"kind": "rate-eval", "x_values": [-0.5, 0.0, 0.5],
                    "y_values": [0.5, 1.0, 2.0]},
 }), out_dir=sys.argv[1])
-print(json.dumps([after_import, loaded()]))
+print(json.dumps([after_import, after_enumeration, loaded()]))
 """
 
 
@@ -60,9 +68,11 @@ def test_import_loads_no_scipy_submodule_a_run_does_not_call(tmp_path):
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True, text=True, check=True,
     )
-    after_import, after_run = json.loads(done.stdout.strip().splitlines()[-1])
+    after_import, after_enumeration, after_run = json.loads(
+        done.stdout.strip().splitlines()[-1])
     deferred = ("scipy.stats", "scipy.integrate", "scipy.optimize",
                 "scipy.interpolate", "scipy.special")
     assert [m for m in deferred if m in after_import] == []
+    assert after_enumeration == after_import
     unused = ("scipy.stats", "scipy.integrate", "scipy.interpolate")
     assert [m for m in unused if m in after_run] == []

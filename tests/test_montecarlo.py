@@ -30,7 +30,6 @@ from compound_deviations.counting import (
 )
 from compound_deviations.errors import (
     DimensionMismatchError,
-    EnumerationTooLargeError,
     UnsupportedModelError,
     ValidationError,
     ZeroRateEventError,
@@ -77,6 +76,47 @@ def tabulated_renewal():
     # The Exp(1) cumulant tabulated on [-3, 0.9]: no finite-n law.
     rs = [-3.0 + 0.25 * i for i in range(12)] + [0.1 * i for i in range(10)]
     return RenewalCounting(TabulatedInterarrival(rs, [-math.log1p(-r) for r in rs]))
+
+
+def compositions(total, parts):
+    """Every split of total among parts nonnegative integers."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def composition_oracle(mx, mn, n, event):
+    """Exact event probability by a second route: every split of each
+    count k among the atoms, C(k+m-1, m-1) multinomial terms, each
+    (sum, count) point tested by the event's indicator like a sampled one."""
+    log_probs = np.log(mx.probs)
+    total = 0.0
+    for k, count_prob in enumerate(mn.exact_pmf(n)):
+        splits = np.array(list(compositions(k, mx.atom_count)), dtype=float)
+        points = CompoundSamples(n, splits @ mx.atoms, np.full(len(splits), k))
+        hit = splits[event.indicator(points)]
+        log_terms = gammaln(k + 1.0) - gammaln(hit + 1.0).sum(1) + hit @ log_probs
+        total += float(count_prob) * float(np.exp(log_terms).sum())
+    return min(total, 1.0)
+
+
+def random_lattice_instance(rng):
+    """Two or three integer atoms in 1-3 dimensions and a sum event whose
+    direction and level are in tenths."""
+    dim, m = int(rng.integers(1, 4)), int(rng.integers(2, 4))
+    atoms = rng.integers(-3, 4, size=(m, dim)).astype(float)
+    while m <= dim and np.linalg.matrix_rank(atoms) < m:
+        atoms = rng.integers(-3, 4, size=(m, dim)).astype(float)
+    weights = rng.integers(1, 5, size=m).astype(float)
+    direction = np.zeros(dim)
+    while not direction.any():
+        direction = rng.integers(-3, 4, size=dim) / 10.0
+    level = int(rng.integers(-10, 11)) / 10.0
+    return (FiniteSupportSummands(atoms, weights / weights.sum()),
+            HalfSpaceEvent(mode="sum", level=level, direction=direction))
 
 
 # One model of each counting kind with a count level above its drift d1
@@ -148,7 +188,13 @@ class TestHalfSpaceEvent:
                                           reps=100, seed=1),
         lambda mx, event: enumerate_exact(mx, unit_poisson(), 2, event),
     ], ids=["tilt", "plain", "tilted", "decay-scan", "enumerate"])
-    def test_direction_of_the_wrong_length_is_typed(self, call):
+    def test_direction_of_the_wrong_length_is_typed(self, call, monkeypatch):
+        # The direction is checked before any summand is drawn.
+        def no_draws(self, rng, counts):
+            raise AssertionError("summands were drawn before the direction "
+                                 "was checked")
+
+        monkeypatch.setattr(FiniteSupportSummands, "sample_sum_batch", no_draws)
         mx = FiniteSupportSummands([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
                                    [0.3, 0.3, 0.4])
         event = HalfSpaceEvent(mode="sum", level=0.5, direction=[1.0])
@@ -280,18 +326,87 @@ class TestEnumerateExact:
         with pytest.raises(UnsupportedModelError):
             enumerate_exact(pm_one_summand(), tabulated_renewal(), 4, event)
 
-    def test_term_budget_guard(self):
-        many_atoms = FiniteSupportSummands(
-            [[float(k)] for k in range(1, 7)], [1.0 / 6.0] * 6
-        )
+    def test_six_dice_past_the_old_term_budget(self):
+        # 33 million compositions, past the composition loop's old 1e7-term
+        # budget. The value is P(S >= 150) for S a sum of Binomial(50, 1/2)
+        # fair dice, from an exact rational computation.
+        dice = FiniteSupportSummands([[float(k)] for k in range(1, 7)],
+                                     [1.0 / 6.0] * 6)
         event = HalfSpaceEvent(mode="sum", level=3.0, direction=[1.0])
-        with pytest.raises(EnumerationTooLargeError) as excinfo:
-            enumerate_exact(many_atoms, BernoulliSumCounting(p=0.5), 50,
-                            event)
-        assert excinfo.value.term_count == sum(
-            math.comb(k + 5, 5) for k in range(51)
-        )
-        assert excinfo.value.term_count > excinfo.value.limit
+        assert_allclose(enumerate_exact(dice, BernoulliSumCounting(p=0.5), 50,
+                                        event),
+                        4.403387388921733e-05, rtol=1e-12)
+
+    def test_non_lattice_support_is_capped_not_truncated(self, monkeypatch):
+        # Atoms sharing no lattice never merge: <d, S_k> has C(k+2, 2)
+        # values. Under the cap the value matches the composition oracle;
+        # past it the support is a ValidationError naming the cap.
+        mx = FiniteSupportSummands([[1.0], [math.sqrt(2.0)], [math.pi]],
+                                   [0.2, 0.3, 0.5])
+        mn = BernoulliSumCounting(p=0.5)
+        event = HalfSpaceEvent(mode="sum", level=1.0, direction=[1.0])
+        assert_allclose(enumerate_exact(mx, mn, 50, event),
+                        composition_oracle(mx, mn, 50, event), rtol=1e-12)
+        monkeypatch.setattr(montecarlo, "MASS_TABLE_CAP", 500)
+        with pytest.raises(ValidationError, match="exceeds 500 states"):
+            enumerate_exact(mx, mn, 50, event)
+
+    def test_lattice_support_grows_linearly(self, monkeypatch):
+        # Projections -0.1, 0.3 and -0.2 lie on the lattice of tenths, but
+        # sums of them round differently by order. Values equal up to that
+        # rounding merge, so <d, S_k> keeps about 5k + 1 values and n = 200
+        # fits under a 10,000-state cap; the value is that of the same event
+        # scaled by ten, whose integer values merge exactly.
+        monkeypatch.setattr(montecarlo, "MASS_TABLE_CAP", 10_000)
+        mx = FiniteSupportSummands([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
+                                   [0.3, 0.3, 0.4])
+        tenths = HalfSpaceEvent(mode="sum", level=0.1, direction=[-0.1, 0.3])
+        integers = HalfSpaceEvent(mode="sum", level=1.0, direction=[-1.0, 3.0])
+        exact = enumerate_exact(mx, unit_poisson(), 200, tenths)
+        assert 0.0 < exact < 1e-12
+        assert_allclose(exact, enumerate_exact(mx, unit_poisson(), 200, integers),
+                        rtol=1e-12)
+
+    @pytest.mark.parametrize("atoms, direction, level", [
+        ([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]], [-0.1, 0.1], 0.0),
+        ([[-1.0, 1.0, 1.0], [-1.0, 1.0, 0.0], [1.0, 0.0, 0.0]],
+         [0.2, 0.2, -0.2], -0.4),
+    ], ids=["d(-0.1,0.1)-level0", "d(0.2,0.2,-0.2)-level-0.4"])
+    def test_boundary_instances_match_the_oracle(self, atoms, direction,
+                                                 level):
+        # Lattice values exactly on the boundary, e.g. the sums (-3, -3) and
+        # (-3, 3, 2), whose inner products round to either side of the
+        # level; both routes put them inside, and they carry mass.
+        mx = FiniteSupportSummands(atoms, [0.4, 0.3, 0.3])
+        mn = unit_poisson()
+        event = HalfSpaceEvent(mode="sum", level=level, direction=direction)
+        above = HalfSpaceEvent(mode="sum", level=level + 1e-9,
+                               direction=direction)
+        for n in (1, 3):
+            exact = enumerate_exact(mx, mn, n, event)
+            assert_allclose(exact, composition_oracle(mx, mn, n, event),
+                            rtol=1e-12)
+            assert exact > enumerate_exact(mx, mn, n, above)
+
+    def test_random_lattice_instances_match_the_oracle(self):
+        # Integer atoms with directions and levels in tenths, so values land
+        # exactly on the boundary; the count kinds cycle through Poisson,
+        # Bernoulli and iid-sum counts.
+        rng = np.random.default_rng(20261018)
+        boundary_hits = 0
+        for index in range(210):
+            mx, event = random_lattice_instance(rng)
+            mn = (PoissonCounting(float(rng.choice([0.5, 1.0]))),
+                  BernoulliSumCounting(p=float(rng.choice([0.3, 0.5, 0.7]))),
+                  IidSumCounting([0, 1, 2], [0.3, 0.4, 0.3]))[index % 3]
+            n = int(rng.integers(1, 6))
+            exact = enumerate_exact(mx, mn, n, event)
+            assert_allclose(exact, composition_oracle(mx, mn, n, event),
+                            rtol=1e-12, err_msg=f"instance {index}")
+            above = HalfSpaceEvent(mode="sum", level=event.level + 1e-9,
+                                   direction=event.direction)
+            boundary_hits += exact > enumerate_exact(mx, mn, n, above)
+        assert boundary_hits >= 50
 
 
 class TestTiltParameters:
@@ -565,16 +680,19 @@ class TestEstimateEventProb:
     @pytest.mark.parametrize("kind", sorted(KIND_CASES))
     @pytest.mark.parametrize("mode", ["sum", "count"])
     def test_tilted_covers_enumeration_for_every_kind(self, kind, mode):
-        # Small instances whose exact value enumerates every count in the
-        # kind's table (truncated for Poisson, fractional and renewal).
+        # Exact values that enumerate every count in the kind's table
+        # (truncated for Poisson, fractional and renewal), at n = 40 down
+        # to about 1e-8.
         mn, level = KIND_CASES[kind]
         event = (HalfSpaceEvent(mode="sum", level=0.5, direction=[1.0])
                  if mode == "sum" else HalfSpaceEvent(mode="count", level=level))
-        exact = enumerate_exact(pm_one_summand(), mn, 8, event)
-        estimate = estimate_event_prob(pm_one_summand(), mn, 8, event,
-                                       reps=20_000, method="tilted", seed=23)
-        assert 0.0 < exact < 0.5
-        assert abs(estimate.value - exact) <= 4.0 * estimate.std_error
+        for n in (8, 40):
+            exact = enumerate_exact(pm_one_summand(), mn, n, event)
+            estimate = estimate_event_prob(pm_one_summand(), mn, n, event,
+                                           reps=20_000, method="tilted",
+                                           seed=23)
+            assert 0.0 < exact < 0.5
+            assert abs(estimate.value - exact) <= 4.0 * estimate.std_error
 
     @pytest.mark.parametrize("law, level", [
         (ExponentialInterarrival(1.0), 2.0),
