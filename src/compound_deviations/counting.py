@@ -28,8 +28,10 @@ Kinds
   would make N_n Poisson(n c), which is exactly PoissonCounting, so only
   finite-support steps are implemented here.)
 * PoissonCounting: N_n ~ Poisson(m(n)) with m(n) = rate * n or an integral
-  of a nonnegative intensity; the limit cumulant is rate * (e^eta - 1). Its
-  table is the nu = 1 case of the fractional one, with x = m(n).
+  of a nonnegative intensity; the limit cumulant is rate * (e^eta - 1). It
+  is the order-1 FractionalPoissonCounting with x = m(n): it inherits the
+  limit triple, the left tail and the table, and adds only the intensity
+  and the closed forms of ``finite_cgf`` and ``mean``.
 * FractionalPoissonCounting: heavy-tailed renewal-type count whose mass at n
   is x^k / (Gamma(nu k + 1) E(nu, 1; x)) with x = rate * n^nu; the limit
   cumulant is rate^(1/nu) (e^(eta/nu) - 1). Its table is built from these
@@ -109,18 +111,16 @@ def _table_moments(pmf):
 
 
 def _from_log_weights(log_weights):
-    """pmf of log-weights over 0, 1, ... and the log of their total, by a
-    shift to the largest; None while the table is too short: its peak is its
+    """pmf of log-weights over 0, 1, ... and the log of their total, by
+    ``tilt_weights``; None while the table is too short: its peak is its
     last entry, or its last weight is within MASS_TAIL_TOL of the peak."""
     peak = int(np.argmax(log_weights))
-    top = float(log_weights[peak])
     if peak == log_weights.size - 1 or (
-        log_weights[-1] - top >= math.log(MASS_TAIL_TOL)
+        log_weights[-1] - log_weights[peak] >= math.log(MASS_TAIL_TOL)
     ):
         return None
-    weights = np.exp(log_weights - top)
-    total = float(weights.sum())
-    return weights / total, top + math.log(total)
+    log_total, pmf = tilt_weights(log_weights)
+    return pmf, log_total
 
 
 def _log_weight_table(nu, log_x, s, what):
@@ -349,82 +349,13 @@ class IidSumCounting(CountingModel):
         return pmf, n * log_z
 
 
-class PoissonCounting(CountingModel):
-    """Poisson count with optional deterministic intensity.
-
-    ``rate`` is the limiting mass per unit time and fully determines the
-    asymptotics. An optional intensity function refines finite-n behavior:
-    N_n ~ Poisson(integral of the intensity over [0, n]), with the integral
-    computed once per n by adaptive quadrature and cached. The rate remains
-    authoritative for the limit quantities, so a sensible intensity has
-    running averages approaching it.
-    """
-
-    def __init__(self, rate, intensity=None):
-        self._rate = finite_real(rate, "rate", "be a positive finite real",
-                                 lambda r: r > 0)
-        self._intensity = intensity
-        self._mass_cache = {}
-        if intensity is not None:
-            if not callable(intensity):
-                raise ValidationError("intensity must be callable")
-            probe = [intensity(float(s)) for s in np.linspace(0.0, 4.0, 9)]
-            if not all(math.isfinite(v) and v >= 0.0 for v in probe):
-                raise ValidationError("intensity must be nonnegative and finite")
-        self._probe_validate()
-
-    @property
-    def rate(self):
-        return self._rate
-
-    def limit_cgf(self, eta):
-        return self._rate * math.expm1(eta)
-
-    def limit_cgf_deriv(self, eta):
-        return self._rate * math.exp(eta)
-
-    def limit_cgf_second(self, eta):
-        return self._rate * math.exp(eta)
-
-    def _tail_limit(self):
-        return -self._rate
-
-    def total_mass(self, n):
-        """E[N_n]: rate * n, or the cached intensity integral over [0, n]."""
-        n = check_int(n, "n", 1)
-        if self._intensity is None:
-            return self._rate * n
-        if n not in self._mass_cache:
-            from scipy.integrate import quad
-
-            value, _ = quad(
-                self._intensity, 0.0, float(n),
-                epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=500,
-            )
-            self._mass_cache[n] = float(value)
-        return self._mass_cache[n]
-
-    def finite_cgf(self, n, eta):
-        return self.total_mass(n) / check_int(n, "n", 1) * math.expm1(eta)
-
-    def mean(self, n):
-        return self.total_mass(n)
-
-    def _tilted_table(self, n, s):
-        mass = self.total_mass(n)
-        if mass == 0.0:
-            return np.ones(1), 0.0
-        return _log_weight_table(1.0, math.log(mass), s,
-                                 f"Poisson mass table at n={n}")
-
-
 class FractionalPoissonCounting(CountingModel):
     """Fractional Poisson count of order nu in (0, 1].
 
     Limit cumulant rate^(1/nu) (exp(eta/nu) - 1). The law of N_n has mass
     x^k / (Gamma(nu k + 1) E(nu, 1; x)), x = rate n^nu, so every finite-n
     quantity comes from its log-weights, with no Mittag-Leffler evaluation.
-    At nu = 1 the model coincides with the homogeneous Poisson count.
+    At nu = 1 the model is the Poisson count, ``PoissonCounting``.
     """
 
     def __init__(self, nu, rate):
@@ -460,11 +391,64 @@ class FractionalPoissonCounting(CountingModel):
         return -self._scale
 
     def _argument(self, n):
+        """x of the law at n; a zero x (an intensity that vanishes up to
+        time n) makes N_n = 0 surely."""
         return self._rate * float(n) ** self._nu
 
     def _tilted_table(self, n, s):
-        return _log_weight_table(self._nu, math.log(self._argument(n)), s,
-                                 f"fractional Poisson mass table at n={n}")
+        x = self._argument(n)
+        if x == 0.0:
+            return np.ones(1), 0.0
+        return _log_weight_table(self._nu, math.log(x), s,
+                                 f"{type(self).__name__} mass table at n={n}")
+
+
+class PoissonCounting(FractionalPoissonCounting):
+    """Poisson count with optional deterministic intensity: the order-1
+    fractional count, with x = m(n) = E[N_n] and closed-form ``finite_cgf``
+    and ``mean``.
+
+    ``rate`` is the limiting mass per unit time and fully determines the
+    asymptotics. An optional intensity function refines finite-n behavior:
+    N_n ~ Poisson(integral of the intensity over [0, n]), with the integral
+    computed once per n by adaptive quadrature and cached. The rate remains
+    authoritative for the limit quantities, so a sensible intensity has
+    running averages approaching it.
+    """
+
+    def __init__(self, rate, intensity=None):
+        super().__init__(1.0, rate)
+        self._intensity = intensity
+        self._mass_cache = {}
+        if intensity is not None:
+            if not callable(intensity):
+                raise ValidationError("intensity must be callable")
+            probe = [intensity(float(s)) for s in np.linspace(0.0, 4.0, 9)]
+            if not all(math.isfinite(v) and v >= 0.0 for v in probe):
+                raise ValidationError("intensity must be nonnegative and finite")
+
+    def total_mass(self, n):
+        """E[N_n]: rate * n, or the cached intensity integral over [0, n]."""
+        n = check_int(n, "n", 1)
+        if self._intensity is None:
+            return self._rate * n
+        if n not in self._mass_cache:
+            from scipy.integrate import quad
+
+            value, _ = quad(
+                self._intensity, 0.0, float(n),
+                epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=500,
+            )
+            self._mass_cache[n] = float(value)
+        return self._mass_cache[n]
+
+    _argument = total_mass
+
+    def finite_cgf(self, n, eta):
+        return self.total_mass(n) / check_int(n, "n", 1) * math.expm1(eta)
+
+    def mean(self, n):
+        return self.total_mass(n)
 
 
 def _bernoulli_cgf(q, eta):
@@ -526,9 +510,8 @@ class BernoulliSumCounting(CountingModel):
 
     @classmethod
     def runs(cls, lam, c):
-        if lam <= 0 or c <= 0:
-            raise ValidationError("runs preset needs lam > 0 and c > 0")
-        lam, c = float(lam), float(c)
+        lam = finite_real(lam, "runs lam", "be a positive finite real", lambda v: v > 0)
+        c = finite_real(c, "runs c", "be a positive finite real", lambda v: v > 0)
         return cls(profile=lambda x: math.exp(-lam * c * x))
 
     def _over_profile(self, term, eta):
@@ -662,10 +645,10 @@ class GammaInterarrival(InterarrivalLaw):
     """
 
     def __init__(self, shape, rate):
-        if shape <= 0 or rate <= 0 or not math.isfinite(shape) or not math.isfinite(rate):
-            raise ValidationError("shape and rate must be positive finite reals")
-        self.shape = float(shape)
-        self.rate = float(rate)
+        self.shape = finite_real(shape, "shape", "be a positive finite real",
+                                 lambda v: v > 0)
+        self.rate = finite_real(rate, "rate", "be a positive finite real",
+                                lambda v: v > 0)
         self.domain_sup = self.rate
 
     def kappa(self, r):
@@ -691,8 +674,7 @@ class ExponentialInterarrival(GammaInterarrival):
     kappa(r) = log(rate / (rate - r))."""
 
     def __init__(self, rate):
-        super().__init__(1.0, finite_real(rate, "rate", "be a positive finite real",
-                                          lambda r: r > 0))
+        super().__init__(1.0, rate)
 
 
 class TabulatedInterarrival(InterarrivalLaw):

@@ -79,19 +79,6 @@ def check_int(value, name, least):
     return int(value)
 
 
-def pair(theta, x):
-    """Duality pairing <theta, x>: the inner product of equal-length vectors."""
-    t = np.asarray(theta, dtype=float)
-    v = np.asarray(x, dtype=float)
-    if t.ndim != 1 or v.ndim != 1:
-        raise ValidationError("pair expects one-dimensional vectors")
-    if t.size != v.size:
-        raise DimensionMismatchError(
-            f"pairing a length-{t.size} dual with a length-{v.size} primal"
-        )
-    return float(t @ v)
-
-
 def _matvec_rows(matrix, rows):
     """matrix @ row for each row of a (P, n) stack. The stacked matmul runs
     one matrix-vector product per row, the same as ``matrix @ row``; the

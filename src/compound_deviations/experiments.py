@@ -45,8 +45,6 @@ from .variational import (
     rate_md_centered_summands,
 )
 
-_EXP_OVERFLOW = 709.0
-
 
 def _band_entry(name, value, reference, band, passed, margin=None):
     return {
@@ -210,7 +208,10 @@ def _run_ml_eval(config, mx, mn, workers):
     dat_lines = []
     for x in exp["x_values"]:
         log_value = log_mittag_leffler(exp["nu"], exp["beta"], x)
-        value = math.exp(log_value) if log_value <= _EXP_OVERFLOW else math.inf
+        try:
+            value = math.exp(log_value)
+        except OverflowError:
+            value = math.inf
         table.add(x, log_value, value)
         dat_lines.append(f"{format_cell(x)} {format_cell(log_value)}\n")
     return {"ml_eval": table}, {"ml_values.dat": "".join(dat_lines)}, [], {}

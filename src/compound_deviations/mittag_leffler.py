@@ -130,11 +130,3 @@ def log_mittag_leffler(nu, beta, x):
         return math.log(_series_value(nu, beta, x))
     return _asymptotic_log(nu, beta, x)
 
-
-def log_mittag_leffler_ratio(nu, a, b, beta=1.0):
-    """log( E(nu, beta; a) / E(nu, beta; b) ), exactly zero when a == b."""
-    nu, beta, a = _validate(nu, beta, a)
-    b = _validate(nu, beta, b)[2]
-    if a == b:
-        return 0.0
-    return log_mittag_leffler(nu, beta, a) - log_mittag_leffler(nu, beta, b)

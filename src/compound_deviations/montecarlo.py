@@ -2,11 +2,12 @@
 
 Replication is block-structured for reproducibility: reps are split into
 fixed blocks of BLOCK_SIZE, and block b draws its count stream from the seed
-sequence (seed, b, 0) and its summand stream from (x_seed, b, 1). The
+sequence (seed, b, 0) and its summand stream from (seed, b, 1). The
 partition is independent of the worker count, so merged results are
 bit-identical whether blocks run serially or on a thread pool, and the
-count draws never change when the summand seed does (the two streams realize
-the independence of the count from the summands).
+count draws never depend on the summand law: two summand laws at one seed
+draw the same counts (the two streams realize the independence of the count
+from the summands).
 
 Contents: plain simulation, exact enumeration for finite-support summands,
 one weighted-mean event-probability estimator whose unit-weight case is
@@ -91,10 +92,9 @@ def _block_sizes(reps):
     return sizes
 
 
-def _block_rngs(seed, x_seed, block):
-    rng_n = np.random.default_rng(np.random.SeedSequence([seed, block, COUNT_ROLE]))
-    rng_x = np.random.default_rng(np.random.SeedSequence([x_seed, block, SUMMAND_ROLE]))
-    return rng_n, rng_x
+def _block_rngs(seed, block):
+    return [np.random.default_rng(np.random.SeedSequence([seed, block, role]))
+            for role in (COUNT_ROLE, SUMMAND_ROLE)]
 
 
 @dataclass(frozen=True)
@@ -122,14 +122,14 @@ class CompoundSamples:
         return self.counts / float(self.n)
 
 
-def _draw_samples(mx, draw_counts, n, reps, seed, x_seed, workers):
+def _draw_samples(mx, draw_counts, n, reps, seed, workers):
     """Draw reps realizations in seeded blocks: counts by ``draw_counts``,
     sums from ``mx``. Blocks run on ``workers`` threads (numpy's bulk draws
     release the interpreter lock) and merge in block order."""
 
     def block(item):
         index, size = item
-        rng_n, rng_x = _block_rngs(seed, x_seed, index)
+        rng_n, rng_x = _block_rngs(seed, index)
         counts = draw_counts(rng_n, size)
         return counts, mx.sample_sum_batch(rng_x, counts)
 
@@ -198,20 +198,18 @@ class HalfSpaceEvent:
         return value >= self.level - BOUNDARY_RTOL * (magnitude + abs(self.level))
 
 
-def simulate_compound(mx, mn, n, reps, seed, x_seed=None, workers=None):
+def simulate_compound(mx, mn, n, reps, seed, workers=None):
     """Draw reps compound-sum realizations, deterministically per seed.
 
-    The count stream is keyed by ``seed`` and the summand stream by
-    ``x_seed`` (defaulting to the same value); changing ``x_seed`` alone
-    never alters the count draws. Results are identical for every worker
-    count.
+    The count and summand streams are separate streams of ``seed``, so the
+    count draws never depend on the summand law. Results are identical for
+    every worker count.
     """
     seed = check_int(seed, "seed", 0)
-    x_seed = seed if x_seed is None else check_int(x_seed, "x_seed", 0)
     workers = _resolve_workers(workers)
     return _draw_samples(
         mx, lambda rng, size: mn.sample_batch(n, rng, size), n, reps, seed,
-        x_seed, workers,
+        workers,
     )
 
 
@@ -334,8 +332,8 @@ class EventProbability:
 
 
 def estimate_event_prob(
-    mx, mn, n, event, reps=None, method="plain", seed=None, x_seed=None,
-    workers=None, tilt=None,
+    mx, mn, n, event, reps=None, method="plain", seed=None, workers=None,
+    tilt=None,
 ):
     """Unbiased event-probability estimate: the weighted mean of the event
     indicator, with unit weights on plain ``simulate_compound`` draws.
@@ -350,15 +348,12 @@ def estimate_event_prob(
     _check_method(method)
     reps = DEFAULT_REPS[method] if reps is None else check_int(reps, "reps", 1)
     seed = check_int(seed, "seed", 0)
-    x_seed = seed if x_seed is None else check_int(x_seed, "x_seed", 0)
     workers = _resolve_workers(workers)
     event.normal(mx.dim)  # a wrong-length direction fails before any draw
 
     if method == "plain":
         tilt = None
-        samples = simulate_compound(
-            mx, mn, n, reps, seed, x_seed=x_seed, workers=workers
-        )
+        samples = simulate_compound(mx, mn, n, reps, seed, workers=workers)
         weights = 1.0
     else:
         if tilt is None:
@@ -366,7 +361,7 @@ def estimate_event_prob(
         log_norm = float(n) * float(mn.finite_cgf(n, tilt.s))
         samples = _draw_samples(
             mx.tilted(tilt.theta), mn.tilted_count_sampler(n, tilt.s), n, reps,
-            seed, x_seed, workers,
+            seed, workers,
         )
         log_weights = log_norm - samples.sums @ tilt.theta - tilt.eta * samples.counts
         if float(np.max(log_weights)) > LOG_WEIGHT_CAP:

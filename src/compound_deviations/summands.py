@@ -5,7 +5,8 @@ Two kinds share one interface:
 * FiniteSupportSummands: atoms u_1..u_m in R^h with probabilities p_i. The
   workhorse for exact computations; its Cramer rate has a closed form in
   relative-entropy coordinates when the atoms are affinely independent
-  (m <= h + 1).
+  (m <= h + 1). Its covariance is built from centred products, so atoms
+  far from the origin lose no accuracy.
 * GaussianSummands: mean vector and covariance operator; cumulants and the
   conjugate are quadratic, sampling of k-fold sums is exact in one draw.
 
@@ -19,10 +20,11 @@ Every model exposes the cumulant generating function cgf(theta) =
 log E exp<theta, X>, its gradient and Hessian, mean, covariance, a
 vectorized sampler for sums of k iid steps (the shape needed by compound
 simulation), the exponentially tilted model, and, where a closed form
-exists, the convex conjugate of the cgf. The closed forms are row-wise
-(``_conjugate_rows``, one affine or covariance solve for a stack of
-points, every membership rule kept per row), and the one-point methods
-are their one-row cases.
+exists, the convex conjugate of the cgf, ``conjugate_closed_form`` (None
+where a law has none), the one public name of each law's closed form. The
+closed forms are row-wise (``_conjugate_rows``, one affine or covariance
+solve for a stack of points, every membership rule kept per row), and the
+one-point method is their one-row case.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ class FiniteSupportSummands(SummandModel):
     When m <= h the atoms must be linearly independent (checked by rank).
     The closed-form rate functions need unique mixture coefficients, which
     affinely independent atoms (m <= h + 1) give; other models are accepted
-    for cumulants and sampling but refuse the closed-form rates.
+    for cumulants and sampling, and their ``conjugate_closed_form`` is None.
     """
 
     def __init__(self, atoms, probs):
@@ -188,9 +190,10 @@ class FiniteSupportSummands(SummandModel):
     @cached_property
     def _cov(self):
         """The covariance operator, built and validated on the first cov()."""
-        mu = self.mean()
-        second = (self._atoms.T * self._probs) @ self._atoms
-        return CovarianceOperator(second - np.outer(mu, mu))
+        # Centred products: E[XX^T] - mu mu^T would cancel for atoms far
+        # from the origin.
+        d = self._atoms - self.mean()
+        return CovarianceOperator((d.T * self._probs) @ d)
 
     def sample_sum_batch(self, rng, counts):
         counts = np.asarray(counts, dtype=np.int64)
@@ -248,33 +251,24 @@ class FiniteSupportSummands(SummandModel):
         """
         return self._one_mixture(x, 1.0)
 
-    def cramer_rate(self, x):
-        """Closed-form convex conjugate of the cgf.
-
-        Finite exactly on the convex hull of the atoms, where it equals the
-        relative entropy sum(c_i log(c_i / p_i)) of the unique mixture
-        coefficients (``decompose``), with 0 log 0 = 0 on the boundary.
-        """
-        return float(self._cramer_rows(as_vector(x, dim=self.dim, name="x")[None])[0])
-
-    def _cramer_rows(self, rows):
-        """``cramer_rate`` at each row of a (P, h) stack."""
-        coeffs, in_hull = self._mixture(rows, 1.0)
-        c = np.clip(coeffs, 0.0, None)
-        mask = c > 0.0
-        terms = c * (np.log(np.where(mask, c, 1.0)) - self._log_probs)
-        value = np.maximum(np.sum(np.where(mask, terms, 0.0), axis=1), 0.0)
-        return np.where(in_hull & np.all(coeffs >= -COEFF_TOL, axis=1), value, math.inf)
-
     def centered_decompose(self, x):
         """Like decompose with sum c_i = 0: (c, centered), where centered
         reports whether x lies in the span of the atom differences."""
         return self._one_mixture(x, 0.0)
 
     def _conjugate_rows(self, rows):
+        """The Cramer rate: finite exactly on the convex hull of the atoms,
+        where it equals the relative entropy sum(c_i log(c_i / p_i)) of the
+        unique mixture coefficients (``decompose``), with 0 log 0 = 0 on the
+        boundary; None when the atoms are affinely dependent."""
         if self._affine is None:
             return None
-        return self._cramer_rows(rows)
+        coeffs, in_hull = self._mixture(rows, 1.0)
+        c = np.clip(coeffs, 0.0, None)
+        mask = c > 0.0
+        terms = c * (np.log(np.where(mask, c, 1.0)) - self._log_probs)
+        value = np.maximum(np.sum(np.where(mask, terms, 0.0), axis=1), 0.0)
+        return np.where(in_hull & np.all(coeffs >= -COEFF_TOL, axis=1), value, math.inf)
 
 
 class GaussianSummands(SummandModel):

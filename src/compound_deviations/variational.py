@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dualpair import _dot_rows, as_vector, finite_real, pair
+from .dualpair import _dot_rows, as_vector, finite_real
 from .errors import (
     DimensionMismatchError,
     InconclusiveOptimizationError,
@@ -79,7 +79,11 @@ DAMPING_FLOOR = 1e-10
 DAMPING_FACTOR = 4.0
 # Tolerance of the (x, y) = (origin, 0) membership test in the explicit rate.
 ORIGIN_TOL = 1e-10
-# Midpoint-convexity slack for the probe of user-supplied functions.
+# Midpoint-convexity probe of user-supplied functions: CONVEXITY_SEGMENTS
+# random segments with ends in [-CONVEXITY_RADIUS, CONVEXITY_RADIUS]^dim; a
+# midpoint more than CONVEXITY_SLACK above its chord is a violation.
+CONVEXITY_SEGMENTS = 6
+CONVEXITY_RADIUS = 1.5
 CONVEXITY_SLACK = 1e-8
 # Evaluation failures that mark a point as outside the function's domain.
 _DOMAIN_ERRORS = (OverflowError, ValidationError, NoRootError)
@@ -101,7 +105,7 @@ class LegendreResult:
     unbounded: bool
 
 
-def probe_convexity(f, dim, segments=6, radius=1.5, slack=CONVEXITY_SLACK):
+def probe_convexity(f, dim):
     """Midpoint-convexity smoke check of f on random segments.
 
     Deterministically seeded; segments where f is unavailable (domain error
@@ -109,16 +113,16 @@ def probe_convexity(f, dim, segments=6, radius=1.5, slack=CONVEXITY_SLACK):
     Returns False only on a clear violation.
     """
     rng = np.random.default_rng(20240917)
-    for _ in range(segments):
-        a = rng.uniform(-radius, radius, size=dim)
-        b = rng.uniform(-radius, radius, size=dim)
+    for _ in range(CONVEXITY_SEGMENTS):
+        a = rng.uniform(-CONVEXITY_RADIUS, CONVEXITY_RADIUS, size=dim)
+        b = rng.uniform(-CONVEXITY_RADIUS, CONVEXITY_RADIUS, size=dim)
         try:
             fa, fb, fm = f(a), f(b), f(0.5 * (a + b))
         except Exception:
             continue
         if not (math.isfinite(fa) and math.isfinite(fb) and math.isfinite(fm)):
             continue
-        if fm > 0.5 * (fa + fb) + slack:
+        if fm > 0.5 * (fa + fb) + CONVEXITY_SLACK:
             return False
     return True
 
@@ -403,7 +407,7 @@ def psi_sn_mean_shifted(mx, mn, theta, eta):
     """The same quadratic with eta shifted by <theta, summand mean>; the
     cumulant matching the centered compound sum rather than centered summands."""
     t = as_vector(theta, dim=mx.dim, name="theta")
-    return psi_sn(mx, mn, t, finite_real(eta, "eta") + pair(t, mx.mean()))
+    return psi_sn(mx, mn, t, finite_real(eta, "eta") + float(t @ mx.mean()))
 
 
 def _md_derivs(mn):

@@ -43,6 +43,7 @@ from compound_deviations.errors import (
     ValidationError,
 )
 from compound_deviations.experiments import run_experiment
+from compound_deviations.mittag_leffler import mittag_leffler
 from compound_deviations.montecarlo import (
     HalfSpaceEvent,
     ScalingFamily,
@@ -679,6 +680,17 @@ class TestRunExperiment:
         with open(tmp_path / "ml_eval_summary.json") as fh:
             data = json.load(fh)
         assert data["pass"] is True
+
+    def test_ml_eval_keeps_values_below_the_float_limit(self, tmp_path):
+        # exp(709.5) is finite although its log is past 709.
+        config = normalize_config({
+            "experiment": {"kind": "ml-eval", "nu": 1.0, "beta": 1.0,
+                           "x_values": [709.5]},
+        })
+        run_experiment(config, out_dir=str(tmp_path))
+        last = (tmp_path / "ml_eval.csv").read_text().splitlines()[-1].split(",")
+        assert float(last[2]) == mittag_leffler(1.0, 1.0, 709.5)
+        assert math.isfinite(float(last[2]))
 
     def test_writes_stay_inside_the_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -237,17 +237,16 @@ class TestFiniteNCgf:
             assert gaps[0] > gaps[1] > gaps[2], f"eta={eta}: {gaps}"
 
     def test_fractional_consistency_with_log_ratio(self):
-        from compound_deviations.mittag_leffler import log_mittag_leffler_ratio
+        from compound_deviations.mittag_leffler import log_mittag_leffler
 
         mn = FractionalPoissonCounting(0.5, 1.0)
         n = 50
         x = 1.0 * n ** 0.5
         for eta in (-1.0, 0.3):
-            assert_allclose(
-                mn.finite_cgf(n, eta),
-                log_mittag_leffler_ratio(0.5, math.exp(eta) * x, x) / n,
-                rtol=1e-12, atol=1e-15,
-            )
+            log_ratio = (log_mittag_leffler(0.5, 1.0, math.exp(eta) * x)
+                         - log_mittag_leffler(0.5, 1.0, x))
+            assert_allclose(mn.finite_cgf(n, eta), log_ratio / n,
+                            rtol=1e-12, atol=1e-15)
 
     def test_bernoulli_matches_exact_pmf(self):
         # Second route: (1/n) log sum_k P(N_n = k) e^{eta k}.
@@ -797,6 +796,32 @@ class TestOneTableRoute:
                 assert_allclose(mn.limit_cgf(eta), expected, rtol=1e-12)
 
 
+class TestPoissonIsOrderOneFractional:
+    """PoissonCounting is FractionalPoissonCounting at nu = 1: the same
+    limit triple, left tail and tilted tables, bit for bit."""
+
+    @pytest.mark.parametrize("rate", [0.3, 1.0, 2.7, 13.0])
+    def test_limit_triple_and_tail(self, rate):
+        mn = PoissonCounting(rate)
+        for eta in np.linspace(-12.0, 6.0, 37).tolist():
+            assert mn.limit_cgf(eta) == rate * math.expm1(eta)
+            assert mn.limit_cgf_deriv(eta) == rate * math.exp(eta)
+            assert mn.limit_cgf_second(eta) == rate * math.exp(eta)
+        fractional = FractionalPoissonCounting(1.0, rate)
+        assert mn.derivs_at_zero() == fractional.derivs_at_zero()
+        assert mn.derivs_at_zero().cgf_at_minus_inf == -rate
+
+    @pytest.mark.parametrize("rate", [0.3, 2.7])
+    def test_tilted_tables(self, rate):
+        mn, fractional = PoissonCounting(rate), FractionalPoissonCounting(1.0, rate)
+        for n in (1, 7, 50):
+            for s in (0.0, -0.7, 0.4, 1.3):
+                pmf, _, log_z = mn._table(n, s)
+                pmf_f, _, log_z_f = fractional._table(n, s)
+                assert np.array_equal(pmf, pmf_f)
+                assert log_z == log_z_f
+
+
 class TestFractionalSmallOrder:
     """nu = 0.2, below the Mittag-Leffler evaluation domain [0.3, 1]."""
 
@@ -892,6 +917,20 @@ class TestValidation:
             IidSumCounting([-1, 1], [0.5, 0.5])
         with pytest.raises(ValidationError):
             IidSumCounting([0.5, 1.0], [0.5, 0.5])
+
+    @pytest.mark.parametrize("build", [
+        lambda: GammaInterarrival(None, 1.0),
+        lambda: GammaInterarrival("2", 1.0),
+        lambda: GammaInterarrival(2.0, math.inf),
+        lambda: ExponentialInterarrival("1"),
+        lambda: BernoulliSumCounting.runs(None, 1.0),
+        lambda: BernoulliSumCounting.runs(math.nan, 1.0),
+        lambda: BernoulliSumCounting.runs(1.0, -2.0),
+    ], ids=["gamma-none", "gamma-str", "gamma-inf", "exp-str", "runs-none",
+            "runs-nan", "runs-negative"])
+    def test_gamma_and_runs_arguments_are_typed(self, build):
+        with pytest.raises(ValidationError, match="must be a positive finite real"):
+            build()
 
     def test_poisson_rejects_negative_intensity(self):
         with pytest.raises(ValidationError):

@@ -1,4 +1,4 @@
-"""Dual-pair plumbing: vectors, the pairing, tilt weights, covariance operators."""
+"""Dual-pair plumbing: vectors, tilt weights, covariance operators."""
 
 import math
 
@@ -15,7 +15,6 @@ from compound_deviations.dualpair import (
     _norm_rows,
     as_vector,
     finite_real,
-    pair,
     tilt_weights,
 )
 from compound_deviations.errors import DimensionMismatchError, ValidationError
@@ -41,11 +40,6 @@ class TestAsVector:
             as_vector([[1.0, 2.0]])
         with pytest.raises(ValidationError):
             as_vector([])
-
-    def test_pairing(self):
-        assert pair([1.0, 2.0], [3.0, -1.0]) == 1.0
-        with pytest.raises(DimensionMismatchError):
-            pair([1.0], [1.0, 2.0])
 
 
 class TestFiniteReal:

@@ -19,7 +19,6 @@ from compound_deviations.mittag_leffler import (
     _asymptotic_log,
     _series_value,
     log_mittag_leffler,
-    log_mittag_leffler_ratio,
     mittag_leffler,
     switch_point,
 )
@@ -151,31 +150,6 @@ class TestMonotonicity:
             xs = np.linspace(0.0, 50.0, 40)
             vals = [log_mittag_leffler(nu, 1.0, float(x)) for x in xs]
             assert all(b > a for a, b in zip(vals, vals[1:]))
-
-
-class TestLogRatio:
-    def test_equal_arguments_exact_zero(self):
-        assert log_mittag_leffler_ratio(0.5, 10.0, 10.0) == 0.0
-
-    def test_exponential_case(self):
-        assert_allclose(log_mittag_leffler_ratio(1.0, 3.0, 1.0), 2.0, rtol=1e-12)
-
-    def test_large_arguments_stable(self):
-        # Both arguments far beyond double-precision exp range.
-        a = math.e * 1e4
-        b = 1e4
-        value = log_mittag_leffler_ratio(0.5, a, b)
-        # Leading asymptotics: log ratio ~ a^2 - b^2 for nu = 1/2.
-        assert_allclose(value, a * a - b * b, rtol=1e-3)
-
-    def test_oracle_moderate_arguments(self):
-        expected = ml_log_reference(0.5, 1.0, math.e * 10.0) - ml_log_reference(
-            0.5, 1.0, 10.0
-        )
-        assert_allclose(
-            log_mittag_leffler_ratio(0.5, math.e * 10.0, 10.0), expected,
-            rtol=1e-8,
-        )
 
 
 class TestDomainErrors:

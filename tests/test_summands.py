@@ -16,7 +16,6 @@ from numpy.testing import assert_allclose
 from compound_deviations.dualpair import CovarianceOperator
 from compound_deviations.errors import (
     DimensionMismatchError,
-    UnsupportedModelError,
     ValidationError,
 )
 from compound_deviations.summands import (
@@ -117,6 +116,21 @@ class TestFiniteSupportCumulants:
     def test_cov_is_built_once(self, two_atom_plane):
         assert two_atom_plane.cov() is two_atom_plane.cov()
 
+    @pytest.mark.parametrize("shift", [1e2, 1e3, 1e4, 1e5, 1e6])
+    def test_cov_is_shift_invariant(self, shift):
+        # Centred products: E[XX^T] - mu mu^T would cancel far from 0.
+        atoms = np.array([[0.0, 0.0], [1.0, 0.3], [0.1, 1.0]])
+        probs = [0.2, 0.3, 0.5]
+        base = FiniteSupportSummands(atoms, probs).cov().matrix
+        moved = FiniteSupportSummands(atoms + shift, probs).cov().matrix
+        assert_allclose(moved, base, rtol=1e-9)
+
+    def test_cov_far_from_origin_is_symmetric(self):
+        m = FiniteSupportSummands(
+            [[1e5, 1e5], [1e5 + 1, 1e5 + 1], [1e5, 1e5 + 1]], [0.3, 0.3, 0.4]
+        )
+        assert_allclose(m.cov().matrix, [[0.21, 0.09], [0.09, 0.21]], rtol=1e-9)
+
     def test_grad_at_zero_is_mean(self, two_atom_plane):
         assert_allclose(
             two_atom_plane.cgf_grad([0.0, 0.0]), two_atom_plane.mean(),
@@ -128,23 +142,23 @@ class TestCramerRate:
     def test_vertex_value(self):
         # Rate at an atom is -log of its probability.
         m = FiniteSupportSummands([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
-        assert_allclose(float(m.cramer_rate([1.0, 0.0])), math.log(2.0),
+        assert_allclose(m.conjugate_closed_form([1.0, 0.0]), math.log(2.0),
                         rtol=1e-12)
 
     def test_interior_relative_entropy(self):
         m = FiniteSupportSummands([[1.0, 0.0], [0.0, 1.0]], [0.25, 0.75])
         x = [0.5, 0.5]
         expected = 0.5 * math.log(0.5 / 0.25) + 0.5 * math.log(0.5 / 0.75)
-        assert_allclose(float(m.cramer_rate(x)), expected, rtol=1e-12)
+        assert_allclose(m.conjugate_closed_form(x), expected, rtol=1e-12)
 
     def test_zero_at_mean(self):
         m = FiniteSupportSummands([[1.0, 0.0], [0.0, 1.0]], [0.3, 0.7])
-        assert_allclose(float(m.cramer_rate(m.mean())), 0.0, atol=1e-12)
+        assert_allclose(m.conjugate_closed_form(m.mean()), 0.0, atol=1e-12)
 
     def test_off_hull_posinf(self):
         m = FiniteSupportSummands([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
-        assert m.cramer_rate([2.0, -1.0]) == math.inf
-        assert m.cramer_rate([0.3, 0.3]) == math.inf  # in span, off simplex
+        assert m.conjugate_closed_form([2.0, -1.0]) == math.inf
+        assert m.conjugate_closed_form([0.3, 0.3]) == math.inf  # in span, off simplex
 
     def test_conjugate_duality_against_optimizer(self):
         # The closed form must agree with the defining supremum, here
@@ -157,13 +171,11 @@ class TestCramerRate:
             for t1 in grid[::20]
             for t2 in grid[::20]
         )
-        assert float(m.cramer_rate(x)) >= best - 1e-9
-        assert float(m.cramer_rate(x)) <= best + 1e-2  # grid resolution
+        assert m.conjugate_closed_form(x) >= best - 1e-9
+        assert m.conjugate_closed_form(x) <= best + 1e-2  # grid resolution
 
     def test_many_atoms_rejected(self):
         m = FiniteSupportSummands([[-1.0], [0.0], [1.0]], [0.25, 0.5, 0.25])
-        with pytest.raises(UnsupportedModelError):
-            m.cramer_rate([0.5])
         assert m.conjugate_closed_form([0.5]) is None
 
     def test_module_helper_on_grid_paths(self):
@@ -171,7 +183,8 @@ class TestCramerRate:
             [0.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5]
         )
         assert_allclose(
-            float(grid_model.cramer_rate([1.0, 0.0])), math.log(2.0), rtol=1e-12,
+            grid_model.conjugate_closed_form([1.0, 0.0]), math.log(2.0),
+            rtol=1e-12,
         )
 
 
