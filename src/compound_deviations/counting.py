@@ -13,12 +13,14 @@ the pmf over 0..K of the law with mass ~ P(N_n = k) e^{s k}, and
 log Z(s) = log E e^{s N_n}; s = 0 is N_n itself. ``CountingModel`` builds
 every finite-n member on it, through one table per (n, s) that each model
 builds once and keeps: ``exact_pmf`` (s = 0), ``sample_batch`` and
-``tilted_count_sampler`` (inversion of the cdf), ``mean`` and ``var`` (the
-table's moments) and ``finite_cgf`` = log Z(s) / n. A kind overrides a
-member only with an exact closed form: Poisson, iid-sum and Bernoulli keep
-``finite_cgf``, and Poisson keeps ``mean``. Unbounded tables stop once the
-tail beyond is below MASS_TAIL_TOL relative to the mode; every table is
-capped at MASS_TABLE_CAP states with a ValidationError.
+``tilted_count_sampler`` (inversion of the cdf by ``summands.invert_cdf``,
+the least k with F(k) > u), ``max_count`` (the draw of the top uniform),
+``mean`` and ``var`` (the table's moments) and ``finite_cgf`` =
+log Z(s) / n. A kind overrides a member only with an exact closed form:
+Poisson, iid-sum and Bernoulli keep ``finite_cgf``, and Poisson keeps
+``mean``. Unbounded tables stop once the tail beyond is below MASS_TAIL_TOL
+relative to the mode; every table is capped at MASS_TABLE_CAP states with a
+ValidationError.
 
 Kinds
 -----
@@ -64,7 +66,7 @@ import numpy as np
 
 from .dualpair import check_int, finite_real, tilt_weights
 from .errors import NoRootError, UnsupportedModelError, ValidationError
-from .summands import PROB_SUM_TOL
+from .summands import MASS_TABLE_CAP, PROB_SUM_TOL, TOP_UNIFORM, invert_cdf
 from .variational import Cumulant
 
 # The scaled cumulant must vanish at zero within this.
@@ -79,8 +81,6 @@ QUAD_TOL = 1e-10
 QUAD_POINTS = (1e-12, 1e-9, 1e-6, 1e-3)
 # Mass tables are truncated once the missing tail is below this.
 MASS_TAIL_TOL = 1e-12
-# Hard cap on cached mass-table length.
-MASS_TABLE_CAP = 5_000_000
 # Root tolerance for inverting an inter-arrival cumulant.
 INVERT_XTOL = 1e-13
 # Fewest points of a tabulated inter-arrival cumulant.
@@ -99,8 +99,8 @@ def _grow_table(build, what):
 
 
 def _draw_from_cdf(cdf, rng, reps):
-    """reps counts drawn by inverting a cdf table over 0, 1, ...."""
-    return np.searchsorted(cdf, rng.random(int(reps))).astype(np.int64)
+    """reps counts drawn by ``invert_cdf`` of a cdf table over 0, 1, ...."""
+    return invert_cdf(cdf, rng.random(int(reps))).astype(np.int64)
 
 
 def _table_moments(pmf):
@@ -265,6 +265,10 @@ class CountingModel:
     def sample_batch(self, n, rng, reps):
         """reps draws of N_n."""
         return _draw_from_cdf(self._table(n)[1], rng, reps)
+
+    def max_count(self, n):
+        """The largest count a uniform draws at n: the draw at TOP_UNIFORM."""
+        return int(invert_cdf(self._table(n)[1], TOP_UNIFORM))
 
     def tilted_count_sampler(self, n, s):
         """Sampler (rng, reps) -> counts for the law with mass ~ P(N_n = k) e^{s k}."""

@@ -9,6 +9,18 @@ count draws never depend on the summand law: two summand laws at one seed
 draw the same counts (the two streams realize the independence of the count
 from the summands).
 
+Plain draws (``simulate_compound``, hence every plain estimate and every
+moment and CLT check) take sums from the summands' ``plain_sampler`` for
+the count law's ``max_count(n)``, made once per call in the calling thread,
+before the blocks start. For finite-support sums whose tables are small
+enough (summands.TABLE_STAGE_STATES per stage), each conditional-binomial
+stage inverts one uniform per sum in exact binomial cdf rows for every
+count up to ``max_count(n)``, by the one inversion rule min{k : F(k) > u};
+larger tables, and the tilted route, where each estimate's fresh tilted
+law draws only 10^4 sums, draw with numpy's binomials
+(``sample_sum_batch``). The route rests on the method, the law and the
+table size, never on reps, so block prefixes stay stable.
+
 Contents: plain simulation, exact enumeration for finite-support summands,
 one weighted-mean event-probability estimator whose unit-weight case is
 plain sampling and whose importance-sampling case tilts on the rate
@@ -26,10 +38,10 @@ Sizes (n, every n of a grid, reps, seeds, workers) must be integers; a
 fractional or boolean size is a ValidationError, never truncated.
 
 Importing the module loads no scipy submodule; of its own routines only
-the CLT normality p-values import one (normaltest), when they run. A
-count table may first be built inside a block thread, so the counting
-module's first scipy import can run there; CPython's per-module import
-locks make that safe.
+the CLT normality p-values import one (normaltest), when they run. The
+count table (through ``max_count`` or ``tilted_count_sampler``) and any
+summand tables (which import ``bdtr``) are built in the calling thread,
+before the blocks start.
 """
 
 from __future__ import annotations
@@ -122,16 +134,17 @@ class CompoundSamples:
         return self.counts / float(self.n)
 
 
-def _draw_samples(mx, draw_counts, n, reps, seed, workers):
+def _draw_samples(draw_sums, draw_counts, n, reps, seed, workers):
     """Draw reps realizations in seeded blocks: counts by ``draw_counts``,
-    sums from ``mx``. Blocks run on ``workers`` threads (numpy's bulk draws
-    release the interpreter lock) and merge in block order."""
+    sums by ``draw_sums`` (rng, counts). Blocks run on ``workers`` threads
+    (numpy's bulk draws release the interpreter lock) and merge in block
+    order."""
 
     def block(item):
         index, size = item
         rng_n, rng_x = _block_rngs(seed, index)
         counts = draw_counts(rng_n, size)
-        return counts, mx.sample_sum_batch(rng_x, counts)
+        return counts, draw_sums(rng_x, counts)
 
     items = list(enumerate(_block_sizes(reps)))
     if workers == 1 or len(items) == 1:
@@ -203,13 +216,16 @@ def simulate_compound(mx, mn, n, reps, seed, workers=None):
 
     The count and summand streams are separate streams of ``seed``, so the
     count draws never depend on the summand law. Results are identical for
-    every worker count.
+    every worker count. Sums come from the summands' ``plain_sampler`` for
+    the largest count a uniform draws at n, made here before the blocks
+    start.
     """
     seed = check_int(seed, "seed", 0)
+    reps = check_int(reps, "reps", 1)
     workers = _resolve_workers(workers)
     return _draw_samples(
-        mx, lambda rng, size: mn.sample_batch(n, rng, size), n, reps, seed,
-        workers,
+        mx.plain_sampler(mn.max_count(n)),
+        lambda rng, size: mn.sample_batch(n, rng, size), n, reps, seed, workers,
     )
 
 
@@ -360,8 +376,8 @@ def estimate_event_prob(
             tilt = tilt_parameters(mx, mn, event)
         log_norm = float(n) * float(mn.finite_cgf(n, tilt.s))
         samples = _draw_samples(
-            mx.tilted(tilt.theta), mn.tilted_count_sampler(n, tilt.s), n, reps,
-            seed, workers,
+            mx.tilted(tilt.theta).sample_sum_batch,
+            mn.tilted_count_sampler(n, tilt.s), n, reps, seed, workers,
         )
         log_weights = log_norm - samples.sums @ tilt.theta - tilt.eta * samples.counts
         if float(np.max(log_weights)) > LOG_WEIGHT_CAP:

@@ -475,17 +475,23 @@ class TestTableFormatting:
         assert keys == ["python", "numpy", "scipy", "compound-deviations"]
 
 
-# One moments-check and one clt-check at 20,000 reps, written under argv[1].
+# Two moments-checks (two and three atoms: one binomial stage, and two
+# drawn from guide tables) and one clt-check at 20,000 reps, written under
+# argv[1].
 CHECK_RUNS = """
 import sys
 from compound_deviations import normalize_config, run_experiment
 
 pm = {"kind": "finite_support", "atoms": [1.0, -1.0], "probs": [0.5, 0.5]}
+fs2 = {"kind": "finite_support", "atoms": [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
+       "probs": [0.3, 0.3, 0.4]}
 gauss = {"kind": "gaussian", "mean": [0.2], "cov": [[1.0]]}
 poisson = {"kind": "poisson", "rate": 1.0}
 for name, summand, experiment in [
     ("moments", pm, {"kind": "moments-check", "n": 200, "reps": 20000,
                      "u": [1.0], "v": [1.0], "seed": 5}),
+    ("moments-3-atom", fs2, {"kind": "moments-check", "n": 50, "reps": 20000,
+                             "u": [1.0, 0.0], "v": [0.0, 1.0], "seed": 5}),
     ("clt", gauss, {"kind": "clt-check", "n": 400, "reps": 20000,
                     "v": [1.0], "seed": 5}),
 ]:
@@ -555,9 +561,11 @@ class TestRunExperiment:
                 env=dict(os.environ, PYTHONPATH=str(src),
                          OPENBLAS_NUM_THREADS=threads),
             )
-            tables[threads] = {p.name: p.read_bytes()
+            tables[threads] = {str(p.relative_to(out)): p.read_bytes()
                                for p in sorted(out.glob("*/*.csv"))}
-        assert sorted(tables["1"]) == ["clt_check.csv", "moments_check.csv"]
+        assert sorted(tables["1"]) == [
+            "clt/clt_check.csv", "moments-3-atom/moments_check.csv",
+            "moments/moments_check.csv"]
         assert tables["1"] == tables["2"]
 
     def test_rate_eval_table_values(self, tmp_path):

@@ -689,16 +689,39 @@ class TopUniform:
         return np.full(size, np.nextafter(1.0, 0.0))
 
 
+class ZeroUniform:
+    """An rng whose every uniform is 0, the least that rng.random draws."""
+
+    def random(self, size):
+        return np.zeros(size)
+
+
 class TestOneTableRoute:
     @pytest.mark.parametrize("kind", sorted(TOP_UNIFORM_KINDS))
     def test_top_uniform_draws_stay_inside_the_table(self, kind):
         # The last cdf entry is exactly 1, so no uniform inverts to the
-        # impossible count pmf.size, untilted or tilted.
+        # impossible count pmf.size, untilted or tilted; max_count is the
+        # draw at the top uniform.
         mn, n = TOP_UNIFORM_KINDS[kind]
-        assert mn.sample_batch(n, TopUniform(), 3).max() < mn.exact_pmf(n).size
+        top = mn.sample_batch(n, TopUniform(), 3)
+        assert top.max() < mn.exact_pmf(n).size
+        assert top.tolist() == [mn.max_count(n)] * 3
         for s in (-0.5, 0.3):
             draws = mn.tilted_count_sampler(n, s)(TopUniform(), 3)
             assert draws.max() < mn._table(n, s)[0].size
+
+    @pytest.mark.parametrize("mn, n, least", [
+        (IidSumCounting([1, 2], [0.5, 0.5]), 3, 3),
+        (BernoulliSumCounting.runs(1.0, 1.0), 5, 1),
+    ], ids=["iid-sum", "bernoulli-runs"])
+    def test_zero_uniform_draws_the_least_possible_count(self, mn, n, least):
+        # The inversion rule is min{k : F(k) > u}, so u = 0 draws the least
+        # count of positive mass, never a count of mass 0.
+        assert mn.exact_pmf(n)[:least].sum() == 0.0
+        assert mn.sample_batch(n, ZeroUniform(), 3).tolist() == [least] * 3
+        for s in (-0.5, 0.3):
+            draws = mn.tilted_count_sampler(n, s)(ZeroUniform(), 3)
+            assert draws.tolist() == [least] * 3
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_draws_follow_the_exact_pmf(self, kind):

@@ -16,7 +16,7 @@ from scipy import stats
 from scipy.optimize import minimize_scalar
 from scipy.special import gammainc, gammaln, logsumexp
 
-from compound_deviations import counting, montecarlo
+from compound_deviations import counting, montecarlo, summands
 from compound_deviations.counting import (
     BernoulliSumCounting,
     CountingModel,
@@ -68,8 +68,19 @@ def zero_two_summand():
     return FiniteSupportSummands([[0.0], [2.0]], [0.5, 0.5])
 
 
+def three_atom_plane():
+    # Two binomial stages: the FS2 law of the benchmark workloads.
+    return FiniteSupportSummands([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
+                                 [0.3, 0.3, 0.4])
+
+
 def unit_poisson():
     return PoissonCounting(1.0)
+
+
+# Plain draws of one and of two conditional-binomial stages.
+REPRO_LAWS = pytest.mark.parametrize("law", [zero_two_summand, three_atom_plane],
+                                     ids=["one-stage", "two-stage"])
 
 
 def tabulated_renewal():
@@ -194,9 +205,13 @@ class TestHalfSpaceEvent:
             raise AssertionError("summands were drawn before the direction "
                                  "was checked")
 
+        def no_sampler(self, max_count):
+            raise AssertionError("a summand sampler was made before the "
+                                 "direction was checked")
+
         monkeypatch.setattr(FiniteSupportSummands, "sample_sum_batch", no_draws)
-        mx = FiniteSupportSummands([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
-                                   [0.3, 0.3, 0.4])
+        monkeypatch.setattr(FiniteSupportSummands, "plain_sampler", no_sampler)
+        mx = three_atom_plane()
         event = HalfSpaceEvent(mode="sum", level=0.5, direction=[1.0])
         with pytest.raises(DimensionMismatchError, match="length 1.*dimension 2"):
             call(mx, event)
@@ -230,15 +245,17 @@ class TestSimulateCompound:
         assert_allclose(samples.sum_scaled, samples.sums / 20.0)
         assert_allclose(samples.count_scaled, samples.counts / 20.0)
 
-    def test_rerun_is_bit_identical(self):
-        mx = zero_two_summand()
+    @REPRO_LAWS
+    def test_rerun_is_bit_identical(self, law):
+        mx = law()
         first = simulate_compound(mx, unit_poisson(), 50, 2000, seed=11)
         second = simulate_compound(mx, unit_poisson(), 50, 2000, seed=11)
         assert np.array_equal(first.counts, second.counts)
         assert np.array_equal(first.sums, second.sums)
 
-    def test_worker_count_does_not_change_the_draws(self):
-        mx = zero_two_summand()
+    @REPRO_LAWS
+    def test_worker_count_does_not_change_the_draws(self, law):
+        mx = law()
         reps = BLOCK_SIZE + 500
         serial = simulate_compound(mx, unit_poisson(), 30, reps, seed=3,
                                    workers=1)
@@ -247,14 +264,55 @@ class TestSimulateCompound:
         assert np.array_equal(serial.counts, parallel.counts)
         assert np.array_equal(serial.sums, parallel.sums)
 
-    def test_block_prefix_is_stable(self):
+    @REPRO_LAWS
+    def test_block_prefix_is_stable(self, law):
         # Growing reps appends blocks without touching earlier draws.
-        mx = zero_two_summand()
+        mx = law()
         small = simulate_compound(mx, unit_poisson(), 30, BLOCK_SIZE, seed=5)
         large = simulate_compound(mx, unit_poisson(), 30, BLOCK_SIZE + 100,
                                   seed=5)
         assert np.array_equal(small.counts, large.counts[:BLOCK_SIZE])
         assert np.array_equal(small.sums, large.sums[:BLOCK_SIZE])
+
+    def test_small_tables_take_the_table_route(self, monkeypatch):
+        # The FS2 law at n = 30 holds well under TABLE_STAGE_STATES states
+        # a stage, so its plain draws never call the binomial sampler.
+        def no_draws(self, rng, counts):
+            raise AssertionError("small tables drew with binomials")
+
+        monkeypatch.setattr(FiniteSupportSummands, "sample_sum_batch", no_draws)
+        samples = simulate_compound(three_atom_plane(), unit_poisson(), 30,
+                                    100, seed=4)
+        # Steps to (1, 0), (0, 1) and (-1, -1): the last are (N - x - y) / 3.
+        last = (samples.counts - samples.sums.sum(axis=1)) / 3.0
+        assert np.array_equal(last, np.rint(last))
+        assert np.all(last >= 0) and np.all(samples.sums + last[:, None] >= 0)
+
+    @pytest.mark.parametrize("law, n, cap", [
+        (pm_one_summand, 400, None),
+        (pm_one_summand, 50_000, None),
+        (three_atom_plane, 30, 1_000),
+    ], ids=["past-stage-states", "past-both", "past-mass-cap"])
+    def test_large_tables_take_the_binomial_route(self, law, n, cap,
+                                                  monkeypatch):
+        # At n = 400 the +-1 law's tables would hold about 92,000 states, past
+        # TABLE_STAGE_STATES; at n = 50,000 past MASS_TABLE_CAP as well; and
+        # the FS2 law at n = 30 past a lowered MASS_TABLE_CAP. The choice is
+        # made from the windows, so no table is built.
+        def no_build(*args):
+            raise AssertionError("a table past the bound was built")
+
+        binomial_calls = []
+        sample_sum_batch = FiniteSupportSummands.sample_sum_batch
+        monkeypatch.setattr(summands, "_GuideTable", no_build)
+        if cap is not None:
+            monkeypatch.setattr(summands, "MASS_TABLE_CAP", cap)
+        monkeypatch.setattr(FiniteSupportSummands, "sample_sum_batch",
+                            lambda self, rng, counts: binomial_calls.append(
+                                counts.size) or sample_sum_batch(self, rng, counts))
+        samples = simulate_compound(law(), unit_poisson(), n, 10, seed=4)
+        assert binomial_calls == [10]
+        assert np.all(np.abs(samples.sums) <= samples.counts[:, None])
 
     def test_summand_stream_is_independent_of_count_stream(self):
         # Two summand laws at one seed draw the same counts.

@@ -19,10 +19,15 @@ from compound_deviations.errors import (
     ValidationError,
 )
 from compound_deviations.summands import (
+    TOP_UNIFORM,
+    UNIFORM_STEP,
     FiniteSupportSummands,
     GaussianSummands,
+    _binomial_windows,
+    _GuideTable,
     grid_finite_support,
     grid_gaussian,
+    invert_cdf,
 )
 
 
@@ -259,12 +264,109 @@ class TestGaussian:
                       <= 4.0 * se)
 
 
+def stage_table(q, max_count=400):
+    return _GuideTable(q, *_binomial_windows(q, max_count))
+
+
+def table_row(table, k):
+    """Row k of a stage table: its first state and its cdf values."""
+    start, width = table.first[k], int(table.width[k])
+    return start - table.shift[k], table.cdf[start:start + width]
+
+
+STAGE_PROBS = [0.02, 0.3, 3.0 / 7.0, 0.5, 0.97]
+
+
+class TestGuideTables:
+    @pytest.mark.parametrize("q", STAGE_PROBS)
+    def test_rows_match_bdtr(self, q):
+        # Each row is the exact binomial cdf over the states a uniform on
+        # the 2^-53 grid selects: the states left of it have cdf at most
+        # 2^-53, and its last state has cdf within one grid step of 1.
+        from scipy.special import bdtr
+
+        table = stage_table(q)
+        for k in range(401):
+            low, row = table_row(table, k)
+            full = bdtr(np.arange(k + 1), k, q)
+            assert np.all(np.diff(row) >= 0.0) and row[-1] == 1.0
+            assert_allclose(row, full[low:low + row.size], rtol=0.0, atol=1e-14)
+            assert np.all(full[:low] <= UNIFORM_STEP)
+            assert full[low + row.size - 1] >= TOP_UNIFORM
+
+    @pytest.mark.parametrize("q", STAGE_PROBS)
+    def test_draws_invert_their_own_row(self, q):
+        # Random u, and every edge: 0, 2^-53, each row value, both sides of
+        # each guide-cell edge c / w, and the top uniform.
+        table = stage_table(q)
+        rng = np.random.default_rng(int(q * 1000))
+        for k in range(401):
+            low, row = table_row(table, k)
+            edges = np.arange(row.size) / row.size
+            u = np.concatenate([
+                rng.random(50), [0.0, UNIFORM_STEP, TOP_UNIFORM], row,
+                np.nextafter(row, 0.0), edges, np.nextafter(edges, 0.0),
+                np.nextafter(edges, 1.0)])
+            u = u[(u >= 0.0) & (u < 1.0)]
+            draws = table.draw(np.full(u.size, k), u)
+            assert np.array_equal(draws, low + np.searchsorted(row, u, side="right"))
+
+    @pytest.mark.parametrize("q", STAGE_PROBS)
+    def test_draws_match_bdtr_inversion(self, q):
+        from scipy.special import bdtr
+
+        table = stage_table(q)
+        rng = np.random.default_rng(7)
+        k, u = rng.integers(0, 401, 20_000), rng.random(20_000)
+        expected = np.empty_like(k)
+        for row in range(401):
+            at = k == row
+            expected[at] = invert_cdf(bdtr(np.arange(row + 1), row, q), u[at])
+        assert np.array_equal(table.draw(k, u), expected)
+
+    def test_sure_stages_and_the_empty_row(self):
+        # q = 0 keeps every step for later atoms, q = 1 takes all of them,
+        # and no stage takes a step from a row of no steps.
+        k = np.arange(50).repeat(3)
+        u = np.tile([0.0, 0.5, TOP_UNIFORM], 50)
+        assert np.array_equal(stage_table(0.0, 49).draw(k, u), np.zeros_like(k))
+        assert np.array_equal(stage_table(1.0, 49).draw(k, u), k)
+        empty = np.zeros(3, dtype=np.int64)
+        for q in STAGE_PROBS:
+            assert stage_table(q, 0).draw(empty, u[:3]).tolist() == [0] * 3
+
+    def test_plain_sampler_route(self):
+        # Tables up to TABLE_STAGE_STATES states a stage; binomials past it,
+        # and for every law without stages.
+        m = FiniteSupportSummands([[1.0], [-1.0]], [0.5, 0.5])
+        assert m.plain_sampler(100) != m.sample_sum_batch
+        assert m.plain_sampler(600) == m.sample_sum_batch
+        g = GaussianSummands([0.0], [[1.0]])
+        assert g.plain_sampler(100) == g.sample_sum_batch
+
+    def test_rounded_stages_of_exactly_zero_and_one(self):
+        # The second stage's conditional probability rounds past 1 and the
+        # third's below 0, so both are clipped: the last two atoms are
+        # never drawn, on either route.
+        m = FiniteSupportSummands([[1.0], [10.0], [100.0], [1000.0]],
+                                  [0.5, 0.5 + 5e-13, 1e-13, 1e-13])
+        assert m._stages == [0.5, 1.0, 0.0]
+        counts = np.arange(200) % 20
+        for draw in (m.sample_sum_batch, m.plain_sampler(19)):
+            sums = draw(np.random.default_rng(3), counts)[:, 0]
+            assert np.all(sums <= 10 * counts)
+            assert np.all((10 * counts - sums) % 9 == 0)
+
+
 class TestFiniteSupportSampling:
-    def test_sample_sum_batch_matches_brute_force_law(self):
+    @pytest.mark.parametrize("route", ["binomial", "table"])
+    def test_sample_sum_batch_matches_brute_force_law(self, route):
         m = FiniteSupportSummands([[1.0], [-1.0]], [0.75, 0.25])
         rng = np.random.default_rng(41)
         counts = np.full(50000, 4)
-        sums = m.sample_sum_batch(rng, counts)[:, 0]
+        draw = m.sample_sum_batch if route == "binomial" else m.plain_sampler(4)
+        assert (draw == m.sample_sum_batch) == (route == "binomial")
+        sums = draw(rng, counts)[:, 0]
         # Sum of 4 steps is 2 B - 4 with B ~ Binomial(4, 3/4).
         expected_mean = 2 * 4 * 0.75 - 4
         expected_var = 4 * 4 * 0.75 * 0.25
