@@ -66,7 +66,7 @@ import numpy as np
 
 from .dualpair import check_int, finite_real, tilt_weights
 from .errors import NoRootError, UnsupportedModelError, ValidationError
-from .summands import MASS_TABLE_CAP, PROB_SUM_TOL, TOP_UNIFORM, invert_cdf
+from .summands import MASS_TABLE_CAP, PROB_SUM_TOL, TOP_UNIFORM, UNIFORM_STEP, invert_cdf
 from .variational import Cumulant
 
 # The scaled cumulant must vanish at zero within this.
@@ -238,10 +238,13 @@ class CountingModel:
         if (n, s) not in tables:
             pmf, log_z = self._tilted_table(n, s)
             pmf.flags.writeable = False
-            # The cumsum can end short of 1; a uniform above its end would
-            # invert to the impossible count pmf.size.
+            # The cumsum can plateau a few ulps short of 1, so a top uniform
+            # would draw the table's end. The cdf is 1 from the first k
+            # whose upper tail is below 2^-54, which no uniform on the
+            # 2^-53 grid can reach, as for the summand rows.
             cdf = np.cumsum(pmf)
-            cdf[-1] = 1.0
+            upper = np.append(np.cumsum(pmf[:0:-1])[::-1], 0.0)
+            cdf[np.argmax(upper < UNIFORM_STEP / 2):] = 1.0
             tables[n, s] = pmf, cdf, log_z
         return tables[n, s]
 

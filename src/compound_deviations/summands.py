@@ -5,8 +5,8 @@ Two kinds share one interface:
 * FiniteSupportSummands: atoms u_1..u_m in R^h with probabilities p_i. The
   workhorse for exact computations; its Cramer rate has a closed form in
   relative-entropy coordinates when the atoms are affinely independent
-  (m <= h + 1). Its covariance is built from centred products, so atoms
-  far from the origin lose no accuracy.
+  (m <= h + 1). Its covariance and cgf Hessian are built from centred
+  products, so atoms far from the origin lose no accuracy.
 * GaussianSummands: mean vector and covariance operator; cumulants and the
   conjugate are quadratic, sampling of k-fold sums is exact in one draw.
 
@@ -55,11 +55,12 @@ from .dualpair import (
     as_vector,
     tilt_weights,
 )
-from .errors import DimensionMismatchError, UnsupportedModelError, ValidationError
+from .errors import DimensionMismatchError, ValidationError
+from .variational import Cumulant
 
 # Probabilities must sum to one within this at construction.
 PROB_SUM_TOL = 1e-12
-# Mixture coefficients solve the affine system [atoms^T; 1] c = (x, total)
+# Mixture coefficients solve the affine system [atoms^T; 1] c = (x, 1)
 # when the least-squares residual is below this, scaled by (1 + |x|).
 DECOMP_RESIDUAL_TOL = 1e-8
 # Mixture coefficients count as nonnegative within this.
@@ -215,8 +216,6 @@ class SummandModel:
     def cumulant(self):
         """cgf, cgf_grad and cgf_hess as a ``Cumulant``, built and probed
         once per model."""
-        from .variational import Cumulant  # variational imports this module
-
         return Cumulant(self.cgf, self.cgf_grad, self.cgf_hess, self.dim)
 
 
@@ -295,9 +294,7 @@ class FiniteSupportSummands(SummandModel):
         return self._tilt(theta)[1] @ self._atoms
 
     def cgf_hess(self, theta):
-        w = self._tilt(theta)[1]
-        g = w @ self._atoms
-        return (self._atoms.T * w) @ self._atoms - np.outer(g, g)
+        return self._centred_second_moment(self._tilt(theta)[1])
 
     def mean(self):
         return self._probs @ self._atoms
@@ -305,13 +302,17 @@ class FiniteSupportSummands(SummandModel):
     def cov(self):
         return self._cov
 
+    def _centred_second_moment(self, w):
+        """The covariance of the atoms under the weights w, by centred
+        products: E_w[XX^T] - (E_w X)(E_w X)^T would cancel for atoms far
+        from the origin."""
+        d = self._atoms - w @ self._atoms
+        return (d.T * w) @ d
+
     @cached_property
     def _cov(self):
         """The covariance operator, built and validated on the first cov()."""
-        # Centred products: E[XX^T] - mu mu^T would cancel for atoms far
-        # from the origin.
-        d = self._atoms - self.mean()
-        return CovarianceOperator((d.T * self._probs) @ d)
+        return CovarianceOperator(self._centred_second_moment(self._probs))
 
     @cached_property
     def _stages(self):
@@ -365,46 +366,19 @@ class FiniteSupportSummands(SummandModel):
             return None
         return system, np.linalg.pinv(system)
 
-    def _mixture(self, rows, total):
-        """For each row x of a (P, h) stack, the c with sum c_i u_i = x and
-        sum c_i = total, by one affine least-squares solve, and whether its
-        residual vanishes: (C, ok)."""
-        if self._affine is None:
-            raise UnsupportedModelError(
-                "atoms are affinely dependent: mixture coefficients are not "
-                "unique, closed-form rates are unavailable"
-            )
-        system, pinv = self._affine
-        rhs = np.hstack([rows, np.full((rows.shape[0], 1), total)])
-        coeffs = _matvec_rows(pinv, rhs)
-        residual = _norm_rows(_matvec_rows(system, coeffs) - rhs)
-        return coeffs, residual <= DECOMP_RESIDUAL_TOL * (1.0 + _norm_rows(rows))
-
-    def _one_mixture(self, x, total):
-        coeffs, ok = self._mixture(as_vector(x, dim=self.dim, name="x")[None], total)
-        return coeffs[0], bool(ok[0])
-
-    def decompose(self, x):
-        """Mixture coefficients of x: (c, in_hull) with sum c_i u_i = x and
-        sum c_i = 1, where in_hull reports whether x lies in the affine hull
-        of the atoms. Requires affinely independent atoms (m <= h + 1), so
-        the coefficients are unique; raises UnsupportedModelError otherwise.
-        """
-        return self._one_mixture(x, 1.0)
-
-    def centered_decompose(self, x):
-        """Like decompose with sum c_i = 0: (c, centered), where centered
-        reports whether x lies in the span of the atom differences."""
-        return self._one_mixture(x, 0.0)
-
     def _conjugate_rows(self, rows):
         """The Cramer rate: finite exactly on the convex hull of the atoms,
         where it equals the relative entropy sum(c_i log(c_i / p_i)) of the
-        unique mixture coefficients (``decompose``), with 0 log 0 = 0 on the
+        unique mixture coefficients c (sum c_i u_i = x, sum c_i = 1, by one
+        affine least-squares solve for all rows), with 0 log 0 = 0 on the
         boundary; None when the atoms are affinely dependent."""
         if self._affine is None:
             return None
-        coeffs, in_hull = self._mixture(rows, 1.0)
+        system, pinv = self._affine
+        rhs = np.hstack([rows, np.ones((rows.shape[0], 1))])
+        coeffs = _matvec_rows(pinv, rhs)
+        residual = _norm_rows(_matvec_rows(system, coeffs) - rhs)
+        in_hull = residual <= DECOMP_RESIDUAL_TOL * (1.0 + _norm_rows(rows))
         c = np.clip(coeffs, 0.0, None)
         mask = c > 0.0
         terms = c * (np.log(np.where(mask, c, 1.0)) - self._log_probs)

@@ -26,12 +26,10 @@ On top of it sit the rate functions:
   (C0) or the compound sum (C1). ``psi_sn`` is the quadratic of C0 and
   ``rate_md_centered_summands`` its conjugate, finite on the image of C0,
   whose pseudo-inverse it takes block by block; ``rate_md_centered_sum``
-  is the same after shifting x by y times the summand mean. Their
-  variational twins conjugate the quadratics of C0 and C1 with the solver.
-  C1 at the exact count moments E N_n/n, Var N_n/n, and at d1, d2, is also
-  every target of the Monte Carlo moment and CLT checks.
-* ``md_quadratic_finite_support``: the closed-form moderate-deviation
-  quadratic for finite-support summands via mixture coefficients.
+  is the same after shifting x by y times the summand mean, the one route
+  of each moderate-deviation rate. C1 at the exact count moments E N_n/n,
+  Var N_n/n, and at d1, d2, is also every target of the Monte Carlo moment
+  and CLT checks.
 
 Every rate function is row-wise: it takes one point (x in R^h, a real y)
 or a stack of P points (x of shape (P, h), P values of y), checked once and
@@ -59,10 +57,8 @@ from .errors import (
     DimensionMismatchError,
     InconclusiveOptimizationError,
     NoRootError,
-    UnsupportedModelError,
     ValidationError,
 )
-from .summands import FiniteSupportSummands
 
 # Newton solver: Armijo sufficient-increase fraction, iteration budget,
 # gradient norm and relative Newton decrement that accept a maximizer, and
@@ -325,19 +321,14 @@ def _points(mx, x, y):
     return xs, as_vector(y, dim=xs.shape[0], name="y"), False
 
 
-def _conjugates(cumulant, xs, ys, one):
-    """``legendre_transform`` of one probed cumulant at each (x, y) row."""
-    results = [legendre_transform(cumulant, np.append(x, y)) for x, y in zip(xs, ys)]
-    return results[0] if one else results
-
-
 def rate_ld_variational(mx, mn, x, y):
     """Large-deviation rate of the pair: the conjugate of the joint cumulant
     over (theta, eta). A stack of points gives one result per row, all from
     one ``Cumulant``, so the joint cumulant is probed once per call."""
     xs, ys, one = _points(mx, x, y)
     cumulant = Cumulant(*joint_cumulant(mx, mn), mx.dim + 1)
-    return _conjugates(cumulant, xs, ys, one)
+    results = [legendre_transform(cumulant, np.append(x, y)) for x, y in zip(xs, ys)]
+    return results[0] if one else results
 
 
 def _summand_conjugate(mx, points):
@@ -410,20 +401,15 @@ def psi_sn_mean_shifted(mx, mn, theta, eta):
     return psi_sn(mx, mn, t, finite_real(eta, "eta") + float(t @ mx.mean()))
 
 
-def _md_derivs(mn):
+def _md_rate(mx, mn, x, y, shifted):
+    """<z, C0^+ z>/2 at each point z = (x, y), or at (x - y mu, y) when
+    shifted: d1 and d2 read once, one covariance solve for all rows."""
     d = mn.derivs_at_zero()
     if d.variance_rate <= 0.0:
         raise ValidationError(
             "moderate-deviation rates require a positive limiting count "
             f"variance rate; got {d.variance_rate}"
         )
-    return d
-
-
-def _md_rate(mx, mn, x, y, shifted):
-    """<z, C0^+ z>/2 at each point z = (x, y), or at (x - y mu, y) when
-    shifted: d1 and d2 read once, one covariance solve for all rows."""
-    d = _md_derivs(mn)
     xs, ys, one = _points(mx, x, y)
     if shifted:
         xs = xs - ys[:, None] * mx.mean()
@@ -454,53 +440,3 @@ def rate_md_centered_sum(mx, mn, x, y):
     """Moderate-deviation rate of the centered compound sum: the previous
     rate evaluated at (x - y * summand mean, y); same code path."""
     return _md_rate(mx, mn, x, y, shifted=True)
-
-
-def _md_conjugate(mx, mn, x, y, shifted):
-    """Conjugate of the quadratic <p, C p>/2 over p = (theta, eta), with
-    C = C0 (psi_sn) or, mean-shifted, C = C1 (psi_sn_mean_shifted); one
-    ``Cumulant`` for every point of a stack."""
-    d = _md_derivs(mn)
-    xs, ys, one = _points(mx, x, y)
-    quad = pair_covariance(mx.cov().matrix, mx.mean(), d.mean_rate, d.variance_rate,
-                           shifted)
-    cumulant = Cumulant(
-        lambda p: 0.5 * float(p @ quad @ p), lambda p: quad @ p,
-        lambda p: quad, mx.dim + 1,
-    )
-    return _conjugates(cumulant, xs, ys, one)
-
-
-def rate_md_centered_summands_variational(mx, mn, x, y):
-    """Conjugate form of rate_md_centered_summands, for cross-checking."""
-    return _md_conjugate(mx, mn, x, y, shifted=False)
-
-
-def rate_md_centered_sum_variational(mx, mn, x, y):
-    """Conjugate of the mean-shifted quadratic, for cross-checking the
-    contraction identity."""
-    return _md_conjugate(mx, mn, x, y, shifted=True)
-
-
-def md_quadratic_finite_support(mx, mn, x):
-    """Closed-form moderate-deviation quadratic for finite-support summands.
-
-    Decomposes x over affinely independent atoms (m <= h + 1) with
-    coefficients summing to zero; finite exactly when that solve succeeds
-    (x lies in the span of atom differences), where it equals
-    sum c_i^2 / p_i divided by 2 d1.
-    """
-    if not isinstance(mx, FiniteSupportSummands):
-        raise UnsupportedModelError(
-            "the closed-form moderate-deviation quadratic requires a "
-            "finite-support summand law"
-        )
-    d = _md_derivs(mn)
-    if d.mean_rate <= 0.0:
-        raise ValidationError(
-            "the closed-form quadratic requires a positive limiting count mean rate"
-        )
-    coeffs, centered = mx.centered_decompose(x)
-    if not centered:
-        return math.inf
-    return float(np.sum(coeffs * coeffs / mx.probs)) / (2.0 * d.mean_rate)

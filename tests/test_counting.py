@@ -682,6 +682,12 @@ TOP_UNIFORM_KINDS = {
 }
 
 
+def last_reachable_count(pmf):
+    """The first k whose upper tail, summed exactly, is below 2^-54: no
+    uniform on rng.random's 2^-53 grid needs a count past it."""
+    return next(k for k in range(pmf.size) if math.fsum(pmf[k + 1:]) < 2.0 ** -54)
+
+
 class TopUniform:
     """An rng whose every uniform is the largest float below 1."""
 
@@ -699,16 +705,27 @@ class ZeroUniform:
 class TestOneTableRoute:
     @pytest.mark.parametrize("kind", sorted(TOP_UNIFORM_KINDS))
     def test_top_uniform_draws_stay_inside_the_table(self, kind):
-        # The last cdf entry is exactly 1, so no uniform inverts to the
-        # impossible count pmf.size, untilted or tilted; max_count is the
-        # draw at the top uniform.
+        # The cdf is 1 from the first count whose upper tail is below 2^-54,
+        # so no uniform draws past it, untilted or tilted, let alone the
+        # impossible count pmf.size; max_count is the draw at the top uniform.
         mn, n = TOP_UNIFORM_KINDS[kind]
         top = mn.sample_batch(n, TopUniform(), 3)
-        assert top.max() < mn.exact_pmf(n).size
+        assert top.max() <= last_reachable_count(mn.exact_pmf(n))
         assert top.tolist() == [mn.max_count(n)] * 3
         for s in (-0.5, 0.3):
             draws = mn.tilted_count_sampler(n, s)(TopUniform(), 3)
-            assert draws.max() < mn._table(n, s)[0].size
+            assert draws.max() <= last_reachable_count(mn._table(n, s)[0])
+
+    @pytest.mark.parametrize("kind", sorted(TOP_UNIFORM_KINDS))
+    def test_cdf_is_the_cumsum_up_to_the_last_reachable_count(self, kind):
+        # Only the cdf is trimmed: it is 1 from the last reachable count on,
+        # and the pmf (so exact_pmf, mean and var) keeps its bytes.
+        mn, n = TOP_UNIFORM_KINDS[kind]
+        for s in (0.0, -0.5, 0.3):
+            pmf, cdf, _ = mn._table(n, s)
+            last = last_reachable_count(pmf)
+            assert np.array_equal(cdf[:last], np.cumsum(pmf)[:last])
+            assert np.all(cdf[last:] == 1.0)
 
     @pytest.mark.parametrize("mn, n, least", [
         (IidSumCounting([1, 2], [0.5, 0.5]), 3, 3),

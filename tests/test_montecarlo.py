@@ -288,6 +288,20 @@ class TestSimulateCompound:
         assert np.array_equal(last, np.rint(last))
         assert np.all(last >= 0) and np.all(samples.sums + last[:, None] >= 0)
 
+    def test_pm_one_sums_with_poisson_counts_at_100_take_the_table_route(
+            self, monkeypatch):
+        # Poisson(1) counts at n = 100 draw at most 194 (the count cdf is 1
+        # from there), so the +-1 law's tables hold 17,590 states, within
+        # TABLE_STAGE_STATES.
+        def no_draws(self, rng, counts):
+            raise AssertionError("the +-1 law drew with binomials")
+
+        monkeypatch.setattr(FiniteSupportSummands, "sample_sum_batch", no_draws)
+        assert unit_poisson().max_count(100) == 194
+        samples = simulate_compound(pm_one_summand(), unit_poisson(), 100, 100,
+                                    seed=4)
+        assert np.all(np.abs(samples.sums) <= samples.counts[:, None])
+
     @pytest.mark.parametrize("law, n, cap", [
         (pm_one_summand, 400, None),
         (pm_one_summand, 50_000, None),

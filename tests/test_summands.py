@@ -121,13 +121,19 @@ class TestFiniteSupportCumulants:
     def test_cov_is_built_once(self, two_atom_plane):
         assert two_atom_plane.cov() is two_atom_plane.cov()
 
+    @pytest.mark.parametrize("second", [
+        lambda m: m.cov().matrix,
+        lambda m: m.cgf_hess([0.0, 0.0]),
+        lambda m: m.cgf_hess([0.7, -1.2]),
+    ], ids=["cov", "hess-at-0", "hess-tilted"])
     @pytest.mark.parametrize("shift", [1e2, 1e3, 1e4, 1e5, 1e6])
-    def test_cov_is_shift_invariant(self, shift):
-        # Centred products: E[XX^T] - mu mu^T would cancel far from 0.
+    def test_cov_is_shift_invariant(self, shift, second):
+        # Centred products: E[XX^T] - mu mu^T would cancel far from 0. A
+        # shift leaves the tilted weights, so the Hessian, unchanged too.
         atoms = np.array([[0.0, 0.0], [1.0, 0.3], [0.1, 1.0]])
         probs = [0.2, 0.3, 0.5]
-        base = FiniteSupportSummands(atoms, probs).cov().matrix
-        moved = FiniteSupportSummands(atoms + shift, probs).cov().matrix
+        base = second(FiniteSupportSummands(atoms, probs))
+        moved = second(FiniteSupportSummands(atoms + shift, probs))
         assert_allclose(moved, base, rtol=1e-9)
 
     def test_cov_far_from_origin_is_symmetric(self):
@@ -160,10 +166,18 @@ class TestCramerRate:
         m = FiniteSupportSummands([[1.0, 0.0], [0.0, 1.0]], [0.3, 0.7])
         assert_allclose(m.conjugate_closed_form(m.mean()), 0.0, atol=1e-12)
 
-    def test_off_hull_posinf(self):
-        m = FiniteSupportSummands([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
-        assert m.conjugate_closed_form([2.0, -1.0]) == math.inf
-        assert m.conjugate_closed_form([0.3, 0.3]) == math.inf  # in span, off simplex
+    @pytest.mark.parametrize("atoms, x, finite", [
+        ([[1.0, 0.0], [0.0, 1.0]], [2.0, -1.0], False),
+        ([[1.0, 0.0], [0.0, 1.0]], [0.3, 0.3], False),  # in span, off simplex
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0.5, 0.5, 0.0], True),
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0.0, 0.0, 1.0], False),  # off span
+    ])
+    def test_off_hull_posinf(self, atoms, x, finite):
+        # The rate is finite exactly on the convex hull of the atoms; two
+        # atoms in R^3 span only the segment between them.
+        m = FiniteSupportSummands(atoms, [0.5, 0.5])
+        expected = 0.0 if finite else math.inf  # the midpoint has c = p
+        assert m.conjugate_closed_form(x) == pytest.approx(expected, abs=1e-12)
 
     def test_conjugate_duality_against_optimizer(self):
         # The closed form must agree with the defining supremum, here
@@ -191,25 +205,6 @@ class TestCramerRate:
             grid_model.conjugate_closed_form([1.0, 0.0]), math.log(2.0),
             rtol=1e-12,
         )
-
-
-class TestDecompose:
-    def test_coordinates(self, two_atom_plane):
-        coeffs, in_span = two_atom_plane.decompose([0.5, 1.0])
-        assert in_span
-        assert_allclose(coeffs, [0.5, 0.5], atol=1e-12)
-
-    def test_off_span_detected(self):
-        m = FiniteSupportSummands([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0.5, 0.5])
-        _, in_span = m.decompose([0.0, 0.0, 1.0])
-        assert not in_span
-
-    def test_centered_decompose(self, two_atom_plane):
-        coeffs, centered = two_atom_plane.centered_decompose([1.0, -2.0])
-        assert centered
-        assert_allclose(coeffs.sum(), 0.0, atol=1e-12)
-        _, centered2 = two_atom_plane.centered_decompose([1.0, 0.0])
-        assert not centered2
 
 
 class TestGaussian:

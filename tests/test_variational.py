@@ -4,9 +4,12 @@ The reference values here come from two kinds of oracle: closed forms
 worked out by hand (Poisson count rates, Gaussian quadratic conjugates,
 relative-entropy vertex values) and a golden-section maximizer run on the
 one-dimensional conjugate objective. Where the package exposes two routes
-to the same number (explicit case split vs. joint maximization, closed
-quadratic vs. its variational form) both routes are compared directly, on
-fixed grids and on seeded random small models.
+to the same number (explicit case split vs. joint maximization) both
+routes are compared directly, on fixed grids and on seeded random small
+models. The moderate-deviation rates have one route in the package; the
+oracles ``md_conjugate`` (the solver on their quadratic) and
+``md_quadratic_by_mixture`` (the finite-support form over atom
+coefficients) give the second.
 """
 
 import math
@@ -50,7 +53,6 @@ from compound_deviations.variational import (
     count_rate,
     joint_cumulant,
     legendre_transform,
-    md_quadratic_finite_support,
     pair_covariance,
     probe_convexity,
     psi_sn,
@@ -58,9 +60,7 @@ from compound_deviations.variational import (
     rate_ld_explicit,
     rate_ld_variational,
     rate_md_centered_sum,
-    rate_md_centered_sum_variational,
     rate_md_centered_summands,
-    rate_md_centered_summands_variational,
 )
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -135,6 +135,30 @@ def pm_one_summand():
 
 def unit_poisson():
     return PoissonCounting(1.0)
+
+
+def md_conjugate(mx, mn, x, y, centered_sum=False):
+    """Oracle for the moderate-deviation rates: ``legendre_transform`` of
+    <p, C p>/2 at (x, y), with C = C0, or C1 for a centred sum, from
+    ``pair_covariance``."""
+    d = mn.derivs_at_zero()
+    c = pair_covariance(mx.cov().matrix, mx.mean(), d.mean_rate,
+                        d.variance_rate, centered_sum)
+    quadratic = Cumulant(lambda p: 0.5 * float(p @ c @ p), lambda p: c @ p,
+                         lambda p: c, c.shape[0])
+    return legendre_transform(quadratic, np.append(x, y))
+
+
+def md_quadratic_by_mixture(mx, mn, x):
+    """Oracle for the finite-support centred-summand rate at y = 0: the c
+    with sum c_i u_i = x and sum c_i = 0, by least squares, gives
+    sum c_i^2 / p_i / (2 d1); +inf off the span of the atom differences."""
+    system = np.vstack([mx.atoms.T, np.ones(mx.atom_count)])
+    rhs = np.append(x, 0.0)
+    c = np.linalg.lstsq(system, rhs, rcond=None)[0]
+    if np.linalg.norm(system @ c - rhs) > 1e-8 * (1.0 + np.linalg.norm(x)):
+        return math.inf
+    return float(np.sum(c * c / mx.probs)) / (2.0 * mn.derivs_at_zero().mean_rate)
 
 
 class TestLegendreTransform:
@@ -665,7 +689,7 @@ class TestPairCovariance:
                             (rate_md_centered_sum, [1.5, 1.0])]:
             assert math.isfinite(rate(mx, mn, point, 0.5))
         assert math.isfinite(
-            rate_md_centered_sum_variational(mx, mn, [1.5, 1.0], 0.5).value)
+            md_conjugate(mx, mn, [1.5, 1.0], 0.5, centered_sum=True).value)
         u, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         cov_ss = moment_rows(mx, mn, 20, u, v)["cov_SS"]
         assert_allclose(cov_ss.limit, u @ c1[:2, :2] @ v, rtol=1e-14)
@@ -767,7 +791,7 @@ class TestMdVariationalForms:
             x = rng.normal(size=2)
             y = float(rng.normal())
             closed = rate_md_centered_summands(mx, mn, x, y)
-            varied = rate_md_centered_summands_variational(mx, mn, x, y)
+            varied = md_conjugate(mx, mn, x, y)
             assert_allclose(float(varied.value), float(closed), atol=1e-6)
 
     def test_centered_sum_route_agreement(self):
@@ -778,16 +802,25 @@ class TestMdVariationalForms:
             x = rng.normal(size=2)
             y = float(rng.normal())
             closed = rate_md_centered_sum(mx, mn, x, y)
-            varied = rate_md_centered_sum_variational(mx, mn, x, y)
+            varied = md_conjugate(mx, mn, x, y, centered_sum=True)
             assert_allclose(float(varied.value), float(closed), atol=1e-6)
 
     def test_off_image_detected_as_unbounded(self):
         mx = GaussianSummands([0.0, 0.0], [[1.0, 0.0], [0.0, 0.0]])
-        result = rate_md_centered_summands_variational(
-            mx, unit_poisson(), [0.0, 1.0], 0.0
-        )
+        result = md_conjugate(mx, unit_poisson(), [0.0, 1.0], 0.0)
         assert result.unbounded
         assert result.value == math.inf
+
+    @pytest.mark.xfail(raises=InconclusiveOptimizationError, strict=True,
+                       reason="the solver's gradient test is absolute, and "
+                              "C1's eigenvalues spread like (1 + |mu|^2)^2")
+    def test_centered_sum_solve_at_a_large_summand_mean(self):
+        # The closed route gives 1 / (2 d1 sigma^2) = 1/6 at x = 1, y = 0;
+        # the solver stops with "damped step vanished".
+        mx, mn = GaussianSummands([1e5], [[1.0]]), PoissonCounting(3.0)
+        assert rate_md_centered_sum(mx, mn, [1.0], 0.0) == pytest.approx(1.0 / 6.0)
+        result = md_conjugate(mx, mn, [1.0], 0.0, centered_sum=True)
+        assert result.value == pytest.approx(1.0 / 6.0, rel=1e-6)
 
 
 class TestMdQuadraticFiniteSupport:
@@ -795,20 +828,20 @@ class TestMdQuadraticFiniteSupport:
         return FiniteSupportSummands([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
 
     def test_zero_at_origin(self):
-        value = md_quadratic_finite_support(self.plane_model(),
-                                            unit_poisson(), [0.0, 0.0])
+        value = md_quadratic_by_mixture(self.plane_model(), unit_poisson(),
+                                        [0.0, 0.0])
         assert float(value) == 0.0
 
     def test_atom_difference_value(self):
         # c = (1, -1) against p = (1/2, 1/2) gives 1*(2 - (-2)) = 4, halved
         # by 2*d1 with d1 = 1.
-        value = md_quadratic_finite_support(self.plane_model(),
-                                            unit_poisson(), [1.0, -1.0])
+        value = md_quadratic_by_mixture(self.plane_model(), unit_poisson(),
+                                        [1.0, -1.0])
         assert_allclose(float(value), 2.0, rtol=1e-12)
 
     def test_uncentered_coefficients_are_infinite(self):
-        value = md_quadratic_finite_support(self.plane_model(),
-                                            unit_poisson(), [0.5, 0.0])
+        value = md_quadratic_by_mixture(self.plane_model(), unit_poisson(),
+                                        [0.5, 0.0])
         assert value == math.inf
 
     def test_matches_pseudoinverse_route(self):
@@ -822,7 +855,7 @@ class TestMdQuadraticFiniteSupport:
             c = rng.normal(size=2)
             c -= c.mean()
             x = c @ atoms
-            closed = md_quadratic_finite_support(mx, mn, x)
+            closed = md_quadratic_by_mixture(mx, mn, x)
             solved = rate_md_centered_summands(mx, mn, x, 0.0)
             assert_allclose(float(closed), float(solved), rtol=1e-9,
                             atol=1e-12)
@@ -832,8 +865,8 @@ class TestMdQuadraticFiniteSupport:
         mn = unit_poisson()
         for c1 in [-1.0, 0.4, 1.3]:
             x = [c1, -c1]
-            closed = md_quadratic_finite_support(mx, mn, x)
-            varied = rate_md_centered_summands_variational(mx, mn, x, 0.0)
+            closed = md_quadratic_by_mixture(mx, mn, x)
+            varied = md_conjugate(mx, mn, x, 0.0)
             assert_allclose(float(varied.value), float(closed), atol=1e-6)
 
     def test_grid_paths_match_flat_atoms(self):
@@ -846,21 +879,16 @@ class TestMdQuadraticFiniteSupport:
         flat = FiniteSupportSummands([[0.0, 1.0, 2.0], [0.0, 1.0, 4.0]],
                                      [0.5, 0.5])
         x = [0.0, 0.0, -2.0]
-        assert float(md_quadratic_finite_support(model, unit_poisson(), x)) == float(
-            md_quadratic_finite_support(flat, unit_poisson(), x)
-        )
-
-    def test_overdetermined_decomposition_rejected(self):
-        # Three atoms on a line: mixture coefficients are not unique.
-        three = FiniteSupportSummands([[-1.0], [0.0], [1.0]], [0.25, 0.5, 0.25])
-        with pytest.raises(UnsupportedModelError):
-            md_quadratic_finite_support(three, unit_poisson(), [0.5])
+        rate = rate_md_centered_summands(model, unit_poisson(), x, 0.0)
+        assert rate == rate_md_centered_summands(flat, unit_poisson(), x, 0.0)
+        assert_allclose(rate, md_quadratic_by_mixture(flat, unit_poisson(), x),
+                        rtol=1e-12)
 
     def test_pm_one_is_the_variance_quadratic(self):
         # Two atoms on the line are affinely independent: x^2 / (2 d1 sigma^2).
         mn = PoissonCounting(1.7)
         for x in [-2.0, -0.3, 0.0, 0.8, 5.0]:
-            value = md_quadratic_finite_support(pm_one_summand(), mn, [x])
+            value = md_quadratic_by_mixture(pm_one_summand(), mn, [x])
             assert_allclose(value, x * x / (2.0 * 1.7 * 1.0), rtol=1e-12)
 
     def test_three_atoms_in_the_plane_match_the_covariance_route(self):
@@ -873,14 +901,8 @@ class TestMdQuadraticFiniteSupport:
             c = rng.normal(size=3)
             c -= c.mean()
             x = c @ atoms
-            assert_allclose(md_quadratic_finite_support(mx, mn, x),
+            assert_allclose(md_quadratic_by_mixture(mx, mn, x),
                             rate_md_centered_summands(mx, mn, x, 0.0), rtol=1e-9)
-
-    def test_gaussian_model_rejected(self):
-        with pytest.raises(UnsupportedModelError):
-            md_quadratic_finite_support(
-                GaussianSummands([0.0], [[1.0]]), unit_poisson(), [0.0]
-            )
 
 
 def random_law(rng, m, h):
@@ -1236,8 +1258,7 @@ class TestRowwiseRates:
 
     @pytest.mark.parametrize("rate", [
         rate_ld_explicit, rate_md_centered_summands, rate_md_centered_sum,
-        rate_ld_variational, rate_md_centered_summands_variational,
-        rate_md_centered_sum_variational,
+        rate_ld_variational,
     ])
     @pytest.mark.parametrize("xs, ys, error", [
         ([[0.1], [0.2]], [1.0], DimensionMismatchError),
@@ -1251,10 +1272,7 @@ class TestRowwiseRates:
         with pytest.raises(error):
             rate(pm_one_summand(), unit_poisson(), xs, ys)
 
-    @pytest.mark.parametrize("rate", [
-        rate_ld_variational, rate_md_centered_summands_variational,
-        rate_md_centered_sum_variational,
-    ])
+    @pytest.mark.parametrize("rate", [rate_ld_variational])
     def test_variational_rates_probe_once_per_call(self, monkeypatch, rate):
         probe, calls = variational.probe_convexity, []
 
