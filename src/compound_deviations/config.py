@@ -292,6 +292,9 @@ def _scaling_table(col, value, path, out):
         a = _positive("a")(col, pair_[1], f"{path}[{i}][1]")
         if n is None or a is None:
             return None
+        if any(n == seen for seen, _ in entries):
+            col.error(f"{path}[{i}][0]", f"repeats n={n}")
+            return None
         entries.append([n, a])
     return entries
 

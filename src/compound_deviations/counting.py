@@ -44,8 +44,9 @@ Kinds
   table convolves the n tilted trial laws.
 * RenewalCounting: N_n counts renewals of iid positive inter-arrival times
   with cumulant kappa by time n; the limit cumulant is -kappa^{-1}(-eta),
-  with left tail minus the end of kappa's domain (a table's last r). For
-  gamma inter-arrivals the law of N_n is exact, P(N_n <= k) =
+  with left tail minus the end of kappa's domain (a table's last r);
+  kappa^{-1} is closed-form for gamma laws, one bracketed solve on a table.
+  For gamma inter-arrivals the law of N_n is exact, P(N_n <= k) =
   Q((k + 1) shape, rate n); a tabulated law has no finite-n law.
 
 Importing the module loads no scipy submodule: each function imports the
@@ -578,55 +579,10 @@ class BernoulliSumCounting(CountingModel):
         return pmf, n * self.finite_cgf(n, s)
 
 
-def invert_interarrival_cgf(kappa, u, domain_sup=math.inf, domain_inf=-math.inf):
-    """Solve kappa(r) = u for the unique root of an increasing convex cumulant.
-
-    kappa must be continuous and strictly increasing with kappa(0) = 0 and
-    kappa -> -infinity on the left. The bracket starts at [-1, b] with b
-    either 1 or halfway to a finite right domain end, grows geometrically
-    until it straddles u, then hands off to a bracketing root finder with
-    xtol INVERT_XTOL.
-    """
-    from scipy.optimize import brentq
-
-    if not math.isfinite(u):
-        raise ValidationError(f"target value must be finite, got {u!r}")
-    if u == 0.0:
-        return 0.0
-    lo = -1.0 if domain_inf == -math.inf else max(-1.0, 0.5 * domain_inf)
-    hi = 1.0 if domain_sup == math.inf else 0.5 * domain_sup
-    for _ in range(200):
-        if kappa(hi) >= u:
-            break
-        if domain_sup == math.inf:
-            hi = hi * 2.0 if hi > 0 else 1.0
-        else:
-            hi = domain_sup - 0.5 * (domain_sup - hi)
-    else:
-        raise NoRootError(
-            f"no bracket: kappa stays below {u!r} up to its right domain end"
-        )
-    for _ in range(200):
-        if kappa(lo) <= u:
-            break
-        if domain_inf == -math.inf:
-            lo = lo * 2.0 if lo < 0 else -1.0
-        else:
-            lo = domain_inf + 0.5 * (lo - domain_inf)
-    else:
-        raise NoRootError(
-            f"no bracket: kappa stays above {u!r} down to its left domain end"
-        )
-    return float(
-        brentq(lambda r: kappa(r) - u, lo, hi, xtol=INVERT_XTOL, rtol=1e-15, maxiter=200)
-    )
-
-
 class InterarrivalLaw:
-    """Inter-arrival time description: cumulant and its derivatives."""
+    """Inter-arrival time description: cumulant, its derivatives and its inverse."""
 
     domain_sup = math.inf
-    domain_inf = -math.inf
 
     def kappa(self, r):
         raise NotImplementedError
@@ -638,10 +594,8 @@ class InterarrivalLaw:
         raise NotImplementedError
 
     def inverse(self, u):
-        """kappa^{-1}(u); generic numeric fallback."""
-        return invert_interarrival_cgf(
-            self.kappa, u, domain_sup=self.domain_sup, domain_inf=self.domain_inf
-        )
+        """kappa^{-1}(u), the root r of kappa(r) = u."""
+        raise NotImplementedError
 
 
 class GammaInterarrival(InterarrivalLaw):
@@ -717,6 +671,7 @@ class TabulatedInterarrival(InterarrivalLaw):
             )
         self.domain_inf = float(r[0])
         self.domain_sup = float(r[-1])
+        self.kappa_range = (float(self._interp(r[0])), float(self._interp(r[-1])))
         self._d1 = self._interp.derivative(1)
         self._d2 = self._interp.derivative(2)
 
@@ -733,6 +688,21 @@ class TabulatedInterarrival(InterarrivalLaw):
 
     def kappa_second(self, r):
         return float(self._d2(r))
+
+    def inverse(self, u):
+        """The root of kappa(r) = u by one bracketed solve on the table's
+        range; NoRootError for a finite u beyond ``kappa_range``, the kappa
+        values at the table's ends, and ValidationError for a non-finite u."""
+        from scipy.optimize import brentq
+
+        u = finite_real(u, "target value")
+        if u == 0.0:
+            return 0.0
+        lo, hi = self.kappa_range
+        if not lo <= u <= hi:
+            raise NoRootError(f"u={u!r} is outside the tabulated kappa range [{lo}, {hi}]")
+        return float(brentq(lambda r: self.kappa(r) - u, self.domain_inf,
+                            self.domain_sup, xtol=INVERT_XTOL, rtol=1e-15, maxiter=200))
 
 
 class RenewalCounting(CountingModel):
@@ -752,9 +722,8 @@ class RenewalCounting(CountingModel):
         self._law = law
         probe = PROBE_ETAS
         if isinstance(law, TabulatedInterarrival):
-            lo = -float(law.kappa(law.domain_sup)) + 1e-9
-            hi = -float(law.kappa(law.domain_inf)) - 1e-9
-            lo, hi = max(lo, -10.0), min(hi, 5.0)
+            low, high = law.kappa_range
+            lo, hi = max(-high, -10.0), min(-low, 5.0)
             if lo >= hi:
                 raise ValidationError(
                     "tabulated inter-arrival cumulant covers too narrow a range "

@@ -25,7 +25,8 @@ class UnsupportedModelError(CompoundDeviationsError):
 
 
 class NoRootError(CompoundDeviationsError):
-    """A bracketed root search could not locate a sign change."""
+    """An equation has no root in its domain, such as a target beyond a
+    tabulated cumulant's range."""
 
 
 class InconclusiveOptimizationError(CompoundDeviationsError):

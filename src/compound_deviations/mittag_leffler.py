@@ -28,8 +28,8 @@ agree to well below the advertised 1e-8 relative seam tolerance.
 Orders nu below NU_MIN are rejected: the series would need on the order of
 30/nu terms just to reach its peak, and the term cap is sized for nu >= 0.3.
 
-The linear entry point overflows once exp(x^(1/nu)) leaves double range;
-log_mittag_leffler carries the same policy entirely in log space.
+The one entry point, log_mittag_leffler, returns log E, since E itself
+leaves double range once x^(1/nu) passes about 709.
 
 Importing the module loads no scipy submodule: both branches import
 ``scipy.special``'s gammaln and rgamma when they run.
@@ -47,8 +47,6 @@ SERIES_MAX_TERMS = 500
 SERIES_STOP_REL = 1e-17
 # Switch to the asymptotic branch where x^(1/nu) exceeds this.
 ASYMPTOTIC_Z = 30.0
-# Largest log-value exp() can represent in double precision.
-_MAX_EXP_ARG = 709.78
 
 
 def _validate(nu, beta, x):
@@ -103,24 +101,6 @@ def _asymptotic_log(nu, beta, x):
     # this is below 1e-13 in magnitude, so log1p never sees -1.
     ratio = corrections * math.exp(-log_leading)
     return log_leading + math.log1p(ratio)
-
-
-def mittag_leffler(nu, beta, x):
-    """E(nu, beta; x) as a plain float.
-
-    Raises OverflowError once the value leaves double range; use
-    log_mittag_leffler for large arguments.
-    """
-    nu, beta, x = _validate(nu, beta, x)
-    if x <= switch_point(nu):
-        return _series_value(nu, beta, x)
-    logv = _asymptotic_log(nu, beta, x)
-    if logv > _MAX_EXP_ARG:
-        raise OverflowError(
-            f"E({nu}, {beta}; {x}) exceeds double range "
-            f"(log value {logv:.6g}); call log_mittag_leffler instead"
-        )
-    return math.exp(logv)
 
 
 def log_mittag_leffler(nu, beta, x):

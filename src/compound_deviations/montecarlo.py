@@ -348,7 +348,7 @@ class EventProbability:
 
 
 def estimate_event_prob(
-    mx, mn, n, event, reps=None, method="plain", seed=None, workers=None,
+    mx, mn, n, event, reps=None, method="plain", *, seed, workers=None,
     tilt=None,
 ):
     """Unbiased event-probability estimate: the weighted mean of the event
@@ -414,7 +414,7 @@ class DecayEstimate:
 
 
 def decay_rate_scan(
-    mx, mn, event, ns, reps=None, seed=None, method="tilted", workers=None,
+    mx, mn, event, ns, reps=None, *, seed, method="tilted", workers=None,
 ):
     """Estimate P(event) along an n-grid and extrapolate the decay slope.
 
@@ -472,7 +472,7 @@ class ScalingFamily:
     form enforces gamma in (0, 1) at construction, while tables may
     deliberately violate the regime (that is how the boundary cases are
     demonstrated), so the trend flags are reported by the sweep rather than
-    enforced here.
+    enforced here. A table gives each n once.
     """
 
     def __init__(self, gamma=None, table=None):
@@ -492,7 +492,10 @@ class ScalingFamily:
                     raise ValidationError(
                         f"scaling table entries must be (n, a_n) pairs, got {entry!r}"
                     ) from None
-                self._table[check_int(n, "n", 1)] = finite_real(
+                n = check_int(n, "n", 1)
+                if n in self._table:
+                    raise ValidationError(f"scaling table repeats n={n}")
+                self._table[n] = finite_real(
                     a, "a_n", "be a positive finite real", lambda v: v > 0.0)
 
     def a(self, n):

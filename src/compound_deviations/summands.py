@@ -229,10 +229,10 @@ class FiniteSupportSummands(SummandModel):
     probs : (m,) array
         Strictly positive probabilities summing to one within PROB_SUM_TOL.
 
-    When m <= h the atoms must be linearly independent (checked by rank).
-    The closed-form rate functions need unique mixture coefficients, which
-    affinely independent atoms (m <= h + 1) give; other models are accepted
-    for cumulants and sampling, and their ``conjugate_closed_form`` is None.
+    Any such law is accepted for cumulants and sampling. The closed-form
+    conjugate needs unique mixture coefficients, which affinely independent
+    atoms (m <= h + 1) give; for other laws ``conjugate_closed_form`` is
+    None.
     """
 
     def __init__(self, atoms, probs):
@@ -254,11 +254,6 @@ class FiniteSupportSummands(SummandModel):
         if abs(p.sum() - 1.0) > PROB_SUM_TOL:
             raise ValidationError(
                 f"probabilities sum to {p.sum()!r}, off one by more than {PROB_SUM_TOL:.0e}"
-            )
-        if m <= h and np.linalg.matrix_rank(arr) < m:
-            raise ValidationError(
-                "atoms are linearly dependent; with at most dim atoms they "
-                "must be independent for decompositions to be unique"
             )
         arr.flags.writeable = False
         p.flags.writeable = False
@@ -398,8 +393,8 @@ class GaussianSummands(SummandModel):
             )
         self._mean = mu
         self._cov = op
-        eigvals, eigvecs = np.linalg.eigh(op.matrix)
-        self._factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+        # A square root of the covariance from the operator's eigenpairs.
+        self._factor = op._eigvecs * np.sqrt(np.clip(op._eigvals, 0.0, None))
 
     @property
     def dim(self):

@@ -43,7 +43,7 @@ from compound_deviations.errors import (
     ValidationError,
 )
 from compound_deviations.experiments import run_experiment
-from compound_deviations.mittag_leffler import mittag_leffler
+from compound_deviations.mittag_leffler import log_mittag_leffler
 from compound_deviations.montecarlo import (
     HalfSpaceEvent,
     ScalingFamily,
@@ -314,6 +314,14 @@ class TestNormalizeConfig:
             normalize_config(raw)
         assert any("exactly one of 'gamma' or 'table'" in e
                    for e in excinfo.value.errors)
+
+    def test_scaling_table_gives_each_n_once(self):
+        raw = md_raw()
+        raw["experiment"]["scaling"] = {"table": [[10, 0.1], [10, 0.2]]}
+        with pytest.raises(ConfigError) as excinfo:
+            normalize_config(raw)
+        assert excinfo.value.errors == [
+            "experiment.scaling.table[1][0]: repeats n=10"]
 
     def test_event_direction_rules(self):
         raw = ldp_raw()
@@ -697,7 +705,9 @@ class TestRunExperiment:
         })
         run_experiment(config, out_dir=str(tmp_path))
         last = (tmp_path / "ml_eval.csv").read_text().splitlines()[-1].split(",")
-        assert float(last[2]) == mittag_leffler(1.0, 1.0, 709.5)
+        assert float(last[2]) == math.exp(log_mittag_leffler(1.0, 1.0, 709.5))
+        # E(1, 1; x) = e^x.
+        assert float(last[2]) == pytest.approx(math.exp(709.5), rel=1e-12)
         assert math.isfinite(float(last[2]))
 
     def test_writes_stay_inside_the_out_dir(self, tmp_path, monkeypatch):

@@ -30,7 +30,6 @@ from compound_deviations.counting import (
     PoissonCounting,
     RenewalCounting,
     TabulatedInterarrival,
-    invert_interarrival_cgf,
 )
 from compound_deviations.errors import (
     NoRootError,
@@ -439,27 +438,44 @@ class TestExactPmfs:
         assert poisson.sf(pmf.size - 1, 5.0) < counting.MASS_TAIL_TOL
 
 
+def bisect_root(kappa, u, lo, hi):
+    """The root of an increasing kappa(r) = u in [lo, hi], by plain
+    bisection: an oracle independent of the laws' own inverses."""
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if kappa(mid) < u:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
+
+
+def narrow_table():
+    """A tabulated cumulant on [-0.5, 0.4], kappa ranging over [-0.6, 0.6]."""
+    return TabulatedInterarrival(
+        [-0.5, -0.2, 0.0, 0.2, 0.4],
+        [-0.6, -0.22, 0.0, 0.25, 0.6],
+    )
+
+
 class TestInterarrivalInversion:
     def test_exponential_negative_branch_value(self):
-        # kappa(r) = -log(1 - r/2); solving kappa(r) = -1 gives 2 - 2e,
-        # also equal to the algebraic inverse 2(1 - e^{-u}) at u = -1.
+        # kappa(r) = -log(1 - r/2); solving kappa(r) = -1 gives 2 - 2e.
         law = ExponentialInterarrival(2.0)
-        root = invert_interarrival_cgf(law.kappa, -1.0, domain_sup=2.0)
-        assert_allclose(root, 2.0 - 2.0 * math.e, rtol=1e-12)
         assert_allclose(law.inverse(-1.0), 2.0 - 2.0 * math.e, rtol=1e-12)
 
     def test_zero_maps_to_zero(self):
-        law = GammaInterarrival(2.0, 3.0)
-        assert invert_interarrival_cgf(law.kappa, 0.0) == 0.0
+        assert GammaInterarrival(2.0, 3.0).inverse(0.0) == 0.0
+        assert narrow_table().inverse(0.0) == 0.0
 
-    def test_gamma_closed_form_inverse_matches_root_search(self):
-        law = GammaInterarrival(1.5, 2.0)
-        for u in (-3.0, -0.5, 0.2, 0.6, 5.0):
-            assert_allclose(
-                law.inverse(u),
-                invert_interarrival_cgf(law.kappa, u, domain_sup=2.0),
-                rtol=1e-12, atol=1e-12,
-            )
+    def test_gamma_closed_form_matches_bisection(self):
+        for law in (GammaInterarrival(1.5, 2.0), GammaInterarrival(2.0, 3.0)):
+            for u in (-3.0, -1.7, -0.5, 0.2, 0.6, 5.0):
+                assert_allclose(
+                    law.inverse(u),
+                    bisect_root(law.kappa, u, -200.0, law.rate * (1.0 - 1e-15)),
+                    rtol=1e-12, atol=1e-10,
+                )
 
     def test_exponential_is_the_shape_one_gamma(self):
         law = ExponentialInterarrival(2.0)
@@ -472,35 +488,39 @@ class TestInterarrivalInversion:
     def test_gamma_round_trip(self):
         law = GammaInterarrival(1.5, 2.0)
         for u in (-3.0, -0.5, 0.2, 0.6):
-            r = invert_interarrival_cgf(law.kappa, u, domain_sup=2.0)
-            assert_allclose(law.kappa(r), u, atol=1e-10)
+            assert_allclose(law.kappa(law.inverse(u)), u, atol=1e-10)
 
-    def test_bisection_oracle(self):
-        # Independent bisection against the bracketing + brentq path.
-        law = GammaInterarrival(2.0, 3.0)
-        u = -1.7
-        lo, hi = -200.0, 0.0
-        for _ in range(200):
-            mid = (lo + hi) / 2.0
-            if law.kappa(mid) < u:
-                lo = mid
-            else:
-                hi = mid
-        assert_allclose(
-            invert_interarrival_cgf(law.kappa, u, domain_sup=3.0),
-            (lo + hi) / 2.0, atol=1e-10,
-        )
+    def test_table_round_trip_matches_bisection(self):
+        law = narrow_table()
+        for u in np.linspace(-0.59, 0.59, 13):
+            r = law.inverse(float(u))
+            assert_allclose(r, bisect_root(law.kappa, u, law.domain_inf,
+                                           law.domain_sup), atol=1e-12, rtol=0)
+            assert_allclose(law.kappa(r), u, atol=1e-12, rtol=0)
 
-    def test_unreachable_target_raises(self):
-        # Bounded interarrival times: kappa(r) >= r * t_min has no root for
-        # strongly negative targets when kappa is bounded below... use a
-        # tabulated law with a narrow range instead.
-        law = TabulatedInterarrival(
-            [-0.5, -0.2, 0.0, 0.2, 0.4],
-            [-0.6, -0.22, 0.0, 0.25, 0.6],
-        )
-        with pytest.raises((NoRootError, ValidationError)):
-            law.inverse(-5.0)
+    def test_table_ends_are_roots(self):
+        # kappa(r_0) and kappa(r_last) are in the range, with roots at the
+        # table's own ends.
+        law = narrow_table()
+        assert law.kappa_range == (law.kappa(-0.5), law.kappa(0.4))
+        assert law.inverse(law.kappa(-0.5)) == -0.5
+        assert law.inverse(law.kappa(0.4)) == 0.4
+
+    @pytest.mark.parametrize("u", [-5.0, -0.6 - 1e-9, 0.6 + 1e-9, 5.0])
+    def test_targets_beyond_the_table_raise_at_once(self, u, monkeypatch):
+        import scipy.optimize
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("a target beyond the table reached the root search")
+
+        monkeypatch.setattr(scipy.optimize, "brentq", no_search)
+        with pytest.raises(NoRootError):
+            narrow_table().inverse(u)
+
+    @pytest.mark.parametrize("u", [math.nan, -math.inf, math.inf])
+    def test_non_finite_targets_are_invalid(self, u):
+        with pytest.raises(ValidationError, match="target value must be"):
+            narrow_table().inverse(u)
 
 
 class TestTabulatedInterarrival:

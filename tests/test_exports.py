@@ -1,6 +1,7 @@
 """The package's public names: ``__all__`` lists exactly what ``__init__``
-imports, and every listed name resolves. Importing the package loads no
-scipy submodule, and a run loads only the ones it calls."""
+imports, and every listed name resolves. Every name a module imports is used
+in it. Importing the package loads no scipy submodule, and a run loads only
+the ones it calls."""
 
 import ast
 import json
@@ -29,6 +30,28 @@ def test_all_lists_exactly_the_imported_names():
 def test_every_exported_name_resolves():
     for name in compound_deviations.__all__:
         assert getattr(compound_deviations, name, None) is not None, name
+
+
+def unused_imports(tree):
+    """Names that the module's import statements bind, at any depth, and
+    that no expression of the module reads and its ``__all__`` does not list."""
+    bound = [alias.asname or alias.name.split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Import)
+             or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+             for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    listed = {elt.value for node in tree.body if isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+              for elt in node.value.elts}
+    return sorted(set(bound) - read - listed)
+
+
+def test_every_imported_name_is_used():
+    package = Path(compound_deviations.__file__).parent
+    unused = {path.name: names for path in sorted(package.glob("*.py"))
+              if (names := unused_imports(ast.parse(path.read_text())))}
+    assert unused == {}
 
 
 # A fresh interpreter imports the package and the CLI, records which of

@@ -348,6 +348,19 @@ class TestSimulateCompound:
         with pytest.raises(ValidationError):
             simulate_compound(mx, unit_poisson(), 10, 0, seed=1)
 
+    @pytest.mark.parametrize("call", [
+        lambda **seed: estimate_event_prob(zero_two_summand(), unit_poisson(), 10,
+                                           COUNT_EVENT, reps=10, **seed),
+        lambda **seed: decay_rate_scan(zero_two_summand(), unit_poisson(),
+                                       COUNT_EVENT, [10, 20], reps=10, **seed),
+    ], ids=["estimate", "decay-scan"])
+    def test_estimators_need_a_seed(self, call):
+        # seed has no default, as in simulate_compound; None is typed.
+        with pytest.raises(TypeError, match="seed"):
+            call()
+        with pytest.raises(ValidationError, match="seed"):
+            call(seed=None)
+
 
 class TestEnumerateExact:
     def test_iid_sum_hand_value(self):
@@ -895,6 +908,8 @@ class TestScalingFamily:
                 ScalingFamily(table=table)
         with pytest.raises(ValidationError):
             ScalingFamily(gamma=0.5, table=[(10, 0.1)])
+        with pytest.raises(ValidationError, match="repeats n=10"):
+            ScalingFamily(table=[(10, 0.1), (100, 0.01), (10, 0.2)])
 
     def test_endpoint_flags(self):
         power = ScalingFamily(gamma=0.5)

@@ -1,4 +1,4 @@
-"""Summand-step laws: cumulants, conjugates, decompositions, samplers.
+"""Summand-step laws: cumulants, conjugates, samplers.
 
 Gradients and Hessians are checked against central finite differences of
 the cgf itself; the Gaussian conjugate against a numerical quadrature of
@@ -29,6 +29,7 @@ from compound_deviations.summands import (
     grid_gaussian,
     invert_cdf,
 )
+from compound_deviations.variational import legendre_transform
 
 
 def fd_grad(f, x, h=1e-6):
@@ -74,9 +75,29 @@ class TestFiniteSupportConstruction:
         with pytest.raises(ValidationError):
             FiniteSupportSummands([[1.0], [2.0]], [1.0, 0.0])
 
-    def test_rejects_dependent_atoms_when_few(self):
-        with pytest.raises(ValidationError):
-            FiniteSupportSummands([[1.0, 1.0], [2.0, 2.0]], [0.5, 0.5])
+    @pytest.mark.parametrize("build", [
+        lambda: FiniteSupportSummands([[0.0, 0.0], [1.0, 1.0]], [0.3, 0.7]),
+        lambda: FiniteSupportSummands([[1.0, 1.0], [2.0, 2.0]], [0.5, 0.5]),
+        lambda: FiniteSupportSummands(np.vstack([np.zeros(3), np.eye(3)[:2]]),
+                                      [0.2, 0.3, 0.5]),
+        lambda: grid_finite_support([0.0, 0.5, 1.0],
+                                    [lambda s: 0.0, lambda s: s, lambda s: s * s],
+                                    [0.2, 0.5, 0.3]),
+    ], ids=["origin-and-diagonal", "collinear-pair", "zero-and-two-axes-3d",
+            "grid-with-a-zero-path"])
+    def test_accepts_linearly_dependent_atoms_when_few(self, build):
+        # At most dim atoms that are linearly dependent yet affinely
+        # independent: a valid law, whose mixture coefficients are unique.
+        mx = build()
+        rng = np.random.default_rng(21)
+        reps, k = 20_000, 10
+        sums = mx.sample_sum_batch(rng, np.full(reps, k))
+        se = np.sqrt(np.diag(mx.cov().matrix) * k / reps)
+        assert np.all(np.abs(sums.mean(axis=0) - k * mx.mean()) <= 5.0 * se)
+        for c in rng.dirichlet(np.full(mx.atom_count, 2.0), size=5):
+            x = c @ mx.atoms
+            assert_allclose(mx.conjugate_closed_form(x),
+                            legendre_transform(mx.cumulant, x).value, rtol=1e-8)
 
     def test_accepts_many_atoms(self):
         m = FiniteSupportSummands([[-1.0], [0.0], [1.0]], [0.25, 0.5, 0.25])
