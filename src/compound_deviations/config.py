@@ -54,7 +54,7 @@ from .counting import (
     TabulatedInterarrival,
 )
 from .errors import ConfigError
-from .montecarlo import BAND_SE, DEFAULT_REPS, HalfSpaceEvent, ScalingFamily
+from .montecarlo import BAND_SE, DEFAULT_REPS, ScalingFamily
 from .summands import (
     PROB_SUM_TOL,
     FiniteSupportSummands,
@@ -72,9 +72,9 @@ _ABSENT = object()
 @dataclass(frozen=True)
 class Kind:
     """One kind of config block: ``build(**fields)`` makes its model (none
-    for experiments, which ``experiments`` runs). A key is required unless
-    it has a default or is optional; an optional key's check also runs when
-    the key is absent, on ``_ABSENT``. ``seeded`` experiments need a seed."""
+    for experiments and events, which ``experiments`` runs or maps). A key is
+    required unless it has a default or is optional; an optional key's check
+    runs on ``_ABSENT`` when the key is absent. ``seeded`` experiments need a seed."""
 
     build: object
     fields: dict
@@ -379,7 +379,7 @@ COUNTING = {
     "renewal": Kind(RenewalCounting, {"law": _Block(LAWS)}),
 }
 
-EVENT = Kind(HalfSpaceEvent, {
+EVENT = Kind(None, {
     "mode": _choice("sum", "count"),
     "level": _number(),
     "direction": _direction,

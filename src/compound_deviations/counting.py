@@ -469,7 +469,7 @@ def _bernoulli_cgf(q, eta):
     if eta <= 700.0:
         return math.log1p(q * math.expm1(eta))
     mix = q + (1.0 - q) * math.exp(-eta)
-    return eta + math.log(mix) if mix > 0.0 else 0.0
+    return 0.0 if mix == 0.0 else eta + math.log(mix)
 
 
 def _bernoulli_tilt(q, eta):
@@ -479,7 +479,7 @@ def _bernoulli_tilt(q, eta):
     if eta <= 0.0:
         return q * math.exp(eta) / (1.0 + q * math.expm1(eta))
     mix = q + (1.0 - q) * math.exp(-eta)
-    return q / mix if mix > 0.0 else 0.0
+    return 0.0 if mix == 0.0 else q / mix
 
 
 def _bernoulli_variance(q, eta):
@@ -502,18 +502,14 @@ class BernoulliSumCounting(CountingModel):
     def __init__(self, p=None, profile=None):
         if (p is None) == (profile is None):
             raise ValidationError("give exactly one of p (constant) or profile")
+        self._p, self._profile = None, profile
         if p is not None:
             self._p = finite_real(p, "constant p", "lie in (0, 1)",
                                   lambda q: 0.0 < q < 1.0)
-            self._profile = None
+        elif not callable(profile):
+            raise ValidationError("profile must be callable")
         else:
-            if not callable(profile):
-                raise ValidationError("profile must be callable")
-            probe = [profile(float(x)) for x in np.linspace(0.0, 1.0, 21)]
-            if not all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in probe):
-                raise ValidationError("profile values must lie in [0, 1]")
-            self._p = None
-            self._profile = profile
+            self._profile_at(np.linspace(0.0, 1.0, 21), "the probe")
         self._probe_validate()
 
     @classmethod
@@ -526,6 +522,8 @@ class BernoulliSumCounting(CountingModel):
         """term(q, eta) at the constant p, or integrated over the profile."""
         if self._p is not None:
             return term(self._p, eta)
+        if math.isnan(eta):
+            return eta  # quad warns on a NaN integrand; the NaN propagates
         from scipy.integrate import quad
 
         value, _ = quad(lambda x: term(self._profile(x), eta), 0.0, 1.0,
@@ -565,8 +563,16 @@ class BernoulliSumCounting(CountingModel):
         n = check_int(n, "n", 1)
         if self._p is not None:
             return np.full(n, self._p)
-        sites = np.arange(n, dtype=float) / n
-        return np.array([self._profile(x) for x in sites])
+        return self._profile_at(np.arange(n, dtype=float) / n, f"n={n}")
+
+    def _profile_at(self, points, where):
+        """The profile at points; a value outside [0, 1] or NaN is an error."""
+        values = np.array([self._profile(float(x)) for x in points], dtype=float)
+        bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
+        if bad.size:
+            raise ValidationError(f"profile values must lie in [0, 1]; at {where}, "
+                                  f"p({points[bad[0]]}) = {values[bad[0]]}")
+        return values
 
     def finite_cgf(self, n, eta):
         terms = [_bernoulli_cgf(q, eta) for q in self.success_probs(n).tolist()]
@@ -620,10 +626,10 @@ class GammaInterarrival(InterarrivalLaw):
         return -self.shape * math.log1p(-r / self.rate)
 
     def kappa_prime(self, r):
-        return self.shape / (self.rate - r) if r < self.rate else math.inf
+        return math.inf if r >= self.rate else self.shape / (self.rate - r)
 
     def kappa_second(self, r):
-        return self.shape / (self.rate - r) ** 2 if r < self.rate else math.inf
+        return math.inf if r >= self.rate else self.shape / (self.rate - r) ** 2
 
     def inverse(self, u):
         # Algebraic inverse: r = rate (1 - e^{-u/shape}).
@@ -748,7 +754,7 @@ class RenewalCounting(CountingModel):
         # kappa''(r) / kappa'(r)^3 at r = -L_N(eta); 0 where kappa' is infinite.
         r = -self.limit_cgf(eta)
         slope = self._law.kappa_prime(r)
-        return self._law.kappa_second(r) / slope ** 3 if math.isfinite(slope) else 0.0
+        return 0.0 if slope == math.inf else self._law.kappa_second(r) / slope ** 3
 
     def _tail_limit(self):
         # L_N(-inf) = -sup{r : kappa(r) < inf}.

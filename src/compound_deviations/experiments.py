@@ -90,7 +90,9 @@ def _run_rate_eval(config, mx, mn, workers):
 
 def _run_ldp_check(config, mx, mn, workers):
     exp = config["experiment"]
-    event = HalfSpaceEvent(**exp["event"])
+    spec = exp["event"]  # the two spellings name the faces (d, 0) and (0, 1)
+    face = (spec["direction"], 0.0) if spec["mode"] == "sum" else ([0.0] * mx.dim, 1.0)
+    event = HalfSpaceEvent(*face, spec["level"])
     result = decay_rate_scan(
         mx, mn, event, exp["ns"], reps=exp["reps"], seed=exp["seed"],
         method=exp["method"], workers=workers,

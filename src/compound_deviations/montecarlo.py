@@ -21,12 +21,12 @@ law draws only 10^4 sums, draw with numpy's binomials
 (``sample_sum_batch``). The route rests on the method, the law and the
 table size, never on reps, so block prefixes stay stable.
 
-Contents: plain simulation, exact enumeration for finite-support summands,
-one weighted-mean event-probability estimator whose unit-weight case is
-plain sampling and whose importance-sampling case tilts on the rate
-minimizer over the event boundary (the dual of the half-space rate infimum
-on a ray of the joint cumulant), decay-rate scans against the rate engine,
-the moderate-deviation scaling sweep, and the moment and CLT checks. Both
+Contents: plain simulation; one event type, the face {<d, S>/n + c N/n >=
+a} (``HalfSpaceEvent``); exact enumeration for finite-support summands; one
+weighted-mean event-probability estimator, plain at unit weights and else
+tilted on the rate minimizer over the event boundary (the dual of the
+half-space rate infimum on a ray of the joint cumulant); decay-rate scans
+against the rate engine; the count's MD sweep; the moment and CLT checks. Both
 checks take one route: they draw the pair once and band sampled means and
 covariances of linear images <x, S> + c N against the exact finite-n values
 that the centred-sum pair covariance C1 gives at (E N_n/n, Var N_n/n),
@@ -159,11 +159,11 @@ def _draw_samples(draw_sums, draw_counts, n, reps, seed, workers):
 
 @dataclass(frozen=True)
 class HalfSpaceEvent:
-    """Half-space target event on the scaled pair.
+    """The face {<direction, sum/n> + count_coef count/n >= level} of the
+    scaled pair, (direction, count_coef) nonzero: sum events are (d, 0),
+    count events (0, 1), and S - mu N = sum (X_i - mu) along d is (d, -<d, mu>).
 
-    mode "sum": {<direction, sum/n> >= level}; mode "count": {count/n >=
-    level}. Directions are for the sum mode only and must be nonzero. The
-    event is closed, and a point on its boundary is decided by a stated
+    The event is closed, and a point on its boundary is decided by a stated
     rule, not by rounding: it is in the event when <d, x> + c y falls short
     of the level by at most BOUNDARY_RTOL times |<d|, |x|> + |c y| + |level|.
     Lattice points on the boundary are therefore inside whatever order the
@@ -172,34 +172,25 @@ class HalfSpaceEvent:
     by k max_i <|d|, |u_i|> / n.
     """
 
-    mode: str
+    direction: np.ndarray
+    count_coef: float
     level: float
-    direction: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.mode not in ("sum", "count"):
-            raise ValidationError(f"mode must be 'sum' or 'count', got {self.mode!r}")
+        object.__setattr__(self, "direction", as_vector(self.direction, name="direction"))
+        object.__setattr__(self, "count_coef", finite_real(self.count_coef, "count_coef"))
         object.__setattr__(self, "level", finite_real(self.level, "level"))
-        if self.mode == "sum":
-            if self.direction is None:
-                raise ValidationError("sum events need a direction")
-            vec = as_vector(self.direction, name="direction")
-            if float(np.max(np.abs(vec))) == 0.0:
-                raise ValidationError("direction must be nonzero")
-            object.__setattr__(self, "direction", vec)
-        elif self.direction is not None:
-            raise ValidationError("count events take no direction")
+        if self.count_coef == 0.0 and not self.direction.any():
+            raise ValidationError("direction and count_coef must not both be zero")
 
     def normal(self, dim):
         """(d, c) that writes the event as {<d, sum/n> + c count/n >= level}."""
-        if self.mode == "sum":
-            if self.direction.size != dim:
-                raise DimensionMismatchError(
-                    f"event direction has length {self.direction.size}, but "
-                    f"the summands have dimension {dim}"
-                )
-            return self.direction, 0.0
-        return np.zeros(dim), 1.0
+        if self.direction.size != dim:
+            raise DimensionMismatchError(
+                f"event direction has length {self.direction.size}, but "
+                f"the summands have dimension {dim}"
+            )
+        return self.direction, self.count_coef
 
     def indicator(self, samples):
         d, c = self.normal(samples.sums.shape[1])
@@ -307,7 +298,7 @@ def tilt_parameters(mx, mn, event):
     drift = mn.derivs_at_zero().mean_rate * (c + float(d @ mx.mean()))
     if level <= drift:
         raise ZeroRateEventError(
-            f"{event.mode} level {level} does not exceed the limiting drift "
+            f"event level {level} does not exceed the limiting drift "
             f"{drift}; the event has zero rate and plain Monte Carlo suffices"
         )
     ray = np.append(d, c)
@@ -321,7 +312,7 @@ def tilt_parameters(mx, mn, event):
     result = legendre_transform(on_ray, [level])
     if result.unbounded:
         raise ValidationError(
-            f"{event.mode} level {level} is outside the reachable range; the "
+            f"event level {level} is outside the reachable range; the "
             "event has probability zero at every n"
         )
     point = float(result.argmax[0]) * ray

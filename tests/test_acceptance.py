@@ -271,7 +271,7 @@ def test_criterion_06_mittag_leffler_identities():
 def test_criterion_07_importance_sampling_meta_runs():
     mx = pm_one_summand()
     mn = BernoulliSumCounting(p=0.5)
-    event = HalfSpaceEvent(mode="sum", level=0.5, direction=[1.0])
+    event = HalfSpaceEvent([1.0], 0.0, 0.5)
     exact = enumerate_exact(mx, mn, 6, event)
     assert_allclose(exact, 299.0 / 4096.0, rtol=1e-12)
     tilt = tilt_parameters(mx, mn, event)
@@ -292,7 +292,7 @@ def test_criterion_07_importance_sampling_meta_runs():
 
 def test_criterion_08_ldp_decay_rates():
     mx, mn = pm_one_summand(), PoissonCounting(1.0)
-    count_event = HalfSpaceEvent(mode="count", level=2.0)
+    count_event = HalfSpaceEvent([0.0], 1.0, 2.0)
     count_rate_exact = 2.0 * math.log(2.0) - 1.0
     count_scan = decay_rate_scan(
         mx, mn, count_event, ns=[50, 100, 200, 400], reps=10_000,
@@ -302,7 +302,7 @@ def test_criterion_08_ldp_decay_rates():
         count_rate_exact
     )
 
-    sum_event = HalfSpaceEvent(mode="sum", level=0.5, direction=[1.0])
+    sum_event = HalfSpaceEvent([1.0], 0.0, 0.5)
     infimum = tilt_parameters(mx, mn, sum_event).rate
     sum_scan = decay_rate_scan(
         mx, mn, sum_event, ns=[50, 100, 200, 400], reps=10_000,
@@ -395,7 +395,7 @@ def test_criterion_12_determinism_and_worker_independence():
         and np.array_equal(first.sums, third.sums)
     )
 
-    event = HalfSpaceEvent(mode="count", level=2.0)
+    event = HalfSpaceEvent([0.0], 1.0, 2.0)
     tilted = [
         estimate_event_prob(mx, mn, 40, event, reps=reps, method="tilted",
                             seed=20240923, workers=w)

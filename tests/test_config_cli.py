@@ -338,6 +338,15 @@ class TestNormalizeConfig:
         assert any("count events take no direction" in e
                    for e in excinfo.value.errors)
 
+    def test_unknown_event_mode_is_reported(self):
+        # "sum" and "count" are the config's only spellings of a face.
+        raw = ldp_raw()
+        raw["experiment"]["event"] = {"mode": "ball", "level": 0.5}
+        with pytest.raises(ConfigError) as excinfo:
+            normalize_config(raw)
+        assert excinfo.value.errors == [
+            "experiment.event.mode: must be one of sum, count, got 'ball'"]
+
     def test_output_formats_are_checked_and_ordered(self):
         raw = ldp_raw()
         raw["output"] = {"formats": ["json", "csv"]}
@@ -510,13 +519,16 @@ for name, summand, experiment in [
 
 
 class TestRunExperiment:
-    @pytest.mark.parametrize("event, summand", [
-        ({"mode": "count", "level": 1.0}, ldp_raw()["summand"]),
+    @pytest.mark.parametrize("event, summand, face", [
+        ({"mode": "count", "level": 1.0}, ldp_raw()["summand"],
+         HalfSpaceEvent([0.0], 1.0, 1.0)),
         ({"mode": "sum", "level": 0.5, "direction": [1.0]},
-         {"kind": "gaussian", "mean": [0.2], "cov": [[1.0]]}),
+         {"kind": "gaussian", "mean": [0.2], "cov": [[1.0]]},
+         HalfSpaceEvent([1.0], 0.0, 0.5)),
     ], ids=["count", "sum"])
     def test_gamma_renewal_ldp_check_tilts_within_band(self, tmp_path, event,
-                                                       summand):
+                                                       summand, face):
+        # The two config spellings name the faces (0, 1) and (d, 0).
         config = normalize_config({
             "summand": summand, "counting": COUNTING_BLOCKS["renewal"],
             "experiment": {"kind": "ldp-check", "event": event,
@@ -525,7 +537,7 @@ class TestRunExperiment:
         })
         code, summary = run_experiment(config, out_dir=str(tmp_path))
         mx, mn = build_models(config)
-        tilt = tilt_parameters(mx, mn, HalfSpaceEvent(**config["experiment"]["event"]))
+        tilt = tilt_parameters(mx, mn, face)
         assert summary["details"]["method"] == "tilted"
         assert summary["details"]["rate_infimum"] == tilt.rate
         assert code == 0 and summary["bands"][0]["pass"]

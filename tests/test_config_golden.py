@@ -1,4 +1,5 @@
-"""Golden test of the configs the config layer serves.
+"""Golden test of the configs the config layer serves, and of the tables of
+the benchmark's event workload.
 
 Every benchmark workload config (``perfbench/workloads.py`` at workload seed
 5) and one minimal config of every summand, counting, inter-arrival law and
@@ -7,8 +8,14 @@ their ``config_hash`` is pinned, and must build the same model classes.
 Every CSV header carries the config hash, so the pins also hold the table
 headers fixed. The pinned hashes were computed before the config blocks
 moved to kind tables.
+
+The three ``ldp-tilted`` configs also run end to end, and the sha256 of
+each table's lines below its ``#`` metadata is pinned. The digests were
+computed while events still had a sum and a count mode, so they hold the
+route from config spelling to face byte for byte.
 """
 
+import hashlib
 import importlib.util
 import pathlib
 
@@ -21,6 +28,7 @@ from compound_deviations.config import (
     parse_config,
     serialize_config,
 )
+from compound_deviations.experiments import run_experiment
 
 _WORKLOADS_PATH = (pathlib.Path(__file__).resolve().parents[1]
                    / "perfbench" / "workloads.py")
@@ -247,3 +255,35 @@ def test_resolved_config_hash_and_models_are_pinned(label):
         assert built == classes
     else:
         assert classes == [None, None, None]
+
+
+# sha256 of the lines of each ldp-tilted table that are not '#' metadata,
+# at workload seed 5: a sum event, a 2-d sum event and a count event, run
+# end to end from their config spelling to the face they name.
+LDP_TABLE_DIGESTS = {
+    "sum-poisson": (
+        "ef74c203353a584e9df4fc605ff010d1fa65cccd012be81c966d14f2adcb7d34",
+        "c56b6e6f674ad5eaa5705f08996112f7adf2a1cf4000de179a55e3cf0f0c0048"),
+    "sum2d-gauss-iid": (
+        "d64a5c172946455b6ec764cdfb468802d0f4e47c41a8f6d7c79fc40096162535",
+        "bcbc5ecf5323df64ba261f2037cbdb6790b19d61005cfe6121b82f05052747bf"),
+    "count-fractional": (
+        "16f5ac0db1a0ed4bac1b912e0f899e7174477437a879601a682ada89eec427f2",
+        "fb5d65da79c279abefdea7fcbca5489a0057700590e1cf03c50e63ceaa9f7bed"),
+}
+
+
+def _table_digest(path):
+    lines = path.read_text().splitlines(keepends=True)
+    body = "".join(line for line in lines if not line.startswith("#"))
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("label", sorted(LDP_TABLE_DIGESTS))
+def test_ldp_tilted_tables_are_pinned(label, tmp_path):
+    code, _ = run_experiment(normalize_config(CONFIGS[f"ldp-tilted/{label}"]),
+                             out_dir=str(tmp_path))
+    assert code == 0
+    digests = tuple(_table_digest(tmp_path / name)
+                    for name in ("ldp_check.csv", "ldp_decay.dat"))
+    assert digests == LDP_TABLE_DIGESTS[label]

@@ -992,6 +992,43 @@ class TestValidation:
         with pytest.raises(ValidationError, match="must be a positive finite real"):
             build()
 
+    @pytest.mark.parametrize("model", [
+        BernoulliSumCounting(p=0.3),
+        BernoulliSumCounting.runs(1.0, 1.0),
+        RenewalCounting(GammaInterarrival(2.0, 1.0)),
+        PoissonCounting(1.0),
+        FractionalPoissonCounting(0.7, 1.0),
+        IidSumCounting([0, 1, 2], [0.3, 0.4, 0.3]),
+        RenewalCounting(narrow_table()),
+    ], ids=["bernoulli", "bernoulli-runs", "gamma-renewal", "poisson",
+            "fractional", "iid-sum", "tabulated-renewal"])
+    @pytest.mark.parametrize("member", ["limit_cgf", "limit_cgf_deriv",
+                                        "limit_cgf_second"])
+    def test_nan_eta_is_never_a_finite_cumulant(self, model, member):
+        # A NaN eta propagates or is a typed error; no branch turns it into
+        # a finite value.
+        try:
+            value = getattr(model, member)(math.nan)
+        except ValidationError:
+            return
+        assert math.isnan(value)
+
+    @pytest.mark.parametrize("spike", [1.5, math.nan, -0.2])
+    @pytest.mark.parametrize("call", [
+        lambda mn: mn.exact_pmf(100),
+        lambda mn: mn.finite_cgf(100, 0.5),
+        lambda mn: mn.sample_batch(100, np.random.default_rng(1), 10),
+    ], ids=["exact-pmf", "finite-cgf", "sample-batch"])
+    def test_profile_spike_between_probe_points_is_typed(self, spike, call):
+        # The constructor probes the profile at the 21 points k / 20 and
+        # misses a spike on (0.311, 0.329); the site 0.32 of n = 100 does not.
+        def profile(x):
+            return spike if 0.311 < x < 0.329 else 0.5
+
+        mn = BernoulliSumCounting(profile=profile)
+        with pytest.raises(ValidationError, match=r"at n=100, p\(0\.32\)"):
+            call(mn)
+
     def test_poisson_rejects_negative_intensity(self):
         with pytest.raises(ValidationError):
             PoissonCounting(1.0, intensity=lambda t: -1.0)

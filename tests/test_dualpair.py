@@ -55,7 +55,7 @@ class TestFiniteReal:
         expected = rate_ld_explicit(mx, mn, [0.0], 2.0)
         for scalar in (np.int64(2), np.float32(2.0)):
             assert rate_ld_explicit(mx, mn, [0.0], scalar) == expected
-            level = HalfSpaceEvent("count", scalar).level
+            level = HalfSpaceEvent([0.0], 1.0, scalar).level
             assert level == 2.0 and type(level) is float
             assert PoissonCounting(scalar).rate == 2.0
 
@@ -65,7 +65,7 @@ class TestFiniteReal:
         with pytest.raises(ValidationError, match="y must be a finite real"):
             rate_ld_explicit(mx, PoissonCounting(1.0), [0.0], bad)
         with pytest.raises(ValidationError, match="level must be a finite real"):
-            HalfSpaceEvent("count", bad)
+            HalfSpaceEvent([0.0], 1.0, bad)
         with pytest.raises(ValidationError, match="rate must be a positive"):
             PoissonCounting(bad)
 

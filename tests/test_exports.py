@@ -72,7 +72,7 @@ def loaded():
 after_import = loaded()
 enumerate_exact(FiniteSupportSummands([[1.0], [-1.0]], [0.5, 0.5]),
                 BernoulliSumCounting(p=0.5), 6,
-                HalfSpaceEvent(mode="sum", level=0.5, direction=[1.0]))
+                HalfSpaceEvent([1.0], 0.0, 0.5))
 after_enumeration = loaded()
 run_experiment(normalize_config({
     "summand": {"kind": "finite_support", "atoms": [1.0, -1.0], "probs": [0.5, 0.5]},

@@ -6,6 +6,7 @@ contracts (same seed, any worker count, summand stream independent of the
 count stream) are checked bit for bit.
 """
 
+import dataclasses
 import math
 import sys
 
@@ -127,7 +128,7 @@ def random_lattice_instance(rng):
         direction = rng.integers(-3, 4, size=dim) / 10.0
     level = int(rng.integers(-10, 11)) / 10.0
     return (FiniteSupportSummands(atoms, weights / weights.sum()),
-            HalfSpaceEvent(mode="sum", level=level, direction=direction))
+            HalfSpaceEvent(direction, 0.0, level))
 
 
 # One model of each counting kind with a count level above its drift d1
@@ -157,25 +158,38 @@ def half_bernoulli_rate(y):
 
 
 class TestHalfSpaceEvent:
-    def test_sum_mode_requires_direction(self):
-        with pytest.raises(ValidationError):
-            HalfSpaceEvent(mode="sum", level=0.5)
-
-    def test_count_mode_forbids_direction(self):
-        with pytest.raises(ValidationError):
-            HalfSpaceEvent(mode="count", level=2.0, direction=[1.0])
+    def test_an_event_is_one_face(self):
+        # Exactly the fields (direction, count_coef, level), which normal
+        # returns as (d, c) once the dimension matches.
+        assert [f.name for f in dataclasses.fields(HalfSpaceEvent)] == [
+            "direction", "count_coef", "level"]
+        event = HalfSpaceEvent([1.0, -2.0], np.int64(-1), np.float32(0.5))
+        d, c = event.normal(2)
+        assert d.tolist() == [1.0, -2.0] and not d.flags.writeable
+        assert type(c) is float and c == -1.0
+        assert type(event.level) is float and event.level == 0.5
 
     def test_zero_direction_rejected(self):
-        with pytest.raises(ValidationError):
-            HalfSpaceEvent(mode="sum", level=0.5, direction=[0.0, 0.0])
+        # A zero direction needs a count coefficient: (0, 0) is no face.
+        for direction in ([0.0], [0.0, -0.0]):
+            with pytest.raises(ValidationError, match="both be zero"):
+                HalfSpaceEvent(direction, 0.0, 0.5)
+            assert HalfSpaceEvent(direction, 1.0, 0.5).count_coef == 1.0
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValidationError):
-            HalfSpaceEvent(mode="ball", level=0.5)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "1", None])
+    def test_nonfinite_count_coef_rejected(self, bad):
+        with pytest.raises(ValidationError, match="count_coef must be a finite"):
+            HalfSpaceEvent([1.0], bad, 0.5)
+
+    @pytest.mark.parametrize("bad", [[math.nan], [1.0, math.inf], [], [[1.0]]])
+    def test_nonfinite_or_misshapen_direction_rejected(self, bad):
+        with pytest.raises(ValidationError, match="direction"):
+            HalfSpaceEvent(bad, 1.0, 0.5)
 
     def test_nonfinite_level_rejected(self):
-        with pytest.raises(ValidationError):
-            HalfSpaceEvent(mode="count", level=math.inf)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValidationError, match="level must be a finite"):
+                HalfSpaceEvent([0.0], 1.0, bad)
 
     def test_indicator_on_known_samples(self):
         samples = CompoundSamples(
@@ -183,10 +197,14 @@ class TestHalfSpaceEvent:
             sums=np.array([[12.0], [-3.0], [5.0]]),
             counts=np.array([25, 4, 10]),
         )
-        sum_event = HalfSpaceEvent(mode="sum", level=0.5, direction=[1.0])
-        count_event = HalfSpaceEvent(mode="count", level=1.0)
+        sum_event = HalfSpaceEvent([1.0], 0.0, 0.5)
+        count_event = HalfSpaceEvent([0.0], 1.0, 1.0)
+        # S/n - N/(2n) >= 0: 1.2 - 1.25, -0.3 - 0.2, and 0.5 - 0.5 on the
+        # boundary.
+        centred = HalfSpaceEvent([1.0], -0.5, 0.0)
         assert sum_event.indicator(samples).tolist() == [True, False, True]
         assert count_event.indicator(samples).tolist() == [True, False, True]
+        assert centred.indicator(samples).tolist() == [False, False, True]
 
     @pytest.mark.parametrize("call", [
         lambda mx, event: tilt_parameters(mx, unit_poisson(), event),
@@ -212,7 +230,7 @@ class TestHalfSpaceEvent:
         monkeypatch.setattr(FiniteSupportSummands, "sample_sum_batch", no_draws)
         monkeypatch.setattr(FiniteSupportSummands, "plain_sampler", no_sampler)
         mx = three_atom_plane()
-        event = HalfSpaceEvent(mode="sum", level=0.5, direction=[1.0])
+        event = HalfSpaceEvent([1.0], 0.0, 0.5)
         with pytest.raises(DimensionMismatchError, match="length 1.*dimension 2"):
             call(mx, event)
 
@@ -225,7 +243,7 @@ class TestHalfSpaceEvent:
         # product rounds to either side of the level depending on how many
         # rows are multiplied at once (one row or a batch); the boundary
         # rule puts them inside, and a point 1e-9 outside stays out.
-        event = HalfSpaceEvent(mode="sum", level=level, direction=direction)
+        event = HalfSpaceEvent(direction, 0.0, level)
         on = np.array([point])
         off = on - 1e-9 * np.sign(direction)
         for sums in (on, np.tile(on, (8, 1))):
@@ -366,33 +384,33 @@ class TestEnumerateExact:
     def test_iid_sum_hand_value(self):
         mx = zero_two_summand()
         mn = IidSumCounting([0, 1], [0.5, 0.5])
-        event = HalfSpaceEvent(mode="sum", level=1.5, direction=[1.0])
+        event = HalfSpaceEvent([1.0], 0.0, 1.5)
         assert_allclose(enumerate_exact(mx, mn, 4, event), IID_SUM_EXACT,
                         rtol=1e-12)
 
     def test_bernoulli_hand_value(self):
         mn = BernoulliSumCounting(p=0.5)
-        event = HalfSpaceEvent(mode="sum", level=0.5, direction=[1.0])
+        event = HalfSpaceEvent([1.0], 0.0, 0.5)
         assert_allclose(enumerate_exact(pm_one_summand(), mn, 6, event),
                         BERNOULLI_EXACT, rtol=1e-12)
 
     def test_matches_plain_monte_carlo(self):
         mx = zero_two_summand()
         mn = IidSumCounting([0, 1], [0.5, 0.5])
-        event = HalfSpaceEvent(mode="sum", level=1.5, direction=[1.0])
+        event = HalfSpaceEvent([1.0], 0.0, 1.5)
         estimate = estimate_event_prob(mx, mn, 4, event, reps=40_000,
                                        method="plain", seed=401)
         assert abs(estimate.value - IID_SUM_EXACT) <= 4.0 * estimate.std_error
 
     def test_count_events_enumerate_too(self):
         mn = BernoulliSumCounting(p=0.3)
-        event = HalfSpaceEvent(mode="count", level=0.5)
+        event = HalfSpaceEvent([0.0], 1.0, 0.5)
         expected = float(stats.binom.sf(3, 8, 0.3))
         assert_allclose(enumerate_exact(pm_one_summand(), mn, 8, event),
                         expected, rtol=1e-12)
 
     def test_gaussian_summands_rejected(self):
-        event = HalfSpaceEvent(mode="count", level=1.5)
+        event = HalfSpaceEvent([0.0], 1.0, 1.5)
         with pytest.raises(UnsupportedModelError):
             enumerate_exact(GaussianSummands([0.0], [[1.0]]),
                             BernoulliSumCounting(p=0.5), 4, event)
@@ -400,7 +418,7 @@ class TestEnumerateExact:
     def test_unbounded_counts_enumerate_over_their_table(self):
         # P(N_4 >= 6) for Poisson(4) counts, and P(T_12 <= 8) for Gamma(2, 1)
         # renewals at level 1.5, from tables truncated at MASS_TAIL_TOL.
-        event = HalfSpaceEvent(mode="count", level=1.5)
+        event = HalfSpaceEvent([0.0], 1.0, 1.5)
         assert_allclose(enumerate_exact(pm_one_summand(), unit_poisson(), 4, event),
                         stats.poisson.sf(5, 4.0), rtol=1e-11)
         renewal = RenewalCounting(GammaInterarrival(2.0, 1.0))
@@ -408,7 +426,7 @@ class TestEnumerateExact:
                         gammainc(24.0, 8.0), rtol=1e-9)
 
     def test_lawless_counts_rejected(self):
-        event = HalfSpaceEvent(mode="count", level=1.5)
+        event = HalfSpaceEvent([0.0], 1.0, 1.5)
         with pytest.raises(UnsupportedModelError):
             enumerate_exact(pm_one_summand(), tabulated_renewal(), 4, event)
 
@@ -418,7 +436,7 @@ class TestEnumerateExact:
         # fair dice, from an exact rational computation.
         dice = FiniteSupportSummands([[float(k)] for k in range(1, 7)],
                                      [1.0 / 6.0] * 6)
-        event = HalfSpaceEvent(mode="sum", level=3.0, direction=[1.0])
+        event = HalfSpaceEvent([1.0], 0.0, 3.0)
         assert_allclose(enumerate_exact(dice, BernoulliSumCounting(p=0.5), 50,
                                         event),
                         4.403387388921733e-05, rtol=1e-12)
@@ -430,7 +448,7 @@ class TestEnumerateExact:
         mx = FiniteSupportSummands([[1.0], [math.sqrt(2.0)], [math.pi]],
                                    [0.2, 0.3, 0.5])
         mn = BernoulliSumCounting(p=0.5)
-        event = HalfSpaceEvent(mode="sum", level=1.0, direction=[1.0])
+        event = HalfSpaceEvent([1.0], 0.0, 1.0)
         assert_allclose(enumerate_exact(mx, mn, 50, event),
                         composition_oracle(mx, mn, 50, event), rtol=1e-12)
         monkeypatch.setattr(montecarlo, "MASS_TABLE_CAP", 500)
@@ -446,8 +464,8 @@ class TestEnumerateExact:
         monkeypatch.setattr(montecarlo, "MASS_TABLE_CAP", 10_000)
         mx = FiniteSupportSummands([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
                                    [0.3, 0.3, 0.4])
-        tenths = HalfSpaceEvent(mode="sum", level=0.1, direction=[-0.1, 0.3])
-        integers = HalfSpaceEvent(mode="sum", level=1.0, direction=[-1.0, 3.0])
+        tenths = HalfSpaceEvent([-0.1, 0.3], 0.0, 0.1)
+        integers = HalfSpaceEvent([-1.0, 3.0], 0.0, 1.0)
         exact = enumerate_exact(mx, unit_poisson(), 200, tenths)
         assert 0.0 < exact < 1e-12
         assert_allclose(exact, enumerate_exact(mx, unit_poisson(), 200, integers),
@@ -465,9 +483,8 @@ class TestEnumerateExact:
         # level; both routes put them inside, and they carry mass.
         mx = FiniteSupportSummands(atoms, [0.4, 0.3, 0.3])
         mn = unit_poisson()
-        event = HalfSpaceEvent(mode="sum", level=level, direction=direction)
-        above = HalfSpaceEvent(mode="sum", level=level + 1e-9,
-                               direction=direction)
+        event = HalfSpaceEvent(direction, 0.0, level)
+        above = HalfSpaceEvent(direction, 0.0, level + 1e-9)
         for n in (1, 3):
             exact = enumerate_exact(mx, mn, n, event)
             assert_allclose(exact, composition_oracle(mx, mn, n, event),
@@ -489,15 +506,14 @@ class TestEnumerateExact:
             exact = enumerate_exact(mx, mn, n, event)
             assert_allclose(exact, composition_oracle(mx, mn, n, event),
                             rtol=1e-12, err_msg=f"instance {index}")
-            above = HalfSpaceEvent(mode="sum", level=event.level + 1e-9,
-                                   direction=event.direction)
+            above = HalfSpaceEvent(event.direction, 0.0, event.level + 1e-9)
             boundary_hits += exact > enumerate_exact(mx, mn, n, above)
         assert boundary_hits >= 50
 
 
 class TestTiltParameters:
     def test_count_event_tilt_is_the_conjugate_argmax(self):
-        event = HalfSpaceEvent(mode="count", level=2.0)
+        event = HalfSpaceEvent([0.0], 1.0, 2.0)
         tilt = tilt_parameters(pm_one_summand(), unit_poisson(), event)
         assert_allclose(tilt.eta, math.log(2.0), atol=1e-7)
         assert_allclose(tilt.s, tilt.eta, rtol=1e-12)
@@ -506,10 +522,10 @@ class TestTiltParameters:
         assert_allclose(tilt.boundary_y, 2.0)
 
     def test_count_event_below_mean_rejected(self):
-        event = HalfSpaceEvent(mode="count", level=0.5)
+        event = HalfSpaceEvent([0.0], 1.0, 0.5)
         with pytest.raises(ZeroRateEventError):
             tilt_parameters(pm_one_summand(), unit_poisson(), event)
-        at_mean = HalfSpaceEvent(mode="count", level=1.0)
+        at_mean = HalfSpaceEvent([0.0], 1.0, 1.0)
         with pytest.raises(ZeroRateEventError):
             tilt_parameters(pm_one_summand(), unit_poisson(), at_mean)
 
@@ -536,7 +552,7 @@ class TestTiltParameters:
     ):
         # Independent oracle: minimize y * conj(level / y) + count rate over
         # the count slot with closed forms on both parts.
-        event = HalfSpaceEvent(mode="sum", level=level, direction=direction)
+        event = HalfSpaceEvent(direction, 0.0, level)
         tilt = tilt_parameters(mx, mn, event)
 
         def boundary(y):
@@ -549,7 +565,7 @@ class TestTiltParameters:
 
     def test_sum_event_tilt_identities(self):
         mx, mn = pm_one_summand(), unit_poisson()
-        event = HalfSpaceEvent(mode="sum", level=0.5, direction=[1.0])
+        event = HalfSpaceEvent([1.0], 0.0, 0.5)
         tilt = tilt_parameters(mx, mn, event)
         # s is eta shifted by the summand cgf, and the tilted drift sits on
         # the event boundary.
@@ -566,23 +582,23 @@ class TestTiltParameters:
 
     def test_sum_event_below_drift_rejected(self):
         mx = zero_two_summand()
-        event = HalfSpaceEvent(mode="sum", level=0.9, direction=[1.0])
+        event = HalfSpaceEvent([1.0], 0.0, 0.9)
         with pytest.raises(ZeroRateEventError):
             tilt_parameters(mx, unit_poisson(), event)
 
-    @pytest.mark.parametrize("mode, direction", [("sum", [1.0]), ("count", None)],
+    @pytest.mark.parametrize("direction, count_coef", [([1.0], 0.0), ([0.0], 1.0)],
                              ids=["sum", "count"])
-    def test_unreachable_event_is_a_validation_error(self, mode, direction):
+    def test_unreachable_event_is_a_validation_error(self, direction, count_coef):
         # Bernoulli(1/2) counts never exceed n, and |S| <= N for +/-1 atoms,
-        # so level 1.5 is out of reach in both modes.
-        event = HalfSpaceEvent(mode=mode, level=1.5, direction=direction)
+        # so level 1.5 is out of reach on both faces.
+        event = HalfSpaceEvent(direction, count_coef, 1.5)
         with pytest.raises(ValidationError, match="reachable"):
             tilt_parameters(pm_one_summand(), BernoulliSumCounting(p=0.5), event)
 
     @pytest.mark.parametrize("event", [
-        pytest.param(HalfSpaceEvent(mode="sum", level=0.5, direction=[1.0]),
+        pytest.param(HalfSpaceEvent([1.0], 0.0, 0.5),
                      id="sum"),
-        pytest.param(HalfSpaceEvent(mode="count", level=2.0), id="count"),
+        pytest.param(HalfSpaceEvent([0.0], 1.0, 2.0), id="count"),
     ])
     def test_one_conjugate_solve_per_tilt(self, monkeypatch, event):
         calls = []
@@ -615,7 +631,7 @@ class TestTiltParameters:
         monkeypatch.setattr(counting, "_grow_table", counted_grow)
         mn = FractionalPoissonCounting(0.7, 1.0)
         estimate_event_prob(pm_one_summand(), mn, 200,
-                            HalfSpaceEvent(mode="count", level=2.5),
+                            HalfSpaceEvent([0.0], 1.0, 2.5),
                             reps=2000, method="tilted", seed=3)
         assert len(builds) == 1 and builds[0][1] > 0.0
         assert len(grows) == 2
@@ -629,7 +645,7 @@ class TestTiltParameters:
     def test_zero_rate_event_has_zero_infimum(self):
         # The tilt refuses a zero-rate event; the decay scan falls back to
         # plain sampling and reports a zero infimum.
-        event = HalfSpaceEvent(mode="count", level=0.5)
+        event = HalfSpaceEvent([0.0], 1.0, 0.5)
         with pytest.raises(ZeroRateEventError):
             tilt_parameters(pm_one_summand(), unit_poisson(), event)
         scan = decay_rate_scan(pm_one_summand(), unit_poisson(), event,
@@ -640,7 +656,7 @@ class TestTiltParameters:
 class TestEstimateEventProb:
     def test_plain_matches_enumeration(self):
         mn = BernoulliSumCounting(p=0.5)
-        event = HalfSpaceEvent(mode="sum", level=0.5, direction=[1.0])
+        event = HalfSpaceEvent([1.0], 0.0, 0.5)
         estimate = estimate_event_prob(pm_one_summand(), mn, 6, event,
                                        reps=40_000, method="plain", seed=21)
         assert estimate.method == "plain"
@@ -655,7 +671,7 @@ class TestEstimateEventProb:
     def test_plain_is_the_indicator_mean_of_simulate_compound(self):
         # Unit weights: the same draws, the same mean and spread, bit for bit.
         mx, mn = zero_two_summand(), unit_poisson()
-        event = HalfSpaceEvent(mode="sum", level=1.2, direction=[1.0])
+        event = HalfSpaceEvent([1.0], 0.0, 1.2)
         reps = BLOCK_SIZE + 500
         estimate = estimate_event_prob(mx, mn, 30, event, reps=reps,
                                        method="plain", seed=23)
@@ -668,7 +684,7 @@ class TestEstimateEventProb:
 
     def test_tilted_matches_enumeration(self):
         mn = BernoulliSumCounting(p=0.5)
-        event = HalfSpaceEvent(mode="sum", level=0.5, direction=[1.0])
+        event = HalfSpaceEvent([1.0], 0.0, 0.5)
         estimate = estimate_event_prob(pm_one_summand(), mn, 6, event,
                                        reps=10_000, method="tilted", seed=22)
         assert estimate.method == "tilted"
@@ -681,7 +697,7 @@ class TestEstimateEventProb:
         # P(N/n >= 2) at n = 40 is the exact Poisson tail P(N >= 80), around
         # 1.7e-8; 20000 plain draws see no hits while the tilted estimator
         # lands within a few standard errors of scipy's value.
-        event = HalfSpaceEvent(mode="count", level=2.0)
+        event = HalfSpaceEvent([0.0], 1.0, 2.0)
         mx, mn = pm_one_summand(), unit_poisson()
         exact = float(stats.poisson.sf(79, 40.0))
         plain = estimate_event_prob(mx, mn, 40, event, reps=20_000,
@@ -695,7 +711,7 @@ class TestEstimateEventProb:
         assert tilted.std_error < exact
 
     def test_tilted_rerun_is_bit_identical(self):
-        event = HalfSpaceEvent(mode="count", level=2.0)
+        event = HalfSpaceEvent([0.0], 1.0, 2.0)
         mx, mn = pm_one_summand(), unit_poisson()
         first = estimate_event_prob(mx, mn, 30, event, reps=9000,
                                     method="tilted", seed=77)
@@ -714,7 +730,7 @@ class TestEstimateEventProb:
         KIND_CASES["renewal"],
     ], ids=["poisson", "bernoulli-runs", "fractional", "iid-sum", "renewal"])
     def test_tilted_worker_count_invariance(self, mn, level):
-        event = HalfSpaceEvent(mode="count", level=level)
+        event = HalfSpaceEvent([0.0], 1.0, level)
         mx = pm_one_summand()
         serial = estimate_event_prob(mx, mn, 30, event, reps=BLOCK_SIZE + 800,
                                      method="tilted", seed=78, workers=1)
@@ -741,7 +757,7 @@ class TestEstimateEventProb:
         log_weights = k * math.log(float(n) ** 0.7) - gammaln(0.7 * k + 1.0)
         exact = math.exp(logsumexp(log_weights[k >= 2.5 * n])
                          - logsumexp(log_weights))
-        event = HalfSpaceEvent(mode="count", level=2.5)
+        event = HalfSpaceEvent([0.0], 1.0, 2.5)
         estimate = estimate_event_prob(pm_one_summand(), mn, n, event,
                                        reps=10_000, method="tilted", seed=11)
         assert estimate.value > 0.0
@@ -759,19 +775,19 @@ class TestEstimateEventProb:
         monkeypatch.setattr(CountingModel, "tilted_count_sampler", counted)
         for mn, level in KIND_CASES.values():
             estimate_event_prob(pm_one_summand(), mn, 30,
-                                HalfSpaceEvent(mode="count", level=level),
+                                HalfSpaceEvent([0.0], 1.0, level),
                                 reps=BLOCK_SIZE + 800, method="tilted", seed=78)
         assert built == [type(mn).__name__ for mn, _ in KIND_CASES.values()]
 
     @pytest.mark.parametrize("kind", sorted(KIND_CASES))
-    @pytest.mark.parametrize("mode", ["sum", "count"])
-    def test_tilted_covers_enumeration_for_every_kind(self, kind, mode):
+    @pytest.mark.parametrize("face", ["sum", "count"])
+    def test_tilted_covers_enumeration_for_every_kind(self, kind, face):
         # Exact values that enumerate every count in the kind's table
         # (truncated for Poisson, fractional and renewal), at n = 40 down
         # to about 1e-8.
         mn, level = KIND_CASES[kind]
-        event = (HalfSpaceEvent(mode="sum", level=0.5, direction=[1.0])
-                 if mode == "sum" else HalfSpaceEvent(mode="count", level=level))
+        event = (HalfSpaceEvent([1.0], 0.0, 0.5)
+                 if face == "sum" else HalfSpaceEvent([0.0], 1.0, level))
         for n in (8, 40):
             exact = enumerate_exact(pm_one_summand(), mn, n, event)
             estimate = estimate_event_prob(pm_one_summand(), mn, n, event,
@@ -788,7 +804,7 @@ class TestEstimateEventProb:
         # Both events are {T_k <= 50} with T_k ~ Gamma(100, 1): 3.200e-10.
         exact = float(gammainc(100.0, 50.0))
         assert_allclose(exact, 3.200e-10, rtol=2e-4)
-        event = HalfSpaceEvent(mode="count", level=level)
+        event = HalfSpaceEvent([0.0], 1.0, level)
         estimate = estimate_event_prob(pm_one_summand(), RenewalCounting(law),
                                        50, event, reps=10_000, method="tilted",
                                        seed=24)
@@ -797,7 +813,7 @@ class TestEstimateEventProb:
 
     def test_count_event_value_ignores_summand_stream(self):
         # A count event tilts no summand, so the summand law is irrelevant.
-        event = HalfSpaceEvent(mode="count", level=2.0)
+        event = HalfSpaceEvent([0.0], 1.0, 2.0)
         mn = unit_poisson()
         base = estimate_event_prob(pm_one_summand(), mn, 30, event, reps=5000,
                                    method="tilted", seed=79)
@@ -806,19 +822,19 @@ class TestEstimateEventProb:
         assert base.value == moved.value
 
     def test_lawless_renewal_counts_cannot_be_tilted(self):
-        event = HalfSpaceEvent(mode="count", level=2.0)
+        event = HalfSpaceEvent([0.0], 1.0, 2.0)
         with pytest.raises(UnsupportedModelError):
             estimate_event_prob(pm_one_summand(), tabulated_renewal(), 30,
                                 event, reps=100, method="tilted", seed=1)
 
     def test_unknown_method_rejected(self):
-        event = HalfSpaceEvent(mode="count", level=2.0)
+        event = HalfSpaceEvent([0.0], 1.0, 2.0)
         with pytest.raises(ValidationError):
             estimate_event_prob(pm_one_summand(), unit_poisson(), 30, event,
                                 reps=10, method="antithetic", seed=1)
 
     def test_impossible_event_is_degenerate(self):
-        event = HalfSpaceEvent(mode="count", level=5.0)
+        event = HalfSpaceEvent([0.0], 1.0, 5.0)
         estimate = estimate_event_prob(pm_one_summand(), unit_poisson(), 50,
                                        event, reps=1000, method="plain",
                                        seed=5)
@@ -827,9 +843,98 @@ class TestEstimateEventProb:
         assert estimate.degenerate
 
 
+class TestCentredSumFace:
+    """The sum of centred summands S - mu N = sum (X_i - mu) exceeds n a
+    along d on the face (d, -<d, mu>): the object of the first MD theorem
+    at LD scale, on the exact, tilted and rate routes."""
+
+    @staticmethod
+    def lattice():
+        # +/-1 summands with p(+1) = 0.6, so mu = 0.2.
+        return (FiniteSupportSummands([[1.0], [-1.0]], [0.6, 0.4]),
+                unit_poisson(), HalfSpaceEvent([1.0], -0.2, 0.3))
+
+    @staticmethod
+    def gaussian():
+        return (GaussianSummands([0.3], [[1.0]]), unit_poisson(),
+                HalfSpaceEvent([1.0], -0.3, 0.3))
+
+    def test_lattice_tilt_matches_the_boundary_oracle(self):
+        # On the boundary x = 0.3 + 0.2 y, the rate is
+        # y conj(x / y) + y log y - y + 1, with conj the conjugate of
+        # log(0.6 e^t + 0.4 e^-t) on (-1, 1).
+        mx, mn, event = self.lattice()
+        tilt = tilt_parameters(mx, mn, event)
+
+        def conj(z):
+            return (0.5 * (1.0 + z) * math.log((1.0 + z) / 1.2)
+                    + 0.5 * (1.0 - z) * math.log((1.0 - z) / 0.8))
+
+        oracle = minimize_scalar(
+            lambda y: y * conj((0.3 + 0.2 * y) / y) + poisson_rate(y),
+            bounds=(0.376, 50.0), method="bounded", options={"xatol": 1e-10})
+        assert_allclose(tilt.rate, 0.0485226, rtol=1e-6)
+        assert_allclose(tilt.rate, oracle.fun, atol=1e-10)
+        assert_allclose(tilt.boundary_x, [0.50996], atol=1e-5)
+        assert_allclose(tilt.boundary_y, 1.04981, atol=1e-5)
+        assert_allclose(tilt.boundary_x[0] - 0.2 * tilt.boundary_y, 0.3,
+                        atol=1e-9)
+
+    def test_lattice_enumeration_values(self):
+        mx, mn, event = self.lattice()
+        got = [math.log(enumerate_exact(mx, mn, n, event))
+               for n in (50, 100, 200, 400)]
+        assert_allclose(got, [-4.273551323236433, -6.912332308123004,
+                              -12.075607070241924, -22.106462995706313],
+                        rtol=1e-12)
+
+    def test_lattice_enumeration_matches_the_oracle(self):
+        # S - 0.2 k lands on tenths, so some points sit on the boundary
+        # (n = 4: S = 2 at k = 4), and the count term enters the rule.
+        mx, mn, event = self.lattice()
+        for n in range(1, 6):
+            assert_allclose(enumerate_exact(mx, mn, n, event),
+                            composition_oracle(mx, mn, n, event), rtol=1e-12)
+        above = HalfSpaceEvent([1.0], -0.2, 0.3 + 1e-9)
+        assert enumerate_exact(mx, mn, 4, event) > enumerate_exact(mx, mn, 4, above)
+
+    def test_lattice_tilted_estimate_covers_enumeration(self):
+        mx, mn, event = self.lattice()
+        exact = enumerate_exact(mx, mn, 200, event)
+        estimate = estimate_event_prob(mx, mn, 200, event, reps=20_000,
+                                       method="tilted", seed=7)
+        assert abs(estimate.value - exact) <= 3.0 * estimate.std_error
+        assert estimate.std_error < 0.05 * exact
+
+    def test_gaussian_tilt_matches_the_boundary_oracle(self):
+        # On the boundary x = 0.3 + 0.3 y the summand term is
+        # y ((x / y) - 0.3)^2 / 2 = 0.045 / y.
+        mx, mn, event = self.gaussian()
+        tilt = tilt_parameters(mx, mn, event)
+        oracle = minimize_scalar(lambda y: 0.045 / y + poisson_rate(y),
+                                 bounds=(1e-3, 50.0), method="bounded",
+                                 options={"xatol": 1e-10})
+        assert_allclose(tilt.rate, oracle.fun, atol=1e-10)
+        assert_allclose(tilt.boundary_y, oracle.x, atol=1e-5)
+
+    @pytest.mark.parametrize("n, log_exact", [
+        (50, -4.0580), (100, -6.5373), (200, -11.2465)])
+    def test_gaussian_tilted_estimate_covers_the_oracle(self, n, log_exact):
+        # Given N = k the centred sum is N(0, k), so the oracle is
+        # sum_k P(N_n = k) P(Z >= 0.3 n / sqrt(k)), with nothing at k = 0.
+        mx, mn, event = self.gaussian()
+        k = np.arange(1, 60 * n)
+        log_terms = stats.poisson.logpmf(k, n) + stats.norm.logsf(0.3 * n / np.sqrt(k))
+        exact = math.exp(logsumexp(log_terms))
+        assert_allclose(math.log(exact), log_exact, atol=5e-5)
+        estimate = estimate_event_prob(mx, mn, n, event, reps=20_000,
+                                       method="tilted", seed=0)
+        assert abs(estimate.value - exact) <= 3.0 * estimate.std_error
+
+
 class TestDecayRateScan:
     def test_count_event_slope_approaches_the_rate(self):
-        event = HalfSpaceEvent(mode="count", level=2.0)
+        event = HalfSpaceEvent([0.0], 1.0, 2.0)
         mx, mn = pm_one_summand(), unit_poisson()
         rate = 2.0 * math.log(2.0) - 1.0
         scan = decay_rate_scan(mx, mn, event, ns=[50, 100, 200, 400],
@@ -845,7 +950,7 @@ class TestDecayRateScan:
         # At n this small the prefactor still shifts the finite-n slope well
         # away from the asymptotic rate, so the oracle is the exact Poisson
         # tail at each n, not the rate.
-        event = HalfSpaceEvent(mode="count", level=1.3)
+        event = HalfSpaceEvent([0.0], 1.0, 1.3)
         mx, mn = zero_two_summand(), unit_poisson()
         scan = decay_rate_scan(mx, mn, event, ns=[30, 60], reps=30_000,
                                seed=91, method="plain")
@@ -861,7 +966,7 @@ class TestDecayRateScan:
         assert abs(scan.fitted_rate - exact_slope) <= 4.0 * slope_se
 
     def test_rerun_is_identical(self):
-        event = HalfSpaceEvent(mode="count", level=2.0)
+        event = HalfSpaceEvent([0.0], 1.0, 2.0)
         mx, mn = pm_one_summand(), unit_poisson()
         first = decay_rate_scan(mx, mn, event, ns=[40, 80], reps=2000,
                                 seed=92)
@@ -871,7 +976,7 @@ class TestDecayRateScan:
         assert first.fitted_rate == second.fitted_rate
 
     def test_ns_validation(self):
-        event = HalfSpaceEvent(mode="count", level=2.0)
+        event = HalfSpaceEvent([0.0], 1.0, 2.0)
         mx, mn = pm_one_summand(), unit_poisson()
         with pytest.raises(ValidationError):
             decay_rate_scan(mx, mn, event, ns=[50], reps=100, seed=1)
@@ -881,7 +986,7 @@ class TestDecayRateScan:
     def test_unknown_method_rejected(self):
         # A soft event, so plain sampling would find positive estimates at
         # both n: the error must come from the method, not from the fit.
-        event = HalfSpaceEvent(mode="count", level=1.3)
+        event = HalfSpaceEvent([0.0], 1.0, 1.3)
         with pytest.raises(ValidationError, match="method"):
             decay_rate_scan(zero_two_summand(), unit_poisson(), event,
                             ns=[30, 60], reps=2000, seed=91, method="tilt")
@@ -991,7 +1096,7 @@ def _no_drawing(*args, **kwargs):
     raise AssertionError("a bad size must be refused before any drawing")
 
 
-COUNT_EVENT = HalfSpaceEvent(mode="count", level=2.0)
+COUNT_EVENT = HalfSpaceEvent([0.0], 1.0, 2.0)
 
 
 @pytest.mark.parametrize("call", [
