@@ -43,15 +43,15 @@ import numpy as np
 import scipy
 
 from .counting import (
-    TABLE_MIN_POINTS,
+    MAX_STEP,
     BernoulliSumCounting,
     ExponentialInterarrival,
     FractionalPoissonCounting,
     GammaInterarrival,
     IidSumCounting,
+    LatticeInterarrival,
     PoissonCounting,
     RenewalCounting,
-    TabulatedInterarrival,
 )
 from .errors import ConfigError
 from .montecarlo import BAND_SE, DEFAULT_REPS, ScalingFamily
@@ -234,11 +234,14 @@ def _grid(col, value, path, out):
     return vec
 
 
-def _steps(col, value, path, out):
+def _steps(col, value, path, out=None, least=0):
+    """Distinct integer steps from ``least`` to MAX_STEP (2^53)."""
     if not isinstance(value, list) or not value or not all(
-        isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in value
+        isinstance(v, int) and not isinstance(v, bool) and least <= v <= MAX_STEP
+        for v in value
     ):
-        col.error(path, "must be a nonempty list of integers (domain: values ≥ 0)")
+        col.error(path, f"must be a nonempty list of integers "
+                        f"(domain: {least} ≤ values ≤ 2^53)")
         return None
     if len(set(value)) != len(value):
         col.error(path, "step values must be distinct")
@@ -307,15 +310,6 @@ def _series_args(col, value, path, out):
     return xs
 
 
-def _law_table(col, value, path, out):
-    """A tabulated cumulant column: at least TABLE_MIN_POINTS numbers."""
-    vec = _vector(col, value, path)
-    if vec is not None and len(vec) < TABLE_MIN_POINTS:
-        col.error(path, f"must have at least {TABLE_MIN_POINTS} points")
-        return None
-    return vec
-
-
 class _Block:
     """A field holding a nested block, validated and built by its own table."""
 
@@ -351,10 +345,9 @@ LAWS = {
     "gamma": Kind(GammaInterarrival, {
         "shape": _positive("shape"), "rate": _positive("rate"),
     }),
-    "table": Kind(TabulatedInterarrival, {
-        "r_values": _law_table,
-        "kappa_values": lambda col, value, path, out: _vector(
-            col, value, path, length=_size(out, "r_values")),
+    "lattice": Kind(LatticeInterarrival, {
+        "values": lambda col, value, path, out: _steps(col, value, path, least=1),
+        "probs": _probs("values", "value"),
     }),
 }
 

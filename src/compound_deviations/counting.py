@@ -20,7 +20,8 @@ log Z(s) / n. A kind overrides a member only with an exact closed form:
 Poisson, iid-sum and Bernoulli keep ``finite_cgf``, and Poisson keeps
 ``mean``. Unbounded tables stop once the tail beyond is below MASS_TAIL_TOL
 relative to the mode; every table is capped at MASS_TABLE_CAP states with a
-ValidationError.
+ValidationError, judged before the table is built where its size is known.
+A tilt s that is not a finite real is a ValidationError.
 
 Kinds
 -----
@@ -30,7 +31,8 @@ Kinds
   would make N_n Poisson(n c), which is exactly PoissonCounting, so only
   finite-support steps are implemented here.)
 * PoissonCounting: N_n ~ Poisson(m(n)) with m(n) = rate * n or an integral
-  of a nonnegative intensity; the limit cumulant is rate * (e^eta - 1). It
+  of a nonnegative intensity (an integral that is negative or not finite is
+  a ValidationError); the limit cumulant is rate * (e^eta - 1). It
   is the order-1 FractionalPoissonCounting with x = m(n): it inherits the
   limit triple, the left tail and the table, and adds only the intensity
   and the closed forms of ``finite_cgf`` and ``mean``.
@@ -44,13 +46,14 @@ Kinds
   table convolves the n tilted trial laws.
 * RenewalCounting: N_n counts renewals of iid positive inter-arrival times
   with cumulant kappa by time n; the limit cumulant is -kappa^{-1}(-eta),
-  with left tail minus the end of kappa's domain (a table's last r);
-  kappa^{-1} is closed-form for gamma laws, one bracketed solve on a table.
-  For gamma inter-arrivals the law of N_n is exact, P(N_n <= k) =
-  Q((k + 1) shape, rate n); a tabulated law has no finite-n law.
+  with left tail minus the end of kappa's domain. Each law builds the exact
+  law of N_n (``count_table``) from P(N_n >= k) = P(T_k <= n): gamma laws
+  in closed form, P(N_n <= k) = Q((k + 1) shape, rate n); lattice laws on
+  finitely many positive integers by the law of T_k on 0..n, built one
+  step at a time.
 
 Importing the module loads no scipy submodule: each function imports the
-one it calls (quad, brentq, PchipInterpolator, gammaln, gammainc) when it
+one it calls (quad, brentq, gammaln, gammainc) when it
 runs. A table may first be built on one of ``montecarlo``'s block threads,
 so the first such import can run there; CPython's per-module import locks
 make that safe.
@@ -66,7 +69,7 @@ from functools import cached_property
 import numpy as np
 
 from .dualpair import check_int, finite_real, tilt_weights
-from .errors import NoRootError, UnsupportedModelError, ValidationError
+from .errors import ValidationError
 from .summands import MASS_TABLE_CAP, PROB_SUM_TOL, TOP_UNIFORM, UNIFORM_STEP, invert_cdf
 from .variational import Cumulant
 
@@ -82,10 +85,16 @@ QUAD_TOL = 1e-10
 QUAD_POINTS = (1e-12, 1e-9, 1e-6, 1e-3)
 # Mass tables are truncated once the missing tail is below this.
 MASS_TAIL_TOL = 1e-12
-# Root tolerance for inverting an inter-arrival cumulant.
-INVERT_XTOL = 1e-13
-# Fewest points of a tabulated inter-arrival cumulant.
-TABLE_MIN_POINTS = 4
+# Root tolerance for inverting a lattice cumulant, relative to the root.
+INVERT_RTOL = 4.0 * float(np.finfo(float).eps)  # the least brentq accepts
+# Largest lattice step: every integer up to 2^53 is a float.
+MAX_STEP = 2 ** 53
+
+
+def _check_states(size, what):
+    """ValidationError for a table past MASS_TABLE_CAP states, before it is built."""
+    if size > MASS_TABLE_CAP:
+        raise ValidationError(f"{what} exceeds {MASS_TABLE_CAP} states")
 
 
 def _grow_table(build, what):
@@ -149,8 +158,7 @@ def _convolve_tree(rows, what):
     level. Each level sums nonnegative products directly (no FFT), so small
     tail masses keep their relative accuracy."""
     size = rows.shape[0] * (rows.shape[1] - 1) + 1
-    if size > MASS_TABLE_CAP:
-        raise ValidationError(f"{what} exceeds {MASS_TABLE_CAP} states")
+    _check_states(size, what)
     while rows.shape[0] > 1:
         if rows.shape[0] % 2:
             rows = np.vstack([rows, np.eye(1, rows.shape[1])])
@@ -233,8 +241,10 @@ class CountingModel:
 
     def _table(self, n, s=0.0):
         """(pmf, cdf, log_z) of ``_tilted_table(n, s)``, built once per
-        (n, s) and kept, so every member reading the same law shares it."""
+        (n, s) and kept, so every member reading the same law shares it. A
+        tilt that is not a finite real is a ValidationError."""
         n = check_int(n, "n", 1)
+        s = finite_real(s, "tilt s")
         tables = self.__dict__.setdefault("_tables", {})
         if (n, s) not in tables:
             pmf, log_z = self._tilted_table(n, s)
@@ -255,8 +265,7 @@ class CountingModel:
 
     def finite_cgf(self, n, eta):
         """(1/n) log E exp(eta N_n)."""
-        n = check_int(n, "n", 1)
-        return self._table(n, float(eta))[2] / n
+        return self._table(n, eta)[2] / n
 
     def mean(self, n):
         """E[N_n]."""
@@ -276,18 +285,16 @@ class CountingModel:
 
     def tilted_count_sampler(self, n, s):
         """Sampler (rng, reps) -> counts for the law with mass ~ P(N_n = k) e^{s k}."""
-        cdf = self._table(check_int(n, "n", 1), float(s))[1]
+        cdf = self._table(n, s)[1]
         return lambda rng, reps: _draw_from_cdf(cdf, rng, reps)
 
-    def _probe_validate(self, etas=None):
-        grid = PROBE_ETAS if etas is None else np.asarray(etas)
-        values = [self.limit_cgf(float(e)) for e in grid]
+    def _probe_validate(self):
+        values = [self.limit_cgf(e) for e in PROBE_ETAS.tolist()]
         if not all(math.isfinite(v) for v in values):
             raise ValidationError(
                 f"{type(self).__name__}: limit cumulant is not finite on the probe grid"
             )
-        diffs = np.diff(values)
-        if np.any(diffs < -1e-9):
+        if np.any(np.diff(values) < -1e-9):
             raise ValidationError(
                 f"{type(self).__name__}: limit cumulant is not non-decreasing"
             )
@@ -299,15 +306,19 @@ class CountingModel:
             )
 
 
-class IidSumCounting(CountingModel):
-    """N_n = Z_1 + ... + Z_n with iid finite-support nonnegative-integer steps."""
+class _Lattice:
+    """A law on distinct integers t_i from ``least`` to MAX_STEP, sorted,
+    with probabilities p_i: the steps of ``IidSumCounting`` (least 0) and
+    of ``LatticeInterarrival`` (least 1). Its cumulant kappa(r) =
+    log sum p_i e^{r t_i} and two derivatives come from ``tilt_weights``."""
 
-    def __init__(self, values, probs):
+    def __init__(self, values, probs, least):
         vals = np.array(values)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ValidationError("step values must form a nonempty 1-d array")
-        if not np.all(vals == np.floor(vals)) or np.any(vals < 0):
-            raise ValidationError("step values must be nonnegative integers")
+        if vals.ndim != 1 or vals.size == 0 or vals.dtype.kind not in "iuf" or not (
+            np.all((vals == np.floor(vals)) & (vals >= least) & (vals <= MAX_STEP))
+        ):
+            raise ValidationError("step values must form a nonempty 1-d array of "
+                                  f"integers from {least} to 2^53")
         vals = vals.astype(np.int64)
         if np.unique(vals).size != vals.size:
             raise ValidationError("step values must be distinct")
@@ -317,29 +328,39 @@ class IidSumCounting(CountingModel):
         if not np.all(np.isfinite(p)) or np.any(p <= 0.0):
             raise ValidationError("step probabilities must be strictly positive")
         if abs(p.sum() - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(
-                f"step probabilities sum to {p.sum()!r}, not 1 within {PROB_SUM_TOL:g}"
-            )
+            raise ValidationError(f"step probabilities sum to {p.sum()!r}, "
+                                  f"not 1 within {PROB_SUM_TOL:g}")
         order = np.argsort(vals)
-        self._values = vals[order]
-        self._log_probs = np.log(p[order])
+        self._values, self._probs = vals[order], p[order]
+        self._log_probs = np.log(self._probs)
         self._values.flags.writeable = False
+
+    def _tilt(self, r):
+        """The cumulant at r and the tilted probabilities."""
+        return tilt_weights(r * self._values + self._log_probs)
+
+    def kappa(self, r):
+        return self._tilt(r)[0]
+
+    def kappa_prime(self, r):
+        return float(self._tilt(r)[1] @ self._values)
+
+    def kappa_second(self, r):
+        # Variance of the tilted law.
+        w = self._tilt(r)[1]
+        return float(w @ (self._values - float(w @ self._values)) ** 2)
+
+
+class IidSumCounting(_Lattice, CountingModel):
+    """N_n = Z_1 + ... + Z_n with iid finite-support nonnegative-integer steps."""
+
+    def __init__(self, values, probs):
+        super().__init__(values, probs, 0)
         self._probe_validate()
 
-    def _tilt(self, eta):
-        """The limit cumulant at eta and the tilted step probabilities."""
-        return tilt_weights(eta * self._values + self._log_probs)
-
-    def limit_cgf(self, eta):
-        return self._tilt(eta)[0]
-
-    def limit_cgf_deriv(self, eta):
-        return float(self._tilt(eta)[1] @ self._values)
-
-    def limit_cgf_second(self, eta):
-        # Variance of the tilted step.
-        w = self._tilt(eta)[1]
-        return float(w @ (self._values - float(w @ self._values)) ** 2)
+    limit_cgf = _Lattice.kappa
+    limit_cgf_deriv = _Lattice.kappa_prime
+    limit_cgf_second = _Lattice.kappa_second
 
     def _tail_limit(self):
         return float(self._log_probs[0]) if self._values[0] == 0 else -math.inf
@@ -350,10 +371,12 @@ class IidSumCounting(CountingModel):
         return self.limit_cgf(eta)
 
     def _tilted_table(self, n, s):
+        what, top = f"iid-sum mass table at n={n}", int(self._values[-1])
+        _check_states(n * top + 1, what)  # in Python ints, before any row
         log_z, probs = self._tilt(s)
-        step = np.zeros(int(self._values[-1]) + 1)
+        step = np.zeros(top + 1)
         step[self._values] = probs
-        pmf = _convolve_tree(np.tile(step, (n, 1)), f"iid-sum mass table at n={n}")
+        pmf = _convolve_tree(np.tile(step, (n, 1)), what)
         return pmf, n * log_z
 
 
@@ -436,7 +459,8 @@ class PoissonCounting(FractionalPoissonCounting):
                 raise ValidationError("intensity must be nonnegative and finite")
 
     def total_mass(self, n):
-        """E[N_n]: rate * n, or the cached intensity integral over [0, n]."""
+        """E[N_n]: rate * n, or the cached intensity integral over [0, n],
+        which must be finite and nonnegative (construction probes [0, 4])."""
         n = check_int(n, "n", 1)
         if self._intensity is None:
             return self._rate * n
@@ -447,6 +471,9 @@ class PoissonCounting(FractionalPoissonCounting):
                 self._intensity, 0.0, float(n),
                 epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=500,
             )
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValidationError(f"the intensity integral over [0, {n}] is "
+                                      f"{value!r}, not a finite value >= 0")
             self._mass_cache[n] = float(value)
         return self._mass_cache[n]
 
@@ -586,7 +613,8 @@ class BernoulliSumCounting(CountingModel):
 
 
 class InterarrivalLaw:
-    """Inter-arrival time description: cumulant, its derivatives and its inverse."""
+    """Inter-arrival time description: cumulant kappa, its derivatives, its
+    inverse, the end of its domain ``domain_sup`` and the count table."""
 
     domain_sup = math.inf
 
@@ -601,6 +629,10 @@ class InterarrivalLaw:
 
     def inverse(self, u):
         """kappa^{-1}(u), the root r of kappa(r) = u."""
+        raise NotImplementedError
+
+    def count_table(self, n, s):
+        """``CountingModel._tilted_table`` of the renewal count N_n."""
         raise NotImplementedError
 
 
@@ -635,6 +667,39 @@ class GammaInterarrival(InterarrivalLaw):
         # Algebraic inverse: r = rate (1 - e^{-u/shape}).
         return self.rate * -math.expm1(-u / self.shape)
 
+    def count_table(self, n, s):
+        """P(N_n >= k) = P(T_k <= n) = P(k shape, rate n), with P and
+        Q = 1 - P the regularized incomplete gammas. Masses are differences
+        of Q left of the median and of P right of it, so each keeps its
+        accuracy relative to its size wherever a tilt puts its mass. A
+        tilted table whose kept mass would reach past the float range (a
+        mass that underflows to 0 within MASS_TAIL_TOL of the peak) is a
+        ValidationError, never a silently truncated table."""
+        from scipy.special import gammainc, gammaincc
+
+        shape, x = self.shape, self.rate * n
+        what = f"renewal mass table at n={n}"
+
+        def build(size):
+            a = np.arange(size + 1) * shape
+            below, above = gammaincc(a, x), gammainc(a, x)
+            mass = np.where(below[1:] <= 0.5, np.diff(below), -np.diff(above))
+            with np.errstate(divide="ignore"):
+                log_weights = np.log(np.maximum(mass, 0.0)) + s * np.arange(size)
+            kept = np.flatnonzero(mass > 0.0)
+            table = _from_log_weights(log_weights) if kept.size else None
+            if table is None:
+                return None
+            top = float(np.max(log_weights))
+            for edge, cut in ((kept[0], kept[0] > 0), (kept[-1], kept[-1] < size - 1)):
+                if cut and log_weights[edge] - top >= math.log(MASS_TAIL_TOL):
+                    raise ValidationError(
+                        f"{what} at tilt s={s} needs masses below the float range"
+                    )
+            return table
+
+        return _grow_table(build, what)
+
 
 class ExponentialInterarrival(GammaInterarrival):
     """Exponential(rate) inter-arrivals: the shape-1 gamma law,
@@ -644,71 +709,68 @@ class ExponentialInterarrival(GammaInterarrival):
         super().__init__(1.0, rate)
 
 
-class TabulatedInterarrival(InterarrivalLaw):
-    """Inter-arrival cumulant given by a monotone table, PCHIP-interpolated.
+class LatticeInterarrival(_Lattice, InterarrivalLaw):
+    """Inter-arrival times on distinct positive integers t_i with
+    probabilities p_i: kappa(r) = log sum p_i e^{r t_i}, finite for every r,
+    so ``domain_sup`` is +inf and L_N(-inf) = -inf."""
 
-    The table must be strictly increasing and bracket r = 0 with
-    kappa(0) = 0. Only quantities inside the tabulated range are computable,
-    so the domain ends at the table's last entry, and the law of N_n, hence
-    sampling, is unavailable.
-    """
-
-    def __init__(self, r_values, kappa_values):
-        from scipy.interpolate import PchipInterpolator
-
-        r = np.array(r_values, dtype=float)
-        k = np.array(kappa_values, dtype=float)
-        if r.ndim != 1 or r.size < TABLE_MIN_POINTS or r.shape != k.shape:
-            raise ValidationError(
-                f"need matching 1-d tables with at least {TABLE_MIN_POINTS} points"
-            )
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(k))):
-            raise ValidationError("tables must be finite")
-        if np.any(np.diff(r) <= 0) or np.any(np.diff(k) <= 0):
-            raise ValidationError(
-                "tabulated cumulant must be strictly increasing"
-            )
-        if not (r[0] < 0.0 < r[-1]):
-            raise ValidationError("table must bracket r = 0")
-        self._interp = PchipInterpolator(r, k)
-        if abs(float(self._interp(0.0))) > 1e-10:
-            raise ValidationError(
-                "tabulated cumulant must vanish at r = 0"
-            )
-        self.domain_inf = float(r[0])
-        self.domain_sup = float(r[-1])
-        self.kappa_range = (float(self._interp(r[0])), float(self._interp(r[-1])))
-        self._d1 = self._interp.derivative(1)
-        self._d2 = self._interp.derivative(2)
-
-    def kappa(self, r):
-        if r < self.domain_inf or r > self.domain_sup:
-            raise ValidationError(
-                f"r={r} outside the tabulated range "
-                f"[{self.domain_inf}, {self.domain_sup}]"
-            )
-        return float(self._interp(r))
-
-    def kappa_prime(self, r):
-        return float(self._d1(r))
-
-    def kappa_second(self, r):
-        return float(self._d2(r))
+    def __init__(self, values, probs):
+        super().__init__(values, probs, 1)
 
     def inverse(self, u):
-        """The root of kappa(r) = u by one bracketed solve on the table's
-        range; NoRootError for a finite u beyond ``kappa_range``, the kappa
-        values at the table's ends, and ValidationError for a non-finite u."""
+        """kappa lies between r t_min and r t_max, so the root lies between
+        u / t_max and u / t_min: one bracketed solve, or u / t for a single
+        atom. An end where kappa meets u in floats is the root."""
         from scipy.optimize import brentq
 
         u = finite_real(u, "target value")
-        if u == 0.0:
-            return 0.0
-        lo, hi = self.kappa_range
-        if not lo <= u <= hi:
-            raise NoRootError(f"u={u!r} is outside the tabulated kappa range [{lo}, {hi}]")
-        return float(brentq(lambda r: self.kappa(r) - u, self.domain_inf,
-                            self.domain_sup, xtol=INVERT_XTOL, rtol=1e-15, maxiter=200))
+        lo, hi = sorted((u / int(self._values[-1]), u / int(self._values[0])))
+        if lo == hi or self.kappa(lo) >= u:
+            return lo
+        if self.kappa(hi) <= u:
+            return hi
+        return float(brentq(lambda r: self.kappa(r) - u, lo, hi, xtol=math.ulp(0.0),
+                            rtol=INVERT_RTOL))
+
+    def count_table(self, n, s):
+        """P(N_n = k) = sum over v <= n of P(T_k = v) P(X > n - v), nonnegative
+        terms, for k up to K = n // t_min. The law of T_k on 0..n is built
+        one step at a time over the (k, v) grid, capped at MASS_TABLE_CAP
+        states; each step renormalises it and carries the log of its scale.
+        A step with products p_i P(T_k = v) below the normal floats drops at
+        most (n + 1) m 2^-1074 of its scale (m atoms); a tilt that weighs that
+        up to MASS_TAIL_TOL of the table's total is a ValidationError, never
+        a silently truncated table."""
+        steps = list(zip(self._values.tolist(), self._probs.tolist()))
+        top, what = n // steps[0][0], f"lattice renewal table at n={n}"
+        _check_states((top + 1) * (n + 1), what)
+        # tail[v] = P(X > n - v), nonzero for v > n - t_max.
+        tail = np.zeros(n + 1)
+        for t, p in steps:
+            tail[max(n - t + 1, 0):] += p
+        normal = np.finfo(float).tiny / float(self._probs.min())
+        law, log_scale, lossy = np.eye(1, n + 1)[0], 0.0, None
+        masses, log_scales = np.zeros(top + 1), np.full(top + 1, -math.inf)
+        for k in range(top + 1):  # T_{K+1} > n, so the last step ends the loop
+            masses[k], log_scales[k] = law @ tail, log_scale
+            if lossy is None and law[law > 0.0].min() < normal:
+                lossy = k
+            step = np.zeros(n + 1)
+            for t, p in steps:
+                step[t:] += p * law[:max(n + 1 - t, 0)]
+            if (total := step.sum()) == 0.0:
+                break
+            law, log_scale = step / total, log_scale + math.log(total)
+        with np.errstate(divide="ignore"):
+            log_z, pmf = tilt_weights(log_scales + np.log(masses) + s * np.arange(top + 1))
+        # Scales are at most 1, and lossy steps feed only the counts past the
+        # first of them, each weighed up by at most e^{s j}.
+        dropped = math.log((n + 1) * len(steps) * (top + 1) * 2.0 ** -1074 / MASS_TAIL_TOL)
+        if lossy is not None and max(s * (lossy + 1), s * top) + dropped >= log_z:
+            raise ValidationError(
+                f"{what} at tilt s={s} needs masses below the float range"
+            )
+        return pmf, log_z
 
 
 class RenewalCounting(CountingModel):
@@ -716,27 +778,14 @@ class RenewalCounting(CountingModel):
 
     The limit cumulant is -kappa^{-1}(-eta) where kappa is the inter-arrival
     cumulant; it exists because kappa is increasing with kappa(-inf) = -inf.
-    For gamma inter-arrivals (exponential is the shape-1 case) the law of
-    N_n is exact: {N_n >= k} = {T_k <= n} with T_k ~ Gamma(k shape, rate),
-    and its tilted tables give every finite-n member, tilted sampling
-    included. Tabulated laws have no finite-n law.
+    Each law builds the exact tilted tables of N_n (``count_table``).
     """
 
     def __init__(self, law):
         if not isinstance(law, InterarrivalLaw):
             raise ValidationError("law must be an InterarrivalLaw")
         self._law = law
-        probe = PROBE_ETAS
-        if isinstance(law, TabulatedInterarrival):
-            low, high = law.kappa_range
-            lo, hi = max(-high, -10.0), min(-low, 5.0)
-            if lo >= hi:
-                raise ValidationError(
-                    "tabulated inter-arrival cumulant covers too narrow a range "
-                    "to validate the limit cumulant"
-                )
-            probe = np.linspace(lo, hi, 31)
-        self._probe_validate(etas=probe)
+        self._probe_validate()
 
     @property
     def law(self):
@@ -761,39 +810,4 @@ class RenewalCounting(CountingModel):
         return -self._law.domain_sup
 
     def _tilted_table(self, n, s):
-        """For gamma inter-arrivals P(N_n >= k) = P(T_k <= n) = P(k shape,
-        rate n), with P and Q = 1 - P the regularized incomplete gammas.
-        Masses are differences of Q left of the median and of P right of it,
-        so each keeps its accuracy relative to its size wherever a tilt puts
-        its mass. A tilted table whose kept mass would reach past the float
-        range (a mass that underflows to 0 within MASS_TAIL_TOL of the peak)
-        is a ValidationError, never a silently truncated table."""
-        from scipy.special import gammainc, gammaincc
-
-        if not isinstance(self._law, GammaInterarrival):
-            raise UnsupportedModelError(
-                f"renewal counts of a {type(self._law).__name__} law have no "
-                "exact mass table to sample from"
-            )
-        shape, x = self._law.shape, self._law.rate * n
-        what = f"renewal mass table at n={n}"
-
-        def build(size):
-            a = np.arange(size + 1) * shape
-            below, above = gammaincc(a, x), gammainc(a, x)
-            mass = np.where(below[1:] <= 0.5, np.diff(below), -np.diff(above))
-            with np.errstate(divide="ignore"):
-                log_weights = np.log(np.maximum(mass, 0.0)) + s * np.arange(size)
-            kept = np.flatnonzero(mass > 0.0)
-            table = _from_log_weights(log_weights) if kept.size else None
-            if table is None:
-                return None
-            top = float(np.max(log_weights))
-            for edge, cut in ((kept[0], kept[0] > 0), (kept[-1], kept[-1] < size - 1)):
-                if cut and log_weights[edge] - top >= math.log(MASS_TAIL_TOL):
-                    raise ValidationError(
-                        f"{what} at tilt s={s} needs masses below the float range"
-                    )
-            return table
-
-        return _grow_table(build, what)
+        return self._law.count_table(n, s)

@@ -21,12 +21,8 @@ class ValidationError(CompoundDeviationsError):
 
 
 class UnsupportedModelError(CompoundDeviationsError):
-    """The requested operation has no implementation for this model kind."""
-
-
-class NoRootError(CompoundDeviationsError):
-    """An equation has no root in its domain, such as a target beyond a
-    tabulated cumulant's range."""
+    """The requested operation has no implementation for this model kind:
+    exact enumeration needs finite-support summands."""
 
 
 class InconclusiveOptimizationError(CompoundDeviationsError):

@@ -348,9 +348,8 @@ def estimate_event_prob(
     The tilted estimator draws from the conjugate count family at
     s = eta + summand cgf(theta) and from the tilted summand law, then
     unwinds with the exact finite-n weight
-    exp(n K_n(s) - <theta, sums> - eta counts). Every counting kind that
-    has a finite-n law can be tilted. Weights beyond exp(700) raise instead
-    of clipping.
+    exp(n K_n(s) - <theta, sums> - eta counts). Every counting kind can be
+    tilted. Weights beyond exp(700) raise instead of clipping.
     """
     _check_method(method)
     reps = DEFAULT_REPS[method] if reps is None else check_int(reps, "reps", 1)

@@ -56,7 +56,6 @@ from .dualpair import _dot_rows, as_vector, finite_real
 from .errors import (
     DimensionMismatchError,
     InconclusiveOptimizationError,
-    NoRootError,
     ValidationError,
 )
 
@@ -82,7 +81,7 @@ CONVEXITY_SEGMENTS = 6
 CONVEXITY_RADIUS = 1.5
 CONVEXITY_SLACK = 1e-8
 # Evaluation failures that mark a point as outside the function's domain.
-_DOMAIN_ERRORS = (OverflowError, ValidationError, NoRootError)
+_DOMAIN_ERRORS = (OverflowError, ValidationError)
 
 
 @dataclass(frozen=True)

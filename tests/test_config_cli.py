@@ -107,6 +107,10 @@ COUNTING_BLOCKS = {
                 "law": {"kind": "gamma", "shape": 2.0, "rate": 1.0}},
 }
 
+# Renewals of inter-arrivals 1 or 2, each with probability 1/2.
+LATTICE_RENEWAL = {"kind": "renewal",
+                   "law": {"kind": "lattice", "values": [1, 2], "probs": [0.5, 0.5]}}
+
 # Flat summand blocks and grid blocks with the same values on two sites.
 GRID_PAIRS = {
     "gaussian": (
@@ -247,16 +251,20 @@ class TestNormalizeConfig:
         assert "counting: required key is missing" in joined
 
     @pytest.mark.parametrize("counting, message", [
-        ({"kind": "renewal", "law": {"kind": "table", "r_values": [-1.0, 0.0, 1.0],
-                                     "kappa_values": [-1.0, 0.0, 1.0]}},
-         "counting.law.r_values: must have at least 4 points"),
-        ({"kind": "renewal", "law": {"kind": "table",
-                                     "r_values": [-1.0, 0.0, 1.0, 2.0],
-                                     "kappa_values": [-1.0, 0.0, 1.0]}},
-         "counting.law.kappa_values: must have length 4, got 3"),
+        ({"kind": "renewal", "law": {"kind": "lattice", "values": [0, 1],
+                                     "probs": [0.5, 0.5]}},
+         "counting.law.values: must be a nonempty list of integers "
+         "(domain: 1 ≤ values ≤ 2^53)"),
+        ({"kind": "renewal", "law": {"kind": "lattice", "values": [1, 2, 3],
+                                     "probs": [0.5, 0.5]}},
+         "counting.law.probs: must have one entry per value"),
         ({"kind": "iid_sum", "values": [0, 1, 1], "probs": [0.3, 0.3, 0.4]},
          "counting.values: step values must be distinct"),
-    ], ids=["short-table", "table-lengths", "repeated-steps"])
+        ({"kind": "iid_sum", "values": [0, 2 ** 53 + 1], "probs": [0.5, 0.5]},
+         "counting.values: must be a nonempty list of integers "
+         "(domain: 0 ≤ values ≤ 2^53)"),
+    ], ids=["lattice-zero-step", "lattice-lengths", "repeated-steps",
+            "step-past-2^53"])
     def test_builder_rules_are_field_checks(self, counting, message):
         # Caught in the one validation pass, with a key path, rather than by
         # the model builder after it.
@@ -898,32 +906,34 @@ class TestCli:
         assert err_lines[0].startswith(f"error: {key}: must be ")
         assert "finite number" in err_lines[0]
 
-    def test_tabulated_renewal_rate_eval(self, tmp_path, capsys):
-        # Exp(1) cumulant tabulated on [-3, 0.9]; the count cumulant's left
-        # tail is minus the table's last r.
-        rs = [-3.0 + 0.25 * i for i in range(12)] + [0.1 * i for i in range(10)]
-        path = write_json(tmp_path / "table.json", {
-            "summand": ldp_raw()["summand"],
-            "counting": {"kind": "renewal", "law": {
-                "kind": "table", "r_values": rs,
-                "kappa_values": [-math.log1p(-r) for r in rs]}},
-            "experiment": {"kind": "rate-eval", "x_values": [-0.5, 0.0, 0.5],
-                           "y_values": [0.5, 1.0, 1.5]},
+    def test_lattice_renewal_ldp_check(self, tmp_path, capsys):
+        # N(0.2, 1) summands over renewals of inter-arrivals 1 or 2: the
+        # tilted decay fit of P(S/n >= 0.5) lands within the band of the
+        # rate infimum.
+        path = write_json(tmp_path / "ldp.json", {
+            "summand": {"kind": "gaussian", "mean": [0.2], "cov": [[1.0]]},
+            "counting": LATTICE_RENEWAL,
+            "experiment": {"kind": "ldp-check", "ns": [50, 100, 200], "seed": 5,
+                           "event": {"mode": "sum", "level": 0.5,
+                                     "direction": [1]}},
         })
-        assert cli.main(["rate-eval", "--config", path, "--out",
+        assert cli.main(["ldp-check", "--config", path, "--out",
                          str(tmp_path / "out")]) == 0
         capsys.readouterr()
-        lines = (tmp_path / "out" / "rate_eval.csv").read_text().splitlines()
-        rows = [line.split(",") for line in lines if not line.startswith("#")]
-        assert rows[0][-2:] == ["md_centered_summands", "md_centered_sum"]
-        assert len(rows) == 10
-        assert all(math.isfinite(float(cell)) for row in rows[1:]
-                   for cell in row[-2:])
+        summary = json.loads(
+            (tmp_path / "out" / "ldp_check_summary.json").read_text())
+        band = summary["bands"][0]
+        assert band["pass"]
+        np.testing.assert_allclose(band["value"], 0.10267, rtol=1e-4)
+        np.testing.assert_allclose(band["reference"], 0.098390, rtol=1e-5)
 
-    def test_renewal_clt_check_is_worker_invariant(self, tmp_path, capsys):
+    @pytest.mark.parametrize("counting", ["renewal", "renewal-lattice"])
+    def test_renewal_clt_check_is_worker_invariant(self, tmp_path, capsys,
+                                                   counting):
         path = write_json(tmp_path / "clt.json", {
             "summand": {"kind": "gaussian", "mean": [0.2], "cov": [[1.0]]},
-            "counting": COUNTING_BLOCKS["renewal"],
+            "counting": {"renewal": COUNTING_BLOCKS["renewal"],
+                         "renewal-lattice": LATTICE_RENEWAL}[counting],
             "experiment": {"kind": "clt-check", "n": 200, "reps": 20_000,
                            "v": [1.0], "seed": 17},
         })
@@ -934,25 +944,6 @@ class TestCli:
         capsys.readouterr()
         assert (tmp_path / "w1" / "clt_check.csv").read_bytes() == (
             tmp_path / "w2" / "clt_check.csv").read_bytes()
-
-    def test_tabulated_renewal_clt_check_is_unsupported(self, tmp_path,
-                                                        capsys):
-        rs = [-3.0 + 0.25 * i for i in range(12)] + [0.1 * i for i in range(10)]
-        path = write_json(tmp_path / "clt.json", {
-            "summand": {"kind": "gaussian", "mean": [0.2], "cov": [[1.0]]},
-            "counting": {"kind": "renewal", "law": {
-                "kind": "table", "r_values": rs,
-                "kappa_values": [-math.log1p(-r) for r in rs]}},
-            "experiment": {"kind": "clt-check", "n": 50, "reps": 100,
-                           "v": [1.0], "seed": 3},
-        })
-        assert cli.main(["clt-check", "--config", path, "--out",
-                         str(tmp_path / "out")]) == 2
-        err_lines = capsys.readouterr().err.strip().splitlines()
-        assert len(err_lines) == 1
-        assert err_lines[0].startswith(
-            "error [compound_deviations.errors.UnsupportedModelError]: "
-        )
 
     def test_internal_error_exits_3_with_one_line(self, tmp_path,
                                                   monkeypatch, capsys):

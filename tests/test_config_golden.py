@@ -9,6 +9,10 @@ Every CSV header carries the config hash, so the pins also hold the table
 headers fixed. The pinned hashes were computed before the config blocks
 moved to kind tables.
 
+Every minimal counting block, one per counting kind and inter-arrival law,
+also builds its exact finite-n law at n = 50: a pmf summing to one, the
+finite-n cumulant that the pmf gives, and a tilted sampler.
+
 The three ``ldp-tilted`` configs also run end to end, and the sha256 of
 each table's lines below its ``#`` metadata is pinned. The digests were
 computed while events still had a sum and a count mode, so they hold the
@@ -17,11 +21,15 @@ route from config spelling to face byte for byte.
 
 import hashlib
 import importlib.util
+import math
 import pathlib
 
+import numpy as np
 import pytest
 
 from compound_deviations.config import (
+    COUNTING,
+    LAWS,
     build_models,
     config_hash,
     normalize_config,
@@ -73,10 +81,8 @@ COUNTING_BLOCKS = {
                             "law": {"kind": "exponential", "rate": 1}},
     "renewal-gamma": {"kind": "renewal",
                       "law": {"kind": "gamma", "shape": 2.0, "rate": 1.0}},
-    "renewal-table": {"kind": "renewal", "law": {
-        "kind": "table", "r_values": [-1.0, -0.5, 0.0, 0.5],
-        "kappa_values": [-0.6931471805599453, -0.4054651081081644, 0.0,
-                         0.6931471805599453]}},
+    "renewal-lattice": {"kind": "renewal", "law": {
+        "kind": "lattice", "values": [1, 2], "probs": [0.5, 0.5]}},
 }
 
 EXPERIMENT_BLOCKS = {
@@ -145,9 +151,9 @@ GOLDEN = {
     "counting/renewal-gamma": (
         "d4db336c3cc14671ac9bd703855959c2b9b0f5ff06a2a4198a95d387efb043df",
         "FiniteSupportSummands", "RenewalCounting", "GammaInterarrival"),
-    "counting/renewal-table": (
-        "1fb8ef3a2eba9759a5fda629e4b00ff301d186682fbee2efe6f38eaa61e1d7c0",
-        "FiniteSupportSummands", "RenewalCounting", "TabulatedInterarrival"),
+    "counting/renewal-lattice": (
+        "a057026a8d9bbc8e7b15441b266bdce2e36a747b06dbddb27b9208ae2ef00a37",
+        "FiniteSupportSummands", "RenewalCounting", "LatticeInterarrival"),
     "experiment/clt-check": (
         "3a950f5279f3f8107f3da4427fcc3f5a2d70100d33a70f408f29a39a80bde5ec",
         "FiniteSupportSummands", "PoissonCounting", None),
@@ -255,6 +261,30 @@ def test_resolved_config_hash_and_models_are_pinned(label):
         assert built == classes
     else:
         assert classes == [None, None, None]
+
+
+def test_counting_blocks_cover_every_kind_and_law():
+    assert {block["kind"] for block in COUNTING_BLOCKS.values()} == set(COUNTING)
+    assert {block["law"]["kind"] for block in COUNTING_BLOCKS.values()
+            if block["kind"] == "renewal"} == set(LAWS)
+
+
+@pytest.mark.parametrize("kind", sorted(COUNTING_BLOCKS))
+def test_every_counting_block_has_an_exact_finite_n_law(kind):
+    # Each counting block and inter-arrival law builds a count table at
+    # n = 50: a pmf summing to 1, the cumulant finite_cgf read off it, and
+    # a tilted sampler. A kind or law added without a table fails here.
+    config = normalize_config({"summand": PM, "counting": COUNTING_BLOCKS[kind],
+                               "experiment": RATE_EVAL})
+    mn = build_models(config)[1]
+    pmf = mn.exact_pmf(50)
+    assert abs(math.fsum(pmf) - 1.0) <= 1e-12
+    k = np.arange(pmf.size)
+    for eta in (-0.3, 0.3):
+        expected = math.log(math.fsum(pmf * np.exp(eta * k))) / 50
+        assert math.isclose(mn.finite_cgf(50, eta), expected, rel_tol=1e-7)
+    draws = mn.tilted_count_sampler(50, 0.3)(np.random.default_rng(1), 100)
+    assert draws.shape == (100,) and draws.min() >= 0
 
 
 # sha256 of the lines of each ldp-tilted table that are not '#' metadata,

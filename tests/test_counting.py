@@ -5,10 +5,12 @@ derivative records against central finite differences of the limiting cgf;
 the fractional mean against an extended-precision series oracle; the
 renewal inverse against an independent bisection; the gamma-law renewal
 mass table against Poisson laws, renewal-theory moments and walked
-partial sums of gamma draws.
+partial sums of gamma draws; the lattice-law renewal table against a walk
+over every sequence of inter-arrivals.
 """
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -27,15 +29,11 @@ from compound_deviations.counting import (
     FractionalPoissonCounting,
     GammaInterarrival,
     IidSumCounting,
+    LatticeInterarrival,
     PoissonCounting,
     RenewalCounting,
-    TabulatedInterarrival,
 )
-from compound_deviations.errors import (
-    NoRootError,
-    UnsupportedModelError,
-    ValidationError,
-)
+from compound_deviations.errors import ValidationError
 
 ETA_GRID = np.linspace(-5.0, 5.0, 41)
 
@@ -450,12 +448,9 @@ def bisect_root(kappa, u, lo, hi):
     return (lo + hi) / 2.0
 
 
-def narrow_table():
-    """A tabulated cumulant on [-0.5, 0.4], kappa ranging over [-0.6, 0.6]."""
-    return TabulatedInterarrival(
-        [-0.5, -0.2, 0.0, 0.2, 0.4],
-        [-0.6, -0.22, 0.0, 0.25, 0.6],
-    )
+def lattice_law():
+    """Inter-arrivals 2, 3 or 7: kappa(r) lies between 2r and 7r."""
+    return LatticeInterarrival([2, 3, 7], [0.2, 0.5, 0.3])
 
 
 class TestInterarrivalInversion:
@@ -466,7 +461,7 @@ class TestInterarrivalInversion:
 
     def test_zero_maps_to_zero(self):
         assert GammaInterarrival(2.0, 3.0).inverse(0.0) == 0.0
-        assert narrow_table().inverse(0.0) == 0.0
+        assert lattice_law().inverse(0.0) == 0.0
 
     def test_gamma_closed_form_matches_bisection(self):
         for law in (GammaInterarrival(1.5, 2.0), GammaInterarrival(2.0, 3.0)):
@@ -490,64 +485,113 @@ class TestInterarrivalInversion:
         for u in (-3.0, -0.5, 0.2, 0.6):
             assert_allclose(law.kappa(law.inverse(u)), u, atol=1e-10)
 
-    def test_table_round_trip_matches_bisection(self):
-        law = narrow_table()
-        for u in np.linspace(-0.59, 0.59, 13):
-            r = law.inverse(float(u))
-            assert_allclose(r, bisect_root(law.kappa, u, law.domain_inf,
-                                           law.domain_sup), atol=1e-12, rtol=0)
-            assert_allclose(law.kappa(r), u, atol=1e-12, rtol=0)
+    @pytest.mark.parametrize("u", [-300.0, -3.0, -1e-6, -1e-17, 1e-17, 1e-6, 0.2,
+                                   5.0, 300.0])
+    def test_lattice_inverse_matches_bisection(self, u):
+        # The root lies between u / 7 and u / 2. At |u| = 1e-17, kappa's
+        # rounding (about 1e-16) meets u at an end of the bracket already.
+        law = lattice_law()
+        r = law.inverse(u)
+        assert_allclose(r, bisect_root(law.kappa, u, -abs(u), abs(u)),
+                        rtol=1e-13, atol=1e-15)
+        assert_allclose(law.kappa(r), u, rtol=1e-13, atol=1e-15)
 
-    def test_table_ends_are_roots(self):
-        # kappa(r_0) and kappa(r_last) are in the range, with roots at the
-        # table's own ends.
-        law = narrow_table()
-        assert law.kappa_range == (law.kappa(-0.5), law.kappa(0.4))
-        assert law.inverse(law.kappa(-0.5)) == -0.5
-        assert law.inverse(law.kappa(0.4)) == 0.4
-
-    @pytest.mark.parametrize("u", [-5.0, -0.6 - 1e-9, 0.6 + 1e-9, 5.0])
-    def test_targets_beyond_the_table_raise_at_once(self, u, monkeypatch):
+    def test_single_atom_inverse_is_a_division(self, monkeypatch):
         import scipy.optimize
 
         def no_search(*args, **kwargs):
-            raise AssertionError("a target beyond the table reached the root search")
+            raise AssertionError("a single atom reached the root search")
 
         monkeypatch.setattr(scipy.optimize, "brentq", no_search)
-        with pytest.raises(NoRootError):
-            narrow_table().inverse(u)
+        law = LatticeInterarrival([3], [1.0])
+        for u in (-5.0, 0.0, 0.7, 12.0):
+            assert law.inverse(u) == u / 3
 
     @pytest.mark.parametrize("u", [math.nan, -math.inf, math.inf])
     def test_non_finite_targets_are_invalid(self, u):
         with pytest.raises(ValidationError, match="target value must be"):
-            narrow_table().inverse(u)
+            lattice_law().inverse(u)
 
 
-class TestTabulatedInterarrival:
-    def test_interpolates_and_differentiates(self):
-        base = ExponentialInterarrival(1.0)
-        rs = np.linspace(-3.0, 0.9, 40)  # step 0.1, so r = 0 is a table site
-        law = TabulatedInterarrival(rs, [base.kappa(float(r)) for r in rs])
-        for r in (-1.0, 0.3, 0.5):
-            assert_allclose(law.kappa(r), base.kappa(r), atol=2e-5)
-            # Monotone-cubic derivatives carry percent-level error at this
-            # table spacing; only the magnitude is being checked.
-            assert_allclose(law.kappa_prime(r), base.kappa_prime(r), rtol=0.01)
+def brute_force_counts(values, probs, n):
+    """P(N_n = k) by walking every sequence of inter-arrivals until it
+    passes n: an oracle independent of the recursion over T_k."""
+    pmf = [0.0] * (n + 1)
 
-    def test_requires_kappa_zero_at_zero(self):
-        with pytest.raises(ValidationError):
-            TabulatedInterarrival([-1.0, 0.0, 1.0, 2.0], [-1.0, 0.5, 1.0, 2.0])
+    def walk(time, k, prob):
+        for t, p in zip(values, probs):
+            if time + t > n:
+                pmf[k] += prob * p
+            else:
+                walk(time + t, k + 1, prob * p)
 
-    def test_requires_bracketing_zero(self):
-        with pytest.raises(ValidationError):
-            TabulatedInterarrival([0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.3, 0.4])
+    walk(0, 0, 1.0)
+    return np.array(pmf)
 
-    def test_outside_range_raises(self):
-        law = TabulatedInterarrival(
-            [-1.0, 0.0, 0.5, 1.0], [-0.8, 0.0, 0.6, 1.5]
-        )
-        with pytest.raises(ValidationError):
-            law.kappa(2.0)
+
+class TestLatticeInterarrival:
+    """Renewal counts of inter-arrivals on finitely many positive integers."""
+
+    @pytest.mark.parametrize("values, probs", [
+        ([1, 2], [0.5, 0.5]), ([2, 3, 7], [0.2, 0.5, 0.3]), ([3], [1.0]),
+    ], ids=["one-two", "two-three-seven", "single-atom"])
+    @pytest.mark.parametrize("n", [1, 2, 4, 7, 12])
+    def test_exact_pmf_equals_brute_force(self, values, probs, n):
+        # At n = 4 the step of 7 overshoots the table by less than its size.
+        pmf = RenewalCounting(LatticeInterarrival(values, probs)).exact_pmf(n)
+        expected = brute_force_counts(values, probs, n)
+        assert pmf.size <= n + 1 and not expected[pmf.size:].any()
+        assert_allclose(pmf, expected[:pmf.size], rtol=0.0, atol=1.2e-16)
+
+    def test_derivatives_and_the_renewal_constant(self):
+        # d1 = 1 / E T and d2 = Var T / (E T)^3; E N_n - n d1 tends to the
+        # lattice renewal constant (E T^2 + E T) / (2 (E T)^2) - 1.
+        for law, constant in ((LatticeInterarrival([1, 2], [0.5, 0.5]), -1.0 / 9.0),
+                              (lattice_law(), -0.25)):
+            mn = RenewalCounting(law)
+            d = mn.derivs_at_zero()
+            mean_t = float(law._probs @ law._values)
+            var_t = float(law._probs @ law._values ** 2) - mean_t ** 2
+            assert_allclose(d.mean_rate, 1.0 / mean_t, rtol=1e-14)
+            assert_allclose(d.variance_rate, var_t / mean_t ** 3, rtol=1e-12)
+            assert d.cgf_at_minus_inf == -math.inf
+            for n in (200, 800):
+                assert_allclose(mn.mean(n) - n * d.mean_rate, constant, atol=1e-12)
+
+    def test_finite_cumulant_gap_shrinks_like_one_over_n(self):
+        mn = RenewalCounting(LatticeInterarrival([1, 2], [0.5, 0.5]))
+        gaps = [mn.finite_cgf(n, 0.5) - mn.limit_cgf(0.5) for n in (50, 200, 800)]
+        assert_allclose(gaps, [-8.71e-4, -2.18e-4, -5.44e-5], rtol=2e-3)
+
+    def test_single_atom_counts_are_sure(self):
+        mn = RenewalCounting(LatticeInterarrival([3], [1.0]))
+        assert mn.exact_pmf(10).tolist() == [0.0, 0.0, 0.0, 1.0]
+        assert mn.limit_cgf(0.6) == 0.6 / 3
+        assert mn.derivs_at_zero().variance_rate == 0.0
+
+    @pytest.mark.parametrize("values", [
+        [0, 1], [-1, 2], [1.5, 2], [1, 1], [2 ** 53 + 2], [1e20], [math.inf],
+    ], ids=["zero", "negative", "fraction", "repeated", "past-2^53", "1e20", "inf"])
+    def test_rejects_steps_that_are_not_distinct_positive_integers(self, values):
+        with pytest.raises(ValidationError, match="step values must"):
+            LatticeInterarrival(values, [1.0 / len(values)] * len(values))
+
+    def test_tilt_past_the_float_range_is_typed(self):
+        # At n = 2000 the all-ones path to N_n = 2000 leaves the normal
+        # floats inside the law of T_k, yet s = 5 weighs it up to 5e-12 of
+        # the tilted total; a milder tilt keeps the table.
+        mn = RenewalCounting(LatticeInterarrival([1, 2], [0.5, 0.5]))
+        with pytest.raises(ValidationError, match="below the float range"):
+            mn.tilted_count_sampler(2000, 5.0)
+        assert_allclose(mn.finite_cgf(2000, 1.0), mn.limit_cgf(1.0), rtol=1e-4)
+
+    def test_table_cap_counts_the_recursion_grid(self, monkeypatch):
+        # The recursion visits (n // t_min + 1) (n + 1) states: 100 at n = 9.
+        monkeypatch.setattr(counting, "MASS_TABLE_CAP", 100)
+        mn = RenewalCounting(LatticeInterarrival([1, 2], [0.5, 0.5]))
+        assert mn.exact_pmf(9).size == 10
+        with pytest.raises(ValidationError, match="exceeds 100 states"):
+            mn.exact_pmf(10)
 
 
 class TestRenewalModel:
@@ -567,11 +611,10 @@ class TestRenewalModel:
 
     def test_tail_limit_is_negative_domain_edge(self):
         # Interarrival cgf domain ends at rate; counts cannot vanish faster
-        # than e^{-rate n}. A table's domain ends at its last entry: here the
-        # Exp(1) cumulant tabulated on [-3, 0.9].
-        rs = [-3.0 + 0.25 * i for i in range(12)] + [0.1 * i for i in range(10)]
-        table = TabulatedInterarrival(rs, [-math.log1p(-r) for r in rs])
-        for law, edge in ((ExponentialInterarrival(2.0), 2.0), (table, 0.9)):
+        # than e^{-rate n}. A lattice cumulant is finite everywhere: N_n = 0
+        # is impossible once n reaches the largest inter-arrival.
+        for law, edge in ((ExponentialInterarrival(2.0), 2.0),
+                          (lattice_law(), math.inf)):
             mn = RenewalCounting(law)
             assert_allclose(float(mn.derivs_at_zero().cgf_at_minus_inf),
                             -edge, rtol=1e-9)
@@ -657,19 +700,6 @@ class TestRenewalMassTable:
                             (1.0 - shape) / (2.0 * shape), atol=1e-6)
             assert abs(mn.var(n) - n * d.variance_rate) <= 2.0
 
-    def test_tabulated_law_has_no_table(self):
-        rs = [-3.0 + 0.25 * i for i in range(12)] + [0.1 * i for i in range(10)]
-        mn = RenewalCounting(TabulatedInterarrival(rs, [-math.log1p(-r) for r in rs]))
-        for call in (mn.mean, mn.var, mn.exact_pmf):
-            with pytest.raises(UnsupportedModelError):
-                call(10)
-        with pytest.raises(UnsupportedModelError):
-            mn.sample_batch(10, np.random.default_rng(1), 5)
-        with pytest.raises(UnsupportedModelError):
-            mn.finite_cgf(10, 0.5)
-        with pytest.raises(UnsupportedModelError):
-            mn.tilted_count_sampler(10, 0.5)
-
 
 # One model of each kind, for the checks of the one table route.
 KINDS = {
@@ -678,6 +708,7 @@ KINDS = {
     "bernoulli-runs": BernoulliSumCounting.runs(2.0, 1.0),
     "fractional": FractionalPoissonCounting(0.6, 1.0),
     "renewal": RenewalCounting(GammaInterarrival(0.5, 3.0)),
+    "renewal-lattice": RenewalCounting(lattice_law()),
 }
 
 # Kinds that override a table member with a closed form.
@@ -699,6 +730,7 @@ TOP_UNIFORM_KINDS = {
     "bernoulli": (BernoulliSumCounting(p=0.5), 100),
     "bernoulli-runs": (BernoulliSumCounting.runs(1.0, 1.0), 400),
     "renewal": (RenewalCounting(GammaInterarrival(2.0, 1.0)), 100),
+    "renewal-lattice": (RenewalCounting(lattice_law()), 100),
 }
 
 
@@ -979,6 +1011,23 @@ class TestValidation:
             IidSumCounting([0.5, 1.0], [0.5, 0.5])
 
     @pytest.mark.parametrize("build", [
+        lambda: IidSumCounting([0, 10 ** 5], [0.5, 0.5]).exact_pmf(100),
+        lambda: IidSumCounting([0, 2 ** 62], [0.5, 0.5]),
+        lambda: IidSumCounting([1e20], [1.0]),
+    ], ids=["past-the-cap", "2^62", "1e20"])
+    def test_iid_sum_table_is_judged_before_it_is_built(self, build):
+        # A table of 10^7 + 1 states is refused before its rows are tiled
+        # (80.8 MB), and steps past 2^53 before any cast.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="exceeds|step values must"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("build", [
         lambda: GammaInterarrival(None, 1.0),
         lambda: GammaInterarrival("2", 1.0),
         lambda: GammaInterarrival(2.0, math.inf),
@@ -999,9 +1048,9 @@ class TestValidation:
         PoissonCounting(1.0),
         FractionalPoissonCounting(0.7, 1.0),
         IidSumCounting([0, 1, 2], [0.3, 0.4, 0.3]),
-        RenewalCounting(narrow_table()),
+        RenewalCounting(lattice_law()),
     ], ids=["bernoulli", "bernoulli-runs", "gamma-renewal", "poisson",
-            "fractional", "iid-sum", "tabulated-renewal"])
+            "fractional", "iid-sum", "lattice-renewal"])
     @pytest.mark.parametrize("member", ["limit_cgf", "limit_cgf_deriv",
                                         "limit_cgf_second"])
     def test_nan_eta_is_never_a_finite_cumulant(self, model, member):
@@ -1032,3 +1081,39 @@ class TestValidation:
     def test_poisson_rejects_negative_intensity(self):
         with pytest.raises(ValidationError):
             PoissonCounting(1.0, intensity=lambda t: -1.0)
+
+    @pytest.mark.parametrize("after, value", [(-10.0, "-45.0"), (math.inf, "inf")],
+                             ids=["negative", "infinite"])
+    @pytest.mark.parametrize("call", [
+        lambda mn: mn.total_mass(10),
+        lambda mn: mn.mean(10),
+        lambda mn: mn.finite_cgf(10, 0.5),
+        lambda mn: mn.exact_pmf(10),
+        lambda mn: mn.sample_batch(10, np.random.default_rng(1), 10),
+    ], ids=["total-mass", "mean", "finite-cgf", "exact-pmf", "sample-batch"])
+    def test_intensity_past_the_probe_is_typed(self, after, value, call):
+        # The constructor probes the intensity on [0, 4] and misses its value
+        # after t = 5; the integral over [0, 10] does not.
+        mn = PoissonCounting(1.0, intensity=lambda t: 1.0 if t < 5.0 else after)
+        with pytest.raises(ValidationError,
+                           match=rf"integral over \[0, 10\] is {value}"):
+            call(mn)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tilt_is_typed(self, kind, s):
+        # No sampler draws from a NaN or infinite tilt, and no table is kept
+        # for one.
+        mn = KINDS[kind]
+        kept = set(mn.__dict__.get("_tables", {}))
+        with pytest.raises(ValidationError, match="tilt s must be a finite real"):
+            mn.tilted_count_sampler(10, s)
+        assert set(mn.__dict__.get("_tables", {})) == kept
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_nan_finite_cumulant_is_never_finite(self, kind):
+        try:
+            value = KINDS[kind].finite_cgf(10, math.nan)
+        except ValidationError:
+            return
+        assert math.isnan(value)

@@ -25,9 +25,9 @@ from compound_deviations.counting import (
     FractionalPoissonCounting,
     GammaInterarrival,
     IidSumCounting,
+    LatticeInterarrival,
     PoissonCounting,
     RenewalCounting,
-    TabulatedInterarrival,
 )
 from compound_deviations.errors import (
     DimensionMismatchError,
@@ -84,10 +84,9 @@ REPRO_LAWS = pytest.mark.parametrize("law", [zero_two_summand, three_atom_plane]
                                      ids=["one-stage", "two-stage"])
 
 
-def tabulated_renewal():
-    # The Exp(1) cumulant tabulated on [-3, 0.9]: no finite-n law.
-    rs = [-3.0 + 0.25 * i for i in range(12)] + [0.1 * i for i in range(10)]
-    return RenewalCounting(TabulatedInterarrival(rs, [-math.log1p(-r) for r in rs]))
+def lattice_renewal():
+    # Inter-arrivals 1 or 2, each with probability 1/2: d1 = 2/3, N/n <= 1.
+    return RenewalCounting(LatticeInterarrival([1, 2], [0.5, 0.5]))
 
 
 def compositions(total, parts):
@@ -139,6 +138,7 @@ KIND_CASES = {
     "bernoulli-runs": (BernoulliSumCounting.runs(1.0, 1.0), 0.8),
     "fractional": (FractionalPoissonCounting(0.7, 1.0), 2.5),
     "renewal": (RenewalCounting(GammaInterarrival(2.0, 1.0)), 1.0),
+    "renewal-lattice": (lattice_renewal(), 0.85),
 }
 
 
@@ -424,11 +424,6 @@ class TestEnumerateExact:
         renewal = RenewalCounting(GammaInterarrival(2.0, 1.0))
         assert_allclose(enumerate_exact(pm_one_summand(), renewal, 8, event),
                         gammainc(24.0, 8.0), rtol=1e-9)
-
-    def test_lawless_counts_rejected(self):
-        event = HalfSpaceEvent([0.0], 1.0, 1.5)
-        with pytest.raises(UnsupportedModelError):
-            enumerate_exact(pm_one_summand(), tabulated_renewal(), 4, event)
 
     def test_six_dice_past_the_old_term_budget(self):
         # 33 million compositions, past the composition loop's old 1e7-term
@@ -811,6 +806,23 @@ class TestEstimateEventProb:
         assert abs(estimate.value - exact) <= 4.0 * estimate.std_error
         assert estimate.std_error < 0.05 * exact
 
+    def test_lattice_renewal_tilted_matches_exact(self):
+        # S/n >= 0.3 for +-1 summands with p(+1) = 0.6 and inter-arrivals 1
+        # or 2: the rate infimum sits at a count rate y* above d1 = 2/3, and
+        # the tilted estimates track the enumerated probabilities.
+        mx = FiniteSupportSummands([[1.0], [-1.0]], [0.6, 0.4])
+        mn, event = lattice_renewal(), HalfSpaceEvent([1.0], 0.0, 0.3)
+        tilt = tilt_parameters(mx, mn, event)
+        assert_allclose(tilt.rate, 0.0224603, rtol=1e-5)
+        assert_allclose(tilt.boundary_y, 0.673447, rtol=1e-5)
+        for n, log_p in ((50, -2.5086377197217264), (100, -3.8947804617828856),
+                         (200, -6.431180003745537)):
+            exact = enumerate_exact(mx, mn, n, event)
+            assert_allclose(math.log(exact), log_p, rtol=1e-12)
+            estimate = estimate_event_prob(mx, mn, n, event, reps=20_000,
+                                           method="tilted", seed=3)
+            assert abs(estimate.value - exact) <= 2.0 * estimate.std_error
+
     def test_count_event_value_ignores_summand_stream(self):
         # A count event tilts no summand, so the summand law is irrelevant.
         event = HalfSpaceEvent([0.0], 1.0, 2.0)
@@ -820,12 +832,6 @@ class TestEstimateEventProb:
         moved = estimate_event_prob(zero_two_summand(), mn, 30, event,
                                     reps=5000, method="tilted", seed=79)
         assert base.value == moved.value
-
-    def test_lawless_renewal_counts_cannot_be_tilted(self):
-        event = HalfSpaceEvent([0.0], 1.0, 2.0)
-        with pytest.raises(UnsupportedModelError):
-            estimate_event_prob(pm_one_summand(), tabulated_renewal(), 30,
-                                event, reps=100, method="tilted", seed=1)
 
     def test_unknown_method_rejected(self):
         event = HalfSpaceEvent([0.0], 1.0, 2.0)
@@ -1059,8 +1065,6 @@ class TestMdScalingSweep:
                                    family, etas=[-1.0, 0.5], ns=[50, 100])
         for a, b in zip(poisson.rows, renewal.rows):
             assert_allclose(b.value, a.value, rtol=1e-9)
-        with pytest.raises(UnsupportedModelError):
-            md_scaling_sweep(tabulated_renewal(), family, etas=[0.5], ns=[50])
 
     def test_reciprocal_scaling_freezes_the_gap(self):
         # With a_n = 1/n the rescaled cumulant is e^eta - 1 - eta at every
@@ -1252,6 +1256,7 @@ FINITE_N_KINDS = {
     "bernoulli": BernoulliSumCounting(p=0.35),
     "bernoulli-runs": BernoulliSumCounting.runs(1.0, 1.0),
     "renewal": RenewalCounting(GammaInterarrival(2.0, 1.0)),
+    "renewal-lattice": lattice_renewal(),
 }
 
 
@@ -1305,13 +1310,3 @@ class TestCheckTargets:
             # Centred summands carry no count load: exactly zero, not rounding.
             cross = getattr(rows["cross_cov"], column)
             assert cross == 0.0 and math.copysign(1.0, cross) == 1.0
-
-    @pytest.mark.parametrize("check", ["moments", "clt"])
-    def test_tabulated_renewal_counts_are_unsupported(self, check):
-        with pytest.raises(UnsupportedModelError):
-            if check == "moments":
-                moment_limits_check(self.mx, tabulated_renewal(), self.n,
-                                    reps=16, u=self.u, v=self.v, seed=3003)
-            else:
-                clt_regime_check(self.mx, tabulated_renewal(), self.n,
-                                 reps=16, v=self.v, seed=3003)

@@ -28,15 +28,14 @@ from compound_deviations.counting import (
     FractionalPoissonCounting,
     GammaInterarrival,
     IidSumCounting,
+    LatticeInterarrival,
     PoissonCounting,
     RenewalCounting,
-    TabulatedInterarrival,
 )
 from compound_deviations.dualpair import CovarianceOperator
 from compound_deviations.errors import (
     DimensionMismatchError,
     InconclusiveOptimizationError,
-    UnsupportedModelError,
     ValidationError,
 )
 from compound_deviations.montecarlo import moment_limits_check
@@ -324,6 +323,14 @@ class TestCountRate:
         result = count_rate(RenewalCounting(law), -0.5)
         assert result.unbounded
         assert result.value == math.inf
+
+    def test_lattice_renewal_count_rate_at_its_reach(self):
+        # Inter-arrivals 1 or 2 give 1/2 <= N_n / n <= 1; N_n = n only when
+        # every inter-arrival is 1, so the rate there is -log P(X = 1).
+        mn = lattice_renewal()
+        assert_allclose(float(count_rate(mn, 1.0).value), math.log(2.0), atol=1e-8)
+        for y in (0.4, 1.1):
+            assert count_rate(mn, y).value == math.inf
 
     def test_bernoulli_above_the_largest_count_rate_is_infinite(self):
         # The count never exceeds n, so every y > 1 is unreachable.
@@ -1044,14 +1051,6 @@ class TestMomentRecords:
             for row in moment_rows(mx, mn, n, [1.0, -0.5], [0.2, 0.8]).values():
                 assert_allclose(row.reference, row.limit, rtol=1e-13, atol=0.0)
 
-    def test_renewal_counts_have_no_exact_moments(self):
-        # Gamma laws have an exact count table; a tabulated cumulant does not.
-        rs = [-3.0 + 0.25 * i for i in range(12)] + [0.1 * i for i in range(10)]
-        mn = RenewalCounting(
-            TabulatedInterarrival(rs, [-math.log1p(-r) for r in rs]))
-        with pytest.raises(UnsupportedModelError):
-            moment_rows(pm_one_summand(), mn, 100, [1.0], [1.0])
-
 
 def _linspace(start, stop, num):
     step = (stop - start) / (num - 1)
@@ -1069,6 +1068,11 @@ def assert_routes_agree(explicit, joint, tol):
 # of a bounded count, x/y on the edge of the summand support) stop within
 # the gradient tolerance of their limit, so the routes agree to ~1e-8 there.
 ROUTE_TOL = 1e-6
+
+
+def lattice_renewal():
+    # Inter-arrivals 1 or 2, each with probability 1/2: N_n / n <= 1.
+    return RenewalCounting(LatticeInterarrival([1, 2], [0.5, 0.5]))
 
 
 def iid_steps(a, b):
@@ -1124,11 +1128,14 @@ class TestRouteAgreement:
          RenewalCounting(GammaInterarrival(2.0, 1.0))),
         (pm_one_summand(), FractionalPoissonCounting(0.7, 1.0)),
         (pm_one_summand(), BernoulliSumCounting(p=0.5)),
-    ], ids=["pm-poisson", "gauss-renewal", "pm-fractional", "pm-bernoulli"])
+        (pm_one_summand(), lattice_renewal()),
+        (GaussianSummands([0.2], [[1.0]]), lattice_renewal()),
+    ], ids=["pm-poisson", "gauss-renewal", "pm-fractional", "pm-bernoulli",
+            "pm-lattice", "gauss-lattice"])
     def test_standard_grid(self, mx, mn):
         # The 10 x 10 grid of the rate tables: x in [-0.9, 0.9], y in
-        # [0.2, 2]; a fifth of the Poisson and fractional points and half
-        # of the Bernoulli ones are +inf.
+        # [0.2, 2]; a fifth of the Poisson and fractional points, half of
+        # the Bernoulli ones and every y > 1 of the lattice renewal are +inf.
         for x in _linspace(-0.9, 0.9, 10):
             for y in _linspace(0.2, 2.0, 10):
                 explicit = float(rate_ld_explicit(mx, mn, [x], y))
