@@ -259,6 +259,15 @@ class CountingModel:
             tables[n, s] = pmf, cdf, log_z
         return tables[n, s]
 
+    def table_keys(self):
+        """The (n, s) keys of the tables built and kept so far."""
+        return set(self.__dict__.get("_tables", ()))
+
+    def drop_tables(self, keep):
+        """Forget every kept table whose (n, s) key is not in ``keep``."""
+        for key in self.table_keys() - keep:
+            del self._tables[key]
+
     def exact_pmf(self, n):
         """Distribution of N_n as an array over 0..K."""
         return self._table(n)[0]

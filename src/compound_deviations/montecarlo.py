@@ -3,14 +3,14 @@
 Replication is block-structured for reproducibility: reps are split into
 fixed blocks of BLOCK_SIZE, and block b draws its count stream from the seed
 sequence (seed, b, 0) and its summand stream from (seed, b, 1). The
-partition is independent of the worker count, so merged results are
+partition is independent of the worker count, so the results are
 bit-identical whether blocks run serially or on a thread pool, and the
 count draws never depend on the summand law: two summand laws at one seed
 draw the same counts (the two streams realize the independence of the count
-from the summands).
+from the summands). Each block is written in place as it is drawn.
 
-Plain draws (``simulate_compound``, hence every plain estimate and every
-moment and CLT check) take sums from the summands' ``plain_sampler`` for
+Plain draws (``simulate_compound``, hence every plain estimate, and the
+moment and CLT checks) take sums from the summands' ``plain_sampler`` for
 the count law's ``max_count(n)``, made once per call in the calling thread,
 before the blocks start. For finite-support sums whose tables are small
 enough (summands.TABLE_STAGE_STATES per stage), each conditional-binomial
@@ -27,8 +27,8 @@ weighted-mean event-probability estimator, plain at unit weights and else
 tilted on the rate minimizer over the event boundary (the dual of the
 half-space rate infimum on a ray of the joint cumulant); decay-rate scans
 against the rate engine; the count's MD sweep; the moment and CLT checks. Both
-checks take one route: they draw the pair once and band sampled means and
-covariances of linear images <x, S> + c N against the exact finite-n values
+checks take one route: they band sampled means and covariances of linear
+images <x, S> + c N, written block by block, against the exact finite-n values
 that the centred-sum pair covariance C1 gives at (E N_n/n, Var N_n/n),
 reporting C1 at the limit rates (d1, d2) beside them. The images are the
 rows of one array, and every covariance and its standard error is read off
@@ -96,19 +96,6 @@ def _resolve_workers(workers):
     return 1 if workers is None else check_int(workers, "workers", 1)
 
 
-def _block_sizes(reps):
-    full, rest = divmod(check_int(reps, "reps", 1), BLOCK_SIZE)
-    sizes = [BLOCK_SIZE] * full
-    if rest:
-        sizes.append(rest)
-    return sizes
-
-
-def _block_rngs(seed, block):
-    return [np.random.default_rng(np.random.SeedSequence([seed, block, role]))
-            for role in (COUNT_ROLE, SUMMAND_ROLE)]
-
-
 @dataclass(frozen=True)
 class CompoundSamples:
     """A batch of compound-sum realizations at a fixed n.
@@ -134,26 +121,36 @@ class CompoundSamples:
         return self.counts / float(self.n)
 
 
-def _draw_samples(draw_sums, draw_counts, n, reps, seed, workers):
-    """Draw reps realizations in seeded blocks: counts by ``draw_counts``,
-    sums by ``draw_sums`` (rng, counts). Blocks run on ``workers`` threads
-    (numpy's bulk draws release the interpreter lock) and merge in block
-    order."""
+def _run_blocks(draw_sums, draw_counts, reps, seed, workers, take):
+    """Draw reps realizations in seeded blocks, counts by ``draw_counts``
+    and sums by ``draw_sums`` (rng, counts), and pass each block to
+    ``take(start, counts, sums)``, which writes its rows in place. Blocks run
+    on ``workers`` threads (numpy's bulk draws release the interpreter lock)."""
 
-    def block(item):
-        index, size = item
-        rng_n, rng_x = _block_rngs(seed, index)
-        counts = draw_counts(rng_n, size)
-        return counts, draw_sums(rng_x, counts)
+    def block(start):
+        rng_n, rng_x = [np.random.default_rng(np.random.SeedSequence(
+            [seed, start // BLOCK_SIZE, role])) for role in (COUNT_ROLE, SUMMAND_ROLE)]
+        counts = draw_counts(rng_n, min(BLOCK_SIZE, reps - start))
+        take(start, counts, draw_sums(rng_x, counts))
 
-    items = list(enumerate(_block_sizes(reps)))
-    if workers == 1 or len(items) == 1:
-        pieces = [block(item) for item in items]
+    starts = range(0, reps, BLOCK_SIZE)
+    if workers == 1 or len(starts) == 1:
+        for start in starts:
+            block(start)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            pieces = list(pool.map(block, items))
-    counts = np.concatenate([c for c, _ in pieces])
-    sums = np.vstack([s for _, s in pieces])
+            list(pool.map(block, starts))
+
+
+def _draw_samples(draw_sums, draw_counts, n, dim, reps, seed, workers):
+    """reps realizations of (S, N) at n, each block written in place."""
+    sums, counts = np.empty((reps, dim)), np.empty(reps, dtype=np.int64)
+
+    def take(start, block_counts, block_sums):
+        counts[start:start + block_counts.size] = block_counts
+        sums[start:start + block_counts.size] = block_sums
+
+    _run_blocks(draw_sums, draw_counts, reps, seed, workers, take)
     return CompoundSamples(n=int(n), sums=sums, counts=counts)
 
 
@@ -207,17 +204,20 @@ def simulate_compound(mx, mn, n, reps, seed, workers=None):
 
     The count and summand streams are separate streams of ``seed``, so the
     count draws never depend on the summand law. Results are identical for
-    every worker count. Sums come from the summands' ``plain_sampler`` for
-    the largest count a uniform draws at n, made here before the blocks
-    start.
+    every worker count.
     """
     seed = check_int(seed, "seed", 0)
     reps = check_int(reps, "reps", 1)
     workers = _resolve_workers(workers)
-    return _draw_samples(
-        mx.plain_sampler(mn.max_count(n)),
-        lambda rng, size: mn.sample_batch(n, rng, size), n, reps, seed, workers,
-    )
+    return _draw_samples(*_plain_draws(mx, mn, n), n, mx.dim, reps, seed,
+                         workers)
+
+
+def _plain_draws(mx, mn, n):
+    """(draw_sums, draw_counts) at n; the summands' ``plain_sampler`` is
+    made here, before the blocks start, for the largest count drawn at n."""
+    return (mx.plain_sampler(mn.max_count(n)),
+            lambda rng, size: mn.sample_batch(n, rng, size))
 
 
 def _merge(values, probs, tol):
@@ -367,7 +367,8 @@ def estimate_event_prob(
         log_norm = float(n) * float(mn.finite_cgf(n, tilt.s))
         samples = _draw_samples(
             mx.tilted(tilt.theta).sample_sum_batch,
-            mn.tilted_count_sampler(n, tilt.s), n, reps, seed, workers,
+            mn.tilted_count_sampler(n, tilt.s), n, mx.dim, reps, seed,
+            workers,
         )
         log_weights = log_norm - samples.sums @ tilt.theta - tilt.eta * samples.counts
         if float(np.max(log_weights)) > LOG_WEIGHT_CAP:
@@ -525,22 +526,25 @@ def md_scaling_sweep(mn, scaling, etas, ns):
     sqrt(n a_n)) exactly, through the finite-n cumulant. The target column
     is d2 eta^2 / 2; per-eta monotonicity of |value - target| over the
     n-grid is reported, along with the endpoint behavior of the scaling
-    family.
+    family. The tables each n builds are dropped before the next n.
     """
     ns = [check_int(v, "n", 1) for v in ns]
     if len(ns) < 1 or sorted(set(ns)) != ns:
         raise ValidationError("ns must be strictly increasing integers")
     etas = [finite_real(e, "eta") for e in etas]
     d2 = mn.derivs_at_zero().variance_rate
-    rows = []
+    rows, kept = [], mn.table_keys()
     for n in ns:
-        a_n = scaling.a(n)
-        mean_count = mn.mean(n)
-        for eta in etas:
-            t = eta / math.sqrt(n * a_n)
-            log_mgf = n * mn.finite_cgf(n, t) - t * mean_count
-            rows.append(MdSweepRow(n=n, eta=eta, value=a_n * log_mgf,
-                                   target=0.5 * d2 * eta * eta))
+        try:
+            a_n = scaling.a(n)
+            mean_count = mn.mean(n)
+            for eta in etas:
+                t = eta / math.sqrt(n * a_n)
+                log_mgf = n * mn.finite_cgf(n, t) - t * mean_count
+                rows.append(MdSweepRow(n=n, eta=eta, value=a_n * log_mgf,
+                                       target=0.5 * d2 * eta * eta))
+        finally:
+            mn.drop_tables(kept)
 
     gap_monotone = {}
     for eta in etas:
@@ -592,7 +596,8 @@ class CheckResult:
 
 def _check_images(mx, mn, n, reps, seed, workers, band_se, images, means=(),
                   covariances=(), normality=()):
-    """Draw the pair (S, N) once and band linear images <x, S> + c N of it.
+    """Band linear images <x, S> + c N of plain draws of the pair (S, N),
+    written block by block into one q x reps array: no (S, N) batch is held.
 
     ``images`` maps a name to (x, c); ``means`` lists (row, image),
     ``covariances`` (row, image, image) and ``normality`` (p-value name,
@@ -610,16 +615,22 @@ def _check_images(mx, mn, n, reps, seed, workers, band_se, images, means=(),
     """
     n = check_int(n, "n", 1)
     reps = check_int(reps, "reps", 2)
-    samples = simulate_compound(mx, mn, n, reps, seed, workers=workers)
+    seed = check_int(seed, "seed", 0)
+    workers = _resolve_workers(workers)
     q = len(images)
     index = {name: i for i, name in enumerate(images)}
     directions = np.array([x for x, _ in images.values()])
     coef = np.array([c for _, c in images.values()])
-    # Rows in place: a stacked expression would add q x reps temporaries.
     values = np.empty((q, reps))
-    for row, (x, c) in zip(values, images.values()):
-        np.matmul(samples.sums, x, out=row)
-        row += c * samples.counts
+
+    def take(start, counts, sums):
+        # Rows in place: a stacked expression would add q x size temporaries.
+        rows = values[:, start:start + counts.size]
+        for row, (x, c) in zip(rows, images.values()):
+            np.matmul(sums, x, out=row)
+            row += c * counts
+
+    _run_blocks(*_plain_draws(mx, mn, n), reps, seed, workers, take)
 
     mean = values.mean(axis=1)
     values -= mean[:, None]

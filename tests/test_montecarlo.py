@@ -9,6 +9,7 @@ count stream) are checked bit for bit.
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,7 +52,11 @@ from compound_deviations.montecarlo import (
     tilt_parameters,
 )
 from compound_deviations.summands import FiniteSupportSummands, GaussianSummands
-from compound_deviations.variational import legendre_transform, rate_ld_explicit
+from compound_deviations.variational import (
+    legendre_transform,
+    pair_covariance,
+    rate_ld_explicit,
+)
 
 # Hand-checked enumeration values. With four {0,1} count steps and atoms
 # {0, 2} at probability 1/2 each, {S >= 6} needs at least three 2-atoms:
@@ -1066,6 +1071,26 @@ class TestMdScalingSweep:
         for a, b in zip(poisson.rows, renewal.rows):
             assert_allclose(b.value, a.value, rtol=1e-9)
 
+    def test_sweep_keeps_no_table_it_built(self, monkeypatch):
+        # 3 ns x (the mean's table and 3 tilts): 12 tables, 17.9 MiB, each
+        # built once and none kept; the table held before stays. The values
+        # are the finite-n cumulant's, read afresh.
+        mn, family = FractionalPoissonCounting(0.7, 1.0), ScalingFamily(gamma=0.5)
+        mn.mean(50)
+        built = []
+        tilted_table = mn._tilted_table
+        monkeypatch.setattr(mn, "_tilted_table", lambda n, s: (
+            built.append((n, s)) or tilted_table(n, s)))
+        result = md_scaling_sweep(mn, family, etas=[0.5, 1.0, 2.0],
+                                  ns=[1000, 10_000, 100_000])
+        assert len(built) == len(set(built)) == 12
+        assert mn.table_keys() == {(50, 0.0)}
+        for row in result.rows:
+            a_n = family.a(row.n)
+            t = row.eta / math.sqrt(row.n * a_n)
+            assert row.value == a_n * (row.n * mn.finite_cgf(row.n, t)
+                                       - t * mn.mean(row.n))
+
     def test_reciprocal_scaling_freezes_the_gap(self):
         # With a_n = 1/n the rescaled cumulant is e^eta - 1 - eta at every
         # n: the trend flags, not the sweep, expose the broken regime.
@@ -1132,6 +1157,7 @@ COUNT_EVENT = HalfSpaceEvent([0.0], 1.0, 2.0)
                  id="count-pmf-n-bool"),
 ])
 def test_sizes_are_checked_not_truncated(monkeypatch, call):
+    monkeypatch.setattr(montecarlo, "_run_blocks", _no_drawing)
     monkeypatch.setattr(montecarlo, "simulate_compound", _no_drawing)
     monkeypatch.setattr(montecarlo, "tilt_parameters", _no_drawing)
     with pytest.raises(ValidationError, match="need an integer"):
@@ -1166,7 +1192,7 @@ class TestMomentLimitsCheck:
         assert_allclose(rows["var_N"].reference, mn.var(50) / 50.0, rtol=1e-15)
 
     def test_one_rep_is_a_validation_error(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "simulate_compound", _no_drawing)
+        monkeypatch.setattr(montecarlo, "_run_blocks", _no_drawing)
         with pytest.raises(ValidationError, match="reps >= 2"):
             moment_limits_check(zero_two_summand(), unit_poisson(), n=10,
                                 reps=1, u=[1.0], v=[1.0], seed=1004)
@@ -1198,7 +1224,7 @@ class TestCltRegimeCheck:
         assert set(result.normality_pvalues) == {"sum_coord", "count_coord"}
 
     def test_one_rep_is_a_validation_error(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "simulate_compound", _no_drawing)
+        monkeypatch.setattr(montecarlo, "_run_blocks", _no_drawing)
         with pytest.raises(ValidationError, match="reps >= 2"):
             clt_regime_check(pm_one_summand(), unit_poisson(), n=10, reps=1,
                              v=[1.0], seed=2004)
@@ -1246,6 +1272,120 @@ class TestCltRegimeCheck:
                                   reps=reps, v=[1.0], seed=2006)
         assert result.normality_pvalues == {"sum_coord": None,
                                             "count_coord": None}
+
+
+def batch_route_check(mx, mn, n, reps, seed, workers, images, means=(),
+                      covariances=(), normality=()):
+    """The check computed from one whole ``simulate_compound`` batch: image
+    rows by np.matmul and += c * counts, then the check's own mean, Gram,
+    standard-error and target formulas."""
+    samples = simulate_compound(mx, mn, n, reps, seed, workers=workers)
+    q = len(images)
+    index = {name: i for i, name in enumerate(images)}
+    directions = np.array([x for x, _ in images.values()])
+    coef = np.array([c for _, c in images.values()])
+    values = np.empty((q, reps))
+    for row, (x, c) in zip(values, images.values()):
+        np.matmul(samples.sums, x, out=row)
+        row += c * samples.counts
+    mean = values.mean(axis=1)
+    values -= mean[:, None]
+    cov = values @ values.T / (reps - 1)
+    pvalues = {name: float(stats.normaltest(values[index[a]]).pvalue)
+               for name, a in normality}
+    values *= values
+    cov_se = np.sqrt(np.maximum(values @ values.T / reps - cov * cov, 0.0) / reps)
+    image_mu = np.array([float(x @ mx.mean()) for x in directions])
+    image_sigma = directions @ mx.cov().matrix @ directions.T
+
+    def targets(mean_rate, var_rate):
+        c1 = pair_covariance(image_sigma, image_mu, mean_rate, var_rate, True)
+        return mean_rate * (image_mu + coef), (
+            c1[:q, :q] + np.outer(c1[:q, q], coef) + np.outer(coef, c1[q, :q])
+            + np.outer(coef, coef) * c1[q, q])
+
+    def pick(vector, matrix):
+        return [float(vector[index[a]]) for _, a in means] + [
+            float(matrix[index[a], index[b]]) for _, a, b in covariances]
+
+    d = mn.derivs_at_zero()
+    columns = (
+        pick(mean / n, cov / n),
+        pick(np.sqrt(np.diag(cov) / reps) / n, cov_se / n),
+        pick(*targets(mn.mean(n) / float(n), mn.var(n) / float(n))),
+        pick(*targets(d.mean_rate, d.variance_rate)),
+    )
+    names = [row for row, *_ in (*means, *covariances)]
+    rows = [montecarlo._check_row(*cells, montecarlo.BAND_SE)
+            for cells in zip(names, *columns)]
+    return rows, pvalues
+
+
+# One plain sum route each: guide tables (two stages), numpy's binomials
+# (the +-1 law's tables at n = 400 would pass TABLE_STAGE_STATES) and the
+# Gaussian draw.
+SUM_ROUTES = {
+    "guide-tables": (three_atom_plane, lambda: IidSumCounting(
+        [0, 1, 2], [0.3, 0.4, 0.3]), 100, [1.0, 0.0], [0.0, 1.0]),
+    "binomials": (pm_one_summand, unit_poisson, 400, [1.0], [1.0]),
+    "gaussian": (lambda: GaussianSummands([0.2, -0.1], [[1.0, 0.3], [0.3, 0.5]]),
+                 lambda: RenewalCounting(GammaInterarrival(2.0, 1.0)), 50,
+                 [0.3, -1.1], [0.45, 0.8]),
+}
+
+
+class TestCheckBlocks:
+    """The checks write each block's images into their rows as it is
+    drawn, with no sample batch; every number is the batch route's."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("route", SUM_ROUTES)
+    def test_rows_equal_the_batch_route(self, route, workers):
+        law, counting_law, n, u, v = SUM_ROUTES[route]
+        mx, mn = law(), counting_law()
+        u, v = np.array(u), np.array(v)
+        reps, count = 2 * BLOCK_SIZE + 577, (np.zeros(mx.dim), 1.0)
+        moments = moment_limits_check(mx, mn, n, reps, u, v, seed=41,
+                                      workers=workers)
+        assert (moments.rows, moments.normality_pvalues) == batch_route_check(
+            mx, mn, n, reps, 41, workers, {"u": (u, 0.0), "v": (v, 0.0),
+                                           "count": count},
+            means=[("mean_S_dir", "v"), ("mean_N", "count")],
+            covariances=[("cov_SS", "u", "v"), ("cov_NS", "count", "v"),
+                         ("var_N", "count", "count")])
+        clt = clt_regime_check(mx, mn, n, reps, v, seed=42, workers=workers)
+        assert (clt.rows, clt.normality_pvalues) == batch_route_check(
+            mx, mn, n, reps, 42, workers,
+            {"centred_summands": (v, -float(v @ mx.mean())), "count": count,
+             "centred_sum": (v, 0.0)},
+            covariances=[
+                ("var_sum_coord", "centred_summands", "centred_summands"),
+                ("var_count_coord", "count", "count"),
+                ("cross_cov", "centred_summands", "count"),
+                ("var_sum_coord_shifted", "centred_sum", "centred_sum"),
+                ("cross_cov_shifted", "centred_sum", "count"),
+            ],
+            normality=[("sum_coord", "centred_summands"),
+                       ("count_coord", "count")])
+
+    def test_peak_memory_is_the_image_array(self):
+        # Three image rows of 8-byte floats; the slack covers one block's
+        # draws and the guide tables, which each call builds. Drawing the
+        # whole (S, N) batch first, and copying its block pieces, peaks
+        # above twice the image array. A first call loads the lazy imports
+        # and the count table.
+        mx = three_atom_plane()
+        mn = IidSumCounting([0, 1, 2], [0.3, 0.4, 0.3])
+        moment_limits_check(mx, mn, 100, 2, [1.0, 0.0], [0.0, 1.0], seed=43)
+        reps, slack = 200_000, 2_000_000
+        tracemalloc.start()
+        try:
+            moment_limits_check(mx, mn, 100, reps, [1.0, 0.0], [0.0, 1.0],
+                                seed=43)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * reps * 8 + slack
 
 
 # Every counting kind with a finite-n law.
