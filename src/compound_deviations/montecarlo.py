@@ -38,10 +38,11 @@ Sizes (n, every n of a grid, reps, seeds, workers) must be integers; a
 fractional or boolean size is a ValidationError, never truncated.
 
 Importing the module loads no scipy submodule; of its own routines only
-the CLT normality p-values import one (normaltest), when they run. The
-count table (through ``max_count`` or ``tilted_count_sampler``) and any
-summand tables (which import ``bdtr``) are built in the calling thread,
-before the blocks start.
+the CLT normality p-values import one (``scipy.special``, for chdtrc, the
+chi-square tail of their K^2 statistic), when they run. The count table
+(through ``max_count`` or ``tilted_count_sampler``) and any summand tables
+(which import ``bdtr``) are built in the calling thread, before the blocks
+start, and before a check's image array.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ BOUNDARY_RTOL = 1e-12
 DEFAULT_REPS = {"plain": 100_000, "tilted": 10_000}
 # Default acceptance band of the moment and CLT checks, in standard errors.
 BAND_SE = 4.0
-# Fewest draws scipy's normaltest accepts.
+# Fewest draws the K^2 normality test takes, as in scipy's normaltest.
 NORMALTEST_MIN_REPS = 8
 
 
@@ -594,6 +595,57 @@ class CheckResult:
     normality_pvalues: dict = field(default_factory=dict)
 
 
+def _k2_pvalue(a):
+    """D'Agostino-Pearson K^2 normality p-value of a series a of at least
+    NORMALTEST_MIN_REPS draws with spread (D'Agostino & Pearson, Biometrika
+    60, 1973): K^2 = Z_skew^2 + Z_kurt^2 against chi-square(2).
+
+    The arithmetic is that of scipy's normaltest, operation for operation:
+    skewtest's and kurtosistest's Z from the biased moments m2, m3, m4 about
+    the mean, y == 0 read as 1, a zero kurtosis denominator giving NaN, and
+    the tail from chdtrc. So the p-value is normaltest's bit for bit, with
+    no import of scipy's stats module. Two series-sized temporaries are held.
+    """
+    from scipy.special import chdtrc
+
+    n = np.float64(a.size)
+    d = a - a.mean(keepdims=True)
+    d2 = np.square(d)
+    m2 = d2.mean()
+    d *= d2
+    m3 = d.mean()
+    np.square(d2, out=d2)
+    m4 = d2.mean()
+
+    # skewtest: D'Agostino's normalizing transform of the skewness.
+    b1 = m3 / m2**1.5
+    y = b1 * np.sqrt(((n + 1) * (n + 3)) / (6.0 * (n - 2)))
+    beta2 = (3.0 * (n**2 + 27*n - 70) * (n+1) * (n+3) /
+             ((n-2.0) * (n+5) * (n+7) * (n+9)))
+    w2 = -1 + np.sqrt(2 * (beta2 - 1))
+    delta = 1 / np.sqrt(0.5 * np.log(w2))
+    alpha = np.sqrt(2.0 / (w2 - 1))
+    if y == 0:
+        y = 1.0
+    z_skew = delta * np.log(y / alpha + np.sqrt((y / alpha)**2 + 1))
+
+    # kurtosistest: Anscombe & Glynn (Biometrika 70, 1983), eqs. 1-5.
+    e = 3.0*(n-1) / (n+1)
+    varb2 = 24.0*n*(n-2)*(n-3) / ((n+1)*(n+1.)*(n+3)*(n+5))
+    x = (m4 / m2**2.0 - e) / varb2**0.5
+    sqrtbeta1 = 6.0*(n*n-5*n+2)/((n+7)*(n+9)) * ((6.0*(n+3)*(n+5))
+                                                 / (n*(n-2)*(n-3)))**0.5
+    big_a = 6.0 + 8.0/sqrtbeta1 * (2.0/sqrtbeta1 + (1+4.0/(sqrtbeta1**2))**0.5)
+    term1 = 1 - 2/(9.0*big_a)
+    denom = 1 + x * (2/(big_a-4.0))**0.5
+    if denom == 0:
+        return math.nan
+    term2 = np.sign(denom) * ((1-2.0/big_a)/np.abs(denom))**(1/3)
+    z_kurt = (term1 - term2) / (2/(9.0*big_a))**0.5
+
+    return float(chdtrc(2.0, z_skew*z_skew + z_kurt*z_kurt))
+
+
 def _check_images(mx, mn, n, reps, seed, workers, band_se, images, means=(),
                   covariances=(), normality=()):
     """Band linear images <x, S> + c N of plain draws of the pair (S, N),
@@ -621,6 +673,10 @@ def _check_images(mx, mn, n, reps, seed, workers, band_se, images, means=(),
     index = {name: i for i, name in enumerate(images)}
     directions = np.array([x for x, _ in images.values()])
     coef = np.array([c for _, c in images.values()])
+    # Tables before the image array: allocated last, the array sits at the
+    # top of the heap, so its free leaves no hole for small allocations to
+    # split before the next check needs the room again.
+    draws = _plain_draws(mx, mn, n)
     values = np.empty((q, reps))
 
     def take(start, counts, sums):
@@ -630,7 +686,7 @@ def _check_images(mx, mn, n, reps, seed, workers, band_se, images, means=(),
             np.matmul(sums, x, out=row)
             row += c * counts
 
-    _run_blocks(*_plain_draws(mx, mn, n), reps, seed, workers, take)
+    _run_blocks(*draws, reps, seed, workers, take)
 
     mean = values.mean(axis=1)
     values -= mean[:, None]
@@ -638,14 +694,12 @@ def _check_images(mx, mn, n, reps, seed, workers, band_se, images, means=(),
     cov = values @ values.T / (reps - 1)
     pvalues = {}
     for name, a in normality:
-        # normaltest needs 8 draws, and a series with no spread has no test.
+        # K^2 needs 8 draws, and a series with no spread has no test.
         i = index[a]
         if reps < NORMALTEST_MIN_REPS or math.sqrt(cov[i, i]) <= 1e-12 * math.sqrt(n):
             pvalues[name] = None
         else:
-            from scipy.stats import normaltest
-
-            pvalues[name] = float(normaltest(values[i]).pvalue)
+            pvalues[name] = _k2_pvalue(values[i])
     values *= values
     cov_se = np.sqrt(np.maximum(values @ values.T / reps - cov * cov, 0.0) / reps)
 

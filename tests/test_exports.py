@@ -56,8 +56,9 @@ def test_every_imported_name_is_used():
 
 # A fresh interpreter imports the package and the CLI, records which of
 # scipy's submodules are loaded, enumerates a +-1 sum event under
-# constant-p Bernoulli counts, runs one +-1/Poisson rate-eval config and
-# records them after each step.
+# constant-p Bernoulli counts, runs one +-1/Poisson rate-eval config, then
+# a +-1/Poisson moments-check and clt-check (enough reps for the normality
+# p-values), and records them after each step, with the p-values last.
 IMPORT_PROBE = """
 import json, sys
 import compound_deviations, compound_deviations.cli
@@ -74,13 +75,23 @@ enumerate_exact(FiniteSupportSummands([[1.0], [-1.0]], [0.5, 0.5]),
                 BernoulliSumCounting(p=0.5), 6,
                 HalfSpaceEvent([1.0], 0.0, 0.5))
 after_enumeration = loaded()
-run_experiment(normalize_config({
+pm_poisson = {
     "summand": {"kind": "finite_support", "atoms": [1.0, -1.0], "probs": [0.5, 0.5]},
     "counting": {"kind": "poisson", "rate": 1.0},
-    "experiment": {"kind": "rate-eval", "x_values": [-0.5, 0.0, 0.5],
-                   "y_values": [0.5, 1.0, 2.0]},
-}), out_dir=sys.argv[1])
-print(json.dumps([after_import, after_enumeration, loaded()]))
+}
+run_experiment(normalize_config(dict(pm_poisson, experiment={
+    "kind": "rate-eval", "x_values": [-0.5, 0.0, 0.5], "y_values": [0.5, 1.0, 2.0],
+})), out_dir=sys.argv[1])
+after_run = loaded()
+run_experiment(normalize_config(dict(pm_poisson, experiment={
+    "kind": "moments-check", "n": 50, "reps": 1000, "u": [1.0], "v": [1.0],
+    "seed": 1,
+})), out_dir=sys.argv[1])
+_, clt = run_experiment(normalize_config(dict(pm_poisson, experiment={
+    "kind": "clt-check", "n": 50, "reps": 1000, "v": [1.0], "seed": 1,
+})), out_dir=sys.argv[1])
+print(json.dumps([after_import, after_enumeration, after_run, loaded(),
+                  clt["details"]["normality_pvalues"]]))
 """
 
 
@@ -91,11 +102,16 @@ def test_import_loads_no_scipy_submodule_a_run_does_not_call(tmp_path):
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True, text=True, check=True,
     )
-    after_import, after_enumeration, after_run = json.loads(
-        done.stdout.strip().splitlines()[-1])
+    after_import, after_enumeration, after_run, after_checks, pvalues = (
+        json.loads(done.stdout.strip().splitlines()[-1]))
     deferred = ("scipy.stats", "scipy.integrate", "scipy.optimize",
                 "scipy.interpolate", "scipy.special")
     assert [m for m in deferred if m in after_import] == []
     assert after_enumeration == after_import
     unused = ("scipy.stats", "scipy.integrate", "scipy.interpolate")
     assert [m for m in unused if m in after_run] == []
+    # The checks' K^2 p-values take chdtrc from scipy.special alone.
+    assert sorted(pvalues) == ["count_coord", "sum_coord"]
+    assert all(isinstance(p, float) for p in pvalues.values())
+    heavy = ("scipy.stats", "scipy.interpolate", "scipy.ndimage")
+    assert [m for m in heavy if m in after_checks] == []

@@ -1266,12 +1266,39 @@ class TestCltRegimeCheck:
 
     @pytest.mark.parametrize("reps", [2, 5, 7])
     def test_too_few_draws_have_no_normality_pvalues(self, reps):
-        # normaltest needs 8 draws; below that the p-values are None, never
+        # K^2 needs 8 draws; below that the p-values are None, never
         # a warning and NaN.
         result = clt_regime_check(pm_one_summand(), unit_poisson(), n=50,
                                   reps=reps, v=[1.0], seed=2006)
         assert result.normality_pvalues == {"sum_coord": None,
                                             "count_coord": None}
+
+
+K2_LAWS = {
+    "normal": lambda rng, size: rng.standard_normal(size),
+    "exponential": lambda rng, size: rng.exponential(size=size),
+    "negated_exponential": lambda rng, size: -rng.exponential(size=size),
+    "poisson3": lambda rng, size: rng.poisson(3.0, size).astype(float),
+    "plus_minus_one": lambda rng, size: rng.choice([-1.0, 1.0], size),
+}
+
+
+class TestK2Pvalue:
+    """The package's K^2 p-value is scipy.stats.normaltest's, bit for bit."""
+
+    @pytest.mark.parametrize("size", [8, 9, 20, 8192, 10**5, 10**6])
+    @pytest.mark.parametrize("law", sorted(K2_LAWS))
+    def test_equals_normaltest(self, law, size):
+        a = K2_LAWS[law](np.random.default_rng([3001, size]), size)
+        # The check passes centred rows; the raw series must agree as well.
+        for series in (a, a - a.mean()):
+            assert montecarlo._k2_pvalue(series) == stats.normaltest(
+                series).pvalue
+
+    def test_a_symmetric_series_reads_y_zero_as_one(self):
+        # m3 is exactly 0, so skewtest's y is 0 and is read as 1.
+        a = np.array([-1.0, 1.0] * 4)
+        assert montecarlo._k2_pvalue(a) == stats.normaltest(a).pvalue
 
 
 def batch_route_check(mx, mn, n, reps, seed, workers, images, means=(),
