@@ -562,7 +562,7 @@ class BernoulliSumCounting(CountingModel):
             return eta  # quad warns on a NaN integrand; the NaN propagates
         from scipy.integrate import quad
 
-        value, _ = quad(lambda x: term(self._profile(x), eta), 0.0, 1.0,
+        value, _ = quad(lambda x: term(self._profile_value(x), eta), 0.0, 1.0,
                         epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=500, points=QUAD_POINTS)
         return float(value)
 
@@ -584,15 +584,12 @@ class BernoulliSumCounting(CountingModel):
         from scipy.integrate import quad
 
         def f(x):
-            q = self._profile(x)
+            q = self._profile_value(x)
             return math.log1p(-q) if q < 1.0 else -math.inf
 
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                value, _ = quad(f, 0.0, 1.0, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=500)
-        except Exception:
-            return -math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            value, _ = quad(f, 0.0, 1.0, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=500)
         return value if math.isfinite(value) else -math.inf
 
     def success_probs(self, n):
@@ -602,13 +599,17 @@ class BernoulliSumCounting(CountingModel):
         return self._profile_at(np.arange(n, dtype=float) / n, f"n={n}")
 
     def _profile_at(self, points, where):
-        """The profile at points; a value outside [0, 1] or NaN is an error."""
-        values = np.array([self._profile(float(x)) for x in points], dtype=float)
-        bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
-        if bad.size:
+        """The profile at points, each read through ``_profile_value``."""
+        return np.array([self._profile_value(float(x), where) for x in points],
+                        dtype=float)
+
+    def _profile_value(self, x, where="the limit quadrature"):
+        """p(x); a value outside [0, 1] or NaN is a ValidationError."""
+        q = self._profile(x)
+        if not 0.0 <= q <= 1.0:
             raise ValidationError(f"profile values must lie in [0, 1]; at {where}, "
-                                  f"p({points[bad[0]]}) = {values[bad[0]]}")
-        return values
+                                  f"p({x}) = {q}")
+        return q
 
     def finite_cgf(self, n, eta):
         terms = [_bernoulli_cgf(q, eta) for q in self.success_probs(n).tolist()]

@@ -62,10 +62,11 @@ def as_vector(values, dim=None, name="vector"):
 
 
 def finite_real(value, name, need="be a finite real", within=None):
-    """``value`` as a float once it is a finite real (numpy scalars too) for
-    which ``within``, if given, holds; else ValidationError: name must need."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value)
-            and (within is None or within(value))):
+    """``value`` as a float once it is a finite real (numpy scalars too,
+    bools not) for which ``within``, if given, holds; else ValidationError:
+    name must need."""
+    if (isinstance(value, bool) or not (isinstance(value, numbers.Real)
+            and math.isfinite(value) and (within is None or within(value)))):
         raise ValidationError(f"{name} must {need}, got {value!r}")
     return float(value)
 

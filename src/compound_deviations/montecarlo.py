@@ -7,19 +7,20 @@ partition is independent of the worker count, so the results are
 bit-identical whether blocks run serially or on a thread pool, and the
 count draws never depend on the summand law: two summand laws at one seed
 draw the same counts (the two streams realize the independence of the count
-from the summands). Each block is written in place as it is drawn.
+from the summands). Each block is written in place as it is drawn: only
+``simulate_compound``, the public batch API, holds a (reps, h) batch.
 
-Plain draws (``simulate_compound``, hence every plain estimate, and the
-moment and CLT checks) take sums from the summands' ``plain_sampler`` for
-the count law's ``max_count(n)``, made once per call in the calling thread,
-before the blocks start. For finite-support sums whose tables are small
-enough (summands.TABLE_STAGE_STATES per stage), each conditional-binomial
-stage inverts one uniform per sum in exact binomial cdf rows for every
-count up to ``max_count(n)``, by the one inversion rule min{k : F(k) > u};
-larger tables, and the tilted route, where each estimate's fresh tilted
-law draws only 10^4 sums, draw with numpy's binomials
-(``sample_sum_batch``). The route rests on the method, the law and the
-table size, never on reps, so block prefixes stay stable.
+Plain draws (``simulate_compound``, plain estimates, and the moment and CLT
+checks) take sums from the summands' ``plain_sampler`` for the count law's
+``max_count(n)``, made once per call in the calling thread, before the
+blocks start. For finite-support sums whose tables are small enough
+(summands.TABLE_STAGE_STATES per stage), each conditional-binomial stage
+inverts one uniform per sum in exact binomial cdf rows for every count up
+to ``max_count(n)``, by the one inversion rule min{k : F(k) > u}; larger
+tables, and the tilted route, where each estimate's fresh tilted law draws
+only 10^4 sums, draw with numpy's binomials (``sample_sum_batch``). The
+route rests on the method, the law and the table size, never on reps, so
+block prefixes stay stable.
 
 Contents: plain simulation; one event type, the face {<d, S>/n + c N/n >=
 a} (``HalfSpaceEvent``); exact enumeration for finite-support summands; one
@@ -93,8 +94,10 @@ def _check_method(method):
         raise ValidationError(f"method must be 'plain' or 'tilted', got {method!r}")
 
 
-def _resolve_workers(workers):
-    return 1 if workers is None else check_int(workers, "workers", 1)
+def _run_sizes(reps, seed, workers, least_reps):
+    """(reps, seed, workers) checked as integers, workers None read as 1."""
+    return (check_int(reps, "reps", least_reps), check_int(seed, "seed", 0),
+            1 if workers is None else check_int(workers, "workers", 1))
 
 
 @dataclass(frozen=True)
@@ -141,18 +144,6 @@ def _run_blocks(draw_sums, draw_counts, reps, seed, workers, take):
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(block, starts))
-
-
-def _draw_samples(draw_sums, draw_counts, n, dim, reps, seed, workers):
-    """reps realizations of (S, N) at n, each block written in place."""
-    sums, counts = np.empty((reps, dim)), np.empty(reps, dtype=np.int64)
-
-    def take(start, block_counts, block_sums):
-        counts[start:start + block_counts.size] = block_counts
-        sums[start:start + block_counts.size] = block_sums
-
-    _run_blocks(draw_sums, draw_counts, reps, seed, workers, take)
-    return CompoundSamples(n=int(n), sums=sums, counts=counts)
 
 
 @dataclass(frozen=True)
@@ -207,11 +198,16 @@ def simulate_compound(mx, mn, n, reps, seed, workers=None):
     count draws never depend on the summand law. Results are identical for
     every worker count.
     """
-    seed = check_int(seed, "seed", 0)
-    reps = check_int(reps, "reps", 1)
-    workers = _resolve_workers(workers)
-    return _draw_samples(*_plain_draws(mx, mn, n), n, mx.dim, reps, seed,
-                         workers)
+    reps, seed, workers = _run_sizes(reps, seed, workers, 1)
+    draws = _plain_draws(mx, mn, n)
+    sums, counts = np.empty((reps, mx.dim)), np.empty(reps, dtype=np.int64)
+
+    def take(start, block_counts, block_sums):
+        counts[start:start + block_counts.size] = block_counts
+        sums[start:start + block_counts.size] = block_sums
+
+    _run_blocks(*draws, reps, seed, workers, take)
+    return CompoundSamples(n=int(n), sums=sums, counts=counts)
 
 
 def _plain_draws(mx, mn, n):
@@ -344,41 +340,44 @@ def estimate_event_prob(
     tilt=None,
 ):
     """Unbiased event-probability estimate: the weighted mean of the event
-    indicator, with unit weights on plain ``simulate_compound`` draws.
+    indicator, unit weights on plain draws, written block by block.
 
     The tilted estimator draws from the conjugate count family at
     s = eta + summand cgf(theta) and from the tilted summand law, then
     unwinds with the exact finite-n weight
     exp(n K_n(s) - <theta, sums> - eta counts). Every counting kind can be
-    tilted. Weights beyond exp(700) raise instead of clipping.
+    tilted. Weights beyond exp(700) raise, from the block that meets them,
+    instead of clipping.
     """
     _check_method(method)
-    reps = DEFAULT_REPS[method] if reps is None else check_int(reps, "reps", 1)
-    seed = check_int(seed, "seed", 0)
-    workers = _resolve_workers(workers)
+    reps, seed, workers = _run_sizes(
+        DEFAULT_REPS[method] if reps is None else reps, seed, workers, 1)
     event.normal(mx.dim)  # a wrong-length direction fails before any draw
 
     if method == "plain":
         tilt = None
-        samples = simulate_compound(mx, mn, n, reps, seed, workers=workers)
-        weights = 1.0
+        draws = _plain_draws(mx, mn, n)
     else:
         if tilt is None:
             tilt = tilt_parameters(mx, mn, event)
         log_norm = float(n) * float(mn.finite_cgf(n, tilt.s))
-        samples = _draw_samples(
-            mx.tilted(tilt.theta).sample_sum_batch,
-            mn.tilted_count_sampler(n, tilt.s), n, mx.dim, reps, seed,
-            workers,
-        )
-        log_weights = log_norm - samples.sums @ tilt.theta - tilt.eta * samples.counts
-        if float(np.max(log_weights)) > LOG_WEIGHT_CAP:
-            raise ValidationError(
-                "an importance weight exceeds exp(700); the tilt is too "
-                "aggressive for this event, refusing to clip silently"
-            )
-        weights = np.exp(log_weights)
-    weighted = event.indicator(samples) * weights
+        draws = (mx.tilted(tilt.theta).sample_sum_batch,
+                 mn.tilted_count_sampler(n, tilt.s))
+    weighted = np.empty(reps)
+
+    def take(start, counts, sums):
+        row = weighted[start:start + counts.size]
+        row[:] = event.indicator(CompoundSamples(n, sums, counts))
+        if tilt is not None:
+            log_weights = log_norm - sums @ tilt.theta - tilt.eta * counts
+            if float(np.max(log_weights)) > LOG_WEIGHT_CAP:
+                raise ValidationError(
+                    "an importance weight exceeds exp(700); the tilt is too "
+                    "aggressive for this event, refusing to clip silently"
+                )
+            row *= np.exp(log_weights)
+
+    _run_blocks(*draws, reps, seed, workers, take)
     value = float(weighted.mean())
     spread = float(weighted.std(ddof=1)) if reps > 1 else 0.0
     # Degenerate: no draw carries weight, or unit weights on all hits.
@@ -666,9 +665,7 @@ def _check_images(mx, mn, n, reps, seed, workers, band_se, images, means=(),
     centred-summand image has covariance exactly 0 with N.
     """
     n = check_int(n, "n", 1)
-    reps = check_int(reps, "reps", 2)
-    seed = check_int(seed, "seed", 0)
-    workers = _resolve_workers(workers)
+    reps, seed, workers = _run_sizes(reps, seed, workers, 2)
     q = len(images)
     index = {name: i for i, name in enumerate(images)}
     directions = np.array([x for x, _ in images.values()])

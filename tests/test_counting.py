@@ -1078,6 +1078,28 @@ class TestValidation:
         with pytest.raises(ValidationError, match=r"at n=100, p\(0\.32\)"):
             call(mn)
 
+    @pytest.mark.parametrize("spike", [1.2, -0.2])
+    def test_profile_spike_in_the_limit_quadrature_is_typed(self, spike):
+        # The spike on (0.41, 0.44) lies between the probe points and the
+        # sites of small n; the limit quadratures read it through the same
+        # check as the finite-n sites, at construction and in the left tail.
+        def profile(x):
+            return spike if 0.41 < x < 0.44 else 0.5
+
+        with pytest.raises(ValidationError,
+                           match=rf"at the limit quadrature, p\(0\.4\d*\) = {spike}"):
+            BernoulliSumCounting(profile=profile)
+        height = {"spike": 0.5}
+        mn = BernoulliSumCounting(
+            profile=lambda x: height["spike"] if 0.41 < x < 0.44 else 0.5)
+        height["spike"] = spike
+        with pytest.raises(ValidationError, match="at the limit quadrature"):
+            mn._tail_limit()
+
+    def test_profile_plateau_at_one_has_an_infinite_left_tail(self):
+        mn = BernoulliSumCounting(profile=lambda x: 1.0 if x < 0.3 else 0.5)
+        assert mn.derivs_at_zero().cgf_at_minus_inf == -math.inf
+
     def test_poisson_rejects_negative_intensity(self):
         with pytest.raises(ValidationError):
             PoissonCounting(1.0, intensity=lambda t: -1.0)

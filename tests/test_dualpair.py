@@ -48,6 +48,10 @@ class TestFiniteReal:
         assert type(finite_real(np.float32(0.5), "y")) is float
         with pytest.raises(ValidationError, match="rate must be positive, got -1"):
             finite_real(-1, "rate", "be positive", lambda r: r > 0)
+        # Bools are not numbers here, as in check_int and the config.
+        for flag in (True, np.bool_(True)):
+            with pytest.raises(ValidationError, match="must be a finite real"):
+                finite_real(flag, "y")
 
     def test_numpy_scalars_pass_every_site(self):
         mx = FiniteSupportSummands([[1.0], [-1.0]], [0.5, 0.5])
@@ -59,7 +63,8 @@ class TestFiniteReal:
             assert level == 2.0 and type(level) is float
             assert PoissonCounting(scalar).rate == 2.0
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, np.float64(-math.inf), "1"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, np.float64(-math.inf), "1",
+                                     True])
     def test_non_finite_and_non_numbers_still_raise(self, bad):
         mx = FiniteSupportSummands([[1.0], [-1.0]], [0.5, 0.5])
         with pytest.raises(ValidationError, match="y must be a finite real"):

@@ -56,9 +56,10 @@ def test_every_imported_name_is_used():
 
 # A fresh interpreter imports the package and the CLI, records which of
 # scipy's submodules are loaded, enumerates a +-1 sum event under
-# constant-p Bernoulli counts, runs one +-1/Poisson rate-eval config, then
-# a +-1/Poisson moments-check and clt-check (enough reps for the normality
-# p-values), and records them after each step, with the p-values last.
+# constant-p Bernoulli counts, runs a tilted and a plain +-1/Poisson
+# ldp-check, one +-1/Poisson rate-eval config, then a +-1/Poisson
+# moments-check and clt-check (enough reps for the normality p-values), and
+# records them after each step, with the p-values last.
 IMPORT_PROBE = """
 import json, sys
 import compound_deviations, compound_deviations.cli
@@ -79,6 +80,12 @@ pm_poisson = {
     "summand": {"kind": "finite_support", "atoms": [1.0, -1.0], "probs": [0.5, 0.5]},
     "counting": {"kind": "poisson", "rate": 1.0},
 }
+for method in ("tilted", "plain"):
+    run_experiment(normalize_config(dict(pm_poisson, experiment={
+        "kind": "ldp-check", "method": method, "ns": [50, 100], "reps": 2000,
+        "event": {"mode": "sum", "level": 0.2, "direction": [1.0]}, "seed": 1,
+    })), out_dir=sys.argv[1])
+after_ldp = loaded()
 run_experiment(normalize_config(dict(pm_poisson, experiment={
     "kind": "rate-eval", "x_values": [-0.5, 0.0, 0.5], "y_values": [0.5, 1.0, 2.0],
 })), out_dir=sys.argv[1])
@@ -90,7 +97,7 @@ run_experiment(normalize_config(dict(pm_poisson, experiment={
 _, clt = run_experiment(normalize_config(dict(pm_poisson, experiment={
     "kind": "clt-check", "n": 50, "reps": 1000, "v": [1.0], "seed": 1,
 })), out_dir=sys.argv[1])
-print(json.dumps([after_import, after_enumeration, after_run, loaded(),
+print(json.dumps([after_import, after_enumeration, after_ldp, after_run, loaded(),
                   clt["details"]["normality_pvalues"]]))
 """
 
@@ -102,12 +109,16 @@ def test_import_loads_no_scipy_submodule_a_run_does_not_call(tmp_path):
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True, text=True, check=True,
     )
-    after_import, after_enumeration, after_run, after_checks, pvalues = (
+    after_import, after_enumeration, after_ldp, after_run, after_checks, pvalues = (
         json.loads(done.stdout.strip().splitlines()[-1]))
     deferred = ("scipy.stats", "scipy.integrate", "scipy.optimize",
                 "scipy.interpolate", "scipy.special")
     assert [m for m in deferred if m in after_import] == []
     assert after_enumeration == after_import
+    # The event estimator, plain and tilted, needs no solver or quadrature.
+    solvers = ("scipy.stats", "scipy.integrate", "scipy.optimize",
+               "scipy.interpolate")
+    assert [m for m in solvers if m in after_ldp] == []
     unused = ("scipy.stats", "scipy.integrate", "scipy.interpolate")
     assert [m for m in unused if m in after_run] == []
     # The checks' K^2 p-values take chdtrc from scipy.special alone.

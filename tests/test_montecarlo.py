@@ -844,6 +844,21 @@ class TestEstimateEventProb:
             estimate_event_prob(pm_one_summand(), unit_poisson(), 30, event,
                                 reps=10, method="antithetic", seed=1)
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_a_weight_past_the_cap_is_refused(self, workers):
+        # A consistent tilt keeps every weight below e^700 unless a draw has
+        # tilted probability below e^-700; this hand-built one does not
+        # renormalize: s = 0 with eta = -100 gives log-weights 100 N, past
+        # 700 for every Poisson(50) draw above 7, in a block on a pool thread.
+        tilt = montecarlo.TiltParameters(
+            theta=np.array([0.0]), eta=-100.0, s=0.0, rate=0.0,
+            boundary_x=np.array([0.0]), boundary_y=1.0)
+        with pytest.raises(ValidationError, match=r"exceeds exp\(700\)"):
+            estimate_event_prob(pm_one_summand(), unit_poisson(), 50,
+                                COUNT_EVENT, reps=3 * BLOCK_SIZE,
+                                method="tilted", seed=46, workers=workers,
+                                tilt=tilt)
+
     def test_impossible_event_is_degenerate(self):
         event = HalfSpaceEvent([0.0], 1.0, 5.0)
         estimate = estimate_event_prob(pm_one_summand(), unit_poisson(), 50,
@@ -1409,6 +1424,80 @@ class TestCheckBlocks:
         try:
             moment_limits_check(mx, mn, 100, reps, [1.0, 0.0], [0.0, 1.0],
                                 seed=43)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * reps * 8 + slack
+
+
+def batch_route_estimate(mx, mn, n, event, reps, method, seed, workers):
+    """The estimate computed from one whole batch of the estimator's draws:
+    (S, N) drawn through the block runner with its draws pair, then the
+    indicator times exp(log-weight) over all reps at once."""
+    if method == "plain":
+        tilt, draws = None, montecarlo._plain_draws(mx, mn, n)
+    else:
+        tilt = tilt_parameters(mx, mn, event)
+        draws = (mx.tilted(tilt.theta).sample_sum_batch,
+                 mn.tilted_count_sampler(n, tilt.s))
+    sums, counts = np.empty((reps, mx.dim)), np.empty(reps, dtype=np.int64)
+
+    def take(start, block_counts, block_sums):
+        counts[start:start + block_counts.size] = block_counts
+        sums[start:start + block_counts.size] = block_sums
+
+    montecarlo._run_blocks(*draws, reps, seed, workers, take)
+    weighted = event.indicator(CompoundSamples(n, sums, counts)).astype(float)
+    if tilt is not None:
+        log_norm = float(n) * float(mn.finite_cgf(n, tilt.s))
+        weighted *= np.exp(log_norm - sums @ tilt.theta - tilt.eta * counts)
+    return (float(weighted.mean()),
+            float(weighted.std(ddof=1)) / math.sqrt(reps))
+
+
+# Two-dimensional laws, so that sums @ theta is a real dot: guide-table
+# sums under iid-sum counts, and Gaussian sums under gamma renewals.
+ESTIMATE_ROUTES = {
+    "finite-support": (three_atom_plane, lambda: IidSumCounting(
+        [0, 1, 2], [0.3, 0.4, 0.3]), 100, 0.2),
+    "gaussian": (lambda: GaussianSummands([0.2, -0.1], [[1.0, 0.3], [0.3, 0.5]]),
+                 lambda: RenewalCounting(GammaInterarrival(2.0, 1.0)), 50, 0.4),
+}
+
+
+class TestEstimateBlocks:
+    """The estimator writes each block's weighted indicator as it is drawn,
+    with no sample batch; its value and error are the batch route's."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("method", ["plain", "tilted"])
+    @pytest.mark.parametrize("route", ESTIMATE_ROUTES)
+    def test_estimate_equals_the_batch_route(self, route, method, workers):
+        law, counting_law, n, level = ESTIMATE_ROUTES[route]
+        mx, mn = law(), counting_law()
+        event = HalfSpaceEvent([1.0, 1.0], 0.0, level)
+        reps = 2 * BLOCK_SIZE + 577
+        estimate = estimate_event_prob(mx, mn, n, event, reps=reps,
+                                       method=method, seed=44, workers=workers)
+        assert 0.0 < estimate.value < 1.0
+        assert (estimate.value, estimate.std_error) == batch_route_estimate(
+            mx, mn, n, event, reps, method, 44, workers)
+
+    @pytest.mark.parametrize("method", ["plain", "tilted"])
+    def test_peak_memory_is_the_weighted_row(self, method):
+        # One reps-long row of 8-byte floats, and one more for the spread;
+        # the slack covers one block's draws and the tables each call
+        # builds. Holding the (S, N) batch peaks near ten rows. A first
+        # call loads the lazy imports and the count table.
+        mx = three_atom_plane()
+        mn = IidSumCounting([0, 1, 2], [0.3, 0.4, 0.3])
+        event = HalfSpaceEvent([1.0, 1.0], 0.0, 0.2)
+        estimate_event_prob(mx, mn, 100, event, reps=2, method=method, seed=45)
+        reps, slack = 200_000, 2 ** 20
+        tracemalloc.start()
+        try:
+            estimate_event_prob(mx, mn, 100, event, reps=reps, method=method,
+                                seed=45)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
