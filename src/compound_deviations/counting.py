@@ -52,19 +52,21 @@ Kinds
   finitely many positive integers by the law of T_k on 0..n, built one
   step at a time.
 
-Importing the module loads no scipy submodule: each function imports the
-one it calls (quad, brentq, gammaln, gammainc) when it
-runs. A table may first be built on one of ``montecarlo``'s block threads,
-so the first such import can run there; CPython's per-module import locks
-make that safe.
+Every integral (a profile's limit triple and left tail, a Poisson intensity)
+goes through one adaptive Gauss-Kronrod rule, ``_integrate``. Importing the
+module loads no scipy submodule: each function imports the one it calls
+(brentq, gammaln, gammainc) when it runs. A table may first be built on one
+of ``montecarlo``'s block threads, so the first such import can run there;
+CPython's per-module import locks make that safe.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 import numpy as np
 
@@ -77,18 +79,106 @@ from .variational import Cumulant
 CGF_AT_ZERO_TOL = 1e-12
 # Construction-time probe grid for finiteness and monotonicity of limit_cgf.
 PROBE_ETAS = np.linspace(-10.0, 5.0, 31)
-# Quadrature tolerances for intensity integrals and Bernoulli profiles.
+# Quadrature tolerance, absolute or relative, for intensity integrals and
+# Bernoulli profiles.
 QUAD_TOL = 1e-10
-# Breakpoints of Bernoulli profile integrals, crowding x = 0: where the runs
-# profile nears p = 1, log(1 - p + p e^eta) has a near-log singularity at
-# x ~ e^eta that the adaptive rule must meet.
-QUAD_POINTS = (1e-12, 1e-9, 1e-6, 1e-3)
+# Start edges of ``_integrate`` on [0, 1], scaled to [0, n] for an intensity
+# integral. Decades from 1e-12 to 1e-2 meet the runs profile's near-log
+# singularity at x ~ e^eta. Then 16 equal panels, whose nodes leave no gap
+# wider than 0.0047: a feature of the integrand at least that wide meets a
+# node at the start.
+QUAD_EDGES = (0.0, *(10.0 ** -k for k in range(12, 1, -1)),
+              *(k / 16 for k in range(1, 17)))
+# Start edges of a profile's left tail: QUAD_EDGES from 1e-6 on. Its
+# integrand log(1 - p) has no turnover at e^eta, only a log singularity where
+# p reaches 1, which the extrapolated first panel meets with nodes above
+# 1e-9. The runs profile e^{-ax} rounds to 1 below 2^-54 / a, so QUAD_EDGES'
+# nodes, down to 2.2e-15, would read a plateau at p = 1 for a < 0.026; these
+# keep the tail finite for a >= 1e-7.
+TAIL_EDGES = (0.0, *(e for e in QUAD_EDGES if e >= 1e-6))
+# Most panels ``_integrate`` splits an interval into.
+QUAD_PANELS = 500
+# Gauss-Kronrod G10/K21 on [-1, 1] (QUADPACK's qk21): the Kronrod nodes from
+# 1 down to 0, their weights, and the weights of the Gauss nodes among them
+# (every second one, from 0.9739).
+_K21_HALF = (
+    0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+    0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+    0.2943928627014602, 0.14887433898163122, 0.0,
+)
+_K21_HALF_WEIGHTS = (
+    0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
+    0.07503967481091996, 0.0931254545836976, 0.10938715880229764,
+    0.12349197626206584, 0.13470921731147334, 0.14277593857706009,
+    0.14773910490133849, 0.1494455540029169,
+)
+_G10_HALF_WEIGHTS = (
+    0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
+    0.26926671930999635, 0.29552422471475287,
+)
+# The 21 nodes in increasing order and the weights of both rules on them.
+_K21_NODES = tuple(-x for x in _K21_HALF[:-1]) + _K21_HALF[::-1]
+_K21_WEIGHTS = _K21_HALF_WEIGHTS[:-1] + _K21_HALF_WEIGHTS[::-1]
+_G10_WEIGHTS = _G10_HALF_WEIGHTS + _G10_HALF_WEIGHTS[::-1]  # on _K21_NODES[1::2]
 # Mass tables are truncated once the missing tail is below this.
 MASS_TAIL_TOL = 1e-12
 # Root tolerance for inverting a lattice cumulant, relative to the root.
 INVERT_RTOL = 4.0 * float(np.finfo(float).eps)  # the least brentq accepts
 # Largest lattice step: every integer up to 2^53 is a float.
 MAX_STEP = 2 ** 53
+
+
+def _integrate(f, a, b, what, edges=QUAD_EDGES):
+    """The integral of f over [a, b] by adaptive G10/K21 quadrature.
+
+    The panels start at ``edges`` scaled to [a, b]; while the |K21 - G10|
+    gaps sum to more than QUAD_TOL, absolute or relative to the integral,
+    the panel of the widest gap is halved. On the panel [a, a + h] both
+    rules err by c·h when f is alpha·log(x - a) plus a polynomial, so there
+    each rule is taken as 2·(its sum over the two halves) minus its sum over
+    the panel: that cancels the error, and no node comes nearer a than
+    h/1000. A panel that is not finite ends the rule with the sum of the
+    panels, so a plateau of log(1 - p) at p = 1 gives -inf and a NaN
+    integrand NaN; needing more than QUAD_PANELS panels is a ValidationError
+    naming ``what``."""
+
+    def rules(lo, hi):
+        # (K21, G10) over [lo, hi]; a sum of the values where one is not finite.
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        fx = [f(mid + half * x) for x in _K21_NODES]
+        if not all(map(math.isfinite, fx)):
+            return half * sum(fx), None
+        return (half * math.fsum(map(mul, _K21_WEIGHTS, fx)),
+                half * math.fsum(map(mul, _G10_WEIGHTS, fx[1::2])))
+
+    def panel(lo, hi):
+        # (-gap, lo, hi, value): a heap of these pops the widest gap.
+        sums = [rules(lo, hi)]
+        if lo == a:
+            sums += rules(lo, 0.5 * (lo + hi)), rules(0.5 * (lo + hi), hi)
+        if any(g is None for _, g in sums):
+            return -math.inf, lo, hi, sum(k for k, _ in sums)
+        (k, g), *halves = sums
+        if halves:
+            (k_left, g_left), (k_right, g_right) = halves
+            k, g = 2.0 * (k_left + k_right) - k, 2.0 * (g_left + g_right) - g
+        return -abs(k - g), lo, hi, k
+
+    edges = [a + (b - a) * e for e in edges]
+    heap = [panel(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    total, gap = sum(p[3] for p in heap), -sum(p[0] for p in heap)
+    heapq.heapify(heap)
+    while math.isfinite(total) and gap > QUAD_TOL * max(1.0, abs(total)):
+        if len(heap) >= QUAD_PANELS:
+            raise ValidationError(f"{what} does not reach tolerance {QUAD_TOL:g} "
+                                  f"within {QUAD_PANELS} panels")
+        worst, lo, hi, value = heapq.heappop(heap)
+        halves = panel(lo, 0.5 * (lo + hi)), panel(0.5 * (lo + hi), hi)
+        total += halves[0][3] + halves[1][3] - value
+        gap += worst - halves[0][0] - halves[1][0]
+        for p in halves:
+            heapq.heappush(heap, p)
+    return math.fsum(p[3] for p in heap) if math.isfinite(total) else total
 
 
 def _check_states(size, what):
@@ -451,9 +541,10 @@ class PoissonCounting(FractionalPoissonCounting):
     ``rate`` is the limiting mass per unit time and fully determines the
     asymptotics. An optional intensity function refines finite-n behavior:
     N_n ~ Poisson(integral of the intensity over [0, n]), with the integral
-    computed once per n by adaptive quadrature and cached. The rate remains
-    authoritative for the limit quantities, so a sensible intensity has
-    running averages approaching it.
+    computed once per n by ``_integrate`` and cached; an intensity the rule
+    cannot resolve within QUAD_PANELS panels is a ValidationError. The rate
+    remains authoritative for the limit quantities, so a sensible intensity
+    has running averages approaching it.
     """
 
     def __init__(self, rate, intensity=None):
@@ -474,12 +565,8 @@ class PoissonCounting(FractionalPoissonCounting):
         if self._intensity is None:
             return self._rate * n
         if n not in self._mass_cache:
-            from scipy.integrate import quad
-
-            value, _ = quad(
-                self._intensity, 0.0, float(n),
-                epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=500,
-            )
+            value = _integrate(self._intensity, 0.0, float(n),
+                               f"the intensity integral over [0, {n}]")
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValidationError(f"the intensity integral over [0, {n}] is "
                                       f"{value!r}, not a finite value >= 0")
@@ -559,12 +646,9 @@ class BernoulliSumCounting(CountingModel):
         if self._p is not None:
             return term(self._p, eta)
         if math.isnan(eta):
-            return eta  # quad warns on a NaN integrand; the NaN propagates
-        from scipy.integrate import quad
-
-        value, _ = quad(lambda x: term(self._profile_value(x), eta), 0.0, 1.0,
-                        epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=500, points=QUAD_POINTS)
-        return float(value)
+            return eta  # NaN, also where every trial is sure and ignores eta
+        return _integrate(lambda x: term(self._profile_value(x), eta), 0.0, 1.0,
+                          f"the limit quadrature of {term.__name__[1:]} at eta={eta!r}")
 
     def limit_cgf(self, eta):
         return self._over_profile(_bernoulli_cgf, eta)
@@ -581,16 +665,12 @@ class BernoulliSumCounting(CountingModel):
         # the limit -inf.
         if self._p is not None:
             return math.log1p(-self._p)
-        from scipy.integrate import quad
 
         def f(x):
             q = self._profile_value(x)
             return math.log1p(-q) if q < 1.0 else -math.inf
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            value, _ = quad(f, 0.0, 1.0, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=500)
-        return value if math.isfinite(value) else -math.inf
+        return _integrate(f, 0.0, 1.0, "the limit quadrature of the left tail", TAIL_EDGES)
 
     def success_probs(self, n):
         n = check_int(n, "n", 1)

@@ -6,11 +6,13 @@ the fractional mean against an extended-precision series oracle; the
 renewal inverse against an independent bisection; the gamma-law renewal
 mass table against Poisson laws, renewal-theory moments and walked
 partial sums of gamma draws; the lattice-law renewal table against a walk
-over every sequence of inter-arrivals.
+over every sequence of inter-arrivals; the adaptive quadrature against
+closed forms of the runs profile, mpmath and exact intensity integrals.
 """
 
 import math
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -888,6 +890,128 @@ class TestOneTableRoute:
                 assert_allclose(mn.limit_cgf(eta), expected, rtol=1e-12)
 
 
+# runs(lam, c) at a = lam * c in {1, 2, 50}.
+RUNS_PRESETS = {"a=1": (1.0, 1.0), "a=2": (2.0, 1.0), "a=50": (10.0, 5.0)}
+
+
+class TestQuadrature:
+    """The one adaptive rule, ``counting._integrate``, against closed forms
+    of the runs profile p(x) = e^{-a x}, mpmath and exact intensity
+    integrals; a profile or intensity it cannot resolve is typed."""
+
+    def test_the_kronrod_tables_are_the_g10_k21_pair(self):
+        # K21 integrates x^k over [-1, 1] exactly up to degree 31, its odd
+        # nodes are the 10 Gauss-Legendre nodes, and G10's weights on them
+        # integrate x^k exactly up to degree 19.
+        x, wk, wg = counting._K21_NODES, counting._K21_WEIGHTS, counting._G10_WEIGHTS
+        gauss_x, gauss_w = np.polynomial.legendre.leggauss(10)
+        assert_allclose(x[1::2], gauss_x, rtol=0, atol=1e-15)
+        assert_allclose(wg, gauss_w, rtol=0, atol=1e-15)
+        for k in range(32):
+            exact = 0.0 if k % 2 else 2.0 / (k + 1)
+            assert abs(math.fsum(w * t ** k for w, t in zip(wk, x)) - exact) <= 1e-15, k
+            if k < 20:
+                assert abs(math.fsum(w * t ** k for w, t in zip(wg, x[1::2]))
+                           - exact) <= 1e-15, k
+
+    @pytest.mark.parametrize("lam, c", RUNS_PRESETS.values(), ids=RUNS_PRESETS)
+    def test_runs_rates_at_zero_are_the_closed_forms(self, lam, c):
+        # d1 = (1 - e^{-a}) / a and d2 = d1 - (1 - e^{-2a}) / (2a).
+        a = lam * c
+        d = BernoulliSumCounting.runs(lam, c).derivs_at_zero()
+        with mp.workdps(40):
+            d1 = float(-mp.expm1(-a) / a)
+            d2 = float(-mp.expm1(-a) / a + mp.expm1(-2 * a) / (2 * a))
+        assert abs(d.mean_rate - d1) <= 2 * math.ulp(d1)
+        assert abs(d.variance_rate - d2) <= 2 * math.ulp(d2)
+
+    @pytest.mark.parametrize("lam, c", RUNS_PRESETS.values(), ids=RUNS_PRESETS)
+    def test_runs_left_tail_is_the_dilogarithm(self, lam, c):
+        # The integral of log(1 - e^{-a x}) over [0, 1] is
+        # -(zeta(2) - Li2(e^{-a})) / a; the log singularity at x = 0 is met
+        # by the extrapolated first panel.
+        a = lam * c
+        with mp.workdps(40):
+            exact = float(-(mp.zeta(2) - mp.polylog(2, mp.exp(-a))) / a)
+        tail = BernoulliSumCounting.runs(lam, c)._tail_limit()
+        assert abs(tail - exact) <= 1e-14
+        if a == 1.0:
+            assert abs(exact - (-1.2361797794993301)) <= 1e-16
+
+    @pytest.mark.parametrize("a", [1e-6, 1e-4, 0.01])
+    def test_runs_left_tail_is_finite_at_small_a(self, a):
+        # e^{-a x} rounds to 1 on [0, 2^-54 / a]; the tail's nodes stay
+        # above that stretch, so it is not read as a plateau at p = 1, and
+        # the rate at the origin, -cgf_at_minus_inf, stays finite.
+        with mp.workdps(40):
+            exact = float(-(mp.zeta(2) - mp.polylog(2, mp.exp(-a))) / a)
+        mn = BernoulliSumCounting.runs(a, 1.0)
+        assert_allclose(mn._tail_limit(), exact, rtol=1e-12)
+        assert mn.derivs_at_zero().cgf_at_minus_inf == mn._tail_limit()
+
+    @pytest.mark.parametrize("lam, c", RUNS_PRESETS.values(), ids=RUNS_PRESETS)
+    def test_runs_limit_cgf_matches_mpmath(self, lam, c):
+        a = lam * c
+        mn = BernoulliSumCounting.runs(lam, c)
+        for eta in (-40.0, -10.0, -1.0, 0.5, 3.0):
+            with mp.workdps(30):
+                exact = float(mp.quad(
+                    lambda x: mp.log1p(mp.exp(-a * x) * mp.expm1(eta)),
+                    [0, 1e-18, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1]))
+            assert_allclose(mn.limit_cgf(eta), exact, rtol=1e-12, err_msg=f"eta={eta}")
+
+    def test_a_narrow_profile_feature_is_integrated(self):
+        # The feature on (0.311, 0.329) lies between the constructor's probe
+        # points; the start panels' nodes find it.
+        mn = BernoulliSumCounting(profile=lambda x: 0.9 if 0.311 < x < 0.329 else 0.5)
+        e1 = math.expm1(1.0)
+        exact = 0.018 * math.log1p(0.9 * e1) + 0.982 * math.log1p(0.5 * e1)
+        assert abs(exact - 0.6257770757850495) <= 1e-16
+        assert abs(mn.limit_cgf(1.0) - exact) <= 1e-10
+
+    def test_a_narrow_spike_above_one_is_typed_at_construction(self):
+        with pytest.raises(ValidationError,
+                           match=r"at the limit quadrature, p\(0\.3\d*\) = 1\.5"):
+            BernoulliSumCounting(profile=lambda x: 1.5 if 0.311 < x < 0.329 else 0.5)
+
+    def test_an_unresolvable_profile_is_typed_without_a_warning(self):
+        # sign(sin(1/x)) switches infinitely often near x = 0: no panel
+        # budget resolves it.
+        def profile(x):
+            return 0.5 if x == 0 else 0.5 + 0.4 * math.copysign(1.0, math.sin(1.0 / x))
+
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(ValidationError, match=(
+                    r"the limit quadrature of \w+ at eta=\S+ does not reach "
+                    r"tolerance 1e-10 within 500 panels")):
+                BernoulliSumCounting(profile=profile)
+        assert seen == []
+
+    @pytest.mark.parametrize("n", [1, 10, 100, 1000])
+    def test_intensity_integral_is_exact(self, n):
+        mn = PoissonCounting(1.0, intensity=lambda t: 1.0 + math.exp(-t))
+        assert_allclose(mn.total_mass(n), n + 1.0 - math.exp(-n), rtol=1e-12)
+
+    def test_a_square_wave_intensity_is_exact_or_typed(self):
+        # 1 + sign(sin(50 t)) / 2 over [0, 400]: 3183 whole periods, on which
+        # the sign integrates to 0, then a part of the positive half-wave.
+        period = 2.0 * math.pi / 50.0
+        exact = 400.0 + 0.5 * (400.0 - 3183 * period)
+        assert 0.0 < 400.0 - 3183 * period < period / 2
+        mn = PoissonCounting(
+            1.0, intensity=lambda t: 1.0 + math.copysign(0.5, math.sin(50.0 * t)))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            try:
+                value = mn.total_mass(400)
+            except ValidationError as err:
+                assert "the intensity integral over [0, 400]" in str(err)
+            else:
+                assert abs(value - exact) <= 1e-9
+        assert seen == []
+
+
 class TestPoissonIsOrderOneFractional:
     """PoissonCounting is FractionalPoissonCounting at nu = 1: the same
     limit triple, left tail and tilted tables, bit for bit."""
@@ -1069,10 +1193,12 @@ class TestValidation:
         lambda mn: mn.sample_batch(100, np.random.default_rng(1), 10),
     ], ids=["exact-pmf", "finite-cgf", "sample-batch"])
     def test_profile_spike_between_probe_points_is_typed(self, spike, call):
-        # The constructor probes the profile at the 21 points k / 20 and
-        # misses a spike on (0.311, 0.329); the site 0.32 of n = 100 does not.
+        # The constructor probes the profile at the 21 points k / 20 and at
+        # the start nodes of its limit quadrature, and misses a spike on
+        # (0.3195, 0.3205), narrower than the gaps between those nodes; the
+        # site 0.32 of n = 100 does not.
         def profile(x):
-            return spike if 0.311 < x < 0.329 else 0.5
+            return spike if 0.3195 < x < 0.3205 else 0.5
 
         mn = BernoulliSumCounting(profile=profile)
         with pytest.raises(ValidationError, match=r"at n=100, p\(0\.32\)"):
@@ -1104,8 +1230,9 @@ class TestValidation:
         with pytest.raises(ValidationError):
             PoissonCounting(1.0, intensity=lambda t: -1.0)
 
-    @pytest.mark.parametrize("after, value", [(-10.0, "-45.0"), (math.inf, "inf")],
-                             ids=["negative", "infinite"])
+    @pytest.mark.parametrize("after, value", [(-10.0, "-45.0"), (math.inf, "inf"),
+                                              (math.nan, "nan")],
+                             ids=["negative", "infinite", "nan"])
     @pytest.mark.parametrize("call", [
         lambda mn: mn.total_mass(10),
         lambda mn: mn.mean(10),

@@ -58,8 +58,9 @@ def test_every_imported_name_is_used():
 # scipy's submodules are loaded, enumerates a +-1 sum event under
 # constant-p Bernoulli counts, runs a tilted and a plain +-1/Poisson
 # ldp-check, one +-1/Poisson rate-eval config, then a +-1/Poisson
-# moments-check and clt-check (enough reps for the normality p-values), and
-# records them after each step, with the p-values last.
+# moments-check and clt-check (enough reps for the normality p-values) and a
+# clt-check on runs-profile Bernoulli counts, and records them after each
+# step, with the first clt-check's p-values last.
 IMPORT_PROBE = """
 import json, sys
 import compound_deviations, compound_deviations.cli
@@ -97,6 +98,11 @@ run_experiment(normalize_config(dict(pm_poisson, experiment={
 _, clt = run_experiment(normalize_config(dict(pm_poisson, experiment={
     "kind": "clt-check", "n": 50, "reps": 1000, "v": [1.0], "seed": 1,
 })), out_dir=sys.argv[1])
+runs = dict(pm_poisson, counting={"kind": "bernoulli_sum", "preset": "runs",
+                                  "lam": 1.0, "c": 1.0})
+run_experiment(normalize_config(dict(runs, experiment={
+    "kind": "clt-check", "n": 50, "reps": 1000, "v": [1.0], "seed": 1,
+})), out_dir=sys.argv[1])
 print(json.dumps([after_import, after_enumeration, after_ldp, after_run, loaded(),
                   clt["details"]["normality_pvalues"]]))
 """
@@ -124,5 +130,6 @@ def test_import_loads_no_scipy_submodule_a_run_does_not_call(tmp_path):
     # The checks' K^2 p-values take chdtrc from scipy.special alone.
     assert sorted(pvalues) == ["count_coord", "sum_coord"]
     assert all(isinstance(p, float) for p in pvalues.values())
-    heavy = ("scipy.stats", "scipy.interpolate", "scipy.ndimage")
+    # A profile count integrates its limit triple by the package's own rule.
+    heavy = ("scipy.stats", "scipy.integrate", "scipy.interpolate", "scipy.ndimage")
     assert [m for m in heavy if m in after_checks] == []
