@@ -4,9 +4,10 @@ A kind supplies its limiting scaled cumulant generating function
 
     limit_cgf(eta) = lim (1/n) log E exp(eta N_n),
 
-its first and second derivatives (``limit_cgf_deriv``, ``limit_cgf_second``;
-at zero d1 and d2, the limiting mean and variance rates of N_n / n) and its
-left tail ``_tail_limit()`` = limit_cgf(-inf), read by ``derivs_at_zero``.
+and its first and second derivatives (``limit_cgf_deriv``,
+``limit_cgf_second``; at zero d1 and d2, the limiting mean and variance rates
+of N_n / n). ``limit_cgf`` holds at eta = +-inf too, so its left tail
+limit_cgf(-inf), the cost of N_n = 0, is read there by ``derivs_at_zero``.
 
 The finite-n law comes from one builder per kind, ``_tilted_table(n, s)``:
 the pmf over 0..K of the law with mass ~ P(N_n = k) e^{s k}, and
@@ -34,7 +35,7 @@ Kinds
   of a nonnegative intensity (an integral that is negative or not finite is
   a ValidationError); the limit cumulant is rate * (e^eta - 1). It
   is the order-1 FractionalPoissonCounting with x = m(n): it inherits the
-  limit triple, the left tail and the table, and adds only the intensity
+  limit triple and the table, and adds only the intensity
   and the closed forms of ``finite_cgf`` and ``mean``.
 * FractionalPoissonCounting: heavy-tailed renewal-type count whose mass at n
   is x^k / (Gamma(nu k + 1) E(nu, 1; x)) with x = rate * n^nu; the limit
@@ -52,12 +53,10 @@ Kinds
   finitely many positive integers by the law of T_k on 0..n, built one
   step at a time.
 
-Every integral (a profile's limit triple and left tail, a Poisson intensity)
-goes through one adaptive Gauss-Kronrod rule, ``_integrate``. Importing the
-module loads no scipy submodule: each function imports the one it calls
-(brentq, gammaln, gammainc) when it runs. A table may first be built on one
-of ``montecarlo``'s block threads, so the first such import can run there;
-CPython's per-module import locks make that safe.
+Every integral (a profile's limit triple, a Poisson intensity) goes through
+one adaptive Gauss-Kronrod rule, ``_integrate``. Importing the module loads
+no scipy submodule: each function imports the one it calls (brentq,
+gammaln, gammainc) when it runs.
 """
 
 from __future__ import annotations
@@ -77,8 +76,10 @@ from .variational import Cumulant
 
 # The scaled cumulant must vanish at zero within this.
 CGF_AT_ZERO_TOL = 1e-12
-# Construction-time probe grid for finiteness and monotonicity of limit_cgf.
+# Construction-time probe grid for finiteness and monotonicity of limit_cgf,
+# and the index of its point eta = 0, where limit_cgf must vanish.
 PROBE_ETAS = np.linspace(-10.0, 5.0, 31)
+PROBE_ZERO = PROBE_ETAS.tolist().index(0.0)
 # Quadrature tolerance, absolute or relative, for intensity integrals and
 # Bernoulli profiles.
 QUAD_TOL = 1e-10
@@ -89,12 +90,12 @@ QUAD_TOL = 1e-10
 # node at the start.
 QUAD_EDGES = (0.0, *(10.0 ** -k for k in range(12, 1, -1)),
               *(k / 16 for k in range(1, 17)))
-# Start edges of a profile's left tail: QUAD_EDGES from 1e-6 on. Its
-# integrand log(1 - p) has no turnover at e^eta, only a log singularity where
-# p reaches 1, which the extrapolated first panel meets with nodes above
-# 1e-9. The runs profile e^{-ax} rounds to 1 below 2^-54 / a, so QUAD_EDGES'
-# nodes, down to 2.2e-15, would read a plateau at p = 1 for a < 0.026; these
-# keep the tail finite for a >= 1e-7.
+# Start edges of a profile's left tail, the limit cumulant at eta = -inf:
+# QUAD_EDGES from 1e-6 on. Its integrand log(1 - p) has no turnover at
+# e^eta, only a log singularity where p reaches 1, which the extrapolated
+# first panel meets with nodes above 1e-9. The runs profile e^{-ax} rounds
+# to 1 below 2^-54 / a, so QUAD_EDGES' nodes, down to 2.2e-15, would read a
+# plateau at p = 1 for a < 0.026; these keep the tail finite for a >= 1e-7.
 TAIL_EDGES = (0.0, *(e for e in QUAD_EDGES if e >= 1e-6))
 # Most panels ``_integrate`` splits an interval into.
 QUAD_PANELS = 500
@@ -289,9 +290,9 @@ class CountingDerivatives:
 
 class CountingModel:
     """Common interface of counting-process models. A kind supplies the limit
-    triple (``limit_cgf`` and its two derivatives), its left tail
-    ``_tail_limit`` and ``_tilted_table``; ``derivs_at_zero`` reads the
-    triple and the tail, the finite-n members below read the table."""
+    triple (``limit_cgf``, defined on [-inf, inf], and its two derivatives)
+    and ``_tilted_table``; ``derivs_at_zero`` reads the triple, the finite-n
+    members below read the table."""
 
     def limit_cgf(self, eta):
         raise NotImplementedError
@@ -303,14 +304,11 @@ class CountingModel:
         """Second derivative of limit_cgf, the Hessian the conjugate solver needs."""
         raise NotImplementedError
 
-    def _tail_limit(self):
-        """L_N(-inf), the limit of limit_cgf as eta -> -infinity, in [-inf, 0]."""
-        raise NotImplementedError
-
     def derivs_at_zero(self):
         """d1 = L_N'(0), d2 = L_N''(0) and the left tail L_N(-inf)."""
         return CountingDerivatives(
-            self.limit_cgf_deriv(0.0), self.limit_cgf_second(0.0), self._tail_limit()
+            self.limit_cgf_deriv(0.0), self.limit_cgf_second(0.0),
+            self.limit_cgf(-math.inf)
         )
 
     @cached_property
@@ -388,7 +386,11 @@ class CountingModel:
         return lambda rng, reps: _draw_from_cdf(cdf, rng, reps)
 
     def _probe_validate(self):
-        values = [self.limit_cgf(e) for e in PROBE_ETAS.tolist()]
+        # A value past the float range is not finite either.
+        try:
+            values = [self.limit_cgf(e) for e in PROBE_ETAS.tolist()]
+        except OverflowError:
+            values = [math.inf]
         if not all(math.isfinite(v) for v in values):
             raise ValidationError(
                 f"{type(self).__name__}: limit cumulant is not finite on the probe grid"
@@ -397,7 +399,7 @@ class CountingModel:
             raise ValidationError(
                 f"{type(self).__name__}: limit cumulant is not non-decreasing"
             )
-        at_zero = self.limit_cgf(0.0)
+        at_zero = values[PROBE_ZERO]
         if abs(at_zero) > CGF_AT_ZERO_TOL:
             raise ValidationError(
                 f"{type(self).__name__}: limit cumulant at zero is {at_zero!r}, "
@@ -409,7 +411,9 @@ class _Lattice:
     """A law on distinct integers t_i from ``least`` to MAX_STEP, sorted,
     with probabilities p_i: the steps of ``IidSumCounting`` (least 0) and
     of ``LatticeInterarrival`` (least 1). Its cumulant kappa(r) =
-    log sum p_i e^{r t_i} and two derivatives come from ``tilt_weights``."""
+    log sum p_i e^{r t_i} and two derivatives come from ``tilt_weights``; at
+    r = +-inf kappa is the limit, decided by the extreme step in r's
+    direction."""
 
     def __init__(self, values, probs, least):
         vals = np.array(values)
@@ -439,6 +443,10 @@ class _Lattice:
         return tilt_weights(r * self._values + self._log_probs)
 
     def kappa(self, r):
+        if r in (-math.inf, math.inf):
+            # log p of a step 0 (never 0 * inf), else r itself.
+            end = 0 if r < 0.0 else -1
+            return float(self._log_probs[end]) if self._values[end] == 0 else float(r)
         return self._tilt(r)[0]
 
     def kappa_prime(self, r):
@@ -460,9 +468,6 @@ class IidSumCounting(_Lattice, CountingModel):
     limit_cgf = _Lattice.kappa
     limit_cgf_deriv = _Lattice.kappa_prime
     limit_cgf_second = _Lattice.kappa_second
-
-    def _tail_limit(self):
-        return float(self._log_probs[0]) if self._values[0] == 0 else -math.inf
 
     def finite_cgf(self, n, eta):
         check_int(n, "n", 1)
@@ -516,9 +521,6 @@ class FractionalPoissonCounting(CountingModel):
 
     def limit_cgf_second(self, eta):
         return self._scale * math.exp(eta / self._nu) / (self._nu * self._nu)
-
-    def _tail_limit(self):
-        return -self._scale
 
     def _argument(self, n):
         """x of the law at n; a zero x (an intensity that vanishes up to
@@ -648,7 +650,8 @@ class BernoulliSumCounting(CountingModel):
         if math.isnan(eta):
             return eta  # NaN, also where every trial is sure and ignores eta
         return _integrate(lambda x: term(self._profile_value(x), eta), 0.0, 1.0,
-                          f"the limit quadrature of {term.__name__[1:]} at eta={eta!r}")
+                          f"the limit quadrature of {term.__name__[1:]} at eta={eta!r}",
+                          TAIL_EDGES if eta == -math.inf else QUAD_EDGES)
 
     def limit_cgf(self, eta):
         return self._over_profile(_bernoulli_cgf, eta)
@@ -658,19 +661,6 @@ class BernoulliSumCounting(CountingModel):
 
     def limit_cgf_second(self, eta):
         return self._over_profile(_bernoulli_variance, eta)
-
-    def _tail_limit(self):
-        # log(1 - p), or the integral of log(1 - p(x)): an endpoint touching
-        # p = 1 leaves an integrable log singularity, a plateau at 1 makes
-        # the limit -inf.
-        if self._p is not None:
-            return math.log1p(-self._p)
-
-        def f(x):
-            q = self._profile_value(x)
-            return math.log1p(-q) if q < 1.0 else -math.inf
-
-        return _integrate(f, 0.0, 1.0, "the limit quadrature of the left tail", TAIL_EDGES)
 
     def success_probs(self, n):
         n = check_int(n, "n", 1)
@@ -704,9 +694,7 @@ class BernoulliSumCounting(CountingModel):
 
 class InterarrivalLaw:
     """Inter-arrival time description: cumulant kappa, its derivatives, its
-    inverse, the end of its domain ``domain_sup`` and the count table."""
-
-    domain_sup = math.inf
+    inverse and the count table."""
 
     def kappa(self, r):
         raise NotImplementedError
@@ -729,8 +717,8 @@ class InterarrivalLaw:
 class GammaInterarrival(InterarrivalLaw):
     """Gamma(shape, rate) inter-arrivals: kappa(r) = -shape log(1 - r/rate).
 
-    kappa' and kappa'' are infinite at r >= rate, the edge the inverse
-    approaches as u -> infinity.
+    kappa, kappa' and kappa'' are infinite at r >= rate, the edge the
+    inverse approaches as u -> infinity.
     """
 
     def __init__(self, shape, rate):
@@ -738,14 +726,9 @@ class GammaInterarrival(InterarrivalLaw):
                                  lambda v: v > 0)
         self.rate = finite_real(rate, "rate", "be a positive finite real",
                                 lambda v: v > 0)
-        self.domain_sup = self.rate
 
     def kappa(self, r):
-        if r >= self.rate:
-            raise ValidationError(
-                f"kappa is finite only below rate={self.rate}, got r={r}"
-            )
-        return -self.shape * math.log1p(-r / self.rate)
+        return math.inf if r >= self.rate else -self.shape * math.log1p(-r / self.rate)
 
     def kappa_prime(self, r):
         return math.inf if r >= self.rate else self.shape / (self.rate - r)
@@ -801,8 +784,8 @@ class ExponentialInterarrival(GammaInterarrival):
 
 class LatticeInterarrival(_Lattice, InterarrivalLaw):
     """Inter-arrival times on distinct positive integers t_i with
-    probabilities p_i: kappa(r) = log sum p_i e^{r t_i}, finite for every r,
-    so ``domain_sup`` is +inf and L_N(-inf) = -inf."""
+    probabilities p_i: kappa(r) = log sum p_i e^{r t_i}, finite for every
+    real r, so kappa^{-1}(+-inf) = +-inf and L_N(-inf) = -inf."""
 
     def __init__(self, values, probs):
         super().__init__(values, probs, 1)
@@ -810,9 +793,12 @@ class LatticeInterarrival(_Lattice, InterarrivalLaw):
     def inverse(self, u):
         """kappa lies between r t_min and r t_max, so the root lies between
         u / t_max and u / t_min: one bracketed solve, or u / t for a single
-        atom. An end where kappa meets u in floats is the root."""
+        atom. An end where kappa meets u in floats is the root; u = +-inf is
+        its own root, NaN a ValidationError."""
         from scipy.optimize import brentq
 
+        if u in (-math.inf, math.inf):
+            return float(u)
         u = finite_real(u, "target value")
         lo, hi = sorted((u / int(self._values[-1]), u / int(self._values[0])))
         if lo == hi or self.kappa(lo) >= u:
@@ -894,10 +880,6 @@ class RenewalCounting(CountingModel):
         r = -self.limit_cgf(eta)
         slope = self._law.kappa_prime(r)
         return 0.0 if slope == math.inf else self._law.kappa_second(r) / slope ** 3
-
-    def _tail_limit(self):
-        # L_N(-inf) = -sup{r : kappa(r) < inf}.
-        return -self._law.domain_sup
 
     def _tilted_table(self, n, s):
         return self._law.count_table(n, s)

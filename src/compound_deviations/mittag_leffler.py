@@ -91,10 +91,14 @@ def _series_value(nu, beta, x):
 
 
 def _asymptotic_log(nu, beta, x):
-    """Log of the two-correction exponential asymptotic, valid for z > 30."""
+    """Log of the two-correction exponential asymptotic, valid for z > 30;
+    +inf once z itself passes the float range, where log E does too."""
     from scipy.special import rgamma
 
-    z = x ** (1.0 / nu)
+    try:
+        z = x ** (1.0 / nu)
+    except OverflowError:
+        return math.inf
     log_leading = z + (1.0 - beta) * math.log(z) - math.log(nu)
     corrections = -(rgamma(beta - nu) / x + rgamma(beta - 2.0 * nu) / (x * x))
     # Ratio of the algebraic tail to the exponential leading term; at z > 30

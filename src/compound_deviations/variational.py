@@ -357,7 +357,7 @@ def rate_ld_explicit(mx, mn, x, y):
     rates = np.full(ys.size, math.inf)
     origin = np.maximum(np.abs(ys), np.max(np.abs(xs), axis=1)) <= ORIGIN_TOL
     if origin.any():
-        rates[origin] = -mn.derivs_at_zero().cgf_at_minus_inf
+        rates[origin] = -mn.limit_cgf(-math.inf)
     inner = (ys > 0.0) & ~origin
     if inner.any():
         y_in = ys[inner]

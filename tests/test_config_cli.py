@@ -821,6 +821,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert "missing: beta" in err
 
+    @pytest.mark.parametrize("nu, x", [("0.3", "1e100"), ("0.5", "1e200")])
+    def test_ml_eval_past_the_float_range_writes_inf(self, tmp_path, capsys,
+                                                     nu, x):
+        out = tmp_path / "out"
+        assert cli.main(["ml-eval", "--nu", nu, "--beta", "1", "--x", x,
+                         "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert (out / "ml_values.dat").read_text().split()[1] == "inf"
+
+    @pytest.mark.parametrize("counting, model", [
+        ({"kind": "fractional_poisson", "nu": 0.001, "rate": 1.0},
+         "FractionalPoissonCounting"),
+        ({"kind": "renewal", "law": {"kind": "gamma", "shape": 0.001, "rate": 1.0}},
+         "RenewalCounting"),
+    ], ids=["fractional", "gamma-renewal"])
+    def test_cumulant_overflow_at_build_is_typed(self, tmp_path, capsys, counting,
+                                                 model):
+        # The config is valid, but the count's cumulant overflows a float at
+        # the construction probe: a typed error, not an internal one.
+        path = write_json(tmp_path / "overflow.json", {**rate_eval_raw(),
+                                                       "counting": counting})
+        assert cli.main(["rate-eval", "--config", path, "--out",
+                         str(tmp_path / "out")]) == 2
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert err_lines == ["error [compound_deviations.errors.ValidationError]: "
+                             f"{model}: limit cumulant is not finite on the probe grid"]
+
     def test_model_build_error_is_typed(self, tmp_path, capsys):
         path = write_json(tmp_path / "overflow.json", {
             "summand": ldp_raw()["summand"],

@@ -511,8 +511,12 @@ class TestInterarrivalInversion:
 
     @pytest.mark.parametrize("u", [math.nan, -math.inf, math.inf])
     def test_non_finite_targets_are_invalid(self, u):
-        with pytest.raises(ValidationError, match="target value must be"):
-            lattice_law().inverse(u)
+        # NaN has no root; kappa is finite on R, so +-inf is its own root.
+        if math.isnan(u):
+            with pytest.raises(ValidationError, match="target value must be"):
+                lattice_law().inverse(u)
+        else:
+            assert lattice_law().inverse(u) == u
 
 
 def brute_force_counts(values, probs, n):
@@ -933,7 +937,7 @@ class TestQuadrature:
         a = lam * c
         with mp.workdps(40):
             exact = float(-(mp.zeta(2) - mp.polylog(2, mp.exp(-a))) / a)
-        tail = BernoulliSumCounting.runs(lam, c)._tail_limit()
+        tail = BernoulliSumCounting.runs(lam, c).limit_cgf(-math.inf)
         assert abs(tail - exact) <= 1e-14
         if a == 1.0:
             assert abs(exact - (-1.2361797794993301)) <= 1e-16
@@ -946,8 +950,8 @@ class TestQuadrature:
         with mp.workdps(40):
             exact = float(-(mp.zeta(2) - mp.polylog(2, mp.exp(-a))) / a)
         mn = BernoulliSumCounting.runs(a, 1.0)
-        assert_allclose(mn._tail_limit(), exact, rtol=1e-12)
-        assert mn.derivs_at_zero().cgf_at_minus_inf == mn._tail_limit()
+        assert_allclose(mn.limit_cgf(-math.inf), exact, rtol=1e-12)
+        assert mn.derivs_at_zero().cgf_at_minus_inf == mn.limit_cgf(-math.inf)
 
     @pytest.mark.parametrize("lam, c", RUNS_PRESETS.values(), ids=RUNS_PRESETS)
     def test_runs_limit_cgf_matches_mpmath(self, lam, c):
@@ -1095,6 +1099,28 @@ class TestValidation:
         with pytest.raises(ValidationError, match="overflows"):
             FractionalPoissonCounting(0.01, 1e10)
 
+    @pytest.mark.parametrize("build", [
+        lambda: FractionalPoissonCounting(0.00704, 1.0),
+        lambda: RenewalCounting(GammaInterarrival(0.001, 1.0)),
+    ], ids=["fractional", "gamma-renewal"])
+    def test_cumulant_overflow_on_the_probe_grid_is_typed(self, build):
+        # expm1(5 / nu) and expm1(5 / shape) pass the float range at the
+        # probe's eta = 5: the cumulant is not finite there.
+        with pytest.raises(ValidationError, match="not finite on the probe grid"):
+            build()
+
+    def test_probe_reads_the_cumulant_once_per_grid_point(self):
+        calls = []
+
+        class Counted(PoissonCounting):
+            def limit_cgf(self, eta):
+                calls.append(eta)
+                return super().limit_cgf(eta)
+
+        Counted(1.0)
+        assert calls == counting.PROBE_ETAS.tolist()
+        assert counting.PROBE_ETAS[counting.PROBE_ZERO] == 0.0
+
     def test_fractional_table_stops_at_the_cap(self, monkeypatch):
         # The doubling stops at the cap: no longer table is ever built.
         monkeypatch.setattr(counting, "MASS_TABLE_CAP", 100)
@@ -1220,7 +1246,7 @@ class TestValidation:
             profile=lambda x: height["spike"] if 0.41 < x < 0.44 else 0.5)
         height["spike"] = spike
         with pytest.raises(ValidationError, match="at the limit quadrature"):
-            mn._tail_limit()
+            mn.limit_cgf(-math.inf)
 
     def test_profile_plateau_at_one_has_an_infinite_left_tail(self):
         mn = BernoulliSumCounting(profile=lambda x: 1.0 if x < 0.3 else 0.5)

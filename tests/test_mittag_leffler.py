@@ -160,3 +160,8 @@ class TestDomainErrors:
     def test_negative_argument_rejected(self):
         with pytest.raises(ValidationError):
             log_mittag_leffler(0.5, 1.0, -1.0)
+
+    @pytest.mark.parametrize("nu, x", [(0.3, 1e100), (0.5, 1e200)])
+    def test_log_past_the_float_range_is_inf(self, nu, x):
+        # z = x^(1/nu) passes the float range, and log E ~ z with it.
+        assert log_mittag_leffler(nu, 1.0, x) == math.inf

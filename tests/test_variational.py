@@ -13,6 +13,7 @@ coefficients) give the second.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -607,7 +608,7 @@ class TestPsiQuadratics:
 
 
 class PoissonTwo(CountingModel):
-    """A user kind with only the limit triple and left tail of Poisson(2)."""
+    """A user kind with only the limit triple of Poisson(2)."""
 
     def limit_cgf(self, eta):
         return 2.0 * math.expm1(eta)
@@ -618,8 +619,43 @@ class PoissonTwo(CountingModel):
     def limit_cgf_second(self, eta):
         return 2.0 * math.exp(eta)
 
-    def _tail_limit(self):
-        return -2.0
+
+# Every counting kind and a user kind with its left tail L_N(-inf), pinned
+# bit for bit: log p_0, log(1 - p), the runs integral on TAIL_EDGES, -rate.
+LEFT_TAILS = {
+    "poisson": (lambda: PoissonCounting(1.3), -1.3),
+    "fractional": (lambda: FractionalPoissonCounting(0.7, 1.0), -1.0),
+    "iid-sum-with-zero": (lambda: IidSumCounting([0, 1, 2], [0.3, 0.4, 0.3]),
+                          -1.2039728043259361),
+    "iid-sum-without-zero": (lambda: IidSumCounting([1, 2], [0.5, 0.5]), -math.inf),
+    "iid-sum-zero-only": (lambda: IidSumCounting([0], [1.0]), 0.0),
+    "bernoulli": (lambda: BernoulliSumCounting(p=0.4), -0.5108256237659907),
+    "runs-1": (lambda: BernoulliSumCounting.runs(1.0, 1.0), -1.236179779499331),
+    "runs-0.01": (lambda: BernoulliSumCounting.runs(0.01, 1.0), -5.607668797099896),
+    "profile-plateau": (lambda: BernoulliSumCounting(
+        profile=lambda x: 1.0 if x < 0.3 else 0.5), -math.inf),
+    "gamma-renewal": (lambda: RenewalCounting(GammaInterarrival(2.0, 1.7)), -1.7),
+    "exponential-renewal": (lambda: RenewalCounting(ExponentialInterarrival(2.0)),
+                            -2.0),
+    "lattice-renewal": (lambda: RenewalCounting(
+        LatticeInterarrival([1, 2], [0.5, 0.5])), -math.inf),
+    "user-kind": (PoissonTwo, -2.0),
+}
+
+
+class TestLeftTail:
+    @pytest.mark.parametrize("build, tail", LEFT_TAILS.values(), ids=LEFT_TAILS)
+    def test_limit_cgf_holds_at_both_infinities(self, build, tail):
+        # derivs_at_zero and the origin of rate_ld_explicit read the left
+        # tail off limit_cgf, which must hold at -inf and +inf unwarned.
+        mn = build()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mn.limit_cgf(-math.inf) == tail
+            assert mn.derivs_at_zero().cgf_at_minus_inf == tail
+            assert rate_ld_explicit(pm_one_summand(), mn, [0.0], 0.0) == -tail
+            # A left tail of 0 means N_n = 0 surely, and then L_N is 0 throughout.
+            assert mn.limit_cgf(math.inf) == (0.0 if tail == 0.0 else math.inf)
 
 
 class TestPairCovariance:
