@@ -53,12 +53,12 @@ from .counting import (
     PoissonCounting,
     RenewalCounting,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .montecarlo import BAND_SE, DEFAULT_REPS, ScalingFamily
 from .summands import (
-    PROB_SUM_TOL,
     FiniteSupportSummands,
     GaussianSummands,
+    check_probs,
     grid_finite_support,
     grid_gaussian,
 )
@@ -210,12 +210,10 @@ def _probs(of, unit):
         vec = _vector(col, value, path)
         if vec is None:
             return None
-        if any(v <= 0.0 for v in vec):
-            col.error(path, "probabilities must be strictly positive")
-            return None
-        if abs(sum(vec) - 1.0) > PROB_SUM_TOL:
-            col.error(path, f"probabilities sum to {sum(vec)!r}, "
-                            f"not 1 within {PROB_SUM_TOL:g}")
+        try:
+            check_probs(vec)
+        except ValidationError as error:
+            col.error(path, str(error))
             return None
         if out.get(of) and len(out[of]) != len(vec):
             col.error(path, f"must have one entry per {unit}")
@@ -271,12 +269,16 @@ def _ns(minimum):
 
 
 def _direction(col, value, path, out):
-    """Required for sum events, refused for count events."""
+    """Required and nonzero for sum events, refused for count events."""
     if out.get("mode") == "sum":
         if value is _ABSENT:
             col.error(path, "required for sum events")
             return None
-        return _vector(col, value, path)
+        vec = _vector(col, value, path)
+        if vec is not None and not any(vec):
+            col.error(path, "must not be all zero for a sum event")
+            return None
+        return vec
     if out.get("mode") == "count" and value is not _ABSENT:
         col.error(path, "count events take no direction")
     return None
@@ -529,6 +531,11 @@ def _normalize_experiment(data, col, summand):
             what = "rows must" if key == "x_values" else "must"
             col.error(f"experiment.{key}", f"{what} have length {dim}, the "
                                            f"summand dimension, got {len(vector)}")
+    if "table" in (out.get("scaling") or {}):
+        listed = {n for n, _ in out["scaling"]["table"]}
+        for n in out.get("ns") or []:
+            if n not in listed:
+                col.error("experiment.scaling.table", f"has no entry for n={n}")
     if "seed" in data:
         out["seed"] = _integer(0, "seed ≥ 0")(col, data["seed"], "experiment.seed")
     elif EXPERIMENTS[kind].seeded:

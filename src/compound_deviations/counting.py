@@ -71,7 +71,7 @@ import numpy as np
 
 from .dualpair import check_int, finite_real, tilt_weights
 from .errors import ValidationError
-from .summands import MASS_TABLE_CAP, PROB_SUM_TOL, TOP_UNIFORM, UNIFORM_STEP, invert_cdf
+from .summands import MASS_TABLE_CAP, TOP_UNIFORM, UNIFORM_STEP, check_probs, invert_cdf
 from .variational import Cumulant
 
 # The scaled cumulant must vanish at zero within this.
@@ -411,8 +411,8 @@ class _Lattice:
     """A law on distinct integers t_i from ``least`` to MAX_STEP, sorted,
     with probabilities p_i: the steps of ``IidSumCounting`` (least 0) and
     of ``LatticeInterarrival`` (least 1). Its cumulant kappa(r) =
-    log sum p_i e^{r t_i} and two derivatives come from ``tilt_weights``; at
-    r = +-inf kappa is the limit, decided by the extreme step in r's
+    log sum p_i e^{r t_i} and two derivatives come from the tilted law; at
+    r = +-inf that law is the point mass on the extreme step in r's
     direction."""
 
     def __init__(self, values, probs, least):
@@ -428,25 +428,22 @@ class _Lattice:
         p = np.array(probs, dtype=float)
         if p.shape != vals.shape:
             raise ValidationError("probs must match the step values in shape")
-        if not np.all(np.isfinite(p)) or np.any(p <= 0.0):
-            raise ValidationError("step probabilities must be strictly positive")
-        if abs(p.sum() - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(f"step probabilities sum to {p.sum()!r}, "
-                                  f"not 1 within {PROB_SUM_TOL:g}")
+        check_probs(p)
         order = np.argsort(vals)
         self._values, self._probs = vals[order], p[order]
         self._log_probs = np.log(self._probs)
         self._values.flags.writeable = False
 
     def _tilt(self, r):
-        """The cumulant at r and the tilted probabilities."""
+        """The cumulant at r and the tilted probabilities; at r = +-inf the
+        cumulant is log p of a step 0 (never 0 * inf), else r itself."""
+        if r in (-math.inf, math.inf):
+            end = 0 if r < 0.0 else self._values.size - 1
+            kappa = float(self._log_probs[end]) if self._values[end] == 0 else float(r)
+            return kappa, np.eye(1, self._values.size, end)[0]
         return tilt_weights(r * self._values + self._log_probs)
 
     def kappa(self, r):
-        if r in (-math.inf, math.inf):
-            # log p of a step 0 (never 0 * inf), else r itself.
-            end = 0 if r < 0.0 else -1
-            return float(self._log_probs[end]) if self._values[end] == 0 else float(r)
         return self._tilt(r)[0]
 
     def kappa_prime(self, r):
@@ -877,9 +874,14 @@ class RenewalCounting(CountingModel):
 
     def limit_cgf_second(self, eta):
         # kappa''(r) / kappa'(r)^3 at r = -L_N(eta); 0 where kappa' is infinite.
+        # A cube that underflows to 0 leaves the ratio past the float range.
         r = -self.limit_cgf(eta)
         slope = self._law.kappa_prime(r)
-        return 0.0 if slope == math.inf else self._law.kappa_second(r) / slope ** 3
+        if slope == math.inf:
+            return 0.0
+        if (cube := slope ** 3) == 0.0:
+            raise OverflowError(f"kappa'({r!r})^3 underflows")
+        return self._law.kappa_second(r) / cube
 
     def _tilted_table(self, n, s):
         return self._law.count_table(n, s)

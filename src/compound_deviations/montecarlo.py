@@ -100,31 +100,6 @@ def _run_sizes(reps, seed, workers, least_reps):
             1 if workers is None else check_int(workers, "workers", 1))
 
 
-@dataclass(frozen=True)
-class CompoundSamples:
-    """A batch of compound-sum realizations at a fixed n.
-
-    ``sums`` holds the unscaled summand totals, one row per replication;
-    ``counts`` the realized summand counts. Scaled views divide by n.
-    """
-
-    n: int
-    sums: np.ndarray
-    counts: np.ndarray
-
-    @property
-    def reps(self):
-        return self.counts.size
-
-    @property
-    def sum_scaled(self):
-        return self.sums / float(self.n)
-
-    @property
-    def count_scaled(self):
-        return self.counts / float(self.n)
-
-
 def _run_blocks(draw_sums, draw_counts, reps, seed, workers, take):
     """Draw reps realizations in seeded blocks, counts by ``draw_counts``
     and sums by ``draw_sums`` (rng, counts), and pass each block to
@@ -181,9 +156,10 @@ class HalfSpaceEvent:
             )
         return self.direction, self.count_coef
 
-    def indicator(self, samples):
-        d, c = self.normal(samples.sums.shape[1])
-        x, y = samples.sum_scaled, c * samples.count_scaled
+    def indicator(self, n, sums, counts):
+        """The event's verdict on each row of (sums, counts), drawn at n."""
+        d, c = self.normal(sums.shape[1])
+        x, y = sums / float(n), c * (counts / float(n))
         return self._holds(x @ d + y, np.abs(x) @ np.abs(d) + np.abs(y))
 
     def _holds(self, value, magnitude):
@@ -192,7 +168,9 @@ class HalfSpaceEvent:
 
 
 def simulate_compound(mx, mn, n, reps, seed, workers=None):
-    """Draw reps compound-sum realizations, deterministically per seed.
+    """Draw reps compound-sum realizations, deterministically per seed, as
+    the pair of arrays (sums, counts): the unscaled summand totals, one
+    (reps, dim) row per replication, and the realized int64 counts.
 
     The count and summand streams are separate streams of ``seed``, so the
     count draws never depend on the summand law. Results are identical for
@@ -207,7 +185,7 @@ def simulate_compound(mx, mn, n, reps, seed, workers=None):
         sums[start:start + block_counts.size] = block_sums
 
     _run_blocks(*draws, reps, seed, workers, take)
-    return CompoundSamples(n=int(n), sums=sums, counts=counts)
+    return sums, counts
 
 
 def _plain_draws(mx, mn, n):
@@ -367,7 +345,7 @@ def estimate_event_prob(
 
     def take(start, counts, sums):
         row = weighted[start:start + counts.size]
-        row[:] = event.indicator(CompoundSamples(n, sums, counts))
+        row[:] = event.indicator(n, sums, counts)
         if tilt is not None:
             log_weights = log_norm - sums @ tilt.theta - tilt.eta * counts
             if float(np.max(log_weights)) > LOG_WEIGHT_CAP:

@@ -83,6 +83,18 @@ TABLE_CHUNK = 1 << 16
 TABLE_STAGE_STATES = 20_000
 
 
+def check_probs(probs):
+    """The package's one rule for a probability vector: finite, strictly
+    positive entries whose sum, numpy's, is 1 within PROB_SUM_TOL."""
+    p = np.asarray(probs, dtype=float)
+    if not np.all(np.isfinite(p)) or np.any(p <= 0.0):
+        raise ValidationError("probabilities must be strictly positive")
+    total = float(p.sum())
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise ValidationError(f"probabilities sum to {total!r}, "
+                              f"not 1 within {PROB_SUM_TOL:g}")
+
+
 def invert_cdf(cdf, u):
     """The package's one inversion rule: for each u, min{k : cdf[k] > u}.
 
@@ -227,7 +239,7 @@ class FiniteSupportSummands(SummandModel):
     atoms : (m, h) array
         Support points, one per row.
     probs : (m,) array
-        Strictly positive probabilities summing to one within PROB_SUM_TOL.
+        Probabilities, by ``check_probs``.
 
     Any such law is accepted for cumulants and sampling. The closed-form
     conjugate needs unique mixture coefficients, which affinely independent
@@ -249,12 +261,7 @@ class FiniteSupportSummands(SummandModel):
             raise ValidationError(
                 f"probs must have shape ({m},) to match {m} atoms, got {p.shape}"
             )
-        if not np.all(np.isfinite(p)) or np.any(p <= 0.0):
-            raise ValidationError("probabilities must be strictly positive")
-        if abs(p.sum() - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(
-                f"probabilities sum to {p.sum()!r}, off one by more than {PROB_SUM_TOL:.0e}"
-            )
+        check_probs(p)
         arr.flags.writeable = False
         p.flags.writeable = False
         self._atoms = arr

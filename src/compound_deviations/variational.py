@@ -332,13 +332,14 @@ def rate_ld_variational(mx, mn, x, y):
 
 def _summand_conjugate(mx, points):
     """The summand conjugate at each row of a stack: the model's closed form
-    when it has one, else one ``legendre_transform`` per row."""
-    if not np.all(np.isfinite(points)):
-        raise ValidationError("x / y must be finite")
-    closed = mx._conjugate_rows(points)
-    if closed is not None:
-        return closed
-    return np.array([legendre_transform(mx.cumulant, p).value for p in points])
+    when it has one, else one ``legendre_transform`` per row. A row past the
+    float range is +inf, since every conjugate grows without bound."""
+    finite = np.all(np.isfinite(points), axis=1)
+    values = np.full(finite.size, math.inf)
+    closed = mx._conjugate_rows(points[finite])
+    values[finite] = closed if closed is not None else [
+        legendre_transform(mx.cumulant, p).value for p in points[finite]]
+    return values
 
 
 def rate_ld_explicit(mx, mn, x, y):
@@ -361,9 +362,11 @@ def rate_ld_explicit(mx, mn, x, y):
     inner = (ys > 0.0) & ~origin
     if inner.any():
         y_in = ys[inner]
+        with np.errstate(over="ignore"):  # x / y past the float range
+            ratios = xs[inner] / y_in[:, None]
         # Both conjugates are >= 0 (each objective is 0 at the origin), so
         # the product and the sum never meet 0 * inf or inf - inf.
-        rates[inner] = (y_in * _summand_conjugate(mx, xs[inner] / y_in[:, None])
+        rates[inner] = (y_in * _summand_conjugate(mx, ratios)
                         + [count_rate(mn, level).value for level in y_in])
     return float(rates[0]) if one else rates
 

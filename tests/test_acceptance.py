@@ -385,14 +385,17 @@ def test_criterion_12_determinism_and_worker_independence():
     mx, mn = pm_one_summand(), PoissonCounting(1.0)
     reps = BLOCK_SIZE + 700
 
-    first = simulate_compound(mx, mn, 50, reps, seed=20240922, workers=1)
-    second = simulate_compound(mx, mn, 50, reps, seed=20240922, workers=2)
-    third = simulate_compound(mx, mn, 50, reps, seed=20240922, workers=1)
+    first_sums, first_counts = simulate_compound(mx, mn, 50, reps,
+                                                 seed=20240922, workers=1)
+    second_sums, second_counts = simulate_compound(mx, mn, 50, reps,
+                                                   seed=20240922, workers=2)
+    third_sums, third_counts = simulate_compound(mx, mn, 50, reps,
+                                                 seed=20240922, workers=1)
     plain_ok = (
-        np.array_equal(first.counts, second.counts)
-        and np.array_equal(first.sums, second.sums)
-        and np.array_equal(first.counts, third.counts)
-        and np.array_equal(first.sums, third.sums)
+        np.array_equal(first_counts, second_counts)
+        and np.array_equal(first_sums, second_sums)
+        and np.array_equal(first_counts, third_counts)
+        and np.array_equal(first_sums, third_sums)
     )
 
     event = HalfSpaceEvent([0.0], 1.0, 2.0)

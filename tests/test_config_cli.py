@@ -34,6 +34,8 @@ from compound_deviations.config import (
 from compound_deviations.counting import (
     BernoulliSumCounting,
     FractionalPoissonCounting,
+    IidSumCounting,
+    LatticeInterarrival,
     PoissonCounting,
     RenewalCounting,
 )
@@ -331,6 +333,19 @@ class TestNormalizeConfig:
         assert excinfo.value.errors == [
             "experiment.scaling.table[1][0]: repeats n=10"]
 
+    def test_scaling_table_covers_every_n(self):
+        # A table without some n of ns is refused at validation, one line
+        # per missing n, not by the sweep at run time.
+        raw = md_raw()
+        raw["experiment"]["ns"] = [10, 50, 100]
+        raw["experiment"]["scaling"] = {"table": [[10, 0.1], [100, 0.01]]}
+        with pytest.raises(ConfigError) as excinfo:
+            normalize_config(raw)
+        assert excinfo.value.errors == [
+            "experiment.scaling.table: has no entry for n=50"]
+        raw["experiment"]["scaling"]["table"].append([50, 0.05])
+        assert normalize_config(raw)["experiment"]["ns"] == [10, 50, 100]
+
     def test_event_direction_rules(self):
         raw = ldp_raw()
         raw["experiment"]["event"] = {"mode": "sum", "level": 0.5}
@@ -345,6 +360,14 @@ class TestNormalizeConfig:
             normalize_config(raw)
         assert any("count events take no direction" in e
                    for e in excinfo.value.errors)
+
+        # A sum event has no count term, so its direction must not vanish.
+        raw["experiment"]["event"] = {"mode": "sum", "level": 0.5,
+                                      "direction": [-0.0]}
+        with pytest.raises(ConfigError) as excinfo:
+            normalize_config(raw)
+        assert excinfo.value.errors == [
+            "experiment.event.direction: must not be all zero for a sum event"]
 
     def test_unknown_event_mode_is_reported(self):
         # "sum" and "count" are the config's only spellings of a face.
@@ -373,6 +396,39 @@ class TestNormalizeConfig:
             normalize_config(raw)
         (error,) = excinfo.value.errors
         assert "not 1 within 1e-12" in error
+
+    @pytest.mark.parametrize("weights, rejected", [
+        ([9, 4, 7, 9, 6, 8, 7, 7, 4, 8, 2], True),
+        ([4, 8, 3, 5, 3, 3, 9, 8, 2, 9, 9], False),
+    ], ids=["numpy-sum-off", "python-sum-off"])
+    def test_config_and_models_sum_probabilities_alike(self, weights, rejected):
+        # Scaled by 1 + 1e-12, each vector is off one by more than 1e-12 by
+        # one of Python's left-to-right sum and numpy's pairwise sum, and
+        # within it by the other. The config and every model decide by
+        # numpy's sum, the one rule, so they agree on both.
+        w = np.array(weights, dtype=float)
+        probs = (w / w.sum() * (1.0 + 1e-12)).tolist()
+        assert (abs(sum(probs) - 1.0) > 1e-12) is not rejected
+        atoms = list(range(len(probs)))
+        raw = dict(rate_eval_raw(), summand={
+            "kind": "finite_support", "atoms": atoms, "probs": probs})
+        models = (lambda: FiniteSupportSummands([[a] for a in atoms], probs),
+                  lambda: IidSumCounting(atoms, probs),
+                  lambda: LatticeInterarrival([a + 1 for a in atoms], probs))
+        if not rejected:
+            assert build_models(normalize_config(raw))[0].probs.tolist() == probs
+            for build in models:
+                build()
+            return
+        message = (f"probabilities sum to {float(np.sum(probs))!r}, "
+                   "not 1 within 1e-12")
+        with pytest.raises(ConfigError) as excinfo:
+            normalize_config(raw)
+        assert excinfo.value.errors == [f"summand.probs: {message}"]
+        for build in models:
+            with pytest.raises(ValidationError) as error:
+                build()
+            assert str(error.value) == message
 
     def test_parse_config_reports_json_errors(self):
         with pytest.raises(ConfigError) as excinfo:
@@ -847,6 +903,32 @@ class TestCli:
         err_lines = capsys.readouterr().err.strip().splitlines()
         assert err_lines == ["error [compound_deviations.errors.ValidationError]: "
                              f"{model}: limit cumulant is not finite on the probe grid"]
+
+    def test_rate_at_the_least_positive_y_is_written(self, tmp_path, capsys):
+        # x / y overflows at y = 5e-324: the rate is +inf, and 1.0 (the
+        # Poisson(1) count part) at x = 0.
+        path = write_json(tmp_path / "tiny.json", dict(
+            rate_eval_raw(), experiment={"kind": "rate-eval", "x_values": [0.0, 0.5],
+                                         "y_values": [5e-324]}))
+        out = tmp_path / "out"
+        assert cli.main(["rate-eval", "--config", path, "--out", str(out)]) == 0
+        rows = (out / "rate_eval.csv").read_text().splitlines()[-2:]
+        assert [row.split(",")[:3] for row in rows] == [
+            ["0.0", "5e-324", "1.0"], ["0.5", "5e-324", "inf"]]
+
+    def test_count_rate_past_the_float_range_is_typed(self, tmp_path, capsys):
+        # The gamma renewal's curvature underflows on the way to y = 1e300:
+        # rejected steps end the solve inconclusive, a typed error.
+        path = write_json(tmp_path / "huge_y.json", dict(
+            rate_eval_raw(), counting=COUNTING_BLOCKS["renewal"],
+            experiment={"kind": "rate-eval", "x_values": [0.0],
+                        "y_values": [1e300]}))
+        # The solver's first gradient norm squares 1e300 past the float range.
+        with np.errstate(over="ignore"):
+            assert cli.main(["rate-eval", "--config", path, "--out",
+                             str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.strip().startswith(
+            "error [compound_deviations.errors.InconclusiveOptimizationError]: ")
 
     def test_model_build_error_is_typed(self, tmp_path, capsys):
         path = write_json(tmp_path / "overflow.json", {

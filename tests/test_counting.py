@@ -171,6 +171,22 @@ class TestDerivativeRecords:
             assert mn.limit_cgf_deriv(-200.0) == 0.0
             assert mn.limit_cgf_second(-200.0) == 0.0
 
+    @pytest.mark.parametrize("mn, cgf, slope", [
+        (IidSumCounting([0, 1], [0.5, 0.5]), [math.log(0.5), math.inf], [0.0, 1.0]),
+        (IidSumCounting([1, 3], [0.5, 0.5]), [-math.inf, math.inf], [1.0, 3.0]),
+        (RenewalCounting(LatticeInterarrival([1, 2], [0.5, 0.5])),
+         [-math.inf, math.inf], [0.5, 1.0]),
+    ], ids=["iid-sum-0-1", "iid-sum-1-3", "lattice-renewal-1-2"])
+    def test_lattice_extremes_are_the_point_mass_on_the_extreme_step(
+            self, mn, cgf, slope):
+        # At eta = -inf and +inf a lattice law tilts onto its least and its
+        # largest step: the slope is that step (its inverse for a renewal),
+        # the curvature 0, with no 0 * inf and so no warning.
+        ends = (-math.inf, math.inf)
+        assert [mn.limit_cgf(eta) for eta in ends] == cgf
+        assert [mn.limit_cgf_deriv(eta) for eta in ends] == slope
+        assert [mn.limit_cgf_second(eta) for eta in ends] == [0.0, 0.0]
+
     def test_left_tail_limit_matches_deep_probe(self):
         # cgf_at_minus_inf against the cgf evaluated far in the left tail.
         models = [

@@ -4,6 +4,7 @@ in it. Importing the package loads no scipy submodule, and a run loads only
 the ones it calls."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -30,6 +31,26 @@ def test_all_lists_exactly_the_imported_names():
 def test_every_exported_name_resolves():
     for name in compound_deviations.__all__:
         assert getattr(compound_deviations, name, None) is not None, name
+
+
+def traced_functions():
+    """The (module, function) pairs of the benchmark tracer's ``FUNCTIONS``,
+    read from its source without importing it."""
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    for node in ast.parse(tracer.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "FUNCTIONS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("the tracer defines no FUNCTIONS")
+
+
+def test_every_traced_function_resolves():
+    # The tracer wraps each pair by name, so a renamed one would stop it.
+    pairs = traced_functions()
+    assert pairs
+    missing = [(module, name) for module, name in pairs if not callable(getattr(
+        importlib.import_module(f"compound_deviations.{module}"), name, None))]
+    assert missing == []
 
 
 def unused_imports(tree):

@@ -38,7 +38,6 @@ from compound_deviations.errors import (
 )
 from compound_deviations.montecarlo import (
     BLOCK_SIZE,
-    CompoundSamples,
     DecayEstimate,
     HalfSpaceEvent,
     ScalingFamily,
@@ -112,8 +111,8 @@ def composition_oracle(mx, mn, n, event):
     total = 0.0
     for k, count_prob in enumerate(mn.exact_pmf(n)):
         splits = np.array(list(compositions(k, mx.atom_count)), dtype=float)
-        points = CompoundSamples(n, splits @ mx.atoms, np.full(len(splits), k))
-        hit = splits[event.indicator(points)]
+        hit = splits[event.indicator(n, splits @ mx.atoms,
+                                     np.full(len(splits), k))]
         log_terms = gammaln(k + 1.0) - gammaln(hit + 1.0).sum(1) + hit @ log_probs
         total += float(count_prob) * float(np.exp(log_terms).sum())
     return min(total, 1.0)
@@ -197,19 +196,15 @@ class TestHalfSpaceEvent:
                 HalfSpaceEvent([0.0], 1.0, bad)
 
     def test_indicator_on_known_samples(self):
-        samples = CompoundSamples(
-            n=10,
-            sums=np.array([[12.0], [-3.0], [5.0]]),
-            counts=np.array([25, 4, 10]),
-        )
+        samples = (10, np.array([[12.0], [-3.0], [5.0]]), np.array([25, 4, 10]))
         sum_event = HalfSpaceEvent([1.0], 0.0, 0.5)
         count_event = HalfSpaceEvent([0.0], 1.0, 1.0)
         # S/n - N/(2n) >= 0: 1.2 - 1.25, -0.3 - 0.2, and 0.5 - 0.5 on the
         # boundary.
         centred = HalfSpaceEvent([1.0], -0.5, 0.0)
-        assert sum_event.indicator(samples).tolist() == [True, False, True]
-        assert count_event.indicator(samples).tolist() == [True, False, True]
-        assert centred.indicator(samples).tolist() == [False, False, True]
+        assert sum_event.indicator(*samples).tolist() == [True, False, True]
+        assert count_event.indicator(*samples).tolist() == [True, False, True]
+        assert centred.indicator(*samples).tolist() == [False, False, True]
 
     @pytest.mark.parametrize("call", [
         lambda mx, event: tilt_parameters(mx, unit_poisson(), event),
@@ -252,50 +247,48 @@ class TestHalfSpaceEvent:
         on = np.array([point])
         off = on - 1e-9 * np.sign(direction)
         for sums in (on, np.tile(on, (8, 1))):
-            samples = CompoundSamples(n=1, sums=sums, counts=np.zeros(len(sums)))
-            assert event.indicator(samples).all()
-        samples = CompoundSamples(n=1, sums=off, counts=np.zeros(1))
-        assert not event.indicator(samples).any()
+            assert event.indicator(1, sums, np.zeros(len(sums))).all()
+        assert not event.indicator(1, off, np.zeros(1)).any()
 
 
 class TestSimulateCompound:
     def test_shapes_and_scaled_views(self):
         mx = GaussianSummands([0.5, -1.0], [[2.0, 0.5], [0.5, 1.0]])
-        samples = simulate_compound(mx, unit_poisson(), 20, 100, seed=7)
-        assert samples.sums.shape == (100, 2)
-        assert samples.counts.shape == (100,)
-        assert samples.reps == 100
-        assert_allclose(samples.sum_scaled, samples.sums / 20.0)
-        assert_allclose(samples.count_scaled, samples.counts / 20.0)
+        sums, counts = simulate_compound(mx, unit_poisson(), 20, 100, seed=7)
+        assert sums.shape == (100, 2)
+        assert counts.shape == (100,)
 
     @REPRO_LAWS
     def test_rerun_is_bit_identical(self, law):
         mx = law()
-        first = simulate_compound(mx, unit_poisson(), 50, 2000, seed=11)
-        second = simulate_compound(mx, unit_poisson(), 50, 2000, seed=11)
-        assert np.array_equal(first.counts, second.counts)
-        assert np.array_equal(first.sums, second.sums)
+        first_sums, first_counts = simulate_compound(mx, unit_poisson(), 50,
+                                                     2000, seed=11)
+        second_sums, second_counts = simulate_compound(mx, unit_poisson(), 50,
+                                                       2000, seed=11)
+        assert np.array_equal(first_counts, second_counts)
+        assert np.array_equal(first_sums, second_sums)
 
     @REPRO_LAWS
     def test_worker_count_does_not_change_the_draws(self, law):
         mx = law()
         reps = BLOCK_SIZE + 500
-        serial = simulate_compound(mx, unit_poisson(), 30, reps, seed=3,
-                                   workers=1)
-        parallel = simulate_compound(mx, unit_poisson(), 30, reps, seed=3,
-                                     workers=2)
-        assert np.array_equal(serial.counts, parallel.counts)
-        assert np.array_equal(serial.sums, parallel.sums)
+        serial_sums, serial_counts = simulate_compound(
+            mx, unit_poisson(), 30, reps, seed=3, workers=1)
+        parallel_sums, parallel_counts = simulate_compound(
+            mx, unit_poisson(), 30, reps, seed=3, workers=2)
+        assert np.array_equal(serial_counts, parallel_counts)
+        assert np.array_equal(serial_sums, parallel_sums)
 
     @REPRO_LAWS
     def test_block_prefix_is_stable(self, law):
         # Growing reps appends blocks without touching earlier draws.
         mx = law()
-        small = simulate_compound(mx, unit_poisson(), 30, BLOCK_SIZE, seed=5)
-        large = simulate_compound(mx, unit_poisson(), 30, BLOCK_SIZE + 100,
-                                  seed=5)
-        assert np.array_equal(small.counts, large.counts[:BLOCK_SIZE])
-        assert np.array_equal(small.sums, large.sums[:BLOCK_SIZE])
+        small_sums, small_counts = simulate_compound(mx, unit_poisson(), 30,
+                                                     BLOCK_SIZE, seed=5)
+        large_sums, large_counts = simulate_compound(mx, unit_poisson(), 30,
+                                                     BLOCK_SIZE + 100, seed=5)
+        assert np.array_equal(small_counts, large_counts[:BLOCK_SIZE])
+        assert np.array_equal(small_sums, large_sums[:BLOCK_SIZE])
 
     def test_small_tables_take_the_table_route(self, monkeypatch):
         # The FS2 law at n = 30 holds well under TABLE_STAGE_STATES states
@@ -304,12 +297,12 @@ class TestSimulateCompound:
             raise AssertionError("small tables drew with binomials")
 
         monkeypatch.setattr(FiniteSupportSummands, "sample_sum_batch", no_draws)
-        samples = simulate_compound(three_atom_plane(), unit_poisson(), 30,
-                                    100, seed=4)
+        sums, counts = simulate_compound(three_atom_plane(), unit_poisson(), 30,
+                                         100, seed=4)
         # Steps to (1, 0), (0, 1) and (-1, -1): the last are (N - x - y) / 3.
-        last = (samples.counts - samples.sums.sum(axis=1)) / 3.0
+        last = (counts - sums.sum(axis=1)) / 3.0
         assert np.array_equal(last, np.rint(last))
-        assert np.all(last >= 0) and np.all(samples.sums + last[:, None] >= 0)
+        assert np.all(last >= 0) and np.all(sums + last[:, None] >= 0)
 
     def test_pm_one_sums_with_poisson_counts_at_100_take_the_table_route(
             self, monkeypatch):
@@ -321,9 +314,9 @@ class TestSimulateCompound:
 
         monkeypatch.setattr(FiniteSupportSummands, "sample_sum_batch", no_draws)
         assert unit_poisson().max_count(100) == 194
-        samples = simulate_compound(pm_one_summand(), unit_poisson(), 100, 100,
-                                    seed=4)
-        assert np.all(np.abs(samples.sums) <= samples.counts[:, None])
+        sums, counts = simulate_compound(pm_one_summand(), unit_poisson(), 100,
+                                         100, seed=4)
+        assert np.all(np.abs(sums) <= counts[:, None])
 
     @pytest.mark.parametrize("law, n, cap", [
         (pm_one_summand, 400, None),
@@ -347,18 +340,18 @@ class TestSimulateCompound:
         monkeypatch.setattr(FiniteSupportSummands, "sample_sum_batch",
                             lambda self, rng, counts: binomial_calls.append(
                                 counts.size) or sample_sum_batch(self, rng, counts))
-        samples = simulate_compound(law(), unit_poisson(), n, 10, seed=4)
+        sums, counts = simulate_compound(law(), unit_poisson(), n, 10, seed=4)
         assert binomial_calls == [10]
-        assert np.all(np.abs(samples.sums) <= samples.counts[:, None])
+        assert np.all(np.abs(sums) <= counts[:, None])
 
     def test_summand_stream_is_independent_of_count_stream(self):
         # Two summand laws at one seed draw the same counts.
-        base = simulate_compound(GaussianSummands([0.0], [[1.0]]),
-                                 unit_poisson(), 40, 500, seed=9)
-        moved = simulate_compound(zero_two_summand(), unit_poisson(), 40, 500,
-                                  seed=9)
-        assert np.array_equal(base.counts, moved.counts)
-        assert not np.array_equal(base.sums, moved.sums)
+        base_sums, base_counts = simulate_compound(
+            GaussianSummands([0.0], [[1.0]]), unit_poisson(), 40, 500, seed=9)
+        moved_sums, moved_counts = simulate_compound(
+            zero_two_summand(), unit_poisson(), 40, 500, seed=9)
+        assert np.array_equal(base_counts, moved_counts)
+        assert not np.array_equal(base_sums, moved_sums)
 
     def test_seed_validation(self):
         mx = zero_two_summand()
@@ -676,7 +669,7 @@ class TestEstimateEventProb:
         estimate = estimate_event_prob(mx, mn, 30, event, reps=reps,
                                        method="plain", seed=23)
         hits = event.indicator(
-            simulate_compound(mx, mn, 30, reps, seed=23)
+            30, *simulate_compound(mx, mn, 30, reps, seed=23)
         ).astype(float)
         assert estimate.value == float(hits.mean())
         assert estimate.std_error == float(hits.std(ddof=1)) / math.sqrt(reps)
@@ -1321,15 +1314,15 @@ def batch_route_check(mx, mn, n, reps, seed, workers, images, means=(),
     """The check computed from one whole ``simulate_compound`` batch: image
     rows by np.matmul and += c * counts, then the check's own mean, Gram,
     standard-error and target formulas."""
-    samples = simulate_compound(mx, mn, n, reps, seed, workers=workers)
+    sums, counts = simulate_compound(mx, mn, n, reps, seed, workers=workers)
     q = len(images)
     index = {name: i for i, name in enumerate(images)}
     directions = np.array([x for x, _ in images.values()])
     coef = np.array([c for _, c in images.values()])
     values = np.empty((q, reps))
     for row, (x, c) in zip(values, images.values()):
-        np.matmul(samples.sums, x, out=row)
-        row += c * samples.counts
+        np.matmul(sums, x, out=row)
+        row += c * counts
     mean = values.mean(axis=1)
     values -= mean[:, None]
     cov = values @ values.T / (reps - 1)
@@ -1447,7 +1440,7 @@ def batch_route_estimate(mx, mn, n, event, reps, method, seed, workers):
         sums[start:start + block_counts.size] = block_sums
 
     montecarlo._run_blocks(*draws, reps, seed, workers, take)
-    weighted = event.indicator(CompoundSamples(n, sums, counts)).astype(float)
+    weighted = event.indicator(n, sums, counts).astype(float)
     if tilt is not None:
         log_norm = float(n) * float(mn.finite_cgf(n, tilt.s))
         weighted *= np.exp(log_norm - sums @ tilt.theta - tilt.eta * counts)

@@ -325,6 +325,21 @@ class TestCountRate:
         assert result.unbounded
         assert result.value == math.inf
 
+    def test_gamma_renewal_curvature_past_the_float_range_is_a_rejected_step(self):
+        # Far to the right kappa'(r)^3 underflows to 0 in the renewal
+        # curvature kappa''/kappa'^3: an OverflowError, which the solver
+        # rejects as a step, so a target past its reach is inconclusive, not
+        # a ZeroDivisionError; a target below it keeps its value.
+        mn = RenewalCounting(GammaInterarrival(2.0, 1.0))
+        assert mn.limit_cgf_second(400.0) == 1.8064934420314372e+86
+        with pytest.raises(OverflowError, match="underflows"):
+            mn.limit_cgf_second(600.0)
+        assert count_rate(mn, 1e100).value == 4.599033129599291e+102
+        # The first gradient norm squares y = 1e200 past the float range.
+        with np.errstate(over="ignore"), pytest.raises(
+                InconclusiveOptimizationError):
+            count_rate(mn, 1e200)
+
     def test_lattice_renewal_count_rate_at_its_reach(self):
         # Inter-arrivals 1 or 2 give 1/2 <= N_n / n <= 1; N_n = n only when
         # every inter-arrival is 1, so the rate there is -log P(X = 1).
@@ -532,6 +547,23 @@ class TestRateLdExplicit:
         with pytest.raises(ValidationError):
             rate_ld_explicit(pm_one_summand(), unit_poisson(), [0.0],
                              math.inf)
+
+    @pytest.mark.parametrize("mx", [
+        pm_one_summand(),
+        GaussianSummands([0.2], [[1.0]]),
+        FiniteSupportSummands([[-1.0], [0.0], [1.0]], [0.25, 0.5, 0.25]),
+    ], ids=["pm-one", "gaussian", "no-closed-form"])
+    def test_ratio_past_the_float_range_is_an_infinite_rate(self, mx):
+        # At the least positive y, x / y = 0.5 / 5e-324 overflows; every
+        # conjugate grows without bound, so the rate is +inf, with no
+        # warning, while x = 0 keeps the count part, about 1 for Poisson(1).
+        mn = unit_poisson()
+        assert rate_ld_explicit(mx, mn, [0.5], 5e-324) == math.inf
+        assert rate_ld_explicit(mx, mn, [0.0], 5e-324) == 1.0
+        rates = rate_ld_explicit(mx, mn, [[-0.5], [0.0], [0.5]],
+                                 [5e-324, 5e-324, 1.0])
+        assert rates[:2].tolist() == [math.inf, 1.0]
+        assert rates[2] == rate_ld_explicit(mx, mn, [0.5], 1.0)
 
 
 class TestRateLdVariational:
