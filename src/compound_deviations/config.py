@@ -54,7 +54,7 @@ from .counting import (
     RenewalCounting,
 )
 from .errors import ConfigError, ValidationError
-from .montecarlo import BAND_SE, DEFAULT_REPS, ScalingFamily
+from .montecarlo import BAND_SE, DEFAULT_REPS
 from .summands import (
     FiniteSupportSummands,
     GaussianSummands,
@@ -72,9 +72,10 @@ _ABSENT = object()
 @dataclass(frozen=True)
 class Kind:
     """One kind of config block: ``build(**fields)`` makes its model (none
-    for experiments and events, which ``experiments`` runs or maps). A key is
-    required unless it has a default or is optional; an optional key's check
-    runs on ``_ABSENT`` when the key is absent. ``seeded`` experiments need a seed."""
+    for experiments, events and scalings, which ``experiments`` runs or
+    maps). A key is required unless it has a default or is optional; an
+    optional key's check runs on ``_ABSENT`` when the key is absent.
+    ``seeded`` experiments need a seed."""
 
     build: object
     fields: dict
@@ -304,6 +305,14 @@ def _scaling_table(col, value, path, out):
     return entries
 
 
+def _distinct(col, value, path, out):
+    vec = _vector(col, value, path)
+    if vec is not None and len(set(vec)) != len(vec):
+        col.error(path, "values must be distinct")
+        return None
+    return vec
+
+
 def _series_args(col, value, path, out):
     xs = _vector(col, value, path)
     if xs is not None and any(v < 0.0 for v in xs):
@@ -381,10 +390,10 @@ EVENT = Kind(None, {
 }, optional=("direction",))
 
 SCALING = [
-    Kind(ScalingFamily, {"gamma": _number(
+    Kind(None, {"gamma": _number(
         low=0.0, high=1.0, low_open=True, high_open=True, domain="γ ∈ (0, 1)",
     )}),
-    Kind(ScalingFamily, {"table": _scaling_table}),
+    Kind(None, {"table": _scaling_table}),
 ]
 
 EXPERIMENTS = {
@@ -399,7 +408,7 @@ EXPERIMENTS = {
         seeded=True),
     "md-check": Kind(None, {
         "scaling": _Block(SCALING),
-        "etas": _vector,
+        "etas": _distinct,
         "ns": _ns(1),
         "band": _positive("band"),
     }, defaults={"band": 0.02}),

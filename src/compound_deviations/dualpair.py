@@ -97,6 +97,15 @@ def _norm_rows(rows):
     return np.sqrt(_dot_rows(rows, rows))
 
 
+def _row_scales(rows):
+    """For each row of a (P, n) stack, 1 when its entries stay below 2^500,
+    else the power of two that brings its largest entry into [2^499, 2^500).
+    Scaling a row by it is exact, and the squares in its norm stay in the
+    float range."""
+    _, exponent = np.frexp(np.max(np.abs(rows), axis=1))
+    return np.ldexp(1.0, np.minimum(0, 500 - exponent))
+
+
 def tilt_weights(scores):
     """log sum exp(scores) and the weights exp(scores) normalised to sum one,
     by a shift to the largest score. For scores log p_i + <theta, u_i> these
@@ -172,15 +181,21 @@ class CovarianceOperator:
 
     def _solve_rows(self, rows):
         """``solve`` for each row of a (P, h) stack of finite right-hand
-        sides: (U, ok), where row i of U solves it when ok[i] holds."""
+        sides: (U, ok), where row i of U solves it when ok[i] holds. A row
+        past 2^500 is solved scaled by ``_row_scales``; its solution is
+        scaled back, +inf entries where it passes the float range."""
         top = float(self._eigvals.max(initial=0.0))
         cutoff = SOLVE_SPECTRAL_CUTOFF * max(top, 0.0)
         # Safe reciprocal: entries at or below the cutoff never reach 1/eig.
         with np.errstate(divide="ignore"):
             inv = np.where(self._eigvals > cutoff, 1.0 / self._eigvals, 0.0)
+        scale = _row_scales(rows)
+        rows = rows * scale[:, None]
         u = _matvec_rows(self._eigvecs, inv * _matvec_rows(self._eigvecs.T, rows))
         residual = _norm_rows(_matvec_rows(self._matrix, u) - rows)
-        return u, residual <= SOLVE_RESIDUAL_TOL * (1.0 + _norm_rows(rows))
+        with np.errstate(over="ignore"):
+            u = u / scale[:, None]
+        return u, residual <= SOLVE_RESIDUAL_TOL * (scale + _norm_rows(rows))
 
     def quadratic_form(self, theta):
         """<theta, sigma theta>, clipped at zero against roundoff."""

@@ -33,7 +33,6 @@ from .config import (
 from .mittag_leffler import log_mittag_leffler
 from .montecarlo import (
     HalfSpaceEvent,
-    ScalingFamily,
     clt_regime_check,
     decay_rate_scan,
     md_scaling_sweep,
@@ -124,8 +123,10 @@ def _run_ldp_check(config, mx, mn, workers):
 
 def _run_md_check(config, mx, mn, workers):
     exp = config["experiment"]
-    scaling = ScalingFamily(**exp["scaling"])
-    result = md_scaling_sweep(mn, scaling, exp["etas"], exp["ns"])
+    scaling, ns = exp["scaling"], exp["ns"]  # the sweep takes one a_n per n
+    scales = ([float(n) ** -scaling["gamma"] for n in ns] if "gamma" in scaling
+              else [dict(scaling["table"])[n] for n in ns])
+    result = md_scaling_sweep(mn, scales, exp["etas"], ns)
     table = ResultTable(
         columns=["n", "eta", "value", "target", "gap"],
         metadata=table_metadata(config, seed=exp.get("seed")),

@@ -391,7 +391,8 @@ def decay_rate_scan(
     (weights one over the squared delta-method log errors); the intercept
     absorbs subexponential prefactors. The comparison value is the rate
     engine's infimum over the event, read off the one tilt solve that also
-    drives the tilted method.
+    drives the tilted method. An event that holds the limit point has rate
+    0 and no tilt, so it is sampled plainly, and ``method`` reports that.
     """
     _check_method(method)
     seed = check_int(seed, "seed", 0)
@@ -400,14 +401,13 @@ def decay_rate_scan(
         raise ValidationError("ns must be at least two strictly increasing integers")
     try:
         tilt = tilt_parameters(mx, mn, event)
-    except ZeroRateEventError:
-        tilt = None
+    except ZeroRateEventError:  # the event holds the limit point: no tilt
+        tilt, method = None, "plain"
     rows = []
     for index, n in enumerate(ns):
         run_seed = int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
         estimate = estimate_event_prob(
-            mx, mn, n, event, reps=reps,
-            method="plain" if tilt is None else method, seed=run_seed,
+            mx, mn, n, event, reps=reps, method=method, seed=run_seed,
             workers=workers, tilt=tilt,
         )
         rows.append((n, estimate.value, estimate.std_error))
@@ -434,53 +434,6 @@ def decay_rate_scan(
     )
 
 
-class ScalingFamily:
-    """Moderate-deviation scaling a_n, as a power n^(-gamma) or a table.
-
-    The admissible regime wants a_n -> 0 and n a_n -> infinity; the power
-    form enforces gamma in (0, 1) at construction, while tables may
-    deliberately violate the regime (that is how the boundary cases are
-    demonstrated), so the trend flags are reported by the sweep rather than
-    enforced here. A table gives each n once.
-    """
-
-    def __init__(self, gamma=None, table=None):
-        if (gamma is None) == (table is None):
-            raise ValidationError("give exactly one of gamma or table")
-        if gamma is not None:
-            self._gamma = finite_real(gamma, "gamma", "lie strictly in (0, 1)",
-                                      lambda g: 0.0 < g < 1.0)
-            self._table = None
-        else:
-            self._gamma = None
-            self._table = {}
-            for entry in table:
-                try:
-                    n, a = entry
-                except (TypeError, ValueError):
-                    raise ValidationError(
-                        f"scaling table entries must be (n, a_n) pairs, got {entry!r}"
-                    ) from None
-                n = check_int(n, "n", 1)
-                if n in self._table:
-                    raise ValidationError(f"scaling table repeats n={n}")
-                self._table[n] = finite_real(
-                    a, "a_n", "be a positive finite real", lambda v: v > 0.0)
-
-    def a(self, n):
-        if self._gamma is not None:
-            return float(n) ** (-self._gamma)
-        try:
-            return self._table[n]
-        except KeyError:
-            raise ValidationError(f"scaling table has no entry for n={n}")
-
-    def endpoint_flags(self, ns):
-        first, last = int(ns[0]), int(ns[-1])
-        a_first, a_last = self.a(first), self.a(last)
-        return a_last < a_first, last * a_last > first * a_first
-
-
 @dataclass(frozen=True)
 class MdSweepRow:
     n: int
@@ -497,24 +450,35 @@ class MdSweepResult:
     gap_monotone: dict = field(default_factory=dict)
 
 
-def md_scaling_sweep(mn, scaling, etas, ns):
+def md_scaling_sweep(mn, scales, etas, ns):
     """Scaled log-MGF of the centered count along an n-grid.
 
-    For each n and eta the sweep evaluates a_n log E exp(eta (N_n - E N_n) /
+    ``scales`` holds the moderate-deviation scale a_n of each n of ``ns``,
+    each a positive finite real. The admissible regime wants a_n -> 0 and
+    n a_n -> infinity; the sweep does not enforce it, since scales outside it
+    show the boundary cases, but reports its trend from the first and last
+    (n, a_n) as ``a_decreases`` and ``na_increases``. For each n and
+    distinct eta the sweep evaluates a_n log E exp(eta (N_n - E N_n) /
     sqrt(n a_n)) exactly, through the finite-n cumulant. The target column
     is d2 eta^2 / 2; per-eta monotonicity of |value - target| over the
-    n-grid is reported, along with the endpoint behavior of the scaling
-    family. The tables each n builds are dropped before the next n.
+    n-grid is reported. The tables each n builds are dropped before the
+    next n.
     """
     ns = [check_int(v, "n", 1) for v in ns]
     if len(ns) < 1 or sorted(set(ns)) != ns:
         raise ValidationError("ns must be strictly increasing integers")
+    scales = [finite_real(a, "a_n", "be a positive finite real", lambda v: v > 0.0)
+              for a in scales]
+    if len(scales) != len(ns):
+        raise ValidationError(
+            f"need one a_n per n: got {len(scales)} for {len(ns)} sizes")
     etas = [finite_real(e, "eta") for e in etas]
+    if len(set(etas)) != len(etas):
+        raise ValidationError("etas must be distinct")
     d2 = mn.derivs_at_zero().variance_rate
     rows, kept = [], mn.table_keys()
-    for n in ns:
+    for n, a_n in zip(ns, scales):
         try:
-            a_n = scaling.a(n)
             mean_count = mn.mean(n)
             for eta in etas:
                 t = eta / math.sqrt(n * a_n)
@@ -528,9 +492,9 @@ def md_scaling_sweep(mn, scaling, etas, ns):
     for eta in etas:
         gaps = [abs(r.value - r.target) for r in rows if r.eta == eta]
         gap_monotone[eta] = all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
-    a_dec, na_inc = scaling.endpoint_flags(ns)
     return MdSweepResult(
-        rows=rows, a_decreases=a_dec, na_increases=na_inc,
+        rows=rows, a_decreases=scales[-1] < scales[0],
+        na_increases=ns[-1] * scales[-1] > ns[0] * scales[0],
         gap_monotone=gap_monotone,
     )
 

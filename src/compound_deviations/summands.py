@@ -52,6 +52,7 @@ from .dualpair import (
     _dot_rows,
     _matvec_rows,
     _norm_rows,
+    _row_scales,
     as_vector,
     tilt_weights,
 )
@@ -377,14 +378,20 @@ class FiniteSupportSummands(SummandModel):
         if self._affine is None:
             return None
         system, pinv = self._affine
-        rhs = np.hstack([rows, np.ones((rows.shape[0], 1))])
+        # A row past 2^500 is decomposed scaled by an exact power of two,
+        # with its 1 scaled alike, so the residual's squares stay finite.
+        scale = _row_scales(rows)
+        rows = rows * scale[:, None]
+        rhs = np.hstack([rows, scale[:, None]])
         coeffs = _matvec_rows(pinv, rhs)
         residual = _norm_rows(_matvec_rows(system, coeffs) - rhs)
-        in_hull = residual <= DECOMP_RESIDUAL_TOL * (1.0 + _norm_rows(rows))
-        c = np.clip(coeffs, 0.0, None)
-        mask = c > 0.0
-        terms = c * (np.log(np.where(mask, c, 1.0)) - self._log_probs)
-        value = np.maximum(np.sum(np.where(mask, terms, 0.0), axis=1), 0.0)
+        in_hull = residual <= DECOMP_RESIDUAL_TOL * (scale + _norm_rows(rows))
+        with np.errstate(over="ignore"):  # off the hull only
+            coeffs = coeffs / scale[:, None]
+            c = np.clip(coeffs, 0.0, None)
+            mask = c > 0.0
+            terms = c * (np.log(np.where(mask, c, 1.0)) - self._log_probs)
+            value = np.maximum(np.sum(np.where(mask, terms, 0.0), axis=1), 0.0)
         return np.where(in_hull & np.all(coeffs >= -COEFF_TOL, axis=1), value, math.inf)
 
 
@@ -439,7 +446,9 @@ class GaussianSummands(SummandModel):
     def _conjugate_rows(self, rows):
         centered = rows - self._mean
         u, ok = self._cov._solve_rows(centered)
-        return np.where(ok, np.maximum(0.5 * _dot_rows(u, centered), 0.0), math.inf)
+        with np.errstate(over="ignore"):  # a value past the float range is +inf
+            quad = 0.5 * _dot_rows(u, centered)
+        return np.where(ok, np.maximum(quad, 0.0), math.inf)
 
 
 def _on_grid(grid, law):

@@ -423,7 +423,8 @@ def _md_rate(mx, mn, x, y, shifted):
         rates = np.where(np.max(np.abs(xs), axis=1) <= ORIGIN_TOL, count_part, math.inf)
     else:
         pre, in_image = mx.cov()._solve_rows(xs)
-        quad = np.maximum(_dot_rows(pre, xs), 0.0)
+        with np.errstate(over="ignore"):  # a value past the float range is +inf
+            quad = np.maximum(_dot_rows(pre, xs), 0.0)
         rates = np.where(in_image, quad / (2.0 * d.mean_rate) + count_part, math.inf)
     return float(rates[0]) if one else rates
 

@@ -28,7 +28,6 @@ from compound_deviations.mittag_leffler import (
 from compound_deviations.montecarlo import (
     BLOCK_SIZE,
     HalfSpaceEvent,
-    ScalingFamily,
     clt_regime_check,
     decay_rate_scan,
     enumerate_exact,
@@ -318,9 +317,9 @@ def test_criterion_08_ldp_decay_rates():
 
 
 def test_criterion_09_md_scaling_limit():
+    ns = [100, 1000, 10_000, 100_000]
     result = md_scaling_sweep(
-        PoissonCounting(1.0), ScalingFamily(gamma=0.5), etas=[-1.0, 1.0],
-        ns=[100, 1000, 10_000, 100_000],
+        PoissonCounting(1.0), [n ** -0.5 for n in ns], etas=[-1.0, 1.0], ns=ns,
     )
     last = {r.eta: r for r in result.rows if r.n == 100_000}
     worst = max(abs(last[e].value - 0.5) / 0.5 for e in (-1.0, 1.0))

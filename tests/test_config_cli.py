@@ -48,7 +48,6 @@ from compound_deviations.experiments import run_experiment
 from compound_deviations.mittag_leffler import log_mittag_leffler
 from compound_deviations.montecarlo import (
     HalfSpaceEvent,
-    ScalingFamily,
     md_scaling_sweep,
     tilt_parameters,
 )
@@ -333,6 +332,45 @@ class TestNormalizeConfig:
         assert excinfo.value.errors == [
             "experiment.scaling.table[1][0]: repeats n=10"]
 
+    @pytest.mark.parametrize("gamma", [0, 1, 1.5, -0.2])
+    def test_scaling_gamma_lies_strictly_in_the_unit_interval(self, gamma):
+        raw = md_raw()
+        raw["experiment"]["scaling"] = {"gamma": gamma}
+        with pytest.raises(ConfigError) as excinfo:
+            normalize_config(raw)
+        assert excinfo.value.errors == [
+            f"experiment.scaling.gamma: value {gamma!r} outside the domain "
+            "(γ ∈ (0, 1))"]
+
+    @pytest.mark.parametrize("entry, message", [
+        ([0, 0.1], "[0][0]: value 0 outside the domain (n ≥ 1)"),
+        ([10, -0.1], "[0][1]: value -0.1 outside the domain (a > 0)"),
+        ([10, "x"], "[0][1]: must be a finite number (a > 0)"),
+        ([10, None], "[0][1]: must be a finite number (a > 0)"),
+        ([10, math.inf], "[0][1]: must be a finite number (a > 0)"),
+        ([10], "[0]: must be an [n, a] pair"),
+        ([10, 0.1, 0.2], "[0]: must be an [n, a] pair"),
+        (10, "[0]: must be an [n, a] pair"),
+        ([10.7, 0.1], "[0][0]: must be an integer (n ≥ 1)"),
+    ], ids=["n-zero", "a-negative", "a-string", "a-null", "a-inf", "short",
+            "long", "bare-n", "n-fractional"])
+    def test_scaling_table_entries_are_checked(self, entry, message):
+        # One line with the entry's key path; the table is then dropped, so
+        # no coverage line follows. A fractional n is refused, never truncated.
+        raw = md_raw()
+        raw["experiment"].update(ns=[10], scaling={"table": [entry]})
+        with pytest.raises(ConfigError) as excinfo:
+            normalize_config(raw)
+        assert excinfo.value.errors == [f"experiment.scaling.table{message}"]
+
+    def test_md_check_etas_are_distinct(self):
+        # A repeated eta would write its rows, DAT file and bands twice.
+        raw = md_raw()
+        raw["experiment"]["etas"] = [0.5, 0.5]
+        with pytest.raises(ConfigError) as excinfo:
+            normalize_config(raw)
+        assert excinfo.value.errors == ["experiment.etas: values must be distinct"]
+
     def test_scaling_table_covers_every_n(self):
         # A table without some n of ns is refused at validation, one line
         # per missing n, not by the sweep at run time.
@@ -498,10 +536,10 @@ class TestBuildModels:
         raw["experiment"].update(ns=[20, 40], etas=[-0.5, 0.5])
         config = normalize_config(raw)
         _, mn = build_models(config)
-        family = ScalingFamily(**config["experiment"]["scaling"])
-        sweep = md_scaling_sweep(mn, family, etas=[-0.5, 0.5], ns=[20, 40])
+        scales = [n ** -0.5 for n in (20, 40)]
+        sweep = md_scaling_sweep(mn, scales, etas=[-0.5, 0.5], ns=[20, 40])
         for row in sweep.rows:
-            a_n = family.a(row.n)
+            a_n = row.n ** -0.5
             t = row.eta / math.sqrt(row.n * a_n)
             pmf = mn.exact_pmf(row.n)
             k = np.arange(pmf.size) - mn.mean(row.n)
@@ -605,6 +643,16 @@ class TestRunExperiment:
         assert summary["details"]["method"] == "tilted"
         assert summary["details"]["rate_infimum"] == tilt.rate
         assert code == 0 and summary["bands"][0]["pass"]
+
+    def test_zero_rate_ldp_check_reports_plain_sampling(self, tmp_path):
+        # The event {N/n >= 0.5} holds the limit point 1: no tilt exists,
+        # so the tilted method samples plainly and the summary says so.
+        raw = ldp_raw()
+        raw["experiment"].update(event={"mode": "count", "level": 0.5},
+                                 ns=[20, 40], reps=2000)
+        _, summary = run_experiment(normalize_config(raw), out_dir=str(tmp_path))
+        assert summary["details"]["method"] == "plain"
+        assert summary["details"]["rate_infimum"] == 0.0
 
     def test_ldp_check_passes_and_reruns_identically(self, tmp_path):
         config = normalize_config(ldp_raw())

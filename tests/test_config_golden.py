@@ -17,6 +17,12 @@ The three ``ldp-tilted`` configs also run end to end, and the sha256 of
 each table's lines below its ``#`` metadata is pinned. The digests were
 computed while events still had a sum and a count mode, so they hold the
 route from config spelling to face byte for byte.
+
+Ten ``md-check`` configs run end to end the same way, five counting kinds
+each at gamma = 0.5 and at a table, and the digest of each CSV and DAT file
+is pinned. These digests were computed while the sweep still took a scaling
+object, so they hold the route from the config's gamma or table to the a_n
+of each n byte for byte.
 """
 
 import hashlib
@@ -317,3 +323,84 @@ def test_ldp_tilted_tables_are_pinned(label, tmp_path):
     digests = tuple(_table_digest(tmp_path / name)
                     for name in ("ldp_check.csv", "ldp_decay.dat"))
     assert digests == LDP_TABLE_DIGESTS[label]
+
+
+MD_COUNTING = {
+    "poisson": POISSON,
+    "fractional": COUNTING_BLOCKS["fractional_poisson"],
+    "iid_sum": COUNTING_BLOCKS["iid_sum"],
+    "runs": COUNTING_BLOCKS["bernoulli_sum-runs"],
+    "renewal-gamma": COUNTING_BLOCKS["renewal-gamma"],
+}
+MD_SCALING = {
+    "gamma": {"gamma": 0.5},
+    "table": {"table": [[100, 0.1], [1000, 0.03], [2000, 0.02]]},
+}
+MD_FILES = ("md_check.csv", "md_sweep_0.dat", "md_sweep_1.dat", "md_sweep_2.dat")
+# sha256 of the lines of each md-check table that are not '#' metadata,
+# in the order of MD_FILES, at ns [100, 1000, 2000] and etas [-1, 0.5, 2].
+MD_TABLE_DIGESTS = {
+    "poisson/gamma": (
+        "d02ef18122faf6f17cd01219238049f904720b713679765d6ba692e63d896fe7",
+        "1271bfcd33e391a6ec8f5bb70bf377f6f3c1e5ee2753b0a70bacedf720fdcbec",
+        "59e403fa0733bf4dc16b84e646920db8be02dd1c255702c914be9d8ee81510ad",
+        "7a30c524d3eda273f5978d291a3c5885b5380e92a106548adede9c265e361282"),
+    "poisson/table": (
+        "12d9eec8c20fafec0fa181056cc50b03551ba66f7d4af9f426eb8310ba914c27",
+        "319753d80c37476b8c81d51ae0a091ba0ad62380008471fe710e023f2e9d77b6",
+        "21a4de22b9f0bb12f20653529dde4cedc2a85c2b981e44dfb6789dcab6c97cdc",
+        "3c325282866a26dbd8a61332f35a1d9e08bef75e0cbe061a7a8cf1306fed5f7d"),
+    "fractional/gamma": (
+        "f8ebf780cbe9fa530ed7eeafbc7659e40c0b575106c4955f310f13a3589495e2",
+        "0a8aa639e309daeaee971f8f472d7abccaa11648e64d4d7e4834be2f7558805d",
+        "11f26506f205a2d227d620826deaaaba4618bc855a1c512a62452dbf0dad169d",
+        "fb8f0765d1f14eb7d9994a243b27dfcdfc6822439590a99b17d5c8c44f948f41"),
+    "fractional/table": (
+        "1807ca247ee3873db6e4cbb44df57e3a5934cd2820b3a338a2323d1b400e9926",
+        "7db00911ae9ae8e566c31cae9ea9a2d186c7a640ad56c3c975c20d2639d735b6",
+        "a3d9cc65aacbe36b7e7f38fc88dc807d7abe7959d06dec465ae981ddf457a267",
+        "890177c449f14fffbbcc9e9703ad8459391e739102025e3eb2f269f081f61911"),
+    "iid_sum/gamma": (
+        "9bef40a50dd4ee22165f7ab1f1d142e1526df4c3dbac65b60fd0cf8ccea67943",
+        "744dbf225d5f588849bb61979c1c5773954957b448851e1c76a0521980e7c7c0",
+        "fbb7f38043d2d83d251dbfb6ba7167793f4b331aa6b0672a3251dcfb52865e0d",
+        "0478944dd31cdd2f1146435fefee7fd79a8303a6669ec5f74567744a130e9fa9"),
+    "iid_sum/table": (
+        "76833f0977640c843629b0000812139c46e653903f2e12bbbf4ff5043769909a",
+        "83e8c9e5fce407dc689b8e7019a84ec7731cb9151187299527732baec99ed4f5",
+        "6ca823abd7dfd15d0e7e122661a6957ff0fdf38eb0723b61c129bed2b60944d1",
+        "d0f955abd702aa46f37fe70590f05cef480a28970743c0bee9f57773ce044532"),
+    "runs/gamma": (
+        "67f15ececd1470110e1c92387dc30b6082126accd08841f1e6e2c430015289e7",
+        "d51b03286f340a8f1ce9c25731a633571ce8b3d561a39e82e431593fa8c4973c",
+        "b0b74ebcf16ec9711f155d373947f64cda83341a1cc0b0bd06c2202ea7e0656a",
+        "6dcb3154f32f434fc7af7791c4ccfd3a4caa8d4e55cc3aaf3df33be2c4ba420f"),
+    "runs/table": (
+        "5d956fb722549fd3521963cbbc77d9363ce3abb513f33317980f7ad4a21ed533",
+        "413509b2a4050ab3906ea9e9453b3b6aeaedf98823cb153fd34b5dfd6cc647ad",
+        "a7e2b6e507522b00d9861b687579636bc2bf4d8bc9ff6bac0ff21e71215508f9",
+        "35882f30a9a262069ffaa8712dbf5e7338673022da00ed04d8fdbbb57933c479"),
+    "renewal-gamma/gamma": (
+        "7296afadd6b3fed88021a71b478cae2a36d3df2edf9178afdf6c530b77ace4fd",
+        "21e9b54676e6f584aa5fde55603c0e4a3968bd9372d532da6740d829e4c14204",
+        "d303bd3b7bc3ee4705a59764798711dca6f40130f8e5427b22ee1962348359e5",
+        "0733fc9ff304848f2dd91cad08b6513acdffaa5ead40de5b0d3ac3fab1a24cc7"),
+    "renewal-gamma/table": (
+        "d4387fde202089bfc2214c278fe25091e1b3438ce9c1e3f8f47fc32a0692ddbf",
+        "7cae9543181c57001f22e8c95b731d21418512797571f6ce1e9b7f75666e1d44",
+        "788bd5ac481609472e777b8655cb45c157ff4312e2b64f065f78f6f082f94485",
+        "9f926aa71b0303642cfefa8fccdbf0af29e8949a353fe8968ce4f067509feaec"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(MD_TABLE_DIGESTS))
+def test_md_check_tables_are_pinned(label, tmp_path):
+    counting, scaling = label.split("/")
+    config = normalize_config({
+        "summand": PM, "counting": MD_COUNTING[counting],
+        "experiment": {"kind": "md-check", "scaling": MD_SCALING[scaling],
+                       "ns": [100, 1000, 2000], "etas": [-1.0, 0.5, 2.0]},
+    })
+    run_experiment(config, out_dir=str(tmp_path))
+    digests = tuple(_table_digest(tmp_path / name) for name in MD_FILES)
+    assert digests == MD_TABLE_DIGESTS[label]

@@ -40,7 +40,6 @@ from compound_deviations.montecarlo import (
     BLOCK_SIZE,
     DecayEstimate,
     HalfSpaceEvent,
-    ScalingFamily,
     clt_regime_check,
     decay_rate_scan,
     enumerate_exact,
@@ -645,6 +644,13 @@ class TestTiltParameters:
                                ns=[10, 20], reps=200, seed=3, method="tilted")
         assert scan.rate_infimum == 0.0
 
+    def test_zero_rate_event_reports_plain_sampling(self):
+        # With no tilt every estimate is plain, and the scan says so.
+        event = HalfSpaceEvent([0.0], 1.0, 0.5)
+        scan = decay_rate_scan(pm_one_summand(), unit_poisson(), event,
+                               ns=[20, 40], reps=2000, seed=1, method="tilted")
+        assert (scan.method, scan.rate_infimum) == ("plain", 0.0)
+
 
 class TestEstimateEventProb:
     def test_plain_matches_enumeration(self):
@@ -1011,43 +1017,11 @@ class TestDecayRateScan:
                             ns=[30, 60], reps=2000, seed=91, method="tilt")
 
 
-class TestScalingFamily:
-    def test_power_form_domain(self):
-        family = ScalingFamily(gamma=0.5)
-        assert_allclose(family.a(100), 0.1)
-        for gamma in [0.0, 1.0, 1.5, -0.2]:
-            with pytest.raises(ValidationError):
-                ScalingFamily(gamma=gamma)
-
-    def test_table_form_lookup(self):
-        family = ScalingFamily(table=[(10, 0.1), (100, 0.01)])
-        assert family.a(10) == 0.1
-        with pytest.raises(ValidationError):
-            family.a(50)
-        with pytest.raises(ValidationError):
-            ScalingFamily(table=[(0, 0.1)])
-        for table in ([(10, -0.1)], [(10, "x")], [(10, None)],
-                      [(10, math.inf)], [(10,)], [(10, 0.1, 0.2)], [10]):
-            with pytest.raises(ValidationError):
-                ScalingFamily(table=table)
-        with pytest.raises(ValidationError):
-            ScalingFamily(gamma=0.5, table=[(10, 0.1)])
-        with pytest.raises(ValidationError, match="repeats n=10"):
-            ScalingFamily(table=[(10, 0.1), (100, 0.01), (10, 0.2)])
-
-    def test_endpoint_flags(self):
-        power = ScalingFamily(gamma=0.5)
-        assert power.endpoint_flags([100, 10_000]) == (True, True)
-        reciprocal = ScalingFamily(table=[(10, 0.1), (1000, 0.001)])
-        # a_n = 1/n: the scale shrinks but n a_n stays flat.
-        assert reciprocal.endpoint_flags([10, 1000]) == (True, False)
-
-
 class TestMdScalingSweep:
     def test_exact_poisson_sweep_approaches_the_quadratic(self):
+        ns = [100, 1000, 10_000, 100_000]
         result = md_scaling_sweep(
-            unit_poisson(), ScalingFamily(gamma=0.5), etas=[-1.0, 1.0],
-            ns=[100, 1000, 10_000, 100_000],
+            unit_poisson(), [n ** -0.5 for n in ns], etas=[-1.0, 1.0], ns=ns,
         )
         assert result.a_decreases and result.na_increases
         assert result.gap_monotone == {-1.0: True, 1.0: True}
@@ -1059,10 +1033,9 @@ class TestMdScalingSweep:
     def test_empirical_mode_matches_exact(self):
         # A Monte Carlo oracle for every kind: a_n times the log-mean-exp of
         # sampled centred counts against the exact sweep.
-        family = ScalingFamily(gamma=0.5)
-        a_n = family.a(100)
+        a_n = 100 ** -0.5
         for kind, (mn, _) in KIND_CASES.items():
-            exact = md_scaling_sweep(mn, family, etas=[-0.5, 0.5], ns=[100])
+            exact = md_scaling_sweep(mn, [a_n], etas=[-0.5, 0.5], ns=[100])
             draws = mn.sample_batch(100, np.random.default_rng(314), 200_000)
             centred = draws - mn.mean(100)
             for row in exact.rows:
@@ -1071,11 +1044,11 @@ class TestMdScalingSweep:
                 assert abs(row.value - empirical) <= 0.005, (kind, row.eta)
 
     def test_every_kind_with_a_law_sweeps_exactly(self):
-        family = ScalingFamily(gamma=0.5)
-        poisson = md_scaling_sweep(unit_poisson(), family, etas=[-1.0, 0.5],
+        scales = [n ** -0.5 for n in (50, 100)]
+        poisson = md_scaling_sweep(unit_poisson(), scales, etas=[-1.0, 0.5],
                                    ns=[50, 100])
         renewal = md_scaling_sweep(RenewalCounting(ExponentialInterarrival(1.0)),
-                                   family, etas=[-1.0, 0.5], ns=[50, 100])
+                                   scales, etas=[-1.0, 0.5], ns=[50, 100])
         for a, b in zip(poisson.rows, renewal.rows):
             assert_allclose(b.value, a.value, rtol=1e-9)
 
@@ -1083,18 +1056,18 @@ class TestMdScalingSweep:
         # 3 ns x (the mean's table and 3 tilts): 12 tables, 17.9 MiB, each
         # built once and none kept; the table held before stays. The values
         # are the finite-n cumulant's, read afresh.
-        mn, family = FractionalPoissonCounting(0.7, 1.0), ScalingFamily(gamma=0.5)
+        mn, ns = FractionalPoissonCounting(0.7, 1.0), [1000, 10_000, 100_000]
         mn.mean(50)
         built = []
         tilted_table = mn._tilted_table
         monkeypatch.setattr(mn, "_tilted_table", lambda n, s: (
             built.append((n, s)) or tilted_table(n, s)))
-        result = md_scaling_sweep(mn, family, etas=[0.5, 1.0, 2.0],
-                                  ns=[1000, 10_000, 100_000])
+        result = md_scaling_sweep(mn, [n ** -0.5 for n in ns],
+                                  etas=[0.5, 1.0, 2.0], ns=ns)
         assert len(built) == len(set(built)) == 12
         assert mn.table_keys() == {(50, 0.0)}
         for row in result.rows:
-            a_n = family.a(row.n)
+            a_n = row.n ** -0.5
             t = row.eta / math.sqrt(row.n * a_n)
             assert row.value == a_n * (row.n * mn.finite_cgf(row.n, t)
                                        - t * mn.mean(row.n))
@@ -1103,9 +1076,8 @@ class TestMdScalingSweep:
         # With a_n = 1/n the rescaled cumulant is e^eta - 1 - eta at every
         # n: the trend flags, not the sweep, expose the broken regime.
         mn = unit_poisson()
-        family = ScalingFamily(table=[(10, 0.1), (100, 0.01), (1000, 0.001)])
         eta = 0.8
-        result = md_scaling_sweep(mn, family, etas=[eta],
+        result = md_scaling_sweep(mn, [0.1, 0.01, 0.001], etas=[eta],
                                   ns=[10, 100, 1000])
         expected = math.exp(eta) - 1.0 - eta
         for row in result.rows:
@@ -1114,18 +1086,44 @@ class TestMdScalingSweep:
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            md_scaling_sweep(unit_poisson(), ScalingFamily(gamma=0.5),
+            md_scaling_sweep(unit_poisson(), [0.1, 0.1],
                              etas=[0.5], ns=[100, 50])
         with pytest.raises(ValidationError):
-            md_scaling_sweep(unit_poisson(), ScalingFamily(gamma=0.5),
-                             etas=[0.5], ns=[])
+            md_scaling_sweep(unit_poisson(), [], etas=[0.5], ns=[])
+
+    @pytest.mark.parametrize("a_n", [0.0, -0.1, math.inf, math.nan, "x"])
+    def test_each_scale_is_a_positive_finite_real(self, a_n):
+        with pytest.raises(ValidationError, match="a_n must be a positive"):
+            md_scaling_sweep(unit_poisson(), [0.1, a_n], etas=[0.5],
+                             ns=[10, 100])
+
+    @pytest.mark.parametrize("scales", [[0.1], [0.1, 0.01, 0.001]],
+                             ids=["short", "long"])
+    def test_one_scale_per_n(self, scales):
+        with pytest.raises(ValidationError, match="one a_n per n"):
+            md_scaling_sweep(unit_poisson(), scales, etas=[0.5], ns=[10, 100])
+
+    @pytest.mark.parametrize("ns, scales, flags", [
+        ([100, 10_000], [100 ** -0.5, 10_000 ** -0.5], (True, True)),
+        # a_n = 1/n: the scale shrinks but n a_n stays flat.
+        ([10, 1000], [0.1, 0.001], (True, False)),
+    ], ids=["power", "reciprocal"])
+    def test_endpoint_flags(self, ns, scales, flags):
+        result = md_scaling_sweep(unit_poisson(), scales, etas=[0.5], ns=ns)
+        assert (result.a_decreases, result.na_increases) == flags
+
+    def test_repeated_eta_is_a_validation_error(self):
+        # Each eta names one band and one DAT file of an md-check.
+        with pytest.raises(ValidationError, match="etas must be distinct"):
+            md_scaling_sweep(unit_poisson(), [0.1, 0.01], etas=[0.5, 0.5],
+                             ns=[10, 100])
 
     @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
     def test_non_finite_eta_is_a_validation_error(self, eta):
         # A NaN row would compare unequal to everything, so its gap series
         # would read as monotone.
         with pytest.raises(ValidationError, match="eta"):
-            md_scaling_sweep(unit_poisson(), ScalingFamily(gamma=0.5),
+            md_scaling_sweep(unit_poisson(), [0.1, 0.01],
                              etas=[0.5, eta], ns=[10, 100])
 
 
@@ -1156,10 +1154,8 @@ COUNT_EVENT = HalfSpaceEvent([0.0], 1.0, 2.0)
         pm_one_summand(), unit_poisson(), COUNT_EVENT, ns=[50.9, 100.2],
         reps=100, seed=1), id="decay-ns"),
     pytest.param(lambda: md_scaling_sweep(
-        unit_poisson(), ScalingFamily(gamma=0.5), etas=[0.5],
+        unit_poisson(), [0.1, 0.1], etas=[0.5],
         ns=[50.9, 100.2]), id="md-sweep-ns"),
-    pytest.param(lambda: ScalingFamily(table=[(10.7, 0.1), (100, 0.01)]),
-                 id="scaling-table-n"),
     pytest.param(lambda: unit_poisson().mean(20.7), id="count-mean-n"),
     pytest.param(lambda: IidSumCounting([0, 1, 2], [0.3, 0.4, 0.3]).exact_pmf(True),
                  id="count-pmf-n-bool"),

@@ -565,6 +565,37 @@ class TestRateLdExplicit:
         assert rates[:2].tolist() == [math.inf, 1.0]
         assert rates[2] == rate_ld_explicit(mx, mn, [0.5], 1.0)
 
+    @pytest.mark.parametrize("mx", [
+        pm_one_summand(), GaussianSummands([0.2], [[1.0]]),
+    ], ids=["pm-one", "gaussian"])
+    def test_huge_finite_ratio_is_an_infinite_rate(self, mx):
+        # x / y = 5e299 is finite, but its squared norm is not.
+        assert rate_ld_explicit(mx, unit_poisson(), [0.5], 1e-300) == math.inf
+
+    @pytest.mark.parametrize("x, value", [
+        ((1e200, -1e200), math.inf),
+        ((1e160, -1e160), math.inf),
+        ((1e100, -1e100), math.inf),
+        ((1e150, 1e150), 4.999999999999999e+299),
+        ((1e200, 1e200), math.inf),
+    ])
+    def test_rank_one_gaussian_past_the_float_range(self, x, value):
+        # The image is the span of (1, 1). Off it every rate is +inf, however
+        # large the point; on it the conjugate |x|^2 / 4 may pass the float
+        # range, which is +inf too.
+        mx = GaussianSummands([0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]])
+        mn = unit_poisson()
+        assert mx.conjugate_closed_form(x) == value
+        assert rate_md_centered_summands(mx, mn, x, 1.0) == value
+        assert rate_ld_explicit(mx, mn, x, 1.0) == value
+        assert (mx.cov().solve(x) is None) == (x[0] != x[1])
+
+    def test_point_off_a_segment_past_the_float_range(self):
+        # The atoms (0, 0) and (1, 0) span a segment of the first axis.
+        mx = FiniteSupportSummands([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
+        assert mx.conjugate_closed_form([0.5, 1e160]) == math.inf
+        assert mx.conjugate_closed_form([0.5, 0.0]) == 0.0
+
 
 class TestRateLdVariational:
     def test_zero_at_limit_point(self):
