@@ -637,6 +637,8 @@ def versions_string():
 
 def format_cell(value):
     """Deterministic text form of a table cell; +inf becomes 'inf'."""
+    if type(value) is float:  # most cells; repr(float(v)) is repr(v)
+        return repr(value)
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
@@ -665,7 +667,7 @@ class ResultTable:
         lines = [f"# {key}={self.metadata[key]}" for key in sorted(self.metadata)]
         lines.append(",".join(self.columns))
         for row in self.rows:
-            lines.append(",".join(format_cell(cell) for cell in row))
+            lines.append(",".join(map(format_cell, row)))
         return "\n".join(lines) + "\n"
 
 

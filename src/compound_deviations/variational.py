@@ -11,6 +11,15 @@ convexity once when built. Each model holds its own as ``cumulant``, so a
 grid of rates probes each function once. Rates are plain floats, +inf
 included.
 
+Most solves have one coordinate: every count rate, each tilt along a ray
+and a summand conjugate in R^1 without a closed form. The one Newton loop
+runs those on Python floats, since numpy's per-call cost on length-1 arrays
+dominated them, and solves in more coordinates (the variational rate, a
+summand conjugate in R^h without a closed form) on numpy arrays and LAPACK
+as before. The float operations are the ones numpy and LAPACK perform on
+length-1 arrays (a product summed from +0.0, the square root of a square,
+one division), so both routes give the same iterates bit for bit.
+
 On top of it sit the rate functions:
 
 * ``joint_cumulant``: the pair's cumulant L_N(eta + L_X(theta)) with its
@@ -159,6 +168,12 @@ def legendre_transform(cumulant, z):
     leave their domain are rejected steps. Running out of iterations or
     damping the step to nothing raises InconclusiveOptimizationError with
     the best value found.
+
+    With one coordinate the loop holds theta, g and H as Python floats
+    (``_FLOATS``), wrapping theta in a length-1 array only to call f and
+    unwrapping what f returns; every operation it makes is the one numpy and
+    LAPACK make on length-1 arrays, so each iterate and result is bit for bit
+    the array route's, without its per-call cost or its overflow warnings.
     """
     target = np.atleast_1d(np.asarray(z, dtype=float))
     if target.ndim != 1 or not np.all(np.isfinite(target)):
@@ -170,10 +185,13 @@ def legendre_transform(cumulant, z):
             f"R^{cumulant.dim}"
         )
     f, grad_f, hess_f = cumulant.f, cumulant.grad, cumulant.hess
+    ops = _FLOATS if dim == 1 else _Arrays(dim)
+    target = ops.vector(target)
 
-    def objective(point):
+    def objective(theta, point):
+        """The objective at theta, whose array form point is what f reads."""
         try:
-            value = float(target @ point) - f(point)
+            value = ops.dot(target, theta) - f(point)
         except _DOMAIN_ERRORS:
             return -math.inf
         return value if not math.isnan(value) else -math.inf
@@ -181,29 +199,29 @@ def legendre_transform(cumulant, z):
     def derivatives(point):
         """Gradient of the objective and Hessian of f; None off the domain."""
         try:
-            grad = target - np.asarray(grad_f(point), dtype=float)
-            hess = np.atleast_2d(np.asarray(hess_f(point), dtype=float))
+            grad = target - ops.vector(grad_f(point))
+            hess = ops.matrix(hess_f(point))
         except _DOMAIN_ERRORS:
             return None
-        if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
+        if not (ops.finite(grad) and ops.finite(hess)):
             return None
         return grad, hess
 
-    theta = np.zeros(dim)
-    value = objective(theta)
-    start = derivatives(theta)
+    theta = ops.zero
+    point = ops.point(theta)
+    value = objective(theta, point)
+    start = derivatives(point)
     if not math.isfinite(value) or start is None:
         raise ValidationError("objective is undefined at the origin")
     grad, hess = start
-    eye = np.eye(dim)
-    damping = _damping_floor(hess)
+    damping = _damping_floor(ops, hess)
     iterations = 0
     while True:
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < GRADIENT_TOLERANCE or _decrement(hess, grad) <= (
+        gnorm = ops.norm(grad)
+        if gnorm < GRADIENT_TOLERANCE or _decrement(ops, hess, grad) <= (
             DECREMENT_TOLERANCE * (1.0 + abs(value))
         ):
-            return LegendreResult(value, theta.copy(), iterations, gnorm, False)
+            return LegendreResult(value, point.copy(), iterations, gnorm, False)
         if iterations >= MAX_ITERATIONS:
             reason = "iteration limit reached"
             break
@@ -211,48 +229,98 @@ def legendre_transform(cumulant, z):
         accepted = None
         while accepted is None and math.isfinite(damping):
             try:
-                step = np.linalg.solve(hess + damping * eye, grad)
+                step = ops.solve(ops.shift(hess, damping), grad)
             except np.linalg.LinAlgError:
-                damping = max(DAMPING_FACTOR * damping, _damping_floor(hess))
+                damping = max(DAMPING_FACTOR * damping, _damping_floor(ops, hess))
                 continue
             candidate = theta + step
-            if np.array_equal(candidate, theta):
+            if ops.same(candidate, theta):
                 break
-            cand_value = objective(candidate)
+            cand_point = ops.point(candidate)
+            cand_value = objective(candidate, cand_point)
             if cand_value == math.inf:
                 return LegendreResult(math.inf, None, iterations, gnorm, True)
-            if cand_value >= value + ARMIJO_C * float(grad @ step):
-                accepted = derivatives(candidate)
+            if cand_value >= value + ARMIJO_C * ops.dot(grad, step):
+                accepted = derivatives(cand_point)
             if accepted is None:
-                damping = max(DAMPING_FACTOR * damping, _damping_floor(hess))
+                damping = max(DAMPING_FACTOR * damping, _damping_floor(ops, hess))
         if accepted is None:
             reason = "damped step vanished"
             break
-        theta, value, (grad, hess) = candidate, cand_value, accepted
+        theta, point, value, (grad, hess) = candidate, cand_point, cand_value, accepted
         damping /= DAMPING_FACTOR
-        if float(np.linalg.norm(theta)) > DIVERGENCE_THRESHOLD:
-            gnorm = float(np.linalg.norm(grad))
+        if ops.norm(theta) > DIVERGENCE_THRESHOLD:
+            gnorm = ops.norm(grad)
             return LegendreResult(math.inf, None, iterations, gnorm, True)
 
     raise InconclusiveOptimizationError(
         f"conjugate maximization inconclusive ({reason}; gradient norm "
         f"{gnorm:.3e} after {iterations} iterations)",
         best_value=value,
-        best_point=theta.copy(),
+        best_point=point.copy(),
         gradient_norm=gnorm,
         iterations=iterations,
     )
 
 
-def _damping_floor(hess):
-    return DAMPING_FLOOR * (1.0 + float(np.max(np.abs(np.diag(hess)))))
+class _Arrays:
+    """The Newton loop's arithmetic on R^dim: numpy arrays, LAPACK solves."""
+
+    point = staticmethod(lambda theta: theta)
+    vector = staticmethod(lambda v: np.asarray(v, dtype=float))
+    matrix = staticmethod(lambda m: np.atleast_2d(np.asarray(m, dtype=float)))
+    finite = staticmethod(lambda v: bool(np.all(np.isfinite(v))))
+    dot = staticmethod(lambda a, b: float(a @ b))
+    norm = staticmethod(lambda v: float(np.linalg.norm(v)))
+    solve = staticmethod(np.linalg.solve)
+    same = staticmethod(np.array_equal)
+    diag_max = staticmethod(lambda m: float(np.max(np.abs(np.diag(m)))))
+
+    def __init__(self, dim):
+        self.zero = np.zeros(dim)
+        self.eye = np.eye(dim)
+
+    def shift(self, m, mu):
+        return m + mu * self.eye
 
 
-def _decrement(hess, grad):
+class _Floats:
+    """The same arithmetic on one coordinate held as a Python float, bit for
+    bit what numpy and LAPACK compute on length-1 arrays: a length-1 matmul
+    sums its one product from +0.0 (so -0.0 becomes 0.0), the norm is the
+    square root of the square, a 1x1 solve is one division and is singular
+    exactly at 0, and H + mu I adds mu. ``tests/test_variational.py`` pins
+    these identities on the installed numpy and BLAS."""
+
+    zero = 0.0
+    point = staticmethod(lambda theta: np.array([theta]))
+    vector = matrix = staticmethod(lambda v: np.asarray(v, dtype=float).item())
+    finite = staticmethod(math.isfinite)
+    dot = staticmethod(lambda a, b: a * b + 0.0)
+    norm = staticmethod(lambda v: math.sqrt(v * v))
+    same = staticmethod(lambda a, b: a == b)
+    diag_max = staticmethod(abs)
+    shift = staticmethod(lambda m, mu: m + mu)
+
+    @staticmethod
+    def solve(m, v):
+        if m == 0.0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return v / m
+
+
+_FLOATS = _Floats()
+
+
+def _damping_floor(ops, hess):
+    return DAMPING_FLOOR * (1.0 + ops.diag_max(hess))
+
+
+def _decrement(ops, hess, grad):
     """Undamped Newton decrement g.H^{-1}g; inf where H is singular or the
     decrement is not a positive number."""
     try:
-        decrement = float(grad @ np.linalg.solve(hess, grad))
+        decrement = ops.dot(grad, ops.solve(hess, grad))
     except np.linalg.LinAlgError:
         return math.inf
     return decrement if decrement >= 0.0 else math.inf
@@ -364,10 +432,13 @@ def rate_ld_explicit(mx, mn, x, y):
         y_in = ys[inner]
         with np.errstate(over="ignore"):  # x / y past the float range
             ratios = xs[inner] / y_in[:, None]
+        # One memo read per distinct y, in the grid's order.
+        counts = {level: count_rate(mn, level).value
+                  for level in dict.fromkeys(y_in.tolist())}
         # Both conjugates are >= 0 (each objective is 0 at the origin), so
         # the product and the sum never meet 0 * inf or inf - inf.
         rates[inner] = (y_in * _summand_conjugate(mx, ratios)
-                        + [count_rate(mn, level).value for level in y_in])
+                        + [counts[level] for level in y_in.tolist()])
     return float(rates[0]) if one else rates
 
 
@@ -415,10 +486,7 @@ def _md_rate(mx, mn, x, y, shifted):
     xs, ys, one = _points(mx, x, y)
     if shifted:
         xs = xs - ys[:, None] * mx.mean()
-    # y ** 2 is the float power, row by row, as the tables have always been
-    # computed; the vectorised square y * y differs from it in the last bit
-    # for about one y in a thousand.
-    count_part = np.array([v ** 2 for v in ys.tolist()]) / (2.0 * d.variance_rate)
+    count_part = np.array([_square(v) for v in ys.tolist()]) / (2.0 * d.variance_rate)
     if d.mean_rate == 0.0:
         rates = np.where(np.max(np.abs(xs), axis=1) <= ORIGIN_TOL, count_part, math.inf)
     else:
@@ -427,6 +495,17 @@ def _md_rate(mx, mn, x, y, shifted):
             quad = np.maximum(_dot_rows(pre, xs), 0.0)
         rates = np.where(in_image, quad / (2.0 * d.mean_rate) + count_part, math.inf)
     return float(rates[0]) if one else rates
+
+
+def _square(v):
+    """v ** 2 as the float power, as the tables have always been computed
+    (the vectorised square y * y differs from it in the last bit for about
+    one y in a thousand); +inf past the float range, where the power raises
+    OverflowError."""
+    try:
+        return v ** 2
+    except OverflowError:
+        return math.inf
 
 
 def rate_md_centered_summands(mx, mn, x, y):

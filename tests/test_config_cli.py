@@ -572,6 +572,26 @@ class TestTableFormatting:
         assert format_cell(np.float64(0.25)) == "0.25"
         assert format_cell(math.inf) == "inf"
 
+    @pytest.mark.parametrize("cell, text", [
+        (0.1, "0.1"),
+        (-0.0, "-0.0"),
+        (5e-324, "5e-324"),
+        (1.7976931348623157e308, "1.7976931348623157e+308"),
+        (np.float64(0.1), "0.1"),
+        (np.float64(-0.0), "-0.0"),
+        (math.inf, "inf"),
+        (-math.inf, "-inf"),
+        (np.float64(math.inf), "inf"),
+        (3, "3"),
+        (np.int64(-4), "-4"),
+        (True, "true"),
+        (np.bool_(False), "false"),
+    ])
+    def test_float_cells_keep_their_text(self, cell, text):
+        # A Python float goes straight to repr; a numpy float takes the type
+        # chain to repr(float(v)), the same text, and never its own repr.
+        assert format_cell(cell) == text
+
     def test_result_table_layout(self):
         table = ResultTable(columns=["n", "value"],
                             metadata={"b": 2, "a": 1})
@@ -964,6 +984,21 @@ class TestCli:
         assert [row.split(",")[:3] for row in rows] == [
             ["0.0", "5e-324", "1.0"], ["0.5", "5e-324", "inf"]]
 
+    @pytest.mark.parametrize("y, rate_ld", [
+        ("1e+200", "4.595170185988092e+202"),
+        ("1e+300", "6.897755278982137e+302"),
+    ])
+    def test_md_rates_past_the_float_range_are_written(self, tmp_path, y, rate_ld):
+        # y ** 2 leaves the float range, so both MD rates are +inf; the
+        # Poisson count rate y log y - y + 1 is still finite.
+        path = write_json(tmp_path / "huge_y.json", dict(
+            rate_eval_raw(), experiment={"kind": "rate-eval", "x_values": [0.0],
+                                         "y_values": [float(y)]}))
+        out = tmp_path / "out"
+        assert cli.main(["rate-eval", "--config", path, "--out", str(out)]) == 0
+        row = (out / "rate_eval.csv").read_text().splitlines()[-1]
+        assert row.split(",") == ["0.0", y, rate_ld, "inf", "inf"]
+
     def test_count_rate_past_the_float_range_is_typed(self, tmp_path, capsys):
         # The gamma renewal's curvature underflows on the way to y = 1e300:
         # rejected steps end the solve inconclusive, a typed error.
@@ -971,10 +1006,8 @@ class TestCli:
             rate_eval_raw(), counting=COUNTING_BLOCKS["renewal"],
             experiment={"kind": "rate-eval", "x_values": [0.0],
                         "y_values": [1e300]}))
-        # The solver's first gradient norm squares 1e300 past the float range.
-        with np.errstate(over="ignore"):
-            assert cli.main(["rate-eval", "--config", path, "--out",
-                             str(tmp_path / "out")]) == 2
+        assert cli.main(["rate-eval", "--config", path, "--out",
+                         str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.strip().startswith(
             "error [compound_deviations.errors.InconclusiveOptimizationError]: ")
 

@@ -23,6 +23,13 @@ each at gamma = 0.5 and at a table, and the digest of each CSV and DAT file
 is pinned. These digests were computed while the sweep still took a scaling
 object, so they hold the route from the config's gamma or table to the a_n
 of each n byte for byte.
+
+The four ``rate-grid`` configs run end to end too, and the digest of each
+``rate_eval.csv`` is pinned. Those digests, and the iteration counts of
+the grid's 40 count-rate solves and of the three ``ldp-tilted`` tilt
+solves, were recorded while every conjugate solve still ran on numpy
+arrays, so they hold the one-coordinate float route to the array route's
+iterates bit for bit.
 """
 
 import hashlib
@@ -42,7 +49,10 @@ from compound_deviations.config import (
     parse_config,
     serialize_config,
 )
+from compound_deviations import montecarlo
 from compound_deviations.experiments import run_experiment
+from compound_deviations.montecarlo import HalfSpaceEvent, tilt_parameters
+from compound_deviations.variational import count_rate
 
 _WORKLOADS_PATH = (pathlib.Path(__file__).resolve().parents[1]
                    / "perfbench" / "workloads.py")
@@ -404,3 +414,69 @@ def test_md_check_tables_are_pinned(label, tmp_path):
     run_experiment(config, out_dir=str(tmp_path))
     digests = tuple(_table_digest(tmp_path / name) for name in MD_FILES)
     assert digests == MD_TABLE_DIGESTS[label]
+
+
+# sha256 of the lines of each rate-grid table that are not '#' metadata, at
+# workload seed 5: the benchmark's 10 x 10 grid for each pair.
+RATE_TABLE_DIGESTS = {
+    "pm-poisson":
+        "ec08f436f03b4665741ac3e73f8dac34954f76462f63d083134526183a5e85c8",
+    "gauss-renewal":
+        "2b26197720e8671035381ebff0c32130fc122d7df205ec8cfa451358d2591661",
+    "pm-fractional":
+        "c35f6cf839ed13219ece7b33e5f4da7fe7de93626ab062100b8cbdcd086950da",
+    "pm-bernoulli":
+        "5cd80c8d42671c2bb51a111b22850bef7e245fadf745c4de8455265a8773d6b6",
+}
+
+
+@pytest.mark.parametrize("label", sorted(RATE_TABLE_DIGESTS))
+def test_rate_grid_tables_are_pinned(label, tmp_path):
+    code, _ = run_experiment(normalize_config(CONFIGS[f"rate-grid/{label}"]),
+                             out_dir=str(tmp_path))
+    assert code == 0
+    assert _table_digest(tmp_path / "rate_eval.csv") == RATE_TABLE_DIGESTS[label]
+
+
+# Newton iterations of each count-rate solve of a rate-grid pair, one per
+# y of the grid in order, and of each ldp-tilted config's one tilt solve.
+RATE_GRID_ITERATIONS = {
+    "pm-poisson": [6, 5, 4, 3, 0, 3, 4, 4, 4, 5],
+    "gauss-renewal": [5, 3, 3, 4, 5, 5, 6, 6, 5, 6],
+    "pm-fractional": [6, 5, 5, 4, 4, 3, 2, 3, 4, 4],
+    "pm-bernoulli": [4, 3, 3, 4, 18, 4, 3, 3, 3, 3],
+}
+TILT_ITERATIONS = {"sum-poisson": 3, "sum2d-gauss-iid": 4, "count-fractional": 4}
+
+
+def test_rate_grid_count_rate_iterations_are_pinned():
+    iterations = {}
+    for label in RATE_GRID_ITERATIONS:
+        config = normalize_config(CONFIGS[f"rate-grid/{label}"])
+        mn = build_models(config)[1]
+        iterations[label] = [count_rate(mn, y).iterations
+                             for y in config["experiment"]["y_values"]]
+    assert iterations == RATE_GRID_ITERATIONS
+
+
+def test_ldp_tilted_tilt_iterations_are_pinned(monkeypatch):
+    solves = []
+
+    def recording(cumulant, z):
+        result = solve(cumulant, z)
+        solves.append(result.iterations)
+        return result
+
+    solve = montecarlo.legendre_transform
+    monkeypatch.setattr(montecarlo, "legendre_transform", recording)
+    iterations = {}
+    for label in TILT_ITERATIONS:
+        config = normalize_config(CONFIGS[f"ldp-tilted/{label}"])
+        mx, mn = build_models(config)
+        spec = config["experiment"]["event"]
+        face = ((spec["direction"], 0.0) if spec["mode"] == "sum"
+                else ([0.0] * mx.dim, 1.0))
+        solves.clear()
+        tilt_parameters(mx, mn, HalfSpaceEvent(*face, spec["level"]))
+        [iterations[label]] = solves
+    assert iterations == TILT_ITERATIONS

@@ -236,6 +236,73 @@ class TestLegendreTransform:
         assert_allclose(result.argmax, [math.log(2.0)], rtol=1e-12)
 
 
+def signed_magnitudes(rng, size):
+    """Floats of random sign, spread evenly in log scale over 1e-300..1e300."""
+    signs = rng.choice([-1.0, 1.0], size)
+    return (signs * 10.0 ** rng.uniform(-300.0, 300.0, size)).tolist()
+
+
+def solve_outcome(cumulant, z):
+    """Everything a solve reports, in bits: its result, or what its
+    inconclusive error carries."""
+    try:
+        r = legendre_transform(cumulant, [z])
+    except InconclusiveOptimizationError as err:
+        return ("inconclusive", float(err.best_value).hex(),
+                err.best_point.tobytes(), err.iterations,
+                float(err.gradient_norm).hex())
+    return (float(r.value).hex(), None if r.argmax is None else r.argmax.tobytes(),
+            r.iterations, float(r.gradient_norm).hex(), r.unbounded)
+
+
+class TestOneCoordinateRoute:
+    """A one-coordinate solve runs the Newton loop on Python floats. The
+    numpy and LAPACK arithmetic on length-1 arrays that it copies is pinned
+    here, so an upgrade that changes it fails loudly instead of moving
+    tables, and the array route is the reference it must match."""
+
+    def test_length_one_numpy_arithmetic_is_float_arithmetic(self):
+        rng = np.random.default_rng(20261020)
+        gs, hs = signed_magnitudes(rng, 20_000), signed_magnitudes(rng, 20_000)
+        pairs = list(zip(gs, hs))
+        solved = [float(np.linalg.solve([[h]], [g])[0]).hex() for g, h in pairs]
+        assert solved == [(g / h).hex() for g, h in pairs]
+        with np.errstate(over="ignore"):  # g * g past the float range
+            norms = [float(np.linalg.norm([g])).hex() for g in gs]
+            # A length-1 matmul sums its product from +0.0, so -0.0 is 0.0.
+            pairs += [(-1.0, 0.0), (0.0, -1.0), (-0.0, -0.0), (-0.0, 1.0)]
+            products = [float(np.array([g]) @ np.array([h])).hex() for g, h in pairs]
+        assert norms == [math.sqrt(g * g).hex() for g in gs]
+        assert products == [(g * h + 0.0).hex() for g, h in pairs]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve([[-0.0]], [1.0])
+
+    @pytest.mark.parametrize("cumulant", [
+        PoissonCounting(1.0).cumulant,
+        PoissonCounting(3.0).cumulant,
+        FractionalPoissonCounting(0.7, 1.0).cumulant,
+        IidSumCounting([0, 1, 2], [0.3, 0.4, 0.3]).cumulant,
+        BernoulliSumCounting(p=0.4).cumulant,
+        BernoulliSumCounting.runs(1.0, 2.0).cumulant,
+        RenewalCounting(ExponentialInterarrival(1.0)).cumulant,
+        RenewalCounting(GammaInterarrival(2.0, 1.0)).cumulant,
+        RenewalCounting(LatticeInterarrival([1, 2], [0.5, 0.5])).cumulant,
+        FiniteSupportSummands([[1.0], [-1.0]], [0.5, 0.5]).cumulant,
+        FiniteSupportSummands([[-2.0], [0.5], [3.0]], [0.2, 0.5, 0.3]).cumulant,
+        exp_minus_one(),
+    ], ids=["poisson", "poisson-3", "fractional", "iid-sum", "bernoulli", "runs",
+            "renewal-exponential", "renewal-gamma", "renewal-lattice", "pm",
+            "three-atoms", "exp-minus-one"])
+    def test_every_solve_matches_the_array_route(self, monkeypatch, cumulant):
+        targets = [-0.0, 1e-300, 1e-10, 1e100, 1e200] + [
+            float(z) for z in np.linspace(-3.0, 5.0, 33)]
+        floats = [solve_outcome(cumulant, z) for z in targets]
+        monkeypatch.setattr(variational, "_FLOATS", variational._Arrays(1))
+        with np.errstate(over="ignore"):  # the array route squares 1e200
+            arrays = [solve_outcome(cumulant, z) for z in targets]
+        assert floats == arrays
+
+
 class TestCumulant:
     def test_concave_input_rejected(self):
         with pytest.raises(ValidationError):
@@ -335,9 +402,7 @@ class TestCountRate:
         with pytest.raises(OverflowError, match="underflows"):
             mn.limit_cgf_second(600.0)
         assert count_rate(mn, 1e100).value == 4.599033129599291e+102
-        # The first gradient norm squares y = 1e200 past the float range.
-        with np.errstate(over="ignore"), pytest.raises(
-                InconclusiveOptimizationError):
+        with pytest.raises(InconclusiveOptimizationError):
             count_rate(mn, 1e200)
 
     def test_lattice_renewal_count_rate_at_its_reach(self):
@@ -1361,6 +1426,16 @@ class TestRowwiseRates:
         column = rate_md_centered_summands(pm_one_summand(), unit_poisson(),
                                            [[0.0]] * 3, ys)
         assert column.tolist() == [y ** 2 / 2.0 for y in ys]
+
+    @pytest.mark.parametrize("rate", [rate_md_centered_summands,
+                                      rate_md_centered_sum])
+    def test_count_part_past_the_float_range_is_infinite(self, rate):
+        # The float power raises OverflowError past about 1.34e154; the rate
+        # there is +inf, and below it keeps the power's bits.
+        ys = [1e154, -1e154, 1.3e154, 1e200, -1e300]
+        column = rate(pm_one_summand(), unit_poisson(), [[0.0]] * 5, ys)
+        assert column.tolist() == [y ** 2 / 2.0 for y in ys[:3]] + [math.inf] * 2
+        assert rate(pm_one_summand(), unit_poisson(), [0.0], 1e200) == math.inf
 
     @pytest.mark.parametrize("rate", [
         rate_ld_explicit, rate_md_centered_summands, rate_md_centered_sum,
