@@ -14,8 +14,10 @@ the pmf over 0..K of the law with mass ~ P(N_n = k) e^{s k}, and
 log Z(s) = log E e^{s N_n}; s = 0 is N_n itself. ``CountingModel`` builds
 every finite-n member on it, through one table per (n, s) that each model
 builds once and keeps: ``exact_pmf`` (s = 0), ``sample_batch`` and
-``tilted_count_sampler`` (inversion of the cdf by ``summands.invert_cdf``,
-the least k with F(k) > u), ``max_count`` (the draw of the top uniform),
+``tilted_count_sampler`` (inversion of the cdf by ``summands.invert_cdf``'s
+rule, the least k with F(k) > u, drawn through the table's guide,
+``summands._CdfGuide``, built on first use and kept and dropped with the
+table), ``max_count`` (``invert_cdf`` of the top uniform),
 ``mean`` and ``var`` (the table's moments) and ``finite_cgf`` =
 log Z(s) / n. A kind overrides a member only with an exact closed form:
 Poisson, iid-sum and Bernoulli keep ``finite_cgf``, and Poisson keeps
@@ -71,7 +73,14 @@ import numpy as np
 
 from .dualpair import check_int, finite_real, tilt_weights
 from .errors import ValidationError
-from .summands import MASS_TABLE_CAP, TOP_UNIFORM, UNIFORM_STEP, check_probs, invert_cdf
+from .summands import (
+    MASS_TABLE_CAP,
+    TOP_UNIFORM,
+    UNIFORM_STEP,
+    _CdfGuide,
+    check_probs,
+    invert_cdf,
+)
 from .variational import Cumulant
 
 # The scaled cumulant must vanish at zero within this.
@@ -197,11 +206,6 @@ def _grow_table(build, what):
             raise ValidationError(f"{what} exceeds {MASS_TABLE_CAP} states")
         size = min(2 * size, MASS_TABLE_CAP)
     return table
-
-
-def _draw_from_cdf(cdf, rng, reps):
-    """reps counts drawn by ``invert_cdf`` of a cdf table over 0, 1, ...."""
-    return invert_cdf(cdf, rng.random(int(reps))).astype(np.int64)
 
 
 def _table_moments(pmf):
@@ -351,10 +355,22 @@ class CountingModel:
         """The (n, s) keys of the tables built and kept so far."""
         return set(self.__dict__.get("_tables", ()))
 
+    def _guide(self, n, s=0.0):
+        """The ``summands._CdfGuide`` of ``_table(n, s)``'s cdf, built on
+        first use and kept with the table."""
+        key = check_int(n, "n", 1), finite_real(s, "tilt s")
+        guides = self.__dict__.setdefault("_guides", {})
+        if key not in guides:
+            cdf = self._table(*key)[1]
+            guides[key] = _CdfGuide([(cdf, np.array([cdf.size]), np.array([0]))])
+        return guides[key]
+
     def drop_tables(self, keep):
-        """Forget every kept table whose (n, s) key is not in ``keep``."""
+        """Forget every kept table, and its guide, whose (n, s) key is not
+        in ``keep``."""
         for key in self.table_keys() - keep:
             del self._tables[key]
+            self.__dict__.get("_guides", {}).pop(key, None)
 
     def exact_pmf(self, n):
         """Distribution of N_n as an array over 0..K."""
@@ -374,7 +390,7 @@ class CountingModel:
 
     def sample_batch(self, n, rng, reps):
         """reps draws of N_n."""
-        return _draw_from_cdf(self._table(n)[1], rng, reps)
+        return self._guide(n).draw(0, rng.random(int(reps)))
 
     def max_count(self, n):
         """The largest count a uniform draws at n: the draw at TOP_UNIFORM."""
@@ -382,8 +398,8 @@ class CountingModel:
 
     def tilted_count_sampler(self, n, s):
         """Sampler (rng, reps) -> counts for the law with mass ~ P(N_n = k) e^{s k}."""
-        cdf = self._table(n, s)[1]
-        return lambda rng, reps: _draw_from_cdf(cdf, rng, reps)
+        guide = self._guide(n, s)
+        return lambda rng, reps: guide.draw(0, rng.random(int(reps)))
 
     def _probe_validate(self):
         # A value past the float range is not finite either.
@@ -435,13 +451,18 @@ class _Lattice:
         self._values.flags.writeable = False
 
     def _tilt(self, r):
-        """The cumulant at r and the tilted probabilities; at r = +-inf the
-        cumulant is log p of a step 0 (never 0 * inf), else r itself."""
-        if r in (-math.inf, math.inf):
-            end = 0 if r < 0.0 else self._values.size - 1
-            kappa = float(self._log_probs[end]) if self._values[end] == 0 else float(r)
-            return kappa, np.eye(1, self._values.size, end)[0]
-        return tilt_weights(r * self._values + self._log_probs)
+        """The cumulant at r and the tilted probabilities. Where r times the
+        largest step leaves the float range (r = +-inf, or |r| past 1.8e308
+        over that step, where every other weight is below e^-1e292 of the
+        extreme one), the tilted law is the point mass on the extreme step
+        in r's direction and the cumulant its score: log p of a step 0
+        (never 0 * inf), else r t + log p. A NaN r stays NaN."""
+        if math.isfinite(r * float(self._values[-1])) or math.isnan(r):
+            return tilt_weights(r * self._values + self._log_probs)
+        end = 0 if r < 0.0 else self._values.size - 1
+        step = float(self._values[end])
+        kappa = float(self._log_probs[end]) + (r * step if step else 0.0)
+        return kappa, np.eye(1, self._values.size, end)[0]
 
     def kappa(self, r):
         return self._tilt(r)[0]

@@ -16,7 +16,8 @@ checks) take sums from the summands' ``plain_sampler`` for the count law's
 blocks start. For finite-support sums whose tables are small enough
 (summands.TABLE_STAGE_STATES per stage), each conditional-binomial stage
 inverts one uniform per sum in exact binomial cdf rows for every count up
-to ``max_count(n)``, by the one inversion rule min{k : F(k) > u}; larger
+to ``max_count(n)``, by the one inversion rule min{k : F(k) > u}, through
+the guide kernel that also draws the counts (``summands._CdfGuide``); larger
 tables, and the tilted route, where each estimate's fresh tilted law draws
 only 10^4 sums, draw with numpy's binomials (``sample_sum_batch``). The
 route rests on the method, the law and the table size, never on reps, so
@@ -41,9 +42,9 @@ fractional or boolean size is a ValidationError, never truncated.
 Importing the module loads no scipy submodule; of its own routines only
 the CLT normality p-values import one (``scipy.special``, for chdtrc, the
 chi-square tail of their K^2 statistic), when they run. The count table
-(through ``max_count`` or ``tilted_count_sampler``) and any summand tables
-(which import ``bdtr``) are built in the calling thread, before the blocks
-start, and before a check's image array.
+and its guide (through ``_plain_draws`` or ``tilted_count_sampler``) and any
+summand tables (which import ``bdtr``) are built in the calling thread,
+before the blocks start, and before a check's image array.
 """
 
 from __future__ import annotations
@@ -189,8 +190,10 @@ def simulate_compound(mx, mn, n, reps, seed, workers=None):
 
 
 def _plain_draws(mx, mn, n):
-    """(draw_sums, draw_counts) at n; the summands' ``plain_sampler`` is
-    made here, before the blocks start, for the largest count drawn at n."""
+    """(draw_sums, draw_counts) at n; the count table's guide and the
+    summands' ``plain_sampler``, for the largest count drawn at n, are made
+    here, before the blocks start."""
+    mn._guide(n)
     return (mx.plain_sampler(mn.max_count(n)),
             lambda rng, size: mn.sample_batch(n, rng, size))
 

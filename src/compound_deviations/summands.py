@@ -27,17 +27,22 @@ solve for a stack of points, every membership rule kept per row), and the
 one-point method is their one-row case.
 
 A finite-support sum of k steps is a multinomial split of k among the atoms,
-drawn as successive conditional binomials, one stage per atom but the last.
-``sample_sum_batch`` draws each stage with numpy's binomial sampler.
-``plain_sampler`` (the sampler of plain draws) may instead draw each stage
-from one ``rng.random`` uniform per sum, inverted by ``invert_cdf`` in exact
-Binomial(k, q) cdf rows with a guide table (Chen & Asau, AIIE Trans. 6(2),
-1974): O(1) expected steps per draw, after a build of about 0.4 us per table
-state (scipy's ``bdtr``, imported inside the builder). It builds them only
-where they hold at most TABLE_STAGE_STATES states per stage and
-MASS_TABLE_CAP in all, judged from their windows before any build; past
+drawn as successive conditional binomials, one stage per atom but the last,
+and summed coordinate by coordinate. ``sample_sum_batch`` draws each stage
+with numpy's binomial sampler. ``plain_sampler`` (the sampler of plain
+draws) may instead draw each stage from one ``rng.random`` uniform per sum,
+inverted in exact Binomial(k, q) cdf rows (``_GuideTable``, built at about
+0.4 us per table state by scipy's ``bdtr``, which it imports when built). It
+builds them only where they hold at most TABLE_STAGE_STATES states per stage
+and MASS_TABLE_CAP in all, judged from their windows before any build; past
 that it is ``sample_sum_batch``. Every other law's ``plain_sampler`` is its
 ``sample_sum_batch``.
+
+Every cdf inversion of the package, of counts and of stages, takes
+``invert_cdf``'s rule through one kernel, ``_CdfGuide``: a guide table
+(Chen & Asau, AIIE Trans. 6(2), 1974) with a power-of-two number of cells
+per row, so that every product u M and F M is exact and each draw is one
+gather in O(1) expected steps, bit for bit the draw of ``invert_cdf``.
 """
 
 from __future__ import annotations
@@ -76,11 +81,13 @@ TOP_UNIFORM = 1.0 - UNIFORM_STEP
 WINDOW_LOG_TAIL = 54.0 * math.log(2.0)
 # Guide tables are built in row chunks of about this many window states.
 TABLE_CHUNK = 1 << 16
-# Plain draws build guide tables only up to this many window states per
+# Plain draws build stage tables only up to this many window states per
 # stage: about where their build, at about 0.4 us a state, stops being
-# repaid by the draws of the default plain reps, 10^5 sums (on 2 vCPU, every
-# measured law took 0.31-1.00x of the binomial route's time at up to 20,345
-# states a stage, and the first to lose took 1.07x at 24,155).
+# repaid by the draws of the default plain reps, 10^5 sums (on 2 vCPU, with
+# a guide of one cell per state, every measured law took 0.31-1.00x of the
+# binomial route's time at up to 20,345 states a stage, and the first to
+# lose took 1.07x at 24,155). The power-of-two guide draws faster still;
+# the bound stays, so that no law's draws change route.
 TABLE_STAGE_STATES = 20_000
 
 
@@ -117,22 +124,85 @@ def _binomial_windows(q, max_count):
             np.minimum(np.ceil(mean + t), k).astype(np.int64))
 
 
-class _GuideTable:
-    """Binomial(k, q) cdf rows for k = 0..K, each with a guide table, for
-    inverting one uniform per draw by ``invert_cdf`` (one conditional stage).
+class _CdfGuide:
+    """Exact O(1) inversion of cdf rows by a guide table (Chen & Asau, AIIE
+    Trans. 6(2), 1974): ``draw(rows, u)`` is ``invert_cdf`` of each u in its
+    row, as a state, for every u in [0, 1).
+
+    Built from ``chunks``, each (cdf, widths, lows) for whole rows laid end
+    to end: a row of ``widths[r]`` nondecreasing entries that reaches 1, for
+    the states from ``lows[r]`` on. A draw reaches only the w states from
+    the first of positive cdf to the first of cdf 1, and only those are
+    kept. Their row gets M = 2^ceil(log2(2 w)) cells, and cell c holds
+    lo[c], the draw at u = c / M: the first state with ceil(cdf M) > c, read
+    off a repeat of each state ceil(cdf M) - ceil(cdf' M) times, cdf' its
+    predecessor's. Every product by the power of two M is exact, so lo[c]
+    is exact too. A sentinel cell M holds the row's last state. The draw at
+    u in cell c = floor(u M) is lo[c] unless cdf[lo[c]] <= u, and then it
+    lies in (lo[c], lo[c + 1]], found by bisection. Cells are int32 indices
+    into the kept entries.
+    """
+
+    def __init__(self, chunks):
+        pieces, offset, cell_offset = [], 0, 0
+        for cdf, widths, lows in chunks:
+            start = np.cumsum(widths) - widths
+            ones = cdf >= 1.0
+            ones_before = np.cumsum(ones) - ones
+            keep = (cdf > 0.0) & (ones_before == np.repeat(ones_before[start], widths))
+            index = np.flatnonzero(keep)
+            cdf = cdf[keep]
+            w = np.bincount(np.repeat(np.arange(widths.size), widths)[keep],
+                            minlength=widths.size)
+            first = np.cumsum(w) - w
+            scale = np.ldexp(1.0, np.frexp(2 * w - 1)[1])
+            ceil = np.ceil(cdf * np.repeat(scale, w)).astype(np.int64)
+            # State j holds the cells from its predecessor's ceil(cdf M) up
+            # to its own; a row's last state holds the sentinel too.
+            repeats = np.diff(ceil, prepend=0)
+            repeats[first] = ceil[first]
+            repeats[first + w - 1] += 1
+            lo = np.repeat(np.arange(offset, offset + cdf.size, dtype=np.int32), repeats)
+            row_cells = scale.astype(np.int64) + 1
+            pieces.append((cdf, lo, np.cumsum(row_cells) - row_cells + cell_offset,
+                           scale, first + offset - (lows + index[first] - start)))
+            offset += cdf.size
+            cell_offset += lo.size
+        self.cdf, self.lo, self.cells, self.scale, self.shift = (
+            np.concatenate(parts) for parts in zip(*pieces))
+
+    def draw(self, rows, u):
+        """``invert_cdf`` of each u in its row (an index array or one row
+        for every u), as an int64 state."""
+        cell = self.cells[rows] + (u * self.scale[rows]).astype(np.int64)
+        j = self.lo[cell]
+        over = np.flatnonzero(self.cdf[j] <= u)
+        if over.size:
+            # Most of these draw the next state; the rest, in cells of many
+            # states (the tails), bisect with pos always below the draw.
+            j[over] += 1
+            over = over[self.cdf[j[over]] <= u[over]]
+        if over.size:
+            u, pos, high = u[over], j[over], self.lo[cell[over] + 1]
+            step = 1 << int(np.max(high - pos)).bit_length()
+            while step > 1:
+                step >>= 1
+                np.add(pos, step, out=pos,
+                       where=self.cdf[np.minimum(pos + step, high)] <= u)
+            j[over] = pos + 1
+        return j - self.shift[rows]
+
+
+class _GuideTable(_CdfGuide):
+    """Binomial(k, q) cdf rows for k = 0..K over windows (a, b), inverted by
+    the guide (one conditional stage).
 
     Row k covers the states a uniform on the 2^-53 grid selects: from the
     first whose cdf passes 2^-53 (u = 0 draws it, where the whole row would
-    draw a state of cdf below 2^-53) to the first whose cdf is 1; the last
-    state of the window is set to 1, the tail beyond it being below 2^-54.
-    The rows lie end to end in ``cdf``, row k from ``first[k]``, built from
-    ``bdtr`` over the windows (a, b), vectorised over chunks of rows.
-
-    A row of w states has one guide cell per state: cell c holds the u with
-    floor(u w) = c and stores the first state whose cdf times w is at least
-    c. Products round monotonically, so every earlier state has cdf below
-    every u of the cell. A draw starts there and steps on while the cdf is
-    at most u, so it equals ``invert_cdf`` on its row exactly.
+    draw a state of cdf below 2^-53; those states go in as 0) to the first
+    whose cdf is 1; the last state of the window is set to 1, the tail
+    beyond it being below 2^-54. The rows come from ``bdtr`` over the
+    windows, vectorised over chunks of rows.
     """
 
     def __init__(self, q, lows, highs):
@@ -141,43 +211,18 @@ class _GuideTable:
         widths = highs - lows + 1
         cuts = np.searchsorted(np.cumsum(widths),
                                np.arange(TABLE_CHUNK, widths.sum(), TABLE_CHUNK))
-        pieces, offset = [], 0
-        for rows in np.split(np.arange(widths.size), np.unique(cuts)):
-            w = widths[rows]
-            start = np.cumsum(w) - w
-            row = np.repeat(rows, w)
-            state = np.arange(w.sum()) - np.repeat(start - lows[rows], w)
-            cdf = bdtr(state, row, q)
-            cdf[start + w - 1] = 1.0
-            ones = cdf >= 1.0
-            ones_before = np.cumsum(ones) - ones
-            keep = (cdf > UNIFORM_STEP) & (
-                ones_before == np.repeat(ones_before[start], w))
-            cdf, row, state = cdf[keep], row[keep], state[keep]
-            w = np.bincount(row - rows[0], minlength=rows.size)
-            start = np.cumsum(w) - w
-            # The first cell whose guide passes each state, from the same
-            # float product as a draw's cell; a row's last state (cdf 1) is
-            # passed from the next row on, so each guide indexes the rows.
-            row_w = np.repeat(w, w)
-            cells = (cdf * row_w).astype(np.int64) + 1
-            slots = np.repeat(start, w) + np.minimum(cells, row_w)
-            guide = np.cumsum(np.bincount(slots, minlength=cdf.size + 1))[:-1]
-            pieces.append((cdf, guide + offset, w, start + offset, state[start]))
-            offset += cdf.size
-        self.cdf, self.guide, width, self.first, low = (
-            np.concatenate(parts) for parts in zip(*pieces))
-        self.width = width.astype(float)
-        self.shift = self.first - low
 
-    def draw(self, k, u):
-        """``invert_cdf`` of each u in the row of its k, as a state."""
-        j = self.guide[self.first[k] + (u * self.width[k]).astype(np.int64)]
-        over = np.flatnonzero(self.cdf[j] <= u)
-        while over.size:
-            j[over] += 1
-            over = over[self.cdf[j[over]] <= u[over]]
-        return j - self.shift[k]
+        def chunks():
+            for rows in np.split(np.arange(widths.size), np.unique(cuts)):
+                w = widths[rows]
+                start = np.cumsum(w) - w
+                state = np.arange(w.sum()) - np.repeat(start - lows[rows], w)
+                cdf = bdtr(state, np.repeat(rows, w), q)
+                cdf[start + w - 1] = 1.0
+                cdf[cdf <= UNIFORM_STEP] = 0.0
+                yield cdf, w, lows[rows]
+
+        super().__init__(chunks())
 
 
 class SummandModel:
@@ -331,13 +376,18 @@ class FiniteSupportSummands(SummandModel):
         """Sums of the counts, stage i taking draw(i, remaining) of the
         steps still unassigned; vectorised over the whole batch."""
         counts = np.asarray(counts, dtype=np.int64)
+        # Summed column by column, each as 0.0 + t_0 u_0 + t_1 u_1 + ..., the
+        # sums of whole rows bit for bit, without numpy's inner loop over the
+        # short last axis.
         out = np.zeros((counts.size, self.dim))
         remaining = counts.copy()
         for i in range(len(self._stages)):
             taken = draw(i, remaining)
-            out += taken[:, None] * self._atoms[i]
+            for column, value in zip(out.T, self._atoms[i]):
+                column += taken * value
             remaining -= taken
-        out += remaining[:, None] * self._atoms[-1]
+        for column, value in zip(out.T, self._atoms[-1]):
+            column += remaining * value
         return out
 
     def sample_sum_batch(self, rng, counts):

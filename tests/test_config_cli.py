@@ -999,6 +999,21 @@ class TestCli:
         row = (out / "rate_eval.csv").read_text().splitlines()[-1]
         assert row.split(",") == ["0.0", y, rate_ld, "inf", "inf"]
 
+    def test_iid_sum_count_rate_at_the_largest_y_is_written(self, tmp_path):
+        # The first Newton step scores r t = 2 * 1.7e308 past the float
+        # range; the tilted step law is then the point mass on the top step,
+        # so the count rate, and every rate, is +inf, with no warning.
+        path = write_json(tmp_path / "huge_y.json", dict(
+            rate_eval_raw(), counting=COUNTING_BLOCKS["iid_sum"],
+            experiment={"kind": "rate-eval", "x_values": [0.0, 1.0],
+                        "y_values": [1.7e308]}))
+        out = tmp_path / "out"
+        assert cli.main(["rate-eval", "--config", path, "--out", str(out)]) == 0
+        rows = (out / "rate_eval.csv").read_text().splitlines()[-2:]
+        assert [row.split(",") for row in rows] == [
+            ["0.0", "1.7e+308", "inf", "inf", "inf"],
+            ["1.0", "1.7e+308", "inf", "inf", "inf"]]
+
     def test_count_rate_past_the_float_range_is_typed(self, tmp_path, capsys):
         # The gamma renewal's curvature underflows on the way to y = 1e300:
         # rejected steps end the solve inconclusive, a typed error.

@@ -36,6 +36,7 @@ from compound_deviations.counting import (
     RenewalCounting,
 )
 from compound_deviations.errors import ValidationError
+from compound_deviations.summands import invert_cdf
 
 ETA_GRID = np.linspace(-5.0, 5.0, 41)
 
@@ -186,6 +187,22 @@ class TestDerivativeRecords:
         assert [mn.limit_cgf(eta) for eta in ends] == cgf
         assert [mn.limit_cgf_deriv(eta) for eta in ends] == slope
         assert [mn.limit_cgf_second(eta) for eta in ends] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("values, cgf, slope", [
+        ([0, 1, 2], [math.log(0.3), math.inf], [0.0, 2.0]),
+        ([1, 3, 4], [-1.7e308 + math.log(0.3), math.inf], [1.0, 4.0]),
+    ], ids=["0-1-2", "1-3-4"])
+    def test_lattice_scores_past_the_float_range_are_the_extreme_point_mass(
+            self, values, cgf, slope):
+        # At r = -+1.7e308 the score r t of the largest step leaves the
+        # float range; every other weight is below e^-1e292 of the extreme
+        # step's, so the law is the point mass there and the cumulant its
+        # score, with no warning.
+        mn = IidSumCounting(values, [0.3, 0.4, 0.3])
+        ends = (-1.7e308, 1.7e308)
+        assert [mn.limit_cgf(r) for r in ends] == cgf
+        assert [mn.limit_cgf_deriv(r) for r in ends] == slope
+        assert [mn.limit_cgf_second(r) for r in ends] == [0.0, 0.0]
 
     def test_left_tail_limit_matches_deep_probe(self):
         # cgf_at_minus_inf against the cgf evaluated far in the left tail.
@@ -756,6 +773,19 @@ TOP_UNIFORM_KINDS = {
 }
 
 
+# Every counting kind at the sizes the benchmark workloads sample: the
+# mc-checks counts at their n, the ldp-tilted counts at each of their ns.
+WORKLOAD_SIZES = {
+    "poisson": (PoissonCounting(1.0), (50, 100, 200, 400)),
+    "iid-sum": (IidSumCounting([0, 1, 2], [0.3, 0.4, 0.3]), (50, 100, 200, 400)),
+    "fractional": (FractionalPoissonCounting(0.7, 1.0), (50, 100, 200, 400)),
+    "bernoulli": (BernoulliSumCounting(p=0.5), (200,)),
+    "bernoulli-runs": (BernoulliSumCounting.runs(1.0, 1.0), (400,)),
+    "renewal": (RenewalCounting(GammaInterarrival(2.0, 1.0)), (500,)),
+    "renewal-lattice": (RenewalCounting(lattice_law()), (100,)),
+}
+
+
 def last_reachable_count(pmf):
     """The first k whose upper tail, summed exactly, is below 2^-54: no
     uniform on rng.random's 2^-53 grid needs a count past it."""
@@ -813,6 +843,28 @@ class TestOneTableRoute:
         for s in (-0.5, 0.3):
             draws = mn.tilted_count_sampler(n, s)(ZeroUniform(), 3)
             assert draws.tolist() == [least] * 3
+
+    @pytest.mark.parametrize("kind", sorted(WORKLOAD_SIZES))
+    def test_guide_draws_are_the_inversion_rule(self, kind):
+        # Plain and tilted draws on the same uniforms as ``invert_cdf`` of
+        # the table's cdf, and the guide on its row's values and cell edges
+        # c / M, with their float neighbours.
+        mn, ns = WORKLOAD_SIZES[kind]
+        for n in ns:
+            for s in (0.0, -0.5, 0.3):
+                cdf = mn._table(n, s)[1]
+                sampler = (mn.tilted_count_sampler(n, s) if s else
+                           lambda rng, reps: mn.sample_batch(n, rng, reps))
+                draws = sampler(np.random.default_rng(n), 20_000)
+                assert draws.dtype == np.int64
+                assert np.array_equal(draws, invert_cdf(
+                    cdf, np.random.default_rng(n).random(20_000)))
+                scale = mn._guide(n, s).scale[0]
+                u = np.concatenate([cdf, np.arange(scale) / scale,
+                                    [0.0, 2.0 ** -53, np.nextafter(1.0, 0.0)]])
+                u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)])
+                u = u[(u >= 0.0) & (u < 1.0)]
+                assert np.array_equal(mn._guide(n, s).draw(0, u), invert_cdf(cdf, u))
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_draws_follow_the_exact_pmf(self, kind):

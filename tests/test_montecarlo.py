@@ -7,9 +7,12 @@ count stream) are checked bit for bit.
 """
 
 import dataclasses
+import gc
 import math
 import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -277,6 +280,17 @@ class TestSimulateCompound:
             mx, unit_poisson(), 30, reps, seed=3, workers=2)
         assert np.array_equal(serial_counts, parallel_counts)
         assert np.array_equal(serial_sums, parallel_sums)
+
+    def test_guides_are_built_before_the_blocks(self, monkeypatch):
+        # The count table's guide and the stage tables are built once, in
+        # the calling thread, before two block threads draw from them.
+        threads = []
+        build = summands._CdfGuide.__init__
+        monkeypatch.setattr(summands._CdfGuide, "__init__", lambda self, chunks: (
+            threads.append(threading.get_ident()) or build(self, chunks)))
+        simulate_compound(pm_one_summand(), unit_poisson(), 30, 2 * BLOCK_SIZE,
+                          seed=3, workers=2)
+        assert threads == [threading.get_ident()] * 2
 
     @REPRO_LAWS
     def test_block_prefix_is_stable(self, law):
@@ -1071,6 +1085,21 @@ class TestMdScalingSweep:
             t = row.eta / math.sqrt(row.n * a_n)
             assert row.value == a_n * (row.n * mn.finite_cgf(row.n, t)
                                        - t * mn.mean(row.n))
+
+    def test_no_guide_outlives_its_table(self):
+        # A plain and a tilted estimate each keep a count table and its
+        # guide; drop_tables(set()) forgets all four, and nothing else holds
+        # a guide.
+        mn, event = unit_poisson(), HalfSpaceEvent([0.0], 1.0, 1.5)
+        for method in ("plain", "tilted"):
+            estimate_event_prob(pm_one_summand(), mn, 40, event, reps=1000,
+                                method=method, seed=5)
+        guides = [weakref.ref(guide) for guide in mn._guides.values()]
+        assert len(mn.table_keys()) == len(guides) == 2
+        mn.drop_tables(set())
+        gc.collect()
+        assert mn.table_keys() == set() and mn._guides == {}
+        assert [ref() for ref in guides] == [None, None]
 
     def test_reciprocal_scaling_freezes_the_gap(self):
         # With a_n = 1/n the rescaled cumulant is e^eta - 1 - eta at every

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import gammaln
 
 from compound_deviations.dualpair import CovarianceOperator
 from compound_deviations.errors import (
@@ -24,6 +25,7 @@ from compound_deviations.summands import (
     FiniteSupportSummands,
     GaussianSummands,
     _binomial_windows,
+    _CdfGuide,
     _GuideTable,
     grid_finite_support,
     grid_gaussian,
@@ -285,12 +287,86 @@ def stage_table(q, max_count=400):
 
 
 def table_row(table, k):
-    """Row k of a stage table: its first state and its cdf values."""
-    start, width = table.first[k], int(table.width[k])
-    return start - table.shift[k], table.cdf[start:start + width]
+    """Row k of a stage table: its first state and its cdf values, from
+    its first cell (the draw at u = 0) to its sentinel (its last state)."""
+    first_cell = table.cells[k]
+    start = table.lo[first_cell]
+    end = table.lo[first_cell + int(table.scale[k])] + 1
+    return start - table.shift[k], table.cdf[start:end]
 
 
 STAGE_PROBS = [0.02, 0.3, 3.0 / 7.0, 0.5, 0.97]
+
+
+def cdf_rows(rng):
+    """cdf rows of every shape a table row takes, each nondecreasing and
+    ending at 1: one state; zeros before the first state of positive cdf;
+    a long flat tail of 1s; plateaus inside; values on cell edges; a left
+    tail far below 2^-53; and random rows of all three."""
+    rows = [
+        np.array([1.0]),
+        np.array([0.0, 0.0, 0.0, 1.0]),
+        np.array([0.25, 0.5, 0.5, 0.5, 0.75, 1.0, 1.0]),
+        np.array([1e-300, UNIFORM_STEP / 2, UNIFORM_STEP, 2 * UNIFORM_STEP,
+                  0.5 - UNIFORM_STEP, 0.5, TOP_UNIFORM, 1.0]),
+        np.concatenate([np.zeros(30), [0.1, 0.9], np.ones(200)]),
+    ]
+    for size in (2, 3, 7, 64, 65, 300, 1000):
+        pmf = rng.exponential(size=size) ** 4 * (rng.random(size) < 0.7)
+        pmf[rng.integers(size)] += 1e-3
+        pmf[:rng.integers(size // 2 + 1)] = 0.0
+        cdf = np.minimum(np.cumsum(pmf / pmf.sum()), 1.0)
+        cdf[rng.integers(size // 2, size):] = 1.0
+        rows.append(cdf)
+    # Poisson(200) over 0..399: 150 states of cdf below 1 / 1024 on the left.
+    k = np.arange(400.0)
+    cdf = np.cumsum(np.exp(k * math.log(200.0) - 200.0 - gammaln(k + 1.0)))
+    rows.append(np.append(cdf[cdf < 1.0], 1.0))
+    return rows
+
+
+class TestCdfGuide:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_draws_are_searchsorted_on_every_row(self, seed):
+        # Rows built in three chunks, each with its own first state: every
+        # draw equals searchsorted(row, u, side="right") past that state, at
+        # random u, 0, 2^-53, the top uniform, each row value and each cell
+        # edge c / M, all with their float neighbours.
+        rng = np.random.default_rng(seed)
+        rows = cdf_rows(rng)
+        rng.shuffle(rows)
+        lows = rng.integers(0, 1000, len(rows))
+        cuts = [0, 4, 9, len(rows)]
+        guide = _CdfGuide(
+            (np.concatenate(rows[a:b]), np.array([r.size for r in rows[a:b]]),
+             lows[a:b]) for a, b in zip(cuts[:-1], cuts[1:]))
+        for k, row in enumerate(rows):
+            cells = np.arange(guide.scale[k] + 1) / guide.scale[k]
+            u = np.concatenate([rng.random(100), [0.0, UNIFORM_STEP, TOP_UNIFORM],
+                                row, cells])
+            u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)])
+            u = u[(u >= 0.0) & (u < 1.0)]
+            expected = lows[k] + np.searchsorted(row, u, side="right")
+            assert np.array_equal(guide.draw(np.full(u.size, k), u), expected)
+            assert np.array_equal(guide.draw(k, u), expected)
+
+    def test_cells_are_a_power_of_two_at_least_twice_the_reachable_states(self):
+        # A row keeps its w states from the first of positive cdf to the
+        # first of cdf 1, gets M = 2^ceil(log2(2 w)) int32 cells and one
+        # sentinel, and holds the draw at u = c / M in cell c.
+        rows = cdf_rows(np.random.default_rng(3))
+        guide = _CdfGuide([(np.concatenate(rows), np.array([r.size for r in rows]),
+                            np.zeros(len(rows), dtype=np.int64))])
+        assert guide.lo.dtype == np.int32
+        assert guide.lo.size == sum(int(m) + 1 for m in guide.scale)
+        for k, row in enumerate(rows):
+            w = int(np.argmax(row >= 1.0)) + 1 - int(np.argmax(row > 0.0))
+            m = int(guide.scale[k])
+            assert m == 1 << (2 * w - 1).bit_length() and 2 * w <= m < 4 * w
+            cells = guide.lo[guide.cells[k]:guide.cells[k] + m + 1] - guide.shift[k]
+            assert np.array_equal(
+                cells[:-1], np.searchsorted(row, np.arange(m) / m, side="right"))
+            assert cells[-1] == np.argmax(row >= 1.0)
 
 
 class TestGuideTables:
@@ -313,12 +389,14 @@ class TestGuideTables:
     @pytest.mark.parametrize("q", STAGE_PROBS)
     def test_draws_invert_their_own_row(self, q):
         # Random u, and every edge: 0, 2^-53, each row value, both sides of
-        # each guide-cell edge c / w, and the top uniform.
+        # each edge c / w and of each guide-cell edge c / M, and the top
+        # uniform.
         table = stage_table(q)
         rng = np.random.default_rng(int(q * 1000))
         for k in range(401):
             low, row = table_row(table, k)
-            edges = np.arange(row.size) / row.size
+            edges = np.concatenate([np.arange(row.size) / row.size,
+                                    np.arange(table.scale[k]) / table.scale[k]])
             u = np.concatenate([
                 rng.random(50), [0.0, UNIFORM_STEP, TOP_UNIFORM], row,
                 np.nextafter(row, 0.0), edges, np.nextafter(edges, 0.0),
