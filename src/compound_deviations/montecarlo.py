@@ -2,18 +2,21 @@
 
 Replication is block-structured for reproducibility: reps are split into
 fixed blocks of BLOCK_SIZE, and block b draws its count stream from the seed
-sequence (seed, b, 0) and its summand stream from (seed, b, 1). The
-partition is independent of the worker count, so the results are
-bit-identical whether blocks run serially or on a thread pool, and the
-count draws never depend on the summand law: two summand laws at one seed
-draw the same counts (the two streams realize the independence of the count
-from the summands). Each block is written in place as it is drawn: only
-``simulate_compound``, the public batch API, holds a (reps, h) batch.
+sequence (seed, b, 0) and its summand stream from (seed, b, 1). Blocks are
+drawn in runs of RUN_BLOCKS consecutive blocks, one run per task, and a
+run's samplers fill each block's rows from that block's own streams, so a
+run draws what its blocks would draw one by one. The partition is
+independent of the worker count, so the results are bit-identical whether
+runs go serially or to a thread pool, and the count draws never depend on
+the summand law: two summand laws at one seed draw the same counts (the two
+streams realize the independence of the count from the summands). Each run
+is written in place as it is drawn: only ``simulate_compound``, the public
+batch API, holds a (reps, h) batch.
 
 Plain draws (``simulate_compound``, plain estimates, and the moment and CLT
 checks) take sums from the summands' ``plain_sampler`` for the count law's
 ``max_count(n)``, made once per call in the calling thread, before the
-blocks start. For finite-support sums whose tables are small enough
+runs start. For finite-support sums whose tables are small enough
 (summands.TABLE_STAGE_STATES per stage), each conditional-binomial stage
 inverts one uniform per sum in exact binomial cdf rows for every count up
 to ``max_count(n)``, by the one inversion rule min{k : F(k) > u}, through
@@ -30,7 +33,7 @@ tilted on the rate minimizer over the event boundary (the dual of the
 half-space rate infimum on a ray of the joint cumulant); decay-rate scans
 against the rate engine; the count's MD sweep; the moment and CLT checks. Both
 checks take one route: they band sampled means and covariances of linear
-images <x, S> + c N, written block by block, against the exact finite-n values
+images <x, S> + c N, written run by run, against the exact finite-n values
 that the centred-sum pair covariance C1 gives at (E N_n/n, Var N_n/n),
 reporting C1 at the limit rates (d1, d2) beside them. The images are the
 rows of one array, and every covariance and its standard error is read off
@@ -44,7 +47,7 @@ the CLT normality p-values import one (``scipy.special``, for chdtrc, the
 chi-square tail of their K^2 statistic), when they run. The count table
 and its guide (through ``_plain_draws`` or ``tilted_count_sampler``) and any
 summand tables (which import ``bdtr``) are built in the calling thread,
-before the blocks start, and before a check's image array.
+before the runs start, and before a check's image array.
 """
 
 from __future__ import annotations
@@ -73,6 +76,8 @@ from .variational import (
 
 # Replication block size; the unit of RNG stream derivation.
 BLOCK_SIZE = 8192
+# Consecutive blocks drawn together as one run: the unit of work per thread.
+RUN_BLOCKS = 2
 # Stream roles inside a block's seed sequence.
 COUNT_ROLE = 0
 SUMMAND_ROLE = 1
@@ -101,25 +106,68 @@ def _run_sizes(reps, seed, workers, least_reps):
             1 if workers is None else check_int(workers, "workers", 1))
 
 
+class _RunStream:
+    """One stream role over the run of blocks from row ``start`` to ``stop``:
+    each draw fills every block's slice of one run-long array from that
+    block's own generator, seeded (seed, b, role), so a block draws what it
+    would draw alone. It answers the three Generator calls the samplers
+    make, each sized by the run's rows."""
+
+    def __init__(self, seed, start, stop, role):
+        self._blocks = [
+            (np.random.default_rng(np.random.SeedSequence([seed, b // BLOCK_SIZE, role])),
+             slice(b - start, min(b + BLOCK_SIZE, stop) - start))
+            for b in range(start, stop, BLOCK_SIZE)]
+
+    def random(self, size):
+        out = np.empty(size)
+        for rng, rows in self._blocks:
+            rng.random(out=out[rows])
+        return out
+
+    def standard_normal(self, size):
+        out = np.empty(size)
+        for rng, rows in self._blocks:
+            rng.standard_normal(out=out[rows])
+        return out
+
+    def binomial(self, counts, p):
+        out = np.empty(counts.shape, dtype=np.int64)
+        for rng, rows in self._blocks:
+            out[rows] = rng.binomial(counts[rows], p)
+        return out
+
+
 def _run_blocks(draw_sums, draw_counts, reps, seed, workers, take):
     """Draw reps realizations in seeded blocks, counts by ``draw_counts``
-    and sums by ``draw_sums`` (rng, counts), and pass each block to
-    ``take(start, counts, sums)``, which writes its rows in place. Blocks run
-    on ``workers`` threads (numpy's bulk draws release the interpreter lock)."""
+    and sums by ``draw_sums`` (rng, counts), and pass each run of RUN_BLOCKS
+    consecutive blocks to ``take(start, counts, sums)``, which writes its
+    rows in place. A run draws through one ``_RunStream`` per role, so the
+    samplers and the taker make their numpy calls once per run, on up to
+    RUN_BLOCKS * BLOCK_SIZE rows, and every draw is its block's own. Runs
+    go to ``workers`` threads. Each numpy call releases the interpreter
+    lock only around its own loop, so threads overlap as far as the calls
+    are long: on 2 vCPU, two threads on single 8192-row blocks drew slower
+    than one thread."""
 
-    def block(start):
-        rng_n, rng_x = [np.random.default_rng(np.random.SeedSequence(
-            [seed, start // BLOCK_SIZE, role])) for role in (COUNT_ROLE, SUMMAND_ROLE)]
-        counts = draw_counts(rng_n, min(BLOCK_SIZE, reps - start))
+    def run(start, stop):
+        rng_n, rng_x = (_RunStream(seed, start, stop, role)
+                        for role in (COUNT_ROLE, SUMMAND_ROLE))
+        counts = draw_counts(rng_n, stop - start)
         take(start, counts, draw_sums(rng_x, counts))
 
-    starts = range(0, reps, BLOCK_SIZE)
-    if workers == 1 or len(starts) == 1:
-        for start in starts:
-            block(start)
+    bounds = [*range(0, reps, RUN_BLOCKS * BLOCK_SIZE), reps]
+    # A last block of one row is its own run: numpy multiplies a one-row
+    # matrix by another routine, whose last bit may differ from that row's
+    # in a longer product.
+    if reps % BLOCK_SIZE == 1 and reps - bounds[-2] > 1:
+        bounds.insert(-1, reps - 1)
+    if workers == 1 or len(bounds) == 2:
+        for start, stop in zip(bounds, bounds[1:]):
+            run(start, stop)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(block, starts))
+            list(pool.map(run, bounds[:-1], bounds[1:]))
 
 
 @dataclass(frozen=True)
@@ -192,7 +240,7 @@ def simulate_compound(mx, mn, n, reps, seed, workers=None):
 def _plain_draws(mx, mn, n):
     """(draw_sums, draw_counts) at n; the count table's guide and the
     summands' ``plain_sampler``, for the largest count drawn at n, are made
-    here, before the blocks start."""
+    here, before the runs start."""
     mn._guide(n)
     return (mx.plain_sampler(mn.max_count(n)),
             lambda rng, size: mn.sample_batch(n, rng, size))
@@ -321,14 +369,14 @@ def estimate_event_prob(
     tilt=None,
 ):
     """Unbiased event-probability estimate: the weighted mean of the event
-    indicator, unit weights on plain draws, written block by block.
+    indicator, unit weights on plain draws, written run by run.
 
     The tilted estimator draws from the conjugate count family at
     s = eta + summand cgf(theta) and from the tilted summand law, then
     unwinds with the exact finite-n weight
     exp(n K_n(s) - <theta, sums> - eta counts). Every counting kind can be
-    tilted. Weights beyond exp(700) raise, from the block that meets them,
-    instead of clipping.
+    tilted. Weights beyond exp(700) raise, from the run of blocks that
+    meets them, instead of clipping.
     """
     _check_method(method)
     reps, seed, workers = _run_sizes(
@@ -593,7 +641,7 @@ def _k2_pvalue(a):
 def _check_images(mx, mn, n, reps, seed, workers, band_se, images, means=(),
                   covariances=(), normality=()):
     """Band linear images <x, S> + c N of plain draws of the pair (S, N),
-    written block by block into one q x reps array: no (S, N) batch is held.
+    written run by run into one q x reps array: no (S, N) batch is held.
 
     ``images`` maps a name to (x, c); ``means`` lists (row, image),
     ``covariances`` (row, image, image) and ``normality`` (p-value name,

@@ -174,7 +174,9 @@ class _CdfGuide:
     def draw(self, rows, u):
         """``invert_cdf`` of each u in its row (an index array or one row
         for every u), as an int64 state."""
-        cell = self.cells[rows] + (u * self.scale[rows]).astype(np.int64)
+        # Each step in place: a run of draws holds few row-long temporaries.
+        cell = (u * self.scale[rows]).astype(np.int64)
+        cell += self.cells[rows]
         j = self.lo[cell]
         over = np.flatnonzero(self.cdf[j] <= u)
         if over.size:
@@ -190,7 +192,7 @@ class _CdfGuide:
                 np.add(pos, step, out=pos,
                        where=self.cdf[np.minimum(pos + step, high)] <= u)
             j[over] = pos + 1
-        return j - self.shift[rows]
+        return np.subtract(j, self.shift[rows], out=cell)
 
 
 class _GuideTable(_CdfGuide):
@@ -386,6 +388,7 @@ class FiniteSupportSummands(SummandModel):
             for column, value in zip(out.T, self._atoms[i]):
                 column += taken * value
             remaining -= taken
+            del taken  # not held through the next stage's draw
         for column, value in zip(out.T, self._atoms[-1]):
             column += remaining * value
         return out

@@ -1283,7 +1283,8 @@ class TestCltRegimeCheck:
 
     def test_renewal_count_mean_is_exact(self, monkeypatch):
         # The count mean comes from the mass table: the only count draws are
-        # the replication blocks, with no second pass to estimate E N_n.
+        # the replication draws, one per run of blocks (here one run of a
+        # full and a short block), with no second pass to estimate E N_n.
         mn = RenewalCounting(GammaInterarrival(2.0, 4.0))
         assert_allclose(mn.mean(100), 199.75, rtol=1e-12)
         draws = []
@@ -1294,7 +1295,7 @@ class TestCltRegimeCheck:
             pm_one_summand(), mn, n=100, reps=BLOCK_SIZE + 500, v=[1.0],
             seed=2003,
         )
-        assert draws == [BLOCK_SIZE, 500]
+        assert draws == [BLOCK_SIZE + 500]
         assert all(r.within_band for r in result.rows)
 
     @pytest.mark.parametrize("reps", [2, 5, 7])
@@ -1520,6 +1521,111 @@ class TestEstimateBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * reps * 8 + slack
+
+
+def block_generators(seed, start, stop, role):
+    """Each block's own generator over rows [start, stop), with its size."""
+    return [(np.random.default_rng(np.random.SeedSequence([seed, b // BLOCK_SIZE, role])),
+             min(BLOCK_SIZE, stop - b)) for b in range(start, stop, BLOCK_SIZE)]
+
+
+def blockwise_draws(mx, mn, n, reps, seed):
+    """(sums, counts) drawn one block at a time, each block's samplers
+    called on that block's own generators alone."""
+    draw_sums, draw_counts = montecarlo._plain_draws(mx, mn, n)
+    pieces = []
+    for (rng_n, size), (rng_x, _) in zip(
+            *(block_generators(seed, 0, reps, role) for role in (0, 1))):
+        counts = draw_counts(rng_n, size)
+        pieces.append((draw_sums(rng_x, counts), counts))
+    return tuple(np.concatenate(part) for part in zip(*pieces))
+
+
+RUN_REPS = [1, BLOCK_SIZE - 1, BLOCK_SIZE + 1,
+            (montecarlo.RUN_BLOCKS + 1) * BLOCK_SIZE + 17]
+
+
+class TestBlockRuns:
+    """A run of consecutive blocks draws through one stream per role, and
+    every draw is the one its block makes alone."""
+
+    # Rows from the second block on, ending in a short block.
+    start, stop = BLOCK_SIZE, 3 * BLOCK_SIZE + 17
+
+    def stream_and_blocks(self, role):
+        return (montecarlo._RunStream(61, self.start, self.stop, role),
+                block_generators(61, self.start, self.stop, role))
+
+    def test_random_is_the_blocks_uniforms(self):
+        stream, blocks = self.stream_and_blocks(0)
+        size = self.stop - self.start
+        for _ in range(2):  # the second call continues every block's stream
+            assert np.array_equal(stream.random(size), np.concatenate(
+                [rng.random(m) for rng, m in blocks]))
+
+    def test_standard_normal_is_the_blocks_rows(self):
+        stream, blocks = self.stream_and_blocks(1)
+        size = self.stop - self.start
+        for _ in range(2):
+            assert np.array_equal(stream.standard_normal((size, 3)), np.concatenate(
+                [rng.standard_normal((m, 3)) for rng, m in blocks]))
+
+    def test_binomial_is_the_blocks_binomials(self):
+        stream, blocks = self.stream_and_blocks(1)
+        counts = np.arange(self.stop - self.start) % 50
+        pieces = np.split(counts, np.cumsum([m for _, m in blocks])[:-1])
+        drawn = stream.binomial(counts, 0.3)
+        assert drawn.dtype == np.int64
+        assert np.array_equal(drawn, np.concatenate(
+            [rng.binomial(piece, 0.3) for (rng, _), piece in zip(blocks, pieces)]))
+
+    # At seed 62 and BLOCK_SIZE + 1 reps, the lone last row's Gaussian sum
+    # rounds apart from the same row inside a longer product.
+    @pytest.mark.parametrize("reps", RUN_REPS)
+    @pytest.mark.parametrize("route", SUM_ROUTES)
+    def test_simulation_is_the_blockwise_draws(self, route, reps):
+        law, counting_law, n, _, _ = SUM_ROUTES[route]
+        mx, mn = law(), counting_law()
+        expected = blockwise_draws(mx, mn, n, reps, 62)
+        for workers in (1, 2, 3):
+            drawn = simulate_compound(mx, mn, n, reps, 62, workers=workers)
+            assert all(np.array_equal(a, b) for a, b in zip(drawn, expected))
+
+    @pytest.mark.parametrize("reps", RUN_REPS)
+    @pytest.mark.parametrize("method", ["plain", "tilted"])
+    @pytest.mark.parametrize("route", ESTIMATE_ROUTES)
+    def test_estimates_do_not_depend_on_the_workers(self, route, method, reps):
+        law, counting_law, n, level = ESTIMATE_ROUTES[route]
+        mx, mn = law(), counting_law()
+        event = HalfSpaceEvent([1.0, 1.0], 0.0, level)
+        serial, *parallel = [
+            (estimate.value, estimate.std_error, estimate.degenerate)
+            for estimate in (estimate_event_prob(
+                mx, mn, n, event, reps=reps, method=method, seed=63,
+                workers=workers) for workers in (1, 2, 3))]
+        assert all(estimate == serial for estimate in parallel)
+
+    @pytest.mark.parametrize("reps", RUN_REPS[1:])
+    @pytest.mark.parametrize("route", SUM_ROUTES)
+    def test_checks_do_not_depend_on_the_workers(self, route, reps):
+        law, counting_law, n, u, v = SUM_ROUTES[route]
+        mx, mn = law(), counting_law()
+        for check, args in ((moment_limits_check, (u, v)), (clt_regime_check, (v,))):
+            serial, *parallel = [check(mx, mn, n, reps, *args, seed=64, workers=workers)
+                                 for workers in (1, 2, 3)]
+            assert all(result == serial for result in parallel)
+
+    @pytest.mark.parametrize("reps, runs", [
+        (RUN_REPS[-1], [BLOCK_SIZE + 17, montecarlo.RUN_BLOCKS * BLOCK_SIZE]),
+        (BLOCK_SIZE + 1, [1, BLOCK_SIZE]),  # a lone last row runs alone
+    ])
+    def test_counts_are_drawn_once_per_run(self, monkeypatch, reps, runs):
+        mn, sizes = unit_poisson(), []
+        sample_batch = mn.sample_batch
+        monkeypatch.setattr(mn, "sample_batch", lambda n, rng, reps: (
+            sizes.append(reps) or sample_batch(n, rng, reps)))
+        simulate_compound(pm_one_summand(), mn, 30, reps, seed=65, workers=2)
+        assert sorted(sizes) == runs
 
 
 # Every counting kind with a finite-n law.
