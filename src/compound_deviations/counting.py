@@ -136,6 +136,14 @@ MASS_TAIL_TOL = 1e-12
 INVERT_RTOL = 4.0 * float(np.finfo(float).eps)  # the least brentq accepts
 # Largest lattice step: every integer up to 2^53 is a float.
 MAX_STEP = 2 ** 53
+# A convolution level's chunk buffer holds at most this many doubles (128
+# KB), so a chunk's passes stay in cache.
+CONVOLVE_CHUNK = 1 << 14
+# A chunk of fewer right-hand states is no cheaper than as many steps of the
+# per-state loop, which runs instead: two-state chunks took longer than two
+# steps at every level shape timed, and 1.5x as long over an iid-sum table at
+# n = 4,000 (2 vCPU).
+CHUNK_LEAST_STATES = 3
 
 
 def _integrate(f, a, b, what, edges=QUAD_EDGES):
@@ -248,20 +256,69 @@ def _log_weight_table(nu, log_x, s, what):
     return pmf, 0.0 if s == 0.0 else log_total - table(log_x)[1]
 
 
+def _chunk_states(pairs, width):
+    """The right-hand states k that a convolution level takes per chunk: the
+    most, up to width, whose buffer, pairs * ((k + 1)(width + k) - 1)
+    doubles, fits in CONVOLVE_CHUNK (the largest integer root of that
+    quadratic in k), or 1, the per-state loop, below CHUNK_LEAST_STATES."""
+    root = math.isqrt((width - 1) ** 2 + 4 + 4 * (CONVOLVE_CHUNK // pairs))
+    k = min(width, (root - width - 1) // 2)
+    return k if k >= CHUNK_LEAST_STATES else 1
+
+
+def _convolve_level(left, right):
+    """One level of ``_convolve_tree``: row i of the result convolves the
+    pmf rows left[i] and right[i]; its buffer is freed on return."""
+    pairs, width = left.shape
+    out = np.zeros((pairs, 2 * width - 1))
+    step = _chunk_states(pairs, width)
+    if step == 1:
+        for j in range(width):
+            out[:, j:j + width] += left * right[:, j:j + 1]
+        return out
+    # A chunk rewrites row 0 and its terms alone, so the gaps stay zero and
+    # one buffer serves every full chunk of the level.
+    buffer = np.zeros((pairs, (step + 1) * (width + step) - 1))
+    for j in range(0, width, step):
+        k = min(step, width - j)
+        span = width + k - 1
+        chunk = buffer[:, :span + k * (span + 1)]
+        if k < step:
+            chunk.fill(0.0)  # a short last chunk lays out its rows afresh
+        sums = out[:, j:j + span]
+        chunk[:, :span] = sums
+        terms = chunk[:, span:].reshape(pairs, k, span + 1)[:, :, :width]
+        np.einsum("pi,pj->pji", left, right[:, j:j + k], out=terms)
+        np.add.reduce(chunk[:, :(k + 1) * span].reshape(pairs, k + 1, span),
+                      axis=1, out=sums)
+    return out
+
+
 def _convolve_tree(rows, what):
     """Convolution of the pmfs in the rows of a 2-d array, pairwise, level by
-    level. Each level sums nonnegative products directly (no FFT), so small
-    tail masses keep their relative accuracy."""
+    level, a unit row padding an odd level. Each level sums nonnegative
+    products directly (no FFT), so small tail masses keep their relative
+    accuracy.
+
+    A level convolves each left row a with its right row b, both of width W,
+    into c = sum_j a[. - j] b[j], taking k right-hand states j per chunk
+    (``_chunk_states``). A chunk writes its k product rows a * b[j] by one
+    ``einsum`` (each entry one product, as in the loop; a broadcast multiply
+    would hold three iteration buffers, einsum none) at pitch M + 1 into a
+    zeroed buffer, M = W + k - 1 being the columns the chunk reaches, so
+    that read back at pitch M each row sits shifted by its j. The running
+    sums go in as that view's row 0, and one ``np.add.reduce`` over its rows
+    adds ((c + t_j) + t_{j+1}) + ... in increasing j: the order of the
+    per-state loop c[:, j:j + W] += a * b[:, j], term for term. Every zero
+    it adds besides is exact, since every product is >= 0, so each table is
+    the loop's bit for bit. Where no chunk of CHUNK_LEAST_STATES fits, the
+    loop itself runs."""
     size = rows.shape[0] * (rows.shape[1] - 1) + 1
     _check_states(size, what)
     while rows.shape[0] > 1:
         if rows.shape[0] % 2:
             rows = np.vstack([rows, np.eye(1, rows.shape[1])])
-        left, right = rows[0::2], rows[1::2]
-        width = rows.shape[1]
-        rows = np.zeros((left.shape[0], 2 * width - 1))
-        for j in range(width):
-            rows[:, j:j + width] += left * right[:, j:j + 1]
+        rows = _convolve_level(rows[0::2], rows[1::2])
     return rows[0, :size]
 
 

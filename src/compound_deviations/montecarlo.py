@@ -9,9 +9,12 @@ run draws what its blocks would draw one by one. The partition is
 independent of the worker count, so the results are bit-identical whether
 runs go serially or to a thread pool, and the count draws never depend on
 the summand law: two summand laws at one seed draw the same counts (the two
-streams realize the independence of the count from the summands). Each run
-is written in place as it is drawn: only ``simulate_compound``, the public
-batch API, holds a (reps, h) batch.
+streams realize the independence of the count from the summands). An event
+estimate on a count face, direction 0, draws counts only: it seeds no
+summand stream and builds no summand sampler, since its indicator and
+weight read the counts alone, bit for bit. Each run is written in place as
+it is drawn: only ``simulate_compound``, the public batch API, holds a
+(reps, h) batch.
 
 Plain draws (``simulate_compound``, plain estimates, and the moment and CLT
 checks) take sums from the summands' ``plain_sampler`` for the count law's
@@ -142,7 +145,8 @@ def _run_blocks(draw_sums, draw_counts, reps, seed, workers, take):
     """Draw reps realizations in seeded blocks, counts by ``draw_counts``
     and sums by ``draw_sums`` (rng, counts), and pass each run of RUN_BLOCKS
     consecutive blocks to ``take(start, counts, sums)``, which writes its
-    rows in place. A run draws through one ``_RunStream`` per role, so the
+    rows in place; ``draw_sums`` None seeds no summand stream and passes
+    sums None. A run draws through one ``_RunStream`` per role, so the
     samplers and the taker make their numpy calls once per run, on up to
     RUN_BLOCKS * BLOCK_SIZE rows, and every draw is its block's own. Runs
     go to ``workers`` threads. Each numpy call releases the interpreter
@@ -151,10 +155,9 @@ def _run_blocks(draw_sums, draw_counts, reps, seed, workers, take):
     than one thread."""
 
     def run(start, stop):
-        rng_n, rng_x = (_RunStream(seed, start, stop, role)
-                        for role in (COUNT_ROLE, SUMMAND_ROLE))
-        counts = draw_counts(rng_n, stop - start)
-        take(start, counts, draw_sums(rng_x, counts))
+        counts = draw_counts(_RunStream(seed, start, stop, COUNT_ROLE), stop - start)
+        take(start, counts, None if draw_sums is None else
+             draw_sums(_RunStream(seed, start, stop, SUMMAND_ROLE), counts))
 
     bounds = [*range(0, reps, RUN_BLOCKS * BLOCK_SIZE), reps]
     # A last block of one row is its own run: numpy multiplies a one-row
@@ -206,9 +209,17 @@ class HalfSpaceEvent:
         return self.direction, self.count_coef
 
     def indicator(self, n, sums, counts):
-        """The event's verdict on each row of (sums, counts), drawn at n."""
-        d, c = self.normal(sums.shape[1])
-        x, y = sums / float(n), c * (counts / float(n))
+        """The event's verdict on each row of (sums, counts), drawn at n.
+
+        A count face, direction 0, may take sums None and read the counts
+        alone: its verdict is then ``_holds(y, |y|)``, bit for bit what any
+        finite sums give, since <d, x> is +-0, +-0 + y = y and <|d|, |x|> = 0.
+        """
+        y = self.count_coef * (counts / float(n))
+        if sums is None and not self.direction.any():
+            return self._holds(y, np.abs(y))
+        d = self.normal(sums.shape[1])[0]
+        x = sums / float(n)
         return self._holds(x @ d + y, np.abs(x) @ np.abs(d) + np.abs(y))
 
     def _holds(self, value, magnitude):
@@ -240,9 +251,9 @@ def simulate_compound(mx, mn, n, reps, seed, workers=None):
 def _plain_draws(mx, mn, n):
     """(draw_sums, draw_counts) at n; the count table's guide and the
     summands' ``plain_sampler``, for the largest count drawn at n, are made
-    here, before the runs start."""
+    here, before the runs start. mx None draws no sums."""
     mn._guide(n)
-    return (mx.plain_sampler(mn.max_count(n)),
+    return (None if mx is None else mx.plain_sampler(mn.max_count(n)),
             lambda rng, size: mn.sample_batch(n, rng, size))
 
 
@@ -377,20 +388,30 @@ def estimate_event_prob(
     exp(n K_n(s) - <theta, sums> - eta counts). Every counting kind can be
     tilted. Weights beyond exp(700) raise, from the run of blocks that
     meets them, instead of clipping.
+
+    A count face, direction 0, draws counts only: it seeds no summand
+    stream and builds and calls no summand sampler, since its indicator and
+    weight are those of the counts alone, bit for bit (see
+    ``HalfSpaceEvent.indicator``). The count stream is its own, so the
+    counts, and with them the estimate, are those that drawing sums gives.
     """
     _check_method(method)
     reps, seed, workers = _run_sizes(
         DEFAULT_REPS[method] if reps is None else reps, seed, workers, 1)
-    event.normal(mx.dim)  # a wrong-length direction fails before any draw
+    # A wrong-length direction fails before any draw.
+    sums_drawn = bool(event.normal(mx.dim)[0].any())
 
     if method == "plain":
         tilt = None
-        draws = _plain_draws(mx, mn, n)
+        draws = _plain_draws(mx if sums_drawn else None, mn, n)
     else:
         if tilt is None:
             tilt = tilt_parameters(mx, mn, event)
+        # A count face's tilt theta = t* 0 has <theta, S> = +-0 for finite S,
+        # and log_norm - (+-0) = log_norm: its weight reads no sums either.
+        sums_drawn = sums_drawn or bool(tilt.theta.any())
         log_norm = float(n) * float(mn.finite_cgf(n, tilt.s))
-        draws = (mx.tilted(tilt.theta).sample_sum_batch,
+        draws = (mx.tilted(tilt.theta).sample_sum_batch if sums_drawn else None,
                  mn.tilted_count_sampler(n, tilt.s))
     weighted = np.empty(reps)
 
@@ -398,7 +419,8 @@ def estimate_event_prob(
         row = weighted[start:start + counts.size]
         row[:] = event.indicator(n, sums, counts)
         if tilt is not None:
-            log_weights = log_norm - sums @ tilt.theta - tilt.eta * counts
+            log_weights = (log_norm if sums is None else
+                           log_norm - sums @ tilt.theta) - tilt.eta * counts
             if float(np.max(log_weights)) > LOG_WEIGHT_CAP:
                 raise ValidationError(
                     "an importance weight exceeds exp(700); the tilt is too "

@@ -24,6 +24,9 @@ is pinned. These digests were computed while the sweep still took a scaling
 object, so they hold the route from the config's gamma or table to the a_n
 of each n byte for byte.
 
+The four ``mc-checks`` configs run end to end as well, and the digest of
+each check table is pinned: two of them draw counts from convolved tables.
+
 The four ``rate-grid`` configs run end to end too, and the digest of each
 ``rate_eval.csv`` is pinned. Those digests, and the iteration counts of
 the grid's 40 count-rate solves and of the three ``ldp-tilted`` tilt
@@ -333,6 +336,36 @@ def test_ldp_tilted_tables_are_pinned(label, tmp_path):
     digests = tuple(_table_digest(tmp_path / name)
                     for name in ("ldp_check.csv", "ldp_decay.dat"))
     assert digests == LDP_TABLE_DIGESTS[label]
+
+
+# sha256 of the lines of each mc-checks table that are not '#' metadata, at
+# workload seed 5: plain draws of 10^5-10^6 (S, N) pairs for four counting
+# kinds. moments-iid-2d (iid-sum, n = 100) and clt-runs (Bernoulli sum,
+# n = 400) draw their counts from convolved tables, so these pins hold the
+# convolution, the count guide and the stage draws bit for bit.
+MC_TABLE_DIGESTS = {
+    "moments-poisson": (
+        "moments_check.csv",
+        "dabb2b4b945970ea2910661848f0dccb4943e7d5c2a1707d3690784d148657ed"),
+    "moments-iid-2d": (
+        "moments_check.csv",
+        "aff78b6a2a6546d16d7e4a8899dc60340b0a7ffa0f93949dda2daee42b63d39f"),
+    "clt-runs": (
+        "clt_check.csv",
+        "73da629b42cadc64bbc2b72b3a981b245fcb406ba5783a564d92475d28cfa6f6"),
+    "clt-renewal-gamma": (
+        "clt_check.csv",
+        "472caa07ffcd3341b383d0819410162497fb1781d0b5f1e7bf37c602c0c24f65"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(MC_TABLE_DIGESTS))
+def test_mc_check_tables_are_pinned(label, tmp_path):
+    code, _ = run_experiment(normalize_config(CONFIGS[f"mc-checks/{label}"]),
+                             out_dir=str(tmp_path))
+    assert code == 0
+    name, digest = MC_TABLE_DIGESTS[label]
+    assert _table_digest(tmp_path / name) == digest
 
 
 MD_COUNTING = {

@@ -471,6 +471,114 @@ class TestExactPmfs:
         assert poisson.sf(pmf.size - 1, 5.0) < counting.MASS_TAIL_TOL
 
 
+def convolve_loop(rows):
+    """The oracle of ``counting._convolve_tree``: the same pairwise levels,
+    each summed by the per-state loop c[:, j:j + W] += a * b[:, j], one
+    numpy update per right-hand state j."""
+    size = rows.shape[0] * (rows.shape[1] - 1) + 1
+    while rows.shape[0] > 1:
+        if rows.shape[0] % 2:
+            rows = np.vstack([rows, np.eye(1, rows.shape[1])])
+        left, right = rows[0::2], rows[1::2]
+        width = rows.shape[1]
+        rows = np.zeros((left.shape[0], 2 * width - 1))
+        for j in range(width):
+            rows[:, j:j + width] += left * right[:, j:j + 1]
+    return rows[0, :size]
+
+
+def iid_rows(rng, n):
+    """n copies of one step law of width 2-6, with zero entries and masses
+    near 1e-300."""
+    width = int(rng.integers(2, 7))
+    step = rng.random(width)
+    step[rng.random(width) < 0.3] = 0.0
+    step[rng.random(width) < 0.3] = 1e-300 * (1.0 + rng.random())
+    step[int(rng.integers(width))] = 0.5
+    return np.tile(step / step.sum(), (n, 1))
+
+
+def bernoulli_rows(rng, n):
+    """n trials of different success probabilities, some 0, 1 or 1e-300."""
+    t = rng.random(n)
+    for value, share in ((0.0, 0.05), (1.0, 0.05), (1e-300, 0.1)):
+        t[rng.random(n) < share] = value
+    return np.column_stack([1.0 - t, t])
+
+
+ROW_KINDS = {"iid": iid_rows, "bernoulli": bernoulli_rows}
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestConvolutionKernel:
+    """``counting._convolve_tree`` takes a chunk of right-hand states per
+    numpy call, and every table is the per-state loop's, bit for bit."""
+
+    # n = 1 is a single row; odd n pad a level with a unit row.
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 33, 100, 257, 400, 999])
+    @pytest.mark.parametrize("kind", sorted(ROW_KINDS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kernel_is_the_loop(self, seed, kind, n):
+        rows = ROW_KINDS[kind](np.random.default_rng([seed, n]), n)
+        assert same_bits(counting._convolve_tree(rows, "test"), convolve_loop(rows))
+
+    @pytest.mark.parametrize("kind", ["iid", "bernoulli"])
+    def test_levels_wider_than_one_chunk(self, monkeypatch, kind):
+        # At n = 3001 some levels take several chunks of at least three
+        # states, ending in a short one, and others hold too many products
+        # for a chunk of three and take the loop.
+        chunks, choose = [], counting._chunk_states
+
+        def recording(pairs, width):
+            chunks.append((width, choose(pairs, width)))
+            return chunks[-1][1]
+
+        monkeypatch.setattr(counting, "_chunk_states", recording)
+        rows = (np.tile([0.3, 0.4, 0.3], (3001, 1)) if kind == "iid"
+                else bernoulli_rows(np.random.default_rng(9), 3001))
+        assert same_bits(counting._convolve_tree(rows, "test"), convolve_loop(rows))
+        assert any(k == 1 for _, k in chunks)
+        assert any(1 < k < w and w % k for w, k in chunks)
+
+    @pytest.mark.parametrize("pairs", [1, 2, 3, 7, 63, 500, 2000, 5462, 10 ** 4,
+                                       10 ** 6])
+    @pytest.mark.parametrize("width", [1, 2, 3, 5, 9, 17, 65, 513, 4097, 10 ** 4])
+    def test_chunk_is_the_most_states_that_fit(self, pairs, width):
+        def doubles(k):
+            return pairs * ((k + 1) * (width + k) - 1)
+
+        k = counting._chunk_states(pairs, width)
+        least = counting.CHUNK_LEAST_STATES
+        if k == 1:
+            assert width < least or doubles(least) > counting.CONVOLVE_CHUNK
+        else:
+            assert least <= k <= width
+            assert doubles(k) <= counting.CONVOLVE_CHUNK
+            assert k == width or doubles(k + 1) > counting.CONVOLVE_CHUNK
+
+    @pytest.mark.parametrize("n", [400, 4000])
+    def test_kernel_temporaries_fit_the_chunk_bound(self, monkeypatch, n):
+        # Beyond what the per-state loop holds (the levels and one product
+        # row block), a build holds at most one chunk buffer.
+        def peak():
+            mn = IidSumCounting([0, 1, 2], [0.3, 0.4, 0.3])
+            tracemalloc.start()
+            try:
+                mn.exact_pmf(n)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak()  # a first build loads the lazy imports
+        kernel = peak()
+        monkeypatch.setattr(counting, "_convolve_tree",
+                            lambda rows, what: convolve_loop(rows))
+        assert kernel <= peak() + 8 * counting.CONVOLVE_CHUNK
+
+
 def bisect_root(kappa, u, lo, hi):
     """The root of an increasing kappa(r) = u in [lo, hi], by plain
     bisection: an oracle independent of the laws' own inverses."""

@@ -1523,6 +1523,104 @@ class TestEstimateBlocks:
         assert peak <= 3 * reps * 8 + slack
 
 
+def _draws_sums(*args, **kwargs):
+    raise AssertionError("a summand sampler was built or called")
+
+
+def forbid_sums(monkeypatch):
+    """Every summand sampler of the three sum routes (binomials, stage
+    tables, Gaussian) raises once this is applied."""
+    for law, name in ((FiniteSupportSummands, "sample_sum_batch"),
+                      (FiniteSupportSummands, "plain_sampler"),
+                      (GaussianSummands, "sample_sum_batch")):
+        monkeypatch.setattr(law, name, _draws_sums)
+
+
+# Summand laws of each sum route: binomials (tilted), stage tables (plain),
+# and Gaussian sums.
+COUNT_FACE_LAWS = {
+    "pm-one": pm_one_summand,
+    "two-stage": three_atom_plane,
+    "gaussian": lambda: GaussianSummands([0.2, -0.1], [[1.0, 0.3], [0.3, 0.5]]),
+}
+
+
+class TestCountFaceDrawsCounts:
+    """A face of direction 0 draws its counts alone: no summand stream is
+    seeded and no summand sampler is built or called, and every estimate is
+    the one that drawing the sums gives, bit for bit."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("method", ["plain", "tilted"])
+    @pytest.mark.parametrize("law", COUNT_FACE_LAWS)
+    def test_estimate_equals_the_route_that_draws_sums(self, monkeypatch, law,
+                                                       method, workers):
+        mx, mn = COUNT_FACE_LAWS[law](), unit_poisson()
+        event = HalfSpaceEvent(np.zeros(mx.dim), 1.0, 1.3)
+        reps = 2 * BLOCK_SIZE + 577
+        expected = batch_route_estimate(mx, mn, 30, event, reps, method, 46,
+                                        workers)
+        forbid_sums(monkeypatch)
+        estimate = estimate_event_prob(mx, mn, 30, event, reps=reps,
+                                       method=method, seed=46, workers=workers)
+        assert 0.0 < estimate.value < 1.0
+        assert (estimate.value, estimate.std_error) == expected
+
+    @pytest.mark.parametrize("law", COUNT_FACE_LAWS)
+    def test_plain_is_the_indicator_mean_of_simulate_compound(self, monkeypatch,
+                                                              law):
+        mx, mn = COUNT_FACE_LAWS[law](), IidSumCounting([0, 1, 2], [0.3, 0.4, 0.3])
+        event = HalfSpaceEvent(np.zeros(mx.dim), 1.0, 1.05)
+        reps = BLOCK_SIZE + 500
+        sums, counts = simulate_compound(mx, mn, 30, reps, seed=23)
+        hits = event.indicator(30, None, counts)
+        assert np.array_equal(hits, event.indicator(30, sums, counts))
+        forbid_sums(monkeypatch)
+        estimate = estimate_event_prob(mx, mn, 30, event, reps=reps,
+                                       method="plain", seed=23)
+        hits = hits.astype(float)
+        assert estimate.value == float(hits.mean())
+        assert estimate.std_error == float(hits.std(ddof=1)) / math.sqrt(reps)
+
+    def test_decay_scan_draws_counts_only(self, monkeypatch):
+        mx, mn = pm_one_summand(), unit_poisson()
+        event = HalfSpaceEvent([0.0], 1.0, 2.0)
+        ns, reps, seed = [40, 80], 2000, 92
+        expected = [batch_route_estimate(
+            mx, mn, n, event, reps, "tilted",
+            int(np.random.SeedSequence([seed, index]).generate_state(1)[0]), 1)
+            for index, n in enumerate(ns)]
+        forbid_sums(monkeypatch)
+        scan = decay_rate_scan(mx, mn, event, ns=ns, reps=reps, seed=seed)
+        assert scan.method == "tilted"
+        assert list(zip(scan.p_hat, scan.std_err)) == expected
+
+    @pytest.mark.parametrize("method", ["plain", "tilted"])
+    def test_count_face_seeds_no_summand_stream(self, monkeypatch, method):
+        roles, stream = [], montecarlo._RunStream
+
+        def recording(seed, start, stop, role):
+            roles.append(role)
+            return stream(seed, start, stop, role)
+
+        monkeypatch.setattr(montecarlo, "_RunStream", recording)
+        estimate_event_prob(pm_one_summand(), unit_poisson(), 30,
+                            HalfSpaceEvent([0.0], 1.0, 1.3),
+                            reps=3 * BLOCK_SIZE, method=method, seed=47)
+        assert roles == [montecarlo.COUNT_ROLE] * 2
+
+    @pytest.mark.parametrize("method", ["plain", "tilted"])
+    @pytest.mark.parametrize("face", [([1.0], 0.0), ([1.0], 1.0), ([0.5], -0.2)],
+                             ids=["sum", "sum-and-count", "centred"])
+    def test_a_face_with_a_direction_draws_sums(self, monkeypatch, face,
+                                                method):
+        forbid_sums(monkeypatch)
+        with pytest.raises(AssertionError, match="summand sampler"):
+            estimate_event_prob(pm_one_summand(), unit_poisson(), 30,
+                                HalfSpaceEvent(*face, 1.3), reps=100,
+                                method=method, seed=48)
+
+
 def block_generators(seed, start, stop, role):
     """Each block's own generator over rows [start, stop), with its size."""
     return [(np.random.default_rng(np.random.SeedSequence([seed, b // BLOCK_SIZE, role])),
