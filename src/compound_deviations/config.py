@@ -54,6 +54,7 @@ from .counting import (
     RenewalCounting,
 )
 from .errors import ConfigError, ValidationError
+from .mittag_leffler import BETA_MAX
 from .montecarlo import BAND_SE, DEFAULT_REPS
 from .summands import (
     FiniteSupportSummands,
@@ -428,7 +429,8 @@ EXPERIMENTS = {
     "ml-eval": Kind(None, {
         "nu": _number(low=0.3, high=1.0,
                       domain="ν ∈ [0.3, 1] for direct evaluation"),
-        "beta": _positive("β"),
+        "beta": _number(low=0.0, low_open=True, high=BETA_MAX,
+                        domain=f"β ∈ (0, {BETA_MAX:g}] for direct evaluation"),
         "x_values": _series_args,
     }),
 }

@@ -411,7 +411,9 @@ class FiniteSupportSummands(SummandModel):
             tables[i].draw(remaining, rng.random(remaining.size))))
 
     def tilted(self, theta):
-        return FiniteSupportSummands(self._atoms, self._tilt(theta)[1])
+        """The tilted law, on the atoms whose tilted weight is not 0 in floats."""
+        w = self._tilt(theta)[1]
+        return FiniteSupportSummands(self._atoms[w > 0.0], w[w > 0.0])
 
     @cached_property
     def _affine(self):

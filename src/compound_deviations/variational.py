@@ -46,11 +46,9 @@ evaluated at once, with one closed-form or covariance solve for all rows
 and one probed ``Cumulant`` per call; one point is the one-row case. A
 ``rate-eval`` table is one call per column.
 
-Everything here is pure: models are immutable and the optimizer keeps only
-local state, so concurrent evaluation across queries is safe. The one
-stored result is the count-rate memo: ``count_rate`` keeps each solve in
-the counting model it belongs to, keyed by y, so a rate grid solves the
-count rate once per y.
+Everything here is pure: models are immutable, the optimizer keeps only
+local state and no rate is stored in a model, so concurrent evaluation
+across queries is safe and each call's solves depend on its inputs alone.
 """
 
 from __future__ import annotations
@@ -331,17 +329,11 @@ def count_rate(mn, y):
 
     Nonnegative, zero at the limiting mean rate; +inf outside the range of
     the count rate (below zero, and above the largest rate of bounded
-    kinds), where the supremum diverges. Memoised per model and y, next to
-    the model's per-n tables; the stored argmax is read-only.
+    kinds), where the supremum diverges. Each call is one solve, so a
+    repeated scalar call solves again; a grid goes through the row-wise
+    ``rate_ld_explicit``, which solves each distinct y once per call.
     """
-    y = finite_real(y, "y")
-    rates = mn.__dict__.setdefault("_rates", {})
-    if y not in rates:
-        result = legendre_transform(mn.cumulant, [y])
-        if result.argmax is not None:
-            result.argmax.flags.writeable = False
-        rates[y] = result
-    return rates[y]
+    return legendre_transform(mn.cumulant, [finite_real(y, "y")])
 
 
 def joint_cumulant(mx, mn):
@@ -432,7 +424,7 @@ def rate_ld_explicit(mx, mn, x, y):
         y_in = ys[inner]
         with np.errstate(over="ignore"):  # x / y past the float range
             ratios = xs[inner] / y_in[:, None]
-        # One memo read per distinct y, in the grid's order.
+        # One solve per distinct y, in the grid's order.
         counts = {level: count_rate(mn, level).value
                   for level in dict.fromkeys(y_in.tolist())}
         # Both conjugates are >= 0 (each objective is 0 at the origin), so

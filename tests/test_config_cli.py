@@ -229,6 +229,13 @@ class TestNormalizeConfig:
                        if "experiment.nu" in e]
         assert "ν ∈ [0.3, 1] for direct evaluation" in nu_error
 
+        eval_bad["experiment"].update(nu=0.5, beta=6.000001)
+        with pytest.raises(ConfigError) as excinfo:
+            normalize_config(eval_bad)
+        assert excinfo.value.errors == [
+            "experiment.beta: value 6.000001 outside the domain "
+            "(β ∈ (0, 6] for direct evaluation)"]
+
     def test_missing_seed_message_names_the_kind(self):
         raw = ldp_raw()
         del raw["experiment"]["seed"]
@@ -772,7 +779,7 @@ class TestRunExperiment:
 
     def test_rate_eval_solves_each_count_rate_once(self, tmp_path, monkeypatch):
         # The +-1 law's conjugate is closed-form and the count rate is
-        # memoised per y: ten solves for the hundred grid points.
+        # deduplicated per call: ten solves for the hundred grid points.
         solve, calls = variational.legendre_transform, []
 
         def counted(cumulant, z):
@@ -841,6 +848,20 @@ class TestRunExperiment:
             data = json.load(fh)
         assert data["pass"] is True
 
+    def test_infinite_margin_is_a_string_in_strict_json(self, tmp_path):
+        # Two draws at seed 0 give every band a zero width, so each margin
+        # is inf; the summary writes it as "inf", which a strict parser loads.
+        raw = dict(ldp_raw(), experiment={"kind": "clt-check", "n": 10,
+                                          "v": [1.0], "reps": 2, "seed": 0})
+        run_experiment(normalize_config(raw), out_dir=str(tmp_path))
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        text = (tmp_path / "clt_check_summary.json").read_text()
+        data = json.loads(text, parse_constant=refuse)
+        assert [band["margin"] for band in data["bands"]] == ["inf"] * 5
+
     def test_ml_eval_keeps_values_below_the_float_limit(self, tmp_path):
         # exp(709.5) is finite although its log is past 709.
         config = normalize_config({
@@ -900,6 +921,64 @@ class TestCli:
         assert len(err_lines) == 7
         assert all(line.startswith("error: ") for line in err_lines)
 
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.json")
+        assert cli.main(["rate-eval", "--config", path]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: config: cannot read {path!r}")
+
+    def test_config_that_is_not_json_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        assert cli.main(["rate-eval", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: config: not valid JSON (")
+
+    def test_seed_on_a_config_that_is_not_an_object(self, tmp_path, capsys):
+        path = write_json(tmp_path / "list.json", [ldp_raw()])
+        assert cli.main(["ldp-check", "--config", path, "--seed", "1"]) == 2
+        assert capsys.readouterr().err == "error: config: must be a JSON object\n"
+
+    GAUSS_2D = {"kind": "gaussian", "mean": [0.1, 0.2],
+                "cov": [[1.0, 0.2], [0.2, 1.0]]}
+    GRID_GAUSS = {"kind": "grid_gaussian", "grid": [0.0, 1.0], "mean": [0.1, 0.2],
+                  "kernel": [[1.0, 0.2], [0.2, 1.0]]}
+    MD = {"kind": "md-check", "scaling": {"gamma": 0.5}, "etas": [1.0], "ns": [10]}
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda raw: raw.update(summand=dict(TestCli.GRID_GAUSS, mean=[0.1])),
+         "summand.mean: must have length 2, got 1"),
+        (lambda raw: raw.update(summand=dict(TestCli.GAUSS_2D, cov=[1.0, 0.2])),
+         "summand.cov: must be a list of rows"),
+        (lambda raw: raw.update(summand=dict(TestCli.GAUSS_2D, cov=[[1.0, 0.2]])),
+         "summand.cov: must have 2 rows, got 1"),
+        (lambda raw: raw.update(summand=dict(TestCli.GAUSS_2D, cov=[[1.0], [0.2]])),
+         "summand.cov: must have 2 columns, got 1"),
+        (lambda raw: raw.update(summand=dict(TestCli.GRID_GAUSS, grid=[1.0, 0.0])),
+         "summand.grid: grid sites must be strictly increasing"),
+        (lambda raw: raw.update(experiment=dict(TestCli.MD, ns=10)),
+         "experiment.ns: must be a list of at least 1 integers"),
+        (lambda raw: raw.update(experiment=dict(TestCli.MD, scaling={"table": []})),
+         "experiment.scaling.table: must be a nonempty list of [n, a] pairs"),
+        (lambda raw: raw.update(summand=None, counting=None, experiment={
+            "kind": "ml-eval", "nu": 0.5, "beta": 1.0, "x_values": [-1.0]}),
+         "experiment.x_values: arguments must be ≥ 0 (series domain)"),
+        (lambda raw: raw.update(output={"directory": ""}),
+         "output.directory: must be a nonempty string"),
+        (lambda raw: raw.update(summand=[1.0]), "summand: must be an object"),
+        (lambda raw: raw.pop("experiment"), "experiment: required key is missing"),
+    ], ids=["grid-gaussian-mean", "matrix-rows", "cov-rows", "cov-columns",
+            "grid-order", "ns-list", "empty-table", "negative-ml-x",
+            "empty-directory", "block-object", "no-experiment"])
+    def test_config_errors_name_their_key_path(self, tmp_path, capsys, edit, error):
+        raw = rate_eval_raw()
+        edit(raw)
+        raw = {key: block for key, block in raw.items() if block is not None}
+        command = raw.get("experiment", {}).get("kind", "rate-eval")
+        path = write_json(tmp_path / "bad.json", raw)
+        assert cli.main([command, "--config", path, "--out",
+                         str(tmp_path / "out")]) == 2
+        assert f"error: {error}" in capsys.readouterr().err.splitlines()
+
     def test_kind_mismatch_is_a_config_error(self, tmp_path, capsys):
         path = write_json(tmp_path / "ldp.json", ldp_raw())
         assert cli.main(["md-check", "--config", path]) == 2
@@ -919,6 +998,21 @@ class TestCli:
         assert any(line.endswith(".csv") for line in wrote)
         assert any(line.endswith("ldp_check_summary.json") for line in wrote)
 
+    def test_tilt_past_an_underflowed_atom_passes(self, tmp_path, capsys):
+        # The -800 atom's tilted weight underflows to 0 at the tilt.
+        path = write_json(tmp_path / "underflow.json", {
+            "summand": {"kind": "finite_support", "atoms": [1.0, 0.0, -800.0],
+                        "probs": [0.45, 0.45, 0.1]},
+            "counting": {"kind": "poisson", "rate": 1.0},
+            "experiment": {"kind": "ldp-check", "ns": [10, 20], "reps": 20_000,
+                           "seed": 3, "event": {"mode": "sum", "level": 2.0,
+                                                "direction": [1]}},
+        })
+        code = cli.main(["ldp-check", "--config", path, "--out",
+                         str(tmp_path / "out")])
+        assert "result: all bands passed" in capsys.readouterr().out
+        assert code == 0
+
     def test_seed_flag_satisfies_the_requirement(self, tmp_path, capsys):
         raw = ldp_raw()
         del raw["experiment"]["seed"]
@@ -931,6 +1025,12 @@ class TestCli:
                          "--out", str(tmp_path / "out")])
         capsys.readouterr()
         assert code in (0, 1)
+
+    def test_ml_eval_beta_past_its_range_is_a_config_error(self, tmp_path, capsys):
+        assert cli.main(["ml-eval", "--nu", "0.5", "--beta", "200", "--x", "0",
+                         "--out", str(tmp_path / "out")]) == 2
+        assert "error: experiment.beta: value 200.0 outside the domain" in (
+            capsys.readouterr().err)
 
     def test_ml_eval_direct_flags(self, tmp_path, capsys):
         code = cli.main(["ml-eval", "--nu", "0.5", "--beta", "1.0",

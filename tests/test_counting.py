@@ -1322,6 +1322,18 @@ class TestValidation:
         with pytest.raises(ValidationError, match="renewal mass table"):
             RenewalCounting(ExponentialInterarrival(1.0)).mean(10_000_000)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: LatticeInterarrival([1, 2], [0.2, 0.3, 0.5]),
+         "probs must match the step values in shape"),
+        (lambda: PoissonCounting(1.0, intensity=2.0), "intensity must be callable"),
+        (lambda: BernoulliSumCounting(profile=0.5), "profile must be callable"),
+        (lambda: RenewalCounting(PoissonCounting(1.0)),
+         "law must be an InterarrivalLaw"),
+    ], ids=["lattice-probs-shape", "intensity", "profile", "renewal-law"])
+    def test_rejects_malformed_constructor_arguments(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()
+
     def test_bernoulli_exclusive_arguments(self):
         with pytest.raises(ValidationError):
             BernoulliSumCounting(p=0.5, profile=lambda x: 0.5)

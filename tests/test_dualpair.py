@@ -98,6 +98,15 @@ class TestCovarianceOperator:
         with pytest.raises(ValidationError):
             CovarianceOperator([[1.0, 0.5], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("matrix, message", [
+        ([[1.0, 0.0]], r"covariance matrix must be square, got shape \(1, 2\)"),
+        ([1.0, 0.0], r"covariance matrix must be square, got shape \(2,\)"),
+        ([[1.0, math.nan], [math.nan, 1.0]], "covariance matrix must be finite"),
+    ], ids=["one-row", "flat", "nan"])
+    def test_rejects_non_square_or_nonfinite(self, matrix, message):
+        with pytest.raises(ValidationError, match=message):
+            CovarianceOperator(matrix)
+
     def test_rejects_indefinite(self):
         with pytest.raises(ValidationError):
             CovarianceOperator([[1.0, 2.0], [2.0, 1.0]])

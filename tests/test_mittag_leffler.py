@@ -16,6 +16,7 @@ from numpy.testing import assert_allclose
 
 from compound_deviations.errors import ValidationError
 from compound_deviations.mittag_leffler import (
+    BETA_MAX,
     _asymptotic_log,
     _series_value,
     log_mittag_leffler,
@@ -129,6 +130,15 @@ class TestBranchCrossover:
                 assert_allclose(series, asym, rtol=1e-8,
                                 err_msg=f"nu={nu} beta={beta}")
 
+    @pytest.mark.parametrize("nu", [0.3, 0.5, 0.7, 1.0])
+    def test_largest_beta_meets_the_seam_tolerance(self, nu):
+        # The asymptotic branch is least accurate just past the switch, and
+        # the more so the larger beta; at BETA_MAX it still meets 1e-8.
+        x = 30.01 ** nu
+        assert x > switch_point(nu)
+        assert_allclose(log_mittag_leffler(nu, BETA_MAX, x),
+                        ml_log_reference(nu, BETA_MAX, x), atol=1e-8, rtol=0)
+
     def test_continuity_across_switch(self):
         # The function's own slope contributes d log E / dx ~ 2 x at nu=1/2,
         # so a relative nudge of 1e-9 moves the value by order 1e-7 on its
@@ -156,6 +166,12 @@ class TestDomainErrors:
     def test_order_above_one(self):
         with pytest.raises(ValidationError):
             log_mittag_leffler(1.2, 1.0, 1.0)
+
+    @pytest.mark.parametrize("beta", [math.nextafter(BETA_MAX, math.inf), 200.0])
+    def test_beta_above_supported_range(self, beta):
+        with pytest.raises(ValidationError,
+                           match=r"beta must lie in the supported range \(0, 6\]"):
+            log_mittag_leffler(0.5, beta, 1.0)
 
     def test_negative_argument_rejected(self):
         with pytest.raises(ValidationError):

@@ -706,6 +706,36 @@ class TestEstimateEventProb:
             4.0 * estimate.std_error
         )
 
+    @pytest.mark.parametrize("n, exact", [(10, 2.4708581393602045e-08),
+                                          (20, 3.8693411420653235e-15)])
+    def test_tilted_estimate_past_an_underflowed_atom(self, n, exact):
+        # At the tilt theta = 1.49 the -800 atom's tilted weight underflows
+        # to 0: the tilted law drops it, and the estimate still covers the
+        # enumerated probability.
+        mx = FiniteSupportSummands([[1.0], [0.0], [-800.0]], [0.45, 0.45, 0.1])
+        event = HalfSpaceEvent([1.0], 0.0, 2.0)
+        assert_allclose(enumerate_exact(mx, unit_poisson(), n, event), exact,
+                        rtol=1e-12)
+        estimate = estimate_event_prob(mx, unit_poisson(), n, event,
+                                       reps=20_000, method="tilted", seed=1)
+        assert abs(estimate.value - exact) <= 4.0 * estimate.std_error
+
+    @pytest.mark.parametrize("mx, mn, direction, level", [
+        (pm_one_summand(), unit_poisson(), [1.0], 0.5),
+        (FiniteSupportSummands([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
+                               [0.3, 0.3, 0.4]),
+         IidSumCounting([0, 1, 2], [0.3, 0.4, 0.3]), [1.0, 1.0], 1.0),
+    ], ids=["pm-one", "fs2"])
+    def test_tilted_law_keeps_every_atom_of_positive_weight(
+        self, mx, mn, direction, level,
+    ):
+        # Where no tilted weight underflows, the tilted law is the atoms and
+        # the tilted weights themselves, byte for byte.
+        theta = tilt_parameters(mx, mn, HalfSpaceEvent(direction, 0.0, level)).theta
+        tilted = mx.tilted(theta)
+        assert tilted.atoms.tobytes() == mx.atoms.tobytes()
+        assert tilted.probs.tobytes() == mx._tilt(theta)[1].tobytes()
+
     def test_tilted_reaches_probabilities_plain_cannot(self):
         # P(N/n >= 2) at n = 40 is the exact Poisson tail P(N >= 80), around
         # 1.7e-8; 20000 plain draws see no hits while the tilted estimator
@@ -984,6 +1014,15 @@ class TestDecayRateScan:
         # The positive prefactor keeps -log p / n above the rate while it
         # drifts down toward it.
         assert scan.neg_log_over_n[0] > scan.neg_log_over_n[-1] > rate
+
+    def test_plain_scan_without_two_hits_is_typed(self):
+        # P(S_n / n >= 0.5) is 2.9e-4 at n = 50 and 4.6e-7 at n = 100: 100
+        # plain draws see no hit, so there is no slope to fit.
+        event = HalfSpaceEvent([1.0], 0.0, 0.5)
+        with pytest.raises(ValidationError, match=(
+                "fewer than two positive probability estimates; cannot fit a slope")):
+            decay_rate_scan(pm_one_summand(), unit_poisson(), event, ns=[50, 100],
+                            reps=100, seed=3, method="plain")
 
     def test_plain_method_on_a_soft_event(self):
         # At n this small the prefactor still shifts the finite-n slope well

@@ -101,6 +101,17 @@ class TestFiniteSupportConstruction:
             assert_allclose(mx.conjugate_closed_form(x),
                             legendre_transform(mx.cumulant, x).value, rtol=1e-8)
 
+    @pytest.mark.parametrize("atoms, probs, message", [
+        ([1.0, -1.0], [0.5, 0.5], r"atoms must be a 2-d array, got shape \(2,\)"),
+        ([[1.0], [math.inf]], [0.5, 0.5], "atoms must be finite"),
+        (np.zeros((0, 1)), [], "need at least one atom in at least one dimension"),
+        ([[1.0], [-1.0]], [0.2, 0.3, 0.5],
+         r"probs must have shape \(2,\) to match 2 atoms, got \(3,\)"),
+    ], ids=["flat-atoms", "infinite-atom", "no-atoms", "probs-shape"])
+    def test_rejects_malformed_atoms_and_probs(self, atoms, probs, message):
+        with pytest.raises(ValidationError, match=message):
+            FiniteSupportSummands(atoms, probs)
+
     def test_accepts_many_atoms(self):
         m = FiniteSupportSummands([[-1.0], [0.0], [1.0]], [0.25, 0.5, 0.25])
         assert m.atom_count == 3 and m.dim == 1
@@ -231,6 +242,11 @@ class TestCramerRate:
 
 
 class TestGaussian:
+    def test_rejects_mean_and_cov_of_different_sizes(self):
+        with pytest.raises(ValidationError,
+                           match="mean has length 2 but covariance is 1 x 1"):
+            GaussianSummands([0.0, 0.0], [[1.0]])
+
     def test_cgf_quadratic(self, gaussian_2d):
         theta = [0.7, -0.3]
         mu = np.array([0.5, -1.0])
@@ -480,6 +496,15 @@ class TestFiniteSupportSampling:
         tilted = m.tilted([math.log(3.0) / 2.0])
         # exp(theta * x) weights: sqrt(3) vs 1/sqrt(3), ratio 3.
         assert_allclose(tilted.probs[0] / tilted.probs[1], 3.0, rtol=1e-12)
+
+    def test_tilt_drops_atoms_whose_weight_underflows(self):
+        # exp(-800 theta) underflows at theta = 1.5: that atom carries no
+        # tilted mass, so the tilted law lives on the other two.
+        m = FiniteSupportSummands([[1.0], [0.0], [-800.0]], [0.45, 0.45, 0.1])
+        tilted = m.tilted([1.5])
+        assert tilted.atoms.tolist() == [[1.0], [0.0]]
+        assert_allclose(tilted.probs, np.array([1.0, math.exp(-1.5)])
+                        / (1.0 + math.exp(-1.5)), rtol=1e-15)
 
 
 class TestGridFunction:

@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from compound_deviations import variational
-from compound_deviations.config import format_cell
+from compound_deviations import experiments, variational
+from compound_deviations.config import build_models, format_cell, normalize_config
 from compound_deviations.counting import (
     BernoulliSumCounting,
     CountingDerivatives,
@@ -168,6 +168,11 @@ class TestLegendreTransform:
         assert float(result.value) == 0.0
         assert_allclose(result.argmax, [0.0], atol=1e-12)
         assert not result.unbounded
+
+    def test_objective_undefined_at_the_origin_is_typed(self):
+        cumulant = Cumulant(lambda t: math.inf, lambda t: 0.0 * t, zero_hessian, 1)
+        with pytest.raises(ValidationError, match="objective is undefined at the origin"):
+            legendre_transform(cumulant, [0.5])
 
     def test_quadratic_conjugate_is_quadratic(self):
         # sup <t,z> - |t|^2/2 = |z|^2/2 at t = z.
@@ -471,15 +476,14 @@ class TestCountRate:
     def test_memoised_rate_is_a_fresh_models_bit_for_bit(self, make, y):
         mn = make()
         first = count_rate(mn, y)
-        assert count_rate(mn, y) is first
-        fresh = count_rate(make(), y)
-        assert first.value.hex() == fresh.value.hex()
-        assert (first.iterations, first.unbounded) == (fresh.iterations, fresh.unbounded)
-        assert first.gradient_norm.hex() == fresh.gradient_norm.hex()
-        if fresh.argmax is None:
-            assert first.argmax is None and first.value == math.inf
-        else:
-            assert first.argmax.tobytes() == fresh.argmax.tobytes()
+        for again in (count_rate(mn, y), count_rate(make(), y)):
+            assert first.value.hex() == again.value.hex()
+            assert (first.iterations, first.unbounded) == (again.iterations, again.unbounded)
+            assert first.gradient_norm.hex() == again.gradient_norm.hex()
+            if again.argmax is None:
+                assert first.argmax is None and first.value == math.inf
+            else:
+                assert first.argmax.tobytes() == again.argmax.tobytes()
 
     @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
     def test_nonfinite_y_is_refused_before_anything_is_stored(self, y):
@@ -491,14 +495,36 @@ class TestCountRate:
     def test_models_never_share_entries(self):
         a, b, c = unit_poisson(), unit_poisson(), PoissonCounting(2.0)
         ra, rb, rc = (count_rate(mn, 2.0) for mn in (a, b, c))
-        assert ra is not rb and ra.value == rb.value
+        assert ra.value == rb.value
         assert_allclose(rc.value, poisson_count_rate(2.0, lam=2.0), atol=1e-12)
-        assert count_rate(a, 2.0) is ra and count_rate(c, 2.0) is rc
 
-    def test_memoised_argmax_is_read_only(self):
-        result = count_rate(unit_poisson(), 2.0)
-        with pytest.raises(ValueError):
-            result.argmax[0] = 0.0
+    def test_rates_store_nothing_in_the_model(self, tmp_path, monkeypatch):
+        # The one entry a rate leaves in a counting model is its own
+        # cached cumulant, from count_rate and from a whole rate-eval run.
+        mn = unit_poisson()
+        count_rate(mn, 2.0)
+        count_rate(mn, 2.0)
+        assert set(vars(mn)) - set(vars(unit_poisson())) == {"cumulant"}
+
+        built = []
+
+        def recording(config):
+            built.append(build_models(config))
+            return built[-1]
+
+        monkeypatch.setattr(experiments, "build_models", recording)
+        config = normalize_config({
+            "summand": {"kind": "finite_support", "atoms": [1.0, -1.0],
+                        "probs": [0.5, 0.5]},
+            "counting": {"kind": "poisson", "rate": 1.0},
+            "experiment": {"kind": "rate-eval", "x_values": [-0.5, 0.0, 0.5],
+                           "y_values": [0.5, 1.0, 0.5]},
+        })
+        code, _ = experiments.run_experiment(config, out_dir=str(tmp_path))
+        assert code == 0
+        run_mn = built[0][1]
+        fresh = build_models(config)[1]
+        assert set(vars(run_mn)) - set(vars(fresh)) == {"cumulant"}
 
 
 class TestJointCgf:
