@@ -38,9 +38,12 @@ against the rate engine; the count's MD sweep; the moment and CLT checks. Both
 checks take one route: they band sampled means and covariances of linear
 images <x, S> + c N, written run by run, against the exact finite-n values
 that the centred-sum pair covariance C1 gives at (E N_n/n, Var N_n/n),
-reporting C1 at the limit rates (d1, d2) beside them. The images are the
-rows of one array, and every covariance and its standard error is read off
-a Gram matrix, so the check tables are the same for any BLAS thread count.
+reporting C1 at the limit rates (d1, d2) beside them. Each run keeps the
+Gram matrix of its images' power sums (about their exact means), and the
+runs' Grams are summed in run order: every mean, covariance, standard error
+and K^2 moment is read off that one small matrix, centred by a linear map,
+so a check holds no reps-long array and its tables are the same for any
+worker or BLAS thread count.
 
 Sizes (n, every n of a grid, reps, seeds, workers) must be integers; a
 fractional or boolean size is a ValidationError, never truncated.
@@ -50,7 +53,7 @@ the CLT normality p-values import one (``scipy.special``, for chdtrc, the
 chi-square tail of their K^2 statistic), when they run. The count table
 and its guide (through ``_plain_draws`` or ``tilted_count_sampler``) and any
 summand tables (which import ``bdtr``) are built in the calling thread,
-before the runs start, and before a check's image array.
+before the runs start.
 """
 
 from __future__ import annotations
@@ -145,14 +148,14 @@ def _run_blocks(draw_sums, draw_counts, reps, seed, workers, take):
     """Draw reps realizations in seeded blocks, counts by ``draw_counts``
     and sums by ``draw_sums`` (rng, counts), and pass each run of RUN_BLOCKS
     consecutive blocks to ``take(start, counts, sums)``, which writes its
-    rows in place; ``draw_sums`` None seeds no summand stream and passes
-    sums None. A run draws through one ``_RunStream`` per role, so the
-    samplers and the taker make their numpy calls once per run, on up to
-    RUN_BLOCKS * BLOCK_SIZE rows, and every draw is its block's own. Runs
-    go to ``workers`` threads. Each numpy call releases the interpreter
-    lock only around its own loop, so threads overlap as far as the calls
-    are long: on 2 vCPU, two threads on single 8192-row blocks drew slower
-    than one thread."""
+    rows in place or keeps their sums; ``draw_sums`` None seeds no summand
+    stream and passes sums None. A run draws through one ``_RunStream`` per
+    role, so the samplers and the taker make their numpy calls once per
+    run, on up to RUN_BLOCKS * BLOCK_SIZE rows, and every draw is its
+    block's own. Runs go to ``workers`` threads. Each numpy call releases
+    the interpreter lock only around its own loop, so threads overlap as
+    far as the calls are long: on 2 vCPU, two threads on single 8192-row
+    blocks drew slower than one thread."""
 
     def run(start, stop):
         counts = draw_counts(_RunStream(seed, start, stop, COUNT_ROLE), stop - start)
@@ -609,27 +612,21 @@ class CheckResult:
     normality_pvalues: dict = field(default_factory=dict)
 
 
-def _k2_pvalue(a):
-    """D'Agostino-Pearson K^2 normality p-value of a series a of at least
-    NORMALTEST_MIN_REPS draws with spread (D'Agostino & Pearson, Biometrika
-    60, 1973): K^2 = Z_skew^2 + Z_kurt^2 against chi-square(2).
+def _k2_pvalue(size, m2, m3, m4):
+    """D'Agostino-Pearson K^2 normality p-value of a series of ``size``
+    (at least NORMALTEST_MIN_REPS) draws with spread, from its biased
+    moments m2, m3, m4 about the mean (D'Agostino & Pearson, Biometrika 60,
+    1973): K^2 = Z_skew^2 + Z_kurt^2 against chi-square(2).
 
     The arithmetic is that of scipy's normaltest, operation for operation:
-    skewtest's and kurtosistest's Z from the biased moments m2, m3, m4 about
-    the mean, y == 0 read as 1, a zero kurtosis denominator giving NaN, and
-    the tail from chdtrc. So the p-value is normaltest's bit for bit, with
-    no import of scipy's stats module. Two series-sized temporaries are held.
+    skewtest's and kurtosistest's Z from the moments, y == 0 read as 1, a
+    zero kurtosis denominator giving NaN, and the tail from chdtrc. So the
+    p-value is normaltest's bit for bit at normaltest's own moments, with
+    no import of scipy's stats module.
     """
     from scipy.special import chdtrc
 
-    n = np.float64(a.size)
-    d = a - a.mean(keepdims=True)
-    d2 = np.square(d)
-    m2 = d2.mean()
-    d *= d2
-    m3 = d.mean()
-    np.square(d2, out=d2)
-    m4 = d2.mean()
+    n = np.float64(size)
 
     # skewtest: D'Agostino's normalizing transform of the skewness.
     b1 = m3 / m2**1.5
@@ -663,21 +660,29 @@ def _k2_pvalue(a):
 def _check_images(mx, mn, n, reps, seed, workers, band_se, images, means=(),
                   covariances=(), normality=()):
     """Band linear images <x, S> + c N of plain draws of the pair (S, N),
-    written run by run into one q x reps array: no (S, N) batch is held.
+    summed run by run into one Gram matrix of their power sums: no (S, N)
+    batch and no reps-long array is held.
 
     ``images`` maps a name to (x, c); ``means`` lists (row, image),
     ``covariances`` (row, image, image) and ``normality`` (p-value name,
-    image). Each plug-in standard error needs sum da^2 db^2 over the
-    centred images a, b: the (a, b) entry of the squared rows' Gram matrix.
+    image). Each run forms Z = [1; e; e*e], the 1 + 2q rows of each image
+    less its exact mean (the shift, fixed before the runs) and their
+    squares, and keeps its Gram Z Z^T. The Grams are summed in run order,
+    so the sums do not depend on the worker count. The linear map
+    d = e - m, d^2 = e^2 - 2 m e + m^2, m the row means of e, centres the
+    sum: Gc = T G T^T. The means, covariances, the plug-in standard errors'
+    sums d_a^2 d_b^2 and the K^2 moments sum d^3 = Gc[d, d^2] and sum d^4 =
+    Gc[d^2, d^2] are all read off Gc.
 
     Given N the summands are iid, so at every n exactly E[<x, S> + c N]/n =
     E N_n/n (<x, mu> + c), and two images' covariance over n is <a, C1 b>
     with C1 the centred-sum pair covariance at the count rates (E N_n/n,
     Var N_n/n): the reference. C1 at (d1, d2) gives the limit. C1 is built
     on the images' own summand coordinates (<x, X> per image) and N, where
-    image i is e_i + c_i e_N: the same numbers as on (S, N), but a count
-    coefficient c = -<x, mu> then cancels the count load exactly, so a
-    centred-summand image has covariance exactly 0 with N.
+    image i is u_i + c_i u_N, u the unit vectors: the same numbers as on
+    (S, N), but a count coefficient c = -<x, mu> then cancels the count
+    load exactly, so a centred-summand image has covariance exactly 0 with
+    N.
     """
     n = check_int(n, "n", 1)
     reps, seed, workers = _run_sizes(reps, seed, workers, 2)
@@ -685,25 +690,34 @@ def _check_images(mx, mn, n, reps, seed, workers, band_se, images, means=(),
     index = {name: i for i, name in enumerate(images)}
     directions = np.array([x for x, _ in images.values()])
     coef = np.array([c for _, c in images.values()])
-    # Tables before the image array: allocated last, the array sits at the
-    # top of the heap, so its free leaves no hole for small allocations to
-    # split before the next check needs the room again.
+    image_mu = np.array([float(x @ mx.mean()) for x in directions])
+    # The exact image means: the raw sums of e stay near their centred values.
+    shift = mn.mean(n) * (image_mu + coef)
     draws = _plain_draws(mx, mn, n)
-    values = np.empty((q, reps))
+    grams = {}
 
     def take(start, counts, sums):
+        z = np.empty((1 + 2 * q, counts.size))
+        z[0] = 1.0
         # Rows in place: a stacked expression would add q x size temporaries.
-        rows = values[:, start:start + counts.size]
-        for row, (x, c) in zip(rows, images.values()):
+        for row, (x, c), s in zip(z[1:1 + q], images.values(), shift):
             np.matmul(sums, x, out=row)
             row += c * counts
+            row -= s
+        np.square(z[1:1 + q], out=z[1 + q:])
+        # Gram products, never row dots: OpenBLAS splits a long dot by threads.
+        grams[start] = z @ z.T
 
     _run_blocks(*draws, reps, seed, workers, take)
 
-    mean = values.mean(axis=1)
-    values -= mean[:, None]
-    # Gram products, never row dots: OpenBLAS splits a long dot by threads.
-    cov = values @ values.T / (reps - 1)
+    gram = sum(grams[start] for start in sorted(grams))
+    m = gram[0, 1:1 + q] / reps
+    centre = np.eye(1 + 2 * q)
+    centre[1:, 0] = np.concatenate((-m, m * m))
+    centre[1 + q:, 1:1 + q] = np.diag(-2.0 * m)
+    gram = centre @ gram @ centre.T
+    mean = shift + m
+    cov = gram[1:1 + q, 1:1 + q] / (reps - 1)
     pvalues = {}
     for name, a in normality:
         # K^2 needs 8 draws, and a series with no spread has no test.
@@ -711,15 +725,15 @@ def _check_images(mx, mn, n, reps, seed, workers, band_se, images, means=(),
         if reps < NORMALTEST_MIN_REPS or math.sqrt(cov[i, i]) <= 1e-12 * math.sqrt(n):
             pvalues[name] = None
         else:
-            pvalues[name] = _k2_pvalue(values[i])
-    values *= values
-    cov_se = np.sqrt(np.maximum(values @ values.T / reps - cov * cov, 0.0) / reps)
+            d, d2 = 1 + i, 1 + q + i
+            pvalues[name] = _k2_pvalue(reps, gram[d, d] / reps, gram[d, d2] / reps,
+                                       gram[d2, d2] / reps)
+    cov_se = np.sqrt(np.maximum(gram[1 + q:, 1 + q:] / reps - cov * cov, 0.0) / reps)
 
-    image_mu = np.array([float(x @ mx.mean()) for x in directions])
     image_sigma = directions @ mx.cov().matrix @ directions.T
 
     def targets(mean_rate, var_rate):
-        # Means and <e_i + c_i e_N, C1 (e_j + c_j e_N)>, term by term: no
+        # Means and <u_i + c_i u_N, C1 (u_j + c_j u_N)>, term by term: no
         # fused multiply-add may keep the rounding that the terms cancel.
         c1 = pair_covariance(image_sigma, image_mu, mean_rate, var_rate, True)
         return mean_rate * (image_mu + coef), (

@@ -177,7 +177,8 @@ class _CdfGuide:
         # Each step in place: a run of draws holds few row-long temporaries.
         cell = (u * self.scale[rows]).astype(np.int64)
         cell += self.cells[rows]
-        j = self.lo[cell]
+        # numpy gathers by an int32 index array on a slower path: cast once.
+        j = self.lo[cell].astype(np.intp)
         over = np.flatnonzero(self.cdf[j] <= u)
         if over.size:
             # Most of these draw the next state; the rest, in cells of many

@@ -27,8 +27,9 @@ is pinned. These digests were computed while the sweep still took a scaling
 object, so they hold the route from the config's gamma or table to the a_n
 of each n byte for byte.
 
-The four ``mc-checks`` configs run end to end as well, and the digest of
-each check table is pinned: two of them draw counts from convolved tables.
+The four ``mc-checks`` configs run end to end as well, at one and at two
+workers, and the digest of each check table is pinned, one digest for both
+worker counts: two of them draw counts from convolved tables.
 
 The four ``rate-grid`` configs run end to end too, and the digest of each
 ``rate_eval.csv`` is pinned. Those digests, and the iteration counts of
@@ -370,27 +371,30 @@ def test_ldp_tilted_tables_are_pinned(label, tmp_path):
 # workload seed 5: plain draws of 10^5-10^6 (S, N) pairs for four counting
 # kinds. moments-iid-2d (iid-sum, n = 100) and clt-runs (Bernoulli sum,
 # n = 400) draw their counts from convolved tables, so these pins hold the
-# convolution, the count guide and the stage draws bit for bit.
+# convolution, the count guide and the stage draws bit for bit. One digest
+# holds at workers 1 and 2, the mc-checks and mc-pool workloads' counts:
+# the tables do not depend on the worker count.
 MC_TABLE_DIGESTS = {
     "moments-poisson": (
         "moments_check.csv",
-        "dabb2b4b945970ea2910661848f0dccb4943e7d5c2a1707d3690784d148657ed"),
+        "8f4d0459cb01446fff3969cdefe8c43338522ba04ae80e5fc8c5d939e253b721"),
     "moments-iid-2d": (
         "moments_check.csv",
-        "aff78b6a2a6546d16d7e4a8899dc60340b0a7ffa0f93949dda2daee42b63d39f"),
+        "c5819ed05ebe1a8282b5ff6a203ae8eab2486bca2d096d10a219c42cbd7465bd"),
     "clt-runs": (
         "clt_check.csv",
-        "73da629b42cadc64bbc2b72b3a981b245fcb406ba5783a564d92475d28cfa6f6"),
+        "972c2838876053a2aecee64b61981618ce70edcfa8eb945133af7e0b3506a47a"),
     "clt-renewal-gamma": (
         "clt_check.csv",
-        "472caa07ffcd3341b383d0819410162497fb1781d0b5f1e7bf37c602c0c24f65"),
+        "bf2fb9bb7a983e6c94a0f17d7db0d4319eb8ade45784686399c2f92590b364be"),
 }
 
 
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("label", sorted(MC_TABLE_DIGESTS))
-def test_mc_check_tables_are_pinned(label, tmp_path):
+def test_mc_check_tables_are_pinned(label, workers, tmp_path):
     code, _ = run_experiment(normalize_config(CONFIGS[f"mc-checks/{label}"]),
-                             out_dir=str(tmp_path))
+                             out_dir=str(tmp_path), workers=workers)
     assert code == 0
     name, digest = MC_TABLE_DIGESTS[label]
     assert _table_digest(tmp_path / name) == digest

@@ -1356,29 +1356,39 @@ K2_LAWS = {
 }
 
 
+def biased_moments(a):
+    """m2, m3, m4 of a series about its mean, by two passes, as scipy's
+    normaltest forms them."""
+    d = a - a.mean(keepdims=True)
+    d2 = np.square(d)
+    return d2.mean(), (d * d2).mean(), np.square(d2).mean()
+
+
 class TestK2Pvalue:
-    """The package's K^2 p-value is scipy.stats.normaltest's, bit for bit."""
+    """The package's K^2 p-value is scipy.stats.normaltest's, bit for bit,
+    at normaltest's own moments."""
 
     @pytest.mark.parametrize("size", [8, 9, 20, 8192, 10**5, 10**6])
     @pytest.mark.parametrize("law", sorted(K2_LAWS))
     def test_equals_normaltest(self, law, size):
         a = K2_LAWS[law](np.random.default_rng([3001, size]), size)
-        # The check passes centred rows; the raw series must agree as well.
         for series in (a, a - a.mean()):
-            assert montecarlo._k2_pvalue(series) == stats.normaltest(
-                series).pvalue
+            assert montecarlo._k2_pvalue(size, *biased_moments(series)) == (
+                stats.normaltest(series).pvalue)
 
     def test_a_symmetric_series_reads_y_zero_as_one(self):
         # m3 is exactly 0, so skewtest's y is 0 and is read as 1.
         a = np.array([-1.0, 1.0] * 4)
-        assert montecarlo._k2_pvalue(a) == stats.normaltest(a).pvalue
+        assert montecarlo._k2_pvalue(a.size, *biased_moments(a)) == (
+            stats.normaltest(a).pvalue)
 
 
 def batch_route_check(mx, mn, n, reps, seed, workers, images, means=(),
                       covariances=(), normality=()):
     """The check computed from one whole ``simulate_compound`` batch: image
-    rows by np.matmul and += c * counts, then the check's own mean, Gram,
-    standard-error and target formulas."""
+    rows by np.matmul and += c * counts, centred by corrected two-pass means,
+    then Grams of the centred rows and of their squares, normaltest's
+    p-values, and the check's own target formulas."""
     sums, counts = simulate_compound(mx, mn, n, reps, seed, workers=workers)
     q = len(images)
     index = {name: i for i, name in enumerate(images)}
@@ -1390,9 +1400,21 @@ def batch_route_check(mx, mn, n, reps, seed, workers, images, means=(),
         row += c * counts
     mean = values.mean(axis=1)
     values -= mean[:, None]
+    # A second pass takes out what the first mean's rounding left (Chan,
+    # Golub & LeVeque, Amer. Stat. 37(3), 1983): at a mean 7e5 spreads out,
+    # that rounding alone moves a fourth-moment sum by 2e-12 relative.
+    residual = values.mean(axis=1)
+    values -= residual[:, None]
+    mean += residual
     cov = values @ values.T / (reps - 1)
-    pvalues = {name: float(stats.normaltest(values[index[a]]).pvalue)
-               for name, a in normality}
+    pvalues = {}
+    for name, a in normality:
+        # The check's rule: no K^2 test below 8 draws or on a series with no
+        # spread.
+        i = index[a]
+        untested = (reps < montecarlo.NORMALTEST_MIN_REPS
+                    or math.sqrt(cov[i, i]) <= 1e-12 * math.sqrt(n))
+        pvalues[name] = None if untested else float(stats.normaltest(values[i]).pvalue)
     values *= values
     cov_se = np.sqrt(np.maximum(values @ values.T / reps - cov * cov, 0.0) / reps)
     image_mu = np.array([float(x @ mx.mean()) for x in directions])
@@ -1434,58 +1456,129 @@ SUM_ROUTES = {
 }
 
 
+def moment_route(mx, mn, n, reps, u, v, seed, workers):
+    """(moment_limits_check, its batch route) at one set of arguments."""
+    u, v = np.array(u, dtype=float), np.array(v, dtype=float)
+    return moment_limits_check(mx, mn, n, reps, u, v, seed=seed,
+                               workers=workers), batch_route_check(
+        mx, mn, n, reps, seed, workers,
+        {"u": (u, 0.0), "v": (v, 0.0), "count": (np.zeros(mx.dim), 1.0)},
+        means=[("mean_S_dir", "v"), ("mean_N", "count")],
+        covariances=[("cov_SS", "u", "v"), ("cov_NS", "count", "v"),
+                     ("var_N", "count", "count")])
+
+
+def clt_route(mx, mn, n, reps, v, seed, workers):
+    """(clt_regime_check, its batch route) at one set of arguments."""
+    v = np.array(v, dtype=float)
+    return clt_regime_check(mx, mn, n, reps, v, seed=seed,
+                            workers=workers), batch_route_check(
+        mx, mn, n, reps, seed, workers,
+        {"centred_summands": (v, -float(v @ mx.mean())),
+         "count": (np.zeros(mx.dim), 1.0), "centred_sum": (v, 0.0)},
+        covariances=[
+            ("var_sum_coord", "centred_summands", "centred_summands"),
+            ("var_count_coord", "count", "count"),
+            ("cross_cov", "centred_summands", "count"),
+            ("var_sum_coord_shifted", "centred_sum", "centred_sum"),
+            ("cross_cov_shifted", "centred_sum", "count"),
+        ],
+        normality=[("sum_coord", "centred_summands"), ("count_coord", "count")])
+
+
+def assert_matches_batch(result, batch):
+    """Names, targets and verdicts equal the batch route's; the sampled
+    columns, whose sums the check takes in another order, agree within
+    rtol 1e-12, and the K^2 p-values within rtol 1e-9.
+
+    margin = |empirical - reference| / band magnifies the rounding of
+    empirical by |empirical| / (margin band) when the two nearly agree, so
+    it is held to what rtol 1e-12 on empirical and band carries through it.
+    """
+    rows, pvalues = batch
+    assert [(r.name, r.reference, r.limit, r.within_band) for r in result.rows] == [
+        (r.name, r.reference, r.limit, r.within_band) for r in rows]
+    for column in ("empirical", "std_error", "band"):
+        assert_allclose([getattr(r, column) for r in result.rows],
+                        [getattr(r, column) for r in rows], rtol=1e-12, atol=0.0)
+    for got, want in zip(result.rows, rows):
+        if want.band > 0.0:
+            carried = 1e-12 * (abs(want.empirical) / want.band + want.margin)
+            assert abs(got.margin - want.margin) <= carried, (got, want)
+        else:
+            assert got.margin == want.margin
+    assert result.normality_pvalues.keys() == pvalues.keys()
+    for name, p in pvalues.items():
+        if p is None:
+            assert result.normality_pvalues[name] is None
+        else:
+            assert_allclose(result.normality_pvalues[name], p, rtol=1e-9, atol=0.0)
+
+
 class TestCheckBlocks:
-    """The checks write each block's images into their rows as it is
-    drawn, with no sample batch; every number is the batch route's."""
+    """The checks sum each run's Gram of image power sums as it is drawn,
+    with no sample batch and no reps-long array; every number is the batch
+    route's, within rounding."""
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("route", SUM_ROUTES)
     def test_rows_equal_the_batch_route(self, route, workers):
         law, counting_law, n, u, v = SUM_ROUTES[route]
         mx, mn = law(), counting_law()
-        u, v = np.array(u), np.array(v)
-        reps, count = 2 * BLOCK_SIZE + 577, (np.zeros(mx.dim), 1.0)
-        moments = moment_limits_check(mx, mn, n, reps, u, v, seed=41,
-                                      workers=workers)
-        assert (moments.rows, moments.normality_pvalues) == batch_route_check(
-            mx, mn, n, reps, 41, workers, {"u": (u, 0.0), "v": (v, 0.0),
-                                           "count": count},
-            means=[("mean_S_dir", "v"), ("mean_N", "count")],
-            covariances=[("cov_SS", "u", "v"), ("cov_NS", "count", "v"),
-                         ("var_N", "count", "count")])
-        clt = clt_regime_check(mx, mn, n, reps, v, seed=42, workers=workers)
-        assert (clt.rows, clt.normality_pvalues) == batch_route_check(
-            mx, mn, n, reps, 42, workers,
-            {"centred_summands": (v, -float(v @ mx.mean())), "count": count,
-             "centred_sum": (v, 0.0)},
-            covariances=[
-                ("var_sum_coord", "centred_summands", "centred_summands"),
-                ("var_count_coord", "count", "count"),
-                ("cross_cov", "centred_summands", "count"),
-                ("var_sum_coord_shifted", "centred_sum", "centred_sum"),
-                ("cross_cov_shifted", "centred_sum", "count"),
-            ],
-            normality=[("sum_coord", "centred_summands"),
-                       ("count_coord", "count")])
+        reps = 2 * BLOCK_SIZE + 577
+        assert_matches_batch(*moment_route(mx, mn, n, reps, u, v, 41, workers))
+        assert_matches_batch(*clt_route(mx, mn, n, reps, v, 42, workers))
 
-    def test_peak_memory_is_the_image_array(self):
-        # Three image rows of 8-byte floats; the slack covers one block's
-        # draws and the guide tables, which each call builds. Drawing the
-        # whole (S, N) batch first, and copying its block pieces, peaks
-        # above twice the image array. A first call loads the lazy imports
-        # and the count table.
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_a_large_image_mean_is_centred_exactly(self, workers):
+        # N(1e5, 1) summands and N_50 = 50: the sum's image mean is about
+        # 7e5 times its spread, and the count has no spread at all.
+        mx, mn = GaussianSummands([1e5], [[1.0]]), IidSumCounting([1], [1.0])
+        reps = 2 * BLOCK_SIZE + 577
+        moments, batch = moment_route(mx, mn, 50, reps, [1.0], [1.0], 46, workers)
+        assert_matches_batch(moments, batch)
+        rows = {r.name: r for r in moments.rows}
+        assert rows["cov_NS"].empirical == 0.0 and rows["var_N"].empirical == 0.0
+        assert rows["cov_SS"].empirical > 0.0
+        clt, batch = clt_route(mx, mn, 50, reps, [1.0], 47, workers)
+        assert_matches_batch(clt, batch)
+        assert clt.normality_pvalues["count_coord"] is None
+        assert clt.normality_pvalues["sum_coord"] is not None
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_a_one_atom_centred_image_has_no_spread(self, workers):
+        # S = 2 N exactly, so the centred-summand image is identically 0.
+        mx = FiniteSupportSummands([[2.0]], [1.0])
+        clt, batch = clt_route(mx, unit_poisson(), 50, 2 * BLOCK_SIZE + 577,
+                               [1.0], 48, workers)
+        assert_matches_batch(clt, batch)
+        rows = {r.name: r for r in clt.rows}
+        assert rows["var_sum_coord"].empirical == 0.0
+        assert rows["cross_cov"].empirical == 0.0
+        assert clt.normality_pvalues["sum_coord"] is None
+        assert clt.normality_pvalues["count_coord"] is not None
+
+    # Peak traced bytes of a check, by worker count: one run's draws and
+    # Gram per thread, and the tables each call builds. A reps-long image
+    # array alone is 4.8 MB at 2e5 reps and 24 MB at 1e6.
+    PEAK_BUDGETS = {1: 3_000_000, 2: 5_000_000}
+
+    @pytest.mark.parametrize("workers", sorted(PEAK_BUDGETS))
+    def test_peak_memory_does_not_grow_with_reps(self, workers):
+        # A first call loads the lazy imports and the count table.
         mx = three_atom_plane()
         mn = IidSumCounting([0, 1, 2], [0.3, 0.4, 0.3])
         moment_limits_check(mx, mn, 100, 2, [1.0, 0.0], [0.0, 1.0], seed=43)
-        reps, slack = 200_000, 2_000_000
-        tracemalloc.start()
-        try:
-            moment_limits_check(mx, mn, 100, reps, [1.0, 0.0], [0.0, 1.0],
-                                seed=43)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3 * reps * 8 + slack
+        peaks = {}
+        for reps in (200_000, 1_000_000):
+            tracemalloc.start()
+            try:
+                moment_limits_check(mx, mn, 100, reps, [1.0, 0.0], [0.0, 1.0],
+                                    seed=43, workers=workers)
+                peaks[reps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert max(peaks.values()) <= self.PEAK_BUDGETS[workers], peaks
 
 
 def batch_route_estimate(mx, mn, n, event, reps, method, seed, workers):
