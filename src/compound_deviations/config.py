@@ -52,6 +52,7 @@ from .counting import (
     LatticeInterarrival,
     PoissonCounting,
     RenewalCounting,
+    runs_rate,
 )
 from .errors import ConfigError, ValidationError
 from .mittag_leffler import BETA_MAX
@@ -224,6 +225,18 @@ def _probs(of, unit):
     return check
 
 
+def _runs_c(col, value, path, out):
+    """c > 0 of the runs preset, whose product with lam must pass ``runs_rate``."""
+    c = _positive("c")(col, value, path, out)
+    if c is not None and out.get("lam") is not None:
+        try:
+            runs_rate(out["lam"], c)
+        except ValidationError as error:
+            col.error(path, str(error))
+            return None
+    return c
+
+
 def _grid(col, value, path, out):
     vec = _vector(col, value, path)
     if vec is None:
@@ -378,7 +391,7 @@ COUNTING = {
         )}),
         # The one preset, "runs": p(x) = exp(-lam c x).
         Kind(lambda preset, lam, c: BernoulliSumCounting.runs(lam, c), {
-            "preset": _choice("runs"), "lam": _positive("lam"), "c": _positive("c"),
+            "preset": _choice("runs"), "lam": _positive("lam"), "c": _runs_c,
         }),
     ],
     "renewal": Kind(RenewalCounting, {"law": _Block(LAWS)}),

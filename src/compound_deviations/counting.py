@@ -33,19 +33,18 @@ Kinds
   scaled cumulant equals the limit for every n. (A Poisson-distributed step
   would make N_n Poisson(n c), which is exactly PoissonCounting, so only
   finite-support steps are implemented here.)
-* PoissonCounting: N_n ~ Poisson(m(n)) with m(n) = rate * n or an integral
-  of a nonnegative intensity (an integral that is negative or not finite is
-  a ValidationError); the limit cumulant is rate * (e^eta - 1). It
-  is the order-1 FractionalPoissonCounting with x = m(n): it inherits the
-  limit triple and the table, and adds only the intensity
-  and the closed forms of ``finite_cgf`` and ``mean``.
+* PoissonCounting: N_n ~ Poisson(rate * n); the limit cumulant is
+  rate * (e^eta - 1). It is the order-1 FractionalPoissonCounting with
+  x = rate * n: it inherits the limit triple and the table, and adds only
+  the closed forms of ``finite_cgf`` and ``mean``.
 * FractionalPoissonCounting: heavy-tailed renewal-type count whose mass at n
   is x^k / (Gamma(nu k + 1) E(nu, 1; x)) with x = rate * n^nu; the limit
   cumulant is rate^(1/nu) (e^(eta/nu) - 1). Its table is built from these
   log-weights, so every nu in (0, 1] has finite-n quantities.
 * BernoulliSumCounting: N_n is a sum of independent Bernoulli(q_j) trials,
-  q_j = p((j-1)/n) for a profile p on [0, 1] (or a constant p); the limit
-  cumulant integrates log(1 + p(x)(e^eta - 1)) over the unit interval. Its
+  q_j = p((j-1)/n) for a constant p or the runs preset p(x) = e^{-a x};
+  the limit cumulant integrates log(1 + p(x)(e^eta - 1)) over the unit
+  interval, for the preset in closed form through the dilogarithm. Its
   table convolves the n tilted trial laws.
 * RenewalCounting: N_n counts renewals of iid positive inter-arrival times
   with cumulant kappa by time n; the limit cumulant is -kappa^{-1}(-eta),
@@ -55,19 +54,15 @@ Kinds
   finitely many positive integers by the law of T_k on 0..n, built one
   step at a time.
 
-Every integral (a profile's limit triple, a Poisson intensity) goes through
-one adaptive Gauss-Kronrod rule, ``_integrate``. Importing the module loads
-no scipy submodule: each function imports the one it calls (brentq,
-gammaln, gammainc) when it runs.
+Importing the module loads no scipy submodule: each function imports the
+one it calls (brentq, gammaln, gammainc) when it runs.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from operator import mul
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -89,47 +84,6 @@ CGF_AT_ZERO_TOL = 1e-12
 # and the index of its point eta = 0, where limit_cgf must vanish.
 PROBE_ETAS = np.linspace(-10.0, 5.0, 31)
 PROBE_ZERO = PROBE_ETAS.tolist().index(0.0)
-# Quadrature tolerance, absolute or relative, for intensity integrals and
-# Bernoulli profiles.
-QUAD_TOL = 1e-10
-# Start edges of ``_integrate`` on [0, 1], scaled to [0, n] for an intensity
-# integral. Decades from 1e-12 to 1e-2 meet the runs profile's near-log
-# singularity at x ~ e^eta. Then 16 equal panels, whose nodes leave no gap
-# wider than 0.0047: a feature of the integrand at least that wide meets a
-# node at the start.
-QUAD_EDGES = (0.0, *(10.0 ** -k for k in range(12, 1, -1)),
-              *(k / 16 for k in range(1, 17)))
-# Start edges of a profile's left tail, the limit cumulant at eta = -inf:
-# QUAD_EDGES from 1e-6 on. Its integrand log(1 - p) has no turnover at
-# e^eta, only a log singularity where p reaches 1, which the extrapolated
-# first panel meets with nodes above 1e-9. The runs profile e^{-ax} rounds
-# to 1 below 2^-54 / a, so QUAD_EDGES' nodes, down to 2.2e-15, would read a
-# plateau at p = 1 for a < 0.026; these keep the tail finite for a >= 1e-7.
-TAIL_EDGES = (0.0, *(e for e in QUAD_EDGES if e >= 1e-6))
-# Most panels ``_integrate`` splits an interval into.
-QUAD_PANELS = 500
-# Gauss-Kronrod G10/K21 on [-1, 1] (QUADPACK's qk21): the Kronrod nodes from
-# 1 down to 0, their weights, and the weights of the Gauss nodes among them
-# (every second one, from 0.9739).
-_K21_HALF = (
-    0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
-    0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
-    0.2943928627014602, 0.14887433898163122, 0.0,
-)
-_K21_HALF_WEIGHTS = (
-    0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
-    0.07503967481091996, 0.0931254545836976, 0.10938715880229764,
-    0.12349197626206584, 0.13470921731147334, 0.14277593857706009,
-    0.14773910490133849, 0.1494455540029169,
-)
-_G10_HALF_WEIGHTS = (
-    0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
-    0.26926671930999635, 0.29552422471475287,
-)
-# The 21 nodes in increasing order and the weights of both rules on them.
-_K21_NODES = tuple(-x for x in _K21_HALF[:-1]) + _K21_HALF[::-1]
-_K21_WEIGHTS = _K21_HALF_WEIGHTS[:-1] + _K21_HALF_WEIGHTS[::-1]
-_G10_WEIGHTS = _G10_HALF_WEIGHTS + _G10_HALF_WEIGHTS[::-1]  # on _K21_NODES[1::2]
 # Mass tables are truncated once the missing tail is below this.
 MASS_TAIL_TOL = 1e-12
 # Root tolerance for inverting a lattice cumulant, relative to the root.
@@ -144,59 +98,6 @@ CONVOLVE_CHUNK = 1 << 14
 # steps at every level shape timed, and 1.5x as long over an iid-sum table at
 # n = 4,000 (2 vCPU).
 CHUNK_LEAST_STATES = 3
-
-
-def _integrate(f, a, b, what, edges=QUAD_EDGES):
-    """The integral of f over [a, b] by adaptive G10/K21 quadrature.
-
-    The panels start at ``edges`` scaled to [a, b]; while the |K21 - G10|
-    gaps sum to more than QUAD_TOL, absolute or relative to the integral,
-    the panel of the widest gap is halved. On the panel [a, a + h] both
-    rules err by c·h when f is alpha·log(x - a) plus a polynomial, so there
-    each rule is taken as 2·(its sum over the two halves) minus its sum over
-    the panel: that cancels the error, and no node comes nearer a than
-    h/1000. A panel that is not finite ends the rule with the sum of the
-    panels, so a plateau of log(1 - p) at p = 1 gives -inf and a NaN
-    integrand NaN; needing more than QUAD_PANELS panels is a ValidationError
-    naming ``what``."""
-
-    def rules(lo, hi):
-        # (K21, G10) over [lo, hi]; a sum of the values where one is not finite.
-        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-        fx = [f(mid + half * x) for x in _K21_NODES]
-        if not all(map(math.isfinite, fx)):
-            return half * sum(fx), None
-        return (half * math.fsum(map(mul, _K21_WEIGHTS, fx)),
-                half * math.fsum(map(mul, _G10_WEIGHTS, fx[1::2])))
-
-    def panel(lo, hi):
-        # (-gap, lo, hi, value): a heap of these pops the widest gap.
-        sums = [rules(lo, hi)]
-        if lo == a:
-            sums += rules(lo, 0.5 * (lo + hi)), rules(0.5 * (lo + hi), hi)
-        if any(g is None for _, g in sums):
-            return -math.inf, lo, hi, sum(k for k, _ in sums)
-        (k, g), *halves = sums
-        if halves:
-            (k_left, g_left), (k_right, g_right) = halves
-            k, g = 2.0 * (k_left + k_right) - k, 2.0 * (g_left + g_right) - g
-        return -abs(k - g), lo, hi, k
-
-    edges = [a + (b - a) * e for e in edges]
-    heap = [panel(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-    total, gap = sum(p[3] for p in heap), -sum(p[0] for p in heap)
-    heapq.heapify(heap)
-    while math.isfinite(total) and gap > QUAD_TOL * max(1.0, abs(total)):
-        if len(heap) >= QUAD_PANELS:
-            raise ValidationError(f"{what} does not reach tolerance {QUAD_TOL:g} "
-                                  f"within {QUAD_PANELS} panels")
-        worst, lo, hi, value = heapq.heappop(heap)
-        halves = panel(lo, 0.5 * (lo + hi)), panel(0.5 * (lo + hi), hi)
-        total += halves[0][3] + halves[1][3] - value
-        gap += worst - halves[0][0] - halves[1][0]
-        for p in halves:
-            heapq.heappush(heap, p)
-    return math.fsum(p[3] for p in heap) if math.isfinite(total) else total
 
 
 def _check_states(size, what):
@@ -597,66 +498,25 @@ class FractionalPoissonCounting(CountingModel):
     def limit_cgf_second(self, eta):
         return self._scale * math.exp(eta / self._nu) / (self._nu * self._nu)
 
-    def _argument(self, n):
-        """x of the law at n; a zero x (an intensity that vanishes up to
-        time n) makes N_n = 0 surely."""
-        return self._rate * float(n) ** self._nu
-
     def _tilted_table(self, n, s):
-        x = self._argument(n)
-        if x == 0.0:
-            return np.ones(1), 0.0
+        x = self._rate * float(n) ** self._nu
         return _log_weight_table(self._nu, math.log(x), s,
                                  f"{type(self).__name__} mass table at n={n}")
 
 
 class PoissonCounting(FractionalPoissonCounting):
-    """Poisson count with optional deterministic intensity: the order-1
-    fractional count, with x = m(n) = E[N_n] and closed-form ``finite_cgf``
-    and ``mean``.
+    """Poisson(rate n) count: the order-1 fractional count, with x = rate n =
+    E[N_n] and closed-form ``finite_cgf`` and ``mean``."""
 
-    ``rate`` is the limiting mass per unit time and fully determines the
-    asymptotics. An optional intensity function refines finite-n behavior:
-    N_n ~ Poisson(integral of the intensity over [0, n]), with the integral
-    computed once per n by ``_integrate`` and cached; an intensity the rule
-    cannot resolve within QUAD_PANELS panels is a ValidationError. The rate
-    remains authoritative for the limit quantities, so a sensible intensity
-    has running averages approaching it.
-    """
-
-    def __init__(self, rate, intensity=None):
+    def __init__(self, rate):
         super().__init__(1.0, rate)
-        self._intensity = intensity
-        self._mass_cache = {}
-        if intensity is not None:
-            if not callable(intensity):
-                raise ValidationError("intensity must be callable")
-            probe = [intensity(float(s)) for s in np.linspace(0.0, 4.0, 9)]
-            if not all(math.isfinite(v) and v >= 0.0 for v in probe):
-                raise ValidationError("intensity must be nonnegative and finite")
-
-    def total_mass(self, n):
-        """E[N_n]: rate * n, or the cached intensity integral over [0, n],
-        which must be finite and nonnegative (construction probes [0, 4])."""
-        n = check_int(n, "n", 1)
-        if self._intensity is None:
-            return self._rate * n
-        if n not in self._mass_cache:
-            value = _integrate(self._intensity, 0.0, float(n),
-                               f"the intensity integral over [0, {n}]")
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValidationError(f"the intensity integral over [0, {n}] is "
-                                      f"{value!r}, not a finite value >= 0")
-            self._mass_cache[n] = float(value)
-        return self._mass_cache[n]
-
-    _argument = total_mass
 
     def finite_cgf(self, n, eta):
-        return self.total_mass(n) / check_int(n, "n", 1) * math.expm1(eta)
+        n = check_int(n, "n", 1)
+        return self._rate * n / n * math.expm1(eta)
 
     def mean(self, n):
-        return self.total_mass(n)
+        return self._rate * check_int(n, "n", 1)
 
 
 def _bernoulli_cgf(q, eta):
@@ -682,79 +542,159 @@ def _bernoulli_tilt(q, eta):
     return 0.0 if mix == 0.0 else q / mix
 
 
-def _bernoulli_variance(q, eta):
-    t = _bernoulli_tilt(q, eta)
-    return t * (1.0 - t)
+def _power_series(x, coef):
+    """The sum over k >= 1 of coef(k) x^k, to the first term below 2^-60 of it."""
+    total, power, k = 0.0, 1.0, 1
+    while True:
+        power *= x
+        total += (term := power * coef(k))
+        if abs(term) <= 2.0 ** -60 * abs(total):
+            return total
+        k += 1
+
+
+def _li2(x):
+    """The dilogarithm Li2(x) for -1 <= x <= 1: the series of x^k / k^2 up to
+    |x| = 1/2, past it one of these maps into it (1 - x is exact for x > 1/2):
+    Li2(x) = zeta(2) - log(x) log(1 - x) - Li2(1 - x) and, Landen's,
+    Li2(x) = -Li2(x / (x - 1)) - log(1 - x)^2 / 2."""
+    if x > 0.5:
+        t = 1.0 - x
+        return math.pi ** 2 / 6.0 - (math.log(x) * math.log(t) if t else 0.0) - _li2(t)
+    if x < -0.5:
+        return -_li2(x / (x - 1.0)) - 0.5 * math.log1p(-x) ** 2
+    return _power_series(x, lambda k: 1.0 / (k * k))
+
+
+def _li2_neg(t):
+    """Li2(-e^t), past t = 0 by Li2(-y) = -zeta(2) - log(y)^2 / 2 - Li2(-1/y)."""
+    if t > 0.0:
+        return -math.pi ** 2 / 6.0 - 0.5 * t * t - _li2_neg(-t)
+    return _li2(-math.exp(t))
+
+
+@cache
+def _unit_gauss_rule():
+    """The 12-node Gauss-Legendre rule on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(12)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _runs_cgf(a, eta):
+    """The runs preset's limit cumulant, the integral of
+    log(1 + b e^{-a x}) over [0, 1], b = e^eta - 1: [Li2(-b e^{-a}) - Li2(-b)] / a,
+    in a form that does not cancel. With u = e^{-a} - 1, sigma = 1 - e^{-eta}:
+    * at eta = -inf, log(-u) - Li2(-u) / a (reflected; log(a) - 1 as a -> 0);
+    * for |b| <= 1/2, the series of (-b)^k (e^{-a k} - 1) / (a k^2);
+    * for a |sigma| <= 1/4, eta plus the integral of log(1 + sigma (e^{-a x} - 1)),
+      whose nearest singularity is then 1.8 or more from [0, 1], by a
+      12-node Gauss-Legendre rule (within 2e-16 of 40-digit values);
+    * for eta < 0, both dilogarithms reflected, Li2(y) = zeta(2) - log(y)
+      log(1 - y) - Li2(1 - y), leaving Li2 at e^eta and c = 1 - (-b) e^{-a};
+    * for eta > 0, as it stands, or inverted where b e^{-a} > 1."""
+    if math.isnan(eta):
+        return eta
+    u = math.expm1(-a)
+    if eta == -math.inf:
+        return math.log(-u) - _li2(-u) / a
+    if math.log(0.5) <= eta <= math.log(1.5):
+        return _power_series(-math.expm1(eta), lambda k: math.expm1(-a * k) / a / k / k)
+    sigma = -math.expm1(-eta) if eta > -709.0 else -math.inf  # it overflows past -709
+    if a * abs(sigma) <= 0.25:
+        x, w = _unit_gauss_rule()
+        return eta + float(w @ np.log1p(sigma * np.expm1(-a * x)))
+    if eta < 0.0:
+        c = math.exp(eta - a) - u
+        return math.log(c) + (math.log1p(-math.exp(eta)) * (eta - math.log(c))
+                              + _li2(math.exp(eta)) - _li2(c)) / a
+    log_b = eta + math.log(sigma)
+    if log_b > a:
+        return log_b - 0.5 * a + (_li2_neg(-log_b) - _li2_neg(a - log_b)) / a
+    return (_li2_neg(log_b - a) - _li2_neg(log_b)) / a
+
+
+def _runs_slopes(a, eta):
+    """The two derivatives of ``_runs_cgf``: with x = sigma u and
+    D(x) = log(1 + x) - x / (1 + x), -log(1 + x) / (a sigma) and
+    e^{-eta} D(x) / (a sigma^2), at 0 -u / a and u^2 / (2 a). Below |x| = 0.1,
+    D(x) / x^2 is the series 1/2 + sum of (m + 1) / (m + 2) (-x)^m; where
+    x < -1/2, log(1 + x) is log(e^{-eta} + sigma e^{-a}); past eta = -709,
+    where sigma overflows, it is log(c) - eta, c = e^{eta - a} - u."""
+    if eta == -math.inf:
+        return 0.0, 0.0
+    if eta < -709.0:
+        c = math.exp(eta - a) - math.expm1(-a)
+        log_1x, scale = math.log(c) - eta, math.exp(eta - math.log(a))
+        return log_1x * scale, (log_1x - 1.0 + math.exp(eta) / c) * scale
+    u, sigma = math.expm1(-a), -math.expm1(-eta)
+    x = sigma * u
+    if x < -0.5:
+        log_1x = float(np.logaddexp(-eta, math.log(sigma) - a))
+        scaled_d = math.exp(-eta) * log_1x - x * math.exp(-eta - log_1x)  # e^{-eta} D(x)
+        return -log_1x / (a * sigma), scaled_d / (a * sigma * sigma)
+    slope = -(u / a) * (math.log1p(x) / x if x else 1.0)
+    if abs(x) < 0.1:
+        series = 0.5 + _power_series(-x, lambda m: (m + 1) / (m + 2))
+        return slope, (u / a) * (u * math.exp(-eta)) * series
+    # e^{-eta} / sigma^2 is e^{-|eta|} / (1 - e^{-|eta|})^2 on both sides of 0.
+    d = math.log1p(x) - x / (1.0 + x)
+    return slope, d * math.exp(-abs(eta) - math.log(a)) / math.expm1(-abs(eta)) ** 2
+
+
+def runs_rate(lam, c):
+    """a = lam c of the runs preset p(x) = exp(-a x); lam, c and a must be
+    positive finite reals, a a normal float (below it has lost digits)."""
+    lam = finite_real(lam, "runs lam", "be a positive finite real", lambda v: v > 0)
+    c = finite_real(c, "runs c", "be a positive finite real", lambda v: v > 0)
+    return finite_real(lam * c, "runs lam·c", "be a positive finite real of at "
+                       "least 2.2e-308", lambda a: a >= np.finfo(float).tiny)
 
 
 class BernoulliSumCounting(CountingModel):
-    """Sum of independent Bernoulli trials at the sites (j-1)/n, j = 1..n.
+    """Sum of independent Bernoulli(p(x)) trials at the sites x = (j-1)/n,
+    j = 1..n. The limit cumulant is the integral of log(1 + p(x)(e^eta - 1))
+    over [0, 1].
 
-    Either a constant success probability p in (0, 1), or a profile callable
-    p(x) mapping [0, 1] into [0, 1]. The limit cumulant integrates
-    log(1 + p(x)(e^eta - 1)) over the unit interval; for constant p that is
-    just log(1 + p(e^eta - 1)).
-
-    ``runs(lam, c)``: preset with p(x) = exp(-lam c x), the profile arising
-    when counting runs of rare events in a Bernoulli scheme.
+    ``BernoulliSumCounting(p)`` has a constant p in (0, 1), and the limit
+    cumulant log(1 + p(e^eta - 1)). ``runs(lam, c)`` is the preset
+    p(x) = exp(-a x), a = lam c, the success probabilities of counting runs
+    of rare events in a Bernoulli scheme; its limit triple is in closed form
+    (``_runs_cgf``).
     """
 
-    def __init__(self, p=None, profile=None):
-        if (p is None) == (profile is None):
-            raise ValidationError("give exactly one of p (constant) or profile")
-        self._p, self._profile = None, profile
-        if p is not None:
-            self._p = finite_real(p, "constant p", "lie in (0, 1)",
-                                  lambda q: 0.0 < q < 1.0)
-        elif not callable(profile):
-            raise ValidationError("profile must be callable")
-        else:
-            self._profile_at(np.linspace(0.0, 1.0, 21), "the probe")
+    def __init__(self, p):
+        self._p = finite_real(p, "constant p", "lie in (0, 1)", lambda q: 0.0 < q < 1.0)
+        self._a = None
         self._probe_validate()
 
     @classmethod
     def runs(cls, lam, c):
-        lam = finite_real(lam, "runs lam", "be a positive finite real", lambda v: v > 0)
-        c = finite_real(c, "runs c", "be a positive finite real", lambda v: v > 0)
-        return cls(profile=lambda x: math.exp(-lam * c * x))
-
-    def _over_profile(self, term, eta):
-        """term(q, eta) at the constant p, or integrated over the profile."""
-        if self._p is not None:
-            return term(self._p, eta)
-        if math.isnan(eta):
-            return eta  # NaN, also where every trial is sure and ignores eta
-        return _integrate(lambda x: term(self._profile_value(x), eta), 0.0, 1.0,
-                          f"the limit quadrature of {term.__name__[1:]} at eta={eta!r}",
-                          TAIL_EDGES if eta == -math.inf else QUAD_EDGES)
+        model = cls.__new__(cls)  # an instance of this class with no constant p
+        model._p, model._a = None, runs_rate(lam, c)
+        model._probe_validate()
+        return model
 
     def limit_cgf(self, eta):
-        return self._over_profile(_bernoulli_cgf, eta)
+        if self._a is None:
+            return _bernoulli_cgf(self._p, eta)
+        return _runs_cgf(self._a, eta)
 
     def limit_cgf_deriv(self, eta):
-        return self._over_profile(_bernoulli_tilt, eta)
+        if self._a is None:
+            return _bernoulli_tilt(self._p, eta)
+        return _runs_slopes(self._a, eta)[0]
 
     def limit_cgf_second(self, eta):
-        return self._over_profile(_bernoulli_variance, eta)
+        if self._a is None:
+            t = _bernoulli_tilt(self._p, eta)
+            return t * (1.0 - t)
+        return _runs_slopes(self._a, eta)[1]
 
     def success_probs(self, n):
         n = check_int(n, "n", 1)
-        if self._p is not None:
+        if self._a is None:
             return np.full(n, self._p)
-        return self._profile_at(np.arange(n, dtype=float) / n, f"n={n}")
-
-    def _profile_at(self, points, where):
-        """The profile at points, each read through ``_profile_value``."""
-        return np.array([self._profile_value(float(x), where) for x in points],
-                        dtype=float)
-
-    def _profile_value(self, x, where="the limit quadrature"):
-        """p(x); a value outside [0, 1] or NaN is a ValidationError."""
-        q = self._profile(x)
-        if not 0.0 <= q <= 1.0:
-            raise ValidationError(f"profile values must lie in [0, 1]; at {where}, "
-                                  f"p({x}) = {q}")
-        return q
+        return np.array([math.exp(-self._a * (j / n)) for j in range(n)])
 
     def finite_cgf(self, n, eta):
         terms = [_bernoulli_cgf(q, eta) for q in self.success_probs(n).tolist()]

@@ -943,6 +943,7 @@ class TestCli:
     GRID_GAUSS = {"kind": "grid_gaussian", "grid": [0.0, 1.0], "mean": [0.1, 0.2],
                   "kernel": [[1.0, 0.2], [0.2, 1.0]]}
     MD = {"kind": "md-check", "scaling": {"gamma": 0.5}, "etas": [1.0], "ns": [10]}
+    RUNS = {"kind": "bernoulli_sum", "preset": "runs", "lam": 1.0, "c": 1.0}
 
     @pytest.mark.parametrize("edit, error", [
         (lambda raw: raw.update(summand=dict(TestCli.GRID_GAUSS, mean=[0.1])),
@@ -966,9 +967,16 @@ class TestCli:
          "output.directory: must be a nonempty string"),
         (lambda raw: raw.update(summand=[1.0]), "summand: must be an object"),
         (lambda raw: raw.pop("experiment"), "experiment: required key is missing"),
+        (lambda raw: raw.update(counting=dict(TestCli.RUNS, lam=1e200, c=1e200)),
+         "counting.c: runs lam·c must be a positive finite real of at least "
+         "2.2e-308, got inf"),
+        (lambda raw: raw.update(counting=dict(TestCli.RUNS, lam=1e-200, c=1e-200)),
+         "counting.c: runs lam·c must be a positive finite real of at least "
+         "2.2e-308, got 0.0"),
     ], ids=["grid-gaussian-mean", "matrix-rows", "cov-rows", "cov-columns",
             "grid-order", "ns-list", "empty-table", "negative-ml-x",
-            "empty-directory", "block-object", "no-experiment"])
+            "empty-directory", "block-object", "no-experiment",
+            "runs-product-overflow", "runs-product-underflow"])
     def test_config_errors_name_their_key_path(self, tmp_path, capsys, edit, error):
         raw = rate_eval_raw()
         edit(raw)

@@ -6,13 +6,12 @@ the fractional mean against an extended-precision series oracle; the
 renewal inverse against an independent bisection; the gamma-law renewal
 mass table against Poisson laws, renewal-theory moments and walked
 partial sums of gamma draws; the lattice-law renewal table against a walk
-over every sequence of inter-arrivals; the adaptive quadrature against
-closed forms of the runs profile, mpmath and exact intensity integrals.
+over every sequence of inter-arrivals; the runs preset's closed-form limit
+cumulant against mpmath.
 """
 
 import math
 import tracemalloc
-import warnings
 
 import mpmath as mp
 import numpy as np
@@ -36,7 +35,8 @@ from compound_deviations.counting import (
     RenewalCounting,
 )
 from compound_deviations.errors import ValidationError
-from compound_deviations.summands import invert_cdf
+from compound_deviations.summands import FiniteSupportSummands, invert_cdf
+from compound_deviations.variational import rate_ld_explicit
 
 ETA_GRID = np.linspace(-5.0, 5.0, 41)
 
@@ -138,15 +138,14 @@ class TestDerivativeRecords:
     def test_bernoulli_cumulant_does_not_overflow(self):
         # For large eta the cumulant is eta + log(p) and the tilted success
         # probability tends to one; both stay finite far past exp's range.
-        for mn in (BernoulliSumCounting(p=0.25),
-                   BernoulliSumCounting(profile=lambda x: 0.25)):
-            for eta in [800.0, 1e6]:
-                assert_allclose(mn.limit_cgf(eta), eta + math.log(0.25),
-                                rtol=1e-12)
-                assert mn.limit_cgf_deriv(eta) == 1.0
-                assert mn.limit_cgf_second(eta) == 0.0
-            assert_allclose(mn.limit_cgf(-800.0), math.log(0.75), rtol=1e-12)
-            assert mn.limit_cgf_second(-800.0) == 0.0
+        mn = BernoulliSumCounting(p=0.25)
+        for eta in [800.0, 1e6]:
+            assert_allclose(mn.limit_cgf(eta), eta + math.log(0.25),
+                            rtol=1e-12)
+            assert mn.limit_cgf_deriv(eta) == 1.0
+            assert mn.limit_cgf_second(eta) == 0.0
+        assert_allclose(mn.limit_cgf(-800.0), math.log(0.75), rtol=1e-12)
+        assert mn.limit_cgf_second(-800.0) == 0.0
 
     @pytest.mark.parametrize("eta", [30.0, 45.0])
     def test_runs_cumulant_keeps_small_success_probabilities(self, eta):
@@ -259,10 +258,10 @@ class TestFiniteNCgf:
                             - math.log(erfc(-x))) / n
                 assert_allclose(mn.finite_cgf(n, eta), expected, rtol=1e-12)
 
-    def test_inhomogeneous_poisson_gap_shrinks_with_n(self):
-        mn = PoissonCounting(1.0, intensity=lambda t: 1.0 + math.exp(-t))
-        # Limiting mass rate is 1 (the intensity settles at 1), so the
-        # finite-n cgf approaches the homogeneous formula from above.
+    def test_runs_gap_shrinks_with_n(self):
+        # The sites (j - 1) / n of p(x) = e^{-a x} give a left Riemann sum of
+        # the limit cumulant's integral, whose gap to it falls like 1 / n.
+        mn = BernoulliSumCounting.runs(2.0, 1.0)
         for eta in (-1.0, -0.1, 0.1, 1.0):
             gaps = [abs(mn.finite_cgf(n, eta) - mn.limit_cgf(eta))
                     for n in (10, 100, 1000)]
@@ -336,7 +335,6 @@ class TestMeans:
         for mn in (
             FractionalPoissonCounting(0.5, 1.0),
             BernoulliSumCounting.runs(2.0, 1.0),
-            PoissonCounting(1.0, intensity=lambda t: 1.0 + math.exp(-t)),
         ):
             d1 = mn.derivs_at_zero().mean_rate
             assert abs(mn.mean(1000) / 1000.0 - d1) <= 0.05 * d1, type(mn).__name__
@@ -861,7 +859,6 @@ KINDS = {
 # Kinds that override a table member with a closed form.
 CLOSED_FORMS = {
     "poisson": PoissonCounting(1.3),
-    "inhomogeneous-poisson": PoissonCounting(1.0, intensity=lambda t: 1.0 + math.exp(-t)),
     "iid-sum": IidSumCounting([0, 1, 3], [0.3, 0.4, 0.3]),
     "bernoulli": BernoulliSumCounting(p=0.3),
     "bernoulli-runs": BernoulliSumCounting.runs(2.0, 1.0),
@@ -1020,13 +1017,6 @@ class TestOneTableRoute:
         assert_allclose(mn.finite_cgf(100_000, 0.01), math.expm1(0.01), rtol=1e-15)
         assert mn.mean(100_000) == 100_000.0
 
-    def test_poisson_without_mass_is_zero(self):
-        # An intensity that is zero up to time 2 gives N_1 = 0 surely.
-        mn = PoissonCounting(1.0, intensity=lambda t: 0.0 if t < 2.0 else 1.0)
-        assert mn.exact_pmf(1).tolist() == [1.0]
-        assert mn.sample_batch(1, np.random.default_rng(4), 5).tolist() == [0] * 5
-        assert mn.finite_cgf(1, 2.0) == 0.0
-
     def test_exact_pmf_is_cached_and_read_only(self):
         mn = BernoulliSumCounting.runs(1.0, 1.0)
         assert mn.exact_pmf(40) is mn.exact_pmf(40)
@@ -1059,7 +1049,7 @@ class TestOneTableRoute:
 
     def test_runs_limit_cumulant_near_its_singular_region(self):
         # log(1 - q + q e^eta) with q = e^{-x} turns over at x ~ e^eta; the
-        # quadrature meets it without a warning and to 1e-12.
+        # closed form holds there without a warning and to 1e-12.
         mn = BernoulliSumCounting.runs(1.0, 1.0)
         with mp.workdps(30):
             for eta in (-28.0, -26.0, -25.0):
@@ -1070,29 +1060,62 @@ class TestOneTableRoute:
                 assert_allclose(mn.limit_cgf(eta), expected, rtol=1e-12)
 
 
-# runs(lam, c) at a = lam * c in {1, 2, 50}.
-RUNS_PRESETS = {"a=1": (1.0, 1.0), "a=2": (2.0, 1.0), "a=50": (10.0, 5.0)}
+# runs(lam, c) at a = lam * c in {1, 2, 50, 1e3, 1e5}.
+RUNS_PRESETS = {"a=1": (1.0, 1.0), "a=2": (2.0, 1.0), "a=50": (10.0, 5.0),
+                "a=1e3": (100.0, 10.0), "a=1e5": (1000.0, 100.0)}
 
 
-class TestQuadrature:
-    """The one adaptive rule, ``counting._integrate``, against closed forms
-    of the runs profile p(x) = e^{-a x}, mpmath and exact intensity
-    integrals; a profile or intensity it cannot resolve is typed."""
+def runs_triple_exact(a, eta):
+    """L = [Li2(-b e^{-a}) - Li2(-b)] / a, L' = -log(1 + x) / (a sigma) and
+    L'' = e^{-eta} [log(1 + x) - x / (1 + x)] / (a sigma^2) of the runs preset,
+    with b = e^eta - 1, sigma = 1 - e^{-eta}, x = sigma (e^{-a} - 1), in
+    mpmath at the working precision."""
+    a, eta = mp.mpf(a), mp.mpf(eta)
+    if eta == -mp.inf:
+        return (mp.polylog(2, mp.exp(-a)) - mp.zeta(2)) / a, 0, 0
+    if eta == 0:
+        return 0, -mp.expm1(-a) / a, mp.expm1(-a) ** 2 / (2 * a)
+    b, sigma = mp.expm1(eta), -mp.expm1(-eta)
+    one_x = mp.exp(-eta) + sigma * mp.exp(-a)
+    log_1x = mp.log(one_x) if one_x < 0.5 else mp.log1p(sigma * mp.expm1(-a))
+    d = log_1x - sigma * mp.expm1(-a) / one_x
+    return ((mp.polylog(2, -b * mp.exp(-a)) - mp.polylog(2, -b)) / a,
+            -log_1x / (a * sigma), mp.exp(-eta) * d / (a * sigma ** 2))
 
-    def test_the_kronrod_tables_are_the_g10_k21_pair(self):
-        # K21 integrates x^k over [-1, 1] exactly up to degree 31, its odd
-        # nodes are the 10 Gauss-Legendre nodes, and G10's weights on them
-        # integrate x^k exactly up to degree 19.
-        x, wk, wg = counting._K21_NODES, counting._K21_WEIGHTS, counting._G10_WEIGHTS
-        gauss_x, gauss_w = np.polynomial.legendre.leggauss(10)
-        assert_allclose(x[1::2], gauss_x, rtol=0, atol=1e-15)
-        assert_allclose(wg, gauss_w, rtol=0, atol=1e-15)
-        for k in range(32):
-            exact = 0.0 if k % 2 else 2.0 / (k + 1)
-            assert abs(math.fsum(w * t ** k for w, t in zip(wk, x)) - exact) <= 1e-15, k
-            if k < 20:
-                assert abs(math.fsum(w * t ** k for w, t in zip(wg, x[1::2]))
-                           - exact) <= 1e-15, k
+
+def assert_runs_triple_is_exact(mn, a, eta):
+    """L, L' and L'' of ``mn`` at eta within rtol 1e-12 of 80-digit values,
+    or both below 1e-300."""
+    with mp.workdps(80):
+        want = [float(v) for v in runs_triple_exact(a, eta)]
+    got = [mn.limit_cgf(eta), mn.limit_cgf_deriv(eta), mn.limit_cgf_second(eta)]
+    for value, ref in zip(got, want):
+        if abs(value) < 1e-300 and abs(ref) < 1e-300:
+            continue
+        assert_allclose(value, ref, rtol=1e-12, err_msg=f"a={a}, eta={eta}")
+
+
+# (a, eta) at each switch between the forms of the runs triple: the series in
+# b = e^eta - 1 ends at |b| = 1/2, the fixed rule at a |sigma| = 1/4, the
+# series of L'' at |x| = 0.1 and the plain log(1 + x) at x = -1/2, with
+# x = sigma (e^{-a} - 1); sigma overflows past eta = -709, and the direct form
+# gives way to the inverted one at b e^{-a} = 1.
+RUNS_SWITCHES = {
+    "series-low": (1.0, math.log(0.5)),
+    "series-high": (1.0, math.log(1.5)),
+    "rule-negative": (0.1, -math.log(3.5)),
+    "rule-positive": (0.5, math.log(2.0)),
+    "slope-series-negative": (1.0, -math.log1p(0.1 / -math.expm1(-1.0))),
+    "slope-series-positive": (1.0, -math.log1p(-0.1 / -math.expm1(-1.0))),
+    "log-sum": (1.0, -math.log1p(-0.5 / -math.expm1(-1.0))),
+    "sigma-overflow": (1.0, -709.0),
+    "inversion": (5.0, math.log1p(math.exp(5.0))),
+}
+
+
+class TestRunsClosedForm:
+    """The runs preset p(x) = e^{-a x}: its closed-form limit triple and
+    left tail against their integrals, to mpmath's digits."""
 
     @pytest.mark.parametrize("lam, c", RUNS_PRESETS.values(), ids=RUNS_PRESETS)
     def test_runs_rates_at_zero_are_the_closed_forms(self, lam, c):
@@ -1108,8 +1131,7 @@ class TestQuadrature:
     @pytest.mark.parametrize("lam, c", RUNS_PRESETS.values(), ids=RUNS_PRESETS)
     def test_runs_left_tail_is_the_dilogarithm(self, lam, c):
         # The integral of log(1 - e^{-a x}) over [0, 1] is
-        # -(zeta(2) - Li2(e^{-a})) / a; the log singularity at x = 0 is met
-        # by the extrapolated first panel.
+        # -(zeta(2) - Li2(e^{-a})) / a.
         a = lam * c
         with mp.workdps(40):
             exact = float(-(mp.zeta(2) - mp.polylog(2, mp.exp(-a))) / a)
@@ -1120,9 +1142,8 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("a", [1e-6, 1e-4, 0.01])
     def test_runs_left_tail_is_finite_at_small_a(self, a):
-        # e^{-a x} rounds to 1 on [0, 2^-54 / a]; the tail's nodes stay
-        # above that stretch, so it is not read as a plateau at p = 1, and
-        # the rate at the origin, -cgf_at_minus_inf, stays finite.
+        # e^{-a x} rounds to 1 on [0, 2^-54 / a], yet the left tail is
+        # finite, and so is the rate at the origin, -cgf_at_minus_inf.
         with mp.workdps(40):
             exact = float(-(mp.zeta(2) - mp.polylog(2, mp.exp(-a))) / a)
         mn = BernoulliSumCounting.runs(a, 1.0)
@@ -1140,56 +1161,61 @@ class TestQuadrature:
                     [0, 1e-18, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1]))
             assert_allclose(mn.limit_cgf(eta), exact, rtol=1e-12, err_msg=f"eta={eta}")
 
-    def test_a_narrow_profile_feature_is_integrated(self):
-        # The feature on (0.311, 0.329) lies between the constructor's probe
-        # points; the start panels' nodes find it.
-        mn = BernoulliSumCounting(profile=lambda x: 0.9 if 0.311 < x < 0.329 else 0.5)
-        e1 = math.expm1(1.0)
-        exact = 0.018 * math.log1p(0.9 * e1) + 0.982 * math.log1p(0.5 * e1)
-        assert abs(exact - 0.6257770757850495) <= 1e-16
-        assert abs(mn.limit_cgf(1.0) - exact) <= 1e-10
+    def test_dilogarithm_at_the_edges_of_its_maps(self):
+        # The series serves |x| <= 1/2; past it the reflection (x > 1/2) and
+        # Landen's map (x < -1/2) carry x into it, once.
+        for x in (0.5, np.nextafter(0.5, 1.0), 0.7, 1.0, -0.5,
+                  np.nextafter(-0.5, -1.0), -0.7, -1.0, 1e-300, 0.0):
+            with mp.workdps(40):
+                exact = float(mp.polylog(2, x))
+            assert_allclose(counting._li2(float(x)), exact, rtol=4e-16, atol=0.0)
 
-    def test_a_narrow_spike_above_one_is_typed_at_construction(self):
-        with pytest.raises(ValidationError,
-                           match=r"at the limit quadrature, p\(0\.3\d*\) = 1\.5"):
-            BernoulliSumCounting(profile=lambda x: 1.5 if 0.311 < x < 0.329 else 0.5)
+    @pytest.mark.parametrize("a", [1e-300, 1e-12, 1e-9, 3e-8])
+    def test_runs_left_tail_at_tiny_products(self, a):
+        # Where e^{-a x} is 1 to the last bit on much of [0, 1], the tail is
+        # still [Li2(e^{-a}) - zeta(2)] / a, which tends to log(a) - 1, and
+        # the rate at the origin is minus the tail.
+        with mp.workdps(360):
+            b = mp.expm1(-30)
+            tail = float((mp.polylog(2, mp.exp(-a)) - mp.zeta(2)) / a)
+            at_30 = float((mp.polylog(2, -b * mp.exp(-a)) - mp.polylog(2, -b)) / a)
+        mn = BernoulliSumCounting.runs(a, 1.0)
+        assert_allclose(mn.limit_cgf(-math.inf), tail, rtol=1e-12)
+        assert_allclose(mn.limit_cgf(-30.0), at_30, rtol=1e-12)
+        assert math.isfinite(mn.derivs_at_zero().cgf_at_minus_inf)
+        summand = FiniteSupportSummands([[1.0], [-1.0]], [0.5, 0.5])
+        assert rate_ld_explicit(summand, mn, [0.0], 0.0) == -mn.limit_cgf(-math.inf)
 
-    def test_an_unresolvable_profile_is_typed_without_a_warning(self):
-        # sign(sin(1/x)) switches infinitely often near x = 0: no panel
-        # budget resolves it.
-        def profile(x):
-            return 0.5 if x == 0 else 0.5 + 0.4 * math.copysign(1.0, math.sin(1.0 / x))
+    @pytest.mark.parametrize("a", [1e-9, 1e-7, 1e-4, 0.05, 1.0, 5.0, 50.0, 1e3, 1e5],
+                             ids=lambda a: f"a={a:g}")
+    def test_runs_triple_matches_mpmath_on_a_grid(self, a):
+        # At 80 digits; a value and its reference may also both lie below 1e-300.
+        etas = [-800.0, -40.0, -3.0, -0.3, -1e-6, -1e-12, 0.0, 1e-12, 1e-6, 0.3,
+                3.0, 30.0, 800.0, -math.inf]
+        mn = BernoulliSumCounting.runs(a, 1.0)
+        for eta in etas:
+            assert_runs_triple_is_exact(mn, a, eta)
+        assert mn.limit_cgf(math.inf) == math.inf
+        assert math.isnan(mn.limit_cgf(math.nan))
 
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            with pytest.raises(ValidationError, match=(
-                    r"the limit quadrature of \w+ at eta=\S+ does not reach "
-                    r"tolerance 1e-10 within 500 panels")):
-                BernoulliSumCounting(profile=profile)
-        assert seen == []
+    @pytest.mark.parametrize("a, eta", RUNS_SWITCHES.values(), ids=RUNS_SWITCHES)
+    def test_runs_triple_holds_across_its_switches(self, a, eta):
+        # On both sides of each switch between the forms of L, L' and L'',
+        # one ulp and 1e-9 relative away, the triple keeps mpmath's digits.
+        mn = BernoulliSumCounting.runs(a, 1.0)
+        for at in (eta * (1.0 - 1e-9), math.nextafter(eta, -math.inf), eta,
+                   math.nextafter(eta, math.inf), eta * (1.0 + 1e-9)):
+            assert_runs_triple_is_exact(mn, a, at)
 
-    @pytest.mark.parametrize("n", [1, 10, 100, 1000])
-    def test_intensity_integral_is_exact(self, n):
-        mn = PoissonCounting(1.0, intensity=lambda t: 1.0 + math.exp(-t))
-        assert_allclose(mn.total_mass(n), n + 1.0 - math.exp(-n), rtol=1e-12)
-
-    def test_a_square_wave_intensity_is_exact_or_typed(self):
-        # 1 + sign(sin(50 t)) / 2 over [0, 400]: 3183 whole periods, on which
-        # the sign integrates to 0, then a part of the positive half-wave.
-        period = 2.0 * math.pi / 50.0
-        exact = 400.0 + 0.5 * (400.0 - 3183 * period)
-        assert 0.0 < 400.0 - 3183 * period < period / 2
-        mn = PoissonCounting(
-            1.0, intensity=lambda t: 1.0 + math.copysign(0.5, math.sin(50.0 * t)))
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            try:
-                value = mn.total_mass(400)
-            except ValidationError as err:
-                assert "the intensity integral over [0, 400]" in str(err)
-            else:
-                assert abs(value - exact) <= 1e-9
-        assert seen == []
+    @pytest.mark.parametrize("lam, c", [(1.0, 1.0), (2.0, 1.0), (10.0, 5.0),
+                                        (0.3, 0.7)])
+    def test_runs_sites_are_the_exponential_bit_for_bit(self, lam, c):
+        # The finite-n law reads exp(-lam c x) at x = j / n bit for bit, so
+        # every table and draw of the preset keeps its bytes.
+        mn = BernoulliSumCounting.runs(lam, c)
+        for n in (1, 7, 400):
+            sites = (np.arange(n, dtype=float) / n).tolist()
+            assert mn.success_probs(n).tolist() == [math.exp(-lam * c * x) for x in sites]
 
 
 class TestPoissonIsOrderOneFractional:
@@ -1325,22 +1351,34 @@ class TestValidation:
     @pytest.mark.parametrize("build, message", [
         (lambda: LatticeInterarrival([1, 2], [0.2, 0.3, 0.5]),
          "probs must match the step values in shape"),
-        (lambda: PoissonCounting(1.0, intensity=2.0), "intensity must be callable"),
-        (lambda: BernoulliSumCounting(profile=0.5), "profile must be callable"),
         (lambda: RenewalCounting(PoissonCounting(1.0)),
          "law must be an InterarrivalLaw"),
-    ], ids=["lattice-probs-shape", "intensity", "profile", "renewal-law"])
+    ], ids=["lattice-probs-shape", "renewal-law"])
     def test_rejects_malformed_constructor_arguments(self, build, message):
         with pytest.raises(ValidationError, match=message):
             build()
 
-    def test_bernoulli_exclusive_arguments(self):
-        with pytest.raises(ValidationError):
-            BernoulliSumCounting(p=0.5, profile=lambda x: 0.5)
-        with pytest.raises(ValidationError):
-            BernoulliSumCounting()
+    def test_bernoulli_rejects_a_sure_p(self):
         with pytest.raises(ValidationError):
             BernoulliSumCounting(p=1.0)
+
+    @pytest.mark.parametrize("which", ["lam", "c"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0, True],
+                             ids=["nan", "infinite", "zero", "negative", "bool"])
+    def test_runs_rejects_a_bad_lam_or_c(self, which, value):
+        args = {"lam": 1.0, "c": 1.0, which: value}
+        with pytest.raises(ValidationError,
+                           match=rf"^runs {which} must be a positive finite real, got "):
+            BernoulliSumCounting.runs(**args)
+
+    @pytest.mark.parametrize("lam, c, product", [
+        (1e200, 1e200, "inf"), (1e-200, 1e-200, "0.0"), (1e-160, 1e-160, "1e-320"),
+    ], ids=["overflow", "underflow", "subnormal"])
+    def test_runs_product_is_a_positive_normal_float(self, lam, c, product):
+        # lam and c pass on their own; their product a = lam c does not.
+        with pytest.raises(ValidationError,
+                           match=rf"runs lam·c must be a positive finite real .*got {product}$"):
+            BernoulliSumCounting.runs(lam, c)
 
     def test_iid_sum_rejects_negative_or_float_steps(self):
         with pytest.raises(ValidationError):
@@ -1399,68 +1437,6 @@ class TestValidation:
         except ValidationError:
             return
         assert math.isnan(value)
-
-    @pytest.mark.parametrize("spike", [1.5, math.nan, -0.2])
-    @pytest.mark.parametrize("call", [
-        lambda mn: mn.exact_pmf(100),
-        lambda mn: mn.finite_cgf(100, 0.5),
-        lambda mn: mn.sample_batch(100, np.random.default_rng(1), 10),
-    ], ids=["exact-pmf", "finite-cgf", "sample-batch"])
-    def test_profile_spike_between_probe_points_is_typed(self, spike, call):
-        # The constructor probes the profile at the 21 points k / 20 and at
-        # the start nodes of its limit quadrature, and misses a spike on
-        # (0.3195, 0.3205), narrower than the gaps between those nodes; the
-        # site 0.32 of n = 100 does not.
-        def profile(x):
-            return spike if 0.3195 < x < 0.3205 else 0.5
-
-        mn = BernoulliSumCounting(profile=profile)
-        with pytest.raises(ValidationError, match=r"at n=100, p\(0\.32\)"):
-            call(mn)
-
-    @pytest.mark.parametrize("spike", [1.2, -0.2])
-    def test_profile_spike_in_the_limit_quadrature_is_typed(self, spike):
-        # The spike on (0.41, 0.44) lies between the probe points and the
-        # sites of small n; the limit quadratures read it through the same
-        # check as the finite-n sites, at construction and in the left tail.
-        def profile(x):
-            return spike if 0.41 < x < 0.44 else 0.5
-
-        with pytest.raises(ValidationError,
-                           match=rf"at the limit quadrature, p\(0\.4\d*\) = {spike}"):
-            BernoulliSumCounting(profile=profile)
-        height = {"spike": 0.5}
-        mn = BernoulliSumCounting(
-            profile=lambda x: height["spike"] if 0.41 < x < 0.44 else 0.5)
-        height["spike"] = spike
-        with pytest.raises(ValidationError, match="at the limit quadrature"):
-            mn.limit_cgf(-math.inf)
-
-    def test_profile_plateau_at_one_has_an_infinite_left_tail(self):
-        mn = BernoulliSumCounting(profile=lambda x: 1.0 if x < 0.3 else 0.5)
-        assert mn.derivs_at_zero().cgf_at_minus_inf == -math.inf
-
-    def test_poisson_rejects_negative_intensity(self):
-        with pytest.raises(ValidationError):
-            PoissonCounting(1.0, intensity=lambda t: -1.0)
-
-    @pytest.mark.parametrize("after, value", [(-10.0, "-45.0"), (math.inf, "inf"),
-                                              (math.nan, "nan")],
-                             ids=["negative", "infinite", "nan"])
-    @pytest.mark.parametrize("call", [
-        lambda mn: mn.total_mass(10),
-        lambda mn: mn.mean(10),
-        lambda mn: mn.finite_cgf(10, 0.5),
-        lambda mn: mn.exact_pmf(10),
-        lambda mn: mn.sample_batch(10, np.random.default_rng(1), 10),
-    ], ids=["total-mass", "mean", "finite-cgf", "exact-pmf", "sample-batch"])
-    def test_intensity_past_the_probe_is_typed(self, after, value, call):
-        # The constructor probes the intensity on [0, 4] and misses its value
-        # after t = 5; the integral over [0, 10] does not.
-        mn = PoissonCounting(1.0, intensity=lambda t: 1.0 if t < 5.0 else after)
-        with pytest.raises(ValidationError,
-                           match=rf"integral over \[0, 10\] is {value}"):
-            call(mn)
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])

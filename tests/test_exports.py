@@ -151,6 +151,6 @@ def test_import_loads_no_scipy_submodule_a_run_does_not_call(tmp_path):
     # The checks' K^2 p-values take chdtrc from scipy.special alone.
     assert sorted(pvalues) == ["count_coord", "sum_coord"]
     assert all(isinstance(p, float) for p in pvalues.values())
-    # A profile count integrates its limit triple by the package's own rule.
+    # A runs count's limit triple is in closed form: no quadrature loads.
     heavy = ("scipy.stats", "scipy.integrate", "scipy.interpolate", "scipy.ndimage")
     assert [m for m in heavy if m in after_checks] == []

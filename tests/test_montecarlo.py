@@ -765,7 +765,7 @@ class TestEstimateEventProb:
 
     @pytest.mark.parametrize("mn, level", [
         (unit_poisson(), 2.0),
-        # A closure profile; level 2 is beyond its reach of N/n <= 1.
+        # The runs preset; level 2 is beyond its reach of N/n <= 1.
         (BernoulliSumCounting.runs(1.0, 1.0), 0.8),
         # Both block threads read the sampler's one tilted table.
         (FractionalPoissonCounting(0.7, 1.0), 2.0),

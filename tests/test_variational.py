@@ -775,7 +775,8 @@ class PoissonTwo(CountingModel):
 
 
 # Every counting kind and a user kind with its left tail L_N(-inf), pinned
-# bit for bit: log p_0, log(1 - p), the runs integral on TAIL_EDGES, -rate.
+# bit for bit: log p_0, log(1 - p), the runs preset's closed form
+# log(1 - e^{-a}) - Li2(1 - e^{-a}) / a, -rate.
 LEFT_TAILS = {
     "poisson": (lambda: PoissonCounting(1.3), -1.3),
     "fractional": (lambda: FractionalPoissonCounting(0.7, 1.0), -1.0),
@@ -784,10 +785,8 @@ LEFT_TAILS = {
     "iid-sum-without-zero": (lambda: IidSumCounting([1, 2], [0.5, 0.5]), -math.inf),
     "iid-sum-zero-only": (lambda: IidSumCounting([0], [1.0]), 0.0),
     "bernoulli": (lambda: BernoulliSumCounting(p=0.4), -0.5108256237659907),
-    "runs-1": (lambda: BernoulliSumCounting.runs(1.0, 1.0), -1.236179779499331),
-    "runs-0.01": (lambda: BernoulliSumCounting.runs(0.01, 1.0), -5.607668797099896),
-    "profile-plateau": (lambda: BernoulliSumCounting(
-        profile=lambda x: 1.0 if x < 0.3 else 0.5), -math.inf),
+    "runs-1": (lambda: BernoulliSumCounting.runs(1.0, 1.0), -1.2361797794993301),
+    "runs-0.01": (lambda: BernoulliSumCounting.runs(0.01, 1.0), -5.607668797099897),
     "gamma-renewal": (lambda: RenewalCounting(GammaInterarrival(2.0, 1.7)), -1.7),
     "exponential-renewal": (lambda: RenewalCounting(ExponentialInterarrival(2.0)),
                             -2.0),
