@@ -24,7 +24,7 @@ import argparse
 import json
 import sys
 
-from .config import DEFAULTS, EXPERIMENTS, normalize_config
+from .config import DEFAULTS, EXPERIMENTS, decode_config, normalize_config
 from .errors import CompoundDeviationsError, ConfigError
 from .experiments import run_experiment
 
@@ -63,11 +63,7 @@ def _load_raw_config(path):
             text = fh.read()
     except OSError as exc:
         raise ConfigError([f"config: cannot read {path!r} ({exc})"])
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"config: not valid JSON ({exc})"])
-    return data
+    return decode_config(text)
 
 
 def _resolve_config(args):

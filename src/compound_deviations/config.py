@@ -603,13 +603,18 @@ def normalize_config(data):
     return out
 
 
-def parse_config(text):
-    """Parse and validate a JSON config; returns the resolved config dict."""
+def decode_config(text):
+    """The JSON value of a config's text, unvalidated; text that is not JSON
+    is a ConfigError."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config: not valid JSON ({exc})"])
-    return normalize_config(data)
+
+
+def parse_config(text):
+    """Parse and validate a JSON config; returns the resolved config dict."""
+    return normalize_config(decode_config(text))
 
 
 def serialize_config(config):

@@ -10,20 +10,21 @@ of N_n / n). ``limit_cgf`` holds at eta = +-inf too, so its left tail
 limit_cgf(-inf), the cost of N_n = 0, is read there by ``derivs_at_zero``.
 
 The finite-n law comes from one builder per kind, ``_tilted_table(n, s)``:
-the pmf over 0..K of the law with mass ~ P(N_n = k) e^{s k}, and
-log Z(s) = log E e^{s N_n}; s = 0 is N_n itself. ``CountingModel`` builds
-every finite-n member on it, through one table per (n, s) that each model
-builds once and keeps: ``exact_pmf`` (s = 0), ``sample_batch`` and
-``tilted_count_sampler`` (inversion of the cdf by ``summands.invert_cdf``'s
-rule, the least k with F(k) > u, drawn through the table's guide,
-``summands._CdfGuide``, built on first use and kept and dropped with the
-table), ``max_count`` (``invert_cdf`` of the top uniform),
-``mean`` and ``var`` (the table's moments) and ``finite_cgf`` =
-log Z(s) / n. A kind overrides a member only with an exact closed form:
-Poisson, iid-sum and Bernoulli keep ``finite_cgf``, and Poisson keeps
-``mean``. Unbounded tables stop once the tail beyond is below MASS_TAIL_TOL
-relative to the mode; every table is capped at MASS_TABLE_CAP states with a
-ValidationError, judged before the table is built where its size is known.
+the pmf over 0..K of the law with mass ~ P(N_n = k) e^{s k}, and the finite
+scaled cumulant (1/n) log E e^{s N_n}, bit for bit ``finite_cgf(n, s)``;
+s = 0 is N_n itself. ``CountingModel.count_law(n, s)`` wraps one table in a
+fresh ``CountLaw`` per call, and every finite-n member reads one: its pmf
+(``exact_pmf``), its cdf, cut to 1 where no uniform reaches further, with
+its largest draw ``max_count`` and its guide (``summands._CdfGuide``), which
+``draw`` inverts by ``summands.invert_cdf``'s rule, the least k with
+F(k) > u, its moments (``mean``, ``var``) and its cumulant
+(``finite_cgf``). A model keeps no table: each call builds its own, so a
+model holds its construction fields and ``cumulant`` alone. A kind
+overrides a member only with an exact closed form: Poisson, iid-sum and
+Bernoulli keep ``finite_cgf``, and Poisson keeps ``mean``. Unbounded tables
+stop once the tail beyond is below MASS_TAIL_TOL relative to the mode;
+every table is capped at MASS_TABLE_CAP states with a ValidationError,
+judged before the table is built where its size is known.
 A tilt s that is not a finite real is a ValidationError.
 
 Kinds
@@ -36,7 +37,7 @@ Kinds
 * PoissonCounting: N_n ~ Poisson(rate * n); the limit cumulant is
   rate * (e^eta - 1). It is the order-1 FractionalPoissonCounting with
   x = rate * n: it inherits the limit triple and the table, and adds only
-  the closed forms of ``finite_cgf`` and ``mean``.
+  the closed forms of ``finite_cgf``, which its tables carry, and ``mean``.
 * FractionalPoissonCounting: heavy-tailed renewal-type count whose mass at n
   is x^k / (Gamma(nu k + 1) E(nu, 1; x)) with x = rate * n^nu; the limit
   cumulant is rate^(1/nu) (e^(eta/nu) - 1). Its table is built from these
@@ -115,13 +116,6 @@ def _grow_table(build, what):
             raise ValidationError(f"{what} exceeds {MASS_TABLE_CAP} states")
         size = min(2 * size, MASS_TABLE_CAP)
     return table
-
-
-def _table_moments(pmf):
-    """Mean and variance of a pmf table over 0, 1, ...."""
-    k = np.arange(pmf.size, dtype=float)
-    m = float(k @ pmf)
-    return m, float((k - m) ** 2 @ pmf)
 
 
 def _from_log_weights(log_weights):
@@ -223,6 +217,36 @@ def _convolve_tree(rows, what):
     return rows[0, :size]
 
 
+class CountLaw:
+    """One finite-n law of N_n, tilted by e^{s k}: ``pmf`` over 0..K, its
+    ``cgf`` (1/n) log E e^{s N_n}, its ``cdf``, the count ``max_count`` that
+    the top uniform draws, and the cdf's ``guide``, which ``draw`` reads.
+    Built by ``CountingModel.count_law``, guide included, so a caller that
+    builds it before its runs shares it across their threads."""
+
+    def __init__(self, pmf, cgf):
+        # The cumsum can plateau a few ulps short of 1, so a top uniform
+        # would draw the table's end. The cdf is 1 from the first k whose
+        # upper tail is below 2^-54, which no uniform on the 2^-53 grid can
+        # reach, as for the summand rows.
+        cdf = np.cumsum(pmf)
+        upper = np.append(np.cumsum(pmf[:0:-1])[::-1], 0.0)
+        cdf[np.argmax(upper < UNIFORM_STEP / 2):] = 1.0
+        self.pmf, self.cgf, self.cdf = pmf, cgf, cdf
+        self.max_count = int(invert_cdf(cdf, TOP_UNIFORM))
+        self.guide = _CdfGuide([(cdf, np.array([cdf.size]), np.array([0]))])
+
+    def draw(self, rng, reps):
+        """reps draws of the law, one uniform each."""
+        return self.guide.draw(0, rng.random(int(reps)))
+
+    def moments(self):
+        """Mean and variance of the pmf."""
+        k = np.arange(self.pmf.size, dtype=float)
+        m = float(k @ self.pmf)
+        return m, float((k - m) ** 2 @ self.pmf)
+
+
 @dataclass(frozen=True)
 class CountingDerivatives:
     """First two derivatives of the limit cumulant at zero, plus its left limit.
@@ -254,7 +278,7 @@ class CountingModel:
     """Common interface of counting-process models. A kind supplies the limit
     triple (``limit_cgf``, defined on [-inf, inf], and its two derivatives)
     and ``_tilted_table``; ``derivs_at_zero`` reads the triple, the finite-n
-    members below read the table."""
+    members below read a fresh ``count_law``."""
 
     def limit_cgf(self, eta):
         raise NotImplementedError
@@ -285,79 +309,31 @@ class CountingModel:
         )
 
     def _tilted_table(self, n, s):
-        """(pmf, log_z): the law with mass ~ P(N_n = k) e^{s k} over 0..K and
-        log_z = log E exp(s N_n)."""
+        """(pmf, cgf): the law with mass ~ P(N_n = k) e^{s k} over 0..K and
+        cgf = (1/n) log E exp(s N_n), the same bits as ``finite_cgf(n, s)``."""
         raise NotImplementedError
 
-    def _table(self, n, s=0.0):
-        """(pmf, cdf, log_z) of ``_tilted_table(n, s)``, built once per
-        (n, s) and kept, so every member reading the same law shares it. A
-        tilt that is not a finite real is a ValidationError."""
-        n = check_int(n, "n", 1)
-        s = finite_real(s, "tilt s")
-        tables = self.__dict__.setdefault("_tables", {})
-        if (n, s) not in tables:
-            pmf, log_z = self._tilted_table(n, s)
-            pmf.flags.writeable = False
-            # The cumsum can plateau a few ulps short of 1, so a top uniform
-            # would draw the table's end. The cdf is 1 from the first k
-            # whose upper tail is below 2^-54, which no uniform on the
-            # 2^-53 grid can reach, as for the summand rows.
-            cdf = np.cumsum(pmf)
-            upper = np.append(np.cumsum(pmf[:0:-1])[::-1], 0.0)
-            cdf[np.argmax(upper < UNIFORM_STEP / 2):] = 1.0
-            tables[n, s] = pmf, cdf, log_z
-        return tables[n, s]
-
-    def table_keys(self):
-        """The (n, s) keys of the tables built and kept so far."""
-        return set(self.__dict__.get("_tables", ()))
-
-    def _guide(self, n, s=0.0):
-        """The ``summands._CdfGuide`` of ``_table(n, s)``'s cdf, built on
-        first use and kept with the table."""
-        key = check_int(n, "n", 1), finite_real(s, "tilt s")
-        guides = self.__dict__.setdefault("_guides", {})
-        if key not in guides:
-            cdf = self._table(*key)[1]
-            guides[key] = _CdfGuide([(cdf, np.array([cdf.size]), np.array([0]))])
-        return guides[key]
-
-    def drop_tables(self, keep):
-        """Forget every kept table, and its guide, whose (n, s) key is not
-        in ``keep``."""
-        for key in self.table_keys() - keep:
-            del self._tables[key]
-            self.__dict__.get("_guides", {}).pop(key, None)
+    def count_law(self, n, s=0.0):
+        """The ``CountLaw`` of ``_tilted_table(n, s)``, built afresh on every
+        call. A tilt that is not a finite real is a ValidationError."""
+        return CountLaw(*self._tilted_table(check_int(n, "n", 1),
+                                            finite_real(s, "tilt s")))
 
     def exact_pmf(self, n):
         """Distribution of N_n as an array over 0..K."""
-        return self._table(n)[0]
+        return self.count_law(n).pmf
 
     def finite_cgf(self, n, eta):
         """(1/n) log E exp(eta N_n)."""
-        return self._table(n, eta)[2] / n
+        return self.count_law(n, eta).cgf
 
     def mean(self, n):
         """E[N_n]."""
-        return _table_moments(self.exact_pmf(n))[0]
+        return self.count_law(n).moments()[0]
 
     def var(self, n):
         """Var[N_n]."""
-        return _table_moments(self.exact_pmf(n))[1]
-
-    def sample_batch(self, n, rng, reps):
-        """reps draws of N_n."""
-        return self._guide(n).draw(0, rng.random(int(reps)))
-
-    def max_count(self, n):
-        """The largest count a uniform draws at n: the draw at TOP_UNIFORM."""
-        return int(invert_cdf(self._table(n)[1], TOP_UNIFORM))
-
-    def tilted_count_sampler(self, n, s):
-        """Sampler (rng, reps) -> counts for the law with mass ~ P(N_n = k) e^{s k}."""
-        guide = self._guide(n, s)
-        return lambda rng, reps: guide.draw(0, rng.random(int(reps)))
+        return self.count_law(n).moments()[1]
 
     def _probe_validate(self):
         # A value past the float range is not finite either.
@@ -456,8 +432,7 @@ class IidSumCounting(_Lattice, CountingModel):
         log_z, probs = self._tilt(s)
         step = np.zeros(top + 1)
         step[self._values] = probs
-        pmf = _convolve_tree(np.tile(step, (n, 1)), what)
-        return pmf, n * log_z
+        return _convolve_tree(np.tile(step, (n, 1)), what), log_z
 
 
 class FractionalPoissonCounting(CountingModel):
@@ -500,13 +475,15 @@ class FractionalPoissonCounting(CountingModel):
 
     def _tilted_table(self, n, s):
         x = self._rate * float(n) ** self._nu
-        return _log_weight_table(self._nu, math.log(x), s,
-                                 f"{type(self).__name__} mass table at n={n}")
+        pmf, log_z = _log_weight_table(self._nu, math.log(x), s,
+                                       f"{type(self).__name__} mass table at n={n}")
+        return pmf, log_z / n
 
 
 class PoissonCounting(FractionalPoissonCounting):
     """Poisson(rate n) count: the order-1 fractional count, with x = rate n =
-    E[N_n] and closed-form ``finite_cgf`` and ``mean``."""
+    E[N_n] and closed-form ``finite_cgf`` and ``mean``; its tilted tables are
+    the fractional ones, carrying the closed ``finite_cgf``."""
 
     def __init__(self, rate):
         super().__init__(1.0, rate)
@@ -517,6 +494,9 @@ class PoissonCounting(FractionalPoissonCounting):
 
     def mean(self, n):
         return self._rate * check_int(n, "n", 1)
+
+    def _tilted_table(self, n, s):
+        return super()._tilted_table(n, s)[0], self.finite_cgf(n, s)
 
 
 def _bernoulli_cgf(q, eta):
@@ -704,7 +684,7 @@ class BernoulliSumCounting(CountingModel):
         t = np.array([_bernoulli_tilt(q, s) for q in self.success_probs(n).tolist()])
         pmf = _convolve_tree(np.column_stack([1.0 - t, t]),
                              f"Bernoulli-sum mass table at n={n}")
-        return pmf, n * self.finite_cgf(n, s)
+        return pmf, self.finite_cgf(n, s)
 
 
 class InterarrivalLaw:
@@ -725,7 +705,8 @@ class InterarrivalLaw:
         raise NotImplementedError
 
     def count_table(self, n, s):
-        """``CountingModel._tilted_table`` of the renewal count N_n."""
+        """(pmf, log Z(s)) of the renewal count N_n tilted by e^{s k}, Z(s)
+        = E exp(s N_n)."""
         raise NotImplementedError
 
 
@@ -902,4 +883,5 @@ class RenewalCounting(CountingModel):
         return self._law.kappa_second(r) / cube
 
     def _tilted_table(self, n, s):
-        return self._law.count_table(n, s)
+        pmf, log_z = self._law.count_table(n, s)
+        return pmf, log_z / n

@@ -16,13 +16,16 @@ weight read the counts alone, bit for bit. Each run is written in place as
 it is drawn: only ``simulate_compound``, the public batch API, holds a
 (reps, h) batch.
 
-Plain draws (``simulate_compound``, plain estimates, and the moment and CLT
-checks) take sums from the summands' ``plain_sampler`` for the count law's
-``max_count(n)``, made once per call in the calling thread, before the
-runs start. For finite-support sums whose tables are small enough
+Every count draw, plain or tilted, comes from one ``CountLaw`` that the call
+builds with ``count_law(n, s)`` in the calling thread, before the runs
+start, and shares across them; the tilted estimator weighs with that law's
+cgf too, so one table serves the call. Plain draws (``simulate_compound``,
+plain estimates, and the moment and CLT checks) take sums from the
+summands' ``plain_sampler`` for the law's ``max_count``, made with it. For
+finite-support sums whose tables are small enough
 (summands.TABLE_STAGE_STATES per stage), each conditional-binomial stage
 inverts one uniform per sum in exact binomial cdf rows for every count up
-to ``max_count(n)``, by the one inversion rule min{k : F(k) > u}, through
+to ``max_count``, by the one inversion rule min{k : F(k) > u}, through
 the guide kernel that also draws the counts (``summands._CdfGuide``); larger
 tables, and the tilted route, where each estimate's fresh tilted law draws
 only 10^4 sums, draw with numpy's binomials (``sample_sum_batch``). The
@@ -50,10 +53,9 @@ fractional or boolean size is a ValidationError, never truncated.
 
 Importing the module loads no scipy submodule; of its own routines only
 the CLT normality p-values import one (``scipy.special``, for chdtrc, the
-chi-square tail of their K^2 statistic), when they run. The count table
-and its guide (through ``_plain_draws`` or ``tilted_count_sampler``) and any
-summand tables (which import ``bdtr``) are built in the calling thread,
-before the runs start.
+chi-square tail of their K^2 statistic), when they run. The count law with
+its guide and any summand tables (which import ``bdtr``) are built in the
+calling thread, before the runs start.
 """
 
 from __future__ import annotations
@@ -240,7 +242,7 @@ def simulate_compound(mx, mn, n, reps, seed, workers=None):
     every worker count.
     """
     reps, seed, workers = _run_sizes(reps, seed, workers, 1)
-    draws = _plain_draws(mx, mn, n)
+    draws = _plain_draws(mx, mn.count_law(n))
     sums, counts = np.empty((reps, mx.dim)), np.empty(reps, dtype=np.int64)
 
     def take(start, block_counts, block_sums):
@@ -251,13 +253,12 @@ def simulate_compound(mx, mn, n, reps, seed, workers=None):
     return sums, counts
 
 
-def _plain_draws(mx, mn, n):
-    """(draw_sums, draw_counts) at n; the count table's guide and the
-    summands' ``plain_sampler``, for the largest count drawn at n, are made
-    here, before the runs start. mx None draws no sums."""
-    mn._guide(n)
-    return (None if mx is None else mx.plain_sampler(mn.max_count(n)),
-            lambda rng, size: mn.sample_batch(n, rng, size))
+def _plain_draws(mx, law):
+    """(draw_sums, draw_counts) from one ``CountLaw``, built with its guide
+    before the runs start: the summands' ``plain_sampler`` for the law's
+    largest count, made here too, and the law's ``draw``. mx None draws no
+    sums."""
+    return None if mx is None else mx.plain_sampler(law.max_count), law.draw
 
 
 def _merge(values, probs, tol):
@@ -406,16 +407,17 @@ def estimate_event_prob(
 
     if method == "plain":
         tilt = None
-        draws = _plain_draws(mx if sums_drawn else None, mn, n)
+        draws = _plain_draws(mx if sums_drawn else None, mn.count_law(n))
     else:
         if tilt is None:
             tilt = tilt_parameters(mx, mn, event)
         # A count face's tilt theta = t* 0 has <theta, S> = +-0 for finite S,
         # and log_norm - (+-0) = log_norm: its weight reads no sums either.
         sums_drawn = sums_drawn or bool(tilt.theta.any())
-        log_norm = float(n) * float(mn.finite_cgf(n, tilt.s))
+        law = mn.count_law(n, tilt.s)
+        log_norm = float(n) * law.cgf
         draws = (mx.tilted(tilt.theta).sample_sum_batch if sums_drawn else None,
-                 mn.tilted_count_sampler(n, tilt.s))
+                 law.draw)
     weighted = np.empty(reps)
 
     def take(start, counts, sums):
@@ -537,8 +539,7 @@ def md_scaling_sweep(mn, scales, etas, ns):
     distinct eta the sweep evaluates a_n log E exp(eta (N_n - E N_n) /
     sqrt(n a_n)) exactly, through the finite-n cumulant. The target column
     is d2 eta^2 / 2; per-eta monotonicity of |value - target| over the
-    n-grid is reported. The tables each n builds are dropped before the
-    next n.
+    n-grid is reported.
     """
     ns = [check_int(v, "n", 1) for v in ns]
     if len(ns) < 1 or sorted(set(ns)) != ns:
@@ -552,17 +553,14 @@ def md_scaling_sweep(mn, scales, etas, ns):
     if len(set(etas)) != len(etas):
         raise ValidationError("etas must be distinct")
     d2 = mn.derivs_at_zero().variance_rate
-    rows, kept = [], mn.table_keys()
+    rows = []
     for n, a_n in zip(ns, scales):
-        try:
-            mean_count = mn.mean(n)
-            for eta in etas:
-                t = eta / math.sqrt(n * a_n)
-                log_mgf = n * mn.finite_cgf(n, t) - t * mean_count
-                rows.append(MdSweepRow(n=n, eta=eta, value=a_n * log_mgf,
-                                       target=0.5 * d2 * eta * eta))
-        finally:
-            mn.drop_tables(kept)
+        mean_count = mn.mean(n)
+        for eta in etas:
+            t = eta / math.sqrt(n * a_n)
+            log_mgf = n * mn.finite_cgf(n, t) - t * mean_count
+            rows.append(MdSweepRow(n=n, eta=eta, value=a_n * log_mgf,
+                                   target=0.5 * d2 * eta * eta))
 
     gap_monotone = {}
     for eta in etas:
@@ -692,8 +690,11 @@ def _check_images(mx, mn, n, reps, seed, workers, band_se, images, means=(),
     coef = np.array([c for _, c in images.values()])
     image_mu = np.array([float(x @ mx.mean()) for x in directions])
     # The exact image means: the raw sums of e stay near their centred values.
-    shift = mn.mean(n) * (image_mu + coef)
-    draws = _plain_draws(mx, mn, n)
+    # The count's variance is its table's for every kind, so the law drawn
+    # from gives it; its mean may have a closed form.
+    law, mean_count = mn.count_law(n), mn.mean(n)
+    shift = mean_count * (image_mu + coef)
+    draws = _plain_draws(mx, law)
     grams = {}
 
     def take(start, counts, sums):
@@ -748,7 +749,7 @@ def _check_images(mx, mn, n, reps, seed, workers, band_se, images, means=(),
     columns = (
         pick(mean / n, cov / n),
         pick(np.sqrt(np.diag(cov) / reps) / n, cov_se / n),
-        pick(*targets(mn.mean(n) / float(n), mn.var(n) / float(n))),
+        pick(*targets(mean_count / float(n), law.moments()[1] / float(n))),
         pick(*targets(d.mean_rate, d.variance_rate)),
     )
     names = [row for row, *_ in (*means, *covariances)]

@@ -331,7 +331,7 @@ def test_every_counting_block_has_an_exact_finite_n_law(kind):
     for eta in (-0.3, 0.3):
         expected = math.log(math.fsum(pmf * np.exp(eta * k))) / 50
         assert math.isclose(mn.finite_cgf(50, eta), expected, rel_tol=1e-7)
-    draws = mn.tilted_count_sampler(50, 0.3)(np.random.default_rng(1), 100)
+    draws = mn.count_law(50, 0.3).draw(np.random.default_rng(1), 100)
     assert draws.shape == (100,) and draws.min() >= 0
 
 

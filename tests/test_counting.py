@@ -309,7 +309,7 @@ class TestFiniteNCgf:
         with pytest.raises(ValidationError, match="below the float range"):
             mn.finite_cgf(400, 1.5)
         with pytest.raises(ValidationError, match="below the float range"):
-            mn.tilted_count_sampler(2000, -5.0)
+            mn.count_law(2000, -5.0)
 
 
 class TestMeans:
@@ -346,7 +346,7 @@ class TestMeans:
 
     def test_renewal_sample_mean_matches_the_exact_mean(self):
         mn = RenewalCounting(ExponentialInterarrival(1.0))
-        draws = mn.sample_batch(50, np.random.default_rng(5), 4000)
+        draws = mn.count_law(50).draw(np.random.default_rng(5), 4000)
         se = draws.std(ddof=1) / math.sqrt(4000)
         assert_allclose(mn.mean(50), 50.0, rtol=1e-12)
         assert abs(draws.mean() - mn.mean(50)) <= 4.0 * se
@@ -369,23 +369,23 @@ class TestSamplers:
         n, reps = 200, 3000
         rng = np.random.default_rng(99)
         for mn, rate in self.CASES:
-            draws = mn.sample_batch(n, rng, reps).astype(float)
+            draws = mn.count_law(n).draw(rng, reps).astype(float)
             expected = mn.mean(n) if rate is None else None
             if expected is None:
                 expected = rate * n
             se = draws.std(ddof=1) / math.sqrt(reps)
             assert abs(draws.mean() - expected) <= 4.0 * se + 1e-9, type(mn).__name__
 
-    def test_sample_batch_dtype_and_shape(self):
+    def test_draws_have_the_asked_shape(self):
         mn = PoissonCounting(1.0)
         rng = np.random.default_rng(1)
-        out = mn.sample_batch(10, rng, 37)
+        out = mn.count_law(10).draw(rng, 37)
         assert out.shape == (37,)
 
     def test_bernoulli_bounded_by_n(self):
         mn = BernoulliSumCounting.runs(2.0, 1.0)
         rng = np.random.default_rng(2)
-        draws = mn.sample_batch(25, rng, 500)
+        draws = mn.count_law(25).draw(rng, 500)
         assert draws.max() <= 25
         assert mn.exact_pmf(25).size == 26
 
@@ -397,7 +397,7 @@ class TestSamplers:
 class TestTiltedSamplers:
     def test_poisson_tilt_is_poisson_with_scaled_mass(self):
         mn = PoissonCounting(1.0)
-        sampler = mn.tilted_count_sampler(100, math.log(2.0))
+        sampler = mn.count_law(100, math.log(2.0)).draw
         rng = np.random.default_rng(7)
         draws = sampler(rng, 20000).astype(float)
         # Tilted mass is 100 * e^s = 200.
@@ -406,7 +406,7 @@ class TestTiltedSamplers:
 
     def test_iid_sum_tilt_reweights_steps(self):
         mn = IidSumCounting([0, 1], [0.5, 0.5])
-        sampler = mn.tilted_count_sampler(50, 1.0)
+        sampler = mn.count_law(50, 1.0).draw
         rng = np.random.default_rng(8)
         draws = sampler(rng, 20000).astype(float)
         p_tilted = math.e / (1.0 + math.e)
@@ -415,7 +415,7 @@ class TestTiltedSamplers:
 
     def test_bernoulli_profile_tilt(self):
         mn = BernoulliSumCounting.runs(2.0, 1.0)
-        sampler = mn.tilted_count_sampler(60, 0.7)
+        sampler = mn.count_law(60, 0.7).draw
         rng = np.random.default_rng(9)
         draws = sampler(rng, 20000).astype(float)
         qs = mn.success_probs(60)
@@ -430,7 +430,7 @@ class TestTiltedSamplers:
         # Poisson(100 e^s).
         mn = RenewalCounting(ExponentialInterarrival(1.0))
         for s, seed in ((math.log(2.0), 10), (-0.5, 11)):
-            draws = mn.tilted_count_sampler(100, s)(np.random.default_rng(seed),
+            draws = mn.count_law(100, s).draw(np.random.default_rng(seed),
                                                     50_000)
             k = np.arange(draws.max() + 200)
             assert chi_square_pvalue(draws, poisson.pmf(k, 100.0 * math.exp(s))) > 1e-3
@@ -456,7 +456,7 @@ class TestExactPmfs:
         mn = BernoulliSumCounting.runs(1.0, 1.0)
         pmf = mn.exact_pmf(5)
         rng = np.random.default_rng(17)
-        draws = mn.sample_batch(5, rng, 200000)
+        draws = mn.count_law(5).draw(rng, 200000)
         empirical = np.bincount(draws.astype(int), minlength=6) / 200000.0
         assert_allclose(empirical, pmf, atol=0.006)
 
@@ -727,7 +727,7 @@ class TestLatticeInterarrival:
         # the tilted total; a milder tilt keeps the table.
         mn = RenewalCounting(LatticeInterarrival([1, 2], [0.5, 0.5]))
         with pytest.raises(ValidationError, match="below the float range"):
-            mn.tilted_count_sampler(2000, 5.0)
+            mn.count_law(2000, 5.0)
         assert_allclose(mn.finite_cgf(2000, 1.0), mn.limit_cgf(1.0), rtol=1e-4)
 
     def test_table_cap_counts_the_recursion_grid(self, monkeypatch):
@@ -768,7 +768,7 @@ class TestRenewalModel:
         # Renewal CLT: Var N_n ~ n kappa''(0)/kappa'(0)^3.
         mn = RenewalCounting(GammaInterarrival(2.0, 4.0))
         rng = np.random.default_rng(55)
-        draws = mn.sample_batch(400, rng, 4000).astype(float)
+        draws = mn.count_law(400).draw(rng, 4000).astype(float)
         d = mn.derivs_at_zero()
         assert_allclose(draws.mean() / 400.0, d.mean_rate, rtol=0.02)
         assert_allclose(draws.var(ddof=1) / 400.0, d.variance_rate, rtol=0.15)
@@ -824,7 +824,7 @@ class TestRenewalMassTable:
     def test_sampler_inverts_the_table(self):
         mn = RenewalCounting(GammaInterarrival(0.5, 3.0))
         pmf = mn.exact_pmf(100)
-        draws = mn.sample_batch(100, np.random.default_rng(21), 50_000)
+        draws = mn.count_law(100).draw(np.random.default_rng(21), 50_000)
         assert chi_square_pvalue(draws, pmf) > 1e-3
 
     def test_table_matches_walked_partial_sums(self):
@@ -918,12 +918,12 @@ class TestOneTableRoute:
         # so no uniform draws past it, untilted or tilted, let alone the
         # impossible count pmf.size; max_count is the draw at the top uniform.
         mn, n = TOP_UNIFORM_KINDS[kind]
-        top = mn.sample_batch(n, TopUniform(), 3)
+        top = mn.count_law(n).draw(TopUniform(), 3)
         assert top.max() <= last_reachable_count(mn.exact_pmf(n))
-        assert top.tolist() == [mn.max_count(n)] * 3
+        assert top.tolist() == [mn.count_law(n).max_count] * 3
         for s in (-0.5, 0.3):
-            draws = mn.tilted_count_sampler(n, s)(TopUniform(), 3)
-            assert draws.max() <= last_reachable_count(mn._table(n, s)[0])
+            draws = mn.count_law(n, s).draw(TopUniform(), 3)
+            assert draws.max() <= last_reachable_count(mn.count_law(n, s).pmf)
 
     @pytest.mark.parametrize("kind", sorted(TOP_UNIFORM_KINDS))
     def test_cdf_is_the_cumsum_up_to_the_last_reachable_count(self, kind):
@@ -931,7 +931,8 @@ class TestOneTableRoute:
         # and the pmf (so exact_pmf, mean and var) keeps its bytes.
         mn, n = TOP_UNIFORM_KINDS[kind]
         for s in (0.0, -0.5, 0.3):
-            pmf, cdf, _ = mn._table(n, s)
+            law = mn.count_law(n, s)
+            pmf, cdf = law.pmf, law.cdf
             last = last_reachable_count(pmf)
             assert np.array_equal(cdf[:last], np.cumsum(pmf)[:last])
             assert np.all(cdf[last:] == 1.0)
@@ -944,9 +945,9 @@ class TestOneTableRoute:
         # The inversion rule is min{k : F(k) > u}, so u = 0 draws the least
         # count of positive mass, never a count of mass 0.
         assert mn.exact_pmf(n)[:least].sum() == 0.0
-        assert mn.sample_batch(n, ZeroUniform(), 3).tolist() == [least] * 3
+        assert mn.count_law(n).draw(ZeroUniform(), 3).tolist() == [least] * 3
         for s in (-0.5, 0.3):
-            draws = mn.tilted_count_sampler(n, s)(ZeroUniform(), 3)
+            draws = mn.count_law(n, s).draw(ZeroUniform(), 3)
             assert draws.tolist() == [least] * 3
 
     @pytest.mark.parametrize("kind", sorted(WORKLOAD_SIZES))
@@ -957,24 +958,23 @@ class TestOneTableRoute:
         mn, ns = WORKLOAD_SIZES[kind]
         for n in ns:
             for s in (0.0, -0.5, 0.3):
-                cdf = mn._table(n, s)[1]
-                sampler = (mn.tilted_count_sampler(n, s) if s else
-                           lambda rng, reps: mn.sample_batch(n, rng, reps))
-                draws = sampler(np.random.default_rng(n), 20_000)
+                law = mn.count_law(n, s)
+                cdf = law.cdf
+                draws = law.draw(np.random.default_rng(n), 20_000)
                 assert draws.dtype == np.int64
                 assert np.array_equal(draws, invert_cdf(
                     cdf, np.random.default_rng(n).random(20_000)))
-                scale = mn._guide(n, s).scale[0]
+                scale = law.guide.scale[0]
                 u = np.concatenate([cdf, np.arange(scale) / scale,
                                     [0.0, 2.0 ** -53, np.nextafter(1.0, 0.0)]])
                 u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)])
                 u = u[(u >= 0.0) & (u < 1.0)]
-                assert np.array_equal(mn._guide(n, s).draw(0, u), invert_cdf(cdf, u))
+                assert np.array_equal(law.guide.draw(0, u), invert_cdf(cdf, u))
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_draws_follow_the_exact_pmf(self, kind):
         mn = KINDS[kind]
-        draws = mn.sample_batch(60, np.random.default_rng(31), 50_000)
+        draws = mn.count_law(60).draw(np.random.default_rng(31), 50_000)
         assert chi_square_pvalue(draws, mn.exact_pmf(60)) > 1e-3
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -984,7 +984,7 @@ class TestOneTableRoute:
         # P(N_n = k) e^{s k}, renormalised, is the tilted law.
         mn = KINDS[kind]
         pmf = mn.exact_pmf(60) * np.exp(s * np.arange(mn.exact_pmf(60).size))
-        draws = mn.tilted_count_sampler(60, s)(np.random.default_rng(32), 50_000)
+        draws = mn.count_law(60, s).draw(np.random.default_rng(32), 50_000)
         assert chi_square_pvalue(draws, pmf / pmf.sum()) > 1e-3
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -1017,18 +1017,22 @@ class TestOneTableRoute:
         assert_allclose(mn.finite_cgf(100_000, 0.01), math.expm1(0.01), rtol=1e-15)
         assert mn.mean(100_000) == 100_000.0
 
-    def test_exact_pmf_is_cached_and_read_only(self):
+    def test_exact_pmf_is_the_same_bits_on_every_call(self):
+        # Each call builds its own table; writing to one leaves the next.
         mn = BernoulliSumCounting.runs(1.0, 1.0)
-        assert mn.exact_pmf(40) is mn.exact_pmf(40)
-        with pytest.raises(ValueError):
-            mn.exact_pmf(40)[0] = 0.5
+        first = mn.exact_pmf(40)
+        assert first is not mn.exact_pmf(40)
+        assert first.tobytes() == mn.exact_pmf(40).tobytes()
+        first[0] = 0.5
+        assert mn.exact_pmf(40)[0] != 0.5
 
     @pytest.mark.parametrize("s", [-0.5, 0.0, 0.5, 1.0])
     def test_renewal_tables_keep_relative_accuracy(self, s):
         # Exp(1) counts at n = 400 tilted by s are Poisson(400 e^s); every
         # kept mass from k = 100 to 1200 matches to 1e-10 relative, tail
         # masses far below 1e-100 included.
-        pmf, log_z = RenewalCounting(ExponentialInterarrival(1.0))._tilted_table(400, s)
+        law = RenewalCounting(ExponentialInterarrival(1.0)).count_law(400, s)
+        pmf, log_z = law.pmf, 400 * law.cgf
         k = np.arange(pmf.size)
         kept = (k >= 100) & (k <= 1200) & (pmf > 0.0)
         expected = np.exp(poisson.logpmf(k[kept], 400.0 * math.exp(s)))
@@ -1044,7 +1048,7 @@ class TestOneTableRoute:
         q = mn.success_probs(10)
         expected = (-40.0 + float(np.sum(np.log1p(q[1:] * math.expm1(-40.0))))) / 10
         assert_allclose(mn.finite_cgf(10, -40.0), expected, rtol=1e-12)
-        draws = mn.tilted_count_sampler(10, -40.0)(np.random.default_rng(3), 1000)
+        draws = mn.count_law(10, -40.0).draw(np.random.default_rng(3), 1000)
         assert set(draws.tolist()) == {1}
 
     def test_runs_limit_cumulant_near_its_singular_region(self):
@@ -1220,7 +1224,7 @@ class TestRunsClosedForm:
 
 class TestPoissonIsOrderOneFractional:
     """PoissonCounting is FractionalPoissonCounting at nu = 1: the same
-    limit triple, left tail and tilted tables, bit for bit."""
+    limit triple, left tail and tilted pmfs, bit for bit."""
 
     @pytest.mark.parametrize("rate", [0.3, 1.0, 2.7, 13.0])
     def test_limit_triple_and_tail(self, rate):
@@ -1238,10 +1242,12 @@ class TestPoissonIsOrderOneFractional:
         mn, fractional = PoissonCounting(rate), FractionalPoissonCounting(1.0, rate)
         for n in (1, 7, 50):
             for s in (0.0, -0.7, 0.4, 1.3):
-                pmf, _, log_z = mn._table(n, s)
-                pmf_f, _, log_z_f = fractional._table(n, s)
-                assert np.array_equal(pmf, pmf_f)
-                assert log_z == log_z_f
+                law, law_f = mn.count_law(n, s), fractional.count_law(n, s)
+                assert np.array_equal(law.pmf, law_f.pmf)
+                # The Poisson law carries its closed cumulant, the fractional
+                # one its table's; they part in the last bits.
+                assert law.cgf == mn.finite_cgf(n, s)
+                assert_allclose(law.cgf, law_f.cgf, rtol=1e-14)
 
 
 class TestFractionalSmallOrder:
@@ -1276,7 +1282,7 @@ class TestFractionalSmallOrder:
 
     def test_draws_follow_the_table(self):
         pmf = self.MN.exact_pmf(10)
-        draws = self.MN.sample_batch(10, np.random.default_rng(33), 50_000)
+        draws = self.MN.count_law(10).draw(np.random.default_rng(33), 50_000)
         assert chi_square_pvalue(draws, pmf) > 1e-3
 
 
@@ -1343,7 +1349,7 @@ class TestValidation:
         mn = RenewalCounting(GammaInterarrival(2.0, 1.0))
         monkeypatch.setattr(counting, "MASS_TABLE_CAP", 100)
         with pytest.raises(ValidationError, match="exceeds 100 states"):
-            mn.sample_batch(500, np.random.default_rng(1), 10)
+            mn.count_law(500).draw(np.random.default_rng(1), 10)
         monkeypatch.undo()
         with pytest.raises(ValidationError, match="renewal mass table"):
             RenewalCounting(ExponentialInterarrival(1.0)).mean(10_000_000)
@@ -1441,13 +1447,13 @@ class TestValidation:
     @pytest.mark.parametrize("kind", sorted(KINDS))
     @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
     def test_non_finite_tilt_is_typed(self, kind, s):
-        # No sampler draws from a NaN or infinite tilt, and no table is kept
-        # for one.
+        # No law is built for a NaN or infinite tilt, and the model is left
+        # as it was.
         mn = KINDS[kind]
-        kept = set(mn.__dict__.get("_tables", {}))
+        kept = set(vars(mn))
         with pytest.raises(ValidationError, match="tilt s must be a finite real"):
-            mn.tilted_count_sampler(10, s)
-        assert set(mn.__dict__.get("_tables", {})) == kept
+            mn.count_law(10, s)
+        assert set(vars(mn)) == kept
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_nan_finite_cumulant_is_never_finite(self, kind):

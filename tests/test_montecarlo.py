@@ -25,6 +25,7 @@ from compound_deviations import counting, montecarlo, summands
 from compound_deviations.counting import (
     BernoulliSumCounting,
     CountingModel,
+    CountLaw,
     ExponentialInterarrival,
     FractionalPoissonCounting,
     GammaInterarrival,
@@ -326,7 +327,7 @@ class TestSimulateCompound:
             raise AssertionError("the +-1 law drew with binomials")
 
         monkeypatch.setattr(FiniteSupportSummands, "sample_sum_batch", no_draws)
-        assert unit_poisson().max_count(100) == 194
+        assert unit_poisson().count_law(100).max_count == 194
         sums, counts = simulate_compound(pm_one_summand(), unit_poisson(), 100,
                                          100, seed=4)
         assert np.all(np.abs(sums) <= counts[:, None])
@@ -618,10 +619,9 @@ class TestTiltParameters:
         assert len(calls) == 1
 
     def test_one_tilted_estimate_builds_its_table_once(self, monkeypatch):
-        # The tilted estimator reads log Z(s) through finite_cgf and draws
-        # through tilted_count_sampler at the same (n, s); both read one
-        # kept table, whose build makes the s-tilted weights and their
-        # untilted normaliser once each.
+        # The tilted estimator weighs with the cgf of one count law at
+        # (n, s) and draws from it: one table, whose build makes the
+        # s-tilted weights and their untilted normaliser once each.
         builds, grows = [], []
         build, grow = FractionalPoissonCounting._tilted_table, counting._grow_table
 
@@ -641,12 +641,12 @@ class TestTiltParameters:
                             reps=2000, method="tilted", seed=3)
         assert len(builds) == 1 and builds[0][1] > 0.0
         assert len(grows) == 2
-        # A fresh model builds the same law bit for bit.
+        # The model and a fresh one each build the same law bit for bit.
         n, s = builds[0]
-        fresh = FractionalPoissonCounting(0.7, 1.0)
-        assert mn.finite_cgf(n, s) == fresh.finite_cgf(n, s)
-        assert np.array_equal(mn._table(n, s)[1], fresh._table(n, s)[1])
-        assert len(builds) == 2
+        law, fresh = mn.count_law(n, s), FractionalPoissonCounting(0.7, 1.0).count_law(n, s)
+        assert law.cgf == fresh.cgf
+        assert np.array_equal(law.cdf, fresh.cdf)
+        assert len(builds) == 3
 
     def test_zero_rate_event_has_zero_infimum(self):
         # The tilt refuses a zero-rate event; the decay scan falls back to
@@ -809,13 +809,13 @@ class TestEstimateEventProb:
     def test_tilted_sampler_is_built_once_per_estimate(self, monkeypatch):
         # One tilted table per estimate, shared by all blocks, for every kind.
         built = []
-        build = CountingModel.tilted_count_sampler
+        build = CountingModel.count_law
 
-        def counted(self, n, s):
+        def counted(self, n, s=0.0):
             built.append(type(self).__name__)
             return build(self, n, s)
 
-        monkeypatch.setattr(CountingModel, "tilted_count_sampler", counted)
+        monkeypatch.setattr(CountingModel, "count_law", counted)
         for mn, level in KIND_CASES.values():
             estimate_event_prob(pm_one_summand(), mn, 30,
                                 HalfSpaceEvent([0.0], 1.0, level),
@@ -1089,7 +1089,7 @@ class TestMdScalingSweep:
         a_n = 100 ** -0.5
         for kind, (mn, _) in KIND_CASES.items():
             exact = md_scaling_sweep(mn, [a_n], etas=[-0.5, 0.5], ns=[100])
-            draws = mn.sample_batch(100, np.random.default_rng(314), 200_000)
+            draws = mn.count_law(100).draw(np.random.default_rng(314), 200_000)
             centred = draws - mn.mean(100)
             for row in exact.rows:
                 t = row.eta / math.sqrt(100 * a_n)
@@ -1105,12 +1105,10 @@ class TestMdScalingSweep:
         for a, b in zip(poisson.rows, renewal.rows):
             assert_allclose(b.value, a.value, rtol=1e-9)
 
-    def test_sweep_keeps_no_table_it_built(self, monkeypatch):
+    def test_sweep_builds_each_table_once(self, monkeypatch):
         # 3 ns x (the mean's table and 3 tilts): 12 tables, 17.9 MiB, each
-        # built once and none kept; the table held before stays. The values
-        # are the finite-n cumulant's, read afresh.
+        # built once. The values are the finite-n cumulant's, read afresh.
         mn, ns = FractionalPoissonCounting(0.7, 1.0), [1000, 10_000, 100_000]
-        mn.mean(50)
         built = []
         tilted_table = mn._tilted_table
         monkeypatch.setattr(mn, "_tilted_table", lambda n, s: (
@@ -1118,26 +1116,25 @@ class TestMdScalingSweep:
         result = md_scaling_sweep(mn, [n ** -0.5 for n in ns],
                                   etas=[0.5, 1.0, 2.0], ns=ns)
         assert len(built) == len(set(built)) == 12
-        assert mn.table_keys() == {(50, 0.0)}
         for row in result.rows:
             a_n = row.n ** -0.5
             t = row.eta / math.sqrt(row.n * a_n)
             assert row.value == a_n * (row.n * mn.finite_cgf(row.n, t)
                                        - t * mn.mean(row.n))
 
-    def test_no_guide_outlives_its_table(self):
-        # A plain and a tilted estimate each keep a count table and its
-        # guide; drop_tables(set()) forgets all four, and nothing else holds
-        # a guide.
+    def test_no_guide_outlives_its_estimate(self, monkeypatch):
+        # A plain and a tilted estimate each build a count law and its
+        # guide; the model holds neither, so both are freed with the call.
         mn, event = unit_poisson(), HalfSpaceEvent([0.0], 1.0, 1.5)
+        guides = []
+        build = summands._CdfGuide.__init__
+        monkeypatch.setattr(summands._CdfGuide, "__init__", lambda self, chunks: (
+            guides.append(weakref.ref(self)) or build(self, chunks)))
         for method in ("plain", "tilted"):
             estimate_event_prob(pm_one_summand(), mn, 40, event, reps=1000,
                                 method=method, seed=5)
-        guides = [weakref.ref(guide) for guide in mn._guides.values()]
-        assert len(mn.table_keys()) == len(guides) == 2
-        mn.drop_tables(set())
         gc.collect()
-        assert mn.table_keys() == set() and mn._guides == {}
+        assert len(guides) == 2
         assert [ref() for ref in guides] == [None, None]
 
     def test_reciprocal_scaling_freezes_the_gap(self):
@@ -1327,9 +1324,9 @@ class TestCltRegimeCheck:
         mn = RenewalCounting(GammaInterarrival(2.0, 4.0))
         assert_allclose(mn.mean(100), 199.75, rtol=1e-12)
         draws = []
-        sample_batch = mn.sample_batch
-        monkeypatch.setattr(mn, "sample_batch", lambda n, rng, reps: (
-            draws.append(reps) or sample_batch(n, rng, reps)))
+        draw = CountLaw.draw
+        monkeypatch.setattr(CountLaw, "draw", lambda law, rng, reps: (
+            draws.append(reps) or draw(law, rng, reps)))
         result = clt_regime_check(
             pm_one_summand(), mn, n=100, reps=BLOCK_SIZE + 500, v=[1.0],
             seed=2003,
@@ -1586,11 +1583,11 @@ def batch_route_estimate(mx, mn, n, event, reps, method, seed, workers):
     (S, N) drawn through the block runner with its draws pair, then the
     indicator times exp(log-weight) over all reps at once."""
     if method == "plain":
-        tilt, draws = None, montecarlo._plain_draws(mx, mn, n)
+        tilt, draws = None, montecarlo._plain_draws(mx, mn.count_law(n))
     else:
         tilt = tilt_parameters(mx, mn, event)
         draws = (mx.tilted(tilt.theta).sample_sum_batch,
-                 mn.tilted_count_sampler(n, tilt.s))
+                 mn.count_law(n, tilt.s).draw)
     sums, counts = np.empty((reps, mx.dim)), np.empty(reps, dtype=np.int64)
 
     def take(start, block_counts, block_sums):
@@ -1762,7 +1759,7 @@ def block_generators(seed, start, stop, role):
 def blockwise_draws(mx, mn, n, reps, seed):
     """(sums, counts) drawn one block at a time, each block's samplers
     called on that block's own generators alone."""
-    draw_sums, draw_counts = montecarlo._plain_draws(mx, mn, n)
+    draw_sums, draw_counts = montecarlo._plain_draws(mx, mn.count_law(n))
     pieces = []
     for (rng_n, size), (rng_x, _) in zip(
             *(block_generators(seed, 0, reps, role) for role in (0, 1))):
@@ -1851,23 +1848,82 @@ class TestBlockRuns:
     ])
     def test_counts_are_drawn_once_per_run(self, monkeypatch, reps, runs):
         mn, sizes = unit_poisson(), []
-        sample_batch = mn.sample_batch
-        monkeypatch.setattr(mn, "sample_batch", lambda n, rng, reps: (
-            sizes.append(reps) or sample_batch(n, rng, reps)))
+        draw = CountLaw.draw
+        monkeypatch.setattr(CountLaw, "draw", lambda law, rng, reps: (
+            sizes.append(reps) or draw(law, rng, reps)))
         simulate_compound(pm_one_summand(), mn, 30, reps, seed=65, workers=2)
         assert sorted(sizes) == runs
 
 
-# Every counting kind with a finite-n law.
-FINITE_N_KINDS = {
-    "poisson": PoissonCounting(1.3),
-    "fractional": FractionalPoissonCounting(0.7, 1.0),
-    "iid-sum": IidSumCounting([0, 1, 2], [0.3, 0.4, 0.3]),
-    "bernoulli": BernoulliSumCounting(p=0.35),
-    "bernoulli-runs": BernoulliSumCounting.runs(1.0, 1.0),
-    "renewal": RenewalCounting(GammaInterarrival(2.0, 1.0)),
-    "renewal-lattice": lattice_renewal(),
+# Every counting kind with a finite-n law, and how to build it afresh.
+FINITE_N_FACTORIES = {
+    "poisson": lambda: PoissonCounting(1.3),
+    "fractional": lambda: FractionalPoissonCounting(0.7, 1.0),
+    "iid-sum": lambda: IidSumCounting([0, 1, 2], [0.3, 0.4, 0.3]),
+    "bernoulli": lambda: BernoulliSumCounting(p=0.35),
+    "bernoulli-runs": lambda: BernoulliSumCounting.runs(1.0, 1.0),
+    "renewal": lambda: RenewalCounting(GammaInterarrival(2.0, 1.0)),
+    "renewal-lattice": lattice_renewal,
 }
+FINITE_N_KINDS = {kind: build() for kind, build in FINITE_N_FACTORIES.items()}
+
+
+class TestModelsKeepNoTables:
+    """A counting model holds its construction fields and ``cumulant`` and
+    nothing else: each finite-n member, and each caller, builds its own
+    ``CountLaw``, whose cgf is the model's ``finite_cgf`` bit for bit."""
+
+    n, mx, event = 12, pm_one_summand(), HalfSpaceEvent([1.0], 0.0, 0.5)
+
+    def calls(self, mn):
+        """Every finite-n member and every caller that reads a count law, as
+        (name, call, the tables it builds)."""
+        mx, n, event = self.mx, self.n, self.event
+        checks = 1 if type(mn) is PoissonCounting else 2  # Poisson's mean is closed
+        return [
+            ("exact_pmf", lambda: mn.exact_pmf(n), 1),
+            ("finite_cgf", lambda: mn.finite_cgf(n, 0.3), None),
+            ("mean", lambda: mn.mean(n), None),
+            ("var", lambda: mn.var(n), 1),
+            ("count_law", lambda: mn.count_law(n, -0.2), 1),
+            ("plain", lambda: estimate_event_prob(mx, mn, n, event, reps=200,
+                                                  seed=1), 1),
+            ("tilted", lambda: estimate_event_prob(mx, mn, n, event, reps=200,
+                                                   method="tilted", seed=1), 1),
+            ("moments", lambda: moment_limits_check(mx, mn, n, 50, [1.0], [1.0],
+                                                    seed=2), checks),
+            ("clt", lambda: clt_regime_check(mx, mn, n, 50, [1.0], seed=3), checks),
+            ("md-sweep", lambda: md_scaling_sweep(mn, [n ** -0.5], [0.5, 1.0], [n]),
+             None),
+            ("enumerate", lambda: enumerate_exact(mx, mn, n, event), 1),
+        ]
+
+    @pytest.mark.parametrize("kind", FINITE_N_KINDS)
+    def test_no_call_leaves_anything_in_the_model(self, kind):
+        mn = FINITE_N_FACTORIES[kind]()
+        fields = set(vars(mn)) | {"cumulant"}
+        for name, call, _ in self.calls(mn):
+            call()
+            assert set(vars(mn)) <= fields, name
+
+    @pytest.mark.parametrize("kind", FINITE_N_KINDS)
+    def test_each_call_builds_its_tables_once(self, kind, monkeypatch):
+        mn, built = FINITE_N_FACTORIES[kind](), []
+        tilted_table = mn._tilted_table
+        monkeypatch.setattr(mn, "_tilted_table", lambda n, s: (
+            built.append(s) or tilted_table(n, s)))
+        for name, call, builds in self.calls(mn):
+            built.clear()
+            call()
+            if builds is not None:
+                assert len(built) == builds, name
+
+    @pytest.mark.parametrize("kind", FINITE_N_KINDS)
+    def test_law_cgf_is_finite_cgf_bit_for_bit(self, kind):
+        mn = FINITE_N_KINDS[kind]
+        for n in (1, 7, 30):
+            for s in (-1.0, -0.3, 0.0, 0.2, 0.9):
+                assert mn.count_law(n, s).cgf == mn.finite_cgf(n, s), (n, s)
 
 
 class TestCheckTargets:
