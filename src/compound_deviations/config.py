@@ -40,7 +40,6 @@ import platform
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from .counting import (
     MAX_STEP,
@@ -645,6 +644,9 @@ def build_models(config):
 
 
 def versions_string():
+    # Imported here, not at module level: building models loads no scipy.
+    import scipy
+
     return ",".join(
         [
             f"python={platform.python_version()}",

@@ -131,24 +131,19 @@ def _from_log_weights(log_weights):
     return pmf, log_total
 
 
-def _log_weight_table(nu, log_x, s, what):
-    """(pmf, log Z(s)) of the law with mass ~ x^k e^{s k} / Gamma(nu k + 1),
-    log Z(s) being the log of its total weight over the total at s = 0. The
-    log-weights are concave, so the tail beyond the table decays
-    geometrically."""
+def _log_weight_table(nu, slope, what):
+    """(pmf, log of the total weight) of the law with mass ~ e^{slope k} /
+    Gamma(nu k + 1). The log-weights are concave, so the tail beyond the
+    table decays geometrically."""
     # Imported here, not at module level, so that a run pays only for the
     # scipy submodules it calls.
     from scipy.special import gammaln
 
-    def table(slope):
-        def build(size):
-            k = np.arange(size, dtype=float)
-            return _from_log_weights(k * slope - gammaln(nu * k + 1.0))
+    def build(size):
+        k = np.arange(size, dtype=float)
+        return _from_log_weights(k * slope - gammaln(nu * k + 1.0))
 
-        return _grow_table(build, what)
-
-    pmf, log_total = table(log_x + s)
-    return pmf, 0.0 if s == 0.0 else log_total - table(log_x)[1]
+    return _grow_table(build, what)
 
 
 def _chunk_states(pairs, width):
@@ -473,11 +468,19 @@ class FractionalPoissonCounting(CountingModel):
     def limit_cgf_second(self, eta):
         return self._scale * math.exp(eta / self._nu) / (self._nu * self._nu)
 
-    def _tilted_table(self, n, s):
+    def _weight_table(self, n, s):
+        """(pmf, log of the total weight) of the mass ~ x^k e^{s k} /
+        Gamma(nu k + 1) at n."""
         x = self._rate * float(n) ** self._nu
-        pmf, log_z = _log_weight_table(self._nu, math.log(x), s,
-                                       f"{type(self).__name__} mass table at n={n}")
-        return pmf, log_z / n
+        return _log_weight_table(self._nu, math.log(x) + s,
+                                 f"{type(self).__name__} mass table at n={n}")
+
+    def _tilted_table(self, n, s):
+        # log Z(s) is the tilted total weight over the untilted one.
+        pmf, log_total = self._weight_table(n, s)
+        if s == 0.0:
+            return pmf, 0.0
+        return pmf, (log_total - self._weight_table(n, 0.0)[1]) / n
 
 
 class PoissonCounting(FractionalPoissonCounting):
@@ -496,7 +499,8 @@ class PoissonCounting(FractionalPoissonCounting):
         return self._rate * check_int(n, "n", 1)
 
     def _tilted_table(self, n, s):
-        return super()._tilted_table(n, s)[0], self.finite_cgf(n, s)
+        # The closed cgf needs no untilted normaliser: one table.
+        return self._weight_table(n, s)[0], self.finite_cgf(n, s)
 
 
 def _bernoulli_cgf(q, eta):

@@ -54,7 +54,7 @@ fractional or boolean size is a ValidationError, never truncated.
 Importing the module loads no scipy submodule; of its own routines only
 the CLT normality p-values import one (``scipy.special``, for chdtrc, the
 chi-square tail of their K^2 statistic), when they run. The count law with
-its guide and any summand tables (which import ``bdtr``) are built in the
+its guide and any summand tables (built with numpy alone) are built in the
 calling thread, before the runs start.
 """
 

@@ -31,12 +31,13 @@ drawn as successive conditional binomials, one stage per atom but the last,
 and summed coordinate by coordinate. ``sample_sum_batch`` draws each stage
 with numpy's binomial sampler. ``plain_sampler`` (the sampler of plain
 draws) may instead draw each stage from one ``rng.random`` uniform per sum,
-inverted in exact Binomial(k, q) cdf rows (``_GuideTable``, built at about
-0.4 us per table state by scipy's ``bdtr``, which it imports when built). It
-builds them only where they hold at most TABLE_STAGE_STATES states per stage
-and MASS_TABLE_CAP in all, judged from their windows before any build; past
-that it is ``sample_sum_batch``. Every other law's ``plain_sampler`` is its
-``sample_sum_batch``.
+inverted in exact Binomial(k, q) cdf rows (``_GuideTable``, built by
+Pascal's rule on the cdf and the survival, one numpy step per row: about
+5-9 ms for a table of 2^16 states). It builds them only where they hold at most TABLE_STAGE_STATES
+states per stage and MASS_TABLE_CAP in all, judged from their windows before
+any build; past that it is ``sample_sum_batch``. Every other law's
+``plain_sampler`` is its ``sample_sum_batch``. The module imports nothing
+from scipy.
 
 Every cdf inversion of the package, of counts and of stages, takes
 ``invert_cdf``'s rule through one kernel, ``_CdfGuide``: a guide table
@@ -82,13 +83,22 @@ WINDOW_LOG_TAIL = 54.0 * math.log(2.0)
 # Guide tables are built in row chunks of about this many window states.
 TABLE_CHUNK = 1 << 16
 # Plain draws build stage tables only up to this many window states per
-# stage: about where their build, at about 0.4 us a state, stops being
-# repaid by the draws of the default plain reps, 10^5 sums (on 2 vCPU, with
-# a guide of one cell per state, every measured law took 0.31-1.00x of the
-# binomial route's time at up to 20,345 states a stage, and the first to
-# lose took 1.07x at 24,155). The power-of-two guide draws faster still;
-# the bound stays, so that no law's draws change route.
-TABLE_STAGE_STATES = 20_000
+# stage: the largest power of two at which the measured laws' build plus
+# the draws of the default plain reps, 10^5 sums, cost about what numpy's
+# binomials do, or less. On 2 vCPU, with Poisson(1) counts, the table route
+# took this share of the binomial route's time (best of 7, five rounds, the
+# high ends in the rounds under host load):
+#   law                 states a stage   share
+#   +-1                 64,095           0.83-1.06
+#   +-1                 92,332           1.04-1.26
+#   FS2 (0.3, 0.3)      63,364           0.63-0.86
+#   FS2 (0.3, 0.3)      91,355           0.69-1.08
+#   q = 0.02            63,974           0.44-0.82
+#   q = 0.97            76,904           0.42-0.74
+#   q = 0.97            101,022          1.02-1.59
+# +-1, the tightest, took 0.83-0.89 in the quiet rounds. A table of 2^16
+# states costs about 5-9 ms to build.
+TABLE_STAGE_STATES = 1 << 16
 
 
 def check_probs(probs):
@@ -204,24 +214,51 @@ class _GuideTable(_CdfGuide):
     first whose cdf passes 2^-53 (u = 0 draws it, where the whole row would
     draw a state of cdf below 2^-53; those states go in as 0) to the first
     whose cdf is 1; the last state of the window is set to 1, the tail
-    beyond it being below 2^-54. The rows come from ``bdtr`` over the
-    windows, vectorised over chunks of rows.
+    beyond it being below 2^-54. The rows come from Pascal's rule, run
+    alike on the cdf F from F_0 = 1 and on the survival S = 1 - F from
+    S_0 = 0: F_k(j) = q F_{k-1}(j - 1) + (1 - q) F_{k-1}(j), one numpy step
+    per row for both over the states 0..max(highs) (row k needs row k - 1
+    on no more states than its own, and F_{k-1}(j) = 1, S_{k-1}(j) = 0 for
+    j >= k - 1, so the cut is exact). Each step is a convex combination of
+    nonnegative terms, so F and S keep their relative accuracy, and a row
+    takes F where F <= 1/2 and 1 - S past it: both tails are accurate
+    relative to their mass (within 2.8e-14 of it, measured up to the
+    largest table TABLE_STAGE_STATES admits), and a row reads 1 only where
+    S <= 2^-54. F alone, accurate near 1 only to about k 2^-53, would read
+    1 while up to about 1e-14 of the row's mass lay further right, out of
+    any draw's reach.
     """
 
     def __init__(self, q, lows, highs):
-        from scipy.special import bdtr
-
         widths = highs - lows + 1
         cuts = np.searchsorted(np.cumsum(widths),
                                np.arange(TABLE_CHUNK, widths.sum(), TABLE_CHUNK))
 
         def chunks():
+            # The current row's cdf F and survival S = 1 - F side by side:
+            # cur[2 j + 2] is F(j) and cur[2 j + 3] is S(j), after F(-1) = 0
+            # and S(-1) = 1, so Pascal's step on both is one shift by two.
+            # Each row is written to the other buffer.
+            top_state = int(highs.max())
+            cur, nxt = np.zeros((2, 2 * top_state + 4))
+            cur[2::2] = nxt[2::2] = cur[1] = nxt[1] = 1.0
+            shifted = np.empty(2 * top_state + 2)
             for rows in np.split(np.arange(widths.size), np.unique(cuts)):
                 w = widths[rows]
-                start = np.cumsum(w) - w
-                state = np.arange(w.sum()) - np.repeat(start - lows[rows], w)
-                cdf = bdtr(state, np.repeat(rows, w), q)
-                cdf[start + w - 1] = 1.0
+                ends = 2 * np.cumsum(w)
+                pairs = np.empty(ends[-1])
+                for k, end, a, b in zip(rows.tolist(), ends.tolist(),
+                                        lows[rows].tolist(), highs[rows].tolist()):
+                    if k:
+                        top = 2 * min(k, top_state) + 2
+                        np.multiply(cur[:top], q, out=shifted[:top])
+                        np.multiply(cur[2:top + 2], 1.0 - q, out=nxt[2:top + 2])
+                        nxt[2:top + 2] += shifted[:top]
+                        cur, nxt = nxt, cur
+                    pairs[end - 2 * (b - a + 1):end] = cur[2 * a + 2:2 * b + 4]
+                cdf, survival = pairs[0::2], pairs[1::2]
+                cdf = np.where(cdf > 0.5, 1.0 - survival, cdf)
+                cdf[ends // 2 - 1] = 1.0
                 cdf[cdf <= UNIFORM_STEP] = 0.0
                 yield cdf, w, lows[rows]
 

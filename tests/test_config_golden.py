@@ -43,7 +43,10 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -265,6 +268,29 @@ GOLDEN = {
 }
 
 
+def test_building_the_served_models_loads_no_scipy():
+    # A fresh interpreter that imports the package and builds the models of
+    # every workload config, as the benchmark's set-up probe does, loads no
+    # scipy module: set-up pays for no scipy import.
+    script = (
+        "import importlib.util, sys\n"
+        "import compound_deviations\n"
+        "from compound_deviations.config import build_models, normalize_config\n"
+        "spec = importlib.util.spec_from_file_location('workloads', sys.argv[1])\n"
+        "module = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(module)\n"
+        "for workload in module.WORKLOADS:\n"
+        "    for _, raw in module.make_configs(workload, 5)[0]:\n"
+        "        build_models(normalize_config(raw))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(_WORKLOADS_PATH.parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    result = subprocess.run([sys.executable, "-c", script, str(_WORKLOADS_PATH)],
+                            env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
+
+
 def test_every_served_config_is_pinned():
     assert sorted(GOLDEN) == sorted(CONFIGS)
     assert sum(label.split("/")[0] in ("ldp-tilted", "mc-checks", "rate-grid",
@@ -377,13 +403,13 @@ def test_ldp_tilted_tables_are_pinned(label, tmp_path):
 MC_TABLE_DIGESTS = {
     "moments-poisson": (
         "moments_check.csv",
-        "8f4d0459cb01446fff3969cdefe8c43338522ba04ae80e5fc8c5d939e253b721"),
+        "f11ef198e8abde53f59c4a36135bd562abe109207dc64f5813d6e50be558e48f"),
     "moments-iid-2d": (
         "moments_check.csv",
         "c5819ed05ebe1a8282b5ff6a203ae8eab2486bca2d096d10a219c42cbd7465bd"),
     "clt-runs": (
         "clt_check.csv",
-        "972c2838876053a2aecee64b61981618ce70edcfa8eb945133af7e0b3506a47a"),
+        "18d7d68960ff1a70bffd8047e0dc3d033ba29ef15f13870246dfabaa361b8d8e"),
     "clt-renewal-gamma": (
         "clt_check.csv",
         "bf2fb9bb7a983e6c94a0f17d7db0d4319eb8ade45784686399c2f92590b364be"),
@@ -398,6 +424,18 @@ def test_mc_check_tables_are_pinned(label, workers, tmp_path):
     assert code == 0
     name, digest = MC_TABLE_DIGESTS[label]
     assert _table_digest(tmp_path / name) == digest
+
+
+@pytest.mark.parametrize("label", ["moments-poisson", "clt-runs"])
+def test_served_pm_one_checks_draw_from_stage_tables(label):
+    # Both draw at most 324 steps a sum, so their +-1 stage tables hold
+    # 39,457 states, within TABLE_STAGE_STATES: the route, fixed from the
+    # windows before any draw, is the tables, not numpy's binomials.
+    config = normalize_config(CONFIGS[f"mc-checks/{label}"])
+    summands, counting = build_models(config)
+    law = counting.count_law(config["experiment"]["n"])
+    assert law.max_count == 324
+    assert summands.plain_sampler(law.max_count) != summands.sample_sum_batch
 
 
 MD_COUNTING = {

@@ -1249,6 +1249,23 @@ class TestPoissonIsOrderOneFractional:
                 assert law.cgf == mn.finite_cgf(n, s)
                 assert_allclose(law.cgf, law_f.cgf, rtol=1e-14)
 
+    def test_a_tilted_poisson_law_grows_one_table(self, monkeypatch):
+        # The closed cumulant needs no untilted normaliser, so the Poisson
+        # law grows only its tilted table; the fractional one grows both.
+        grows, grow = [], counting._grow_table
+
+        def counted_grow(build, what):
+            grows.append(what)
+            return grow(build, what)
+
+        monkeypatch.setattr(counting, "_grow_table", counted_grow)
+        law = PoissonCounting(1.0).count_law(200, 0.5)
+        assert len(grows) == 1
+        law_f = FractionalPoissonCounting(1.0, 1.0).count_law(200, 0.5)
+        assert len(grows) == 3
+        assert np.array_equal(law.pmf, law_f.pmf)
+        assert law.cgf == PoissonCounting(1.0).finite_cgf(200, 0.5)
+
 
 class TestFractionalSmallOrder:
     """nu = 0.2, below the Mittag-Leffler evaluation domain [0.3, 1]."""

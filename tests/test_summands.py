@@ -20,6 +20,7 @@ from compound_deviations.errors import (
     ValidationError,
 )
 from compound_deviations.summands import (
+    TABLE_STAGE_STATES,
     TOP_UNIFORM,
     UNIFORM_STEP,
     FiniteSupportSummands,
@@ -312,6 +313,34 @@ def table_row(table, k):
 
 
 STAGE_PROBS = [0.02, 0.3, 3.0 / 7.0, 0.5, 0.97]
+# The rows' largest distance from the exact cdf, relative to its nearer
+# tail, past the 2^-53 grid, up to the largest table that TABLE_STAGE_STATES
+# admits (measured: at most 2.8e-14). scipy's bdtr was 8.7e-13 to 2.8e-12
+# off by the same measure, and 3.6e-13 to 1.2e-12 in absolute terms.
+ROW_ERROR = 5e-14
+
+
+def exact_cdf_rows(q, top):
+    """(k, cdf, survival) of Binomial(k, q) over the states 0..k, for
+    k = 0..top, at the float q's exact binary value: Pascal's rule in
+    integers scaled by 2^256, within k 2^-256 of exact, rounded once to
+    floats."""
+    num, den = q.as_integer_ratio()
+    shift, one = den.bit_length() - 1, 1 << 256
+    row = np.array([one], dtype=object)
+    for k in range(top + 1):
+        if k:
+            padded = np.concatenate([[0], row, [one]])
+            row = (num * padded[:-1] + (den - num) * padded[1:]) >> shift
+        yield k, row.astype(float) / one, (one - row).astype(float) / one
+
+
+def largest_admitted(q):
+    """The largest max_count whose one-stage table holds at most
+    TABLE_STAGE_STATES window states (every row holds at least one)."""
+    lows, highs = _binomial_windows(q, TABLE_STAGE_STATES)
+    return int(np.searchsorted(np.cumsum(highs - lows + 1), TABLE_STAGE_STATES,
+                               side="right")) - 1
 
 
 def cdf_rows(rng):
@@ -387,20 +416,28 @@ class TestCdfGuide:
 
 class TestGuideTables:
     @pytest.mark.parametrize("q", STAGE_PROBS)
-    def test_rows_match_bdtr(self, q):
-        # Each row is the exact binomial cdf over the states a uniform on
-        # the 2^-53 grid selects: the states left of it have cdf at most
-        # 2^-53, and its last state has cdf within one grid step of 1.
-        from scipy.special import bdtr
-
-        table = stage_table(q)
-        for k in range(401):
+    def test_rows_match_the_exact_cdf(self, q):
+        # Every row, up to the largest table that TABLE_STAGE_STATES admits,
+        # is the exact binomial cdf over the states a uniform on the 2^-53
+        # grid selects: the states left of it have exact cdf at most 2^-53,
+        # those right of its last state exact mass at most 2^-53, and in
+        # between it is within ROW_ERROR of the exact cdf relative to the
+        # nearer tail, past the grid step. Row k is the same whatever the
+        # table's max_count.
+        top = largest_admitted(q)
+        table, small = stage_table(q, top), stage_table(q)
+        assert 400 < top < TABLE_STAGE_STATES
+        for k, cdf, survival in exact_cdf_rows(q, top):
             low, row = table_row(table, k)
-            full = bdtr(np.arange(k + 1), k, q)
             assert np.all(np.diff(row) >= 0.0) and row[-1] == 1.0
-            assert_allclose(row, full[low:low + row.size], rtol=0.0, atol=1e-14)
-            assert np.all(full[:low] <= UNIFORM_STEP)
-            assert full[low + row.size - 1] >= TOP_UNIFORM
+            assert np.all(cdf[:low] <= UNIFORM_STEP)
+            assert survival[low + row.size - 1] <= UNIFORM_STEP
+            window = slice(low, low + row.size)
+            assert np.all(np.abs(row - cdf[window]) <= ROW_ERROR * np.minimum(
+                cdf[window], survival[window]) + UNIFORM_STEP)
+            if k <= 400:
+                small_low, small_row = table_row(small, k)
+                assert low == small_low and np.array_equal(row, small_row)
 
     @pytest.mark.parametrize("q", STAGE_PROBS)
     def test_draws_invert_their_own_row(self, q):
