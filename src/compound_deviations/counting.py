@@ -14,7 +14,7 @@ the pmf over 0..K of the law with mass ~ P(N_n = k) e^{s k}, and the finite
 scaled cumulant (1/n) log E e^{s N_n}, bit for bit ``finite_cgf(n, s)``;
 s = 0 is N_n itself. ``CountingModel.count_law(n, s)`` wraps one table in a
 fresh ``CountLaw`` per call, and every finite-n member reads one: its pmf
-(``exact_pmf``), its cdf, cut to 1 where no uniform reaches further, with
+(``exact_pmf``), its cdf, 1 exactly where no uniform reaches further, with
 its largest draw ``max_count`` and its guide (``summands._CdfGuide``), which
 ``draw`` inverts by ``summands.invert_cdf``'s rule, the least k with
 F(k) > u, its moments (``mean``, ``var``) and its cumulant
@@ -72,7 +72,6 @@ from .errors import ValidationError
 from .summands import (
     MASS_TABLE_CAP,
     TOP_UNIFORM,
-    UNIFORM_STEP,
     _CdfGuide,
     check_probs,
     invert_cdf,
@@ -217,16 +216,19 @@ class CountLaw:
     ``cgf`` (1/n) log E e^{s N_n}, its ``cdf``, the count ``max_count`` that
     the top uniform draws, and the cdf's ``guide``, which ``draw`` reads.
     Built by ``CountingModel.count_law``, guide included, so a caller that
-    builds it before its runs shares it across their threads."""
+    builds it before its runs shares it across their threads.
+
+    The cdf takes the summand stage rows' tail rule: the cumsum F where
+    F <= 1/2 and 1 - S past it, S the upper tail summed from the table's
+    end. Both tails keep their relative accuracy, and the cdf reads 1
+    exactly where S <= 2^-54, mass no uniform on the 2^-53 grid reaches, so
+    ``max_count`` is the least such count and moves with n as the exact
+    tail does."""
 
     def __init__(self, pmf, cgf):
-        # The cumsum can plateau a few ulps short of 1, so a top uniform
-        # would draw the table's end. The cdf is 1 from the first k whose
-        # upper tail is below 2^-54, which no uniform on the 2^-53 grid can
-        # reach, as for the summand rows.
         cdf = np.cumsum(pmf)
         upper = np.append(np.cumsum(pmf[:0:-1])[::-1], 0.0)
-        cdf[np.argmax(upper < UNIFORM_STEP / 2):] = 1.0
+        cdf = np.where(cdf > 0.5, 1.0 - upper, cdf)
         self.pmf, self.cgf, self.cdf = pmf, cgf, cdf
         self.max_count = int(invert_cdf(cdf, TOP_UNIFORM))
         self.guide = _CdfGuide([(cdf, np.array([cdf.size]), np.array([0]))])

@@ -1,20 +1,18 @@
 """Simulation and empirical verification for compound sums.
 
-Replication is block-structured for reproducibility: reps are split into
-fixed blocks of BLOCK_SIZE, and block b draws its count stream from the seed
-sequence (seed, b, 0) and its summand stream from (seed, b, 1). Blocks are
-drawn in runs of RUN_BLOCKS consecutive blocks, one run per task, and a
-run's samplers fill each block's rows from that block's own streams, so a
-run draws what its blocks would draw one by one. The partition is
-independent of the worker count, so the results are bit-identical whether
-runs go serially or to a thread pool, and the count draws never depend on
-the summand law: two summand laws at one seed draw the same counts (the two
-streams realize the independence of the count from the summands). An event
-estimate on a count face, direction 0, draws counts only: it seeds no
-summand stream and builds no summand sampler, since its indicator and
-weight read the counts alone, bit for bit. Each run is written in place as
-it is drawn: only ``simulate_compound``, the public batch API, holds a
-(reps, h) batch.
+Replication is run-structured for reproducibility: run r holds rows
+[r RUN_SIZE, (r + 1) RUN_SIZE) and draws its counts from one generator
+seeded by the sequence (seed, r, 0) and its sums from another seeded by
+(seed, r, 1). One run is one thread task. The partition is independent of
+the worker count, so the results are bit-identical whether runs go
+serially or to a thread pool, and growing reps appends runs without
+touching earlier rows. The count draws never depend on the summand law:
+two summand laws at one seed draw the same counts (the two streams realize
+the independence of the count from the summands). An event estimate on a
+count face, direction 0, draws counts only: it seeds no summand stream and
+builds no summand sampler, since its indicator and weight read the counts
+alone, bit for bit. Each run is written in place as it is drawn: only
+``simulate_compound``, the public batch API, holds a (reps, h) batch.
 
 Every count draw, plain or tilted, comes from one ``CountLaw`` that the call
 builds with ``count_law(n, s)`` in the calling thread, before the runs
@@ -30,7 +28,7 @@ the guide kernel that also draws the counts (``summands._CdfGuide``); larger
 tables, and the tilted route, where each estimate's fresh tilted law draws
 only 10^4 sums, draw with numpy's binomials (``sample_sum_batch``). The
 route rests on the method, the law and the table size, never on reps, so
-block prefixes stay stable.
+run prefixes stay stable.
 
 Contents: plain simulation; one event type, the face {<d, S>/n + c N/n >=
 a} (``HalfSpaceEvent``); exact enumeration for finite-support summands; one
@@ -82,11 +80,9 @@ from .variational import (
     pair_covariance,
 )
 
-# Replication block size; the unit of RNG stream derivation.
-BLOCK_SIZE = 8192
-# Consecutive blocks drawn together as one run: the unit of work per thread.
-RUN_BLOCKS = 2
-# Stream roles inside a block's seed sequence.
+# Rows per run: the unit of stream seeding and of work per thread.
+RUN_SIZE = 16384
+# Stream roles inside a run's seed sequence.
 COUNT_ROLE = 0
 SUMMAND_ROLE = 1
 # Importance weights beyond e^700 are an error, never a silent clip.
@@ -114,68 +110,33 @@ def _run_sizes(reps, seed, workers, least_reps):
             1 if workers is None else check_int(workers, "workers", 1))
 
 
-class _RunStream:
-    """One stream role over the run of blocks from row ``start`` to ``stop``:
-    each draw fills every block's slice of one run-long array from that
-    block's own generator, seeded (seed, b, role), so a block draws what it
-    would draw alone. It answers the three Generator calls the samplers
-    make, each sized by the run's rows."""
-
-    def __init__(self, seed, start, stop, role):
-        self._blocks = [
-            (np.random.default_rng(np.random.SeedSequence([seed, b // BLOCK_SIZE, role])),
-             slice(b - start, min(b + BLOCK_SIZE, stop) - start))
-            for b in range(start, stop, BLOCK_SIZE)]
-
-    def random(self, size):
-        out = np.empty(size)
-        for rng, rows in self._blocks:
-            rng.random(out=out[rows])
-        return out
-
-    def standard_normal(self, size):
-        out = np.empty(size)
-        for rng, rows in self._blocks:
-            rng.standard_normal(out=out[rows])
-        return out
-
-    def binomial(self, counts, p):
-        out = np.empty(counts.shape, dtype=np.int64)
-        for rng, rows in self._blocks:
-            out[rows] = rng.binomial(counts[rows], p)
-        return out
-
-
 def _run_blocks(draw_sums, draw_counts, reps, seed, workers, take):
-    """Draw reps realizations in seeded blocks, counts by ``draw_counts``
-    and sums by ``draw_sums`` (rng, counts), and pass each run of RUN_BLOCKS
-    consecutive blocks to ``take(start, counts, sums)``, which writes its
-    rows in place or keeps their sums; ``draw_sums`` None seeds no summand
-    stream and passes sums None. A run draws through one ``_RunStream`` per
-    role, so the samplers and the taker make their numpy calls once per
-    run, on up to RUN_BLOCKS * BLOCK_SIZE rows, and every draw is its
-    block's own. Runs go to ``workers`` threads. Each numpy call releases
-    the interpreter lock only around its own loop, so threads overlap as
-    far as the calls are long: on 2 vCPU, two threads on single 8192-row
-    blocks drew slower than one thread."""
+    """Draw reps realizations in runs of RUN_SIZE rows, the last one
+    shorter, and pass each run to ``take(start, counts, sums)``, which
+    writes its rows in place or keeps their sums. Run r draws its counts by
+    ``draw_counts(rng, size)`` and its sums by ``draw_sums(rng, counts)``,
+    each role from its own generator, seeded (seed, r, role); ``draw_sums``
+    None seeds no summand stream and passes sums None. Runs go to
+    ``workers`` threads. Each numpy call releases the interpreter lock only
+    around its own loop, so threads overlap as far as the calls are long:
+    on 2 vCPU, two threads on 8192-row runs drew slower than one thread."""
 
-    def run(start, stop):
-        counts = draw_counts(_RunStream(seed, start, stop, COUNT_ROLE), stop - start)
+    def run(start):
+        def rng(role):
+            return np.random.default_rng(
+                np.random.SeedSequence([seed, start // RUN_SIZE, role]))
+
+        counts = draw_counts(rng(COUNT_ROLE), min(RUN_SIZE, reps - start))
         take(start, counts, None if draw_sums is None else
-             draw_sums(_RunStream(seed, start, stop, SUMMAND_ROLE), counts))
+             draw_sums(rng(SUMMAND_ROLE), counts))
 
-    bounds = [*range(0, reps, RUN_BLOCKS * BLOCK_SIZE), reps]
-    # A last block of one row is its own run: numpy multiplies a one-row
-    # matrix by another routine, whose last bit may differ from that row's
-    # in a longer product.
-    if reps % BLOCK_SIZE == 1 and reps - bounds[-2] > 1:
-        bounds.insert(-1, reps - 1)
-    if workers == 1 or len(bounds) == 2:
-        for start, stop in zip(bounds, bounds[1:]):
-            run(start, stop)
+    starts = range(0, reps, RUN_SIZE)
+    if workers == 1 or len(starts) == 1:
+        for start in starts:
+            run(start)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, bounds[:-1], bounds[1:]))
+            list(pool.map(run, starts))
 
 
 @dataclass(frozen=True)
@@ -245,9 +206,9 @@ def simulate_compound(mx, mn, n, reps, seed, workers=None):
     draws = _plain_draws(mx, mn.count_law(n))
     sums, counts = np.empty((reps, mx.dim)), np.empty(reps, dtype=np.int64)
 
-    def take(start, block_counts, block_sums):
-        counts[start:start + block_counts.size] = block_counts
-        sums[start:start + block_counts.size] = block_sums
+    def take(start, run_counts, run_sums):
+        counts[start:start + run_counts.size] = run_counts
+        sums[start:start + run_counts.size] = run_sums
 
     _run_blocks(*draws, reps, seed, workers, take)
     return sums, counts
@@ -390,8 +351,8 @@ def estimate_event_prob(
     s = eta + summand cgf(theta) and from the tilted summand law, then
     unwinds with the exact finite-n weight
     exp(n K_n(s) - <theta, sums> - eta counts). Every counting kind can be
-    tilted. Weights beyond exp(700) raise, from the run of blocks that
-    meets them, instead of clipping.
+    tilted. Weights beyond exp(700) raise, from the run that meets
+    them, instead of clipping.
 
     A count face, direction 0, draws counts only: it seeds no summand
     stream and builds and calls no summand sampler, since its indicator and

@@ -478,26 +478,16 @@ def _md_rate(mx, mn, x, y, shifted):
     xs, ys, one = _points(mx, x, y)
     if shifted:
         xs = xs - ys[:, None] * mx.mean()
-    count_part = np.array([_square(v) for v in ys.tolist()]) / (2.0 * d.variance_rate)
+    with np.errstate(over="ignore"):  # a value past the float range is +inf
+        count_part = ys * ys / (2.0 * d.variance_rate)
     if d.mean_rate == 0.0:
         rates = np.where(np.max(np.abs(xs), axis=1) <= ORIGIN_TOL, count_part, math.inf)
     else:
         pre, in_image = mx.cov()._solve_rows(xs)
-        with np.errstate(over="ignore"):  # a value past the float range is +inf
+        with np.errstate(over="ignore"):
             quad = np.maximum(_dot_rows(pre, xs), 0.0)
         rates = np.where(in_image, quad / (2.0 * d.mean_rate) + count_part, math.inf)
     return float(rates[0]) if one else rates
-
-
-def _square(v):
-    """v ** 2 as the float power, as the tables have always been computed
-    (the vectorised square y * y differs from it in the last bit for about
-    one y in a thousand); +inf past the float range, where the power raises
-    OverflowError."""
-    try:
-        return v ** 2
-    except OverflowError:
-        return math.inf
 
 
 def rate_md_centered_summands(mx, mn, x, y):

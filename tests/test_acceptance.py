@@ -26,7 +26,7 @@ from compound_deviations.mittag_leffler import (
     switch_point,
 )
 from compound_deviations.montecarlo import (
-    BLOCK_SIZE,
+    RUN_SIZE,
     HalfSpaceEvent,
     clt_regime_check,
     decay_rate_scan,
@@ -382,7 +382,7 @@ def test_criterion_11_clt_regime():
 
 def test_criterion_12_determinism_and_worker_independence():
     mx, mn = pm_one_summand(), PoissonCounting(1.0)
-    reps = BLOCK_SIZE + 700
+    reps = RUN_SIZE + 700
 
     first_sums, first_counts = simulate_compound(mx, mn, 50, reps,
                                                  seed=20240922, workers=1)

@@ -1237,7 +1237,7 @@ class TestCli:
             (tmp_path / "out" / "ldp_check_summary.json").read_text())
         band = summary["bands"][0]
         assert band["pass"]
-        np.testing.assert_allclose(band["value"], 0.10267, rtol=1e-4)
+        np.testing.assert_allclose(band["value"], 0.10274, rtol=1e-4)
         np.testing.assert_allclose(band["reference"], 0.098390, rtol=1e-5)
 
     @pytest.mark.parametrize("counting", ["renewal", "renewal-lattice"])

@@ -926,16 +926,42 @@ class TestOneTableRoute:
             assert draws.max() <= last_reachable_count(mn.count_law(n, s).pmf)
 
     @pytest.mark.parametrize("kind", sorted(TOP_UNIFORM_KINDS))
-    def test_cdf_is_the_cumsum_up_to_the_last_reachable_count(self, kind):
-        # Only the cdf is trimmed: it is 1 from the last reachable count on,
-        # and the pmf (so exact_pmf, mean and var) keeps its bytes.
+    def test_cdf_is_the_cumsum_then_one_less_the_tail(self, kind):
+        # The cdf is the cumsum F where F <= 1/2 and 1 - S past it, S the
+        # upper tail, so it is within 2^-54 of 1 - S with S's relative
+        # accuracy and reads 1 exactly from the last reachable count on;
+        # the pmf (so exact_pmf, mean and var) keeps its bytes.
         mn, n = TOP_UNIFORM_KINDS[kind]
         for s in (0.0, -0.5, 0.3):
             law = mn.count_law(n, s)
             pmf, cdf = law.pmf, law.cdf
+            head = np.cumsum(pmf)
+            assert np.array_equal(cdf[head <= 0.5], head[head <= 0.5])
+            tail = np.array([math.fsum(pmf[k + 1:]) for k in range(pmf.size)])
+            past = head > 0.5
+            assert np.all(np.abs(1.0 - cdf[past] - tail[past])
+                          <= 2.0 ** -54 + 1e-15 * tail[past])
+            assert np.all(np.diff(cdf) >= 0.0)
             last = last_reachable_count(pmf)
-            assert np.array_equal(cdf[:last], np.cumsum(pmf)[:last])
-            assert np.all(cdf[last:] == 1.0)
+            assert np.all(cdf[last:] == 1.0) and np.all(cdf[:last] < 1.0)
+
+    def test_poisson_cdf_tail_is_the_survival_function(self):
+        # Against scipy's Poisson survival function: past 1/2 the cdf is
+        # within 2^-54 of 1 - sf, with the table's relative accuracy, and
+        # max_count is the least count whose sf is at most 2^-54, so it
+        # grows with n.
+        mn, ns = PoissonCounting(1.0), range(300, 312)
+        top = []
+        for n in ns:
+            law = mn.count_law(n)
+            sf = poisson.sf(np.arange(law.pmf.size), n)
+            past = law.cdf > 0.5
+            assert np.all(np.abs(1.0 - law.cdf[past] - sf[past])
+                          <= 2.0 ** -54 + 1e-12 * sf[past])
+            k = law.max_count
+            assert sf[k] <= 2.0 ** -54 < sf[k - 1]
+            top.append(k)
+        assert all(a < b for a, b in zip(top, top[1:]))
 
     @pytest.mark.parametrize("mn, n, least", [
         (IidSumCounting([1, 2], [0.5, 0.5]), 3, 3),

@@ -41,7 +41,7 @@ from compound_deviations.errors import (
     ZeroRateEventError,
 )
 from compound_deviations.montecarlo import (
-    BLOCK_SIZE,
+    RUN_SIZE,
     DecayEstimate,
     HalfSpaceEvent,
     clt_regime_check,
@@ -274,7 +274,7 @@ class TestSimulateCompound:
     @REPRO_LAWS
     def test_worker_count_does_not_change_the_draws(self, law):
         mx = law()
-        reps = BLOCK_SIZE + 500
+        reps = RUN_SIZE + 500
         serial_sums, serial_counts = simulate_compound(
             mx, unit_poisson(), 30, reps, seed=3, workers=1)
         parallel_sums, parallel_counts = simulate_compound(
@@ -282,27 +282,27 @@ class TestSimulateCompound:
         assert np.array_equal(serial_counts, parallel_counts)
         assert np.array_equal(serial_sums, parallel_sums)
 
-    def test_guides_are_built_before_the_blocks(self, monkeypatch):
+    def test_guides_are_built_before_the_runs(self, monkeypatch):
         # The count table's guide and the stage tables are built once, in
-        # the calling thread, before two block threads draw from them.
+        # the calling thread, before two run threads draw from them.
         threads = []
         build = summands._CdfGuide.__init__
         monkeypatch.setattr(summands._CdfGuide, "__init__", lambda self, chunks: (
             threads.append(threading.get_ident()) or build(self, chunks)))
-        simulate_compound(pm_one_summand(), unit_poisson(), 30, 2 * BLOCK_SIZE,
+        simulate_compound(pm_one_summand(), unit_poisson(), 30, 2 * RUN_SIZE,
                           seed=3, workers=2)
         assert threads == [threading.get_ident()] * 2
 
     @REPRO_LAWS
-    def test_block_prefix_is_stable(self, law):
-        # Growing reps appends blocks without touching earlier draws.
+    def test_run_prefix_is_stable(self, law):
+        # Growing reps appends runs without touching earlier draws.
         mx = law()
         small_sums, small_counts = simulate_compound(mx, unit_poisson(), 30,
-                                                     BLOCK_SIZE, seed=5)
+                                                     RUN_SIZE, seed=5)
         large_sums, large_counts = simulate_compound(mx, unit_poisson(), 30,
-                                                     BLOCK_SIZE + 100, seed=5)
-        assert np.array_equal(small_counts, large_counts[:BLOCK_SIZE])
-        assert np.array_equal(small_sums, large_sums[:BLOCK_SIZE])
+                                                     RUN_SIZE + 100, seed=5)
+        assert np.array_equal(small_counts, large_counts[:RUN_SIZE])
+        assert np.array_equal(small_sums, large_sums[:RUN_SIZE])
 
     def test_small_tables_take_the_table_route(self, monkeypatch):
         # The FS2 law at n = 30 holds well under TABLE_STAGE_STATES states
@@ -685,7 +685,7 @@ class TestEstimateEventProb:
         # Unit weights: the same draws, the same mean and spread, bit for bit.
         mx, mn = zero_two_summand(), unit_poisson()
         event = HalfSpaceEvent([1.0], 0.0, 1.2)
-        reps = BLOCK_SIZE + 500
+        reps = RUN_SIZE + 500
         estimate = estimate_event_prob(mx, mn, 30, event, reps=reps,
                                        method="plain", seed=23)
         hits = event.indicator(
@@ -767,7 +767,7 @@ class TestEstimateEventProb:
         (unit_poisson(), 2.0),
         # The runs preset; level 2 is beyond its reach of N/n <= 1.
         (BernoulliSumCounting.runs(1.0, 1.0), 0.8),
-        # Both block threads read the sampler's one tilted table.
+        # Both run threads read the sampler's one tilted table.
         (FractionalPoissonCounting(0.7, 1.0), 2.0),
         KIND_CASES["iid-sum"],
         KIND_CASES["renewal"],
@@ -775,13 +775,13 @@ class TestEstimateEventProb:
     def test_tilted_worker_count_invariance(self, mn, level):
         event = HalfSpaceEvent([0.0], 1.0, level)
         mx = pm_one_summand()
-        serial = estimate_event_prob(mx, mn, 30, event, reps=BLOCK_SIZE + 800,
+        serial = estimate_event_prob(mx, mn, 30, event, reps=RUN_SIZE + 800,
                                      method="tilted", seed=78, workers=1)
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # interleave the two block threads often
+        sys.setswitchinterval(1e-6)  # interleave the two run threads often
         try:
             parallel = estimate_event_prob(mx, mn, 30, event,
-                                           reps=BLOCK_SIZE + 800,
+                                           reps=RUN_SIZE + 800,
                                            method="tilted", seed=78, workers=2)
         finally:
             sys.setswitchinterval(interval)
@@ -807,7 +807,7 @@ class TestEstimateEventProb:
         assert abs(estimate.value - exact) <= 4.0 * estimate.std_error
 
     def test_tilted_sampler_is_built_once_per_estimate(self, monkeypatch):
-        # One tilted table per estimate, shared by all blocks, for every kind.
+        # One tilted table per estimate, shared by all runs, for every kind.
         built = []
         build = CountingModel.count_law
 
@@ -819,7 +819,7 @@ class TestEstimateEventProb:
         for mn, level in KIND_CASES.values():
             estimate_event_prob(pm_one_summand(), mn, 30,
                                 HalfSpaceEvent([0.0], 1.0, level),
-                                reps=BLOCK_SIZE + 800, method="tilted", seed=78)
+                                reps=RUN_SIZE + 800, method="tilted", seed=78)
         assert built == [type(mn).__name__ for mn, _ in KIND_CASES.values()]
 
     @pytest.mark.parametrize("kind", sorted(KIND_CASES))
@@ -892,13 +892,13 @@ class TestEstimateEventProb:
         # A consistent tilt keeps every weight below e^700 unless a draw has
         # tilted probability below e^-700; this hand-built one does not
         # renormalize: s = 0 with eta = -100 gives log-weights 100 N, past
-        # 700 for every Poisson(50) draw above 7, in a block on a pool thread.
+        # 700 for every Poisson(50) draw above 7, in a run on a pool thread.
         tilt = montecarlo.TiltParameters(
             theta=np.array([0.0]), eta=-100.0, s=0.0, rate=0.0,
             boundary_x=np.array([0.0]), boundary_y=1.0)
         with pytest.raises(ValidationError, match=r"exceeds exp\(700\)"):
             estimate_event_prob(pm_one_summand(), unit_poisson(), 50,
-                                COUNT_EVENT, reps=3 * BLOCK_SIZE,
+                                COUNT_EVENT, reps=2 * RUN_SIZE,
                                 method="tilted", seed=46, workers=workers,
                                 tilt=tilt)
 
@@ -1319,8 +1319,8 @@ class TestCltRegimeCheck:
 
     def test_renewal_count_mean_is_exact(self, monkeypatch):
         # The count mean comes from the mass table: the only count draws are
-        # the replication draws, one per run of blocks (here one run of a
-        # full and a short block), with no second pass to estimate E N_n.
+        # the replication draws, one per run (here a full run and a short
+        # one), with no second pass to estimate E N_n.
         mn = RenewalCounting(GammaInterarrival(2.0, 4.0))
         assert_allclose(mn.mean(100), 199.75, rtol=1e-12)
         draws = []
@@ -1328,10 +1328,10 @@ class TestCltRegimeCheck:
         monkeypatch.setattr(CountLaw, "draw", lambda law, rng, reps: (
             draws.append(reps) or draw(law, rng, reps)))
         result = clt_regime_check(
-            pm_one_summand(), mn, n=100, reps=BLOCK_SIZE + 500, v=[1.0],
+            pm_one_summand(), mn, n=100, reps=RUN_SIZE + 500, v=[1.0],
             seed=2003,
         )
-        assert draws == [BLOCK_SIZE + 500]
+        assert draws == [RUN_SIZE, 500]
         assert all(r.within_band for r in result.rows)
 
     @pytest.mark.parametrize("reps", [2, 5, 7])
@@ -1522,7 +1522,7 @@ class TestCheckBlocks:
     def test_rows_equal_the_batch_route(self, route, workers):
         law, counting_law, n, u, v = SUM_ROUTES[route]
         mx, mn = law(), counting_law()
-        reps = 2 * BLOCK_SIZE + 577
+        reps = RUN_SIZE + 577
         assert_matches_batch(*moment_route(mx, mn, n, reps, u, v, 41, workers))
         assert_matches_batch(*clt_route(mx, mn, n, reps, v, 42, workers))
 
@@ -1531,7 +1531,7 @@ class TestCheckBlocks:
         # N(1e5, 1) summands and N_50 = 50: the sum's image mean is about
         # 7e5 times its spread, and the count has no spread at all.
         mx, mn = GaussianSummands([1e5], [[1.0]]), IidSumCounting([1], [1.0])
-        reps = 2 * BLOCK_SIZE + 577
+        reps = RUN_SIZE + 577
         moments, batch = moment_route(mx, mn, 50, reps, [1.0], [1.0], 46, workers)
         assert_matches_batch(moments, batch)
         rows = {r.name: r for r in moments.rows}
@@ -1546,7 +1546,7 @@ class TestCheckBlocks:
     def test_a_one_atom_centred_image_has_no_spread(self, workers):
         # S = 2 N exactly, so the centred-summand image is identically 0.
         mx = FiniteSupportSummands([[2.0]], [1.0])
-        clt, batch = clt_route(mx, unit_poisson(), 50, 2 * BLOCK_SIZE + 577,
+        clt, batch = clt_route(mx, unit_poisson(), 50, RUN_SIZE + 577,
                                [1.0], 48, workers)
         assert_matches_batch(clt, batch)
         rows = {r.name: r for r in clt.rows}
@@ -1590,9 +1590,9 @@ def batch_route_estimate(mx, mn, n, event, reps, method, seed, workers):
                  mn.count_law(n, tilt.s).draw)
     sums, counts = np.empty((reps, mx.dim)), np.empty(reps, dtype=np.int64)
 
-    def take(start, block_counts, block_sums):
-        counts[start:start + block_counts.size] = block_counts
-        sums[start:start + block_counts.size] = block_sums
+    def take(start, run_counts, run_sums):
+        counts[start:start + run_counts.size] = run_counts
+        sums[start:start + run_counts.size] = run_sums
 
     montecarlo._run_blocks(*draws, reps, seed, workers, take)
     weighted = event.indicator(n, sums, counts).astype(float)
@@ -1614,7 +1614,7 @@ ESTIMATE_ROUTES = {
 
 
 class TestEstimateBlocks:
-    """The estimator writes each block's weighted indicator as it is drawn,
+    """The estimator writes each run's weighted indicator as it is drawn,
     with no sample batch; its value and error are the batch route's."""
 
     @pytest.mark.parametrize("workers", [1, 3])
@@ -1624,7 +1624,7 @@ class TestEstimateBlocks:
         law, counting_law, n, level = ESTIMATE_ROUTES[route]
         mx, mn = law(), counting_law()
         event = HalfSpaceEvent([1.0, 1.0], 0.0, level)
-        reps = 2 * BLOCK_SIZE + 577
+        reps = RUN_SIZE + 577
         estimate = estimate_event_prob(mx, mn, n, event, reps=reps,
                                        method=method, seed=44, workers=workers)
         assert 0.0 < estimate.value < 1.0
@@ -1634,7 +1634,7 @@ class TestEstimateBlocks:
     @pytest.mark.parametrize("method", ["plain", "tilted"])
     def test_peak_memory_is_the_weighted_row(self, method):
         # One reps-long row of 8-byte floats, and one more for the spread;
-        # the slack covers one block's draws and the tables each call
+        # the slack covers one run's draws and the tables each call
         # builds. Holding the (S, N) batch peaks near ten rows. A first
         # call loads the lazy imports and the count table.
         mx = three_atom_plane()
@@ -1686,7 +1686,7 @@ class TestCountFaceDrawsCounts:
                                                        method, workers):
         mx, mn = COUNT_FACE_LAWS[law](), unit_poisson()
         event = HalfSpaceEvent(np.zeros(mx.dim), 1.0, 1.3)
-        reps = 2 * BLOCK_SIZE + 577
+        reps = RUN_SIZE + 577
         expected = batch_route_estimate(mx, mn, 30, event, reps, method, 46,
                                         workers)
         forbid_sums(monkeypatch)
@@ -1700,7 +1700,7 @@ class TestCountFaceDrawsCounts:
                                                               law):
         mx, mn = COUNT_FACE_LAWS[law](), IidSumCounting([0, 1, 2], [0.3, 0.4, 0.3])
         event = HalfSpaceEvent(np.zeros(mx.dim), 1.0, 1.05)
-        reps = BLOCK_SIZE + 500
+        reps = RUN_SIZE + 500
         sums, counts = simulate_compound(mx, mn, 30, reps, seed=23)
         hits = event.indicator(30, None, counts)
         assert np.array_equal(hits, event.indicator(30, sums, counts))
@@ -1726,17 +1726,19 @@ class TestCountFaceDrawsCounts:
 
     @pytest.mark.parametrize("method", ["plain", "tilted"])
     def test_count_face_seeds_no_summand_stream(self, monkeypatch, method):
-        roles, stream = [], montecarlo._RunStream
+        # The seed sequence of every run generator the estimate makes.
+        seeded, default_rng = [], np.random.default_rng
 
-        def recording(seed, start, stop, role):
-            roles.append(role)
-            return stream(seed, start, stop, role)
+        def recording(seed=None):
+            if isinstance(seed, np.random.SeedSequence):
+                seeded.append(tuple(seed.entropy))
+            return default_rng(seed)
 
-        monkeypatch.setattr(montecarlo, "_RunStream", recording)
+        monkeypatch.setattr(np.random, "default_rng", recording)
         estimate_event_prob(pm_one_summand(), unit_poisson(), 30,
                             HalfSpaceEvent([0.0], 1.0, 1.3),
-                            reps=3 * BLOCK_SIZE, method=method, seed=47)
-        assert roles == [montecarlo.COUNT_ROLE] * 2
+                            reps=2 * RUN_SIZE, method=method, seed=47)
+        assert seeded == [(47, r, montecarlo.COUNT_ROLE) for r in range(2)]
 
     @pytest.mark.parametrize("method", ["plain", "tilted"])
     @pytest.mark.parametrize("face", [([1.0], 0.0), ([1.0], 1.0), ([0.5], -0.2)],
@@ -1750,64 +1752,60 @@ class TestCountFaceDrawsCounts:
                                 method=method, seed=48)
 
 
-def block_generators(seed, start, stop, role):
-    """Each block's own generator over rows [start, stop), with its size."""
-    return [(np.random.default_rng(np.random.SeedSequence([seed, b // BLOCK_SIZE, role])),
-             min(BLOCK_SIZE, stop - b)) for b in range(start, stop, BLOCK_SIZE)]
+def run_generators(seed, reps, role):
+    """Each run's own generator over rows [0, reps), with its size."""
+    return [(np.random.default_rng(np.random.SeedSequence([seed, start // RUN_SIZE, role])),
+             min(RUN_SIZE, reps - start)) for start in range(0, reps, RUN_SIZE)]
 
 
 def blockwise_draws(mx, mn, n, reps, seed):
-    """(sums, counts) drawn one block at a time, each block's samplers
-    called on that block's own generators alone."""
+    """(sums, counts) drawn one run at a time, each run's samplers called on
+    that run's own generators alone."""
     draw_sums, draw_counts = montecarlo._plain_draws(mx, mn.count_law(n))
     pieces = []
     for (rng_n, size), (rng_x, _) in zip(
-            *(block_generators(seed, 0, reps, role) for role in (0, 1))):
+            *(run_generators(seed, reps, role) for role in (0, 1))):
         counts = draw_counts(rng_n, size)
         pieces.append((draw_sums(rng_x, counts), counts))
     return tuple(np.concatenate(part) for part in zip(*pieces))
 
 
-RUN_REPS = [1, BLOCK_SIZE - 1, BLOCK_SIZE + 1,
-            (montecarlo.RUN_BLOCKS + 1) * BLOCK_SIZE + 17]
+RUN_REPS = [1, RUN_SIZE - 1, RUN_SIZE + 1, 2 * RUN_SIZE + 17]
 
 
 class TestBlockRuns:
-    """A run of consecutive blocks draws through one stream per role, and
-    every draw is the one its block makes alone."""
+    """Run r of the block runner, rows [r RUN_SIZE, (r + 1) RUN_SIZE), draws
+    each stream role from its own generator, so every draw is the one its
+    run makes alone."""
 
-    # Rows from the second block on, ending in a short block.
-    start, stop = BLOCK_SIZE, 3 * BLOCK_SIZE + 17
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_a_run_draws_from_one_generator_per_role(self, workers):
+        # Two full runs and a short one: the count role draws uniforms and
+        # then binomials, the summand role normals.
+        reps, drawn = 2 * RUN_SIZE + 17, {}
 
-    def stream_and_blocks(self, role):
-        return (montecarlo._RunStream(61, self.start, self.stop, role),
-                block_generators(61, self.start, self.stop, role))
+        def draw_counts(rng, size):
+            return rng.random(size), rng.binomial(np.arange(size) % 50, 0.3)
 
-    def test_random_is_the_blocks_uniforms(self):
-        stream, blocks = self.stream_and_blocks(0)
-        size = self.stop - self.start
-        for _ in range(2):  # the second call continues every block's stream
-            assert np.array_equal(stream.random(size), np.concatenate(
-                [rng.random(m) for rng, m in blocks]))
+        def draw_sums(rng, counts):
+            return rng.standard_normal((counts[0].size, 3))
 
-    def test_standard_normal_is_the_blocks_rows(self):
-        stream, blocks = self.stream_and_blocks(1)
-        size = self.stop - self.start
-        for _ in range(2):
-            assert np.array_equal(stream.standard_normal((size, 3)), np.concatenate(
-                [rng.standard_normal((m, 3)) for rng, m in blocks]))
+        def take(start, counts, sums):
+            drawn[start] = (*counts, sums)
 
-    def test_binomial_is_the_blocks_binomials(self):
-        stream, blocks = self.stream_and_blocks(1)
-        counts = np.arange(self.stop - self.start) % 50
-        pieces = np.split(counts, np.cumsum([m for _, m in blocks])[:-1])
-        drawn = stream.binomial(counts, 0.3)
-        assert drawn.dtype == np.int64
-        assert np.array_equal(drawn, np.concatenate(
-            [rng.binomial(piece, 0.3) for (rng, _), piece in zip(blocks, pieces)]))
+        montecarlo._run_blocks(draw_sums, draw_counts, reps, 61, workers, take)
+        assert sorted(drawn) == [0, RUN_SIZE, 2 * RUN_SIZE]
+        for start, (uniforms, binomials, normals) in drawn.items():
+            size = min(RUN_SIZE, reps - start)
+            count_rng, sum_rng = (np.random.default_rng(np.random.SeedSequence(
+                [61, start // RUN_SIZE, role])) for role in (0, 1))
+            assert np.array_equal(uniforms, count_rng.random(size))
+            assert np.array_equal(binomials,
+                                  count_rng.binomial(np.arange(size) % 50, 0.3))
+            assert np.array_equal(normals, sum_rng.standard_normal((size, 3)))
 
-    # At seed 62 and BLOCK_SIZE + 1 reps, the lone last row's Gaussian sum
-    # rounds apart from the same row inside a longer product.
+    # RUN_SIZE + 1 reps end in a run of one row, whose Gaussian sum is a
+    # one-row product here and in the oracle alike.
     @pytest.mark.parametrize("reps", RUN_REPS)
     @pytest.mark.parametrize("route", SUM_ROUTES)
     def test_simulation_is_the_blockwise_draws(self, route, reps):
@@ -1843,8 +1841,8 @@ class TestBlockRuns:
             assert all(result == serial for result in parallel)
 
     @pytest.mark.parametrize("reps, runs", [
-        (RUN_REPS[-1], [BLOCK_SIZE + 17, montecarlo.RUN_BLOCKS * BLOCK_SIZE]),
-        (BLOCK_SIZE + 1, [1, BLOCK_SIZE]),  # a lone last row runs alone
+        (RUN_REPS[-1], [17, RUN_SIZE, RUN_SIZE]),
+        (RUN_SIZE + 1, [1, RUN_SIZE]),
     ])
     def test_counts_are_drawn_once_per_run(self, monkeypatch, reps, runs):
         mn, sizes = unit_poisson(), []

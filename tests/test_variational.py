@@ -14,6 +14,7 @@ coefficients) give the second.
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -1442,21 +1443,21 @@ class TestRowwiseRates:
                                        [0.5, 0.5])
         assert math.isfinite(md[0]) and md[1] == math.inf
 
-    def test_count_part_keeps_the_float_power_bits(self):
-        # At x = 0 with unit Poisson counts the rate is y ** 2 / 2 exactly.
-        # The float power rounds these y differently from y * y; the rate
-        # tables have always held the float power's bits.
+    def test_count_part_is_the_rounded_square(self):
+        # At x = 0 with unit Poisson counts the rate is y^2 / 2: the
+        # correctly rounded square, halved exactly. The float power y ** 2
+        # is one ulp off it at these y.
         ys = [0.5073225863368529, 0.8246210121471433, -0.4834668697760108]
-        assert all(y ** 2 != y * y for y in ys)
+        assert all(y ** 2 != float(Fraction(y) ** 2) for y in ys)
         column = rate_md_centered_summands(pm_one_summand(), unit_poisson(),
                                            [[0.0]] * 3, ys)
-        assert column.tolist() == [y ** 2 / 2.0 for y in ys]
+        assert column.tolist() == [float(Fraction(y) ** 2 / 2) for y in ys]
 
     @pytest.mark.parametrize("rate", [rate_md_centered_summands,
                                       rate_md_centered_sum])
     def test_count_part_past_the_float_range_is_infinite(self, rate):
-        # The float power raises OverflowError past about 1.34e154; the rate
-        # there is +inf, and below it keeps the power's bits.
+        # y * y overflows past about 1.34e154; the rate there is +inf, and
+        # below it is the rounded square, halved.
         ys = [1e154, -1e154, 1.3e154, 1e200, -1e300]
         column = rate(pm_one_summand(), unit_poisson(), [[0.0]] * 5, ys)
         assert column.tolist() == [y ** 2 / 2.0 for y in ys[:3]] + [math.inf] * 2
