@@ -231,7 +231,7 @@ class CountLaw:
         cdf = np.where(cdf > 0.5, 1.0 - upper, cdf)
         self.pmf, self.cgf, self.cdf = pmf, cgf, cdf
         self.max_count = int(invert_cdf(cdf, TOP_UNIFORM))
-        self.guide = _CdfGuide([(cdf, np.array([cdf.size]), np.array([0]))])
+        self.guide = _CdfGuide(cdf, np.array([cdf.size]), np.array([0]))
 
     def draw(self, rng, reps):
         """reps draws of the law, one uniform each."""
@@ -687,10 +687,10 @@ class BernoulliSumCounting(CountingModel):
         return float(np.sum(terms)) / int(n)
 
     def _tilted_table(self, n, s):
+        what = f"Bernoulli-sum mass table at n={n}"
+        _check_states(n + 1, what)  # before any trial is tilted
         t = np.array([_bernoulli_tilt(q, s) for q in self.success_probs(n).tolist()])
-        pmf = _convolve_tree(np.column_stack([1.0 - t, t]),
-                             f"Bernoulli-sum mass table at n={n}")
-        return pmf, self.finite_cgf(n, s)
+        return _convolve_tree(np.column_stack([1.0 - t, t]), what), self.finite_cgf(n, s)
 
 
 class InterarrivalLaw:

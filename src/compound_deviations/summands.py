@@ -33,11 +33,11 @@ with numpy's binomial sampler. ``plain_sampler`` (the sampler of plain
 draws) may instead draw each stage from one ``rng.random`` uniform per sum,
 inverted in exact Binomial(k, q) cdf rows (``_GuideTable``, built by
 Pascal's rule on the cdf and the survival, one numpy step per row: about
-5-9 ms for a table of 2^16 states). It builds them only where they hold at most TABLE_STAGE_STATES
-states per stage and MASS_TABLE_CAP in all, judged from their windows before
-any build; past that it is ``sample_sum_batch``. Every other law's
-``plain_sampler`` is its ``sample_sum_batch``. The module imports nothing
-from scipy.
+5-9 ms for a table of 2^16 states), each in one pass, only where each stage
+holds at most TABLE_STAGE_STATES states and all at most MASS_TABLE_CAP,
+judged from their windows before any build; past that it is
+``sample_sum_batch``. Every other law's ``plain_sampler`` is its
+``sample_sum_batch``. The module imports nothing from scipy.
 
 Every cdf inversion of the package, of counts and of stages, takes
 ``invert_cdf``'s rule through one kernel, ``_CdfGuide``: a guide table
@@ -80,8 +80,6 @@ TOP_UNIFORM = 1.0 - UNIFORM_STEP
 # A binomial row's window leaves out tails below e^-WINDOW_LOG_TAIL = 2^-54,
 # which no uniform on the grid can reach.
 WINDOW_LOG_TAIL = 54.0 * math.log(2.0)
-# Guide tables are built in row chunks of about this many window states.
-TABLE_CHUNK = 1 << 16
 # Plain draws build stage tables only up to this many window states per
 # stage: the largest power of two at which the measured laws' build plus
 # the draws of the default plain reps, 10^5 sums, cost about what numpy's
@@ -139,9 +137,9 @@ class _CdfGuide:
     Trans. 6(2), 1974): ``draw(rows, u)`` is ``invert_cdf`` of each u in its
     row, as a state, for every u in [0, 1).
 
-    Built from ``chunks``, each (cdf, widths, lows) for whole rows laid end
-    to end: a row of ``widths[r]`` nondecreasing entries that reaches 1, for
-    the states from ``lows[r]`` on. A draw reaches only the w states from
+    Built from one row set (cdf, widths, lows), its rows laid end to end:
+    a row of ``widths[r]`` nondecreasing entries that reaches 1, for the
+    states from ``lows[r]`` on. A draw reaches only the w states from
     the first of positive cdf to the first of cdf 1, and only those are
     kept. Their row gets M = 2^ceil(log2(2 w)) cells, and cell c holds
     lo[c], the draw at u = c / M: the first state with ceil(cdf M) > c, read
@@ -153,33 +151,27 @@ class _CdfGuide:
     into the kept entries.
     """
 
-    def __init__(self, chunks):
-        pieces, offset, cell_offset = [], 0, 0
-        for cdf, widths, lows in chunks:
-            start = np.cumsum(widths) - widths
-            ones = cdf >= 1.0
-            ones_before = np.cumsum(ones) - ones
-            keep = (cdf > 0.0) & (ones_before == np.repeat(ones_before[start], widths))
-            index = np.flatnonzero(keep)
-            cdf = cdf[keep]
-            w = np.bincount(np.repeat(np.arange(widths.size), widths)[keep],
-                            minlength=widths.size)
-            first = np.cumsum(w) - w
-            scale = np.ldexp(1.0, np.frexp(2 * w - 1)[1])
-            ceil = np.ceil(cdf * np.repeat(scale, w)).astype(np.int64)
-            # State j holds the cells from its predecessor's ceil(cdf M) up
-            # to its own; a row's last state holds the sentinel too.
-            repeats = np.diff(ceil, prepend=0)
-            repeats[first] = ceil[first]
-            repeats[first + w - 1] += 1
-            lo = np.repeat(np.arange(offset, offset + cdf.size, dtype=np.int32), repeats)
-            row_cells = scale.astype(np.int64) + 1
-            pieces.append((cdf, lo, np.cumsum(row_cells) - row_cells + cell_offset,
-                           scale, first + offset - (lows + index[first] - start)))
-            offset += cdf.size
-            cell_offset += lo.size
-        self.cdf, self.lo, self.cells, self.scale, self.shift = (
-            np.concatenate(parts) for parts in zip(*pieces))
+    def __init__(self, cdf, widths, lows):
+        start = np.cumsum(widths) - widths
+        ones = cdf >= 1.0
+        ones_before = np.cumsum(ones) - ones
+        keep = (cdf > 0.0) & (ones_before == np.repeat(ones_before[start], widths))
+        index = np.flatnonzero(keep)
+        self.cdf = cdf[keep]
+        w = np.bincount(np.repeat(np.arange(widths.size), widths)[keep],
+                        minlength=widths.size)
+        first = np.cumsum(w) - w
+        self.scale = np.ldexp(1.0, np.frexp(2 * w - 1)[1])
+        ceil = np.ceil(self.cdf * np.repeat(self.scale, w)).astype(np.int64)
+        # State j holds the cells from its predecessor's ceil(cdf M) up to
+        # its own; a row's last state holds the sentinel too.
+        repeats = np.diff(ceil, prepend=0)
+        repeats[first] = ceil[first]
+        repeats[first + w - 1] += 1
+        self.lo = np.repeat(np.arange(self.cdf.size, dtype=np.int32), repeats)
+        row_cells = self.scale.astype(np.int64) + 1
+        self.cells = np.cumsum(row_cells) - row_cells
+        self.shift = first - (lows + index[first] - start)
 
     def draw(self, rows, u):
         """``invert_cdf`` of each u in its row (an index array or one row
@@ -231,38 +223,29 @@ class _GuideTable(_CdfGuide):
 
     def __init__(self, q, lows, highs):
         widths = highs - lows + 1
-        cuts = np.searchsorted(np.cumsum(widths),
-                               np.arange(TABLE_CHUNK, widths.sum(), TABLE_CHUNK))
-
-        def chunks():
-            # The current row's cdf F and survival S = 1 - F side by side:
-            # cur[2 j + 2] is F(j) and cur[2 j + 3] is S(j), after F(-1) = 0
-            # and S(-1) = 1, so Pascal's step on both is one shift by two.
-            # Each row is written to the other buffer.
-            top_state = int(highs.max())
-            cur, nxt = np.zeros((2, 2 * top_state + 4))
-            cur[2::2] = nxt[2::2] = cur[1] = nxt[1] = 1.0
-            shifted = np.empty(2 * top_state + 2)
-            for rows in np.split(np.arange(widths.size), np.unique(cuts)):
-                w = widths[rows]
-                ends = 2 * np.cumsum(w)
-                pairs = np.empty(ends[-1])
-                for k, end, a, b in zip(rows.tolist(), ends.tolist(),
-                                        lows[rows].tolist(), highs[rows].tolist()):
-                    if k:
-                        top = 2 * min(k, top_state) + 2
-                        np.multiply(cur[:top], q, out=shifted[:top])
-                        np.multiply(cur[2:top + 2], 1.0 - q, out=nxt[2:top + 2])
-                        nxt[2:top + 2] += shifted[:top]
-                        cur, nxt = nxt, cur
-                    pairs[end - 2 * (b - a + 1):end] = cur[2 * a + 2:2 * b + 4]
-                cdf, survival = pairs[0::2], pairs[1::2]
-                cdf = np.where(cdf > 0.5, 1.0 - survival, cdf)
-                cdf[ends // 2 - 1] = 1.0
-                cdf[cdf <= UNIFORM_STEP] = 0.0
-                yield cdf, w, lows[rows]
-
-        super().__init__(chunks())
+        ends = 2 * np.cumsum(widths)
+        # The current row's cdf F and survival S = 1 - F side by side:
+        # cur[2 j + 2] is F(j) and cur[2 j + 3] is S(j), after F(-1) = 0 and
+        # S(-1) = 1, so Pascal's step on both is one shift by two. Each row
+        # is written to the other buffer.
+        top_state = int(highs.max())
+        cur, nxt = np.zeros((2, 2 * top_state + 4))
+        cur[2::2] = nxt[2::2] = cur[1] = nxt[1] = 1.0
+        shifted = np.empty(2 * top_state + 2)
+        pairs = np.empty(ends[-1])
+        for k, (end, a, b) in enumerate(zip(ends.tolist(), lows.tolist(), highs.tolist())):
+            if k:
+                top = 2 * min(k, top_state) + 2
+                np.multiply(cur[:top], q, out=shifted[:top])
+                np.multiply(cur[2:top + 2], 1.0 - q, out=nxt[2:top + 2])
+                nxt[2:top + 2] += shifted[:top]
+                cur, nxt = nxt, cur
+            pairs[end - 2 * (b - a + 1):end] = cur[2 * a + 2:2 * b + 4]
+        cdf, survival = pairs[0::2], pairs[1::2]
+        cdf = np.where(cdf > 0.5, 1.0 - survival, cdf)
+        cdf[ends // 2 - 1] = 1.0
+        cdf[cdf <= UNIFORM_STEP] = 0.0
+        super().__init__(cdf, widths, lows)
 
 
 class SummandModel:
@@ -437,12 +420,12 @@ class FiniteSupportSummands(SummandModel):
 
     def plain_sampler(self, max_count):
         """Draws each stage from one ``rng.random`` uniform per sum, inverted
-        in that stage's ``_GuideTable``, where the tables hold at most
-        TABLE_STAGE_STATES states per stage and MASS_TABLE_CAP in all, decided
+        in that stage's ``_GuideTable``, where each stage holds at most
+        TABLE_STAGE_STATES states and all at most MASS_TABLE_CAP, decided
         from their windows before any build; ``sample_sum_batch`` past that."""
         windows = [_binomial_windows(q, max_count) for q in self._stages]
-        states = sum(int((b - a).sum()) + a.size for a, b in windows)
-        if states > min(TABLE_STAGE_STATES * len(windows), MASS_TABLE_CAP):
+        states = [int((b - a).sum()) + a.size for a, b in windows]
+        if max(states, default=0) > TABLE_STAGE_STATES or sum(states) > MASS_TABLE_CAP:
             return self.sample_sum_batch
         tables = [_GuideTable(q, a, b) for q, (a, b) in zip(self._stages, windows)]
         return lambda rng, counts: self._sum_by_stages(counts, lambda i, remaining: (
@@ -527,10 +510,13 @@ class GaussianSummands(SummandModel):
 
     def sample_sum_batch(self, rng, counts):
         # A sum of k iid Gaussians is Gaussian with mean k mu and covariance
-        # k C; one standard-normal draw per replication suffices.
+        # k C; one standard-normal draw per replication suffices. A zero row
+        # keeps a one-row batch on numpy's matrix product, whose rounding
+        # its vector-matrix routine does not share.
         counts = np.asarray(counts, dtype=float)
-        z = rng.standard_normal((counts.size, self.dim))
-        return counts[:, None] * self._mean + np.sqrt(counts)[:, None] * (z @ self._factor.T)
+        z = np.vstack([rng.standard_normal((counts.size, self.dim)), np.zeros(self.dim)])
+        steps = (z @ self._factor.T)[:-1]
+        return counts[:, None] * self._mean + np.sqrt(counts)[:, None] * steps
 
     def tilted(self, theta):
         t = as_vector(theta, dim=self.dim, name="theta")

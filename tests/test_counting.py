@@ -1452,6 +1452,22 @@ class TestValidation:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize("model", [
+        BernoulliSumCounting(0.5), BernoulliSumCounting.runs(1.0, 1.0),
+    ], ids=["constant-p", "runs"])
+    def test_bernoulli_table_is_judged_before_any_trial_is_tilted(self, model):
+        # A table of n + 1 states past MASS_TABLE_CAP is refused before the
+        # n trials are tilted and stacked (about 490 MB at n = 6,000,000).
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=r"^Bernoulli-sum mass table "
+                               r"at n=6000000 exceeds 5000000 states$"):
+                model.count_law(6_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     @pytest.mark.parametrize("build", [
         lambda: GammaInterarrival(None, 1.0),
         lambda: GammaInterarrival("2", 1.0),

@@ -287,8 +287,9 @@ class TestSimulateCompound:
         # the calling thread, before two run threads draw from them.
         threads = []
         build = summands._CdfGuide.__init__
-        monkeypatch.setattr(summands._CdfGuide, "__init__", lambda self, chunks: (
-            threads.append(threading.get_ident()) or build(self, chunks)))
+        monkeypatch.setattr(summands._CdfGuide, "__init__",
+                            lambda self, cdf, widths, lows: threads.append(
+                                threading.get_ident()) or build(self, cdf, widths, lows))
         simulate_compound(pm_one_summand(), unit_poisson(), 30, 2 * RUN_SIZE,
                           seed=3, workers=2)
         assert threads == [threading.get_ident()] * 2
@@ -303,6 +304,16 @@ class TestSimulateCompound:
                                                      RUN_SIZE + 100, seed=5)
         assert np.array_equal(small_counts, large_counts[:RUN_SIZE])
         assert np.array_equal(small_sums, large_sums[:RUN_SIZE])
+
+    def test_lone_last_run_of_gaussian_sums_is_a_prefix(self):
+        # 2-d Gaussian sums: the one-row run that RUN_SIZE + 1 reps end with
+        # is, bit for bit, the first row of the two-row run of RUN_SIZE + 2.
+        mx = GaussianSummands([0.2, -0.1], [[1.0, 0.3], [0.3, 0.5]])
+        for seed in range(12):
+            short = simulate_compound(mx, unit_poisson(), 30, RUN_SIZE + 1, seed=seed)
+            long = simulate_compound(mx, unit_poisson(), 30, RUN_SIZE + 2, seed=seed)
+            for drawn, longer in zip(short, long):
+                assert np.array_equal(drawn, longer[:RUN_SIZE + 1])
 
     def test_small_tables_take_the_table_route(self, monkeypatch):
         # The FS2 law at n = 30 holds well under TABLE_STAGE_STATES states
@@ -1128,8 +1139,9 @@ class TestMdScalingSweep:
         mn, event = unit_poisson(), HalfSpaceEvent([0.0], 1.0, 1.5)
         guides = []
         build = summands._CdfGuide.__init__
-        monkeypatch.setattr(summands._CdfGuide, "__init__", lambda self, chunks: (
-            guides.append(weakref.ref(self)) or build(self, chunks)))
+        monkeypatch.setattr(summands._CdfGuide, "__init__",
+                            lambda self, cdf, widths, lows: guides.append(
+                                weakref.ref(self)) or build(self, cdf, widths, lows))
         for method in ("plain", "tilted"):
             estimate_event_prob(pm_one_summand(), mn, 40, event, reps=1000,
                                 method=method, seed=5)

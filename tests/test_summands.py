@@ -14,12 +14,15 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import gammaln
 
+from compound_deviations import summands
+from compound_deviations.counting import PoissonCounting
 from compound_deviations.dualpair import CovarianceOperator
 from compound_deviations.errors import (
     DimensionMismatchError,
     ValidationError,
 )
 from compound_deviations.summands import (
+    MASS_TABLE_CAP,
     TABLE_STAGE_STATES,
     TOP_UNIFORM,
     UNIFORM_STEP,
@@ -298,6 +301,22 @@ class TestGaussian:
         assert np.all(np.abs(sums.mean(axis=0) - 7.0 * gaussian_2d.mean())
                       <= 4.0 * se)
 
+    @pytest.mark.parametrize("mean, cov", [
+        ([0.2, -0.1], [[1.0, 0.3], [0.3, 0.5]]),
+        ([0.5, 0.0, -1.0], [[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 0.7]]),
+    ], ids=["2-d", "3-d"])
+    def test_rows_do_not_depend_on_the_batch_size(self, mean, cov):
+        # Batches of 1, 2 and 3 sums at one seed are the first rows of a
+        # batch of 17, bit for bit: a one-row batch takes the matrix product
+        # too, not numpy's vector-matrix routine, which rounds otherwise.
+        m = GaussianSummands(mean, cov)
+        counts = np.arange(30, 47)
+        for seed in range(40):
+            full = m.sample_sum_batch(np.random.default_rng(seed), counts)
+            for size in (1, 2, 3):
+                batch = m.sample_sum_batch(np.random.default_rng(seed), counts[:size])
+                assert np.array_equal(batch, full[:size])
+
 
 def stage_table(q, max_count=400):
     return _GuideTable(q, *_binomial_windows(q, max_count))
@@ -373,18 +392,15 @@ def cdf_rows(rng):
 class TestCdfGuide:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_draws_are_searchsorted_on_every_row(self, seed):
-        # Rows built in three chunks, each with its own first state: every
-        # draw equals searchsorted(row, u, side="right") past that state, at
+        # Rows built in one set, each with its own first state: every draw
+        # equals searchsorted(row, u, side="right") past that state, at
         # random u, 0, 2^-53, the top uniform, each row value and each cell
         # edge c / M, all with their float neighbours.
         rng = np.random.default_rng(seed)
         rows = cdf_rows(rng)
         rng.shuffle(rows)
         lows = rng.integers(0, 1000, len(rows))
-        cuts = [0, 4, 9, len(rows)]
-        guide = _CdfGuide(
-            (np.concatenate(rows[a:b]), np.array([r.size for r in rows[a:b]]),
-             lows[a:b]) for a, b in zip(cuts[:-1], cuts[1:]))
+        guide = _CdfGuide(np.concatenate(rows), np.array([r.size for r in rows]), lows)
         for k, row in enumerate(rows):
             cells = np.arange(guide.scale[k] + 1) / guide.scale[k]
             u = np.concatenate([rng.random(100), [0.0, UNIFORM_STEP, TOP_UNIFORM],
@@ -400,8 +416,8 @@ class TestCdfGuide:
         # first of cdf 1, gets M = 2^ceil(log2(2 w)) int32 cells and one
         # sentinel, and holds the draw at u = c / M in cell c.
         rows = cdf_rows(np.random.default_rng(3))
-        guide = _CdfGuide([(np.concatenate(rows), np.array([r.size for r in rows]),
-                            np.zeros(len(rows), dtype=np.int64))])
+        guide = _CdfGuide(np.concatenate(rows), np.array([r.size for r in rows]),
+                          np.zeros(len(rows), dtype=np.int64))
         assert guide.lo.dtype == np.int32
         assert guide.lo.size == sum(int(m) + 1 for m in guide.scale)
         for k, row in enumerate(rows):
@@ -490,6 +506,53 @@ class TestGuideTables:
         assert m.plain_sampler(600) == m.sample_sum_batch
         g = GaussianSummands([0.0], [[1.0]])
         assert g.plain_sampler(100) == g.sample_sum_batch
+
+    @pytest.mark.parametrize("n, states, tables", [
+        (200, [40_184, 14_287], True),
+        (300, [65_565, 22_522], False),
+        (400, [93_014, 31_595], False),
+    ])
+    def test_route_is_judged_stage_by_stage(self, n, states, tables):
+        # Atoms 1, 0, -1 at 0.49, 0.02, 0.49 under Poisson(1) counts: the
+        # stages' mean stays within TABLE_STAGE_STATES at each n, but from
+        # n = 300 the first stage alone passes it, so plain draws take
+        # numpy's binomials there.
+        m = FiniteSupportSummands([[1.0], [0.0], [-1.0]], [0.49, 0.02, 0.49])
+        max_count = PoissonCounting(1.0).count_law(n).max_count
+        windows = [_binomial_windows(q, max_count) for q in m._stages]
+        assert [int((b - a + 1).sum()) for a, b in windows] == states
+        assert sum(states) <= TABLE_STAGE_STATES * len(states)
+        assert (m.plain_sampler(max_count) != m.sample_sum_batch) == tables
+
+    def test_no_admitted_stage_table_passes_the_stage_bound(self, monkeypatch):
+        # Over laws of one and two stages and counts up to 800, a stage
+        # table is built exactly where every stage's windows hold at most
+        # TABLE_STAGE_STATES states and all at most MASS_TABLE_CAP, each with
+        # its own stage's states.
+        built = []
+
+        class RecordedTable(_GuideTable):
+            def __init__(self, q, lows, highs):
+                built.append(int((highs - lows + 1).sum()))
+                super().__init__(q, lows, highs)
+
+        monkeypatch.setattr(summands, "_GuideTable", RecordedTable)
+        laws = [([[1.0], [-1.0]], [0.5, 0.5]),
+                ([[0.0], [1.0]], [0.97, 0.03]),
+                ([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], [0.3, 0.3, 0.4]),
+                ([[1.0], [0.0], [-1.0]], [0.49, 0.02, 0.49])]
+        for atoms, probs in laws:
+            m = FiniteSupportSummands(atoms, probs)
+            for max_count in range(0, 801, 40):
+                states = [int((b - a + 1).sum()) for a, b in (
+                    _binomial_windows(q, max_count) for q in m._stages)]
+                start = len(built)
+                sampler = m.plain_sampler(max_count)
+                if max(states) <= TABLE_STAGE_STATES and sum(states) <= MASS_TABLE_CAP:
+                    assert sampler != m.sample_sum_batch and built[start:] == states
+                else:
+                    assert sampler == m.sample_sum_batch and built[start:] == []
+        assert 60_000 < max(built) <= TABLE_STAGE_STATES
 
     def test_rounded_stages_of_exactly_zero_and_one(self):
         # The second stage's conditional probability rounds past 1 and the
